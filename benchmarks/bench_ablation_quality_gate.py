@@ -18,6 +18,8 @@ from repro.bench import ExperimentResult, relative_error
 from repro.core.quality import QualityPolicy
 from repro.datasets import lofar
 
+from tests.conftest import APPROX, EXACT
+
 THRESHOLDS = (0.0, 0.3, 0.6, 0.8, 0.95)
 
 
@@ -34,8 +36,8 @@ def test_quality_gate_threshold_sweep(benchmark, scale):
         # that accepts both must still not let it displace the better one.
         good = db.fit("measurements", "intensity ~ powerlaw(frequency)", group_by="source")
         bad = db.fit("measurements", "intensity ~ constant(frequency)", group_by="source")
-        exact = db.sql(sql).scalar()
-        answer = db.approximate_sql(sql)
+        exact = db.query(sql, EXACT).query_result.scalar()
+        answer = db.query(sql, APPROX).approx
         used = None
         if answer.used_model_ids:
             used = db.models.get(answer.used_model_ids[0]).family_name

@@ -13,6 +13,8 @@ import pytest
 
 from repro.bench import ExperimentResult, relative_error
 
+from tests.conftest import APPROX, EXACT
+
 AGGREGATES = ("avg", "sum", "min", "max")
 
 
@@ -24,7 +26,7 @@ def test_analytic_aggregates_accuracy(benchmark, tpcds_bench_db):
         answers = {}
         for function in AGGREGATES:
             sql = f"SELECT {function}(sales_price) AS v FROM store_sales"
-            answers[function] = (db.approximate_sql(sql), db.sql(sql).scalar())
+            answers[function] = (db.query(sql, APPROX).approx, db.query(sql, EXACT).query_result.scalar())
         return answers
 
     answers = benchmark.pedantic(run, iterations=1, rounds=1)

@@ -23,6 +23,8 @@ import pytest
 from repro.baselines import functiondb, histogram, mauvedb, sampling
 from repro.bench import ExperimentResult, relative_error
 
+from tests.conftest import APPROX, EXACT
+
 
 @pytest.mark.benchmark(group="baselines")
 def test_baseline_comparison_mean_intensity(benchmark, lofar_bench_db, lofar_bench_model):
@@ -30,12 +32,12 @@ def test_baseline_comparison_mean_intensity(benchmark, lofar_bench_db, lofar_ben
     model = lofar_bench_model
     table = db.table("measurements")
     band = 0.15
-    exact = db.sql(f"SELECT avg(intensity) FROM measurements WHERE frequency = {band}").scalar()
+    exact = db.query(f"SELECT avg(intensity) FROM measurements WHERE frequency = {band}", EXACT).query_result.scalar()
 
     def run():
         answers = {}
 
-        approx = db.approximate_sql(f"SELECT avg(intensity) AS m FROM measurements WHERE frequency = {band}")
+        approx = db.query(f"SELECT avg(intensity) AS m FROM measurements WHERE frequency = {band}", APPROX).approx
         answers["captured model"] = (approx.scalar(), model.stored_byte_size(), False)
 
         for fraction in (0.01, 0.10):

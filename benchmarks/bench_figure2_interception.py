@@ -20,6 +20,8 @@ from repro.bench import ExperimentResult
 from repro.core.quality import QualityPolicy
 from repro.fitting import PowerLaw, fit_grouped
 
+from tests.conftest import APPROX
+
 
 @pytest.mark.benchmark(group="figure2")
 def test_figure2_interception_overhead(benchmark, lofar_bench_dataset):
@@ -41,9 +43,10 @@ def test_figure2_interception_overhead(benchmark, lofar_bench_dataset):
     intercepted_seconds = benchmark.stats.stats.mean
 
     # Steps 4-5: the later query answered from the captured model with error bounds.
-    answer = db.approximate_sql(
-        "SELECT intensity FROM measurements WHERE source = 1 AND frequency = 0.15"
-    )
+    answer = db.query(
+        "SELECT intensity FROM measurements WHERE source = 1 AND frequency = 0.15",
+        APPROX,
+    ).approx
 
     result = ExperimentResult(
         name="Figure 2: interception overhead and model-answered query",

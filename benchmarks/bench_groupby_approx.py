@@ -16,6 +16,8 @@ import pytest
 from repro import LawsDatabase
 from repro.bench import ExperimentResult
 
+from tests.conftest import compare_sql
+
 GROUPS = 24
 X_DOMAIN = [float(v) for v in range(8)]
 REPS = 40  # rows per (group, x) cell -> 24 * 8 * 40 = 7680 rows
@@ -63,7 +65,7 @@ def test_grouped_and_range_routes_beat_exact_io(benchmark, groupby_db):
     queries = _workload(rng)
 
     def run():
-        return [db.compare_sql(sql) for sql in queries]
+        return [compare_sql(db, sql) for sql in queries]
 
     comparisons = benchmark.pedantic(run, iterations=1, rounds=1)
 

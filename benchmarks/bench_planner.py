@@ -86,7 +86,7 @@ def run(rows: int) -> dict:
     # Cold planning: cache cleared before every pass (the reference the
     # plan cache is judged against, like the seed re-parse/re-plan path).
     def _cold_pass():
-        planner._plan_cache.clear()
+        planner.clear_plan_cache()
         for sql in SUITE:
             planner.plan(sql, contract)
 

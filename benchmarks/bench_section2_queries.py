@@ -16,16 +16,19 @@ import pytest
 
 from repro.bench import ExperimentResult, relative_error
 
+from tests.conftest import APPROX, EXACT
+
 
 @pytest.mark.benchmark(group="section2")
 def test_point_query(benchmark, lofar_bench_db):
     db = lofar_bench_db
     sql = "SELECT intensity FROM measurements WHERE source = 42 AND frequency = 0.15"
 
-    answer = benchmark(lambda: db.approximate_sql(sql))
-    exact = db.sql(
-        "SELECT avg(intensity) FROM measurements WHERE source = 42 AND frequency = 0.15"
-    ).scalar()
+    answer = benchmark(lambda: db.query(sql, APPROX).approx)
+    exact = db.query(
+        "SELECT avg(intensity) FROM measurements WHERE source = 42 AND frequency = 0.15",
+        EXACT,
+    ).query_result.scalar()
 
     result = ExperimentResult(
         name="§2 query 1: point query",
@@ -50,21 +53,23 @@ def test_point_query(benchmark, lofar_bench_db):
 def test_selection_query(benchmark, lofar_bench_db):
     db = lofar_bench_db
     # Threshold chosen as the upper-quartile intensity so the answer is non-trivial.
-    threshold = db.sql(
-        "SELECT avg(intensity) FROM measurements WHERE frequency = 0.15"
-    ).scalar() * 1.5
+    threshold = db.query(
+        "SELECT avg(intensity) FROM measurements WHERE frequency = 0.15",
+        EXACT,
+    ).query_result.scalar() * 1.5
     sql = (
         "SELECT source, intensity FROM measurements "
         f"WHERE frequency = 0.15 AND intensity > {threshold:.6f}"
     )
 
-    answer = benchmark(lambda: db.approximate_sql(sql))
+    answer = benchmark(lambda: db.query(sql, APPROX).approx)
 
     exact_sources = set(
-        db.sql(
+        db.query(
             "SELECT source, avg(intensity) AS m FROM measurements WHERE frequency = 0.15 "
-            f"GROUP BY source HAVING avg(intensity) > {threshold:.6f}"
-        ).table.column("source").to_pylist()
+            f"GROUP BY source HAVING avg(intensity) > {threshold:.6f}",
+            EXACT,
+        ).query_result.table.column("source").to_pylist()
     )
     model_sources = set(answer.table.column("source").to_pylist())
     recall = len(model_sources & exact_sources) / len(exact_sources) if exact_sources else 1.0

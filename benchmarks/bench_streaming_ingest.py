@@ -18,6 +18,8 @@ from repro import Database, LawsDatabase
 from repro.bench import ExperimentResult, relative_error
 from repro.streaming import StreamIngestor
 
+from tests.conftest import APPROX, EXACT
+
 
 def _stream_rows(scale: float, seed: int = 17):
     """A linear sensor law with a level shift halfway through the stream."""
@@ -102,9 +104,9 @@ def test_maintenance_accuracy_before_and_after_drift(benchmark, scale):
     maintained = benchmark.pedantic(lambda: build(True), iterations=1, rounds=1)
     unmaintained = build(False)
 
-    exact = maintained.sql(sql).table.row(0)[0]
-    stale_answer = unmaintained.approximate_sql(sql)
-    fresh_answer = maintained.approximate_sql(sql)
+    exact = maintained.query(sql, EXACT).query_result.table.row(0)[0]
+    stale_answer = unmaintained.query(sql, APPROX).approx
+    fresh_answer = maintained.query(sql, APPROX).approx
     stale_err = relative_error(stale_answer.scalar(), exact)
     fresh_err = relative_error(fresh_answer.scalar(), exact)
 

@@ -14,6 +14,8 @@ import pytest
 from repro.baselines import sampling
 from repro.bench import ExperimentResult, relative_error
 
+from tests.conftest import APPROX, EXACT
+
 QUERIES = (
     ("q1 total revenue", "SELECT sum(sales_price) AS v FROM store_sales", "sum"),
     ("q2 average sale price", "SELECT avg(sales_price) AS v FROM store_sales", "avg"),
@@ -31,8 +33,8 @@ def test_tpcds_queries_model_vs_sampling(benchmark, tpcds_bench_db):
     def run():
         rows = []
         for name, sql, function in QUERIES:
-            exact = db.sql(sql)
-            approx = db.approximate_sql(sql)
+            exact = db.query(sql, EXACT).query_result
+            approx = db.query(sql, APPROX).approx
             sample_estimate = sampler.estimate(function, "sales_price")
             rows.append((name, function, exact, approx, sample_estimate))
         return rows
@@ -82,7 +84,7 @@ def test_tpcds_per_store_profit_query(benchmark, tpcds_bench_db):
     db = tpcds_bench_db
     sql = "SELECT store_id, avg(net_profit) AS v FROM store_sales GROUP BY store_id ORDER BY store_id"
 
-    answer = benchmark(lambda: db.approximate_sql(sql))
+    answer = benchmark(lambda: db.query(sql, APPROX).approx)
 
     result = ExperimentResult(name="§6 grouped query: routing decision")
     result.add_row(query="avg(net_profit) per store", route=answer.route, reason=answer.reason[:60])

@@ -13,6 +13,8 @@ import pytest
 
 from repro.bench import ExperimentResult, relative_error
 
+from tests.conftest import compare_sql
+
 
 @pytest.mark.benchmark(group="zero-io")
 def test_zero_io_scan_comparison(benchmark, lofar_bench_db):
@@ -50,7 +52,7 @@ def test_zero_io_aggregate_query(benchmark, lofar_bench_db):
     db = lofar_bench_db
     sql = "SELECT avg(intensity) AS m FROM measurements WHERE frequency = 0.12"
 
-    comparison = benchmark(lambda: db.compare_sql(sql))
+    comparison = benchmark(lambda: compare_sql(db, sql))
     approx = comparison["approximate"]
     exact = comparison["exact"]
 

@@ -12,8 +12,12 @@ example queries from the captured model alone — no data pages read.
 
 from __future__ import annotations
 
-from repro import LawsDatabase
+from repro import AccuracyContract, LawsDatabase
 from repro.datasets import lofar
+
+
+#: Serve from the captured models (exact fallback allowed), no audit sampling.
+APPROX = AccuracyContract(mode="approx", verify_fraction=0.0)
 
 
 def main() -> None:
@@ -33,27 +37,29 @@ def main() -> None:
     print(report.parameter_table().to_text(limit=5))
 
     # 3. The paper's point query, answered from the model with error bounds.
-    answer = db.approximate_sql(
-        "SELECT intensity FROM measurements WHERE source = 42 AND frequency = 0.15"
-    )
+    answer = db.query(
+        "SELECT intensity FROM measurements WHERE source = 42 AND frequency = 0.15", APPROX
+    ).approx
     estimate = answer.error_estimate("intensity")
     print(f"\nPoint query -> {estimate} (route: {answer.route}, pages read: {answer.io['pages_read']:.0f})")
 
     # 4. The paper's selection query: which sources are bright at 0.15 GHz?
-    selection = db.approximate_sql(
-        "SELECT source, intensity FROM measurements WHERE frequency = 0.15 AND intensity > 0.5"
-    )
+    selection = db.query(
+        "SELECT source, intensity FROM measurements WHERE frequency = 0.15 AND intensity > 0.5", APPROX
+    ).approx
     print(f"Selection query -> {selection.table.num_rows} bright sources "
           f"(generated {selection.virtual_rows_generated} virtual rows, pages read: "
           f"{selection.io['pages_read']:.0f})")
 
-    # 5. Compare an aggregate against exact execution.
-    comparison = db.compare_sql("SELECT avg(intensity) AS mean_flux FROM measurements WHERE frequency = 0.18")
-    approx = comparison["approximate"].scalar()
-    exact = comparison["exact"].scalar()
-    print(f"\navg(intensity) at 0.18 GHz: model = {approx:.4f}, exact = {exact:.4f} "
-          f"(relative error {abs(approx - exact) / exact:.2%}; "
-          f"pages read {comparison['approx_pages_read']:.0f} vs {comparison['exact_pages_read']:.0f})")
+    # 5. Have the planner audit an aggregate against exact execution
+    #    (verify_fraction=1.0 forces the audit it otherwise only samples).
+    audited = db.query(
+        "SELECT avg(intensity) AS mean_flux FROM measurements WHERE frequency = 0.18",
+        AccuracyContract(mode="approx", verify_fraction=1.0),
+    )
+    print(f"\navg(intensity) at 0.18 GHz: model = {audited.scalar():.4f} "
+          f"(observed relative error {audited.observed_relative_error:.2%} against exact execution; "
+          f"the model route read {audited.approx.io['pages_read']:.0f} pages)")
 
     # 6. Storage: the captured model is a few percent of the raw table (Table 1).
     compressed = db.compress_table("measurements")

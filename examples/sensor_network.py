@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import LawsDatabase
+from repro import AccuracyContract, LawsDatabase
 from repro.baselines import functiondb, mauvedb
 from repro.core.quality import QualityPolicy
 from repro.datasets import sensors
@@ -55,13 +55,15 @@ def main() -> None:
     print(f"\nSemantic compression with 0.05 C tolerance: {compressed.stats.summary()}")
 
     # Approximate queries over the sensor fleet.
-    comparison = db.compare_sql(
+    sql = (
         "SELECT sensor, avg(temperature) AS mean_temp FROM sensor_readings "
         "WHERE sensor IN (1, 2, 3, 4) GROUP BY sensor ORDER BY sensor"
     )
-    print(f"\nPer-sensor mean temperature, model vs exact: max relative error "
-          f"{comparison['max_relative_error']:.2%} with {comparison['approx_pages_read']:.0f} pages read "
-          f"(exact scan read {comparison['exact_pages_read']:.0f}).")
+    audited = db.query(sql, AccuracyContract(mode="approx", verify_fraction=1.0))
+    exact = db.query(sql, AccuracyContract(mode="exact"))
+    print(f"\nPer-sensor mean temperature, model vs exact: observed relative error "
+          f"{audited.observed_relative_error:.2%} with {audited.approx.io['pages_read']:.0f} pages read "
+          f"(exact scan read {exact.query_result.io['pages_read']:.0f}).")
 
 
 if __name__ == "__main__":

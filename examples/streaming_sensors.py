@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import LawsDatabase
+from repro import AccuracyContract, LawsDatabase
 
 NUM_SENSORS = 6
 HOURS_PER_REGIME = 240
 NOISE_STD = 0.15
 SHIFT_DEGREES = 9.0
 SQL = "SELECT avg(temperature) AS fleet_mean FROM sensor_feed"
+#: Serve from the captured models (exact fallback allowed), no audit sampling.
+APPROX = AccuracyContract(mode="approx", verify_fraction=0.0)
 
 
 def reading(sensor: int, hour: float, shifted: bool, rng: np.random.Generator) -> float:
@@ -67,8 +69,8 @@ def main() -> None:
 
     # Before maintenance: the stale pre-failure model is still serving (deprioritized,
     # not hidden) and its full-range answer is off by the unmodelled shift.
-    exact = db.sql(SQL).table.row(0)[0]
-    stale = db.approximate_sql(SQL)
+    exact = db.query(SQL, AccuracyContract(mode="exact")).table.row(0)[0]
+    stale = db.query(SQL, APPROX).approx
     print(f"\nBefore maintain(): fleet mean approx {stale.scalar():.2f} C "
           f"vs exact {exact:.2f} C (stale model#{stale.used_model_ids[0]})")
 
@@ -82,7 +84,7 @@ def main() -> None:
         predicate = model.coverage.predicate_sql or "whole table"
         print(f"  {model.describe()}  [{predicate}]")
 
-    fresh = db.approximate_sql(SQL)
+    fresh = db.query(SQL, APPROX).approx
     estimate = fresh.error_estimate("fleet_mean")
     print(f"\nAfter maintain(): fleet mean approx {fresh.scalar():.2f} C vs exact {exact:.2f} C "
           f"(+/- {estimate.standard_error:.3f} reported, model#{fresh.used_model_ids[0]})")

@@ -13,10 +13,13 @@ pages each approach reads.
 
 from __future__ import annotations
 
-from repro import LawsDatabase
+from repro import AccuracyContract, LawsDatabase
 from repro.baselines import sampling
 from repro.bench.reporting import relative_error
 from repro.datasets import tpcds_lite
+
+#: Serve from the captured models (exact fallback allowed), no audit sampling.
+APPROX = AccuracyContract(mode="approx", verify_fraction=0.0)
 
 
 def main() -> None:
@@ -52,8 +55,8 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name, sql in queries:
-        exact = db.sql(sql).scalar()
-        approx = db.approximate_sql(sql)
+        exact = db.query(sql, AccuracyContract(mode="exact")).scalar()
+        approx = db.query(sql, APPROX).approx
         model_value = approx.scalar()
         function = sql.split("(")[0].split()[-1].lower()
         sample_value = sampler.estimate(function, "sales_price").value
@@ -65,7 +68,7 @@ def main() -> None:
           "and the sample needs its 1% synopsis stored and maintained.")
 
     # A grouped query falls back to exact execution (documented behaviour):
-    grouped = db.approximate_sql(tpcds_lite.BENCHMARK_QUERIES[2][1])
+    grouped = db.query(tpcds_lite.BENCHMARK_QUERIES[2][1], APPROX).approx
     print(f"\nMonthly-revenue join query route: {grouped.route} ({grouped.reason})")
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -206,9 +206,9 @@ class ApproximateQueryEngine:
     ) -> ApproximateAnswer:
         """Answer ``sql`` from captured models, falling back to exact execution.
 
-        ``statement`` lets the unified planner hand over the AST it already
+        ``statement`` lets the query pipeline hand over the AST it already
         parsed; without it, the SQL text is parsed through the executor's
-        shared LRU parse cache — never re-lexed per call.
+        shared LRU cache — never re-lexed per call.
         ``grouped_route_plan`` likewise hands over the per-group routing the
         planner's sketch already computed, so grouped queries are not
         route-planned twice per execution (the caller guarantees it was
@@ -219,9 +219,7 @@ class ApproximateQueryEngine:
         # leak pages into this answer's attribution.
         with self.database.io_model.scope() as io_scope:
             try:
-                answer = self._answer_from_models(
-                    sql, statement=statement, grouped_route_plan=grouped_route_plan
-                )
+                answer = self._serve(self._probe(sql, statement, grouped_route_plan))
                 self._note_staleness(answer)
             except (ApproximationError, EnumerationError, ModelNotFoundError) as exc:
                 if not allow_fallback:
@@ -231,300 +229,84 @@ class ApproximateQueryEngine:
         answer.io = io_scope.snapshot()
         return answer
 
-    def answer_exact(self, sql: str) -> ApproximateAnswer:
-        """Execute ``sql`` exactly (for comparisons and benchmarks)."""
-        started = perf_counter()
-        with self.database.io_model.scope() as io_scope:
-            answer = self._exact(sql, reason="exact execution requested")
-        answer.elapsed_seconds = perf_counter() - started
-        answer.io = io_scope.snapshot()
-        return answer
-
-    def compare(self, sql: str) -> dict[str, Any]:
-        """Run both the approximate and the exact query; report errors.
-
-        Returns a dict with the two answers plus per-column mean relative
-        error (for numeric result columns aligned by position).
-        """
-        approx = self.answer(sql)
-        exact = self.answer_exact(sql)
-        errors = _relative_errors(approx.table, exact.table)
-        return {
-            "approximate": approx,
-            "exact": exact,
-            "route": approx.route,
-            "group_routes": dict(approx.group_routes),
-            "relative_errors": errors,
-            "max_relative_error": max(errors.values()) if errors else None,
-            "approx_pages_read": approx.io.get("pages_read", 0.0),
-            "exact_pages_read": exact.io.get("pages_read", 0.0),
-        }
-
-    # -- static route probing (unified planner) -----------------------------------
-
     def sketch_route(
         self, sql: str, statement: Statement | None = None, for_execution: bool = False
     ) -> RouteSketch | None:
         """Predict — without executing — which model route would serve ``sql``.
 
-        Mirrors the routing order of :meth:`answer` using the routes' shared
-        plan/shape gates, so the prediction and the execution cannot drift
-        apart.  Returns None when no model route applies (the statement can
-        only run exactly).  ``for_execution=True`` permits side effects the
-        real answer path would incur anyway (the on-demand grouped harvest);
-        a pure EXPLAIN must leave the store untouched and passes False.
+        Walks the same route table as :meth:`answer`, stopping at the first
+        shape gate that admits the statement, so the prediction and the
+        execution cannot drift apart.  Returns None when no model route
+        applies (the statement can only run exactly).  ``for_execution=True``
+        permits side effects the real answer path would incur anyway (the
+        on-demand grouped harvest); a pure EXPLAIN must leave the store
+        untouched and passes False.
         """
-        if statement is None:
-            statement = self._parse(sql)
-        if not isinstance(statement, SelectStatement):
-            return None
-        if statement.table is None or statement.joins:
-            return None
-        table_name = statement.table.name
-        if not self.database.has_table(table_name):
-            return None
         try:
-            referenced = _referenced_columns(statement)
-        except ApproximationError:
-            return None
+            probe = self._probe(sql, statement, allow_harvest=for_execution)
+            for route, match in self._admitting_routes(probe):
+                return route.sketch(self, probe, match)
+        except (ApproximationError, EnumerationError, ModelNotFoundError):
+            pass
+        return None
 
-        functions = _aggregate_functions(statement)
+    # -- the route walk -----------------------------------------------------------
 
-        # Route 1: grouped (per-group model serving, exact fill-in).
-        grouped = self._plan_grouped(statement, table_name, allow_harvest=for_execution)
-        if grouped is not None:
-            return self._sketch_grouped(grouped, table_name, functions)
-
-        try:
-            model = self._select_model(table_name, referenced)
-        except ModelNotFoundError:
-            return None
-        covered = set(model.group_columns) | set(model.input_columns) | {model.output_column}
-        if referenced - covered:
-            return None
-        rse = model.quality.residual_standard_error
-        relative = model.quality.relative_rse
-        pinned = _extract_pinned_values(statement.where)
-
-        # Route 2: fully pinned point query.
-        if self._point_shape(statement, model, pinned):
-            return RouteSketch(
-                route="point",
-                model_ids=[model.model_id],
-                detail="all model inputs pinned by equality predicates",
-                residual_standard_error=rse,
-                relative_rse=relative,
-                est_points=1,
-                aggregate_functions=functions,
-                output_column=model.output_column,
-            )
-
-        # Route 3: aggregates restricted by range predicates.
-        if analyse_range_statement(statement, model) is not None:
-            return RouteSketch(
-                route="range-aggregate",
-                model_ids=[model.model_id],
-                detail="model evaluated/integrated over the restricted input domain",
-                residual_standard_error=rse,
-                relative_rse=relative,
-                est_points=self._domain_points(model),
-                aggregate_functions=functions,
-                output_column=model.output_column,
-            )
-
-        # Route 4: closed-form analytic aggregate.
-        if self._analytic_shape(statement, model, table_name):
-            return RouteSketch(
-                route="analytic-aggregate",
-                model_ids=[model.model_id],
-                detail="closed-form aggregate from model parameters",
-                residual_standard_error=rse,
-                relative_rse=relative,
-                est_points=0,
-                aggregate_functions=functions,
-                output_column=model.output_column,
-            )
-
-        # Route 5: parameter-space enumeration.
-        stats = self.database.stats(model.table_name)
-        try:
-            plan = build_enumeration_plan(
-                model, stats, pinned_values=pinned, max_rows=self.max_virtual_rows
-            )
-        except EnumerationError:
-            return None
-        return RouteSketch(
-            route="virtual-table",
-            model_ids=[model.model_id],
-            detail=f"parameter space enumerable ({plan.describe()})",
-            residual_standard_error=rse,
-            relative_rse=relative,
-            est_points=plan.num_rows,
-            aggregate_functions=functions,
-            output_column=model.output_column,
-        )
-
-    def _sketch_grouped(
-        self, grouped: GroupedRoutePlan, table_name: str, functions: tuple[str, ...]
-    ) -> RouteSketch:
-        from repro.core.approx.routes.aggcalc import current_group_rows
-
-        routing = grouped.routing
-        stats = self.database.stats(table_name)
-        uncovered_rows = 0.0
-        if routing.exact_groups:
-            live = current_group_rows(stats, grouped.analysis.group_columns)
-            if live is not None:
-                uncovered_rows = float(
-                    sum(live.get(a.key, 0.0) for a in routing.exact_groups)
-                )
-            else:
-                # No live per-group counts: assume uniform group sizes.
-                uncovered_rows = stats.row_count * (
-                    len(routing.exact_groups) / max(len(routing.assignments), 1)
-                )
-        rse = max(
-            (m.quality.residual_standard_error for m in grouped.candidates), default=0.0
-        )
-        relatives = [
-            m.quality.relative_rse
-            for m in grouped.candidates
-            if m.quality.relative_rse is not None
-        ]
-        route = "grouped-hybrid" if routing.exact_groups else "grouped-model"
-        return RouteSketch(
-            route=route,
-            model_ids=grouped.used_model_ids,
-            detail=routing.describe(),
-            residual_standard_error=rse,
-            relative_rse=max(relatives) if relatives else None,
-            est_points=grouped.n_model_groups,
-            n_model_groups=grouped.n_model_groups,
-            n_exact_groups=grouped.n_exact_groups,
-            uncovered_rows=uncovered_rows,
-            aggregate_functions=functions,
-            output_column=grouped.analysis.output_column,
-            grouped_plan=grouped,
-        )
-
-    def _point_shape(
-        self,
-        statement: SelectStatement,
-        model: CapturedModel,
-        pinned: dict[str, list[Any]],
-    ) -> bool:
-        """The point route's shape gate (shared with :meth:`_try_point_route`)."""
-        if statement.group_by or statement.order_by or statement.distinct:
-            return False
-        if _has_aggregates(statement):
-            return False
-        if len(statement.items) != 1:
-            return False
-        item = statement.items[0]
-        if isinstance(item.expression, Star) or not isinstance(item.expression, ColumnRef):
-            return False
-        if _bare_name(item.expression.name) != model.output_column:
-            return False
-        needed = list(model.group_columns) + list(model.input_columns)
-        return all(column in pinned and len(pinned[column]) == 1 for column in needed)
-
-    def _analytic_shape(
-        self, statement: SelectStatement, model: CapturedModel, table_name: str
-    ) -> bool:
-        """The analytic route's shape gate, including the stats it needs."""
-        if model.is_grouped or statement.group_by or statement.where is not None:
-            return False
-        if not supports_analytic(model):
-            return False
-        if _simple_aggregates(statement, model.output_column) is None:
-            return False
-        stats = self.database.stats(table_name)
-        for column in model.input_columns:
-            column_stats = stats.columns.get(column)
-            if column_stats is None or column_stats.min_value is None or column_stats.max_value is None:
-                return False
-        return True
-
-    def _domain_points(self, model: CapturedModel) -> int:
-        """How many domain points a range/enumeration evaluation touches."""
-        stats = self.database.stats(model.table_name)
-        points = 1
-        for column in model.input_columns:
-            column_stats = stats.columns.get(column)
-            if column_stats is not None and column_stats.domain is not None:
-                points *= max(len(column_stats.domain), 1)
-        if model.is_grouped:
-            points *= max(len(model.fit.records), 1)  # type: ignore[union-attr]
-        return min(points, self.max_virtual_rows)
-
-    # -- routing ------------------------------------------------------------------
-
-    def _parse(self, sql: str) -> Statement:
-        """Parse through the executor's shared LRU cache (PR-3 machinery).
-
-        The engine re-analyses the same fallback and differential statements
-        over and over; re-lexing each time used to dominate small queries.
-        The cache is pure (ASTs are immutable), so no version key is needed
-        here — the version-keyed *plan* cache guards exact execution.
-        """
-        return self.database.parse_sql(sql)
-
-    def _answer_from_models(
+    def _probe(
         self,
         sql: str,
-        statement: Statement | None = None,
-        grouped_route_plan: GroupedRoutePlan | None = None,
-    ) -> ApproximateAnswer:
+        statement: Statement | None,
+        grouped_plan: GroupedRoutePlan | None = None,
+        allow_harvest: bool = True,
+    ) -> "_Probe":
+        """Check what every model route requires of a statement (raising the
+        typed reason when it cannot be served) and open its routing state."""
         if statement is None:
-            statement = self._parse(sql)
+            statement = self.database.parse_sql(sql)
         if not isinstance(statement, SelectStatement):
             raise ApproximationError("only SELECT statements can be answered approximately")
         if statement.table is None or statement.joins:
             raise ApproximationError("approximate answering supports single-table queries only")
-
         table_name = statement.table.name
         if not self.database.has_table(table_name):
             raise ApproximationError(f"unknown table {table_name!r}")
-
-        referenced = _referenced_columns(statement)
-
-        # Route 1: GROUP BY aggregates served group-by-group (does its own
-        # model lookup — the query's group keys need not be covered by the
-        # generically best model, and grouped models can be harvested on
-        # demand through ``grouped_model_provider``).
-        grouped_answer = self._try_grouped_route(
-            sql, statement, table_name, route_plan=grouped_route_plan
+        return _Probe(
+            sql, statement, table_name, _referenced_columns(statement), grouped_plan, allow_harvest
         )
-        if grouped_answer is not None:
-            return grouped_answer
 
-        model = self._select_model(table_name, referenced)
+    def _admitting_routes(self, probe: "_Probe"):
+        """Yield ``(route, gate match)`` for each route whose shape gate admits
+        the statement, in routing order — the one walk behind both the static
+        sketch (which stops at the first) and the answer (which moves on when
+        a route declines at evaluation time).  The last route, enumeration,
+        admits or raises, so the walk never comes up empty."""
+        for route in _ROUTES:
+            if route.needs_model and probe.model is None:
+                self._bind_model(probe)
+            match = route.gate(self, probe)
+            if match is not None:
+                yield route, match
 
-        pinned = _extract_pinned_values(statement.where)
+    def _serve(self, probe: "_Probe") -> ApproximateAnswer:
+        for route, match in self._admitting_routes(probe):
+            answer = route.answer(self, probe, match)
+            if answer is not None:
+                return answer
+        raise ApproximationError("no model route serves the statement")  # pragma: no cover
+
+    def _bind_model(self, probe: "_Probe") -> None:
+        """Pick the serving model once the grouped route (which does its own
+        lookup — the query's group keys need not be covered by the
+        generically best model) has declined."""
+        model = self._select_model(probe.table_name, probe.referenced)
         covered = set(model.group_columns) | set(model.input_columns) | {model.output_column}
-        uncovered = referenced - covered
+        uncovered = probe.referenced - covered
         if uncovered:
             raise ApproximationError(
                 f"query references columns {sorted(uncovered)} that model {model.model_id} does not cover"
             )
-
-        # Route 2: fully pinned point query.
-        point_answer = self._try_point_route(statement, model, pinned)
-        if point_answer is not None:
-            return point_answer
-
-        # Route 3: aggregates restricted by range predicates.
-        range_answer = self._try_range_route(sql, statement, model, table_name)
-        if range_answer is not None:
-            return range_answer
-
-        # Route 4: analytic aggregate for ungrouped, closed-form friendly models.
-        analytic_answer = self._try_analytic_route(statement, model, table_name)
-        if analytic_answer is not None:
-            return analytic_answer
-
-        # Route 5: generic parameter-space enumeration.
-        return self._virtual_table_route(sql, statement, model, pinned)
+        probe.model = model
+        probe.pinned = _extract_pinned_values(probe.statement.where)
 
     def _select_model(self, table_name: str, referenced: set[str]) -> CapturedModel:
         """Pick the captured model whose output the query needs.
@@ -559,7 +341,20 @@ class ApproximateQueryEngine:
             raise ModelNotFoundError(f"no usable captured model for table {table_name!r}")
         return best
 
-    # -- route implementations ---------------------------------------------------------
+    def _model_sketch(self, probe: "_Probe", route: str, detail: str, est_points: int) -> RouteSketch:
+        model = probe.model
+        return RouteSketch(
+            route=route,
+            model_ids=[model.model_id],
+            detail=detail,
+            residual_standard_error=model.quality.residual_standard_error,
+            relative_rse=model.quality.relative_rse,
+            est_points=est_points,
+            aggregate_functions=_aggregate_functions(probe.statement),
+            output_column=model.output_column,
+        )
+
+    # -- route: grouped (per-group model serving, exact fill-in) -----------------------
 
     def _grouped_candidates(
         self,
@@ -585,39 +380,72 @@ class ApproximateQueryEngine:
                 )
         return candidates
 
-    def _plan_grouped(
-        self, statement: SelectStatement, table_name: str, allow_harvest: bool = True
-    ) -> GroupedRoutePlan | None:
-        """The grouped route's plan phase (shared by answer and sketch)."""
-        analysis = analyse_grouped_statement(statement)
+    def _grouped_gate(self, probe: "_Probe") -> GroupedRoutePlan | None:
+        """The grouped route's plan phase (skipped when the planner's sketch
+        already handed its route plan over)."""
+        if probe.grouped_plan is not None:
+            return probe.grouped_plan
+        analysis = analyse_grouped_statement(probe.statement)
         if analysis is None:
             return None
-        candidates = self._grouped_candidates(analysis, table_name, allow_harvest)
+        candidates = self._grouped_candidates(analysis, probe.table_name, probe.allow_harvest)
         if not candidates:
             return None
-        stats = self.database.stats(table_name)
         return plan_grouped_route(
-            statement,
+            probe.statement,
             self.store,
-            stats,
+            self.database.stats(probe.table_name),
             policy=self.routing_policy,
             models=candidates,
             analysis=analysis,
         )
 
-    def _try_grouped_route(
-        self,
-        sql: str,
-        statement: SelectStatement,
-        table_name: str,
-        route_plan: GroupedRoutePlan | None = None,
+    def _grouped_sketch(self, probe: "_Probe", grouped: GroupedRoutePlan) -> RouteSketch:
+        from repro.core.approx.routes.aggcalc import current_group_rows
+
+        routing = grouped.routing
+        stats = self.database.stats(probe.table_name)
+        uncovered_rows = 0.0
+        if routing.exact_groups:
+            live = current_group_rows(stats, grouped.analysis.group_columns)
+            if live is not None:
+                uncovered_rows = float(
+                    sum(live.get(a.key, 0.0) for a in routing.exact_groups)
+                )
+            else:
+                # No live per-group counts: assume uniform group sizes.
+                uncovered_rows = stats.row_count * (
+                    len(routing.exact_groups) / max(len(routing.assignments), 1)
+                )
+        rse = max(
+            (m.quality.residual_standard_error for m in grouped.candidates), default=0.0
+        )
+        relatives = [
+            m.quality.relative_rse
+            for m in grouped.candidates
+            if m.quality.relative_rse is not None
+        ]
+        route = "grouped-hybrid" if routing.exact_groups else "grouped-model"
+        return RouteSketch(
+            route=route,
+            model_ids=grouped.used_model_ids,
+            detail=routing.describe(),
+            residual_standard_error=rse,
+            relative_rse=max(relatives) if relatives else None,
+            est_points=grouped.n_model_groups,
+            n_model_groups=grouped.n_model_groups,
+            n_exact_groups=grouped.n_exact_groups,
+            uncovered_rows=uncovered_rows,
+            aggregate_functions=_aggregate_functions(probe.statement),
+            output_column=grouped.analysis.output_column,
+            grouped_plan=grouped,
+        )
+
+    def _grouped_answer(
+        self, probe: "_Probe", route_plan: GroupedRoutePlan
     ) -> ApproximateAnswer | None:
         """GROUP BY aggregates evaluated per group, with exact fill-in."""
-        if route_plan is None:
-            route_plan = self._plan_grouped(statement, table_name)
-        if route_plan is None:
-            return None
-        stats = self.database.stats(table_name)
+        stats = self.database.stats(probe.table_name)
         tracer = self.tracer
         with tracer.span("route:grouped") as span:
             if tracer.active:
@@ -627,7 +455,7 @@ class ApproximateQueryEngine:
                     models=list(route_plan.used_model_ids),
                 )
             result = answer_grouped(
-                statement,
+                probe.statement,
                 self.store,
                 stats,
                 self._execute_exact_groups,
@@ -637,7 +465,7 @@ class ApproximateQueryEngine:
         if result is None:
             return None
         return ApproximateAnswer(
-            sql=sql,
+            sql=probe.sql,
             table=result.table,
             route=result.route,
             is_exact=False,
@@ -682,46 +510,39 @@ class ApproximateQueryEngine:
                 return traced_operator_execute(planned.root, tracer)
         return planned.root.execute()
 
-    def _try_range_route(
-        self, sql: str, statement: SelectStatement, model: CapturedModel, table_name: str
-    ) -> ApproximateAnswer | None:
-        """Aggregates over range-restricted input domains."""
-        stats = self.database.stats(table_name)
-        result = answer_range(statement, model, stats)
-        if result is None:
-            return None
-        return ApproximateAnswer(
-            sql=sql,
-            table=result.table,
-            route=result.route,
-            is_exact=False,
-            used_model_ids=result.used_model_ids,
-            reason=result.reason,
-            column_errors=result.column_errors,
-            virtual_rows_generated=result.virtual_rows_generated,
-        )
+    # -- route: point (every group key and input pinned to one value) -------------------
 
-    def _try_point_route(
-        self,
-        statement: SelectStatement,
-        model: CapturedModel,
-        pinned: dict[str, list[Any]],
-    ) -> ApproximateAnswer | None:
-        """Single model evaluation when every group key and input is pinned to one value."""
-        if not self._point_shape(statement, model, pinned):
+    def _point_gate(self, probe: "_Probe") -> bool | None:
+        statement, model, pinned = probe.statement, probe.model, probe.pinned
+        if statement.group_by or statement.order_by or statement.distinct:
+            return None
+        if _has_aggregates(statement):
+            return None
+        if len(statement.items) != 1:
             return None
         item = statement.items[0]
+        if isinstance(item.expression, Star) or not isinstance(item.expression, ColumnRef):
+            return None
+        if _bare_name(item.expression.name) != model.output_column:
+            return None
+        needed = list(model.group_columns) + list(model.input_columns)
+        if all(column in pinned and len(pinned[column]) == 1 for column in needed):
+            return True
+        return None
 
+    def _point_answer(self, probe: "_Probe", _match: bool) -> ApproximateAnswer:
+        """A single model evaluation."""
         from repro.core.approx.point import answer_point_query
 
+        model, pinned = probe.model, probe.pinned
         group_key = {column: pinned[column][0] for column in model.group_columns}
         input_values = {column: float(pinned[column][0]) for column in model.input_columns}
         point = answer_point_query(model, input_values, group_key or None)
 
-        output_name = item.alias or model.output_column
+        output_name = probe.statement.items[0].alias or model.output_column
         table = Table.from_dict("approximate", {output_name: [point.value]})
         return ApproximateAnswer(
-            sql="",
+            sql=probe.sql,
             table=table,
             route="point",
             is_exact=False,
@@ -731,43 +552,84 @@ class ApproximateQueryEngine:
             virtual_rows_generated=1,
         )
 
-    def _try_analytic_route(
-        self,
-        statement: SelectStatement,
-        model: CapturedModel,
-        table_name: str,
-    ) -> ApproximateAnswer | None:
-        """Closed-form aggregates for ungrouped models (§4.2 analytic solutions)."""
-        if not self._analytic_shape(statement, model, table_name):
+    # -- route: range-aggregate (aggregates over range-restricted input domains) ---------
+
+    def _range_gate(self, probe: "_Probe"):
+        return analyse_range_statement(probe.statement, probe.model)
+
+    def _range_answer(self, probe: "_Probe", analysed) -> ApproximateAnswer | None:
+        stats = self.database.stats(probe.table_name)
+        result = answer_range(probe.statement, probe.model, stats, analysed)
+        if result is None:
+            return None
+        return ApproximateAnswer(
+            sql=probe.sql,
+            table=result.table,
+            route=result.route,
+            is_exact=False,
+            used_model_ids=result.used_model_ids,
+            reason=result.reason,
+            column_errors=result.column_errors,
+            virtual_rows_generated=result.virtual_rows_generated,
+        )
+
+    def _domain_points(self, model: CapturedModel) -> int:
+        """How many domain points a range/enumeration evaluation touches."""
+        stats = self.database.stats(model.table_name)
+        points = 1
+        for column in model.input_columns:
+            column_stats = stats.columns.get(column)
+            if column_stats is not None and column_stats.domain is not None:
+                points *= max(len(column_stats.domain), 1)
+        if model.is_grouped:
+            points *= max(len(model.fit.records), 1)  # type: ignore[union-attr]
+        return min(points, self.max_virtual_rows)
+
+    # -- route: analytic-aggregate (closed form, §4.2 analytic solutions) ----------------
+
+    def _analytic_gate(self, probe: "_Probe") -> list[tuple[str, str]] | None:
+        """The ``(alias, function)`` aggregates when the statement is a plain
+        global aggregate over an ungrouped closed-form model whose inputs all
+        have min/max statistics."""
+        statement, model = probe.statement, probe.model
+        if model.is_grouped or statement.group_by or statement.where is not None:
+            return None
+        if not supports_analytic(model):
             return None
         aggregates = _simple_aggregates(statement, model.output_column)
-        if aggregates is None:  # pragma: no cover - _analytic_shape already gated
+        if aggregates is None:
             return None
-
-        stats = self.database.stats(table_name)
-        input_ranges = {}
-        input_means: dict[str, float] = {}
+        stats = self.database.stats(probe.table_name)
         for column in model.input_columns:
             column_stats = stats.columns.get(column)
             if column_stats is None or column_stats.min_value is None or column_stats.max_value is None:
                 return None
+        return aggregates
+
+    def _analytic_answer(
+        self, probe: "_Probe", aggregates: list[tuple[str, str]]
+    ) -> ApproximateAnswer:
+        model = probe.model
+        stats = self.database.stats(probe.table_name)
+        input_ranges = {}
+        input_means: dict[str, float] = {}
+        for column in model.input_columns:
+            column_stats = stats.columns[column]
             input_ranges[column] = (float(column_stats.min_value), float(column_stats.max_value))
             if column_stats.mean is not None:
                 input_means[column] = float(column_stats.mean)
-        row_count = stats.row_count
 
         data: dict[str, list[Any]] = {}
         errors: dict[str, float] = {}
         for alias, function in aggregates:
             result = analytic_aggregate(
-                model, function, input_ranges, row_count, input_means=input_means or None
+                model, function, input_ranges, stats.row_count, input_means=input_means or None
             )
             data[alias] = [result.value]
             errors[alias] = result.error.standard_error
-        table = Table.from_dict("approximate", data)
         return ApproximateAnswer(
-            sql="",
-            table=table,
+            sql=probe.sql,
+            table=Table.from_dict("approximate", data),
             route="analytic-aggregate",
             is_exact=False,
             used_model_ids=[model.model_id],
@@ -776,16 +638,22 @@ class ApproximateQueryEngine:
             virtual_rows_generated=0,
         )
 
-    def _virtual_table_route(
-        self,
-        sql: str,
-        statement: SelectStatement,
-        model: CapturedModel,
-        pinned: dict[str, list[Any]],
-    ) -> ApproximateAnswer:
-        stats = self.database.stats(model.table_name)
+    # -- route: virtual-table (parameter-space enumeration, the general route) -----------
+
+    def _virtual_gate(self, probe: "_Probe"):
+        """The enumeration plan; raises :class:`EnumerationError` when the
+        parameter space cannot be enumerated (the end of the route table)."""
+        model = probe.model
+        return build_enumeration_plan(
+            model,
+            self.database.stats(model.table_name),
+            pinned_values=probe.pinned,
+            max_rows=self.max_virtual_rows,
+        )
+
+    def _virtual_answer(self, probe: "_Probe", plan) -> ApproximateAnswer:
+        statement, model = probe.statement, probe.model
         tracer = self.tracer
-        plan = build_enumeration_plan(model, stats, pinned_values=pinned, max_rows=self.max_virtual_rows)
         with tracer.span("enumerate") as span:
             virtual = generate_virtual_table(model, plan, table_name=model.table_name)
             if tracer.active:
@@ -814,7 +682,7 @@ class ApproximateQueryEngine:
 
         errors = self._result_errors(statement, model, virtual)
         return ApproximateAnswer(
-            sql=sql,
+            sql=probe.sql,
             table=result,
             route="virtual-table",
             is_exact=False,
@@ -882,6 +750,83 @@ class ApproximateQueryEngine:
             elif model.output_column in expression.referenced_columns():
                 errors[name] = per_row
         return errors
+
+
+# ---------------------------------------------------------------------------
+# The route table
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Probe:
+    """One statement's routing state, built once and shared by every route."""
+
+    sql: str
+    statement: SelectStatement
+    table_name: str
+    referenced: set[str]
+    #: The grouped route plan the planner's sketch already computed, if any.
+    grouped_plan: GroupedRoutePlan | None
+    #: Whether the grouped gate may harvest a grouped model on demand.
+    allow_harvest: bool
+    #: The serving model and the WHERE-pinned values, bound once the grouped
+    #: route has declined (see ``_bind_model``).
+    model: CapturedModel | None = None
+    pinned: dict[str, list[Any]] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Route:
+    """One rung of the routing order.
+
+    ``gate(engine, probe)`` is the shape gate: a match object the other two
+    reuse, or None when the statement belongs to a later route.
+    ``sketch(engine, probe, match)`` predicts the route statically;
+    ``answer(engine, probe, match)`` serves it, or returns None when
+    evaluation finds it cannot after all (the walk moves on).
+    """
+
+    gate: Callable[..., Any]
+    sketch: Callable[..., RouteSketch]
+    answer: Callable[..., "ApproximateAnswer | None"]
+    needs_model: bool = True
+
+
+_Engine = ApproximateQueryEngine
+_ROUTES: tuple[_Route, ...] = (
+    _Route(_Engine._grouped_gate, _Engine._grouped_sketch, _Engine._grouped_answer, needs_model=False),
+    _Route(
+        _Engine._point_gate,
+        lambda engine, probe, _: engine._model_sketch(
+            probe, "point", "all model inputs pinned by equality predicates", 1
+        ),
+        _Engine._point_answer,
+    ),
+    _Route(
+        _Engine._range_gate,
+        lambda engine, probe, _: engine._model_sketch(
+            probe,
+            "range-aggregate",
+            "model evaluated/integrated over the restricted input domain",
+            engine._domain_points(probe.model),
+        ),
+        _Engine._range_answer,
+    ),
+    _Route(
+        _Engine._analytic_gate,
+        lambda engine, probe, _: engine._model_sketch(
+            probe, "analytic-aggregate", "closed-form aggregate from model parameters", 0
+        ),
+        _Engine._analytic_answer,
+    ),
+    _Route(
+        _Engine._virtual_gate,
+        lambda engine, probe, plan: engine._model_sketch(
+            probe, "virtual-table", f"parameter space enumerable ({plan.describe()})", plan.num_rows
+        ),
+        _Engine._virtual_answer,
+    ),
+)
 
 
 # ---------------------------------------------------------------------------

@@ -108,15 +108,18 @@ def answer_range(
     statement: SelectStatement,
     model: CapturedModel,
     stats: TableStats,
+    analysed_range: tuple[list[ItemSpec], WhereConstraints] | None = None,
 ) -> RangeAnswer | None:
     """Try to answer an ungrouped aggregate with range predicates from ``model``.
 
     Returns None when the statement shape is outside this route — no range
     predicate (equality-only queries keep their existing routes), residual
     conjuncts the analysis cannot express, or predicates over the modelled
-    output column (which need per-row filtering).
+    output column (which need per-row filtering).  ``analysed_range`` hands
+    over an :func:`analyse_range_statement` result the caller already holds.
     """
-    analysed_range = analyse_range_statement(statement, model)
+    if analysed_range is None:
+        analysed_range = analyse_range_statement(statement, model)
     if analysed_range is None:
         return None
     specs, constraints = analysed_range

@@ -37,8 +37,7 @@ class AccuracyContract:
         mode prefers the model route even without an error budget.
     ``allow_exact_fallback``
         In approx mode, whether a query no model can serve may fall back
-        to exact execution (mirrors the old ``approximate_sql``'s
-        ``allow_fallback``).
+        to exact execution (the engine's ``allow_fallback``).
     ``verify_fraction``
         Fraction of executed model-served plans to verify against exact
         execution, feeding observed errors back into model quality.

@@ -115,6 +115,26 @@ class UnifiedPlan:
     def is_model_route(self) -> bool:
         return self.chosen.kind == "model-route"
 
+    @property
+    def blocked_reason(self) -> str | None:
+        """Why the raw rows cannot honestly be scanned (archived, else
+        degraded): no exact route, no exact fallback, no exact audit."""
+        return self.archived_reason if self.archived_reason is not None else self.degraded_reason
+
+    def decision_attributes(self) -> dict[str, Any]:
+        """The route decision — chosen and rejected — as trace-span attributes."""
+        attributes: dict[str, Any] = {
+            "decision": self.chosen.route,
+            "reason": self.reason,
+            "candidates": [
+                f"{'chosen' if node is self.chosen else 'rejected'} — {node.render(0)[0]}"
+                for node in self.candidates
+            ],
+        }
+        if self.archived_reason is not None:
+            attributes["archived"] = self.archived_reason
+        return attributes
+
     def explain(self) -> str:
         """Human-readable plan: contract, candidates, decision."""
         lines = [

@@ -1,4 +1,4 @@
-"""The unified accuracy-aware query planner: one entry point, cost-routed.
+"""The unified accuracy-aware query planner: one decision per statement.
 
 Every SQL statement becomes one :class:`UnifiedPlan` whose candidate nodes
 are either model-serving routes (the PR-2 routing machinery, probed
@@ -6,23 +6,22 @@ statically through :meth:`ApproximateQueryEngine.sketch_route`) or the
 exact vectorized pipeline (PR-3), each with a predicted cost (calibrated
 from ``BENCH_hotpaths.json``) and a predicted relative error (from the
 captured models' quality judgements).  The accuracy contract decides which
-node executes; sampled executions are verified against exact and the
-observed errors feed model quality, closing the loop.
+node executes.  The planner only *decides*: running the chosen node,
+auditing a sample against exact and accounting for it are the stages of
+:mod:`repro.core.pipeline`.
 
 Plans are cached in an LRU keyed on (sql, contract, catalog version,
-model-store version): any DDL/data change or model lifecycle event
-invalidates affected decisions, so a cached decision can never outlive the
-state it was costed against.
+model-store version, cost model): any DDL/data change, model lifecycle
+event or recalibration invalidates affected decisions, so a cached decision
+can never outlive the state it was costed against.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.approx.engine import ApproximateAnswer, ApproximateQueryEngine, RouteSketch
 from repro.core.approx.error_bounds import ErrorEstimate
@@ -33,20 +32,15 @@ from repro.core.planner.feedback import FeedbackResult, ObservedErrorFeedback
 from repro.core.planner.nodes import PlanNode, UnifiedPlan
 from repro.core.snapshot import Snapshot
 from repro.db.database import Database
-from repro.db.sql.ast import SelectStatement
+from repro.db.lru import LockedLRU
+from repro.db.sql.ast import SelectStatement, Statement
 from repro.db.sql.executor import QueryResult
 from repro.db.stats import TableStats
-from repro.errors import ApproximationError, DegradedServiceError
+from repro.errors import ApproximationError
 from repro.db.table import Table
 from repro.obs.flight import is_telemetry_table
-from repro.obs.hub import normalize_reason
-from repro.obs.trace import Span, Tracer
 
 __all__ = ["PlannedAnswer", "UnifiedPlanner"]
-
-#: Shared disabled tracer for planners running without an observability
-#: hub: every span call degrades to a single attribute check.
-_OFF_TRACER = Tracer(enabled=False)
 
 #: Aggregate-specific scaling of the model's base relative error: counts
 #: come from (near-live) cardinalities, extremes pay the Gaussian
@@ -60,6 +54,42 @@ _AGGREGATE_ERROR_FACTOR = {
     "stddev": 1.0,
     "var": 1.0,
 }
+
+
+class _BlockedWording(NamedTuple):
+    """How a plan words "the raw rows cannot honestly be scanned"."""
+
+    pinned_exact: str
+    unusable: str
+    over_budget: str
+    served: str
+    hybrid: str
+
+
+_ARCHIVED = _BlockedWording(
+    pinned_exact="the raw rows are archived",
+    unusable="archived raw rows",
+    over_budget="the raw rows are archived",
+    served=(
+        "raw segments archived to the model-only tier; serving purely from "
+        "warehouse models (zero raw IO)"
+    ),
+    # A hybrid plan's exact fill-in scans raw rows the archive no longer
+    # holds — it is as dishonest as plain exact execution.
+    hybrid="hybrid route needs an exact fill-in over archived raw rows",
+)
+_DEGRADED = _BlockedWording(
+    pinned_exact="a component this statement needs is degraded",
+    unusable="degraded component",
+    over_budget="a needed component is degraded",
+    served=(
+        "a component this statement needs is degraded; serving from the "
+        "surviving models (disclosed)"
+    ),
+    # The hybrid fill-in would scan the surviving partial rows of a failed
+    # component and silently under-count.
+    hybrid="hybrid route needs an exact fill-in over a degraded component",
+)
 
 
 @dataclass
@@ -97,6 +127,12 @@ class PlannedAnswer:
         if self.approx is not None:
             return self.approx.error_estimate(column)
         return None
+
+    @property
+    def io(self) -> dict[str, float]:
+        """Simulated page IO charged to serving this answer."""
+        served = self.approx if self.approx is not None else self.query_result
+        return served.io if served is not None else {}
 
     @property
     def observed_relative_error(self) -> float | None:
@@ -137,26 +173,9 @@ class UnifiedPlanner:
         #: routes still answer (with the reason disclosed on the plan) and
         #: everything else raises :class:`~repro.errors.DegradedServiceError`.
         self.degraded_guard = None
-        #: Optional :class:`repro.resilience.ResilienceRuntime`.  When set,
-        #: the sampled feedback verifier runs behind a circuit breaker: a
-        #: failing audit is recorded (and eventually skipped) instead of
-        #: failing the answer it was auditing.
-        self.resilience: Any = None
-        #: Optional :class:`repro.obs.Observability` hub.  When set and
-        #: enabled, every execution is traced, metered, compliance-accounted
-        #: and slow-logged; when absent, execution pays one attribute check.
-        self.obs = None
-        self.plan_cache_size = plan_cache_size
-        #: Bumped by :meth:`set_cost_model`; part of the plan-cache key, so
-        #: a recalibration atomically invalidates every cached route
-        #: decision costed against the superseded rates.
-        self._cost_version = 0
-        self._plan_cache: OrderedDict[tuple, UnifiedPlan] = OrderedDict()
-        # Concurrent queries share this planner; OrderedDict mutation
-        # (move_to_end / insert / evict) is not atomic.
-        self._cache_lock = threading.Lock()
-        self._cache_hits = 0
-        self._cache_misses = 0
+        #: Plans are keyed on everything they were costed against, the cost
+        #: model included: installing another one invalidates them all.
+        self._plan_cache = LockedLRU(plan_cache_size)
         #: Last snapshot handed out, reused while both registries are
         #: unchanged so repeated tiny queries do not re-copy table/model
         #: maps.  A benign overwrite race just builds one extra snapshot.
@@ -187,12 +206,17 @@ class UnifiedPlanner:
     # -- planning -------------------------------------------------------------
 
     def plan(
-        self, sql: str, contract: AccuracyContract | None = None, for_execution: bool = False
+        self,
+        sql: str,
+        contract: AccuracyContract | None = None,
+        for_execution: bool = False,
+        statement: Statement | None = None,
     ) -> UnifiedPlan:
         """Build (or fetch) the unified plan for ``sql`` under ``contract``.
 
         ``for_execution=False`` (EXPLAIN) is side-effect free; True permits
         what real execution would do anyway (the on-demand grouped harvest).
+        ``statement`` hands over the AST the query pipeline already parsed.
         """
         contract = contract or AUTO
         key = (
@@ -201,56 +225,47 @@ class UnifiedPlanner:
             for_execution,
             self.database.catalog.version,
             self.store.version,
-            self._cost_version,
+            self.cost_model,
         )
-        with self._cache_lock:
-            cached = self._plan_cache.get(key)
-            if cached is not None:
-                self._cache_hits += 1
-                self._plan_cache.move_to_end(key)
-                return cached
-            self._cache_misses += 1
+        cached = self._plan_cache.get(key)
+        if cached is not None:
+            return cached
         started = perf_counter()
-        # Planning runs outside the lock (it may scan tables for the
+        # Planning runs outside the cache lock (it may scan tables for the
         # on-demand harvest); two threads racing the same key just build
         # the plan twice and the last insert wins.
-        plan = self._build_plan(sql, contract, for_execution)
+        if statement is None:
+            statement = self.database.parse_sql(sql)
+        plan = self._build_plan(sql, statement, contract, for_execution)
         plan.planning_seconds = perf_counter() - started
-        with self._cache_lock:
-            self._plan_cache[key] = plan
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
+        self._plan_cache.put(key, plan)
         return plan
 
     def set_cost_model(self, cost_model: CostModel) -> None:
         """Install a recalibrated cost model and invalidate cached plans.
 
-        The adaptive calibrator's entry point: the swap and the version bump
-        happen under the cache lock, so no concurrent planner can cache a
-        decision costed with the old rates under the new version.
+        The adaptive calibrator's entry point.  The cost model is part of
+        the plan-cache key, so no decision costed with the old rates can be
+        served once the new one is installed; the clear only frees them.
         """
-        with self._cache_lock:
-            self.cost_model = cost_model
-            self._cost_version += 1
-            self._plan_cache.clear()
+        self.cost_model = cost_model
+        self._plan_cache.clear()
+
+    def clear_plan_cache(self) -> None:
+        """Drop every cached route decision (counters are kept)."""
+        self._plan_cache.clear()
 
     def explain(self, sql: str, contract: AccuracyContract | None = None) -> str:
         """Render the chosen route, predicted cost and predicted error per node."""
         return self.plan(sql, contract, for_execution=False).explain()
 
     def plan_cache_info(self) -> dict[str, int]:
-        with self._cache_lock:
-            return {
-                "hits": self._cache_hits,
-                "misses": self._cache_misses,
-                "size": len(self._plan_cache),
-                "capacity": self.plan_cache_size,
-            }
+        """Hit/miss counters and current occupancy of the route-decision cache."""
+        return self._plan_cache.info()
 
     def _build_plan(
-        self, sql: str, contract: AccuracyContract, for_execution: bool
+        self, sql: str, statement: Statement, contract: AccuracyContract, for_execution: bool
     ) -> UnifiedPlan:
-        statement = self.database.parse_sql(sql)
         catalog_version = self.database.catalog.version
         store_version = self.store.version
         telemetry = _references_telemetry(statement)
@@ -284,12 +299,16 @@ class UnifiedPlanner:
         degraded_reason = (
             self.degraded_guard(statement) if self.degraded_guard is not None else None
         )
+        # From here on "the raw rows cannot honestly be scanned" is one
+        # concept; which guard fired (archive first) only picks the wording.
+        blocked = archived_reason if archived_reason is not None else degraded_reason
+        wording = _ARCHIVED if archived_reason is not None else _DEGRADED
 
         sketch: RouteSketch | None = None
-        if contract.mode != "exact" or archived_reason is not None or degraded_reason is not None:
-            # Even under a pinned-exact contract an archived (or degraded)
-            # statement needs the model candidate sketched, so EXPLAIN shows
-            # the only honest route next to the unavailable exact one.
+        if contract.mode != "exact" or blocked is not None:
+            # Even under a pinned-exact contract a blocked statement needs
+            # the model candidate sketched, so EXPLAIN shows the only honest
+            # route next to the unavailable exact one.
             sketch = self.engine.sketch_route(
                 sql, statement=statement, for_execution=for_execution
             )
@@ -298,26 +317,13 @@ class UnifiedPlanner:
             model_node = self._model_node(sketch, statement, stats_by_table)
             candidates.insert(0, model_node)
 
-        if archived_reason is not None:
-            exact_node.unavailable_reason = archived_reason
-            if model_node is not None and sketch is not None and sketch.uncovered_rows > 0:
-                # A hybrid plan's exact fill-in scans raw rows the archive no
-                # longer holds — it is as dishonest as plain exact execution.
-                model_node.unavailable_reason = (
-                    "hybrid route needs an exact fill-in over archived raw rows"
-                )
-            chosen, reason = self._choose_archived(contract, model_node, exact_node)
-        elif degraded_reason is not None:
-            exact_node.unavailable_reason = degraded_reason
-            if model_node is not None and sketch is not None and sketch.uncovered_rows > 0:
-                # The hybrid fill-in would scan the surviving partial rows of
-                # a failed component and silently under-count.
-                model_node.unavailable_reason = (
-                    "hybrid route needs an exact fill-in over a degraded component"
-                )
-            chosen, reason = self._choose_degraded(contract, model_node, exact_node)
-        else:
+        if blocked is None:
             chosen, reason = self._choose(contract, model_node, exact_node)
+        else:
+            exact_node.unavailable_reason = blocked
+            if model_node is not None and sketch.uncovered_rows > 0:
+                model_node.unavailable_reason = wording.hybrid
+            chosen, reason = self._choose_blocked(contract, model_node, exact_node, wording)
         return UnifiedPlan(
             sql=sql,
             contract=contract,
@@ -448,80 +454,43 @@ class UnifiedPlanner:
             factor = 1.0
         return base * factor
 
-    def _choose_archived(
+    def _choose_blocked(
         self,
         contract: AccuracyContract,
         model_node: PlanNode | None,
         exact_node: PlanNode,
+        wording: _BlockedWording,
     ) -> tuple[PlanNode, str]:
-        """Route choice when raw rows live in the model-only archive tier.
+        """Route choice when the raw rows cannot honestly be scanned.
 
-        Exact execution is off the table — it would silently compute over a
-        partial table.  A pure model route is admitted when the contract
-        tolerates its predicted error; otherwise the plan is deliberately
-        unexecutable and carries the honest reason.
+        Raw rows moved to the model-only archive tier, or a needed component
+        is failed/quarantined: exact execution is off the table — it would
+        silently compute over a partial table.  A pure model route is
+        admitted when the contract tolerates its predicted error (the
+        degradation is disclosed on the plan); otherwise the plan is
+        deliberately unexecutable and carries the honest reason — execution
+        raises :class:`~repro.errors.ApproximationError` (archived) or the
+        typed :class:`~repro.errors.DegradedServiceError`.
         """
-        usable = model_node is not None and model_node.is_available
         if contract.mode == "exact":
             return exact_node, (
-                "contract pins exact execution, but the raw rows are archived "
+                f"contract pins exact execution, but {wording.pinned_exact} "
                 "— execution will raise"
             )
-        if not usable:
+        if model_node is None or not model_node.is_available:
             detail = (
                 model_node.unavailable_reason
                 if model_node is not None
                 else "no model route applies"
             )
-            return exact_node, f"{detail}; archived raw rows — execution will raise"
+            return exact_node, f"{detail}; {wording.unusable} — execution will raise"
         budget = contract.error_budget
         if contract.mode == "auto" and model_node.predicted_relative_error > budget:
             return exact_node, (
                 f"predicted error {model_node.predicted_relative_error:.2%} exceeds "
-                f"budget {budget:.2%} and the raw rows are archived — execution will raise"
+                f"budget {budget:.2%} and {wording.over_budget} — execution will raise"
             )
-        return model_node, (
-            "raw segments archived to the model-only tier; serving purely from "
-            "warehouse models (zero raw IO)"
-        )
-
-    def _choose_degraded(
-        self,
-        contract: AccuracyContract,
-        model_node: PlanNode | None,
-        exact_node: PlanNode,
-    ) -> tuple[PlanNode, str]:
-        """Route choice when a needed component is failed or quarantined.
-
-        Mirrors :meth:`_choose_archived`: exact execution would silently run
-        over the surviving partial rows.  A pure model route within budget
-        still answers (the degradation is disclosed on the plan); otherwise
-        execution raises a typed :class:`~repro.errors.DegradedServiceError`.
-        """
-        usable = model_node is not None and model_node.is_available
-        if contract.mode == "exact":
-            return exact_node, (
-                "contract pins exact execution, but a component this statement "
-                "needs is degraded — execution will raise"
-            )
-        if not usable:
-            detail = (
-                model_node.unavailable_reason
-                if model_node is not None
-                else "no model route applies"
-            )
-            return exact_node, f"{detail}; degraded component — execution will raise"
-        budget = contract.error_budget
-        if contract.mode == "auto" and model_node.predicted_relative_error > budget:
-            return exact_node, (
-                f"predicted error {model_node.predicted_relative_error:.2%} exceeds "
-                f"budget {budget:.2%} and a needed component is degraded — "
-                "execution will raise"
-            )
-        return model_node, (
-            "a component this statement needs is degraded; serving from the "
-            "surviving models (disclosed)"
-        )
+        return model_node, wording.served
 
     def _choose(
         self,
@@ -570,286 +539,6 @@ class UnifiedPlanner:
             )
         return exact_node, "exact execution predicted cheaper than the model route"
 
-    # -- execution ------------------------------------------------------------
-
-    def execute(
-        self,
-        sql: str,
-        contract: AccuracyContract | None = None,
-        snapshot: Snapshot | None = None,
-    ) -> PlannedAnswer:
-        """Plan and execute ``sql`` under ``contract``.
-
-        ``snapshot`` pins the execution to an explicitly held view (see
-        :meth:`snapshot`); by default every query pins a fresh (or memoized
-        still-current) snapshot at entry, so concurrent ``ingest()`` /
-        ``maintain()`` / ``archive()`` commits can never be observed
-        mid-query.
-        """
-        contract = contract or AUTO
-        obs = self.obs
-        if obs is None or not obs.enabled:
-            return self._execute(sql, contract, _OFF_TRACER, snapshot)
-        tracer = obs.tracer
-        started = perf_counter()
-        with tracer.trace("query", sql=sql.strip()) as root:
-            try:
-                answer = self._execute(sql, contract, tracer, snapshot)
-            except Exception as exc:
-                obs.metrics.inc("query_errors_total", error=type(exc).__name__)
-                raise
-        self._account(obs, answer, root, perf_counter() - started)
-        return answer
-
-    def _execute(
-        self,
-        sql: str,
-        contract: AccuracyContract,
-        tracer: Tracer,
-        snapshot: Snapshot | None = None,
-    ) -> PlannedAnswer:
-        started = perf_counter()
-        snap = snapshot if snapshot is not None else self.snapshot()
-        # IO is measured around planning *and* execution: planning may
-        # trigger the one-off on-demand grouped harvest, whose scan is
-        # charged to the query that caused it (as the engine always did).
-        # A per-execution scope (not a before/after snapshot of the global
-        # accountant) keeps attribution correct when queries interleave.
-        # The snapshot is pinned around the whole lifecycle — parse, plan,
-        # route, execute, verify-sample — so every layer reads one state;
-        # DML inside the pin still lands on live tables (the executor
-        # resolves INSERT targets via ``live_table``).
-        with self.database.io_model.scope() as io_scope, snap.reading(
-            self.database.catalog, self.store
-        ):
-            return self._execute_scoped(sql, contract, tracer, started, io_scope)
-
-    def _execute_scoped(
-        self,
-        sql: str,
-        contract: AccuracyContract,
-        tracer: Tracer,
-        started: float,
-        io_scope: Any,
-    ) -> PlannedAnswer:
-        with tracer.span("parse"):
-            self.database.parse_sql(sql)
-        with tracer.span("plan") as plan_span:
-            plan = self.plan(sql, contract, for_execution=True)
-        if tracer.active:
-            _annotate_plan_span(plan_span, plan)
-
-        if plan.statement_type != "select":
-            with tracer.span("execute", route_taken=plan.statement_type):
-                result = self.database.sql(sql)
-            return PlannedAnswer(
-                sql=sql,
-                contract=contract,
-                plan=plan,
-                table=result.table,
-                route_taken=plan.statement_type,
-                is_exact=True,
-                query_result=result,
-                elapsed_seconds=perf_counter() - started,
-            )
-
-        if plan.archived_reason is not None and not plan.is_model_route:
-            # No honest route: raw rows are archived and the contract (or
-            # the model population) rules out pure model serving.  An
-            # explicit refusal beats an answer computed over a partial table.
-            raise ApproximationError(f"{plan.reason}: {plan.archived_reason}")
-
-        if plan.degraded_reason is not None and not plan.is_model_route:
-            # Same refusal for a failed/quarantined component: the surviving
-            # raw rows are incomplete, and no surviving model can honestly
-            # answer — a typed error carrying the quarantine reason.
-            component, _, detail = plan.degraded_reason.partition(" — ")
-            raise DegradedServiceError(
-                f"{plan.reason}: {plan.degraded_reason}",
-                component=component,
-                reason=detail or plan.degraded_reason,
-            )
-
-        if plan.is_model_route or contract.mode == "approx":
-            statement = self.database.parse_sql(sql)
-            with tracer.span("execute") as exec_span:
-                try:
-                    approx = self.engine.answer(
-                        sql,
-                        # Falling back to exact is dishonest when raw rows are
-                        # archived or a needed component is degraded: a
-                        # mid-route failure must surface, not degrade into an
-                        # answer over the partial table.
-                        allow_fallback=(
-                            contract.allow_exact_fallback
-                            and plan.archived_reason is None
-                            and plan.degraded_reason is None
-                        ),
-                        statement=statement,
-                        grouped_route_plan=(
-                            plan.sketch.grouped_plan if plan.sketch is not None else None
-                        ),
-                    )
-                except ApproximationError as exc:
-                    if plan.archived_reason is not None:
-                        raise ApproximationError(
-                            f"{exc}; {plan.archived_reason}"
-                        ) from exc
-                    raise
-                if tracer.active:
-                    exec_span.annotate(
-                        route_taken=approx.route,
-                        rows=approx.table.num_rows,
-                    )
-                    if approx.used_model_ids:
-                        exec_span.annotate(models=list(approx.used_model_ids))
-                    if approx.route == "exact-fallback":
-                        exec_span.annotate(fallback_reason=approx.reason)
-            approx.io = io_scope.snapshot()
-            answer = PlannedAnswer(
-                sql=sql,
-                contract=contract,
-                plan=plan,
-                table=approx.table,
-                route_taken=approx.route,
-                is_exact=approx.is_exact,
-                approx=approx,
-                column_errors=dict(approx.column_errors),
-            )
-            # No feedback sampling over archived or degraded tables: "exact"
-            # would run on the partial live rows and record bogus evidence
-            # against a model that is answering for the full logical table.
-            # Telemetry tables are excluded too — an audit is itself a query,
-            # and auditing the telemetry warehouse would generate telemetry.
-            if (
-                not approx.is_exact
-                and approx.used_model_ids
-                and plan.archived_reason is None
-                and plan.degraded_reason is None
-                and not plan.telemetry
-                and self.feedback.should_verify(contract)
-            ):
-                with tracer.span("verify-sample") as verify_span:
-                    answer.feedback = self._verify_guarded(sql, approx)
-                if tracer.active:
-                    _annotate_verify_span(verify_span, answer.feedback, plan, contract)
-            answer.elapsed_seconds = perf_counter() - started
-            return answer
-
-        with tracer.span("execute", route_taken="exact") as exec_span:
-            result = self.database.sql(sql)
-        if tracer.active:
-            exec_span.annotate(rows=result.table.num_rows)
-        return PlannedAnswer(
-            sql=sql,
-            contract=contract,
-            plan=plan,
-            table=result.table,
-            route_taken="exact",
-            is_exact=True,
-            query_result=result,
-            elapsed_seconds=perf_counter() - started,
-        )
-
-    def _verify_guarded(self, sql: str, approx: ApproximateAnswer) -> FeedbackResult | None:
-        """Run the sampled audit behind the verifier circuit breaker.
-
-        The audit is advisory: with the resilience runtime attached, a
-        verifier that starts failing (exception storms, an unreadable exact
-        path) has its failures recorded and — past the breaker threshold —
-        further samples skipped, instead of failing answers that were
-        already correctly served.  Without a runtime the failure propagates
-        (fail-stop, the pre-resilience behaviour).
-        """
-        if self.resilience is None:
-            return self.feedback.verify(sql, approx)
-        breaker = self.resilience.breaker("planner.verify")
-        if not breaker.allow():
-            return None
-        try:
-            result = self.feedback.verify(sql, approx)
-        except Exception as exc:  # noqa: BLE001 - the audit must not kill the answer
-            breaker.record_failure(f"{type(exc).__name__}: {exc}")
-            if self.obs is not None and self.obs.enabled:
-                self.obs.metrics.inc("verifier_failures_total", error=type(exc).__name__)
-            return None
-        breaker.record_success()
-        return result
-
-    def _account(
-        self, obs: Any, answer: PlannedAnswer, root: Span, elapsed_seconds: float
-    ) -> None:
-        """Post-execution metrics, compliance and slow-log accounting."""
-        metrics = obs.metrics
-        route = answer.route_taken
-        metrics.inc("queries_total", route=route)
-        metrics.observe("query_seconds", elapsed_seconds)
-        io = answer.approx.io if answer.approx is not None else (
-            answer.query_result.io if answer.query_result is not None else {}
-        )
-        pages = io.get("pages_read", 0.0)
-        if pages:
-            metrics.inc("pages_read_total", pages, route=route)
-        if route == "exact-fallback":
-            reason = answer.approx.reason if answer.approx is not None else None
-            metrics.inc("fallbacks_total", reason=normalize_reason(reason))
-        model_ids = (
-            list(answer.approx.used_model_ids) if answer.approx is not None else []
-        )
-        degraded = answer.plan.degraded_reason is not None
-        if degraded:
-            metrics.inc("degraded_answers_total", route=route)
-        obs.compliance.record_served(
-            route,
-            answer.plan.chosen.predicted_relative_error
-            if answer.plan.is_model_route
-            else None,
-            model_ids=model_ids,
-            degraded=degraded,
-        )
-        feedback = answer.feedback
-        violated: bool | None = None
-        if feedback is not None:
-            metrics.inc("feedback_verifications_total")
-            if feedback.demoted_model_ids:
-                metrics.inc(
-                    "feedback_demotions_total", float(len(feedback.demoted_model_ids))
-                )
-            if feedback.observed_relative_error is not None:
-                violated = obs.compliance.record_verified(
-                    route,
-                    feedback.observed_relative_error,
-                    answer.contract.error_budget,
-                    model_ids=feedback.recorded_model_ids,
-                    demoted_ids=feedback.demoted_model_ids,
-                )
-                if violated:
-                    metrics.inc("contract_violations_total", route=route)
-        if answer.plan.telemetry:
-            # Queries over the telemetry warehouse are counted above but
-            # must not feed the self-observation loops: no slow-log entry,
-            # no calibration sample, no SLO event, no flight record —
-            # otherwise reading telemetry would mint more telemetry.
-            return
-        obs.slow_log.observe(
-            answer.sql,
-            route,
-            elapsed_seconds,
-            trace_summary=root.summary(),
-            contract=answer.contract.describe(),
-        )
-        # Enabled is re-checked here (not just inside each component) so the
-        # obs-off serving path pays three attribute reads, not method calls.
-        calibration = getattr(obs, "calibration", None)
-        if calibration is not None and calibration.enabled:
-            calibration.observe_trace(root)
-        slo = getattr(obs, "slo", None)
-        if slo is not None and slo.enabled:
-            slo.observe_query(elapsed_seconds, degraded=degraded, violated=violated)
-        flight = getattr(obs, "flight", None)
-        if flight is not None and flight.enabled:
-            flight.on_query(answer, root, elapsed_seconds)
-
 
 def _references_telemetry(statement: Any) -> bool:
     """Whether the statement reads or writes a reserved ``_telemetry_*`` table."""
@@ -859,44 +548,3 @@ def _references_telemetry(statement: Any) -> bool:
     else:
         names = [getattr(statement, "name", None)]
     return any(is_telemetry_table(name) for name in names)
-
-
-def _annotate_plan_span(span: Span, plan: UnifiedPlan) -> None:
-    """Attach the route decision — chosen and rejected — to the plan span."""
-    span.annotate(
-        decision=plan.chosen.route,
-        reason=plan.reason,
-        candidates=[_candidate_line(plan, node) for node in plan.candidates],
-    )
-    if plan.archived_reason is not None:
-        span.annotate(archived=plan.archived_reason)
-
-
-def _candidate_line(plan: UnifiedPlan, node: PlanNode) -> str:
-    status = "chosen" if node is plan.chosen else "rejected"
-    return f"{status} — {node.render(0)[0]}"
-
-
-def _annotate_verify_span(
-    span: Span,
-    feedback: FeedbackResult | None,
-    plan: UnifiedPlan,
-    contract: AccuracyContract,
-) -> None:
-    if feedback is None:
-        return
-    if feedback.observed_relative_error is None:
-        span.annotate(outcome="no numeric columns to verify")
-        return
-    span.annotate(
-        predicted_relative_error=f"{plan.chosen.predicted_relative_error:.2%}",
-        observed_relative_error=f"{feedback.observed_relative_error:.2%}",
-    )
-    if contract.max_relative_error is not None:
-        span.annotate(
-            budget=f"{contract.max_relative_error:.2%}",
-            within_budget=feedback.observed_relative_error
-            <= contract.max_relative_error,
-        )
-    if feedback.demoted_model_ids:
-        span.annotate(demoted_models=list(feedback.demoted_model_ids))

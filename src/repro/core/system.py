@@ -10,15 +10,15 @@ data."
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.core.approx.engine import ApproximateAnswer, ApproximateQueryEngine, _relative_errors
+from repro.core.approx.engine import ApproximateQueryEngine
 from repro.core.approx.anomalies import AnomalyReport, detect_anomalies
 from repro.core.captured_model import CapturedModel
 from repro.core.harvester import HarvestReport, ModelHarvester
 from repro.core.model_store import ModelStore
+from repro.core.pipeline import run_query
 from repro.core.planner import (
     AccuracyContract,
     ObservedErrorFeedback,
@@ -36,10 +36,9 @@ from repro.core.strawman import StrawmanFrame
 from repro.db.database import Database
 from repro.db.io_model import IOParameters
 from repro.db.schema import Schema
-from repro.db.sql.ast import InsertStatement, SelectStatement
-from repro.db.sql.executor import QueryResult
+from repro.db.sql.ast import SelectStatement
 from repro.db.table import Table
-from repro.errors import ApproximationError, ArchiveError, PersistenceError
+from repro.errors import ArchiveError, PersistenceError
 from repro.obs import (
     CostCalibrator,
     Event,
@@ -111,9 +110,9 @@ class LawsDatabase:
         # redo record (or vice versa).  Lifecycle/maintenance reactions stay
         # in the post-commit listener above — they can be expensive.
         self.ingestor.add_commit_listener(self._log_ingest_batch)
-        # The unified planner: the single query entry point that cost-routes
-        # between the model-serving routes and the exact vectorized engine,
-        # auditing a sample of served answers against exact execution.
+        # The unified planner cost-routes every statement between the
+        # model-serving routes and the exact vectorized engine; its feedback
+        # verifier audits a sample of served answers against exact execution.
         self.planner = UnifiedPlanner(
             self.database,
             self.models,
@@ -141,7 +140,6 @@ class LawsDatabase:
             slow_query_seconds=slow_query_seconds,
             io_scope=self.database.io_model.scope,
         )
-        self.planner.obs = self.obs
         self.database.executor.tracer = self.obs.tracer
         # Partitioned parallel execution: tables with a committed partition
         # map run scan/filter/join/group-by per shard on a worker pool (or
@@ -177,7 +175,6 @@ class LawsDatabase:
         # store version to invalidate affected plans — keeping health checks
         # off the per-query hot path.
         self.resilience.health.on_transition = self._on_health_transition
-        self.planner.resilience = self.resilience
         self.planner.degraded_guard = self._degraded_reason
         self.maintenance.resilience = self.resilience
         if fault_injector is not None:
@@ -541,42 +538,23 @@ class LawsDatabase:
         contract: AccuracyContract | None = None,
         snapshot: Snapshot | None = None,
     ) -> PlannedAnswer:
-        """Execute SQL through the unified accuracy-aware planner.
+        """Execute SQL through the staged query pipeline.
 
-        This is the single entry point: the planner cost-routes every
-        statement between the captured-model serving routes and the exact
-        vectorized engine, honouring the :class:`AccuracyContract` (error
-        budget, deadline, mode).  A sampled fraction of model-served
+        This is the single entry point (:mod:`repro.core.pipeline`: parse →
+        pin → plan → execute → verify → account): the planner cost-routes
+        every statement between the captured-model serving routes and the
+        exact vectorized engine, honouring the :class:`AccuracyContract`
+        (error budget, deadline, mode).  A sampled fraction of model-served
         answers is verified against exact execution; the observed errors
         feed model quality and demote models the planner caught lying, so
-        the maintenance loop refits them.
+        the maintenance loop refits them.  DDL/DML commits with its redo
+        record and marks the table's captured models stale.
 
         Every query executes against a pinned snapshot — its own by
         default, or an explicitly held one passed as ``snapshot`` (see
         :meth:`snapshot`) for repeatable reads across statements.
         """
-        if self.durable is not None and not isinstance(
-            self.database.parse_sql(sql), SelectStatement
-        ):
-            # DDL/DML through the SQL front-end mutates the catalog like any
-            # programmatic write: it must survive a crash the same way, and
-            # the mutation + redo record commit atomically with respect to
-            # a concurrent checkpoint (same critical section).
-            with self.database.catalog.commit_lock:
-                answer = self.planner.execute(sql, contract, snapshot=snapshot)
-                if answer.plan.statement_type in ("create", "insert"):
-                    self.durable.log_sql(sql)
-        else:
-            answer = self.planner.execute(sql, contract, snapshot=snapshot)
-        if answer.plan.statement_type in ("create", "insert"):
-            statement = self.database.parse_sql(sql)
-            if isinstance(statement, InsertStatement):
-                # Same lifecycle contract as insert_rows(): appended data
-                # marks the table's captured models stale (§4.1) — and keeps
-                # the live process consistent with what a WAL replay of this
-                # very statement does on recovery.
-                self.lifecycle.on_data_changed(statement.name)
-        return answer
+        return run_query(self, sql, contract, snapshot)
 
     def explain(self, sql: str, contract: AccuracyContract | None = None) -> str:
         """The unified plan for ``sql``: candidate routes, predicted cost
@@ -811,110 +789,6 @@ class LawsDatabase:
                 reason = health.reason(component) or "snapshot segments quarantined"
                 return f"{component} — {reason}"
         return None
-
-    # -- SQL: deprecated pre-planner entry points -------------------------------------
-
-    def sql(self, query: str) -> QueryResult:
-        """Execute SQL exactly against the stored data.
-
-        .. deprecated:: use :meth:`query` with
-           ``AccuracyContract(mode="exact")`` — the unified planner is the
-           single entry point and keeps EXPLAIN/feedback consistent.
-        """
-        warnings.warn(
-            'LawsDatabase.sql() is deprecated; use query(sql, AccuracyContract(mode="exact"))',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        answer = self.query(query, AccuracyContract(mode="exact"))
-        assert answer.query_result is not None
-        return answer.query_result
-
-    def approximate_sql(self, query: str, allow_fallback: bool = True) -> ApproximateAnswer:
-        """Answer SQL approximately from captured models (§4.2).
-
-        .. deprecated:: use :meth:`query` with
-           ``AccuracyContract(mode="approx")`` (set
-           ``allow_exact_fallback=False`` for the strict variant).
-        """
-        warnings.warn(
-            'LawsDatabase.approximate_sql() is deprecated; use '
-            'query(sql, AccuracyContract(mode="approx"))',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.db.sql.ast import SelectStatement
-
-        if not isinstance(self.database.parse_sql(query), SelectStatement):
-            # Non-SELECT statements: the engine never served these from
-            # models; preserve its behaviour (raise before any side effect
-            # when fallback is refused, else execute exactly with reason).
-            if not allow_fallback:
-                raise ApproximationError(
-                    "only SELECT statements can be answered approximately"
-                )
-            result = self.query(query).query_result
-            assert result is not None
-            return ApproximateAnswer(
-                sql=query,
-                table=result.table,
-                route="exact-fallback",
-                is_exact=True,
-                reason="only SELECT statements can be answered approximately",
-                elapsed_seconds=result.elapsed_seconds,
-                io=dict(result.io),
-            )
-        answer = self.query(
-            query,
-            AccuracyContract(
-                mode="approx",
-                allow_exact_fallback=allow_fallback,
-                verify_fraction=0.0,
-            ),
-        )
-        assert answer.approx is not None
-        return answer.approx
-
-    def compare_sql(self, query: str) -> dict[str, Any]:
-        """Run a query both ways and report the approximation error.
-
-        .. deprecated:: use :meth:`query` twice with pinned contracts (one
-           ``mode="approx"``, one ``mode="exact"``) — this shim does
-           exactly that.
-        """
-        warnings.warn(
-            "LawsDatabase.compare_sql() is deprecated; use query() with pinned "
-            "approx/exact contracts",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        approx_answer = self.query(
-            query,
-            AccuracyContract(mode="approx", verify_fraction=0.0),
-        ).approx
-        assert approx_answer is not None
-        exact_result = self.query(query, AccuracyContract(mode="exact")).query_result
-        assert exact_result is not None
-        exact_answer = ApproximateAnswer(
-            sql=query,
-            table=exact_result.table,
-            route="exact-fallback",
-            is_exact=True,
-            reason="exact execution requested",
-            elapsed_seconds=exact_result.elapsed_seconds,
-            io=dict(exact_result.io),
-        )
-        errors = _relative_errors(approx_answer.table, exact_answer.table)
-        return {
-            "approximate": approx_answer,
-            "exact": exact_answer,
-            "route": approx_answer.route,
-            "group_routes": dict(approx_answer.group_routes),
-            "relative_errors": errors,
-            "max_relative_error": max(errors.values()) if errors else None,
-            "approx_pages_read": approx_answer.io.get("pages_read", 0.0),
-            "exact_pages_read": exact_answer.io.get("pages_read", 0.0),
-        }
 
     # -- model harvesting -----------------------------------------------------------------
 

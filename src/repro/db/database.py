@@ -116,13 +116,13 @@ class Database:
         return self._executor.execute(query)
 
     def parse_sql(self, query: str):
-        """Parse a SQL statement through the executor's LRU parse cache.
+        """Parse a SQL statement through the executor's LRU cache.
 
         Other front-ends (the approximate engine, the unified planner)
         analyse the same statement text repeatedly; routing them through the
         shared cache means each distinct statement is parsed once.
         """
-        return self._executor.parse_statement(query)
+        return self._executor.prepare(query).statement
 
     @property
     def executor(self) -> SQLExecutor:

@@ -1,24 +1,24 @@
 """SQL statement executor: ties the parser, planner and operators together.
 
-The executor keeps an LRU parse+plan cache keyed on the raw SQL text.  The
-approximate engine re-runs the same fallback and differential queries over
-and over; re-lexing, re-parsing and re-planning each time dominates the cost
-of small queries.  Cached plans are validated against the catalog's version
-counter — any DDL or data change (appends mark the table dirty, which bumps
-the version) invalidates every cached plan, so a cached plan can never serve
-a stale schema.  Plans are stateless operator trees: re-executing one always
-reads the current table contents.
+The executor keeps one LRU entry per SQL text (:class:`PreparedStatement`):
+the parsed AST and — for SELECTs — the physical plan.  The approximate
+engine re-runs the same fallback and differential queries over and over;
+re-lexing, re-parsing and re-planning each time dominates the cost of small
+queries.  Parsing is pure, so the AST never goes stale; the plan is stamped
+with the catalog's version counter — any DDL or data change (appends mark
+the table dirty, which bumps the version) invalidates it, so a cached plan
+can never serve a stale schema.  Plans are stateless operator trees:
+re-executing one always reads the current table contents.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.db.catalog import Catalog
 from repro.db.io_model import IOModel
+from repro.db.lru import LockedLRU
 from repro.db.operators.base import clone_operator_tree
 from repro.db.schema import ColumnDef, Schema
 from repro.db.sql.ast import CreateTableStatement, InsertStatement, SelectStatement, Statement
@@ -27,7 +27,7 @@ from repro.db.sql.planner import PlannedQuery, plan_select
 from repro.db.table import Table
 from repro.errors import SQLPlanningError, UnsupportedSQLError
 
-__all__ = ["QueryResult", "SQLExecutor"]
+__all__ = ["PreparedStatement", "QueryResult", "SQLExecutor"]
 
 
 @dataclass
@@ -52,6 +52,16 @@ class QueryResult:
         return self.table.row(0)[0]
 
 
+@dataclass
+class PreparedStatement:
+    """One SQL text, parsed once; the cache entry a query carries end to end."""
+
+    statement: Statement
+    #: ``(catalog version, plan, rendered plan text)`` of a SELECT.  Stored
+    #: as one attribute so concurrent executions swap it atomically.
+    plan: tuple[int, PlannedQuery, str] | None = None
+
+
 class SQLExecutor:
     """Execute SQL statements against a catalog, charging the IO model."""
 
@@ -63,7 +73,6 @@ class SQLExecutor:
     ) -> None:
         self.catalog = catalog
         self.io_model = io_model or IOModel()
-        self.plan_cache_size = plan_cache_size
         #: Optional :class:`repro.obs.Tracer`.  When set *and* a trace is
         #: open, SELECT operator trees execute with one span per operator;
         #: otherwise execution pays a single attribute check.
@@ -73,38 +82,35 @@ class SQLExecutor:
         #: it returns ``None`` (and this stays a single attribute check per
         #: query) whenever the partitioned strategy does not apply.
         self.parallel = None
-        self._parse_cache: OrderedDict[str, Statement] = OrderedDict()
-        #: sql text -> (catalog version, plan, rendered plan text)
-        self._plan_cache: OrderedDict[str, tuple[int, PlannedQuery, str]] = OrderedDict()
-        # One lock for both LRU caches: concurrent queries share the executor
-        # and OrderedDict move_to_end/insert/evict are not atomic.
-        self._cache_lock = threading.Lock()
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_invalidations = 0
+        #: sql text -> :class:`PreparedStatement`; hits and misses count
+        #: plan reuse, not text lookups (see :meth:`_plan`).
+        self._cache = LockedLRU(plan_cache_size)
+
+    @property
+    def plan_cache_size(self) -> int:
+        return self._cache.capacity
+
+    @plan_cache_size.setter
+    def plan_cache_size(self, size: int) -> None:
+        self._cache.capacity = size
 
     def execute(self, sql: str) -> QueryResult:
         """Parse and execute one SQL statement."""
-        # A still-valid cached plan skips lexing and parsing entirely (the
-        # parse LRU may have evicted this statement's AST while its plan —
-        # SELECTs only — survived).
-        version = self.catalog.version
-        with self._cache_lock:
-            entry = self._plan_cache.get(sql)
-            if entry is not None and entry[0] == version:
-                self._cache_hits += 1
-                self._plan_cache.move_to_end(sql)
-            else:
-                entry = None
-        if entry is not None:
-            return self._execute_planned(entry[1], entry[2])
-        statement = self._parse(sql)
+        return self.run(self.prepare(sql))
+
+    def run(self, prepared: PreparedStatement) -> QueryResult:
+        """Execute an already-prepared statement (no text lookup)."""
+        statement = prepared.statement
         started = perf_counter()
         # Per-execution IO scope: only pages charged by *this* execution (and
         # anything it nests) are attributed to this statement, even when other
         # queries interleave on other threads.
         with self.io_model.scope() as io_scope:
-            if isinstance(statement, CreateTableStatement):
+            if isinstance(statement, SelectStatement):
+                planned, plan_text = self._plan(prepared)
+                table = self._run_root(planned)
+                kind = "select"
+            elif isinstance(statement, CreateTableStatement):
                 table = self._execute_create(statement)
                 kind = "create"
                 plan_text = f"CreateTable({statement.name})"
@@ -112,10 +118,6 @@ class SQLExecutor:
                 table = self._execute_insert(statement)
                 kind = "insert"
                 plan_text = f"Insert({statement.name}, rows={len(statement.rows)})"
-            elif isinstance(statement, SelectStatement):
-                planned, plan_text = self._plan(sql, statement)
-                table = self._run_root(planned)
-                kind = "select"
             else:  # pragma: no cover - parser only produces the three kinds above
                 raise UnsupportedSQLError(f"unsupported statement type {type(statement).__name__}")
 
@@ -123,20 +125,6 @@ class SQLExecutor:
         return QueryResult(
             table=table,
             statement_type=kind,
-            elapsed_seconds=elapsed,
-            io=io_scope.snapshot(),
-            plan_text=plan_text,
-        )
-
-    def _execute_planned(self, planned: PlannedQuery, plan_text: str) -> QueryResult:
-        """Execute an already-planned SELECT (the plan-cache hit path)."""
-        started = perf_counter()
-        with self.io_model.accountant.scope() as io_scope:
-            table = self._run_root(planned)
-        elapsed = perf_counter() - started
-        return QueryResult(
-            table=table,
-            statement_type="select",
             elapsed_seconds=elapsed,
             io=io_scope.snapshot(),
             plan_text=plan_text,
@@ -167,87 +155,59 @@ class SQLExecutor:
 
     def explain(self, sql: str) -> str:
         """Return the physical plan for a SELECT without executing it."""
-        statement = self._parse(sql)
-        if not isinstance(statement, SelectStatement):
+        prepared = self.prepare(sql)
+        if not isinstance(prepared.statement, SelectStatement):
             raise UnsupportedSQLError("EXPLAIN is only supported for SELECT statements")
-        return self._plan(sql, statement)[1]
+        return self._plan(prepared)[1]
 
     # -- parse / plan caching -------------------------------------------------
 
-    def parse_statement(self, sql: str) -> Statement:
-        """Parse ``sql`` through the executor's LRU parse cache.
+    def prepare(self, sql: str, statement: Statement | None = None) -> PreparedStatement:
+        """The cache entry for ``sql`` — the one text-keyed lookup of a query.
 
-        This is the public entry for other query front-ends (the approximate
-        engine, the unified planner) so repeated statement text is lexed and
-        parsed exactly once per process instead of once per call site.
+        A text seen for the first time is parsed (unless the caller hands
+        over the ``statement`` it already holds) and remembered; parsing is
+        pure (the AST is immutable and never depends on catalog state), so
+        entries need no invalidation — only LRU eviction.  The entry stays
+        valid in the caller's hands after eviction or :meth:`clear_plan_cache`.
         """
-        return self._parse(sql)
+        prepared = self._cache.get(sql, count=False)
+        if prepared is None:
+            prepared = PreparedStatement(statement if statement is not None else parse(sql))
+            self._cache.put(sql, prepared)
+        return prepared
 
     def plan_statement(self, sql: str, statement: SelectStatement) -> tuple[PlannedQuery, str]:
-        """Plan a SELECT through the version-keyed LRU plan cache.
+        """Plan a SELECT through the version-stamped LRU cache.
 
         Exposed for the unified planner: a cached plan is only reused while
         ``catalog.version`` is unchanged, so DDL or data changes can never
         serve a stale schema.
         """
-        return self._plan(sql, statement)
+        return self._plan(self.prepare(sql, statement))
 
-    def _parse(self, sql: str) -> Statement:
-        """Parse ``sql``, reusing the cached AST for repeated statement text.
-
-        Parsing is pure (the AST is immutable and never depends on catalog
-        state), so the parse cache needs no invalidation — only LRU eviction.
-        """
-        with self._cache_lock:
-            cached = self._parse_cache.get(sql)
-            if cached is not None:
-                self._parse_cache.move_to_end(sql)
-                return cached
-        statement = parse(sql)
-        with self._cache_lock:
-            self._parse_cache[sql] = statement
-            while len(self._parse_cache) > self.plan_cache_size:
-                self._parse_cache.popitem(last=False)
-        return statement
-
-    def _plan(self, sql: str, statement: SelectStatement) -> tuple[PlannedQuery, str]:
-        """Plan a SELECT, reusing a cached plan while the catalog is unchanged."""
+    def _plan(self, prepared: PreparedStatement) -> tuple[PlannedQuery, str]:
+        """Plan a SELECT, reusing its cached plan while the catalog is unchanged."""
         version = self.catalog.version
-        with self._cache_lock:
-            entry = self._plan_cache.get(sql)
-            if entry is not None:
-                cached_version, planned, plan_text = entry
-                if cached_version == version:
-                    self._cache_hits += 1
-                    self._plan_cache.move_to_end(sql)
-                    return planned, plan_text
-                self._cache_invalidations += 1
-                del self._plan_cache[sql]
-            self._cache_misses += 1
-        planned = plan_select(statement, self.catalog, self.io_model)
+        cached = prepared.plan
+        if cached is not None and cached[0] == version:
+            self._cache.tally(hit=True)
+            return cached[1], cached[2]
+        self._cache.tally(hit=False, invalidated=cached is not None)
+        planned = plan_select(prepared.statement, self.catalog, self.io_model)
         plan_text = planned.root.explain()
-        with self._cache_lock:
-            self._plan_cache[sql] = (version, planned, plan_text)
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
+        prepared.plan = (version, planned, plan_text)
         return planned, plan_text
 
     def plan_cache_info(self) -> dict[str, int]:
-        """Hit/miss counters and current occupancy of the plan cache."""
-        with self._cache_lock:
-            return {
-                "hits": self._cache_hits,
-                "misses": self._cache_misses,
-                "invalidations": self._cache_invalidations,
-                "size": len(self._plan_cache),
-                "capacity": self.plan_cache_size,
-            }
+        """Plan hit/miss/invalidation counters and current cache occupancy."""
+        info = self._cache.info()
+        info["invalidations"] = self._cache.invalidations
+        return info
 
     def clear_plan_cache(self) -> None:
         """Drop every cached parse and plan (counters are kept)."""
-        with self._cache_lock:
-            self._parse_cache.clear()
-            self._plan_cache.clear()
+        self._cache.clear()
 
     # -- DDL / DML ------------------------------------------------------------
 

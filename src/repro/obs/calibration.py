@@ -8,7 +8,7 @@ and row counts yield observed seconds-per-row rates.  Those are folded into
 bounded EWMA estimates, and when an operator's observed rate has shifted
 materially away from what the planner is costing with, a fresh
 :class:`~repro.core.planner.cost.CostModel` is installed through
-:meth:`UnifiedPlanner.set_cost_model` — which bumps the cost version in the
+:meth:`UnifiedPlanner.set_cost_model` — the cost model is part of the
 plan-cache key, so every cached route decision costed against the stale
 rates is invalidated at once.  Each recalibration is journaled
 (``cost-recalibration``) and the new model carries ``adaptive:`` provenance

@@ -90,12 +90,9 @@ class FlightRecorder:
     # -- recording (the per-query hot path) -----------------------------------
 
     def on_query(self, answer: Any, root: Any, elapsed_seconds: float) -> None:
-        """Record one served query (called from the planner's accounting)."""
+        """Record one served query (called from the pipeline's account stage)."""
         if not self.enabled:
             return
-        io = answer.approx.io if answer.approx is not None else (
-            answer.query_result.io if answer.query_result is not None else {}
-        )
         operators = [
             (span.name[3:], float(span.attributes.get("rows_out", 0) or 0), span.self_seconds)
             for span in root.walk()
@@ -106,7 +103,7 @@ class FlightRecorder:
             seq = self._seq
             self._recorded += 1
             self._pending.append(
-                (seq, answer.route_taken, elapsed_seconds, float(io.get("pages_read", 0.0)))
+                (seq, answer.route_taken, elapsed_seconds, float(answer.io.get("pages_read", 0.0)))
             )
             for name, rows, seconds in operators:
                 self._operator_pending.append((seq, name, rows, seconds))

@@ -66,7 +66,7 @@ class Observability:
         #: construction): :class:`repro.obs.calibration.CostCalibrator`,
         #: :class:`repro.obs.slo.SLOEngine`,
         #: :class:`repro.obs.flight.FlightRecorder`.  None means "not wired"
-        #: — the planner's accounting checks before calling.
+        #: — the pipeline's account stage checks before calling.
         self.calibration: Any = None
         self.slo: Any = None
         self.flight: Any = None

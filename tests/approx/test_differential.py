@@ -3,10 +3,10 @@
 Generates ≥200 seeded randomized single-table SELECTs (aggregates × GROUP BY
 × WHERE ranges) over synthetic datasets with *known* laws, and asserts that
 
-* every approximate answer matches ``answer_exact`` within the answer's own
+* every approximate answer matches the exact answer within the answer's own
   stated error estimate (a ``BOUND_MULTIPLIER``·σ band around the stated
   standard error — the estimate must be honest, not just present),
-* ``compare()`` reports the route taken, and
+* the comparison reports the route taken, and
 * the routes keep holding while streaming ingestion has marked the models
   stale mid-stream.
 """
@@ -19,6 +19,7 @@ import pytest
 from repro import LawsDatabase
 
 from query_gen import GeneratedQuery, TableProfile, generate_queries
+from tests.conftest import EXACT, compare_sql
 
 #: Band multiplier applied to each stated standard error.  The stated errors
 #: are ~95% bands; across hundreds of randomized queries the harness allows
@@ -158,7 +159,7 @@ def _check_range(db: LawsDatabase, query: GeneratedQuery, comparison: dict) -> N
             table_name = query.sql.split(" FROM ", 1)[1].split(" ", 1)[0]
             where = query.sql.split(" WHERE ", 1)[1]
             count_sql = f"SELECT count(*) AS n FROM {table_name} WHERE {where}"
-            assert db.sql(count_sql).scalar() == 0
+            assert db.query(count_sql, EXACT).query_result.scalar() == 0
             continue
         _assert_within(query, approx_value, exact_value, stated, name)
 
@@ -188,7 +189,7 @@ def test_grouped_and_range_queries_match_exact_within_stated_error(differential_
     queries = generate_queries(rng, READINGS_PROFILE, count=150)
     assert len(queries) == 150
     for query in queries:
-        comparison = differential_db.compare_sql(query.sql)
+        comparison = compare_sql(differential_db, query.sql)
         if query.shape == "grouped":
             _check_grouped(differential_db, query, comparison)
         else:
@@ -201,7 +202,7 @@ def test_continuous_range_queries_match_exact_within_stated_error(differential_d
     queries = generate_queries(rng, TICKS_PROFILE, count=70, shapes=("range",))
     assert len(queries) == 70
     for query in queries:
-        comparison = differential_db.compare_sql(query.sql)
+        comparison = compare_sql(differential_db, query.sql)
         _check_range(differential_db, query, comparison)
 
 
@@ -226,7 +227,7 @@ def test_queries_hold_while_models_are_stale_mid_stream():
 
     queries = generate_queries(rng, READINGS_PROFILE, count=40)
     for query in queries:
-        comparison = db.compare_sql(query.sql)
+        comparison = compare_sql(db, query.sql)
         approx = comparison["approximate"]
         assert not approx.is_exact, f"stale model benched for {query.sql}: {approx.reason}"
         assert "stale" in approx.reason
@@ -234,6 +235,24 @@ def test_queries_hold_while_models_are_stale_mid_stream():
             _check_grouped(db, query, comparison)
         else:
             _check_range(db, query, comparison)
+
+
+def test_sketch_predicts_the_route_the_answer_takes(differential_db):
+    """The planner's static probe and the serving walk read one route table:
+    for every seeded statement the sketched route is the route served."""
+    engine = differential_db.approx
+    workloads = [
+        (READINGS_PROFILE, 99, 150, ("grouped", "range")),
+        (TICKS_PROFILE, 1234, 70, ("range",)),
+    ]
+    for profile, seed, count, shapes in workloads:
+        rng = np.random.default_rng(seed)
+        for query in generate_queries(rng, profile, count=count, shapes=shapes):
+            sketch = engine.sketch_route(query.sql, for_execution=True)
+            answer = engine.answer(query.sql)
+            predicted = sketch.route if sketch is not None else "exact-fallback"
+            assert predicted == answer.route, f"{query.sql}: sketched {predicted}, served {answer.route}"
+            assert answer.sql == query.sql
 
 
 def test_harness_scale_meets_issue_floor():

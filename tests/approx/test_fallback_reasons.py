@@ -18,6 +18,8 @@ from repro.errors import (
     ModelNotFoundError,
 )
 
+from tests.conftest import APPROX, EXACT, STRICT
+
 
 @pytest.fixture(scope="module")
 def fallback_db():
@@ -86,9 +88,17 @@ FALLBACK_CASES = [
 ]
 
 
+def _approximate(db, sql, allow_fallback=True):
+    if sql.startswith("INSERT"):
+        # DDL/DML is planned as such and never reaches a model route; the
+        # engine's own reason for declining it is pinned against the engine.
+        return db.approx.answer(sql, allow_fallback=allow_fallback)
+    return db.query(sql, APPROX if allow_fallback else STRICT).approx
+
+
 @pytest.mark.parametrize("sql,expected_reason", FALLBACK_CASES)
 def test_fallback_reason_is_recorded(fallback_db, sql, expected_reason):
-    answer = fallback_db.approximate_sql(sql)
+    answer = _approximate(fallback_db, sql)
     assert answer.route == "exact-fallback"
     assert answer.is_exact
     assert expected_reason in answer.reason, (
@@ -99,7 +109,7 @@ def test_fallback_reason_is_recorded(fallback_db, sql, expected_reason):
 @pytest.mark.parametrize("sql,expected_reason", FALLBACK_CASES)
 def test_fallback_disallowed_raises_with_same_message(fallback_db, sql, expected_reason):
     with pytest.raises((ApproximationError, ModelNotFoundError)) as excinfo:
-        fallback_db.approximate_sql(sql, allow_fallback=False)
+        _approximate(fallback_db, sql, allow_fallback=False)
     assert expected_reason in str(excinfo.value)
 
 
@@ -109,9 +119,9 @@ def test_unknown_table_reason():
     db = LawsDatabase()
     db.load_dict("t", {"y": [1.0, 2.0]})
     with pytest.raises(ApproximationError, match="unknown table 'missing'"):
-        db.approximate_sql("SELECT y FROM missing", allow_fallback=False)
+        db.query("SELECT y FROM missing", STRICT).approx
     with pytest.raises(CatalogError):
-        db.approximate_sql("SELECT y FROM missing")
+        db.query("SELECT y FROM missing", APPROX).approx
 
 
 def test_unsupported_aggregate_function_reason(fallback_db):
@@ -121,9 +131,9 @@ def test_unsupported_aggregate_function_reason(fallback_db):
     with pytest.raises(
         ApproximationError, match="query plan cannot run over the model-generated table"
     ):
-        fallback_db.approximate_sql(sql, allow_fallback=False)
+        fallback_db.query(sql, STRICT).approx
     with pytest.raises(ExecutionError, match="unknown scalar function"):
-        fallback_db.approximate_sql(sql)
+        fallback_db.query(sql, APPROX).approx
 
 
 def test_non_numeric_pin_reports_typed_errors(fallback_db):
@@ -133,9 +143,9 @@ def test_non_numeric_pin_reports_typed_errors(fallback_db):
     exactly what exact execution raises for the same query."""
     sql = "SELECT avg(y) AS m FROM cont WHERE x > 1 AND x = 'abc'"
     with pytest.raises(ApproximationError, match="non-numeric"):
-        fallback_db.approximate_sql(sql, allow_fallback=False)
+        fallback_db.query(sql, STRICT).approx
     with pytest.raises(ExecutionError, match="cannot compare string column"):
-        fallback_db.approximate_sql(sql)
+        fallback_db.query(sql, APPROX).approx
 
 
 def test_blowup_protection_reason():
@@ -149,12 +159,13 @@ def test_blowup_protection_reason():
     db.load_dict("wide", {"a": a.tolist(), "b": b.tolist(), "y": y.tolist()})
     assert db.fit("wide", "y ~ linear(a, b)").accepted
     db.approx.max_virtual_rows = 10
-    answer = db.approximate_sql("SELECT y FROM wide")
+    answer = db.query("SELECT y FROM wide", APPROX).approx
     assert answer.route == "exact-fallback"
     assert "refusing to materialise" in answer.reason
     assert "max_rows=10" in answer.reason
 
 
 def test_exact_helper_reason(fallback_db):
-    answer = fallback_db.approx.answer_exact("SELECT count(*) AS n FROM t")
-    assert answer.reason == "exact execution requested"
+    answer = fallback_db.query("SELECT count(*) AS n FROM t", EXACT)
+    assert answer.route_taken == "exact"
+    assert answer.plan.reason == "contract pins exact execution"

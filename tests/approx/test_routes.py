@@ -9,6 +9,8 @@ from repro.core.approx.routes.constraints import extract_constraints
 from repro.core.approx.routes.router import RoutingPolicy, plan_group_routing
 from repro.db.sql.parser import parse_expression
 
+from tests.conftest import APPROX, EXACT, compare_sql
+
 
 def _make_db(rows, ingest_batch_size=512):
     db = LawsDatabase(ingest_batch_size=ingest_batch_size)
@@ -108,9 +110,10 @@ class TestRouter:
 
 class TestGroupedRoute:
     def test_per_group_errors_and_provenance(self, routed_db):
-        answer = routed_db.approximate_sql(
-            "SELECT g, avg(y) AS m, sum(y) AS s FROM t GROUP BY g ORDER BY g"
-        )
+        answer = routed_db.query(
+            "SELECT g, avg(y) AS m, sum(y) AS s FROM t GROUP BY g ORDER BY g",
+            APPROX,
+        ).approx
         assert answer.route == "grouped-model"
         assert answer.io["pages_read"] == 0
         assert len(answer.group_errors) == 5
@@ -121,16 +124,18 @@ class TestGroupedRoute:
         assert estimate.lower < estimate.value < estimate.upper
 
     def test_weighted_count_matches_exact(self, routed_db):
-        comparison = routed_db.compare_sql(
+        comparison = compare_sql(
+            routed_db,
             "SELECT g, count(y) AS n FROM t WHERE x IN (1, 2) GROUP BY g ORDER BY g"
         )
         assert comparison["route"] == "grouped-model"
         assert comparison["approximate"].rows() == comparison["exact"].rows()
 
     def test_order_by_desc_and_limit(self, routed_db):
-        answer = routed_db.approximate_sql(
-            "SELECT g, max(y) AS peak FROM t GROUP BY g ORDER BY peak DESC LIMIT 2"
-        )
+        answer = routed_db.query(
+            "SELECT g, max(y) AS peak FROM t GROUP BY g ORDER BY peak DESC LIMIT 2",
+            APPROX,
+        ).approx
         assert answer.route == "grouped-model"
         assert answer.table.num_rows == 2
         peaks = answer.table.column("peak").to_pylist()
@@ -138,23 +143,26 @@ class TestGroupedRoute:
         assert answer.table.column("g").to_pylist() == [4, 3]
 
     def test_range_restricted_group_by(self, routed_db):
-        comparison = routed_db.compare_sql(
+        comparison = compare_sql(
+            routed_db,
             "SELECT g, avg(y) AS m FROM t WHERE x BETWEEN 1 AND 2 GROUP BY g ORDER BY g"
         )
         assert comparison["route"] == "grouped-model"
         assert comparison["max_relative_error"] < 0.05
 
     def test_empty_restriction_gives_empty_result(self, routed_db):
-        answer = routed_db.approximate_sql(
-            "SELECT g, avg(y) AS m FROM t WHERE x > 99 GROUP BY g"
-        )
+        answer = routed_db.query(
+            "SELECT g, avg(y) AS m FROM t WHERE x > 99 GROUP BY g",
+            APPROX,
+        ).approx
         assert answer.route == "grouped-model"
         assert answer.table.num_rows == 0
 
     def test_having_stays_on_virtual_table_route(self, routed_db):
-        answer = routed_db.approximate_sql(
-            "SELECT g, avg(y) AS m FROM t GROUP BY g HAVING avg(y) > 2"
-        )
+        answer = routed_db.query(
+            "SELECT g, avg(y) AS m FROM t GROUP BY g HAVING avg(y) > 2",
+            APPROX,
+        ).approx
         assert answer.route == "virtual-table"
 
     def test_hybrid_merges_exact_groups(self):
@@ -165,11 +173,11 @@ class TestGroupedRoute:
         # its per-group fit fail, exercising the exact fill-in.
         report = db.fit("t", "y ~ linear(x)", group_by="g", min_observations=9)
         assert any(not r.succeeded for r in report.model.fit.records)
-        answer = db.approximate_sql("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g")
+        answer = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g", APPROX).approx
         assert answer.route == "grouped-hybrid"
         assert answer.group_routes[(3,)] == "exact"
         assert answer.io["pages_read"] > 0  # only the uncovered group was scanned
-        exact = db.sql("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g").table
+        exact = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g", EXACT).query_result.table
         assert answer.table.column("g").to_pylist() == exact.column("g").to_pylist()
         merged = answer.table.column("m").to_pylist()
         exact_values = exact.column("m").to_pylist()
@@ -181,7 +189,7 @@ class TestGroupedRoute:
         report = db.fit("t", "y ~ linear(x)", group_by="g")
         db.ingest("t", _linear_rows(rng, reps=2), flush=True)
         assert report.model.status == "stale"
-        answer = db.approximate_sql("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g")
+        answer = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g", APPROX).approx
         assert answer.route == "grouped-model"
         assert "stale" in answer.reason
 
@@ -189,23 +197,24 @@ class TestGroupedRoute:
         rng = np.random.default_rng(8)
         db = _make_db(_linear_rows(rng))
         db.fit("t", "y ~ linear(x)")  # ungrouped capture (the formula template)
-        first = db.approximate_sql("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g")
+        first = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g", APPROX).approx
         assert first.route == "grouped-model"
         assert first.io["pages_read"] > 0  # the one-off harvest scan is charged
-        second = db.approximate_sql("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g")
+        second = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g", APPROX).approx
         assert second.route == "grouped-model"
         assert second.io["pages_read"] == 0
 
     def test_no_template_means_no_harvest(self):
         rng = np.random.default_rng(9)
         db = _make_db(_linear_rows(rng))
-        answer = db.approximate_sql("SELECT g, avg(y) AS m FROM t GROUP BY g")
+        answer = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g", APPROX).approx
         assert answer.route == "exact-fallback"
 
 
 class TestRangeRoute:
     def test_grouped_model_combination(self, routed_db):
-        comparison = routed_db.compare_sql(
+        comparison = compare_sql(
+            routed_db,
             "SELECT sum(y) AS s, count(y) AS n FROM t WHERE x >= 1 AND x <= 2"
         )
         assert comparison["route"] == "range-aggregate"
@@ -216,27 +225,30 @@ class TestRangeRoute:
         assert approx.column_errors["s"] > 0
 
     def test_group_pinned_range(self, routed_db):
-        comparison = routed_db.compare_sql(
+        comparison = compare_sql(
+            routed_db,
             "SELECT avg(y) AS m FROM t WHERE g IN (1, 2) AND x > 0.5"
         )
         assert comparison["route"] == "range-aggregate"
         assert comparison["max_relative_error"] < 0.05
 
     def test_equality_only_queries_keep_their_routes(self, routed_db):
-        answer = routed_db.approximate_sql("SELECT avg(y) AS m FROM t WHERE x = 1")
+        answer = routed_db.query("SELECT avg(y) AS m FROM t WHERE x = 1", APPROX).approx
         assert answer.route == "virtual-table"
 
     def test_predicate_on_output_declines(self, routed_db):
-        answer = routed_db.approximate_sql(
-            "SELECT count(y) AS n FROM t WHERE x >= 1 AND y > 3"
-        )
+        answer = routed_db.query(
+            "SELECT count(y) AS n FROM t WHERE x >= 1 AND y > 3",
+            APPROX,
+        ).approx
         # Filtering on predicted values needs per-row evaluation.
         assert answer.route == "virtual-table"
 
     def test_empty_range_matches_sql_semantics(self, routed_db):
-        answer = routed_db.approximate_sql(
-            "SELECT sum(y) AS s, count(y) AS n FROM t WHERE x > 99"
-        )
+        answer = routed_db.query(
+            "SELECT sum(y) AS s, count(y) AS n FROM t WHERE x > 99",
+            APPROX,
+        ).approx
         assert answer.route == "range-aggregate"
         assert answer.rows() == [(None, 0)]
 
@@ -252,7 +264,7 @@ class TestRangeRoute:
         db = _make_db(rows)
         assert db.fit("t", "y ~ linear(x)", group_by="g").accepted
         sql = "SELECT g, count(y) AS n, sum(y) AS s, avg(y) AS m FROM t WHERE x >= 1 GROUP BY g ORDER BY g"
-        comparison = db.compare_sql(sql)
+        comparison = compare_sql(db, sql)
         assert comparison["route"] == "grouped-model"
         approx, exact = comparison["approximate"], comparison["exact"]
         for (g, n, s, m), (_, ne, se_, me) in zip(approx.rows(), exact.table.to_rows()):
@@ -274,10 +286,10 @@ class TestRangeRoute:
         extra = [(9, float(x), 10.0 + 0.8 * x + rng.normal(0, 0.1))
                  for x in range(4) for _ in range(12)]
         db.ingest("t", extra, flush=True)
-        answer = db.approximate_sql("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g")
+        answer = db.query("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g", APPROX).approx
         assert answer.route == "grouped-hybrid"
         assert answer.group_routes[(9,)] == "exact"
-        exact = db.sql("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g").table
+        exact = db.query("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g", EXACT).query_result.table
         assert answer.table.column("n").to_pylist() == exact.column("n").to_pylist()
 
     def test_nonproportional_stale_growth_stays_within_band(self):
@@ -294,9 +306,9 @@ class TestRangeRoute:
                  for x in range(4) for _ in range(100)]
         db.ingest("t", extra, flush=True)
         assert report.model.status == "stale"
-        answer = db.approximate_sql("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g")
+        answer = db.query("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g", APPROX).approx
         assert answer.route == "grouped-model"
-        exact = db.sql("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g").table
+        exact = db.query("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g", EXACT).query_result.table
         for (g, n), (_, ne) in zip(answer.rows(), exact.to_rows()):
             band = 3 * answer.group_errors[(g,)]["n"]
             assert abs(n - ne) <= band, (g, n, ne, band)
@@ -314,7 +326,7 @@ class TestRangeRoute:
             "y": [r[2] for r in rows] + [9.0] * 5,
         })
         assert db.fit("t", "y ~ linear(x)", group_by="g").accepted
-        comparison = db.compare_sql("SELECT g, avg(y) AS m FROM t GROUP BY g")
+        comparison = compare_sql(db, "SELECT g, avg(y) AS m FROM t GROUP BY g")
         # The grouped route must not serve this (the enumeration route may,
         # with its own long-standing semantics; the key point is no
         # grouped-model answer that silently lacks the NULL group).
@@ -334,14 +346,15 @@ class TestRangeRoute:
             "y": [r[2] for r in rows] + [None],
         })
         assert db.fit("t", "y ~ linear(x)", group_by="g").accepted
-        comparison = db.compare_sql("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g")
+        comparison = compare_sql(db, "SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g")
         assert comparison["route"] == "grouped-model"
         approx, exact = comparison["approximate"], comparison["exact"]
         for (g, n), (_, ne) in zip(approx.rows(), exact.table.to_rows()):
             band = 3 * approx.group_errors[(g,)]["n"] + 1.0
             assert abs(n - ne) <= band, (g, n, ne, band)
         # COUNT(*) still counts NULL-output rows.
-        star = db.compare_sql(
+        star = compare_sql(
+            db,
             "SELECT g, count(*) AS n, avg(y) AS m FROM t GROUP BY g ORDER BY g"
         )
         assert star["route"] == "grouped-model"
@@ -362,11 +375,11 @@ class TestRangeRoute:
                  for x in range(4) for _ in range(12)]
         db.ingest("t", extra, flush=True)
 
-        fallback = db.approximate_sql("SELECT sum(y) AS s FROM t WHERE x >= 1")
+        fallback = db.query("SELECT sum(y) AS s FROM t WHERE x >= 1", APPROX).approx
         assert fallback.route == "exact-fallback"
         assert "appeared after model" in fallback.reason
 
-        served = db.compare_sql("SELECT sum(y) AS s FROM t WHERE x >= 1 AND g IN (0, 1, 2, 3)")
+        served = compare_sql(db, "SELECT sum(y) AS s FROM t WHERE x >= 1 AND g IN (0, 1, 2, 3)")
         assert served["route"] == "range-aggregate"
         assert served["max_relative_error"] < 0.05
 
@@ -386,29 +399,32 @@ class TestRangeRoute:
             },
         )
         assert db.fit("t", "y ~ linear(x)", group_by="g").accepted
-        comparison = db.compare_sql("SELECT g, count(y) AS c FROM t WHERE z > 8 GROUP BY g ORDER BY g")
+        comparison = compare_sql(db, "SELECT g, count(y) AS c FROM t WHERE z > 8 GROUP BY g ORDER BY g")
         assert comparison["route"] == "exact-fallback"
         assert comparison["approximate"].rows() == comparison["exact"].rows()
 
     def test_restricted_count_and_sum_carry_selectivity_error(self, routed_db):
         """Coverage fractions assume uniformity; restricted COUNT/SUM must
         say so via a non-zero stated error instead of claiming exactness."""
-        answer = routed_db.approximate_sql(
-            "SELECT g, count(y) AS n, sum(y) AS s FROM t WHERE x IN (1, 2) GROUP BY g"
-        )
+        answer = routed_db.query(
+            "SELECT g, count(y) AS n, sum(y) AS s FROM t WHERE x IN (1, 2) GROUP BY g",
+            APPROX,
+        ).approx
         assert answer.route == "grouped-model"
         for errors in answer.group_errors.values():
             assert errors["n"] > 0
             assert errors["s"] > 0
-        unrestricted = routed_db.approximate_sql(
-            "SELECT g, count(y) AS n FROM t GROUP BY g"
-        )
+        unrestricted = routed_db.query(
+            "SELECT g, count(y) AS n FROM t GROUP BY g",
+            APPROX,
+        ).approx
         for errors in unrestricted.group_errors.values():
             assert errors["n"] == 0.0  # full-domain counts stay exact when fresh
 
     def test_aggregate_over_group_key_declines(self, routed_db):
         """MIN(g) must never be answered with output-column predictions."""
-        comparison = routed_db.compare_sql(
+        comparison = compare_sql(
+            routed_db,
             "SELECT g, min(g) AS lo, avg(y) AS m FROM t GROUP BY g ORDER BY g"
         )
         assert comparison["route"] not in ("grouped-model", "grouped-hybrid")
@@ -424,9 +440,9 @@ class TestRangeRoute:
         db = LawsDatabase()
         db.load_dict("c", {"x": x.tolist(), "y": y.tolist()})
         assert db.fit("c", "y ~ poly(x, degree=2)").accepted
-        answer = db.approximate_sql("SELECT max(y) AS peak FROM c WHERE x BETWEEN 0 AND 10")
+        answer = db.query("SELECT max(y) AS peak FROM c WHERE x BETWEEN 0 AND 10", APPROX).approx
         assert answer.route == "range-aggregate"
-        exact = db.sql("SELECT max(y) AS peak FROM c WHERE x BETWEEN 0 AND 10").scalar()
+        exact = db.query("SELECT max(y) AS peak FROM c WHERE x BETWEEN 0 AND 10", EXACT).query_result.scalar()
         # Corner-only evaluation would report ~-25; the interior scan finds ~0.
         assert answer.scalar() == pytest.approx(exact, abs=3 * answer.column_errors["peak"] + 0.5)
 
@@ -445,10 +461,10 @@ class TestRangeRoute:
             },
         )
         db.fit("t", "y ~ linear(x)")  # rejected, but usable as a template
-        first = db.approximate_sql("SELECT g, avg(y) AS m FROM t GROUP BY g")
+        first = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g", APPROX).approx
         assert first.route == "exact-fallback"
         models_after_first = len(db.captured_models("t"))
-        second = db.approximate_sql("SELECT g, avg(y) AS m FROM t GROUP BY g")
+        second = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g", APPROX).approx
         assert second.route == "exact-fallback"
         assert len(db.captured_models("t")) == models_after_first
 
@@ -459,9 +475,10 @@ class TestRangeRoute:
         db.fit("t", "y ~ linear(x)")
         before = len(db.captured_models("t"))
         # The OR disjunction is a residual conjunct the route cannot analyse.
-        answer = db.approximate_sql(
-            "SELECT g, avg(y) AS m FROM t WHERE x = 1 OR x = 2 GROUP BY g"
-        )
+        answer = db.query(
+            "SELECT g, avg(y) AS m FROM t WHERE x = 1 OR x = 2 GROUP BY g",
+            APPROX,
+        ).approx
         assert answer.route not in ("grouped-model", "grouped-hybrid")
         assert len(db.captured_models("t")) == before
 
@@ -472,7 +489,7 @@ class TestRangeRoute:
         db = LawsDatabase()
         db.load_dict("c", {"x": x.tolist(), "y": y.tolist()})
         assert db.fit("c", "y ~ linear(x)").accepted
-        comparison = db.compare_sql("SELECT avg(y) AS m FROM c WHERE x BETWEEN 2 AND 5")
+        comparison = compare_sql(db, "SELECT avg(y) AS m FROM c WHERE x BETWEEN 2 AND 5")
         assert comparison["route"] == "range-aggregate"
         assert "analytic integration" in comparison["approximate"].reason
         assert comparison["max_relative_error"] < 0.05
@@ -485,7 +502,39 @@ class TestRangeRoute:
         db = LawsDatabase()
         db.load_dict("c", {"x": x.tolist(), "y": y.tolist()})
         assert db.fit("c", "y ~ linear(x)").accepted
-        answer = db.approximate_sql("SELECT avg(y) AS m FROM c WHERE x IN (2.0, 8.0) AND x < 5")
+        answer = db.query("SELECT avg(y) AS m FROM c WHERE x IN (2.0, 8.0) AND x < 5", APPROX).approx
         assert answer.route == "range-aggregate"
         # y(2) = 5; the unfiltered midpoint mean(2, 8) = 5 would give y(5) = 11.
         assert answer.scalar() == pytest.approx(5.0, abs=0.5)
+
+
+class TestRouteTable:
+    """Every rung of the one route table, through ``query()``."""
+
+    @pytest.fixture(scope="class")
+    def table_db(self):
+        rng = np.random.default_rng(17)
+        db = _make_db(_linear_rows(rng))
+        assert db.fit("t", "y ~ linear(x)", group_by="g").accepted
+        x = rng.uniform(0.0, 10.0, size=400)
+        db.load_dict("u", {"x": x.tolist(), "y": (1.0 + 2.0 * x + rng.normal(0, 0.1, size=400)).tolist()})
+        assert db.fit("u", "y ~ linear(x)").accepted
+        return db
+
+    @pytest.mark.parametrize(
+        "sql,route",
+        [
+            ("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g", "grouped-model"),
+            ("SELECT y FROM t WHERE g = 1 AND x = 2", "point"),
+            ("SELECT avg(y) AS m FROM t WHERE x >= 1", "range-aggregate"),
+            ("SELECT avg(y) AS m FROM u", "analytic-aggregate"),
+            ("SELECT g, y FROM t WHERE x = 1", "virtual-table"),
+            ("SELECT x FROM u", "exact-fallback"),
+        ],
+    )
+    def test_answer_carries_its_sql_and_the_sketched_route(self, table_db, sql, route):
+        sketch = table_db.approx.sketch_route(sql)
+        assert (sketch.route if sketch is not None else "exact-fallback") == route
+        answer = table_db.query(sql, APPROX).approx
+        assert answer.route == route
+        assert answer.sql == sql

@@ -10,9 +10,36 @@ from __future__ import annotations
 
 import pytest
 
-from repro import LawsDatabase
+from repro import AccuracyContract, LawsDatabase
+from repro.core.approx.engine import _relative_errors
 from repro.datasets import lofar, sensors, tpcds_lite
 from repro.db import Database
+
+#: The pinned contracts tests route through ``LawsDatabase.query()``: exact
+#: execution, model serving with exact fallback, and the strict variant that
+#: raises instead of falling back.  Approx contracts never sample an audit,
+#: so a test's model evidence and verifier RNG stay untouched.
+EXACT = AccuracyContract(mode="exact")
+APPROX = AccuracyContract(mode="approx", verify_fraction=0.0)
+STRICT = AccuracyContract(mode="approx", allow_exact_fallback=False, verify_fraction=0.0)
+
+
+def compare_sql(db: LawsDatabase, sql: str) -> dict:
+    """Run ``sql`` both ways — two pinned ``query()`` calls — and report the
+    approximation's route, per-column mean relative error and page IO."""
+    approx = db.query(sql, APPROX).approx
+    exact = db.query(sql, EXACT).query_result
+    errors = _relative_errors(approx.table, exact.table)
+    return {
+        "approximate": approx,
+        "exact": exact,
+        "route": approx.route,
+        "group_routes": dict(approx.group_routes),
+        "relative_errors": errors,
+        "max_relative_error": max(errors.values()) if errors else None,
+        "approx_pages_read": approx.io.get("pages_read", 0.0),
+        "exact_pages_read": exact.io.get("pages_read", 0.0),
+    }
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,8 @@ from repro.core.approx.range_query import answer_selection
 from repro.db.expressions import col, lit
 from repro.errors import ApproximationError, EnumerationError
 
+from tests.conftest import EXACT
+
 
 class TestEnumeration:
     def test_plan_uses_group_keys_and_enumerable_domain(self, lofar_db, lofar_model):
@@ -166,7 +168,7 @@ class TestAnalyticAggregates:
         ranges = {"list_price": (stats.columns["list_price"].min_value, stats.columns["list_price"].max_value)}
         low = analytic_aggregate(model, "min", ranges, stats.row_count)
         high = analytic_aggregate(model, "max", ranges, stats.row_count)
-        exact = tpcds_db.sql("SELECT min(sales_price), max(sales_price) FROM store_sales").table.row(0)
+        exact = tpcds_db.query("SELECT min(sales_price), max(sales_price) FROM store_sales", EXACT).query_result.table.row(0)
         assert low.value == pytest.approx(exact[0], rel=0.25)
         assert high.value == pytest.approx(exact[1], rel=0.25)
         assert low.method == "endpoint"
@@ -177,7 +179,7 @@ class TestAnalyticAggregates:
         column = stats.columns["list_price"]
         ranges = {"list_price": (column.min_value, column.max_value)}
         result = analytic_aggregate(model, "avg", ranges, stats.row_count, input_means={"list_price": column.mean})
-        exact = tpcds_db.sql("SELECT avg(sales_price) FROM store_sales").scalar()
+        exact = tpcds_db.query("SELECT avg(sales_price) FROM store_sales", EXACT).query_result.scalar()
         assert result.value == pytest.approx(exact, rel=0.02)
         assert result.method == "linearity"
 
@@ -187,7 +189,7 @@ class TestAnalyticAggregates:
         column = stats.columns["list_price"]
         ranges = {"list_price": (column.min_value, column.max_value)}
         result = analytic_aggregate(model, "sum", ranges, stats.row_count, input_means={"list_price": column.mean})
-        exact = tpcds_db.sql("SELECT sum(sales_price) FROM store_sales").scalar()
+        exact = tpcds_db.query("SELECT sum(sales_price) FROM store_sales", EXACT).query_result.scalar()
         assert result.value == pytest.approx(exact, rel=0.02)
 
     def test_unsupported_function_rejected(self, tpcds_db):

@@ -5,6 +5,8 @@ import pytest
 
 from repro.datasets import lofar, sensors, timeseries, tpcds_lite
 
+from tests.conftest import EXACT
+
 
 class TestLofarGenerator:
     def test_schema_matches_paper(self, lofar_dataset):
@@ -101,7 +103,7 @@ class TestTpcdsLite:
 
     def test_benchmark_queries_run(self, tpcds_db):
         for name, sql in tpcds_lite.BENCHMARK_QUERIES:
-            result = tpcds_db.sql(sql)
+            result = tpcds_db.query(sql, EXACT).query_result
             assert result.table.num_rows >= 1, name
 
     def test_reproducible(self):

@@ -55,6 +55,42 @@ class TestShardScopedStaleness:
                 f"rows {refreshed.coverage.row_range} are below the append boundary"
             )
 
+    def test_sql_insert_and_insert_rows_share_one_lifecycle_contract(self, tmp_path) -> None:
+        """The same row through either write path — and through a WAL replay
+        of what that path logged — leaves identical per-shard statuses."""
+
+        def statuses(db: LawsDatabase) -> dict[int, str]:
+            return {
+                model.metadata["partition_id"]: model.status
+                for model in db.captured_models("readings")
+            }
+
+        observed = {}
+        for path in ("sql", "rows"):
+            rng = np.random.default_rng(23)
+            t = np.arange(2048, dtype=np.float64)
+            db = LawsDatabase.open(tmp_path / path, observability=False)
+            db.load_dict(
+                "readings", {"t": t.tolist(), "v": (3.0 * t + 7.0 + rng.normal(0, 0.05, 2048)).tolist()}
+            )
+            db.partition_table("readings", partitions=4)
+            assert all(r.accepted for r in db.fit_partitioned("readings", "v ~ linear(t)"))
+            db.checkpoint()  # the warehouse persists models at checkpoints only
+            if path == "sql":
+                db.query("INSERT INTO readings VALUES (3000.0, 9007.0)")
+            else:
+                db.insert_rows("readings", [(3000.0, 9007.0)])
+            live = statuses(db)
+            db.close()  # no checkpoint: the write survives in the WAL alone
+            reopened = LawsDatabase.open(tmp_path / path, observability=False)
+            assert reopened.table("readings").num_rows == 2049
+            observed[path] = (live, statuses(reopened))
+            reopened.close()
+
+        assert observed["sql"] == observed["rows"]
+        live, _ = observed["sql"]
+        assert live == {0: "active", 1: "active", 2: "active", 3: "active"}
+
     def test_whole_table_model_still_goes_stale_on_append(self) -> None:
         db = _make_db()
         report = db.fit("readings", "v ~ linear(t)")

@@ -94,13 +94,13 @@ class TestAutoRouting:
         slow = CostModel(OperatorCosts(scan_seconds_per_row=1.0))
         original = planned_db.planner.cost_model
         planned_db.planner.cost_model = slow
-        planned_db.planner._plan_cache.clear()
+        planned_db.planner.clear_plan_cache()
         try:
             answer = planned_db.query(sql)
             assert answer.plan.is_model_route
         finally:
             planned_db.planner.cost_model = original
-            planned_db.planner._plan_cache.clear()
+            planned_db.planner.clear_plan_cache()
 
     def test_no_model_no_route(self, planned_db):
         # The z column has no captured model; auto mode must go exact.
@@ -228,29 +228,3 @@ class TestPlanCache:
         planned_db.insert_rows("t", [(0, 1.0, 2.6)])
         planned_db.planner.plan(sql)
         assert planned_db.planner.plan_cache_info()["misses"] == misses_before + 1
-
-
-class TestDeprecatedShims:
-    def test_sql_shim(self, planned_db):
-        with pytest.deprecated_call():
-            result = planned_db.sql("SELECT count(*) AS n FROM t")
-        assert result.scalar() == planned_db.query("SELECT count(*) AS n FROM t").scalar()
-
-    def test_approximate_sql_shim(self, planned_db):
-        with pytest.deprecated_call():
-            answer = planned_db.approximate_sql("SELECT g, avg(y) AS m FROM t GROUP BY g")
-        assert answer.route in ("grouped-model", "grouped-hybrid")
-
-    def test_approximate_sql_strict_shim(self, planned_db):
-        with pytest.deprecated_call():
-            with pytest.raises(ApproximationError):
-                planned_db.approximate_sql(
-                    "SELECT t.y FROM t JOIN t ON g = g", allow_fallback=False
-                )
-
-    def test_compare_sql_shim(self, planned_db):
-        with pytest.deprecated_call():
-            comparison = planned_db.compare_sql("SELECT g, avg(y) AS m FROM t GROUP BY g")
-        assert comparison["route"] in ("grouped-model", "grouped-hybrid")
-        assert comparison["max_relative_error"] < 0.10
-        assert comparison["exact"].rows()

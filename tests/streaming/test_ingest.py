@@ -9,6 +9,8 @@ from repro.db import Database
 from repro.errors import CatalogError, StreamingError
 from repro.streaming import StreamIngestor
 
+from tests.conftest import APPROX
+
 
 @pytest.fixture()
 def db():
@@ -214,7 +216,7 @@ class TestLawsDatabaseIngest:
         assert model.status == "stale"
         # Deprioritized, not hidden: the engine still answers from the model,
         # and the answer discloses that it was served stale.
-        answer = db.approximate_sql("SELECT avg(value) AS m FROM readings")
+        answer = db.query("SELECT avg(value) AS m FROM readings", APPROX).approx
         assert not answer.is_exact
         assert answer.used_model_ids == [model.model_id]
         assert "stale model" in answer.reason

@@ -15,6 +15,8 @@ import pytest
 from repro import LawsDatabase
 from repro.errors import DriftMonitorError
 
+from tests.conftest import APPROX, EXACT
+
 
 def _regime(rng, t_start, t_stop, intercept, slope, noise=0.2, step=0.25):
     t = np.arange(t_start, t_stop, step)
@@ -169,9 +171,9 @@ class TestMaintainDriftPath:
         assert any("<" in p for p in predicates) and any(">=" in p for p in predicates)
 
         # Full-range approximate aggregate lands within its reported error bound.
-        answer = db.approximate_sql("SELECT avg(value) AS m FROM readings")
+        answer = db.query("SELECT avg(value) AS m FROM readings", APPROX).approx
         assert not answer.is_exact
-        exact = db.sql("SELECT avg(value) AS m FROM readings").table.row(0)[0]
+        exact = db.query("SELECT avg(value) AS m FROM readings", EXACT).query_result.table.row(0)[0]
         estimate = answer.error_estimate("m")
         assert estimate is not None and estimate.standard_error > 0
         assert abs(answer.scalar() - exact) <= 2.0 * estimate.standard_error
@@ -269,7 +271,7 @@ class TestMaintainDriftPath:
             if not m.coverage.covers_whole_table
         ]
         assert len(active_partials) >= 3
-        assert not db.approximate_sql("SELECT avg(value) AS m FROM readings").is_exact
+        assert not db.query("SELECT avg(value) AS m FROM readings", APPROX).approx.is_exact
 
     def test_late_rows_of_old_regime_do_not_alarm_segment_model(self, streaming_db):
         """Batch scoring respects the monitored model's coverage predicate."""
@@ -295,13 +297,13 @@ class TestMaintainDriftPath:
 
         # Before maintenance the stale pre-change model serves and is badly off.
         stale_error = abs(
-            db.approximate_sql("SELECT avg(value) AS m FROM readings").scalar()
-            - db.sql("SELECT avg(value) AS m FROM readings").table.row(0)[0]
+            db.query("SELECT avg(value) AS m FROM readings", APPROX).approx.scalar()
+            - db.query("SELECT avg(value) AS m FROM readings", EXACT).query_result.table.row(0)[0]
         )
         db.maintain()
         fresh_error = abs(
-            db.approximate_sql("SELECT avg(value) AS m FROM readings").scalar()
-            - db.sql("SELECT avg(value) AS m FROM readings").table.row(0)[0]
+            db.query("SELECT avg(value) AS m FROM readings", APPROX).approx.scalar()
+            - db.query("SELECT avg(value) AS m FROM readings", EXACT).query_result.table.row(0)[0]
         )
         assert fresh_error < stale_error / 10
 
@@ -341,7 +343,7 @@ class TestRejectedRefitSafety:
             if m.coverage.covers_whole_table and m.model_id != old_model.model_id
         ]
         assert whole_models and not any(m.accepted for m in whole_models)
-        answer = db.approximate_sql("SELECT avg(value) AS m FROM readings")
+        answer = db.query("SELECT avg(value) AS m FROM readings", APPROX).approx
         assert not answer.is_exact
         assert answer.used_model_ids == [old_model.model_id]
 

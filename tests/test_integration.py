@@ -12,6 +12,8 @@ from repro import LawsDatabase
 from repro.core.quality import QualityPolicy
 from repro.datasets import lofar, tpcds_lite
 
+from tests.conftest import APPROX, EXACT
+
 
 class TestFigure2Workflow:
     """The five steps of the model interception workflow, end to end."""
@@ -35,9 +37,10 @@ class TestFigure2Workflow:
         assert db.models.has_model_for("measurements", "intensity")
 
         # (4)+(5): a later query is answered from the model, with error bounds.
-        answer = db.approximate_sql(
-            "SELECT intensity FROM measurements WHERE source = 17 AND frequency = 0.16"
-        )
+        answer = db.query(
+            "SELECT intensity FROM measurements WHERE source = 17 AND frequency = 0.16",
+            APPROX,
+        ).approx
         assert answer.route == "point"
         assert answer.io["pages_read"] == 0
         truth = dataset.truth_for(17)
@@ -97,8 +100,8 @@ class TestTpcdsWorkflow:
         # Harvest a second law (profit is linear in price and cost) and answer a
         # benchmark-style aggregate from the models.
         tpcds_db.fit("store_sales", "net_profit ~ linear(sales_price, wholesale_cost, quantity)")
-        answer = tpcds_db.approximate_sql("SELECT avg(sales_price) AS m, max(sales_price) AS hi FROM store_sales")
-        exact = tpcds_db.sql("SELECT avg(sales_price), max(sales_price) FROM store_sales").table.row(0)
+        answer = tpcds_db.query("SELECT avg(sales_price) AS m, max(sales_price) AS hi FROM store_sales", APPROX).approx
+        exact = tpcds_db.query("SELECT avg(sales_price), max(sales_price) FROM store_sales", EXACT).query_result.table.row(0)
         assert answer.route == "analytic-aggregate"
         assert answer.table.row(0)[0] == pytest.approx(exact[0], rel=0.05)
         assert answer.table.row(0)[1] == pytest.approx(exact[1], rel=0.3)
@@ -127,8 +130,9 @@ class TestMultiModelSelection:
         db.register_table(dataset.to_table("measurements"))
         db.fit("measurements", "intensity ~ constant(frequency)", group_by="source")
         db.fit("measurements", "intensity ~ powerlaw(frequency)", group_by="source")
-        answer = db.approximate_sql(
-            "SELECT intensity FROM measurements WHERE source = 3 AND frequency = 0.12"
-        )
+        answer = db.query(
+            "SELECT intensity FROM measurements WHERE source = 3 AND frequency = 0.12",
+            APPROX,
+        ).approx
         best = db.best_model("measurements", "intensity")
         assert answer.used_model_ids == [best.model_id]

@@ -49,7 +49,7 @@ from repro.core.approx.enumeration import (
 )
 from repro.core.approx.error_bounds import ErrorEstimate, aggregate_error
 from repro.core.approx.legal import LegalCombinationFilter
-from repro.core.approx.routes.constraints import (
+from repro.db.constraints import (
     bare_name as _bare_name,
     extract_constraints,
 )

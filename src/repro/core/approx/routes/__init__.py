@@ -4,7 +4,7 @@ This package holds the machinery the engine uses to answer the two query
 shapes the paper's Section 2 workload is built from — ``GROUP BY`` aggregates
 and range-predicate aggregates — directly from captured models:
 
-* :mod:`repro.core.approx.routes.constraints` analyses a WHERE clause's
+* :mod:`repro.db.constraints` analyses a WHERE clause's
   top-level conjuncts into per-column value/interval constraints;
 * :mod:`repro.core.approx.routes.router` decides model-vs-exact *per group*,
   so healthy groups are served from models while uncovered groups are
@@ -16,7 +16,7 @@ and range-predicate aggregates — directly from captured models:
   input domain.
 """
 
-from repro.core.approx.routes.constraints import (
+from repro.db.constraints import (
     ColumnConstraint,
     WhereConstraints,
     extract_constraints,

@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.approx.error_bounds import aggregate_error, extreme_value_error
-from repro.core.approx.routes.constraints import WhereConstraints, bare_name as _bare
+from repro.db.constraints import WhereConstraints, bare_name as _bare
 from repro.core.captured_model import CapturedModel
 from repro.db.column import Column
 from repro.db.expressions import ColumnRef, FunctionCall

@@ -31,7 +31,7 @@ from repro.core.approx.routes.aggcalc import (
     restricted_domains,
     staleness_rows,
 )
-from repro.core.approx.routes.constraints import (
+from repro.db.constraints import (
     WhereConstraints,
     bare_name as _bare,
     extract_constraints,

@@ -39,7 +39,7 @@ from repro.core.approx.routes.aggcalc import (
     restricted_domains,
     staleness_rows,
 )
-from repro.core.approx.routes.constraints import WhereConstraints, extract_constraints
+from repro.db.constraints import WhereConstraints, extract_constraints
 from repro.core.captured_model import CapturedModel
 from repro.db.sql.ast import SelectStatement
 from repro.db.stats import TableStats

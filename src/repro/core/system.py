@@ -141,6 +141,8 @@ class LawsDatabase:
             io_scope=self.database.io_model.scope,
         )
         self.database.executor.tracer = self.obs.tracer
+        self.database.io_model.tracer = self.obs.tracer
+        self.database.io_model.metrics = self.obs.metrics
         # Partitioned parallel execution: tables with a committed partition
         # map run scan/filter/join/group-by per shard on a worker pool (or
         # skip pruned shards entirely); everything else falls through to the

@@ -14,6 +14,11 @@ is copied.  Committed prefixes are never overwritten, so older snapshots
 keep observing exactly the rows they had — while a streaming append chain
 (``StreamIngestor`` flushing batch after batch) costs O(rows) amortised
 instead of re-concatenating every column on every batch.
+
+The same immutability makes per-block min/max *synopses* (zone maps) safe to
+cache on the shared buffer: a complete :data:`BLOCK_ROWS`-row block below any
+snapshot's length never changes, so every snapshot of the chain reads the
+same summary of it (:meth:`Column.block_synopsis`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ import numpy as np
 from repro.db.types import DataType, is_null, null_value, python_value
 from repro.errors import TypeMismatchError
 
-__all__ = ["Column"]
+__all__ = ["BLOCK_ROWS", "Column"]
+
+#: Rows per synopsis block: one 8 KiB page of an 8-byte column.
+BLOCK_ROWS = 1024
 
 #: Exact python types the vectorised ``from_values`` fast path accepts per
 #: declared dtype.  Anything else (numpy scalars, bools in numeric columns,
@@ -47,14 +55,68 @@ class _Buffer:
     ``tip`` is the committed length: only the column whose length equals the
     tip may extend the buffer in place, so positions below any snapshot's
     length are never rewritten.
+
+    ``synopsis`` caches ``(mins, maxs, all_null)`` for the leading complete
+    blocks some snapshot has summarised so far.  It is replaced whole, by one
+    attribute assignment, and every value it can hold is correct for every
+    snapshot, so readers need no lock.
     """
 
-    __slots__ = ("data", "valid", "tip")
+    __slots__ = ("data", "valid", "tip", "synopsis")
 
-    def __init__(self, data: np.ndarray, valid: np.ndarray, tip: int) -> None:
+    def __init__(
+        self,
+        data: np.ndarray,
+        valid: np.ndarray,
+        tip: int,
+        synopsis: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> None:
         self.data = data
         self.valid = valid
         self.tip = tip
+        self.synopsis = synopsis
+
+
+def _summarise_blocks(
+    dtype: DataType, data: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(mins, maxs, all_null)`` of consecutive complete blocks.
+
+    ``data`` / ``valid`` hold a whole number of blocks.  Min and max are over
+    the non-NULL values of a block (a NaN counts as NULL: no comparison
+    accepts it); NULL positions are filled with the opposite extreme so one
+    vectorised reduction per side does it, and ``all_null`` marks the blocks
+    where only fill was seen.
+    """
+    present = valid
+    if dtype is DataType.FLOAT64:
+        present = valid & ~np.isnan(data)
+    elif dtype is DataType.STRING:
+        present = valid & (data != None)  # noqa: E711 - elementwise on object arrays
+    blocks = len(data) // BLOCK_ROWS
+    all_null = ~present.reshape(blocks, BLOCK_ROWS).any(axis=1)
+    low_fill: Any
+    high_fill: Any
+    if present.all():
+        low, high = data, data
+    else:
+        if dtype is DataType.FLOAT64:
+            low_fill, high_fill = np.inf, -np.inf
+        elif dtype is DataType.INT64:
+            info = np.iinfo(np.int64)
+            low_fill, high_fill = info.max, info.min
+        elif dtype is DataType.BOOL:
+            low_fill, high_fill = True, False
+        elif present.any():
+            seen = data[present]
+            low_fill, high_fill = max(seen), min(seen)
+        else:
+            low_fill = high_fill = ""
+        low = np.where(present, data, low_fill)
+        high = np.where(present, data, high_fill)
+    mins = low.reshape(blocks, BLOCK_ROWS).min(axis=1)
+    maxs = high.reshape(blocks, BLOCK_ROWS).max(axis=1)
+    return mins, maxs, all_null
 
 
 class Column:
@@ -112,6 +174,32 @@ class Column:
         if self._length == len(buffer.valid):
             return buffer.valid
         return buffer.valid[: self._length]
+
+    def block_synopsis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Zone map: ``(mins, maxs, all_null)`` of this column's complete blocks.
+
+        One entry per :data:`BLOCK_ROWS`-row block that lies wholly below this
+        snapshot's length; the partial tail block has no entry (callers keep
+        it).  Built on first use and cached on the shared buffer, so later
+        snapshots of an append chain only summarise the blocks added since,
+        and a snapshot older than the cache reads a prefix of it.
+        """
+        blocks = self._length // BLOCK_ROWS
+        buffer = self._buffer
+        cached = buffer.synopsis
+        have = 0 if cached is None else len(cached[2])
+        if cached is None or have < blocks:
+            start, stop = have * BLOCK_ROWS, blocks * BLOCK_ROWS
+            added = _summarise_blocks(
+                self.dtype, buffer.data[start:stop], buffer.valid[start:stop]
+            )
+            if cached is not None:
+                added = tuple(np.concatenate(pair) for pair in zip(cached, added))
+            cached = added
+            longest = buffer.synopsis
+            if longest is None or len(longest[2]) < blocks:
+                buffer.synopsis = cached
+        return tuple(part[:blocks] for part in cached)
 
     # -- constructors -------------------------------------------------------
 
@@ -320,7 +408,13 @@ class Column:
         valid[: self._length] = self.validity
         data[self._length : total] = other.values
         valid[self._length : total] = other.validity
-        new_buffer = _Buffer(data, valid, total)
+        # The copied prefix is identical, so its block summaries carry over
+        # (only those below *this* snapshot's length: a longer sibling's
+        # blocks describe rows the new buffer does not share).
+        synopsis = buffer.synopsis
+        if synopsis is not None:
+            synopsis = tuple(part[: self._length // BLOCK_ROWS] for part in synopsis)
+        new_buffer = _Buffer(data, valid, total, synopsis)
         return Column._share(self.dtype, new_buffer, total)
 
     def append_value(self, value: Any) -> "Column":

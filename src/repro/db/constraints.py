@@ -1,19 +1,26 @@
-"""WHERE-clause analysis for the model-backed answer routes.
+"""WHERE-clause analysis: per-column constraints from top-level conjuncts.
 
-The grouped and range routes can only answer a query from captured models if
-they understand exactly which part of the input domain the WHERE clause
-selects.  This module decomposes a predicate's top-level conjuncts into
-per-column :class:`ColumnConstraint`\\ s — discrete value sets from ``=`` /
-``IN`` and intervals from ``<`` / ``<=`` / ``>`` / ``>=`` / ``BETWEEN`` —
-and keeps anything it cannot analyse (disjunctions, ``IS NULL``, predicates
-over expressions) as *residual* conjuncts, which makes the routes decline
-and leaves the query to the enumeration or exact paths.
+This module decomposes a predicate's top-level conjuncts into per-column
+:class:`ColumnConstraint`\\ s — discrete value sets from ``=`` / ``IN`` and
+intervals from ``<`` / ``<=`` / ``>`` / ``>=`` / ``BETWEEN`` — and keeps
+anything it cannot analyse (disjunctions, ``IS NULL``, predicates over
+expressions) as *residual* conjuncts.  Two consumers rely on it:
+
+* the model-backed answer routes (``core/approx/routes``) can only serve a
+  query from captured models if they understand exactly which part of the
+  input domain the WHERE clause selects; a residual makes them decline;
+* scans use the constraints as *necessary* conditions to skip row groups —
+  blocks and partitions — whose min/max summary proves them empty
+  (:meth:`ColumnConstraint.admits_ranges`); residuals are simply ignored
+  there, because the full predicate is still evaluated on what is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Sequence
+
+import numpy as np
 
 from repro.db.expressions import (
     Between,
@@ -24,7 +31,7 @@ from repro.db.expressions import (
     Literal,
 )
 
-__all__ = ["ColumnConstraint", "WhereConstraints", "bare_name", "extract_constraints"]
+__all__ = ["ColumnConstraint", "WhereConstraints", "bare_name", "conjuncts", "extract_constraints"]
 
 
 def bare_name(name: str) -> str:
@@ -100,6 +107,54 @@ class ColumnConstraint:
             return None
         return lo, hi
 
+    def admits_ranges(
+        self, mins: np.ndarray, maxs: np.ndarray, all_null: np.ndarray
+    ) -> np.ndarray:
+        """Which row groups could hold a row satisfying this constraint.
+
+        A row group (a scan block, a partition) is summarised by the min and
+        max of its non-NULL values; ``all_null`` marks groups with none, where
+        ``mins`` / ``maxs`` hold arbitrary fill.  Returns a boolean array, False
+        only where the summary *proves* no row of the group can satisfy the
+        constraint: every form it records (comparison, BETWEEN, IN) rejects
+        NULL, so all-NULL groups go; so do groups whose ``[min, max]`` misses
+        every pinned value or lies outside the interval.
+
+        The proof must agree with what the comparison kernels would compute
+        row by row, so anything they coerce or reject is inconclusive and
+        keeps every group: literals of another type family than the column
+        (the kernels truncate or raise there), bounds beyond 2**53 on integer
+        columns (the bound was recorded as a float) and pinned values no
+        int64 can hold.
+        """
+        kind = mins.dtype.kind
+        values = self.values or ()
+        if kind in "OU":
+            comparable = not self.has_interval and all(isinstance(v, str) for v in values)
+        elif kind == "b":
+            comparable = not self.has_interval and all(
+                isinstance(v, (bool, np.bool_, int, np.integer)) and abs(v) < 2**63
+                for v in values
+            )
+        else:
+            comparable = all(_is_number(v) and abs(v) < 2.0**63 for v in values) and not (
+                kind in "iu"
+                and any(b is not None and abs(b) >= 2.0**53 for b in (self.low, self.high))
+            )
+        if not comparable:
+            return np.ones(len(mins), dtype=bool)
+        admits = ~all_null
+        if self.values is not None:
+            hit = np.zeros(len(mins), dtype=bool)
+            for value in values:
+                hit |= (mins <= value) & (value <= maxs)
+            admits &= hit
+        if self.low is not None:
+            admits &= maxs >= self.low if self.low_inclusive else maxs > self.low
+        if self.high is not None:
+            admits &= mins <= self.high if self.high_inclusive else mins < self.high
+        return admits
+
     def describe(self) -> str:
         parts = []
         if self.values is not None:
@@ -150,7 +205,7 @@ def extract_constraints(where: Expression | None) -> WhereConstraints:
     are analysed; everything else lands in ``residual``.
     """
     constraints = WhereConstraints()
-    for conjunct in _conjuncts(where):
+    for conjunct in conjuncts(where):
         if not _apply_conjunct(constraints, conjunct):
             constraints.residual.append(conjunct)
     return constraints
@@ -171,9 +226,8 @@ def _apply_conjunct(constraints: WhereConstraints, conjunct: Expression) -> bool
         if op == "=":
             constraints._get(column).pin([literal])
             return True
-        try:
-            numeric = float(literal)
-        except (TypeError, ValueError):
+        numeric = _bound(literal)
+        if numeric is None:
             return False
         constraint = constraints._get(column)
         if op in ("<", "<="):
@@ -185,10 +239,9 @@ def _apply_conjunct(constraints: WhereConstraints, conjunct: Expression) -> bool
     if isinstance(conjunct, Between) and isinstance(conjunct.operand, ColumnRef):
         if not (isinstance(conjunct.low, Literal) and isinstance(conjunct.high, Literal)):
             return False
-        try:
-            low = float(conjunct.low.value)
-            high = float(conjunct.high.value)
-        except (TypeError, ValueError):
+        low = _bound(conjunct.low.value)
+        high = _bound(conjunct.high.value)
+        if low is None or high is None:
             return False
         constraint = constraints._get(bare_name(conjunct.operand.name))
         constraint.bound_below(low, inclusive=True)
@@ -205,15 +258,32 @@ def _apply_conjunct(constraints: WhereConstraints, conjunct: Expression) -> bool
     return False
 
 
+def _bound(literal: Any) -> float | None:
+    """An interval bound from a numeric literal; None for anything else.
+
+    Strings and booleans are not bounds even when ``float()`` accepts them:
+    the comparison kernels reject or truncate them, so treating ``x > '5'``
+    as ``x > 5.0`` would describe a predicate the engine never evaluates.
+    """
+    return float(literal) if _is_number(literal) else None
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, (bool, np.bool_)
+    )
+
+
 def _column_literal(left: Expression, right: Expression) -> tuple[str | None, Any]:
     if isinstance(left, ColumnRef) and isinstance(right, Literal):
         return bare_name(left.name), right.value
     return None, None
 
 
-def _conjuncts(expression: Expression | None) -> list[Expression]:
+def conjuncts(expression: Expression | None) -> list[Expression]:
+    """The top-level AND-ed parts of a predicate, left to right."""
     if expression is None:
         return []
     if isinstance(expression, BinaryOp) and expression.op.lower() == "and":
-        return _conjuncts(expression.left) + _conjuncts(expression.right)
+        return conjuncts(expression.left) + conjuncts(expression.right)
     return [expression]

@@ -6,6 +6,12 @@ is vectorised: an expression evaluates against a :class:`~repro.db.table.Table`
 and yields a :class:`~repro.db.column.Column` of results, with SQL NULL
 semantics (any NULL operand makes comparison/arithmetic results NULL, and
 three-valued logic for AND/OR/NOT).
+
+Literal operands of comparisons, arithmetic, ``BETWEEN``, ``IN`` and scalar
+functions are never materialised: they stay NumPy scalars (:class:`_Constant`)
+that the kernels broadcast, and a column without NULLs skips the validity
+passes.  Only a literal that *is* the result (``SELECT 1 FROM t``) becomes a
+full column.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from repro.db.column import Column
 from repro.db.table import Table
-from repro.db.types import DataType
+from repro.db.types import DataType, null_value
 from repro.errors import ExecutionError
 
 __all__ = [
@@ -182,9 +188,9 @@ class Literal(Expression):
     def evaluate(self, table: Table) -> Column:
         n = table.num_rows
         if self.value is None:
-            return Column.from_values(DataType.FLOAT64, [None] * n)
+            return Column(DataType.FLOAT64, np.full(n, np.nan), np.zeros(n, dtype=bool))
         dtype = DataType.infer(self.value)
-        return Column.from_values(dtype, [self.value] * n)
+        return Column(dtype, np.full(n, self.value, dtype=dtype.numpy_dtype))
 
     def referenced_columns(self) -> set[str]:
         return set()
@@ -214,16 +220,13 @@ class BinaryOp(Expression):
 
     def evaluate(self, table: Table) -> Column:
         op = self.op.lower()
-        left = self.left.evaluate(table)
-        right = self.right.evaluate(table)
-        valid = left.validity & right.validity
-
-        if op in _ARITHMETIC_OPS:
-            return _evaluate_arithmetic(op, left, right, valid)
-        if op in _COMPARISON_OPS:
-            return _evaluate_comparison(op, left, right, valid)
         if op in ("and", "or"):
-            return _evaluate_boolean(op, left, right)
+            return _evaluate_boolean(op, self.left.evaluate(table), self.right.evaluate(table))
+        left, right = _operands((self.left, self.right), table)
+        if op in _ARITHMETIC_OPS:
+            return _evaluate_arithmetic(op, left, right)
+        if op in _COMPARISON_OPS:
+            return _evaluate_comparison(op, left, right)
         raise ExecutionError(f"unknown binary operator {self.op!r}")
 
 
@@ -274,19 +277,15 @@ class FunctionCall(Expression):
         fn = _SCALAR_FUNCTIONS.get(self.name.lower())
         if fn is None:
             raise ExecutionError(f"unknown scalar function {self.name!r}")
-        arg_columns = [arg.evaluate(table) for arg in self.args]
-        for column in arg_columns:
-            if not column.dtype.is_numeric:
+        args = _operands(self.args, table)
+        valid = None
+        for arg in args:
+            if not arg.dtype.is_numeric:
                 raise ExecutionError(f"function {self.name!r} requires numeric arguments")
-        valid = np.ones(table.num_rows, dtype=bool)
-        for column in arg_columns:
-            valid &= column.validity
+            valid = _both_valid(valid, _null_free(arg))
         with np.errstate(all="ignore"):
-            values = fn(*[c.values.astype(np.float64) for c in arg_columns])
-        values = np.asarray(values, dtype=np.float64)
-        valid = valid & np.isfinite(values)
-        values = np.where(valid, values, np.nan)
-        return Column(DataType.FLOAT64, values, valid)
+            values = fn(*[np.asarray(arg.values, dtype=np.float64) for arg in args])
+        return _finite_float_column(np.asarray(values, dtype=np.float64), valid)
 
 
 @dataclass(frozen=True)
@@ -308,9 +307,18 @@ class Between(Expression):
         return f"({self.operand} BETWEEN {self.low} AND {self.high})"
 
     def evaluate(self, table: Table) -> Column:
-        lower = BinaryOp(">=", self.operand, self.low).evaluate(table)
-        upper = BinaryOp("<=", self.operand, self.high).evaluate(table)
-        return _evaluate_boolean("and", lower, upper)
+        operand, low, high = _operands((self.operand, self.low, self.high), table)
+        if isinstance(operand, Column) and isinstance(low, _Constant) and isinstance(high, _Constant):
+            # Constant bounds are never NULL, so the conjunction is NULL
+            # exactly where the operand is: one fused pass.
+            values = _compare(">=", operand, low)
+            values &= _compare("<=", operand, high)
+            return _masked_bool_column(values, _null_free(operand))
+        return _evaluate_boolean(
+            "and",
+            _evaluate_comparison(">=", operand, low),
+            _evaluate_comparison("<=", operand, high),
+        )
 
 
 @dataclass(frozen=True)
@@ -335,10 +343,23 @@ class InList(Expression):
 
     def evaluate(self, table: Table) -> Column:
         if not self.values:
-            return Column.from_values(DataType.BOOL, [False] * table.num_rows)
+            return Column(DataType.BOOL, np.zeros(table.num_rows, dtype=bool))
+        operand, *values = _operands((self.operand, *self.values), table)
+        family = _type_family(operand.dtype)
+        if isinstance(operand, Column) and all(
+            isinstance(value, _Constant) and _type_family(value.dtype) is family
+            for value in values
+        ):
+            # Same-family constants compare without coercion, so membership
+            # is one ``np.isin``; NULL exactly where the operand is.
+            candidates = np.array(
+                [value.values[()] for value in values],
+                dtype=object if operand.dtype is DataType.STRING else None,
+            )
+            return _masked_bool_column(np.isin(operand.values, candidates), _null_free(operand))
         result: Column | None = None
-        for value in self.values:
-            term = BinaryOp("=", self.operand, value).evaluate(table)
+        for value in values:
+            term = _evaluate_comparison("=", operand, value)
             result = term if result is None else _evaluate_boolean("or", result, term)
         assert result is not None
         return result
@@ -369,53 +390,129 @@ class IsNull(Expression):
 # ---------------------------------------------------------------------------
 
 
-def _numeric_values(column: Column) -> np.ndarray:
-    if not column.dtype.is_numeric:
-        raise ExecutionError(f"expected a numeric operand, got {column.dtype.value}")
-    return column.values.astype(np.float64)
+class _Constant:
+    """A non-NULL literal operand, kept as a 0-d array the kernels broadcast.
+
+    Duck-types the two attributes of :class:`Column` the kernels read
+    (``dtype`` and ``values``) and is always valid.
+    """
+
+    __slots__ = ("dtype", "values")
+
+    def __init__(self, value: Any) -> None:
+        self.dtype = DataType.infer(value)
+        self.values = np.array(value, dtype=self.dtype.numpy_dtype)
 
 
-def _evaluate_arithmetic(op: str, left: Column, right: Column, valid: np.ndarray) -> Column:
-    left_values = _numeric_values(left)
-    right_values = _numeric_values(right)
-    with np.errstate(all="ignore"):
-        values = _ARITHMETIC_OPS[op](left_values, right_values)
-    values = np.asarray(values, dtype=np.float64)
+def _operands(expressions: tuple[Expression, ...], table: Table) -> list[Column | _Constant]:
+    """Evaluate operand expressions, leaving non-NULL literals as constants.
+
+    At least one operand comes back as a full column, so whatever the kernels
+    compute from them has one value per row of ``table``.
+    """
+    operands: list[Column | _Constant] = [
+        _Constant(expression.value)
+        if isinstance(expression, Literal) and expression.value is not None
+        else expression.evaluate(table)
+        for expression in expressions
+    ]
+    if operands and not any(isinstance(operand, Column) for operand in operands):
+        operands[0] = expressions[0].evaluate(table)
+    return operands
+
+
+def _null_free(operand: Column | _Constant) -> np.ndarray | None:
+    """The operand's validity mask, or None when it has no NULL at all."""
+    if isinstance(operand, _Constant):
+        return None
+    validity = operand.validity
+    return None if validity.all() else validity
+
+
+def _both_valid(left: np.ndarray | None, right: np.ndarray | None) -> np.ndarray | None:
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return left & right
+
+
+def _masked_bool_column(values: np.ndarray, valid: np.ndarray | None) -> Column:
+    """A BOOL column from freshly computed ``values``; False wherever NULL."""
+    if valid is None:
+        return Column(DataType.BOOL, values)
+    values &= valid
+    return Column(DataType.BOOL, values, valid)
+
+
+def _finite_float_column(values: np.ndarray, valid: np.ndarray | None) -> Column:
+    """A FLOAT64 column in which non-finite results have become NULL."""
     finite = np.isfinite(values)
-    valid = valid & finite
-    values = np.where(valid, values, np.nan)
+    if not finite.all():
+        valid = finite if valid is None else valid & finite
+    if valid is None:
+        return Column(DataType.FLOAT64, values)
+    return Column(DataType.FLOAT64, np.where(valid, values, np.nan), valid)
+
+
+def _type_family(dtype: DataType) -> Any:
+    """INT64 and FLOAT64 compare with each other as numbers; nothing else mixes."""
+    return "numeric" if dtype.is_numeric else dtype
+
+
+def _evaluate_arithmetic(op: str, left: Column | _Constant, right: Column | _Constant) -> Column:
+    for operand in (left, right):
+        if not operand.dtype.is_numeric:
+            raise ExecutionError(f"expected a numeric operand, got {operand.dtype.value}")
+    with np.errstate(all="ignore"):
+        values = _ARITHMETIC_OPS[op](left.values, right.values, dtype=np.float64)
+    result = _finite_float_column(values, _both_valid(_null_free(left), _null_free(right)))
     if (
         left.dtype is DataType.INT64
         and right.dtype is DataType.INT64
         and op in ("+", "-", "*", "%")
     ):
-        ints = np.where(valid, values, 0).astype(np.int64)
-        from repro.db.types import null_value
-
-        ints = np.where(valid, ints, null_value(DataType.INT64))
+        valid = _null_free(result)
+        if valid is None:
+            return Column(DataType.INT64, result.values.astype(np.int64))
+        ints = np.where(valid, result.values, 0).astype(np.int64)
+        ints[~valid] = null_value(DataType.INT64)
         return Column(DataType.INT64, ints, valid)
-    return Column(DataType.FLOAT64, values, valid)
+    return result
 
 
-def _evaluate_comparison(op: str, left: Column, right: Column, valid: np.ndarray) -> Column:
+def _compare(op: str, left: Column | _Constant, right: Column | _Constant) -> np.ndarray:
+    """Elementwise comparison under the cross-type rules, NULLs not yet masked.
+
+    Numbers compare in NumPy's promoted dtype — INT64 against INT64 natively,
+    anything against FLOAT64 in float64 — without intermediate copies.
+    """
+    compare = _COMPARISON_OPS[op]
     if left.dtype is DataType.STRING or right.dtype is DataType.STRING:
         if left.dtype is not right.dtype:
             raise ExecutionError("cannot compare string column with non-string operand")
         with np.errstate(all="ignore"):
-            values = _COMPARISON_OPS[op](left.values, right.values)
+            values = compare(left.values, right.values)
     elif left.dtype is DataType.BOOL or right.dtype is DataType.BOOL:
-        values = _COMPARISON_OPS[op](left.values.astype(np.int64), right.values.astype(np.int64))
+        values = compare(left.values.astype(np.int64), right.values.astype(np.int64))
     else:
         with np.errstate(all="ignore"):
-            values = _COMPARISON_OPS[op](_numeric_values(left), _numeric_values(right))
-    values = np.asarray(values, dtype=bool)
-    values = np.where(valid, values, False)
-    return Column(DataType.BOOL, values, valid)
+            values = compare(left.values, right.values)
+    return np.asarray(values, dtype=bool)
+
+
+def _evaluate_comparison(op: str, left: Column | _Constant, right: Column | _Constant) -> Column:
+    return _masked_bool_column(
+        _compare(op, left, right), _both_valid(_null_free(left), _null_free(right))
+    )
 
 
 def _evaluate_boolean(op: str, left: Column, right: Column) -> Column:
     if left.dtype is not DataType.BOOL or right.dtype is not DataType.BOOL:
         raise ExecutionError(f"{op.upper()} requires boolean operands")
+    if _null_free(left) is None and _null_free(right) is None:
+        combine = np.logical_and if op == "and" else np.logical_or
+        return Column(DataType.BOOL, combine(left.values, right.values))
     left_values = left.values & left.validity
     right_values = right.values & right.validity
     if op == "and":

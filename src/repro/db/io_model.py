@@ -194,6 +194,11 @@ class IOModel:
     def __init__(self, parameters: IOParameters | None = None) -> None:
         self.parameters = parameters or IOParameters()
         self.accountant = IOAccountant(parameters=self.parameters)
+        #: Optional :class:`repro.obs.MetricsRegistry` and
+        #: :class:`repro.obs.Tracer`, injected by the owning system: where
+        #: scans report the blocks they never read (:meth:`skip_blocks`).
+        self.metrics = None
+        self.tracer = None
 
     # -- sizing ---------------------------------------------------------------
 
@@ -215,6 +220,19 @@ class IOModel:
         num_bytes = self.column_bytes(table, column_names)
         self.accountant.charge_sequential(num_bytes)
         return num_bytes
+
+    def skip_blocks(self, blocks: int) -> None:
+        """Record ``blocks`` a scan proved empty from their synopses and skipped.
+
+        Nothing is charged — that is the point — but the count goes to the
+        ``scan_blocks_pruned_total`` counter and onto the calling thread's
+        open span (the scan's own, in a traced execution) as ``blocks_pruned``.
+        """
+        if self.metrics is not None:
+            self.metrics.inc("scan_blocks_pruned_total", float(blocks))
+        span = self.tracer.current if self.tracer is not None else None
+        if span is not None:
+            span.annotate(blocks_pruned=span.attributes.get("blocks_pruned", 0) + blocks)
 
     def charge_point_lookup(self, table: Table, column_names: list[str] | None = None) -> int:
         """Charge a random single-row lookup (one page per accessed column)."""

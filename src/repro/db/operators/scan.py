@@ -2,21 +2,98 @@
 
 from __future__ import annotations
 
+from typing import Mapping
+
+import numpy as np
+
+from repro.db.column import BLOCK_ROWS
+from repro.db.constraints import ColumnConstraint
 from repro.db.io_model import IOModel
 from repro.db.operators.base import Operator
 from repro.db.table import Table
 from repro.errors import CatalogError
 
-__all__ = ["TableScan", "MaterializedInput"]
+__all__ = ["TableScan", "MaterializedInput", "KeptRows", "kept_rows"]
+
+
+class KeptRows:
+    """The part of a row window a scan still has to read.
+
+    ``ranges`` are the half-open row ranges that survive, ascending and
+    disjoint; ``blocks_kept`` / ``blocks_total`` count the blocks the window
+    touches (the partial tail block included).
+    """
+
+    __slots__ = ("ranges", "blocks_kept", "blocks_total")
+
+    def __init__(self, ranges: list[tuple[int, int]], blocks_kept: int, blocks_total: int) -> None:
+        self.ranges = ranges
+        self.blocks_kept = blocks_kept
+        self.blocks_total = blocks_total
+
+    @property
+    def blocks_pruned(self) -> int:
+        return self.blocks_total - self.blocks_kept
+
+    def take_from(self, table: Table) -> Table:
+        """The kept rows of ``table``, in order (a zero-copy slice when contiguous)."""
+        if len(self.ranges) == 1:
+            return table.slice(*self.ranges[0])
+        if not self.ranges:
+            return table.slice(0, 0)
+        return table.take(np.concatenate([np.arange(start, stop) for start, stop in self.ranges]))
+
+
+def kept_rows(
+    table: Table,
+    constraints: Mapping[str, ColumnConstraint],
+    start: int = 0,
+    stop: int | None = None,
+) -> KeptRows:
+    """Rows ``[start, stop)`` of ``table`` minus the blocks proven empty.
+
+    ``constraints`` are *necessary* conditions on ``table``'s own columns
+    (:func:`repro.db.constraints.extract_constraints` over the WHERE clause),
+    so a block whose min/max synopsis cannot satisfy one of them contributes
+    no row whatever the rest of the predicate says.  Blocks are aligned to
+    row 0 of the table; the partial tail block has no synopsis and is always
+    kept.  Serial scans pass the whole table, the partitioned engine one
+    shard's window of the same table — both read the synopses cached on the
+    table's column buffers.
+    """
+    stop = table.num_rows if stop is None else stop
+    first = start // BLOCK_ROWS
+    total = -(-stop // BLOCK_ROWS) - first if stop > start else 0
+    complete = max(min(table.num_rows // BLOCK_ROWS, first + total) - first, 0)
+    keep = np.ones(total, dtype=bool)
+    if complete:
+        window = slice(first, first + complete)
+        for name, constraint in constraints.items():
+            mins, maxs, all_null = table.column(name).block_synopsis()
+            keep[:complete] &= constraint.admits_ranges(mins[window], maxs[window], all_null[window])
+    if keep.all():
+        return KeptRows([(start, stop)] if stop > start else [], total, total)
+    # Runs of kept blocks -> row ranges, clipped to the window.
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], keep, [False]))))
+    ranges = [
+        (max((first + int(a)) * BLOCK_ROWS, start), min((first + int(b)) * BLOCK_ROWS, stop))
+        for a, b in zip(edges[0::2], edges[1::2])
+    ]
+    return KeptRows(ranges, int(keep.sum()), total)
 
 
 class TableScan(Operator):
     """Scan a base table, charging the simulated IO model for the bytes read.
 
     ``projected_columns`` narrows the scan to the columns a query actually
-    touches (columnar storage means unread columns cost no IO), which is what
-    makes the zero-IO comparison honest: the raw-scan side is charged only
-    for the columns it needs.
+    touches (columnar storage means unread columns cost no IO), and
+    ``constraints`` — the WHERE clause's necessary per-column conditions on
+    this table — let it skip every block whose min/max synopsis proves it
+    empty (:func:`kept_rows`).  That is what makes the zero-IO comparison
+    honest: the raw-scan side is charged only for the projected columns over
+    the rows it hands on, and the ``Filter`` above still evaluates the whole
+    predicate on exactly those rows.  Without constraints (or when no block
+    can be ruled out) the bound table passes through untouched.
 
     Plans are cached and shared across executions (and threads), so the scan
     binds its table *per execution*: when a ``catalog`` was provided it
@@ -32,11 +109,13 @@ class TableScan(Operator):
         io_model: IOModel | None = None,
         projected_columns: list[str] | None = None,
         catalog=None,
+        constraints: Mapping[str, ColumnConstraint] | None = None,
     ) -> None:
         self.table = table
         self.io_model = io_model
         self.projected_columns = projected_columns
         self.catalog = catalog
+        self.constraints = constraints or {}
 
     def _bind_table(self) -> Table:
         """This execution's frozen view of the scanned table.
@@ -58,15 +137,27 @@ class TableScan(Operator):
 
     def execute(self) -> Table:
         table = self._bind_table()
-        if self.io_model is not None:
-            self.io_model.charge_scan(table, self.projected_columns)
         if self.projected_columns is not None:
-            return table.select(self.projected_columns)
+            table = table.select(self.projected_columns)
+        if self.constraints:
+            kept = kept_rows(table, self.constraints)
+            if kept.blocks_pruned:
+                table = kept.take_from(table)
+                if self.io_model is not None:
+                    self.io_model.skip_blocks(kept.blocks_pruned)
+        if self.io_model is not None:
+            self.io_model.charge_scan(table)
         return table
 
     def describe(self) -> str:
         cols = "*" if self.projected_columns is None else ", ".join(self.projected_columns)
-        return f"TableScan({self.table.name}, columns=[{cols}])"
+        if not self.constraints:
+            return f"TableScan({self.table.name}, columns=[{cols}])"
+        kept = kept_rows(self._bind_table(), self.constraints)
+        return (
+            f"TableScan({self.table.name}, columns=[{cols}], "
+            f"blocks={kept.blocks_kept}/{kept.blocks_total})"
+        )
 
 
 class MaterializedInput(Operator):

@@ -6,6 +6,11 @@ tree of physical operators:
 ``Scan -> [HashJoin]* -> Filter(WHERE) -> Aggregate -> Filter(HAVING) ->
 Project -> Distinct -> Sort -> Limit``
 
+The WHERE clause also reaches below that ``Filter``: every base-table scan is
+handed the clause's *necessary* per-column constraints on its own columns, so
+it can skip blocks its min/max synopses prove empty, and a top-level conjunct
+that only reads a join's right table filters that build side before the join.
+
 It also performs name resolution: qualified column references
 (``m.intensity``) are rewritten to the actual column names of the (joined)
 input schema, and aggregate function calls in the SELECT list are pulled out
@@ -15,8 +20,10 @@ into :class:`~repro.db.operators.aggregate.AggregateSpec` entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.db.catalog import Catalog
+from repro.db.constraints import ColumnConstraint, conjuncts, extract_constraints
 from repro.db.expressions import (
     Between,
     BinaryOp,
@@ -83,16 +90,19 @@ class _PlanBuilder:
         self.table_columns: dict[str, set[str]] = {}
         #: column names available after the FROM/JOIN stage
         self.available: set[str] = set()
+        #: available name of a join right table's column -> (position of the
+        #: join, the column's own name in that table)
+        self.right_origin: dict[str, tuple[int, str]] = {}
 
     # -- entry point ---------------------------------------------------------
 
     def build(self) -> PlannedQuery:
         statement = self.statement
-        plan = self._build_from_clause()
-
-        if statement.where is not None:
-            predicate = self._resolve(statement.where)
-            plan = Filter(plan, predicate)
+        base, joins = self._bind_from_clause()
+        where = self._resolve(statement.where) if statement.where is not None else None
+        plan, where = self._build_from_clause(base, joins, where)
+        if where is not None:
+            plan = Filter(plan, where)
 
         aggregates, rewritten_items, rewritten_having = self._extract_aggregates()
         group_exprs = [self._resolve(e) for e in statement.group_by]
@@ -138,7 +148,13 @@ class _PlanBuilder:
 
     # -- FROM / JOIN ------------------------------------------------------------
 
-    def _build_from_clause(self) -> Operator:
+    def _bind_from_clause(self) -> tuple[Table, list[tuple[Table, list[str], list[str]]]]:
+        """Resolve the FROM/JOIN tables and the names their columns get.
+
+        Returns the base table and, per join, ``(right table, left keys,
+        right keys)``; fills ``available`` and ``right_origin`` so the WHERE
+        clause can be resolved before any operator is built.
+        """
         statement = self.statement
         assert statement.table is not None
         base = self.catalog.table(statement.table.name)
@@ -147,24 +163,81 @@ class _PlanBuilder:
         self.table_columns[statement.table.name] = set(base.schema.names)
         self.available = set(base.schema.names)
 
-        plan: Operator = TableScan(base, self.io_model, self._scan_columns(base), catalog=self.catalog)
-
-        for join in statement.joins:
+        joins = []
+        for position, join in enumerate(statement.joins):
             right_table = self.catalog.table(join.table.name)
             self.alias_map[join.table.effective_name] = join.table.name
             self.alias_map[join.table.name] = join.table.name
             self.table_columns[join.table.name] = set(right_table.schema.names)
-
-            right_scan = TableScan(right_table, self.io_model, self._scan_columns(right_table), catalog=self.catalog)
             left_keys, right_keys = self._resolve_join_keys(join.left_keys, join.right_keys, right_table)
-            plan = HashJoin(plan, right_scan, left_keys, right_keys)
+            joins.append((right_table, left_keys, right_keys))
 
             for name in right_table.schema.names:
-                if name in self.available:
-                    self.available.add(f"{right_table.name}.{name}")
-                else:
-                    self.available.add(name)
-        return plan
+                out_name = f"{right_table.name}.{name}" if name in self.available else name
+                if out_name not in self.available:
+                    self.right_origin[out_name] = (position, name)
+                self.available.add(out_name)
+        return base, joins
+
+    def _build_from_clause(
+        self,
+        base: Table,
+        joins: list[tuple[Table, list[str], list[str]]],
+        where: Expression | None,
+    ) -> tuple[Operator, Expression | None]:
+        """Scans and joins, with as much of ``where`` pushed into them as is safe.
+
+        Returns the plan and what is left of the predicate for the ``Filter``
+        above the joins.  All joins are inner, so a conjunct reading only one
+        right table selects the same output rows before the join as after it;
+        it moves below, rewritten to that table's own column names.  The base
+        scan keeps the whole remaining predicate above it and only receives
+        its constraints.
+        """
+        pushed: dict[int, list[Expression]] = {}
+        remaining: list[Expression] = []
+        for conjunct in conjuncts(where):
+            positions = {
+                self.right_origin[name][0] if name in self.right_origin else None
+                for name in conjunct.referenced_columns()
+            }
+            if len(positions) == 1 and None not in positions:
+                pushed.setdefault(positions.pop(), []).append(conjunct)
+            else:
+                remaining.append(conjunct)
+        where = _conjunction(remaining)
+
+        # extract_constraints() strips qualifiers, so a name a right table
+        # shares with the base could mean either side: only base columns no
+        # right table also has may prune base blocks.
+        unambiguous = set(base.schema.names)
+        for right_table, _, _ in joins:
+            unambiguous -= set(right_table.schema.names)
+        plan: Operator = self._scan(base, where, unambiguous)
+
+        for position, (right_table, left_keys, right_keys) in enumerate(joins):
+            local = _conjunction(
+                [
+                    _map_columns(conjunct, lambda name: self.right_origin[name][1])
+                    for conjunct in pushed.get(position, [])
+                ]
+            )
+            right: Operator = self._scan(right_table, local, set(right_table.schema.names))
+            if local is not None:
+                right = Filter(right, local)
+            plan = HashJoin(plan, right, left_keys, right_keys)
+        return plan, where
+
+    def _scan(self, table: Table, predicate: Expression | None, prunable: set[str]) -> TableScan:
+        """A scan of ``table`` that may prune on ``predicate``'s ``prunable`` columns."""
+        constraints: dict[str, ColumnConstraint] = {
+            name: constraint
+            for name, constraint in extract_constraints(predicate).by_column.items()
+            if name in prunable
+        }
+        return TableScan(
+            table, self.io_model, self._scan_columns(table), catalog=self.catalog, constraints=constraints
+        )
 
     def _scan_columns(self, table: Table) -> list[str] | None:
         """Restrict the scan to the columns the query references, when possible."""
@@ -175,9 +248,12 @@ class _PlanBuilder:
         for name in table.schema.names:
             if name in needed or any(q.endswith(f".{name}") for q in needed):
                 names.append(name)
-        # Join keys are added later in resolution; be conservative and include
-        # any column mentioned with this table's qualifier.
-        return names if names else None
+        if not names and table.schema.names:
+            # Nothing of this table is read (``SELECT count(*) FROM t``): the
+            # row count is all that is needed, and the narrowest column
+            # carries it for the fewest pages.
+            names = [min(table.schema.columns, key=lambda c: c.dtype.byte_width).name]
+        return names or None
 
     def _all_statement_columns(self) -> set[str] | None:
         """Every column name (possibly qualified) the statement mentions."""
@@ -251,31 +327,7 @@ class _PlanBuilder:
     def _resolve(self, expression: Expression, available: set[str] | None = None) -> Expression:
         """Rewrite qualified column references to available column names."""
         available = self.available if available is None else available
-
-        if isinstance(expression, ColumnRef):
-            return ColumnRef(self._resolve_column_name(expression.name, available))
-        if isinstance(expression, Literal):
-            return expression
-        if isinstance(expression, BinaryOp):
-            return BinaryOp(expression.op, self._resolve(expression.left, available), self._resolve(expression.right, available))
-        if isinstance(expression, UnaryOp):
-            return UnaryOp(expression.op, self._resolve(expression.operand, available))
-        if isinstance(expression, FunctionCall):
-            return FunctionCall(expression.name, tuple(self._resolve(a, available) for a in expression.args))
-        if isinstance(expression, Between):
-            return Between(
-                self._resolve(expression.operand, available),
-                self._resolve(expression.low, available),
-                self._resolve(expression.high, available),
-            )
-        if isinstance(expression, InList):
-            return InList(
-                self._resolve(expression.operand, available),
-                [self._resolve(v, available) for v in expression.values],
-            )
-        if isinstance(expression, IsNull):
-            return IsNull(self._resolve(expression.operand, available), expression.negated)
-        raise SQLPlanningError(f"cannot resolve expression of type {type(expression).__name__}")
+        return _map_columns(expression, lambda name: self._resolve_column_name(name, available))
 
     def _resolve_column_name(self, name: str, available: set[str]) -> str:
         if name in available:
@@ -449,6 +501,44 @@ class _PlanBuilder:
             else:
                 referenced[table_name] = {c for c in columns if c in needed}
         return referenced
+
+
+def _conjunction(parts: list[Expression]) -> Expression | None:
+    """AND the parts back together, in order (None when there are none)."""
+    result: Expression | None = None
+    for part in parts:
+        result = part if result is None else BinaryOp("and", result, part)
+    return result
+
+
+def _map_columns(expression: Expression, rename: Callable[[str], str]) -> Expression:
+    """``expression`` rebuilt with every column reference passed through ``rename``."""
+    if isinstance(expression, ColumnRef):
+        return ColumnRef(rename(expression.name))
+    if isinstance(expression, Literal):
+        return expression
+    if isinstance(expression, BinaryOp):
+        return BinaryOp(
+            expression.op, _map_columns(expression.left, rename), _map_columns(expression.right, rename)
+        )
+    if isinstance(expression, UnaryOp):
+        return UnaryOp(expression.op, _map_columns(expression.operand, rename))
+    if isinstance(expression, FunctionCall):
+        return FunctionCall(expression.name, tuple(_map_columns(a, rename) for a in expression.args))
+    if isinstance(expression, Between):
+        return Between(
+            _map_columns(expression.operand, rename),
+            _map_columns(expression.low, rename),
+            _map_columns(expression.high, rename),
+        )
+    if isinstance(expression, InList):
+        return InList(
+            _map_columns(expression.operand, rename),
+            [_map_columns(v, rename) for v in expression.values],
+        )
+    if isinstance(expression, IsNull):
+        return IsNull(_map_columns(expression.operand, rename), expression.negated)
+    raise SQLPlanningError(f"cannot resolve expression of type {type(expression).__name__}")
 
 
 class _Distinct(Operator):

@@ -12,9 +12,11 @@ partitioned path applies and pays:
    see the map of their commit, so the partition list is consistent with
    the data for the whole query.
 3. **Prune** partitions whose per-shard min/max statistics provably cannot
-   satisfy the WHERE constraints, then charge simulated IO for the *kept*
-   shards only (on the coordinator thread: IO scopes are thread-local, so
-   worker-thread charges would never reach the query's scope).
+   satisfy the scan's WHERE constraints, then — with the very helper a
+   serial scan uses — the blocks inside each kept shard whose synopses
+   cannot either, and charge simulated IO for the rows that remain (on the
+   coordinator thread: IO scopes are thread-local, so worker-thread charges
+   would never reach the query's scope).
 4. **Fan out** the partition-local pipeline to the worker pool when the
    planner cost model says the dispatch overhead is paid for, serially
    otherwise (pruning alone can justify the partitioned path).
@@ -32,14 +34,13 @@ from __future__ import annotations
 import copy
 from typing import Any, Callable
 
-from repro.core.approx.routes.constraints import extract_constraints
 from repro.core.planner.cost import CostModel
 from repro.db.operators.aggregate import Aggregate
 from repro.db.operators.filter import Filter
 from repro.db.operators.join import HashJoin
 from repro.db.operators.limit import Limit
 from repro.db.operators.project import Project
-from repro.db.operators.scan import MaterializedInput, TableScan
+from repro.db.operators.scan import MaterializedInput, TableScan, kept_rows
 from repro.db.operators.sort import Sort
 from repro.db.sql.planner import PlannedQuery, _Distinct
 from repro.db.table import Table
@@ -84,7 +85,8 @@ def _decompose(planned: PlannedQuery) -> _Decomposed | None:
         out.where = op
         op = op.child
     while isinstance(op, HashJoin):
-        if not isinstance(op.right, (TableScan, MaterializedInput)):
+        right = op.right.child if isinstance(op.right, Filter) else op.right
+        if not isinstance(right, (TableScan, MaterializedInput)):
             return None
         out.joins.append(op)
         op = op.left
@@ -120,19 +122,6 @@ class ParallelQueryEngine:
         if self.metrics is not None:
             self.metrics.inc(name, amount, **labels)
 
-    def _prunable_columns(self, base: Table, parts: _Decomposed) -> set[str]:
-        """Base columns whose bare names the WHERE can only mean the base table.
-
-        A bare column name that also exists in a join right table refers to
-        the *right* side in the join output (name collisions get prefixed,
-        non-collisions keep the right's bare name), so constraints on it
-        must not prune base partitions.
-        """
-        names = set(base.schema.names)
-        for join in parts.joins:
-            names -= set(join.right.table.schema.names)
-        return names
-
     # -- execution ----------------------------------------------------------
 
     def try_execute(self, planned: PlannedQuery) -> Table | None:
@@ -152,14 +141,19 @@ class ParallelQueryEngine:
         if entries is None or len(entries) < 2:
             return None
 
-        constraints = extract_constraints(
-            parts.where.predicate if parts.where is not None else None
-        )
-        kept, pruned_count = prune_partitions(
-            entries, constraints.by_column, self._prunable_columns(base, parts)
-        )
-        kept_rows = sum(int(e["rows"]) for e in kept)
-        fanout = self.cost_model.parallel_fanout(kept_rows, len(kept))
+        # The planner already restricted the scan's constraints to columns
+        # the WHERE can only mean the base table by.  Shards first, then —
+        # inside each kept shard — the blocks a serial scan would skip too.
+        constraints = scan.constraints
+        kept, pruned_count = prune_partitions(entries, constraints, constraints)
+        if scan.projected_columns is not None:
+            base = base.select(scan.projected_columns)
+        shards = [
+            kept_rows(base, constraints, int(e["start"]), int(e["start"]) + int(e["rows"]))
+            for e in kept
+        ]
+        rows = sum(stop - start for shard in shards for start, stop in shard.ranges)
+        fanout = self.cost_model.parallel_fanout(rows, len(kept))
         if pruned_count == 0 and fanout is None:
             return None  # nothing saved, nothing sped up
         workers, backend = fanout if fanout is not None else (1, "thread")
@@ -167,13 +161,16 @@ class ParallelQueryEngine:
         self._count("partitions_pruned_total", float(pruned_count))
         self._count("partition_tasks_total", float(len(kept)))
 
-        # Simulated IO for the kept shards, charged on the coordinator
-        # thread so the query's thread-local IO scope sees it.  Pruned
-        # shards are never charged — that is the pruning win.
+        # Simulated IO for the rows that remain, charged on the coordinator
+        # thread so the query's thread-local IO scope sees it.  Pruned shards
+        # and blocks are never charged — that is the pruning win.
+        pieces = [shard.take_from(base) for shard in shards]
         if self.io_model is not None:
-            for entry in kept:
-                piece = base.slice(int(entry["start"]), int(entry["start"]) + int(entry["rows"]))
-                self.io_model.charge_scan(piece, scan.projected_columns)
+            blocks_pruned = sum(shard.blocks_pruned for shard in shards)
+            if blocks_pruned:
+                self.io_model.skip_blocks(blocks_pruned)
+            for piece in pieces:
+                self.io_model.charge_scan(piece)
 
         # Join build sides materialise once, on the coordinator (charging
         # their scan IO once, exactly like the serial plan).
@@ -183,8 +180,9 @@ class ParallelQueryEngine:
             # All shards pruned: one empty partial keeps aggregate semantics
             # (COUNT(*) -> 0, SUM -> NULL) without special cases.
             kept = [{"id": -1, "start": 0, "rows": 0}]
+            pieces = [base.slice(0, 0)]
 
-        tasks = [self._make_task(parts, base, rights, entry) for entry in kept]
+        tasks = [self._make_task(parts, piece, rights) for piece in pieces]
         tracer = self.tracer
         if tracer is not None and tracer.active:
             # Diagnostic mode: spans are thread-local, so traced queries run
@@ -219,22 +217,15 @@ class ParallelQueryEngine:
     def _make_task(
         self,
         parts: _Decomposed,
-        base: Table,
+        piece: Table,
         rights: list[Table],
-        entry: dict[str, Any],
     ) -> Callable[[], GroupedPartial | Table]:
-        """Build one partition's task: slice -> joins -> WHERE -> partial."""
-        start = int(entry["start"])
-        stop = start + int(entry["rows"])
-        scan = parts.scan
+        """Build one partition's task: its kept rows -> joins -> WHERE -> partial."""
         aggregate = parts.aggregate
         where = parts.where
         joins = parts.joins
 
         def task():
-            piece = base.slice(start, stop)
-            if scan.projected_columns is not None:
-                piece = piece.select(scan.projected_columns)
             current = piece
             for join, right_table in zip(reversed(joins), reversed(rights)):
                 current = HashJoin(

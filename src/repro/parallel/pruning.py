@@ -7,25 +7,31 @@ of them cannot contribute a row, regardless of the residual predicate.
 Pruning happens on the coordinator before a single worker is dispatched or
 a single simulated page is charged.
 
-Rules, per constrained column with partition stats ``{min, max, null_count}``:
+This is the coarse case of the mechanism scans use on blocks: the decision
+is :meth:`ColumnConstraint.admits_ranges` either way, fed here from the
+partition map's ``{min, max, null_count}`` statistics and there from the
+column buffers' block synopses (:func:`repro.db.operators.scan.kept_rows`,
+which the engine then applies inside each shard this module keeps).
+
+Per constrained column:
 
 * ``min``/``max`` both ``None`` means the partition is all-NULL in that
   column; every extracted constraint form (comparison, BETWEEN, IN) rejects
   NULL, so the partition is prunable.
-* Interval constraints prune when
-  :meth:`ColumnConstraint.clip_interval` of ``[min, max]`` is empty.
-* Pinned-value (IN / =) constraints prune when no pinned value lies inside
-  ``[min, max]`` — cross-type comparisons that raise ``TypeError`` make the
-  column inconclusive and the partition is kept.
-* A column missing from the stats dict (tail partition, unknown schema) is
-  inconclusive: the partition is kept.
+* Otherwise the partition goes when ``[min, max]`` misses every pinned value
+  or lies outside the interval; literals the comparison kernels would coerce
+  or reject are inconclusive and keep it.
+* A column missing from the stats dict (tail partition, unknown schema) or
+  with only one extremum known is inconclusive: the partition is kept.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-from repro.core.approx.routes.constraints import ColumnConstraint
+import numpy as np
+
+from repro.db.constraints import ColumnConstraint
 
 __all__ = ["prune_partitions", "partition_admits"]
 
@@ -38,15 +44,11 @@ def _column_admits(constraint: ColumnConstraint, stats: Mapping[str, Any]) -> bo
         # All-NULL (or unknown-extremum) partition: no NULL satisfies an
         # extracted constraint, so only an all-NULL column is prunable.
         return not (part_min is None and part_max is None)
-    if constraint.values is not None:
-        try:
-            return any(part_min <= value <= part_max for value in constraint.values)
-        except TypeError:
-            return True  # cross-type comparison: inconclusive, keep
-    try:
-        return constraint.clip_interval(part_min, part_max) is not None
-    except TypeError:
-        return True
+    return bool(
+        constraint.admits_ranges(
+            np.array([part_min]), np.array([part_max]), np.zeros(1, dtype=bool)
+        )[0]
+    )
 
 
 def partition_admits(

@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.approx.routes.constraints import (
+from repro.db.constraints import (
     ColumnConstraint,
     extract_constraints,
 )

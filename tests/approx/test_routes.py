@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import LawsDatabase
-from repro.core.approx.routes.constraints import extract_constraints
+from repro.db.constraints import extract_constraints
 from repro.core.approx.routes.router import RoutingPolicy, plan_group_routing
 from repro.db.sql.parser import parse_expression
 

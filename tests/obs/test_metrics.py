@@ -134,6 +134,27 @@ class TestExporters:
         text = m.to_prometheus_text()
         assert "# HELP repro_queries_total Queries served, by route taken." in text
 
+    def test_pruning_counters_are_emitted_under_their_registered_names(self):
+        """Name audit: the counters the scan and the partitioned engine bump
+        are the ones ``_METRIC_HELP`` describes (a typo on either side would
+        export the generic help text)."""
+        from repro import AccuracyContract, LawsDatabase
+        from repro.obs.metrics import _GENERIC_HELP, _help_text
+
+        rows = 8 * 1024
+        db = LawsDatabase()
+        db.load_dict("t", {"ts": list(range(rows)), "v": [1.0] * rows})
+        exact = AccuracyContract(mode="exact")
+        db.query("SELECT count(*) FROM t WHERE ts < 100", exact)
+        db.partition_table("t", partitions=4, by="ts", scheme="range")
+        db.query("SELECT count(*) FROM t WHERE ts < 100", exact)
+
+        text = db.obs.metrics.to_prometheus_text()
+        for name in ("scan_blocks_pruned_total", "partitions_pruned_total"):
+            assert db.obs.metrics.counter_total(name) > 0, name
+            assert _help_text(name) != _GENERIC_HELP, name
+            assert f"# HELP repro_{name} {_help_text(name)}" in text
+
     def test_prometheus_help_falls_back_for_unknown_metrics(self):
         m = MetricsRegistry()
         m.inc("made_up_metric_total")

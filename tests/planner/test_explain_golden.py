@@ -91,7 +91,7 @@ def test_no_model_explain(golden_db):
         "Candidates:\n"
         "=> exact [cost≈Xms, exact]\n"
         "     · Project(n) →   Aggregate(group_by=[], aggregates=[count(*)]) →     "
-        "TableScan(t, columns=[*])\n"
+        "TableScan(t, columns=[g])\n"
         "Decision: exact — no model route applies"
     )
 

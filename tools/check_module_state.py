@@ -40,6 +40,9 @@ OBS_FREE_MODULES = (
 ALLOWLIST: dict[str, set[str]] = {
     # Read-only dtype -> extractor dispatch table.
     "src/repro/db/column.py": {"_FAST_VALUE_TYPES"},
+    # Read-only operand-swap table (``5 < x`` -> ``x > 5``); moved here
+    # from core/ with the rest of the WHERE-clause analysis.
+    "src/repro/db/constraints.py": {"_FLIP"},
     # Read-only operator / function dispatch tables.
     "src/repro/db/expressions.py": {
         "_ARITHMETIC_OPS",

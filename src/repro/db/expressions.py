@@ -491,8 +491,15 @@ def _compare(op: str, left: Column | _Constant, right: Column | _Constant) -> np
     if left.dtype is DataType.STRING or right.dtype is DataType.STRING:
         if left.dtype is not right.dtype:
             raise ExecutionError("cannot compare string column with non-string operand")
-        with np.errstate(all="ignore"):
+        valid = _both_valid(_null_free(left), _null_free(right))
+        if valid is None or op in ("=", "!="):
             values = compare(left.values, right.values)
+        else:
+            # A NULL's None does not order against a str: compare the valid
+            # rows only and leave the NULL rows unmatched.
+            sides = [v if v.ndim == 0 else v[valid] for v in (left.values, right.values)]
+            values = np.zeros(len(valid), dtype=bool)
+            values[valid] = compare(*sides)
     elif left.dtype is DataType.BOOL or right.dtype is DataType.BOOL:
         values = compare(left.values.astype(np.int64), right.values.astype(np.int64))
     else:

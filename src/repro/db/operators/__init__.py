@@ -14,6 +14,7 @@ from repro.db.operators.aggregate import Aggregate, AggregateSpec
 from repro.db.operators.join import HashJoin
 from repro.db.operators.sort import Sort
 from repro.db.operators.limit import Limit
+from repro.db.operators.topn import TopN
 
 __all__ = [
     "Operator",
@@ -27,4 +28,5 @@ __all__ = [
     "HashJoin",
     "Sort",
     "Limit",
+    "TopN",
 ]

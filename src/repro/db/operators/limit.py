@@ -9,7 +9,11 @@ __all__ = ["Limit"]
 
 
 class Limit(Operator):
-    """Return at most ``count`` rows, skipping the first ``offset`` rows."""
+    """Return at most ``count`` rows, skipping the first ``offset`` rows.
+
+    Planned for ``LIMIT`` without ``ORDER BY``; with one, the planner emits
+    :class:`~repro.db.operators.topn.TopN` instead.
+    """
 
     def __init__(self, child: Operator, count: int, offset: int = 0) -> None:
         self.child = child

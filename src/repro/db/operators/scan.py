@@ -10,10 +10,16 @@ from repro.db.column import BLOCK_ROWS
 from repro.db.constraints import ColumnConstraint
 from repro.db.io_model import IOModel
 from repro.db.operators.base import Operator
+from repro.db.operators.sort import render_sort_keys
 from repro.db.table import Table
+from repro.db.types import DataType, null_value
 from repro.errors import CatalogError
 
-__all__ = ["TableScan", "MaterializedInput", "KeptRows", "kept_rows"]
+__all__ = ["TableScan", "MaterializedInput", "KeptRows", "TopBound", "kept_rows"]
+
+#: ``(column, ascending, count)``: only rows that can be among the first
+#: ``count`` of a stable sort led by ``column`` are wanted.
+TopBound = tuple[str, bool, int]
 
 
 class KeptRows:
@@ -49,17 +55,21 @@ def kept_rows(
     constraints: Mapping[str, ColumnConstraint],
     start: int = 0,
     stop: int | None = None,
+    top: TopBound | None = None,
 ) -> KeptRows:
-    """Rows ``[start, stop)`` of ``table`` minus the blocks proven empty.
+    """Rows ``[start, stop)`` of ``table`` minus the blocks proven useless.
 
     ``constraints`` are *necessary* conditions on ``table``'s own columns
     (:func:`repro.db.constraints.extract_constraints` over the WHERE clause),
     so a block whose min/max synopsis cannot satisfy one of them contributes
-    no row whatever the rest of the predicate says.  Blocks are aligned to
-    row 0 of the table; the partial tail block has no synopsis and is always
-    kept.  Serial scans pass the whole table, the partitioned engine one
-    shard's window of the same table — both read the synopses cached on the
-    table's column buffers.
+    no row whatever the rest of the predicate says.  ``top`` says that only
+    the best ``count`` rows of the whole table by a column are wanted, which
+    lets :func:`_cannot_win` rule out blocks too — sound only when every row
+    of the table competes, so callers pass it without constraints.  Blocks are
+    aligned to row 0 of the table; the partial tail block has no synopsis and
+    is always kept.  Serial scans pass the whole table, the partitioned engine
+    one shard's window of the same table — both read the synopses cached on
+    the table's column buffers.
     """
     stop = table.num_rows if stop is None else stop
     first = start // BLOCK_ROWS
@@ -71,6 +81,8 @@ def kept_rows(
         for name, constraint in constraints.items():
             mins, maxs, all_null = table.column(name).block_synopsis()
             keep[:complete] &= constraint.admits_ranges(mins[window], maxs[window], all_null[window])
+        if top is not None:
+            keep[:complete] &= ~_cannot_win(table, top)[window]
     if keep.all():
         return KeptRows([(start, stop)] if stop > start else [], total, total)
     # Runs of kept blocks -> row ranges, clipped to the window.
@@ -82,6 +94,34 @@ def kept_rows(
     return KeptRows(ranges, int(keep.sum()), total)
 
 
+def _cannot_win(table: Table, top: TopBound) -> np.ndarray:
+    """Which complete blocks of ``table`` cannot hold one of its best ``count`` rows.
+
+    A complete block that is not all NULL holds at least one row as good as
+    its own extreme (its max for a descending key, its min for an ascending
+    one).  With ``tau`` the ``count``-th best of those extremes, at least
+    ``count`` rows are as good as ``tau``, so a block whose extreme is
+    strictly worse holds no winner whatever the secondary keys say — a tie
+    with ``tau`` stays, and nothing goes when fewer than ``count`` blocks
+    qualify.
+    """
+    name, ascending, count = top
+    column = table.column(name)
+    mins, maxs, all_null = column.block_synopsis()
+    extremes = mins if ascending else maxs
+    qualifies = ~all_null
+    if column.dtype is DataType.INT64:
+        # A stored INT64 sentinel is a value to the synopsis but a NULL to
+        # the sort: a block whose extreme it is proves nothing.
+        qualifies &= extremes != null_value(DataType.INT64)
+    if qualifies.sum() < count:
+        return np.zeros(len(extremes), dtype=bool)
+    ranked = np.sort(extremes[qualifies])
+    if ascending:
+        return qualifies & (extremes > ranked[count - 1])
+    return qualifies & (extremes < ranked[-count])
+
+
 class TableScan(Operator):
     """Scan a base table, charging the simulated IO model for the bytes read.
 
@@ -89,11 +129,14 @@ class TableScan(Operator):
     touches (columnar storage means unread columns cost no IO), and
     ``constraints`` — the WHERE clause's necessary per-column conditions on
     this table — let it skip every block whose min/max synopsis proves it
-    empty (:func:`kept_rows`).  That is what makes the zero-IO comparison
-    honest: the raw-scan side is charged only for the projected columns over
-    the rows it hands on, and the ``Filter`` above still evaluates the whole
-    predicate on exactly those rows.  Without constraints (or when no block
-    can be ruled out) the bound table passes through untouched.
+    empty (:func:`kept_rows`).  ``top`` — set when a ``TopN`` sits above with
+    nothing in between that drops, adds or changes a row — lets it skip the
+    blocks that cannot hold one of the best rows the same way.  That is what
+    makes the zero-IO comparison honest: the raw-scan side is charged only
+    for the projected columns over the rows it hands on, and the ``Filter`` or
+    ``TopN`` above still does its whole job on exactly those rows.  With
+    neither (or when no block can be ruled out) the bound table passes
+    through untouched.
 
     Plans are cached and shared across executions (and threads), so the scan
     binds its table *per execution*: when a ``catalog`` was provided it
@@ -110,12 +153,14 @@ class TableScan(Operator):
         projected_columns: list[str] | None = None,
         catalog=None,
         constraints: Mapping[str, ColumnConstraint] | None = None,
+        top: TopBound | None = None,
     ) -> None:
         self.table = table
         self.io_model = io_model
         self.projected_columns = projected_columns
         self.catalog = catalog
         self.constraints = constraints or {}
+        self.top = top
 
     def _bind_table(self) -> Table:
         """This execution's frozen view of the scanned table.
@@ -139,8 +184,8 @@ class TableScan(Operator):
         table = self._bind_table()
         if self.projected_columns is not None:
             table = table.select(self.projected_columns)
-        if self.constraints:
-            kept = kept_rows(table, self.constraints)
+        if self.constraints or self.top is not None:
+            kept = kept_rows(table, self.constraints, top=self.top)
             if kept.blocks_pruned:
                 table = kept.take_from(table)
                 if self.io_model is not None:
@@ -151,11 +196,15 @@ class TableScan(Operator):
 
     def describe(self) -> str:
         cols = "*" if self.projected_columns is None else ", ".join(self.projected_columns)
-        if not self.constraints:
+        if not self.constraints and self.top is None:
             return f"TableScan({self.table.name}, columns=[{cols}])"
-        kept = kept_rows(self._bind_table(), self.constraints)
+        kept = kept_rows(self._bind_table(), self.constraints, top=self.top)
+        top = ""
+        if self.top is not None:
+            name, ascending, count = self.top
+            top = f"top={render_sort_keys([(name, ascending)])} {count}, "
         return (
-            f"TableScan({self.table.name}, columns=[{cols}], "
+            f"TableScan({self.table.name}, columns=[{cols}], {top}"
             f"blocks={kept.blocks_kept}/{kept.blocks_total})"
         )
 

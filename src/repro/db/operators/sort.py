@@ -5,11 +5,20 @@ from __future__ import annotations
 from repro.db.operators.base import Operator
 from repro.db.table import Table
 
-__all__ = ["Sort"]
+__all__ = ["Sort", "render_sort_keys"]
+
+
+def render_sort_keys(keys: list[tuple[str, bool]]) -> str:
+    """``x DESC, ts ASC`` — how plans print ``(column, ascending)`` keys."""
+    return ", ".join(f"{name} {'ASC' if asc else 'DESC'}" for name, asc in keys)
 
 
 class Sort(Operator):
-    """Stable multi-key sort; keys are ``(column_name, ascending)`` pairs."""
+    """Stable multi-key sort; keys are ``(column_name, ascending)`` pairs.
+
+    Planned for ``ORDER BY`` without ``LIMIT``; with one, the planner emits
+    :class:`~repro.db.operators.topn.TopN` instead.
+    """
 
     def __init__(self, child: Operator, keys: list[tuple[str, bool]]) -> None:
         self.child = child
@@ -19,8 +28,7 @@ class Sort(Operator):
         return [self.child]
 
     def describe(self) -> str:
-        rendered = ", ".join(f"{name} {'ASC' if asc else 'DESC'}" for name, asc in self.keys)
-        return f"Sort({rendered})"
+        return f"Sort({render_sort_keys(self.keys)})"
 
     def execute(self) -> Table:
         table = self.child.execute()

@@ -4,12 +4,18 @@ The planner turns a parsed :class:`~repro.db.sql.ast.SelectStatement` into a
 tree of physical operators:
 
 ``Scan -> [HashJoin]* -> Filter(WHERE) -> Aggregate -> Filter(HAVING) ->
-Project -> Distinct -> Sort -> Limit``
+Project -> Distinct -> Sort | Limit | TopN -> Project(strip hidden sort columns)``
+
+``ORDER BY`` alone plans a ``Sort``, ``LIMIT`` alone a ``Limit``, and the two
+together one ``TopN`` that selects the wanted rows instead of sorting all.
 
 The WHERE clause also reaches below that ``Filter``: every base-table scan is
 handed the clause's *necessary* per-column constraints on its own columns, so
 it can skip blocks its min/max synopses prove empty, and a top-level conjunct
 that only reads a join's right table filters that build side before the join.
+A ``TopN`` reaches the scan the same way when only the ``Project`` lies
+between them and its primary key is a bare column: the scan then skips the
+blocks that cannot hold one of the best rows.
 
 It also performs name resolution: qualified column references
 (``m.intensity``) are rewritten to the actual column names of the (joined)
@@ -47,8 +53,10 @@ from repro.db.operators import (
     Projection,
     Sort,
     TableScan,
+    TopN,
 )
 from repro.db.operators.aggregate import SUPPORTED_AGGREGATES
+from repro.db.operators.scan import TopBound
 from repro.db.sql.ast import SelectStatement, Star
 from repro.db.table import Table
 from repro.errors import SQLPlanningError, UnsupportedSQLError
@@ -125,18 +133,26 @@ class _PlanBuilder:
         hidden: list[Projection] = []
         if statement.order_by and not statement.distinct:
             hidden = self._hidden_sort_projections(output_names, post_available)
+        keys = self._resolve_order_keys(output_names + [p.name for p in hidden])
+        bounded = bool(keys) and statement.limit is not None
+        if bounded and isinstance(plan, TableScan) and not statement.distinct:
+            # Only the projection lies between the scan and the TopN, so
+            # every row the scan hands on competes.
+            top = self._top_bound(projections + hidden, keys[0])
+            plan = self._scan(plan.table, None, set(), top)
         plan = Project(plan, projections + hidden)
 
         if statement.distinct:
             plan = _Distinct(plan)
 
-        if statement.order_by:
-            plan = Sort(plan, self._resolve_order_keys(output_names + [p.name for p in hidden]))
-            if hidden:
-                plan = Project(plan, [Projection(ColumnRef(name), alias=name) for name in output_names])
-
-        if statement.limit is not None:
+        if bounded:
+            plan = TopN(plan, keys, statement.limit, statement.offset)
+        elif keys:
+            plan = Sort(plan, keys)
+        elif statement.limit is not None:
             plan = Limit(plan, statement.limit, statement.offset)
+        if hidden:
+            plan = Project(plan, [Projection(ColumnRef(name), alias=name) for name in output_names])
 
         referenced = self._collect_referenced_columns()
         return PlannedQuery(
@@ -228,7 +244,13 @@ class _PlanBuilder:
             plan = HashJoin(plan, right, left_keys, right_keys)
         return plan, where
 
-    def _scan(self, table: Table, predicate: Expression | None, prunable: set[str]) -> TableScan:
+    def _scan(
+        self,
+        table: Table,
+        predicate: Expression | None,
+        prunable: set[str],
+        top: TopBound | None = None,
+    ) -> TableScan:
         """A scan of ``table`` that may prune on ``predicate``'s ``prunable`` columns."""
         constraints: dict[str, ColumnConstraint] = {
             name: constraint
@@ -236,8 +258,29 @@ class _PlanBuilder:
             if name in prunable
         }
         return TableScan(
-            table, self.io_model, self._scan_columns(table), catalog=self.catalog, constraints=constraints
+            table,
+            self.io_model,
+            self._scan_columns(table),
+            catalog=self.catalog,
+            constraints=constraints,
+            top=top,
         )
+
+    def _top_bound(
+        self, projections: list[Projection], primary: tuple[str, bool]
+    ) -> TopBound | None:
+        """What a scan right below ``projections`` may know of the ``TopN`` above them.
+
+        The primary sort key names an output column (directly, by alias or by
+        ordinal); the scan can rank its blocks by it only when that output is
+        one of the table's columns as stored.
+        """
+        name, ascending = primary
+        source = next(p.expression for p in projections if p.name == name)
+        wanted = self.statement.limit + self.statement.offset
+        if isinstance(source, ColumnRef) and wanted > 0:
+            return source.name, ascending, wanted
+        return None
 
     def _scan_columns(self, table: Table) -> list[str] | None:
         """Restrict the scan to the columns the query references, when possible."""

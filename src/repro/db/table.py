@@ -279,34 +279,74 @@ class Table:
     def sort_by(self, keys: Sequence[tuple[str, bool]]) -> "Table":
         """Sort by a list of ``(column, ascending)`` keys (stable).
 
-        Vectorized via :func:`np.lexsort` over per-key rank codes: every key
-        column is ranked with :func:`np.unique` (which orders strings and
-        numbers alike), descending keys flip the ranks, and NULLs always rank
-        after every value so they sort last in both directions.
+        Vectorized via :func:`np.lexsort`: a numeric or boolean key column is
+        its own sort code (negated for descending), a string column is ranked
+        with :func:`np.unique`, and NULLs always sort after every value, in
+        both directions.
         """
         if self.num_rows == 0 or not keys:
             return self
         # np.lexsort sorts by the *last* key array first, so pass the primary
         # key last; lexsort is stable, matching the previous per-key
         # stable-sort semantics (ties keep their original row order).
-        sort_keys = [self._sort_codes(name, ascending) for name, ascending in reversed(list(keys))]
+        sort_keys: list[np.ndarray] = []
+        for name, ascending in reversed(list(keys)):
+            sort_keys.extend(self._sort_arrays(name, ascending))
         order = np.lexsort(sort_keys)
         return self.take(order)
 
-    def _sort_codes(self, name: str, ascending: bool) -> np.ndarray:
-        """Int64 rank codes for one sort key: NULLs last in both directions."""
+    def top_n(self, keys: Sequence[tuple[str, bool]], count: int) -> "Table":
+        """The first ``count`` rows of ``sort_by(keys)``, without sorting the rest.
+
+        :func:`np.partition` finds the ``count``-th best non-NULL value of the
+        primary key; only the rows at least that good (ties included, in row
+        order) go through the stable sort, so the result is
+        ``sort_by(keys).head(count)`` row for row.  With fewer than ``count``
+        non-NULL rows the NULLs are needed too and the whole table is sorted.
+        """
+        if count <= 0:
+            return self.slice(0, 0)
+        name, ascending = keys[0]
+        column = self.column(name)
+        present = ~column.null_mask()
+        rows = None if present.all() else np.flatnonzero(present)
+        values = column.values if rows is None else column.values[rows]
+        if len(values) <= count:
+            return self.sort_by(keys).head(count)
+        if ascending:
+            bound = np.partition(values, count - 1)[count - 1]
+            hits = np.flatnonzero(values <= bound)
+        else:
+            kth = len(values) - count
+            bound = np.partition(values, kth)[kth]
+            hits = np.flatnonzero(values >= bound)
+        candidates = hits if rows is None else rows[hits]
+        return self.take(candidates).sort_by(keys).head(count)
+
+    def _sort_arrays(self, name: str, ascending: bool) -> list[np.ndarray]:
+        """``np.lexsort`` key arrays for one sort key, least significant first.
+
+        NULLs (NaN and the INT64 sentinel included) sort last in both
+        directions: their mask is the more significant array, and their
+        values are levelled so they tie among themselves.
+        """
         column = self.column(name)
         nulls = column.null_mask()
         values = column.values
-        codes = np.empty(len(values), dtype=np.int64)
-        present = ~nulls
-        if not present.any():
-            codes[:] = 0
-            return codes
-        uniques, inverse = np.unique(values[present], return_inverse=True)
-        codes[present] = inverse if ascending else (len(uniques) - 1) - inverse
-        codes[nulls] = len(uniques)
-        return codes
+        if column.dtype is DataType.STRING:
+            codes = np.zeros(len(values), dtype=np.int64)
+            present = ~nulls
+            if present.any():
+                uniques, inverse = np.unique(values[present], return_inverse=True)
+                codes[present] = inverse if ascending else (len(uniques) - 1) - inverse
+                codes[nulls] = len(uniques)
+            return [codes]
+        if not ascending:
+            # ``-v`` would overflow at the smallest INT64; ``~v`` = -v - 1 cannot.
+            values = -values if column.dtype is DataType.FLOAT64 else ~values
+        if not nulls.any():
+            return [values]
+        return [np.where(nulls, values.dtype.type(0), values), nulls]
 
     # -- storage accounting -----------------------------------------------------------
 

@@ -4,9 +4,9 @@
 root execution.  Given a planned SELECT it decides, per query, whether the
 partitioned path applies and pays:
 
-1. **Decompose** the fixed planner pipeline into *uppers* (Limit / Sort /
-   Distinct / Project / HAVING-Filter and the Aggregate) and the *lower*
-   scan→join→WHERE pipeline that is partition-local.
+1. **Decompose** the fixed planner pipeline into *uppers* (Project / TopN,
+   Sort or Limit / Distinct / HAVING-Filter and the Aggregate) and the
+   *lower* scan→join→WHERE pipeline that is partition-local.
 2. **Pin** the base table (the scan's pin-aware binding) and validate the
    committed partition map against the pinned row count — MVCC snapshots
    see the map of their commit, so the partition list is consistent with
@@ -14,7 +14,8 @@ partitioned path applies and pays:
 3. **Prune** partitions whose per-shard min/max statistics provably cannot
    satisfy the scan's WHERE constraints, then — with the very helper a
    serial scan uses — the blocks inside each kept shard whose synopses
-   cannot either, and charge simulated IO for the rows that remain (on the
+   cannot either (or, under a scan's top bound, cannot hold one of the
+   table's best rows), and charge simulated IO for the rows that remain (on the
    coordinator thread: IO scopes are thread-local, so worker-thread charges
    would never reach the query's scope).
 4. **Fan out** the partition-local pipeline to the worker pool when the
@@ -42,6 +43,7 @@ from repro.db.operators.limit import Limit
 from repro.db.operators.project import Project
 from repro.db.operators.scan import MaterializedInput, TableScan, kept_rows
 from repro.db.operators.sort import Sort
+from repro.db.operators.topn import TopN
 from repro.db.sql.planner import PlannedQuery, _Distinct
 from repro.db.table import Table
 from repro.parallel.kernels import GroupedPartial, partial_aggregate
@@ -52,7 +54,7 @@ from repro.parallel.pruning import prune_partitions
 
 __all__ = ["ParallelQueryEngine"]
 
-_UPPER_OPS = (Limit, Sort, _Distinct, Project)
+_UPPER_OPS = (Limit, Sort, TopN, _Distinct, Project)
 
 
 class _Decomposed:
@@ -144,12 +146,14 @@ class ParallelQueryEngine:
         # The planner already restricted the scan's constraints to columns
         # the WHERE can only mean the base table by.  Shards first, then —
         # inside each kept shard — the blocks a serial scan would skip too.
+        # A top-bounded scan has no WHERE, so no shard goes; whether the few
+        # blocks it keeps are worth a dispatch is the gate's call below.
         constraints = scan.constraints
         kept, pruned_count = prune_partitions(entries, constraints, constraints)
         if scan.projected_columns is not None:
             base = base.select(scan.projected_columns)
         shards = [
-            kept_rows(base, constraints, int(e["start"]), int(e["start"]) + int(e["rows"]))
+            kept_rows(base, constraints, int(e["start"]), int(e["start"]) + int(e["rows"]), scan.top)
             for e in kept
         ]
         rows = sum(stop - start for shard in shards for start, stop in shard.ranges)

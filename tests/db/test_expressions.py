@@ -82,6 +82,24 @@ class TestComparisons:
         with pytest.raises(ExecutionError):
             col("s").eq(lit(1)).evaluate(table)
 
+    def test_ordering_a_string_column_with_nulls_leaves_them_unmatched(self):
+        """Regression: ``None < 'b'`` raised TypeError inside the kernel."""
+        table = Table.from_dict("t", {"s": ["a", None, "c", "b"], "u": ["b", "b", None, "a"]})
+        for expression, expected in [
+            (col("s") < lit("b"), [True, None, False, False]),
+            (lit("b") >= col("s"), [True, None, False, True]),
+            (col("s") > col("u"), [False, None, None, True]),
+            (col("s").between("a", "b"), [True, None, False, True]),
+            (Between(col("s"), col("u"), lit("z")), [False, None, None, True]),
+            (col("s").ne(lit("a")), [False, None, True, True]),
+        ]:
+            result = expression.evaluate(table)
+            assert result.to_pylist() == expected, str(expression)
+            assert truthy_mask(result).tolist() == [value is True for value in expected]
+        assert truthy_mask(UnaryOp("not", col("s") < lit("b")).evaluate(table)).tolist() == [
+            False, False, True, True,
+        ]  # fmt: skip
+
     def test_truthy_mask_treats_null_as_false(self, table):
         mask = truthy_mask((col("a") > lit(1)).evaluate(table))
         assert mask.tolist() == [False, True, True, False]

@@ -33,6 +33,14 @@ QUERIES = [
     "WHERE y < 600 GROUP BY label ORDER BY label",
     "SELECT id, label FROM facts JOIN dim ON facts.k = dim.k WHERE y < 40 ORDER BY id LIMIT 25",
     "SELECT k, y, count(*) FROM facts GROUP BY k, y ORDER BY k, y LIMIT 40",
+    # ORDER BY ... LIMIT without WHERE: the base scan is top-bounded (fully ordered,
+    # so re-clustered tables agree too; NULL x sorts last in both directions).
+    "SELECT id, x, y FROM facts ORDER BY y DESC, id LIMIT 12",
+    "SELECT id, x FROM facts ORDER BY x LIMIT 10 OFFSET 5",
+    "SELECT id, k FROM facts ORDER BY x DESC, id LIMIT 2000 OFFSET 1990",
+    # ... and with one: a plain TopN over the pruned, filtered shards.
+    "SELECT id, y FROM facts WHERE y < 300 ORDER BY y DESC, id LIMIT 9 OFFSET 2",
+    "SELECT id, x FROM facts WHERE y BETWEEN 50 AND 400 AND x > 15 ORDER BY x DESC LIMIT 10",
 ]
 
 

@@ -96,6 +96,31 @@ def test_no_model_explain(golden_db):
     )
 
 
+def test_top_n_explain():
+    """``scan_exact``'s top-N text: one ``TopN``, and a scan that says what it skips."""
+    from repro.db.column import BLOCK_ROWS
+
+    rows = 20 * BLOCK_ROWS + 288
+    db = LawsDatabase(verify_sample_fraction=0.0)
+    # 7919 is coprime to ``rows``: every value once, large ones in every block.
+    db.load_dict("fact", {"x": [float(i * 7919 % rows) for i in range(rows)], "ts": list(range(rows))})
+    sql = "SELECT ts, x FROM fact ORDER BY x DESC LIMIT 10"
+    assert _normalize(db.explain(sql, AccuracyContract(mode="exact"))) == (
+        "Query: SELECT ts, x FROM fact ORDER BY x DESC LIMIT 10\n"
+        "Contract: mode=exact\n"
+        "Cost model: SRC\n"
+        "Candidates:\n"
+        "=> exact [cost≈Xms, exact]\n"
+        "     · TopN(x DESC, count=10, offset=0) →   Project(ts, x) →     "
+        "TableScan(fact, columns=[x, ts], top=x DESC 10, blocks=11/21)\n"
+        "Decision: exact — contract pins exact execution"
+    )
+    analyzed = db.explain_analyze(sql, AccuracyContract(mode="exact"))
+    assert "· operator: TableScan(fact, columns=[x, ts], top=x DESC 10, blocks=11/21)\n" in analyzed
+    assert "· blocks_pruned: 10\n" in analyzed
+    assert "io=21 page(s)" in analyzed  # (10 * 1024 + 288) rows x 16 B
+
+
 def test_explain_reports_route_cost_and_error_per_node(golden_db):
     """Every candidate node shows its route, predicted cost and error."""
     text = golden_db.explain(

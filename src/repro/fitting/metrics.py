@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
+
+from repro.fitting.distributions import f_survival
 
 __all__ = [
     "residual_standard_error",
@@ -118,7 +119,7 @@ def f_test_nested(
         return FTestResult(f_statistic=math.inf, p_value=0.0, df_numerator=df_num, df_denominator=df_den)
     f_stat = ((ssr_reduced - ssr_full) / df_num) / (ssr_full / df_den)
     f_stat = max(f_stat, 0.0)
-    p_value = float(scipy_stats.f.sf(f_stat, df_num, df_den))
+    p_value = f_survival(f_stat, df_num, df_den)
     return FTestResult(f_statistic=float(f_stat), p_value=p_value, df_numerator=df_num, df_denominator=df_den)
 
 

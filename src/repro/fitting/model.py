@@ -126,6 +126,10 @@ class FitResult:
         named = self._as_named(inputs)
         return self.family.predict(named, self.params)
 
+    def design_matrix(self, inputs: Mapping[str, np.ndarray] | np.ndarray) -> np.ndarray:
+        """Design matrix X of a linear family for new inputs (``predict = X @ params``)."""
+        return self.family.design_matrix(self._as_named(inputs))
+
     def predict_with_error(
         self, inputs: Mapping[str, np.ndarray] | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats as scipy_stats
 
+from repro.fitting.distributions import student_t_quantile
 from repro.fitting.model import FitResult
 
 __all__ = ["PredictionInterval", "predict_interval"]
@@ -46,23 +46,28 @@ def predict_interval(
     Scalar inputs are treated as single points.  For families with a known
     design matrix and covariance, the interval accounts for both parameter
     uncertainty and residual noise; otherwise the residual standard error
-    alone is used (a conservative, model-agnostic bound).
+    alone is used (a conservative, model-agnostic bound).  ``confidence`` is
+    a probability strictly between 0 and 1; anything else is a ``ValueError``.
     """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence!r}")
     arrays = {
         name: np.atleast_1d(np.asarray(value, dtype=np.float64)) for name, value in inputs.items()
     }
     n_points = len(next(iter(arrays.values())))
-    predictions = fit.predict(arrays)
-
-    dof = max(fit.degrees_of_freedom, 1)
-    t_value = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+    t_value = student_t_quantile(0.5 + confidence / 2.0, max(fit.degrees_of_freedom, 1))
 
     standard_errors = np.full(n_points, fit.residual_standard_error, dtype=np.float64)
-    if fit.family.is_linear and fit.covariance is not None and np.all(np.isfinite(fit.covariance)):
-        design = fit.family.design_matrix(arrays)
-        param_variance = np.einsum("ij,jk,ik->i", design, fit.covariance, design)
-        param_variance = np.clip(param_variance, 0.0, None)
-        standard_errors = np.sqrt(fit.residual_standard_error**2 + param_variance)
+    if fit.family.is_linear:
+        # One design matrix serves the prediction and the covariance term.
+        design = fit.design_matrix(arrays)
+        predictions = design @ np.asarray(fit.params, dtype=np.float64)
+        if fit.covariance is not None and np.all(np.isfinite(fit.covariance)):
+            param_variance = np.einsum("ij,jk,ik->i", design, fit.covariance, design)
+            param_variance = np.clip(param_variance, 0.0, None)
+            standard_errors = np.sqrt(fit.residual_standard_error**2 + param_variance)
+    else:
+        predictions = fit.predict(arrays)
 
     intervals = []
     for value, se in zip(predictions, standard_errors):

@@ -1,10 +1,15 @@
 """Tests for goodness-of-fit metrics and prediction intervals."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.errors import FittingError
 from repro.fitting import (
+    Constant,
     LinearModel,
+    Polynomial,
     PowerLaw,
     adjusted_r_squared,
     aic,
@@ -90,6 +95,16 @@ class TestMetrics:
         result = f_test_nested(y, reduced, y, 1, 2)
         assert result.p_value == 0.0
 
+    def test_f_test_non_finite_residuals_give_nan_p_value(self):
+        # A robust fit can hand over non-finite predictions; the statistic is
+        # then NaN and the p-value must say so rather than raise or hang.
+        y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        full = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
+        result = f_test_nested(y, np.full(5, y.mean()), full, 1, 2)
+        assert math.isnan(result.f_statistic)
+        assert math.isnan(result.p_value)
+        assert not result.significant()
+
 
 class TestPredictionIntervals:
     def test_interval_contains_truth_for_linear(self):
@@ -124,3 +139,42 @@ class TestPredictionIntervals:
         intervals = predict_interval(fit, {"x": np.array([0.1, 0.2, 0.3])})
         assert len(intervals) == 3
         assert str(intervals[0])  # renders without error
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, 95, float("nan")])
+    def test_confidence_outside_open_unit_interval_is_rejected(self, confidence):
+        # These used to come back as NaN (c > 1) or infinite (c = 1) bounds,
+        # which made contains() quietly always-false / always-true.
+        x = np.linspace(0, 1, 50)
+        fit = fit_model(LinearModel(("x",)), {"x": x}, 2 * x)
+        with pytest.raises(ValueError, match="confidence"):
+            predict_interval(fit, {"x": 0.5}, confidence=confidence)
+
+    @pytest.mark.parametrize(
+        "family, columns",
+        [
+            (LinearModel(("a", "b")), ("a", "b")),
+            (LinearModel(("a",), intercept=False), ("a",)),
+            (Polynomial(3), ("a",)),
+            (Constant(), ("a",)),
+        ],
+    )
+    def test_linear_family_values_are_bit_equal_to_fit_predict(self, family, columns):
+        # predict_interval builds the design matrix once and multiplies it
+        # out itself; the values must be the ones fit.predict returns.
+        rng = np.random.default_rng(6)
+        data = {name: rng.uniform(-3, 3, 200) for name in columns}
+        y = 0.5 + sum(data.values()) + rng.normal(0, 0.2, 200)
+        fit = fit_model(family, data, y)
+        points = {name: rng.uniform(-5, 5, 17) for name in columns}
+        intervals = predict_interval(fit, points)
+        assert [interval.value for interval in intervals] == fit.predict(points).tolist()
+        scalar = {name: float(values[0]) for name, values in points.items()}
+        first = {name: values[:1] for name, values in points.items()}
+        assert predict_interval(fit, scalar)[0].value == fit.predict(first)[0]
+        assert all(interval.standard_error >= fit.residual_standard_error for interval in intervals)
+
+    def test_missing_input_is_still_a_fitting_error(self):
+        x = np.linspace(0, 1, 50)
+        fit = fit_model(LinearModel(("x",)), {"x": x}, 2 * x)
+        with pytest.raises(FittingError, match="missing input"):
+            predict_interval(fit, {"z": 0.5})

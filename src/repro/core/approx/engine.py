@@ -35,6 +35,7 @@ Answer routes
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable
@@ -131,9 +132,9 @@ class ApproximateAnswer:
     io: dict[str, float] = field(default_factory=dict)
     virtual_rows_generated: int = 0
     #: group key -> result column -> standard error (grouped routes only)
-    group_errors: dict[tuple, dict[str, float]] = field(default_factory=dict)
+    group_errors: Mapping[tuple, dict[str, float]] = field(default_factory=dict)
     #: group key -> result column -> value (grouped routes only)
-    group_values: dict[tuple, dict[str, Any]] = field(default_factory=dict)
+    group_values: Mapping[tuple, dict[str, Any]] = field(default_factory=dict)
     #: group key -> serving provenance ("model#<id>" / "exact"; grouped routes)
     group_routes: dict[tuple, str] = field(default_factory=dict)
 
@@ -410,7 +411,7 @@ class ApproximateQueryEngine:
             live = current_group_rows(stats, grouped.analysis.group_columns)
             if live is not None:
                 uncovered_rows = float(
-                    sum(live.get(a.key, 0.0) for a in routing.exact_groups)
+                    sum(live.get(a.key[0], 0) for a in routing.exact_groups)
                 )
             else:
                 # No live per-group counts: assume uniform group sizes.

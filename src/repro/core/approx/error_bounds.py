@@ -10,7 +10,10 @@ the (paper-consistent) assumption of independent, zero-mean residuals.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["ErrorEstimate", "aggregate_error", "combine_independent", "extreme_value_error"]
 
@@ -40,22 +43,24 @@ class ErrorEstimate:
         return f"{self.value:.6g} ± {1.96 * self.standard_error:.3g}"
 
 
-def combine_independent(errors: list[float]) -> float:
+def combine_independent(errors: "Sequence[float] | np.ndarray") -> float:
     """Standard error of a sum of independent errors (root-sum-square)."""
-    return math.sqrt(sum(e * e for e in errors))
+    return float(np.sqrt(np.sum(np.square(np.asarray(errors, dtype=np.float64)))))
 
 
-def extreme_value_error(per_row_error: float, n_rows: float) -> float:
+def extreme_value_error(
+    per_row_error: "float | np.ndarray", n_rows: "float | np.ndarray"
+) -> "float | np.ndarray":
     """Standard error for MIN/MAX of a model over ``n_rows`` noisy raw rows.
 
     The model predicts the *noise-free* extreme; the observed extreme of
     ``n`` rows with residual sd ``per_row_error`` concentrates around
     ``per_row_error * sqrt(2 ln n)`` beyond it (the Gaussian extreme-value
     rate), so that is the honest band to attach — the plain per-row error
-    undercovers for any non-trivial group size.
+    undercovers for any non-trivial group size.  Scalars or aligned arrays
+    (one entry per group).
     """
-    n = max(float(n_rows), 2.0)
-    return per_row_error * math.sqrt(2.0 * math.log(n))
+    return per_row_error * np.sqrt(2.0 * np.log(np.maximum(n_rows, 2.0)))
 
 
 def aggregate_error(function: str, per_row_error: float, n_rows: int) -> float:

@@ -18,8 +18,6 @@ appends have marked the model stale).
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -35,7 +33,7 @@ from repro.db.sql.ast import SelectStatement, Star
 from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.db.types import DataType
-from repro.fitting.model import FitResult
+from repro.fitting.model import ModelFamily
 
 __all__ = [
     "ROUTE_AGGREGATES",
@@ -48,8 +46,8 @@ __all__ = [
     "staleness_rows",
     "build_result_table",
     "DomainEvaluation",
-    "evaluate_fit_over_domains",
-    "aggregate_value_error",
+    "evaluate_over_domains",
+    "aggregate_values_errors",
 ]
 
 #: Aggregate functions the model-backed routes know how to weight.
@@ -218,24 +216,22 @@ def growth_scale(model: CapturedModel, stats: TableStats) -> float:
 
 def current_group_rows(
     stats: TableStats, group_columns: tuple[str, ...]
-) -> dict[tuple[Any, ...], float] | None:
-    """Live per-group row counts from the catalog statistics.
+) -> dict[Any, int] | None:
+    """Live row counts per group *value*, from the catalog statistics.
 
     For a single enumerable group column the catalog's per-value frequency
     counts *are* the current group cardinalities — no growth heuristics
     needed, COUNT/SUM stay exact even when streaming appends landed in just
-    one group or formed brand-new groups.  None when the group key is
-    multi-column or the column has no materialised domain.
+    one group or formed brand-new groups.  Keyed by the column's bare value
+    (``key[0]`` of a group key).  None when the group key is multi-column or
+    the column has no materialised domain.
     """
     if len(group_columns) != 1:
         return None
     column_stats = stats.columns.get(group_columns[0])
     if column_stats is None or column_stats.domain is None or column_stats.domain_counts is None:
         return None
-    return {
-        (value,): float(count)
-        for value, count in zip(column_stats.domain, column_stats.domain_counts)
-    }
+    return dict(zip(column_stats.domain, column_stats.domain_counts))
 
 
 def staleness_rows(model: CapturedModel, stats: TableStats) -> float | None:
@@ -254,42 +250,59 @@ def staleness_rows(model: CapturedModel, stats: TableStats) -> float | None:
 
 @dataclass
 class DomainEvaluation:
-    """A fit evaluated over a restricted input domain, with row weighting."""
+    """``G`` fits evaluated over one restricted input domain, with row weighting.
 
+    The grid, its point weights and the restriction are shared by every
+    group; what differs per group — predictions, covered rows, residual
+    standard error — is a vector (or a matrix row) of length ``G``.  A single
+    fit is the ``G = 1`` case.
+    """
+
+    #: ``(G, n_points)`` predictions over the restricted domain product.
     predictions: np.ndarray
-    #: Relative row weight per prediction (frequency-based, may be uniform).
+    #: Relative row weight per domain point (frequency-based, may be uniform).
     point_weights: np.ndarray
-    n_points: int
-    covered_rows: float
+    #: Estimated raw rows the restriction covers, per group.
+    covered_rows: np.ndarray
     #: Fraction of the input domain the restriction keeps (1.0 = all rows).
     fraction: float
-    residual_standard_error: float
+    residual_standard_error: np.ndarray
     #: False when the serving model is stale (extra cardinality uncertainty).
     active: bool
-    #: Worst-case cardinality drift from table growth since capture, already
-    #: scaled to this restriction (None when unknowable — partial models).
-    stale_rows: float | None = None
+    #: Worst-case cardinality drift from table growth since capture, per group
+    #: and already scaled to this restriction: zero where the cardinality came
+    #: from live statistics, NaN where unknowable (partial models).
+    stale_rows: np.ndarray
     #: Fraction of the aggregated column's rows that are NULL (table-level).
     output_null_fraction: float = 0.0
 
     @property
-    def mean_prediction(self) -> float:
+    def n_points(self) -> int:
+        """Domain points each group was evaluated at (0: empty restriction)."""
+        return self.predictions.shape[1]
+
+    @property
+    def _weighted(self) -> bool:
+        return bool(self.point_weights.size) and float(np.sum(self.point_weights)) > 0.0
+
+    @property
+    def mean_prediction(self) -> np.ndarray:
         """Frequency-weighted mean prediction over the restricted domain."""
-        if self.point_weights.size and float(np.sum(self.point_weights)) > 0.0:
-            return float(np.average(self.predictions, weights=self.point_weights))
-        return float(np.mean(self.predictions))
+        if self._weighted:
+            return self.predictions @ (self.point_weights / np.sum(self.point_weights))
+        return np.mean(self.predictions, axis=1)
 
     @property
     def occupied_predictions(self) -> np.ndarray:
         """Predictions at domain points that actually hold rows (for extremes)."""
-        if self.point_weights.size and float(np.sum(self.point_weights)) > 0.0:
-            occupied = self.predictions[self.point_weights > 0.0]
-            if occupied.size:
-                return occupied
+        if self._weighted:
+            occupied = self.point_weights > 0.0
+            if occupied.any():
+                return self.predictions[:, occupied]
         return self.predictions
 
     @property
-    def covered_rows_error(self) -> float:
+    def covered_rows_error(self) -> np.ndarray:
         """Binomial allowance for the covered-row estimate.
 
         Even with frequency-based weights, the per-group distribution over
@@ -299,69 +312,72 @@ class DomainEvaluation:
         """
         f = min(max(self.fraction, 0.0), 1.0)
         if f in (0.0, 1.0):
-            return 0.0
-        total = self.covered_rows / f
-        return math.sqrt(total * f * (1.0 - f))
+            return np.zeros_like(self.covered_rows)
+        return np.sqrt(self.covered_rows / f * f * (1.0 - f))
 
 
-def evaluate_fit_over_domains(
-    fit: FitResult,
+def evaluate_over_domains(
+    family: ModelFamily,
+    params: np.ndarray,
+    residual_standard_error: np.ndarray,
     model: CapturedModel,
     restriction: DomainRestriction,
-    fitted_observations: float,
-    scale: float,
-    stale_rows: float | None = 0.0,
+    fitted_observations: np.ndarray,
+    stale_rows: np.ndarray,
+    scale: np.ndarray | float = 1.0,
     output_null_fraction: float = 0.0,
 ) -> DomainEvaluation:
-    """Evaluate one (per-group) fit over the restricted domain product.
+    """Evaluate ``G`` fits of one family over the restricted domain product.
 
-    ``stale_rows`` is the table-growth allowance from :func:`staleness_rows`
-    (0.0 when cardinalities come from live statistics; None when unknowable).
+    ``params`` is the ``(G, P)`` parameter matrix and every other per-group
+    argument a length-``G`` vector.  The grid, the point weights and the
+    design matrix are built once, whatever ``G`` is.  ``stale_rows`` is the
+    per-group table-growth allowance from :func:`staleness_rows` (zero where
+    cardinalities come from live statistics; NaN when unknowable).
     ``output_null_fraction`` is the aggregated column's NULL share, used to
     shrink COUNT(col)/SUM toward the rows exact SQL would actually count.
     """
-    input_columns = list(model.input_columns)
-    domains = restriction.domains
-    combos = list(itertools.product(*[domains[name] for name in input_columns]))
-    weight_combos = list(
-        itertools.product(*[restriction.weights[name] for name in input_columns])
-    )
-    if combos and input_columns:
-        arrays = {
-            name: np.array([combo[i] for combo in combos], dtype=np.float64)
-            for i, name in enumerate(input_columns)
-        }
-        predictions = np.asarray(fit.predict(arrays), dtype=np.float64)
-        point_weights = np.array(
-            [float(np.prod(combo)) for combo in weight_combos], dtype=np.float64
+    input_columns = model.input_columns
+    if input_columns:
+        axes = np.meshgrid(
+            *[np.asarray(restriction.domains[name], dtype=np.float64) for name in input_columns],
+            indexing="ij",
         )
-    elif not input_columns:
-        # Input-free models predict a single value per group.
-        predictions = np.asarray(fit.predict({}), dtype=np.float64).reshape(-1)[:1]
-        point_weights = np.ones_like(predictions)
-        combos = [tuple()]
+        inputs: Any = {name: axis.ravel() for name, axis in zip(input_columns, axes)}
+        weight_axes = np.meshgrid(
+            *[np.asarray(restriction.weights[name], dtype=np.float64) for name in input_columns],
+            indexing="ij",
+        )
+        point_weights = np.prod(weight_axes, axis=0).ravel()
     else:
-        predictions = np.array([], dtype=np.float64)
-        point_weights = np.array([], dtype=np.float64)
+        # Input-free models predict a single value per group.
+        inputs = np.zeros(1)
+        point_weights = np.ones(1)
+    if point_weights.size:
+        predictions = np.asarray(family.predict_many(inputs, params), dtype=np.float64)
+    else:
+        predictions = np.empty((len(params), 0))
     fraction = restriction.fraction
-    covered = float(fitted_observations) * fraction * scale
     return DomainEvaluation(
         predictions=predictions,
         point_weights=point_weights,
-        n_points=len(combos) if predictions.size else 0,
-        covered_rows=covered,
+        covered_rows=np.asarray(fitted_observations, dtype=np.float64) * fraction * scale,
         fraction=fraction,
-        residual_standard_error=float(fit.residual_standard_error),
+        residual_standard_error=np.asarray(residual_standard_error, dtype=np.float64),
         active=model.status == "active",
-        stale_rows=None if stale_rows is None else stale_rows * fraction,
+        stale_rows=stale_rows * fraction,
         output_null_fraction=output_null_fraction,
     )
 
 
-def aggregate_value_error(
+def aggregate_values_errors(
     function: str, evaluation: DomainEvaluation, count_star: bool = False
-) -> tuple[Any, float]:
-    """The weighted aggregate value and its standard error for one group.
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The weighted aggregate value and its standard error, per group.
+
+    Both come back as length-``G`` vectors (COUNT values as int64); the value
+    vector is None where SQL says NULL — any aggregate but COUNT over an
+    empty restriction.
 
     * ``count`` — the estimated covered row count; exact for a fresh model
       over an unrestricted domain, carrying the binomial selectivity
@@ -374,62 +390,57 @@ def aggregate_value_error(
       rows concentrates ``rse * sqrt(2 ln n)`` beyond the model's band.
     """
     function = function.lower()
-    predictions = evaluation.predictions
-    covered = max(evaluation.covered_rows, 0.0)
+    covered = np.maximum(evaluation.covered_rows, 0.0)
     rse = evaluation.residual_standard_error
     rows_error = evaluation.covered_rows_error
-    if evaluation.stale_rows is not None:
-        cardinality_error = math.hypot(rows_error, evaluation.stale_rows)
-    elif not evaluation.active:
-        # Partial stale model: coverage growth unknowable, sqrt(n) fallback.
-        cardinality_error = math.hypot(rows_error, math.sqrt(max(covered, 1.0)))
-    else:
-        cardinality_error = rows_error
+    # Partial stale model: coverage growth unknowable, sqrt(n) fallback.
+    unknowable = 0.0 if evaluation.active else np.sqrt(np.maximum(covered, 1.0))
+    stale_rows = evaluation.stale_rows
+    cardinality_error = np.hypot(
+        rows_error, np.where(np.isnan(stale_rows), unknowable, stale_rows)
+    )
 
     # Exact COUNT(col)/SUM/AVG skip NULLs; shrink by the (table-level) null
     # fraction and carry the binomial allowance for its per-group spread.
     # COUNT(*) counts every row, NULL output or not.
     null_fraction = min(max(evaluation.output_null_fraction, 0.0), 1.0)
     non_null = covered * (1.0 - null_fraction)
-    null_error = (
-        math.sqrt(covered * null_fraction * (1.0 - null_fraction))
-        if 0.0 < null_fraction < 1.0
-        else 0.0
-    )
+    null_error = np.sqrt(covered * null_fraction * (1.0 - null_fraction))
 
     if function == "count":
         if count_star:
-            return int(round(covered)), cardinality_error
-        return int(round(non_null)), math.hypot(cardinality_error, null_error)
-    if predictions.size == 0:
-        return None, 0.0
+            return np.rint(covered).astype(np.int64), cardinality_error
+        return np.rint(non_null).astype(np.int64), np.hypot(cardinality_error, null_error)
+    if evaluation.n_points == 0:
+        return None, np.zeros_like(covered)
     if function == "sum":
         mean = evaluation.mean_prediction
-        value = mean * non_null
-        noise = rse * math.sqrt(2.0 * max(non_null, 1.0))
-        return value, math.sqrt(
-            noise * noise + (mean * math.hypot(cardinality_error, null_error)) ** 2
-        )
+        noise = rse * np.sqrt(2.0 * np.maximum(non_null, 1.0))
+        return mean * non_null, np.hypot(noise, mean * np.hypot(cardinality_error, null_error))
     if function == "avg":
-        return evaluation.mean_prediction, aggregate_error("avg", rse, max(evaluation.n_points, 1))
-    if function == "min":
-        return float(np.min(evaluation.occupied_predictions)), extreme_value_error(rse, covered)
-    if function == "max":
-        return float(np.max(evaluation.occupied_predictions)), extreme_value_error(rse, covered)
+        return evaluation.mean_prediction, aggregate_error("avg", rse, evaluation.n_points)
+    if function in ("min", "max"):
+        extreme = np.min if function == "min" else np.max
+        return extreme(evaluation.occupied_predictions, axis=1), extreme_value_error(rse, covered)
     raise ValueError(f"unsupported route aggregate {function!r}")
 
 
-def build_result_table(specs: list[ItemSpec], data: dict[str, list[Any]]) -> Table:
+def build_result_table(specs: list[ItemSpec], data: dict[str, "list[Any] | Column"]) -> Table:
     """Assemble the route's result table in SELECT order.
 
-    Group columns infer their dtype from the key values; COUNT aggregates
-    are integers, everything else is float.  Shared by the grouped and
-    range routes so schema assembly has a single implementation.
+    A result column arrives either ready-made (a :class:`Column`) or as plain
+    values: then group columns infer their dtype from the key values, COUNT
+    aggregates are integers, everything else is float.  Shared by the grouped
+    and range routes so schema assembly has a single implementation.
     """
     defs: list[ColumnDef] = []
     columns: dict[str, Column] = {}
     for spec in specs:
         values = data[spec.name]
+        if isinstance(values, Column):
+            defs.append(ColumnDef(spec.name, values.dtype))
+            columns[spec.name] = values
+            continue
         if spec.kind == "group":
             non_null = [v for v in values if v is not None]
             dtype = DataType.infer_common(non_null) if non_null else DataType.INT64

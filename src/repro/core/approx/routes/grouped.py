@@ -16,17 +16,19 @@ and merged in, per the routing plan of
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.core.approx.routes.aggcalc import (
-    DomainRestriction,
     ItemSpec,
-    aggregate_value_error,
+    aggregate_values_errors,
     analyse_select_items,
     build_result_table,
     current_group_rows,
-    evaluate_fit_over_domains,
+    evaluate_over_domains,
     growth_scale,
     restricted_domains,
     staleness_rows,
@@ -39,10 +41,12 @@ from repro.db.constraints import (
 from repro.core.approx.routes.router import RoutingPolicy, plan_group_routing
 from repro.core.captured_model import CapturedModel
 from repro.core.model_store import ModelStore
+from repro.db.column import Column
 from repro.db.expressions import BinaryOp, ColumnRef, Expression, InList, Literal
 from repro.db.sql.ast import SelectStatement
 from repro.db.stats import TableStats
 from repro.db.table import Table
+from repro.db.types import DataType
 
 __all__ = [
     "GroupedAnswer",
@@ -65,9 +69,9 @@ class GroupedAnswer:
     #: aggregate column -> worst per-group standard error (conservative).
     column_errors: dict[str, float]
     #: group key -> aggregate column -> standard error (model-served groups).
-    group_errors: dict[tuple[Any, ...], dict[str, float]]
+    group_errors: Mapping[tuple[Any, ...], dict[str, float]]
     #: group key -> aggregate column -> value (model-served groups).
-    group_values: dict[tuple[Any, ...], dict[str, Any]]
+    group_values: Mapping[tuple[Any, ...], dict[str, Any]]
     #: group key -> "model#<id>" / "exact" provenance.
     group_routes: dict[tuple[Any, ...], str]
     virtual_rows_generated: int
@@ -223,88 +227,100 @@ def answer_grouped(
     group_columns = analysis.group_columns
     specs = analysis.specs
     order_keys = analysis.order_keys
-    constraints = analysis.constraints
-    output_null_fraction = route_plan.output_null_fraction
     plan = route_plan.routing
+    aggregates = [spec for spec in specs if spec.kind == "aggregate"]
 
-    data: dict[str, list[Any]] = {spec.name: [] for spec in specs}
-    group_errors: dict[tuple[Any, ...], dict[str, float]] = {}
-    group_values: dict[tuple[Any, ...], dict[str, Any]] = {}
-    group_routes: dict[tuple[Any, ...], str] = {}
+    # Every model-served group has a slot; each serving model fills the slots
+    # of its batch from one evaluation of its whole parameter matrix.
+    keys = plan.model_keys
+    values = {
+        spec.name: np.empty(len(keys), dtype=np.int64 if spec.function == "count" else np.float64)
+        for spec in aggregates
+    }
+    errors = {spec.name: np.empty(len(keys)) for spec in aggregates}
+    group_routes = dict(plan.reasons)
+    emitted = np.ones(len(keys), dtype=bool)
     virtual_rows = 0
 
-    # The domain restriction depends only on the model's input set, not the
-    # group — compute it once per serving model, not once per group.  Live
-    # per-group cardinalities from the catalog supersede the fit-time counts
-    # entirely (no growth heuristics, no staleness allowance needed).
-    restriction_cache: dict[int, DomainRestriction | None] = {}
+    # Live per-group cardinalities from the catalog supersede the fit-time
+    # counts entirely (no growth heuristics, no staleness allowance needed).
     live_rows = current_group_rows(stats, group_columns)
-    for assignment in plan.model_groups:
-        model = assignment.model
-        if model.model_id not in restriction_cache:
-            restriction_cache[model.model_id] = restricted_domains(model, stats, constraints)
-        restricted = restriction_cache[model.model_id]
+    for batch in plan.batches:
+        model, slots = batch.model, batch.slots
+        restricted = restricted_domains(model, stats, analysis.constraints)
         if restricted is None:
             return None
-        if live_rows is not None and assignment.key in live_rows:
-            observations, scale, stale_rows = live_rows[assignment.key], 1.0, 0.0
-        else:
-            observations = assignment.fit.n_observations
-            scale = growth_scale(model, stats)
-            stale_rows = staleness_rows(model, stats)
-        evaluation = evaluate_fit_over_domains(
-            assignment.fit,
+        stacked = model.fit.stacked()  # type: ignore[union-attr]
+        observations = stacked.n_obs[batch.record_positions]
+        scale: np.ndarray | float = growth_scale(model, stats)
+        stale = staleness_rows(model, stats)
+        stale_rows = np.full(len(slots), np.nan if stale is None else stale)
+        if live_rows is not None:
+            live = np.array([live_rows.get(keys[slot][0], np.nan) for slot in slots])
+            known = ~np.isnan(live)
+            observations = np.where(known, live, observations)
+            scale = np.where(known, 1.0, scale)
+            stale_rows[known] = 0.0
+        evaluation = evaluate_over_domains(
+            model.fit.family,
+            stacked.params[batch.record_positions],
+            stacked.rse[batch.record_positions],
             model,
             restricted,
             fitted_observations=observations,
             scale=scale,
             stale_rows=stale_rows,
-            output_null_fraction=output_null_fraction,
+            output_null_fraction=route_plan.output_null_fraction,
         )
         if evaluation.n_points == 0:
-            # The restriction keeps no input values: the group has no
-            # qualifying rows and (like exact execution) emits no row.
-            group_routes[assignment.key] = f"model#{model.model_id} (empty restriction)"
+            # The restriction keeps no input values: the groups have no
+            # qualifying rows and (like exact execution) emit no row.
+            emitted[slots] = False
+            for slot in slots:
+                group_routes[keys[slot]] = f"model#{model.model_id} (empty restriction)"
             continue
-        virtual_rows += evaluation.n_points
-        errors: dict[str, float] = {}
-        values: dict[str, Any] = {}
-        for spec in specs:
-            if spec.kind == "group":
-                position = group_columns.index(spec.group_column)
-                data[spec.name].append(assignment.key[position])
-            else:
-                value, error = aggregate_value_error(
-                    spec.function, evaluation, count_star=spec.argument is None
-                )
-                data[spec.name].append(value)
-                errors[spec.name] = error
-                values[spec.name] = value
-        group_errors[assignment.key] = errors
-        group_values[assignment.key] = values
-        group_routes[assignment.key] = assignment.reason
+        virtual_rows += evaluation.n_points * len(slots)
+        for spec in aggregates:
+            values[spec.name][slots], errors[spec.name][slots] = aggregate_values_errors(
+                spec.function, evaluation, count_star=spec.argument is None
+            )
+
+    slot_of, key_columns = plan.slot_of, plan.key_columns
+    if not emitted.all():
+        kept = np.flatnonzero(emitted)
+        slot_of = {keys[slot]: position for position, slot in enumerate(kept)}
+        key_columns = [column.take(kept) for column in key_columns]
+        values = {name: vector[kept] for name, vector in values.items()}
+        errors = {name: vector[kept] for name, vector in errors.items()}
+    data: dict[str, Column] = {}
+    for spec in specs:
+        if spec.kind == "group":
+            data[spec.name] = key_columns[group_columns.index(spec.group_column)]
+        else:
+            dtype = DataType.INT64 if spec.function == "count" else DataType.FLOAT64
+            data[spec.name] = Column(dtype, values[spec.name])
 
     exact_keys = [a.key for a in plan.exact_groups]
     if exact_keys:
         membership = _membership_expression(group_columns, exact_keys)
         exact_table = execute_exact_groups(statement, membership)
+        for position, spec in enumerate(specs):
+            data[spec.name] = _stack_columns(
+                data[spec.name], exact_table.column(exact_table.schema.names[position])
+            )
         spec_position = {
             spec.group_column: i for i, spec in enumerate(specs) if spec.kind == "group"
         }
         # Provenance is only trackable when every group column appears in
         # the SELECT list (it usually does; GROUP BY keys outside the list
         # still merge correctly, they just go unattributed).
-        key_positions = (
-            [spec_position[column] for column in group_columns]
-            if all(column in spec_position for column in group_columns)
-            else None
-        )
-        for row_index in range(exact_table.num_rows):
-            row = exact_table.row(row_index)
-            for position, spec in enumerate(specs):
-                data[spec.name].append(row[position])
-            if key_positions is not None:
-                group_routes[tuple(row[p] for p in key_positions)] = "exact"
+        if all(column in spec_position for column in group_columns):
+            key_lists = [
+                exact_table.column(exact_table.schema.names[spec_position[column]]).to_pylist()
+                for column in group_columns
+            ]
+            for key in zip(*key_lists):
+                group_routes[key] = "exact"
 
     table = build_result_table(specs, data)
     if order_keys:
@@ -315,12 +331,7 @@ def answer_grouped(
         table = table.slice(statement.offset, table.num_rows)
 
     column_errors = {
-        spec.name: max(
-            (errors[spec.name] for errors in group_errors.values() if spec.name in errors),
-            default=0.0,
-        )
-        for spec in specs
-        if spec.kind == "aggregate"
+        name: float(np.max(vector)) if len(vector) else 0.0 for name, vector in errors.items()
     }
     route = "grouped-hybrid" if exact_keys else "grouped-model"
     return GroupedAnswer(
@@ -329,11 +340,42 @@ def answer_grouped(
         used_model_ids=plan.used_model_ids,
         reason=f"per-group model evaluation: {plan.describe()}",
         column_errors=column_errors,
-        group_errors=group_errors,
-        group_values=group_values,
+        group_errors=_PerGroup(slot_of, errors),
+        group_values=_PerGroup(slot_of, values),
         group_routes=group_routes,
         virtual_rows_generated=virtual_rows,
     )
+
+
+class _PerGroup(Mapping):
+    """``group key -> {aggregate column: value}`` over per-column vectors.
+
+    The route computes one vector per aggregate; a per-group dict is only
+    materialised for the key that is looked up.
+    """
+
+    __slots__ = ("_slot_of", "_vectors")
+
+    def __init__(self, slot_of: dict[tuple[Any, ...], int], vectors: dict[str, np.ndarray]) -> None:
+        self._slot_of = slot_of
+        self._vectors = vectors
+
+    def __getitem__(self, key: tuple[Any, ...]) -> dict[str, Any]:
+        slot = self._slot_of[key]
+        return {name: vector[slot].item() for name, vector in self._vectors.items()}
+
+    def __iter__(self):
+        return iter(self._slot_of)
+
+    def __len__(self) -> int:
+        return len(self._slot_of)
+
+
+def _stack_columns(top: Column, bottom: Column) -> Column:
+    """``top`` followed by ``bottom``; values re-coerced when the types differ."""
+    if top.dtype is bottom.dtype:
+        return top.concat(bottom)
+    return Column.from_values(top.dtype, top.to_pylist() + bottom.to_pylist())
 
 
 # ---------------------------------------------------------------------------

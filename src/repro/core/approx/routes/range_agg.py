@@ -30,11 +30,11 @@ from repro.core.approx.aggregates import _corner_grid, _dense_grid
 from repro.core.approx.routes.aggcalc import (
     ItemSpec,
     _as_floats,
-    aggregate_value_error,
+    aggregate_values_errors,
     analyse_select_items,
     build_result_table,
     current_group_rows,
-    evaluate_fit_over_domains,
+    evaluate_over_domains,
     growth_scale,
     restricted_domains,
     staleness_rows,
@@ -45,6 +45,7 @@ from repro.db.sql.ast import SelectStatement
 from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.fitting.families import Constant, Exponential, LinearModel, PowerLaw
+from repro.fitting.grouped import GroupedFitResult
 from repro.fitting.model import FitResult
 
 __all__ = ["RangeAnswer", "analyse_range_statement", "answer_range"]
@@ -160,13 +161,15 @@ def _ungrouped(
 ):
     restricted = restricted_domains(model, stats, constraints)
     if restricted is not None:
-        evaluation = evaluate_fit_over_domains(
-            model.fit,  # type: ignore[arg-type]
+        fit: FitResult = model.fit  # type: ignore[assignment]
+        evaluation = evaluate_over_domains(
+            fit.family,
+            np.asarray(fit.params, dtype=np.float64)[None, :],
+            np.array([fit.residual_standard_error]),
             model,
             restricted,
-            fitted_observations=stats.row_count,
-            scale=1.0,
-            stale_rows=0.0,  # cardinality comes from live statistics
+            fitted_observations=np.array([stats.row_count]),
+            stale_rows=np.zeros(1),  # cardinality comes from live statistics
             output_null_fraction=_output_null_fraction(model, stats),
         )
         if evaluation.n_points == 0:
@@ -174,13 +177,13 @@ def _ungrouped(
         values: dict[str, Any] = {}
         errors: dict[str, float] = {}
         for spec in specs:
-            value, error = aggregate_value_error(
+            value, error = aggregate_values_errors(
                 spec.function, evaluation, count_star=spec.argument is None
             )
-            values[spec.name] = value
-            errors[spec.name] = error
+            values[spec.name] = value[0].item()
+            errors[spec.name] = float(error[0])
         detail = f"enumerated {evaluation.n_points} restricted domain point(s)"
-        return values, errors, evaluation.n_points, evaluation.covered_rows, detail
+        return values, errors, evaluation.n_points, float(evaluation.covered_rows[0]), detail
     return _analytic_ranges(specs, model, stats, constraints)
 
 
@@ -297,10 +300,10 @@ def _analytic_ranges(
             )
         elif function == "min":
             values[spec.name] = float(np.min(extremes))
-            errors[spec.name] = extreme_value_error(rse, est_rows)
+            errors[spec.name] = float(extreme_value_error(rse, est_rows))
         elif function == "max":
             values[spec.name] = float(np.max(extremes))
-            errors[spec.name] = extreme_value_error(rse, est_rows)
+            errors[spec.name] = float(extreme_value_error(rse, est_rows))
         else:
             return None
     ranges_text = ", ".join(
@@ -330,105 +333,92 @@ def _combine_groups(
     restricted = restricted_domains(model, stats, constraints)
     if restricted is None:
         return None
-    scale = growth_scale(model, stats)
-    stale_allowance = staleness_rows(model, stats)
-    live_rows = current_group_rows(stats, model.group_columns)
+    grouped: GroupedFitResult = model.fit  # type: ignore[assignment]
+    records = grouped.records
+    stacked = grouped.stacked()
 
-    group_columns = model.group_columns
-    admitted = []
-    for record in model.fit.records:  # type: ignore[union-attr]
-        if not all(
-            constraints.admits(column, record.key[i]) for i, column in enumerate(group_columns)
-        ):
-            continue
-        if live_rows is not None and live_rows.get(record.key, 0.0) <= 0.0:
-            # The group no longer holds any rows; it contributes nothing.
-            continue
-        if record.result is None:
-            # A failed per-group fit would silently bias the global
-            # aggregate; leave the query to the enumeration/exact paths.
-            return None
-        admitted.append(record)
+    constrained = [
+        (i, column) for i, column in enumerate(model.group_columns) if constraints.constrains(column)
+    ]
+    admitted = np.ones(len(records), dtype=bool)
+    if constrained:
+        admitted = np.array(
+            [all(constraints.admits(column, record.key[i]) for i, column in constrained) for record in records],
+            dtype=bool,
+        )
+    live_rows = current_group_rows(stats, model.group_columns)
     if live_rows is not None:
+        live = np.array([live_rows.get(record.key[0], 0) for record in records], dtype=np.float64)
+        # A group that no longer holds any rows contributes nothing.
+        admitted &= live > 0.0
         # Groups that appeared after the capture have no per-group fit; a
         # combined answer missing their rows would be silently incomplete.
-        covered_keys = {record.key for record in admitted}
-        for key, count in live_rows.items():
-            if count <= 0.0 or key in covered_keys:
-                continue
-            if all(
-                constraints.admits(column, key[i]) for i, column in enumerate(group_columns)
-            ):
-                return None
-    if not admitted:
+        # Every admitted record is one of the catalog's populated, admitted
+        # group values, so any surplus among those is such a group.
+        (column,) = model.group_columns
+        populated = sum(
+            1 for value, count in live_rows.items() if count > 0 and constraints.admits(column, value)
+        )
+        if populated > np.count_nonzero(admitted):
+            return None
+    rows = np.flatnonzero(admitted)
+    if not stacked.fitted[rows].all():
+        # A failed per-group fit would silently bias the global aggregate;
+        # leave the query to the enumeration/exact paths.
+        return None
+    if not rows.size:
         return _empty_result(specs)
 
-    evaluations = []
-    for record in admitted:
-        if live_rows is not None and record.key in live_rows:
-            observations, record_scale, record_stale = live_rows[record.key], 1.0, 0.0
-        else:
-            observations, record_scale, record_stale = (
-                record.n_observations,
-                scale,
-                stale_allowance,
-            )
-        evaluation = evaluate_fit_over_domains(
-            record.result,
-            model,
-            restricted,
-            fitted_observations=observations,
-            scale=record_scale,
-            stale_rows=record_stale,
-            output_null_fraction=_output_null_fraction(model, stats),
-        )
-        if evaluation.n_points == 0:
-            return _empty_result(specs)
-        evaluations.append(evaluation)
+    if live_rows is not None:
+        observations, scale, stale_rows = live[rows], 1.0, np.zeros(len(rows))
+    else:
+        stale = staleness_rows(model, stats)
+        observations, scale = stacked.n_obs[rows], growth_scale(model, stats)
+        stale_rows = np.full(len(rows), np.nan if stale is None else stale)
+    evaluation = evaluate_over_domains(
+        grouped.family,
+        stacked.params[rows],
+        stacked.rse[rows],
+        model,
+        restricted,
+        fitted_observations=observations,
+        scale=scale,
+        stale_rows=stale_rows,
+        output_null_fraction=_output_null_fraction(model, stats),
+    )
+    if evaluation.n_points == 0:
+        return _empty_result(specs)
 
-    per_group: dict[str, list[tuple[Any, float]]] = {}
-    for spec in specs:
-        per_group[spec.name] = [
-            aggregate_value_error(
-                spec.function, evaluation, count_star=spec.argument is None
-            )
-            for evaluation in evaluations
-        ]
-
-    total_covered = sum(evaluation.covered_rows for evaluation in evaluations)
-    virtual_rows = sum(evaluation.n_points for evaluation in evaluations)
-    weights = [
-        evaluation.covered_rows / total_covered if total_covered > 0 else 0.0
-        for evaluation in evaluations
-    ]
+    covered = evaluation.covered_rows
+    total_covered = float(np.sum(covered))
+    weights = covered / total_covered if total_covered > 0 else np.zeros_like(covered)
 
     values: dict[str, Any] = {}
     errors: dict[str, float] = {}
     for spec in specs:
-        pairs = per_group[spec.name]
         function = spec.function
+        per_group, per_group_error = aggregate_values_errors(
+            function, evaluation, count_star=spec.argument is None
+        )
         if function == "count":
-            values[spec.name] = int(sum(v for v, _ in pairs))
-            errors[spec.name] = combine_independent([e for _, e in pairs])
+            values[spec.name] = int(np.sum(per_group))
+            errors[spec.name] = combine_independent(per_group_error)
         elif function == "sum":
-            values[spec.name] = float(sum(v for v, _ in pairs))
-            errors[spec.name] = combine_independent([e for _, e in pairs])
+            values[spec.name] = float(np.sum(per_group))
+            errors[spec.name] = combine_independent(per_group_error)
         elif function == "avg":
-            values[spec.name] = float(sum(w * v for w, (v, _) in zip(weights, pairs)))
-            errors[spec.name] = combine_independent(
-                [w * e for w, (_, e) in zip(weights, pairs)]
-            )
+            values[spec.name] = float(weights @ per_group)
+            errors[spec.name] = combine_independent(weights * per_group_error)
         elif function in ("min", "max"):
-            chooser = min if function == "min" else max
-            index = chooser(range(len(pairs)), key=lambda i: pairs[i][0])
-            values[spec.name] = float(pairs[index][0])
-            errors[spec.name] = extreme_value_error(
-                evaluations[index].residual_standard_error, max(total_covered, 2.0)
+            index = int(np.argmin(per_group) if function == "min" else np.argmax(per_group))
+            values[spec.name] = float(per_group[index])
+            errors[spec.name] = float(
+                extreme_value_error(evaluation.residual_standard_error[index], total_covered)
             )
         else:
             return None
-    detail = f"combined {len(admitted)} group(s) over restricted domain"
-    return values, errors, virtual_rows, total_covered, detail
+    detail = f"combined {len(rows)} group(s) over restricted domain"
+    return values, errors, evaluation.n_points * len(rows), total_covered, detail
 
 
 # ---------------------------------------------------------------------------

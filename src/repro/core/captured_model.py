@@ -17,6 +17,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.quality import ModelQuality
+from repro.db.column import Column
 from repro.db.table import Table
 from repro.errors import ModelNotFoundError
 from repro.fitting.grouped import GroupedFitResult
@@ -159,39 +160,27 @@ class CapturedModel:
     def predict_rows(
         self,
         inputs: Mapping[str, np.ndarray],
-        group_key_lists: Sequence[Sequence[Any]] | None = None,
+        group_key_columns: Sequence[Column | Sequence[Any]] | None = None,
     ) -> np.ndarray:
         """Per-row predictions over aligned column arrays.
 
-        For grouped models ``group_key_lists`` holds one value list per group
-        column (aligned with the input arrays); rows whose group has no
-        fitted parameters come back NaN instead of raising — callers scoring
-        a model against data (revalidation, drift monitoring) skip them.
+        For grouped models ``group_key_columns`` holds one column (or plain
+        value sequence) per group column, aligned with the input arrays; rows
+        whose group has no fitted parameters come back NaN instead of
+        raising — callers scoring a model against data (revalidation, drift
+        monitoring) skip them.
         """
         arrays = {
             name: np.asarray(values, dtype=np.float64) for name, values in inputs.items()
         }
         if not self.is_grouped:
             return np.asarray(self.fit.predict(arrays), dtype=np.float64)
-        if group_key_lists is None:
+        if group_key_columns is None:
             raise ModelNotFoundError(
                 f"model {self.model_id} is grouped by {self.group_columns}; "
                 "per-row group keys are required"
             )
-        num_rows = len(next(iter(arrays.values()))) if arrays else len(group_key_lists[0])
-        predictions = np.full(num_rows, np.nan)
-        group_rows: dict[tuple[Any, ...], list[int]] = {}
-        for row_index in range(num_rows):
-            key = tuple(keys[row_index] for keys in group_key_lists)
-            group_rows.setdefault(key, []).append(row_index)
-        for key, rows in group_rows.items():
-            fit = self.fit.result_for(key)  # type: ignore[union-attr]
-            if fit is None:
-                continue
-            indices = np.asarray(rows, dtype=np.int64)
-            group_inputs = {name: values[indices] for name, values in arrays.items()}
-            predictions[indices] = fit.predict(group_inputs)
-        return predictions
+        return self.fit.predict_rows(arrays, group_key_columns)  # type: ignore[union-attr]
 
     def prediction_error(self, group_key: tuple[Any, ...] | Any | None = None) -> float:
         """The residual standard error to attach to approximate answers."""

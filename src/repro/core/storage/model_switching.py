@@ -133,8 +133,9 @@ class ModelLifecycleManager:
         }
 
         if model.is_grouped:
-            key_lists = [table.column(name).to_pylist() for name in model.group_columns]
-            predictions = model.predict_rows(inputs, key_lists)
+            predictions = model.predict_rows(
+                inputs, [table.column(name) for name in model.group_columns]
+            )
         else:
             predictions = model.predict_rows(inputs)
 

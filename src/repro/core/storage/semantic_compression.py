@@ -24,7 +24,6 @@ from the model; :meth:`CompressedTable.stats` reports both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -139,23 +138,11 @@ class CompressedTable:
         }
         if not model.is_grouped:
             return np.asarray(model.fit.predict(inputs), dtype=np.float64)
-
-        predictions = np.zeros(self.carried.num_rows, dtype=np.float64)
-        key_lists = [self.carried.column(name).to_pylist() for name in model.group_columns]
-        group_rows: dict[tuple[Any, ...], list[int]] = {}
-        for row_index in range(self.carried.num_rows):
-            key = tuple(key_list[row_index] for key_list in key_lists)
-            group_rows.setdefault(key, []).append(row_index)
-        for key, rows in group_rows.items():
-            indices = np.asarray(rows, dtype=np.int64)
-            fit = model.fit.result_for(key)  # type: ignore[union-attr]
-            if fit is None:
-                # Groups the model could not fit keep their residuals relative
-                # to a zero prediction, so reconstruction is still exact.
-                continue
-            group_inputs = {name: values[indices] for name, values in inputs.items()}
-            predictions[indices] = fit.predict(group_inputs)
-        return predictions
+        # Groups the model could not fit keep their residuals relative to a
+        # zero prediction, so reconstruction is still exact.
+        return model.fit.predict_rows(  # type: ignore[union-attr]
+            inputs, [self.carried.column(name) for name in model.group_columns], fill=0.0
+        )
 
 
 class ModelCompressor:

@@ -121,11 +121,14 @@ class ColumnConstraint:
         every pinned value or lies outside the interval.
 
         The proof must agree with what the comparison kernels would compute
-        row by row, so anything they coerce or reject is inconclusive and
-        keeps every group: literals of another type family than the column
-        (the kernels truncate or raise there), bounds beyond 2**53 on integer
-        columns (the bound was recorded as a float) and pinned values no
-        int64 can hold.
+        row by row.  They never truncate a literal to fit the column — a
+        value the column's type cannot hold matches nothing, which is also
+        what intersecting pins by Python equality concludes (``b = true AND
+        b = 1.5`` pins the empty set) — so an empty pin set prunes.  What
+        stays inconclusive and keeps every group: literals of another type
+        family than the column (the kernels promote or raise there), bounds
+        beyond 2**53 on integer columns (the bound was recorded as a float)
+        and pinned values no int64 can hold.
         """
         kind = mins.dtype.kind
         values = self.values or ()

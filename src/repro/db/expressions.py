@@ -485,7 +485,11 @@ def _compare(op: str, left: Column | _Constant, right: Column | _Constant) -> np
     """Elementwise comparison under the cross-type rules, NULLs not yet masked.
 
     Numbers compare in NumPy's promoted dtype — INT64 against INT64 natively,
-    anything against FLOAT64 in float64 — without intermediate copies.
+    anything against FLOAT64 in float64 — without intermediate copies.  BOOL
+    compares as the numbers 0 and 1 and the other side is never truncated to
+    fit, so a literal the column's type cannot hold (``b = 1.5``, ``b = 2``)
+    matches nothing — the same verdict ``ColumnConstraint`` reaches by Python
+    equality, which is what lets scans prune on it.
     """
     compare = _COMPARISON_OPS[op]
     if left.dtype is DataType.STRING or right.dtype is DataType.STRING:
@@ -501,7 +505,12 @@ def _compare(op: str, left: Column | _Constant, right: Column | _Constant) -> np
             values = np.zeros(len(valid), dtype=bool)
             values[valid] = compare(*sides)
     elif left.dtype is DataType.BOOL or right.dtype is DataType.BOOL:
-        values = compare(left.values.astype(np.int64), right.values.astype(np.int64))
+        sides = [
+            side.values.astype(np.int64) if side.dtype is DataType.BOOL else side.values
+            for side in (left, right)
+        ]
+        with np.errstate(all="ignore"):
+            values = compare(*sides)
     else:
         with np.errstate(all="ignore"):
             values = compare(left.values, right.values)

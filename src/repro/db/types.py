@@ -83,11 +83,9 @@ class DataType(enum.Enum):
     @classmethod
     def infer_common(cls, values: list[Any]) -> "DataType":
         """Infer a common type for a list of python values (ignoring NULLs)."""
-        seen: set[DataType] = set()
-        for value in values:
-            if value is None:
-                continue
-            seen.add(cls.infer(value))
+        # A value's python type alone decides, so one sample per type will do.
+        samples = dict(zip(map(type, values), values))
+        seen = {cls.infer(sample) for sample in samples.values() if sample is not None}
         if not seen:
             return cls.FLOAT64
         if seen == {cls.INT64}:

@@ -58,6 +58,12 @@ class PowerLaw(ModelFamily):
         with np.errstate(all="ignore"):
             return p * np.power(x, alpha)
 
+    def predict_many(self, inputs, params):
+        x = _single_input(inputs)
+        params = np.asarray(params, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            return params[:, :1] * np.power(x, params[:, 1:])
+
     def initial_guess(self, inputs, y):
         x = _single_input(inputs)
         y = np.asarray(y, dtype=np.float64)
@@ -93,6 +99,12 @@ class Exponential(ModelFamily):
         a, b = params
         with np.errstate(all="ignore"):
             return a * np.exp(b * x)
+
+    def predict_many(self, inputs, params):
+        x = _single_input(inputs)
+        params = np.asarray(params, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            return params[:, :1] * np.exp(params[:, 1:] * x)
 
     def initial_guess(self, inputs, y):
         x = _single_input(inputs)

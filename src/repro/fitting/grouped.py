@@ -10,10 +10,12 @@ optimiser fails), which are recorded rather than silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.db.column import Column
+from repro.db.operators.codes import argsort_codes, factorize_keys
 from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType
@@ -21,7 +23,41 @@ from repro.errors import FittingError, InsufficientDataError
 from repro.fitting.fit import fit_model
 from repro.fitting.model import FitResult, ModelFamily
 
-__all__ = ["GroupFitRecord", "GroupedFitResult", "GroupedFitter", "fit_grouped"]
+__all__ = [
+    "GroupFitRecord",
+    "GroupedFitResult",
+    "GroupedFitter",
+    "StackedFits",
+    "fit_grouped",
+    "group_rows",
+]
+
+
+def group_rows(
+    key_columns: Sequence[Column | Sequence[Any]],
+) -> tuple[list[tuple[Any, ...]], list[np.ndarray]]:
+    """Split row positions by composite group key, without a per-row loop.
+
+    Returns ``(keys, rows)``: the distinct keys in first-occurrence order and,
+    aligned with them, each group's row positions in ascending order.  Rows
+    with a NULL in any key column belong to no group and appear nowhere.
+    Key columns given as plain value sequences are typed by inference.
+    """
+    columns = [c if isinstance(c, Column) else Column.infer(c) for c in key_columns]
+    num_rows = len(columns[0])
+    if num_rows == 0:
+        return [], []
+    group_ids, first_rows, num_groups = factorize_keys(columns, num_rows)
+    order = argsort_codes(group_ids, num_groups)
+    sizes = np.bincount(group_ids, minlength=num_groups)
+    rows = np.split(order, np.cumsum(sizes)[:-1])
+    keys = list(zip(*(column.take(first_rows).to_pylist() for column in columns)))
+    # NULL is a key value of its own to ``factorize_keys``, so a group is
+    # either wholly NULL-keyed or not at all.
+    kept = [g for g, key in enumerate(keys) if None not in key]
+    if len(kept) == num_groups:
+        return keys, rows
+    return [keys[g] for g in kept], [rows[g] for g in kept]
 
 
 @dataclass
@@ -38,17 +74,70 @@ class GroupFitRecord:
         return self.result is not None
 
 
+@dataclass(frozen=True)
+class StackedFits:
+    """A grouped fit's records as aligned arrays — the parameter table.
+
+    Row ``i`` describes ``records[i]``; records without a fit hold NaN
+    parameters and a NaN residual standard error, so anything computed from
+    their row is NaN rather than silently wrong.
+    """
+
+    #: group key -> record position.
+    index: dict[tuple[Any, ...], int]
+    #: Whether the record holds a fit at all.
+    fitted: np.ndarray
+    #: ``(records, parameters)`` matrix of fitted parameter values.
+    params: np.ndarray
+    #: Residual standard error and R² per record.
+    rse: np.ndarray
+    r_squared: np.ndarray
+    #: Observations each record was fitted on (counted even when it failed).
+    n_obs: np.ndarray
+
+    @classmethod
+    def of(cls, records: Sequence[GroupFitRecord], num_params: int) -> "StackedFits":
+        fitted = np.zeros(len(records), dtype=bool)
+        params = np.full((len(records), num_params), np.nan)
+        rse = np.full(len(records), np.nan)
+        r_squared = np.full(len(records), np.nan)
+        n_obs = np.array([record.n_observations for record in records], dtype=np.float64)
+        for position, record in enumerate(records):
+            fit = record.result
+            if fit is not None:
+                fitted[position] = True
+                params[position] = fit.params
+                rse[position] = fit.residual_standard_error
+                r_squared[position] = fit.r_squared
+                n_obs[position] = fit.n_observations
+        index = {record.key: position for position, record in enumerate(records)}
+        return cls(index, fitted, params, rse, r_squared, n_obs)
+
+
 @dataclass
 class GroupedFitResult:
-    """All per-group fits plus the derived parameter table."""
+    """All per-group fits plus the derived parameter table.
+
+    ``records`` is the source of truth (capture and the warehouse restore
+    path append to it); :meth:`stacked` is its columnar view, built on first
+    use and rebuilt when records were appended since.
+    """
 
     family: ModelFamily
     group_columns: tuple[str, ...]
     input_columns: tuple[str, ...]
     output_column: str
     records: list[GroupFitRecord] = field(default_factory=list)
+    _stacked: StackedFits | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- access --------------------------------------------------------------
+
+    def stacked(self) -> StackedFits:
+        """The records as one parameter matrix plus a key -> row index."""
+        view = self._stacked
+        if view is None or len(view.fitted) != len(self.records):
+            view = self._stacked = StackedFits.of(self.records, self.family.num_params)
+        return view
 
     @property
     def fitted(self) -> list[GroupFitRecord]:
@@ -66,10 +155,29 @@ class GroupedFitResult:
         """The FitResult for one group key (scalar keys are auto-wrapped)."""
         if not isinstance(key, tuple):
             key = (key,)
-        for record in self.records:
-            if record.key == key:
-                return record.result
-        return None
+        position = self.stacked().index.get(key)
+        return None if position is None else self.records[position].result
+
+    def predict_rows(
+        self,
+        inputs: Mapping[str, np.ndarray],
+        key_columns: Sequence[Column | Sequence[Any]],
+        fill: float = np.nan,
+    ) -> np.ndarray:
+        """Per-row predictions over column arrays aligned with ``key_columns``.
+
+        Each row is predicted by its own group's fit; rows whose group has no
+        fitted parameters (failed fit, unseen or NULL key) come back ``fill``.
+        """
+        keys, group_row_positions = group_rows(key_columns)
+        predictions = np.full(len(key_columns[0]), fill, dtype=np.float64)
+        for key, rows in zip(keys, group_row_positions):
+            fit = self.result_for(key)
+            if fit is not None:
+                predictions[rows] = fit.predict(
+                    {name: values[rows] for name, values in inputs.items()}
+                )
+        return predictions
 
     def params_by_key(self) -> dict[tuple[Any, ...], dict[str, float]]:
         return {record.key: record.result.param_dict for record in self.records if record.result is not None}
@@ -172,7 +280,9 @@ class GroupedFitter:
             output_column=self.output_column,
         )
 
-        group_indices = self._group_rows(table)
+        keys, group_row_positions = group_rows(
+            [table.column(name) for name in self.group_columns]
+        )
         input_arrays = {
             name: table.column(name).to_numpy().astype(np.float64) for name in self.input_columns
         }
@@ -180,9 +290,8 @@ class GroupedFitter:
         output_array = table.column(self.output_column).to_numpy().astype(np.float64)
         output_validity = table.column(self.output_column).validity
 
-        for key, indices in group_indices.items():
-            rows = np.asarray(indices, dtype=np.int64)
-            valid = output_validity[rows].copy()
+        for key, rows in zip(keys, group_row_positions):
+            valid = output_validity[rows]
             for name in self.input_columns:
                 valid &= input_validity[name][rows]
             rows = rows[valid]
@@ -214,17 +323,6 @@ class GroupedFitter:
                     GroupFitRecord(key=key, result=None, error=str(exc), n_observations=len(rows))
                 )
         return result
-
-    def _group_rows(self, table: Table) -> dict[tuple[Any, ...], list[int]]:
-        key_lists = [table.column(name).to_pylist() for name in self.group_columns]
-        groups: dict[tuple[Any, ...], list[int]] = {}
-        for row_index in range(table.num_rows):
-            key = tuple(key_list[row_index] for key_list in key_lists)
-            if any(part is None for part in key):
-                continue
-            groups.setdefault(key, []).append(row_index)
-        return groups
-
 
 def fit_grouped(
     table: Table,

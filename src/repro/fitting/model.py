@@ -47,6 +47,21 @@ class ModelFamily:
         """Evaluate the model function for the given inputs and parameters."""
         raise NotImplementedError
 
+    def predict_many(self, inputs: Mapping[str, np.ndarray] | np.ndarray, params: np.ndarray) -> np.ndarray:
+        """Evaluate the model under every row of a ``(G, P)`` parameter matrix.
+
+        Returns a ``(G, n)`` array whose row ``g`` equals
+        ``predict(inputs, params[g])`` — a grouped model answering for all
+        its groups over one shared set of input points.  Families linear in
+        their parameters take one matrix product over one design matrix;
+        the fallback evaluates row by row, and families whose formula
+        broadcasts override it.
+        """
+        params = np.asarray(params, dtype=np.float64)
+        if self.is_linear:
+            return params @ self.design_matrix(inputs).T
+        return np.stack([np.asarray(self.predict(inputs, row), dtype=np.float64) for row in params])
+
     # -- linear families --------------------------------------------------------
 
     def design_matrix(self, inputs: Mapping[str, np.ndarray] | np.ndarray) -> np.ndarray:

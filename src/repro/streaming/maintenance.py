@@ -30,6 +30,7 @@ from repro.core.captured_model import CapturedModel
 from repro.core.harvester import HarvestReport, ModelHarvester
 from repro.core.model_store import ModelStore
 from repro.core.storage.model_switching import ModelLifecycleManager
+from repro.db.column import Column
 from repro.db.database import Database
 from repro.db.sql.parser import parse_expression
 from repro.db.table import Table
@@ -694,7 +695,7 @@ class ModelMaintenancePolicy:
 
     def _ordered_columns(
         self, model: CapturedModel, order_column: str | None
-    ) -> tuple[dict[str, np.ndarray], list[list[Any]] | None, np.ndarray | None]:
+    ) -> tuple[dict[str, np.ndarray], list[Column] | None, np.ndarray | None]:
         """Column arrays of the model's *covered* rows, in arrival order.
 
         Restricting to the coverage subset matters for partial (segment)
@@ -708,7 +709,7 @@ class ModelMaintenancePolicy:
         }
         group_keys = None
         if model.is_grouped:
-            group_keys = [table.column(name).to_pylist() for name in model.group_columns]
+            group_keys = [table.column(name) for name in model.group_columns]
         order_values = None
         if order_column is not None:
             order_values = table.column(order_column).to_numpy().astype(np.float64)
@@ -720,10 +721,8 @@ class ModelMaintenancePolicy:
             arrays = {name: values[finite][order] for name, values in arrays.items()}
             order_values = order_values[finite][order]
             if group_keys is not None:
-                finite_indices = np.flatnonzero(finite)
-                group_keys = [
-                    [keys[finite_indices[i]] for i in order] for keys in group_keys
-                ]
+                kept = np.flatnonzero(finite)[order]
+                group_keys = [keys.take(kept) for keys in group_keys]
         return arrays, group_keys, order_values
 
 
@@ -746,7 +745,7 @@ def _as_float(value: Any) -> float:
 def _model_residuals(
     model: CapturedModel,
     arrays: dict[str, np.ndarray],
-    group_keys: list[list[Any]] | None,
+    group_keys: "list[list[Any]] | list[Column] | None",
 ) -> np.ndarray:
     """Per-row residuals of ``model`` over the given column arrays.
 

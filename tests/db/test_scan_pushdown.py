@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from repro import Database, LawsDatabase
 from repro.core.planner import AccuracyContract
@@ -231,6 +231,24 @@ class _ScanAudit:
 # ---------------------------------------------------------------------------
 
 
+#: The join test's SQL spelling -> name in the join output, and each output
+#: column's kind (the ``_conjunct`` stand-in column it is drawn over).
+_JOIN_SPELLINGS = {
+    "i": "i", "t.i": "i", "f": "f", "t.f": "f", "b": "b", "s": "s",
+    "u.f": "u.f", "w": "w", "u.w": "w", "j": "j", "u.j": "j",
+}  # fmt: skip
+_JOIN_KINDS = {"i": "i", "f": "f", "b": "b", "s": "s", "w": "i", "j": "i"}
+_join_parts = st.lists(
+    st.sampled_from(sorted(_JOIN_SPELLINGS)).flatmap(
+        lambda name: _conjunct(_JOIN_KINDS[_JOIN_SPELLINGS[name].split(".")[-1]]).map(
+            lambda text: (name, text)
+        )
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
 class TestPrunedEqualsUnpruned:
     @SETTINGS
     @given(tables, _predicates("ifbs"))
@@ -264,42 +282,35 @@ class TestPrunedEqualsUnpruned:
         st.integers(0, 2**32 - 1),
         st.sampled_from([0, 3, 60, BLOCK_ROWS + 5]),
         st.tuples(*[st.tuples(st.sampled_from(LAYOUTS), st.sampled_from(NULLS))] * 2),
-        st.data(),
+        _join_parts,
     )
-    def test_join_with_colliding_names(self, table, seed, right_rows, shapes, data) -> None:
+    # ROADMAP item 0 (PR 16): the kernel truncated 1.5 to ``true`` while the
+    # merged pins ``{true} & {1.5}`` pruned every complete block.
+    @example(
+        table=_table("t", 0, 3 * BLOCK_ROWS + 7, dict(zip("ifbs", [("sorted", "none")] * 4))),
+        seed=0,
+        right_rows=60,
+        shapes=(("sorted", "none"), ("sorted", "none")),
+        parts=[("b", "b = true"), ("b", "b = 1.5")],
+    )
+    def test_join_with_colliding_names(self, table, seed, right_rows, shapes, parts) -> None:
         # ``u`` shares ``f`` with ``t`` (the join output calls it ``u.f``) and
-        # owns ``j`` and ``w``.  SQL spelling -> name in the join output:
+        # owns ``j`` and ``w``.
         right = _table("r", seed, right_rows, dict(zip("if", shapes)))
         u = Table(
             "u",
             Schema([ColumnDef("j", DataType.INT64), ColumnDef("f", DataType.FLOAT64), ColumnDef("w", DataType.INT64)]),
             {"j": right.column("i"), "f": right.column("f"), "w": Column(DataType.INT64, np.arange(right_rows) % 7)},
         )
-        spellings = {
-            "i": "i", "t.i": "i", "f": "f", "t.f": "f", "b": "b", "s": "s",
-            "u.f": "u.f", "w": "w", "u.w": "w", "j": "j", "u.j": "j",
-        }  # fmt: skip
-        kinds = {"i": "i", "f": "f", "b": "b", "s": "s", "w": "i", "j": "i"}
-        parts = data.draw(
-            st.lists(
-                st.sampled_from(sorted(spellings)).flatmap(
-                    lambda name: _conjunct(kinds[spellings[name].split(".")[-1]]).map(
-                        lambda text: (name, text)
-                    )
-                ),
-                min_size=1,
-                max_size=4,
-            )
-        )
         # ``_conjunct`` wrote the predicate over the kind's stand-in column
         # (i / f / b / s); substitute the SQL spelling and the output name.
         sql_parts, reference_parts = [], []
         for name, text in parts:
-            stand_in = kinds[spellings[name].split(".")[-1]]
+            stand_in = _JOIN_KINDS[_JOIN_SPELLINGS[name].split(".")[-1]]
             tokens = text.split(" ")
             sql_parts.append(" ".join(name if token == stand_in else token for token in tokens))
             reference_parts.append(
-                " ".join(spellings[name] if token == stand_in else token for token in tokens)
+                " ".join(_JOIN_SPELLINGS[name] if token == stand_in else token for token in tokens)
             )
         db = Database()
         db.register_table(table)

@@ -1,111 +1,49 @@
-"""The planner's cost model, calibrated from the committed hot-path bench.
+"""The planner's cost model.
 
 Every unified plan carries a predicted cost per candidate node.  The
-per-operator throughputs come from ``BENCH_hotpaths.json`` — the repo's
-committed, regression-gated measurement of the vectorized execution core —
-so the cost model tracks the machine the benchmarks actually ran on
-instead of hand-waved constants.  When the file is missing (installed
-package, stripped checkout), the committed calibration is baked in as the
-fallback.
+per-operator unit costs start from the constants below — the rates the
+hot-path bench (``benchmarks/bench_hotpaths.py``) measured on the baseline
+machine — and are the *prior* of the adaptive calibrator
+(:class:`repro.obs.calibration.CostCalibrator`), which replaces them with
+rates observed on this very process.  One model per database: the planner
+owns it and the partitioned engine's fan-out gate reads the same object.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.db.sql.ast import SelectStatement
 from repro.db.stats import TableStats
 
 __all__ = ["OperatorCosts", "CostModel"]
 
-#: Environment override for the calibration file location.
-BENCH_ENV_VAR = "REPRO_BENCH_HOTPATHS"
-BENCH_FILENAME = "BENCH_hotpaths.json"
-
 
 @dataclass(frozen=True)
 class OperatorCosts:
-    """Per-operator unit costs, in seconds.
+    """Per-operator unit costs, in seconds (defaults: 100k-row hot paths on
+    the baseline machine)."""
 
-    The defaults are the committed ``BENCH_hotpaths.json`` calibration
-    (100k-row hot paths on the baseline machine), used when no calibration
-    file can be located at runtime.
-    """
-
-    scan_seconds_per_row: float = 1.0 / 13_832_917.0
-    group_by_seconds_per_row: float = 1.0 / 18_947_073.0
-    join_seconds_per_row: float = 1.0 / 11_274_677.0
+    scan_seconds_per_row: float = 1.0 / 12_611_838.632478088
+    group_by_seconds_per_row: float = 1.0 / 15_756_681.541670367
+    join_seconds_per_row: float = 1.0 / 12_341_353.443447724
     #: One captured-model evaluation over one domain point (a small numpy
     #: expression over fitted parameters) — not measured by the hot-path
     #: bench; validated by ``benchmarks/bench_planner.py``.
     model_eval_seconds: float = 2.0e-5
     #: Fixed per-query overhead of a plan-cached execution (from the
-    #: ``repeated_query`` hot path: ~3000 queries/second end to end).
-    query_fixed_seconds: float = 1.0 / 3049.0
+    #: ``repeated_query`` hot path: ~2500 queries/second end to end).
+    query_fixed_seconds: float = 1.0 / 2563.7506728888584
     #: Simulated storage bandwidth (matches :class:`IOParameters`' default
     #: SSD model): exact execution pays this for every base-table byte it
     #: scans, model routes read no pages at all — the paper's zero-IO
     #: argument, made visible to the cost-based route choice.
     io_bytes_per_second: float = 500e6
     #: Fixed cost of dispatching one partition task to a pool thread
-    #: (submit + future wakeup + partial-state merge share); calibrated by
-    #: ``benchmarks/bench_parallel.py``'s ``"parallel"`` block when present.
+    #: (submit + future wakeup + partial-state merge share).
     parallel_task_overhead_seconds: float = 2.5e-4
-    #: Same, for a forked process worker (fork + token round-trip + result
-    #: pickling) — orders of magnitude above the thread cost, so the process
-    #: backend only wins on very large per-worker slices.
-    parallel_process_task_overhead_seconds: float = 6.0e-2
     #: Pool width the fan-out decision plans for.
     parallel_max_workers: int = 4
-
-    @classmethod
-    def from_bench_payload(cls, payload: dict) -> "OperatorCosts":
-        """Calibrate from a parsed ``BENCH_hotpaths.json`` payload."""
-        hot = payload.get("hot_paths", {})
-        parallel = payload.get("parallel", {})
-
-        def rate(name: str, key: str, default: float) -> float:
-            entry = hot.get(name, {})
-            value = float(entry.get(key, 0.0) or 0.0)
-            return value if value > 0 else default
-
-        def positive(mapping: dict, key: str, default: float) -> float:
-            value = float(mapping.get(key, 0.0) or 0.0)
-            return value if value > 0 else default
-
-        base = cls()
-        return cls(
-            scan_seconds_per_row=1.0 / rate("scan_filter", "rows_per_second", 1.0 / base.scan_seconds_per_row),
-            group_by_seconds_per_row=1.0 / rate("group_by", "rows_per_second", 1.0 / base.group_by_seconds_per_row),
-            join_seconds_per_row=1.0 / rate("join", "rows_per_second", 1.0 / base.join_seconds_per_row),
-            model_eval_seconds=base.model_eval_seconds,
-            query_fixed_seconds=1.0 / rate("repeated_query", "queries_per_second", 1.0 / base.query_fixed_seconds),
-            parallel_task_overhead_seconds=positive(
-                parallel, "task_overhead_seconds", base.parallel_task_overhead_seconds
-            ),
-            parallel_process_task_overhead_seconds=positive(
-                parallel, "process_task_overhead_seconds", base.parallel_process_task_overhead_seconds
-            ),
-            parallel_max_workers=int(
-                positive(parallel, "max_workers", base.parallel_max_workers)
-            ),
-        )
-
-
-def _locate_bench_file() -> Path | None:
-    override = os.environ.get(BENCH_ENV_VAR)
-    if override:
-        path = Path(override)
-        return path if path.is_file() else None
-    here = Path(__file__).resolve()
-    for parent in here.parents[:6]:
-        candidate = parent / BENCH_FILENAME
-        if candidate.is_file():
-            return candidate
-    return None
 
 
 class CostModel:
@@ -113,30 +51,13 @@ class CostModel:
 
     ``source`` is the calibration provenance — where the per-operator rates
     came from — rendered by ``explain()`` so every plan discloses whether it
-    was costed against the committed bench figures or rates the adaptive
-    calibrator (:class:`repro.obs.calibration.CostCalibrator`) observed on
-    this very process.
+    was costed against the built-in constants, rates the adaptive calibrator
+    observed on this very process, or a checkpoint's restored calibration.
     """
 
     def __init__(self, costs: OperatorCosts | None = None, source: str = "builtin-defaults") -> None:
         self.costs = costs or OperatorCosts()
         self.source = source
-
-    @classmethod
-    def from_bench(cls, path: Path | str | None = None) -> "CostModel":
-        """Calibrate from ``BENCH_hotpaths.json`` (walks up from the package
-        and honours the ``REPRO_BENCH_HOTPATHS`` env var); falls back to the
-        committed calibration baked into :class:`OperatorCosts`."""
-        bench_path = Path(path) if path is not None else _locate_bench_file()
-        if bench_path is None or not bench_path.is_file():
-            return cls()
-        try:
-            payload = json.loads(bench_path.read_text())
-        except (OSError, ValueError):
-            return cls()
-        return cls(
-            OperatorCosts.from_bench_payload(payload), source=f"bench:{bench_path.name}"
-        )
 
     # -- predictions ----------------------------------------------------------
 
@@ -164,34 +85,27 @@ class CostModel:
             seconds += base_rows * costs.group_by_seconds_per_row
         return seconds + scanned_bytes / costs.io_bytes_per_second
 
-    def parallel_fanout(self, rows: int, num_partitions: int) -> tuple[int, str] | None:
+    def parallel_fanout(self, rows: int, num_partitions: int) -> int | None:
         """Decide whether fanning a ``rows``-row scan across partitions pays.
 
-        Returns ``(workers, backend)`` when the modelled parallel critical
-        path — the per-worker row share plus one dispatch overhead per
-        partition task — beats single-threaded row cost, ``None`` otherwise.
-        Small tables lose to dispatch overhead and stay serial; the process
-        backend is only chosen when each worker's slice dwarfs the fork
-        round-trip.  Deliberately *not* clamped to ``os.cpu_count()``: the
-        host CPU count says nothing about the simulated-IO savings, and on
-        single-core CI the thread pool must still be exercised.
+        Returns the worker count when the modelled parallel critical path —
+        the per-worker row share plus one dispatch overhead per partition
+        task — beats single-threaded row cost, ``None`` otherwise.  Small
+        tables lose to dispatch overhead and stay serial.  Deliberately *not*
+        clamped to ``os.cpu_count()``: on single-core CI the thread pool must
+        still be exercised.
         """
-        if num_partitions < 2 or rows <= 0:
-            return None
         costs = self.costs
-        workers = max(1, min(costs.parallel_max_workers, num_partitions))
+        workers = min(costs.parallel_max_workers, num_partitions)
+        if workers < 2 or rows <= 0:
+            return None
         serial_seconds = rows * costs.scan_seconds_per_row
         tasks_per_worker = -(-num_partitions // workers)  # ceil
         parallel_seconds = (
             serial_seconds / workers
             + tasks_per_worker * costs.parallel_task_overhead_seconds
         )
-        if parallel_seconds >= serial_seconds or workers < 2:
-            return None
-        per_worker_seconds = serial_seconds / workers
-        if per_worker_seconds > 20.0 * costs.parallel_process_task_overhead_seconds:
-            return workers, "process"
-        return workers, "thread"
+        return workers if parallel_seconds < serial_seconds else None
 
     def exact_fill_seconds(
         self, uncovered_rows: float, fill_scan_rows: float | None = None

@@ -102,7 +102,7 @@ class UnifiedPlan:
     #: :class:`~repro.errors.DegradedServiceError`.
     degraded_reason: str | None = None
     #: Calibration provenance of the cost model this plan was costed with
-    #: ("bench:BENCH_hotpaths.json", "adaptive:gen3 (...)", ...) — every
+    #: ("builtin-defaults", "adaptive:gen3 (...)", "restored: ...") — every
     #: route decision discloses which rates it believed.
     cost_source: str | None = None
     #: True when the statement reads or writes a reserved ``_telemetry_*``

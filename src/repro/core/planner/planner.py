@@ -159,7 +159,7 @@ class UnifiedPlanner:
         self.database = database
         self.store = store
         self.engine = engine
-        self.cost_model = cost_model or CostModel.from_bench()
+        self.cost_model = cost_model or CostModel()
         self.feedback = feedback or ObservedErrorFeedback(database, store)
         #: Optional callable ``(SelectStatement) -> str | None`` naming why a
         #: statement cannot honestly run over the raw rows (the archive

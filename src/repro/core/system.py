@@ -26,7 +26,6 @@ from repro.core.planner import (
     UnifiedPlan,
     UnifiedPlanner,
 )
-from repro.core.planner.cost import CostModel
 from repro.core.quality import QualityPolicy
 from repro.core.snapshot import Snapshot
 from repro.core.storage.model_switching import ModelLifecycleManager
@@ -144,17 +143,12 @@ class LawsDatabase:
         self.database.io_model.tracer = self.obs.tracer
         self.database.io_model.metrics = self.obs.metrics
         # Partitioned parallel execution: tables with a committed partition
-        # map run scan/filter/join/group-by per shard on a worker pool (or
-        # skip pruned shards entirely); everything else falls through to the
-        # standard root execution at the cost of one attribute check.
-        self.parallel = ParallelQueryEngine(
-            self.database.catalog,
-            io_model=self.database.io_model,
-            cost_model=CostModel.from_bench(),
-        )
+        # map run scan/filter/join/group-by per shard on a worker pool when
+        # the planner's cost model says the dispatch pays; everything else
+        # falls through to the standard root execution.
+        self.parallel = ParallelQueryEngine(self.database.catalog, self.planner)
         self.parallel.tracer = self.obs.tracer
         self.parallel.metrics = self.obs.metrics
-        self.parallel.journal = self.obs.journal
         self.parallel.pool.journal = self.obs.journal
         self.parallel.pool.metrics = self.obs.metrics
         self.database.executor.parallel = self.parallel
@@ -399,14 +393,14 @@ class LawsDatabase:
 
         ``scheme`` is ``"rows"`` (contiguous row ranges, no data movement —
         the default), ``"range"`` (physically re-cluster by sorting on
-        ``by``, so contiguous shards coincide with key ranges and range
-        predicates prune), or ``"hash"`` (re-cluster by a deterministic
+        ``by``, so shards — and the blocks a scan can skip — coincide with
+        key ranges), or ``"hash"`` (re-cluster by a deterministic
         hash of ``by`` — co-locates equal keys for joins and DISTINCT).
         The re-clustering schemes rewrite the table (its captured models go
         stale); the map itself commits as table metadata under the catalog
         commit lock, so pinned snapshots keep seeing the map that matches
         their rows.  Appends stay cheap: rows past the map's ``built_rows``
-        form an implicit unpruned tail shard until the next call.
+        form an implicit tail shard until the next call.
         """
         scheme = scheme or ("range" if by is not None else "rows")
         if scheme in ("range", "hash") and by is None:

@@ -9,8 +9,8 @@ expressions) as *residual* conjuncts.  Two consumers rely on it:
 * the model-backed answer routes (``core/approx/routes``) can only serve a
   query from captured models if they understand exactly which part of the
   input domain the WHERE clause selects; a residual makes them decline;
-* scans use the constraints as *necessary* conditions to skip row groups —
-  blocks and partitions — whose min/max summary proves them empty
+* scans use the constraints as *necessary* conditions to skip the blocks
+  whose min/max summary proves them empty
   (:meth:`ColumnConstraint.admits_ranges`); residuals are simply ignored
   there, because the full predicate is still evaluated on what is kept.
 """
@@ -112,7 +112,7 @@ class ColumnConstraint:
     ) -> np.ndarray:
         """Which row groups could hold a row satisfying this constraint.
 
-        A row group (a scan block, a partition) is summarised by the min and
+        A row group (a scan block) is summarised by the min and
         max of its non-NULL values; ``all_null`` marks groups with none, where
         ``mins`` / ``maxs`` hold arbitrary fill.  Returns a boolean array, False
         only where the summary *proves* no row of the group can satisfy the

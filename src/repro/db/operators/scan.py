@@ -23,11 +23,11 @@ TopBound = tuple[str, bool, int]
 
 
 class KeptRows:
-    """The part of a row window a scan still has to read.
+    """The part of a table a scan still has to read.
 
     ``ranges`` are the half-open row ranges that survive, ascending and
-    disjoint; ``blocks_kept`` / ``blocks_total`` count the blocks the window
-    touches (the partial tail block included).
+    disjoint; ``blocks_kept`` / ``blocks_total`` count the table's blocks
+    (the partial tail block included).
     """
 
     __slots__ = ("ranges", "blocks_kept", "blocks_total")
@@ -53,11 +53,9 @@ class KeptRows:
 def kept_rows(
     table: Table,
     constraints: Mapping[str, ColumnConstraint],
-    start: int = 0,
-    stop: int | None = None,
     top: TopBound | None = None,
 ) -> KeptRows:
-    """Rows ``[start, stop)`` of ``table`` minus the blocks proven useless.
+    """The rows of ``table`` minus the blocks proven useless.
 
     ``constraints`` are *necessary* conditions on ``table``'s own columns
     (:func:`repro.db.constraints.extract_constraints` over the WHERE clause),
@@ -65,30 +63,31 @@ def kept_rows(
     no row whatever the rest of the predicate says.  ``top`` says that only
     the best ``count`` rows of the whole table by a column are wanted, which
     lets :func:`_cannot_win` rule out blocks too — sound only when every row
-    of the table competes, so callers pass it without constraints.  Blocks are
-    aligned to row 0 of the table; the partial tail block has no synopsis and
-    is always kept.  Serial scans pass the whole table, the partitioned engine
-    one shard's window of the same table — both read the synopses cached on
-    the table's column buffers.
+    of the table competes, so callers pass it without constraints.  The
+    partial tail block has no synopsis and is always kept.  This is the one
+    pruning rule: a serial scan takes the kept rows whole, the partitioned
+    engine cuts the same kept rows at shard boundaries (:meth:`TableScan.bind`
+    is the one caller on an execution path).
     """
-    stop = table.num_rows if stop is None else stop
-    first = start // BLOCK_ROWS
-    total = -(-stop // BLOCK_ROWS) - first if stop > start else 0
-    complete = max(min(table.num_rows // BLOCK_ROWS, first + total) - first, 0)
+    rows = table.num_rows
+    complete = rows // BLOCK_ROWS
+    total = -(-rows // BLOCK_ROWS)
+    whole = KeptRows([(0, rows)] if rows else [], total, total)
+    if not constraints and top is None:
+        return whole
     keep = np.ones(total, dtype=bool)
     if complete:
-        window = slice(first, first + complete)
         for name, constraint in constraints.items():
             mins, maxs, all_null = table.column(name).block_synopsis()
-            keep[:complete] &= constraint.admits_ranges(mins[window], maxs[window], all_null[window])
+            keep[:complete] &= constraint.admits_ranges(mins, maxs, all_null)
         if top is not None:
-            keep[:complete] &= ~_cannot_win(table, top)[window]
+            keep[:complete] &= ~_cannot_win(table, top)
     if keep.all():
-        return KeptRows([(start, stop)] if stop > start else [], total, total)
-    # Runs of kept blocks -> row ranges, clipped to the window.
+        return whole
+    # Runs of kept blocks -> row ranges, the last clipped to the table.
     edges = np.flatnonzero(np.diff(np.concatenate(([False], keep, [False]))))
     ranges = [
-        (max((first + int(a)) * BLOCK_ROWS, start), min((first + int(b)) * BLOCK_ROWS, stop))
+        (int(a) * BLOCK_ROWS, min(int(b) * BLOCK_ROWS, rows))
         for a, b in zip(edges[0::2], edges[1::2])
     ]
     return KeptRows(ranges, int(keep.sum()), total)
@@ -180,19 +179,30 @@ class TableScan(Operator):
                 pass
         return self.table.pinned()
 
-    def execute(self) -> Table:
+    def bind(self) -> tuple[Table, KeptRows]:
+        """This execution's frozen, projected table and the part of it still to read."""
         table = self._bind_table()
         if self.projected_columns is not None:
             table = table.select(self.projected_columns)
-        if self.constraints or self.top is not None:
-            kept = kept_rows(table, self.constraints, top=self.top)
-            if kept.blocks_pruned:
-                table = kept.take_from(table)
-                if self.io_model is not None:
-                    self.io_model.skip_blocks(kept.blocks_pruned)
+        return table, kept_rows(table, self.constraints, self.top)
+
+    def read(self, table: Table, kept: KeptRows) -> Table:
+        """The kept rows of the bound table, charged once; skipped blocks are counted.
+
+        Split from :meth:`bind` so that the partitioned engine, which cuts the
+        kept rows at shard boundaries, reads — and charges — through the very
+        code a serial execution does.
+        """
+        if kept.blocks_pruned:
+            table = kept.take_from(table)
+            if self.io_model is not None:
+                self.io_model.skip_blocks(kept.blocks_pruned)
         if self.io_model is not None:
             self.io_model.charge_scan(table)
         return table
+
+    def execute(self) -> Table:
+        return self.read(*self.bind())
 
     def describe(self) -> str:
         cols = "*" if self.projected_columns is None else ", ".join(self.projected_columns)

@@ -56,7 +56,7 @@ _METRIC_HELP = {
     "verifier_failures_total": "Feedback audits that raised (behind the breaker).",
     "events_total": "Journal events recorded, by kind.",
     "ingest_rows_total": "Rows committed through streaming ingestion.",
-    "partitions_pruned_total": "Partitions skipped because their min/max statistics rule out the WHERE clause.",
+    "partitions_pruned_total": "Shards of a fanned-out query that no kept scan block reaches (they get no task).",
     "scan_blocks_pruned_total": "Scan blocks skipped because their min/max synopses rule out the WHERE clause.",
     "cost_recalibrations_total": "Adaptive cost-model recalibrations installed.",
     "slo_breaches_total": "SLO error-budget burn alerts fired, by objective and window.",

@@ -243,6 +243,21 @@ class Tracer:
             span.elapsed_seconds = self.clock() - started
             stack.pop()
 
+    def record(
+        self, name: str, started_at: float, elapsed_seconds: float, **attributes: Any
+    ) -> None:
+        """Attach a finished child span under the current one (no-op outside a trace).
+
+        For work timed on another thread: span stacks are thread-local, so a
+        pool worker reports its own wall time and the thread that owns the
+        trace records it.
+        """
+        stack = getattr(self._local, "stack", None)
+        if self.enabled and stack:
+            stack[-1].children.append(
+                Span(name, dict(attributes), elapsed_seconds, started_at)
+            )
+
 
 #: Shared throwaway span handed out when tracing is off: callers may
 #: annotate it freely; nothing is retained.

@@ -8,9 +8,10 @@ parallel (Chan) update, joins and plain row streams by concatenation in
 partition order, which reproduces the single-partition operator semantics
 exactly (group first-occurrence order, left-row-major join order).
 
-Range predicates prune non-overlapping partitions against per-partition
-min/max statistics *before* any worker is dispatched, so a selective query
-never pays simulated IO for shards it provably cannot touch.
+Pruning is the serial scan's: the coordinator makes the one
+:func:`repro.db.operators.scan.kept_rows` call over the pinned table and cuts
+the surviving rows at shard boundaries, so a partitioned query reads exactly
+the pages — and skips exactly the blocks — its serial run would.
 """
 
 from repro.parallel.engine import ParallelQueryEngine
@@ -21,7 +22,6 @@ from repro.parallel.partition import (
     partition_entries,
 )
 from repro.parallel.pool import WorkerPool
-from repro.parallel.pruning import prune_partitions
 
 __all__ = [
     "PARTITION_META_KEY",
@@ -30,5 +30,4 @@ __all__ = [
     "build_partition_map",
     "partition_map_from_segments",
     "partition_entries",
-    "prune_partitions",
 ]

@@ -1,8 +1,7 @@
 """The partitioned-execution coordinator.
 
 :class:`ParallelQueryEngine` sits in front of the SQL executor's normal
-root execution.  Given a planned SELECT it decides, per query, whether the
-partitioned path applies and pays:
+root execution.  A partitioned query is the serial scan, fanned out:
 
 1. **Decompose** the fixed planner pipeline into *uppers* (Project / TopN,
    Sort or Limit / Distinct / HAVING-Filter and the Aggregate) and the
@@ -11,37 +10,44 @@ partitioned path applies and pays:
    committed partition map against the pinned row count — MVCC snapshots
    see the map of their commit, so the partition list is consistent with
    the data for the whole query.
-3. **Prune** partitions whose per-shard min/max statistics provably cannot
-   satisfy the scan's WHERE constraints, then — with the very helper a
-   serial scan uses — the blocks inside each kept shard whose synopses
-   cannot either (or, under a scan's top bound, cannot hold one of the
-   table's best rows), and charge simulated IO for the rows that remain (on the
-   coordinator thread: IO scopes are thread-local, so worker-thread charges
-   would never reach the query's scope).
-4. **Fan out** the partition-local pipeline to the worker pool when the
-   planner cost model says the dispatch overhead is paid for, serially
-   otherwise (pruning alone can justify the partitioned path).
-5. **Merge** partials associatively and run the uppers once on the merged
+3. **Prune** with the serial scan's own :meth:`TableScan.bind` — the one
+   :func:`kept_rows` call over the pinned, projected table — and cut the
+   surviving rows at shard boundaries; a shard no kept block reaches gets
+   no task.
+4. **Gate**: the planner's cost model says whether the dispatch overhead is
+   paid for.  If not, return ``None`` — the serial scan skips exactly the
+   same blocks, so there is nothing the partitioned path would save.
+5. **Read** through the scan's own :meth:`TableScan.read`, which charges
+   simulated IO for the kept rows once (on the coordinator thread: IO scopes
+   are thread-local, so worker-thread charges would never reach the
+   query's scope).
+6. **Fan out** the partition-local pipeline over the worker pool, traced or
+   not; each task times itself and the coordinator records one
+   ``parallel.partition`` span per task from those wall times.
+7. **Merge** partials associatively and run the uppers once on the merged
    table — upper operators are reused verbatim on a rebound shallow copy.
 
 Anything the decomposition does not recognise — no partition map, a stale
 map, subqueries of unexpected shape — returns ``None`` and the executor
 falls through to the standard path, so the engine can never change
-semantics, only execution strategy.
+semantics, pages read or blocks skipped, only execution strategy.
 """
 
 from __future__ import annotations
 
 import copy
+import time
+from time import perf_counter
 from typing import Any, Callable
 
-from repro.core.planner.cost import CostModel
+import numpy as np
+
 from repro.db.operators.aggregate import Aggregate
 from repro.db.operators.filter import Filter
 from repro.db.operators.join import HashJoin
 from repro.db.operators.limit import Limit
 from repro.db.operators.project import Project
-from repro.db.operators.scan import MaterializedInput, TableScan, kept_rows
+from repro.db.operators.scan import KeptRows, MaterializedInput, TableScan
 from repro.db.operators.sort import Sort
 from repro.db.operators.topn import TopN
 from repro.db.sql.planner import PlannedQuery, _Distinct
@@ -50,7 +56,6 @@ from repro.parallel.kernels import GroupedPartial, partial_aggregate
 from repro.parallel.merge import merge_global, merge_grouped, merge_tables
 from repro.parallel.partition import PARTITION_META_KEY, partition_entries
 from repro.parallel.pool import WorkerPool
-from repro.parallel.pruning import prune_partitions
 
 __all__ = ["ParallelQueryEngine"]
 
@@ -98,25 +103,34 @@ def _decompose(planned: PlannedQuery) -> _Decomposed | None:
     return out
 
 
-class ParallelQueryEngine:
-    """Partition-parallel execution strategy for planned SELECTs."""
+def _shard_offsets(kept: KeptRows, entries: list[dict[str, Any]], num_rows: int) -> np.ndarray:
+    """Where each shard starts in the kept table, plus the kept-row total.
 
-    def __init__(
-        self,
-        catalog,
-        io_model=None,
-        cost_model: CostModel | None = None,
-        pool: WorkerPool | None = None,
-    ) -> None:
+    The kept rows below a shard boundary are that boundary's offset into
+    ``kept.take_from(table)``; consecutive equal offsets mean no kept block
+    reaches the shard.
+    """
+    bounds = np.array([int(e["start"]) for e in entries] + [num_rows], dtype=np.int64)
+    starts, stops = np.array(kept.ranges, dtype=np.int64).reshape(-1, 2).T
+    return np.clip(bounds[:, None] - starts, 0, stops - starts).sum(axis=1)
+
+
+class ParallelQueryEngine:
+    """Partition-parallel execution strategy for planned SELECTs.
+
+    ``planner`` owns the cost model (``planner.cost_model``); the fan-out gate
+    reads it per query, so a recalibrated or restored model installed through
+    ``set_cost_model`` is the one consulted.
+    """
+
+    def __init__(self, catalog, planner, pool: WorkerPool | None = None) -> None:
         self.catalog = catalog
-        self.io_model = io_model
-        self.cost_model = cost_model or CostModel()
+        self.planner = planner
         self.pool = pool or WorkerPool()
         self.enabled = True
         # Injected by the owning system (all optional).
         self.tracer = None
         self.metrics = None
-        self.journal = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -138,70 +152,49 @@ class ParallelQueryEngine:
         payload = catalog.table_meta(scan.table.name, PARTITION_META_KEY)
         if not payload:
             return None
-        base = scan._bind_table()
+        base, kept = scan.bind()
         entries = partition_entries(payload, base.num_rows)
         if entries is None or len(entries) < 2:
             return None
 
-        # The planner already restricted the scan's constraints to columns
-        # the WHERE can only mean the base table by.  Shards first, then —
-        # inside each kept shard — the blocks a serial scan would skip too.
-        # A top-bounded scan has no WHERE, so no shard goes; whether the few
-        # blocks it keeps are worth a dispatch is the gate's call below.
-        constraints = scan.constraints
-        kept, pruned_count = prune_partitions(entries, constraints, constraints)
-        if scan.projected_columns is not None:
-            base = base.select(scan.projected_columns)
+        # Whether the rows that survive are worth a dispatch is the gate's call.
+        offsets = _shard_offsets(kept, entries, base.num_rows)
         shards = [
-            kept_rows(base, constraints, int(e["start"]), int(e["start"]) + int(e["rows"]), scan.top)
-            for e in kept
+            (entry, int(lo), int(hi))
+            for entry, lo, hi in zip(entries, offsets, offsets[1:])
+            if hi > lo
         ]
-        rows = sum(stop - start for shard in shards for start, stop in shard.ranges)
-        fanout = self.cost_model.parallel_fanout(rows, len(kept))
-        if pruned_count == 0 and fanout is None:
-            return None  # nothing saved, nothing sped up
-        workers, backend = fanout if fanout is not None else (1, "thread")
+        workers = self.planner.cost_model.parallel_fanout(int(offsets[-1]), len(shards))
+        if workers is None:
+            return None
 
-        self._count("partitions_pruned_total", float(pruned_count))
-        self._count("partition_tasks_total", float(len(kept)))
+        self._count("partitions_pruned_total", float(len(entries) - len(shards)))
+        self._count("partition_tasks_total", float(len(shards)))
 
-        # Simulated IO for the rows that remain, charged on the coordinator
-        # thread so the query's thread-local IO scope sees it.  Pruned shards
-        # and blocks are never charged — that is the pruning win.
-        pieces = [shard.take_from(base) for shard in shards]
-        if self.io_model is not None:
-            blocks_pruned = sum(shard.blocks_pruned for shard in shards)
-            if blocks_pruned:
-                self.io_model.skip_blocks(blocks_pruned)
-            for piece in pieces:
-                self.io_model.charge_scan(piece)
+        # The scan's own read: simulated IO for the rows that remain, charged
+        # once, on the coordinator thread so the query's thread-local IO
+        # scope sees it.
+        table = scan.read(base, kept)
 
         # Join build sides materialise once, on the coordinator (charging
         # their scan IO once, exactly like the serial plan).
         rights = [join.right.execute() for join in parts.joins]
 
-        if not kept:
-            # All shards pruned: one empty partial keeps aggregate semantics
-            # (COUNT(*) -> 0, SUM -> NULL) without special cases.
-            kept = [{"id": -1, "start": 0, "rows": 0}]
-            pieces = [base.slice(0, 0)]
-
-        tasks = [self._make_task(parts, piece, rights) for piece in pieces]
-        tracer = self.tracer
-        if tracer is not None and tracer.active:
-            # Diagnostic mode: spans are thread-local, so traced queries run
-            # their partitions serially under per-partition spans.
-            partials = []
-            for entry, task in zip(kept, tasks):
-                with tracer.span(
+        tasks = [self._make_task(parts, table.slice(lo, hi), rights) for _, lo, hi in shards]
+        timed = self.pool.run_tasks(tasks, workers=workers)
+        if self.tracer is not None:
+            # Spans are thread-local, so each task timed itself and the
+            # thread that owns the trace records it.
+            for (entry, _, _), (_, started_at, seconds) in zip(shards, timed):
+                self.tracer.record(
                     "parallel.partition",
+                    started_at,
+                    seconds,
                     partition=int(entry["id"]),
                     start=int(entry["start"]),
                     rows=int(entry["rows"]),
-                ):
-                    partials.append(task())
-        else:
-            partials = self.pool.run_tasks(tasks, workers=workers, backend=backend)
+                )
+        partials = [partial for partial, _, _ in timed]
 
         if parts.aggregate is not None:
             if parts.aggregate.group_by:
@@ -223,13 +216,18 @@ class ParallelQueryEngine:
         parts: _Decomposed,
         piece: Table,
         rights: list[Table],
-    ) -> Callable[[], GroupedPartial | Table]:
-        """Build one partition's task: its kept rows -> joins -> WHERE -> partial."""
+    ) -> Callable[[], tuple[GroupedPartial | Table, float, float]]:
+        """One partition's task: its kept rows -> joins -> WHERE -> partial.
+
+        Returns ``(partial, started_at, elapsed_seconds)`` — the task's own
+        wall time, which the coordinator turns into its span.
+        """
         aggregate = parts.aggregate
         where = parts.where
         joins = parts.joins
 
         def task():
+            started_at, started = time.time(), perf_counter()
             current = piece
             for join, right_table in zip(reversed(joins), reversed(rights)):
                 current = HashJoin(
@@ -241,7 +239,7 @@ class ParallelQueryEngine:
             if where is not None:
                 current = Filter(MaterializedInput(current), where.predicate).execute()
             if aggregate is not None:
-                return partial_aggregate(aggregate, current)
-            return current
+                current = partial_aggregate(aggregate, current)
+            return current, started_at, perf_counter() - started
 
         return task

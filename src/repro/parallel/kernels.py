@@ -1,10 +1,9 @@
 """Per-partition worker kernels.
 
-Everything in this module runs *inside* worker threads/processes.  It must
-stay free of observability imports at module scope (enforced by
+Everything in this module runs *inside* worker threads.  It must stay free
+of observability imports at module scope (enforced by
 ``tools/check_module_state.py``): workers report nothing themselves — spans,
-metrics and journal entries are the coordinator's job — and a forked worker
-importing the obs hub would drag mutable singletons across the fork.
+metrics and journal entries are the coordinator's job.
 
 The only numerics here are the *partial* aggregate states.  Everything else
 (filters, joins, projections, expression evaluation) reuses the existing
@@ -27,17 +26,11 @@ import numpy as np
 
 from repro.db.column import Column
 from repro.db.operators.aggregate import Aggregate, _GroupContext, _InputState
-from repro.db.operators.base import Operator
 from repro.db.operators.codes import factorize_keys
 from repro.db.table import Table
 from repro.errors import ExecutionError
 
-__all__ = ["GroupedPartial", "GlobalPartial", "InputPartial", "partial_aggregate", "run_subtree"]
-
-
-def run_subtree(op: Operator) -> Table:
-    """Execute a per-partition operator subtree (scan/filter/join pipeline)."""
-    return op.execute()
+__all__ = ["GroupedPartial", "GlobalPartial", "InputPartial", "partial_aggregate"]
 
 
 @dataclass

@@ -10,21 +10,19 @@ table state and pinned snapshots see the map that matches their data:
         "version": 1,
         "built_rows": 200000,          # table length when the map was built
         "scheme": {"kind": "rows", "partitions": 4},
-        "partitions": [
-            {"id": 0, "start": 0, "rows": 50000,
-             "columns": {"x": {"min": 0.0, "max": 12.5, "null_count": 3}}},
-            ...
-        ],
+        "partitions": [{"id": 0, "start": 0, "rows": 50000}, ...],
     }
 
 Partitions are contiguous, disjoint and ordered, which is what makes the
 merge side trivially order-preserving.  Tables are append-only, so a map
 stays valid as the table grows: rows past ``built_rows`` form an implicit
-*tail partition* with no statistics (it is never pruned).
+*tail partition*.
 
-The per-partition ``columns`` statistics carry exactly the shape of the
-PR-5 snapshot segment statistics (``min`` / ``max`` / ``null_count``), so a
-segment manifest converts into a partition map without rescanning anything
+A map is row ranges and nothing else: what a query may skip is decided by
+the block zone maps on the column buffers (:func:`repro.db.operators.scan.
+kept_rows`), for partitioned and serial scans alike.  Maps written before
+that carried per-partition ``columns`` statistics; they are ignored.  A
+PR-5 snapshot segment manifest converts into a map as is
 (:func:`partition_map_from_segments`).
 """
 
@@ -45,7 +43,6 @@ __all__ = [
     "build_partition_map",
     "partition_map_from_segments",
     "partition_entries",
-    "partition_column_stats",
     "range_partition_order",
     "hash_partition_order",
 ]
@@ -54,23 +51,6 @@ __all__ = [
 PARTITION_META_KEY = "partitions"
 
 PARTITION_MAP_VERSION = 1
-
-
-def partition_column_stats(piece: Table) -> dict[str, dict[str, Any]]:
-    """Per-column ``min`` / ``max`` / ``null_count`` of one partition slice.
-
-    Same payload shape as the snapshot segment statistics, so segment
-    manifests and partition maps are interchangeable.
-    """
-    stats: dict[str, dict[str, Any]] = {}
-    for name in piece.schema.names:
-        column = piece.column(name)
-        stats[name] = {
-            "null_count": int(column.null_count),
-            "min": column.min(),
-            "max": column.max(),
-        }
-    return stats
 
 
 def build_partition_map(
@@ -92,15 +72,7 @@ def build_partition_map(
         start, stop = int(bounds[index]), int(bounds[index + 1])
         if stop <= start:
             continue
-        piece = table.slice(start, stop)
-        entries.append(
-            {
-                "id": len(entries),
-                "start": start,
-                "rows": stop - start,
-                "columns": partition_column_stats(piece),
-            }
-        )
+        entries.append({"id": len(entries), "start": start, "rows": stop - start})
     return {
         "version": PARTITION_MAP_VERSION,
         "built_rows": num_rows,
@@ -114,11 +86,10 @@ def partition_map_from_segments(
 ) -> dict[str, Any]:
     """Convert a PR-5 snapshot segment manifest into a partition map.
 
-    Segment entries carry ``start_row`` / ``rows`` / ``columns`` with the
-    same statistics shape a partition needs, so a reopened store serves
-    partition pruning without rescanning a single byte.  Entries must tile
-    a prefix of the table contiguously from row 0 (manifest order); rows
-    appended since the checkpoint become the implicit tail partition.
+    Segment entries carry ``start_row`` / ``rows``, so a reopened store fans
+    out without rescanning a single byte.  Entries must tile a prefix of the
+    table contiguously from row 0 (manifest order); rows appended since the
+    checkpoint become the implicit tail partition.
     """
     entries: list[dict[str, Any]] = []
     expected_start = 0
@@ -130,14 +101,7 @@ def partition_map_from_segments(
                 f"segment manifest is not contiguous: expected start row "
                 f"{expected_start}, got {start}"
             )
-        entries.append(
-            {
-                "id": len(entries),
-                "start": start,
-                "rows": rows,
-                "columns": dict(entry.get("columns", {})),
-            }
-        )
+        entries.append({"id": len(entries), "start": start, "rows": rows})
         expected_start = start + rows
     if expected_start > table.num_rows:
         raise ReproError(
@@ -156,9 +120,7 @@ def partition_entries(payload: dict[str, Any], num_rows: int) -> list[dict[str, 
     """The payload's partitions plus the implicit tail, validated for ``num_rows``.
 
     Returns None when the map cannot describe the table (fewer rows than
-    when it was built — the table was replaced, not appended to).  The tail
-    partition (rows appended since the map was built) has no statistics and
-    is therefore never pruned.
+    when it was built — the table was replaced, not appended to).
     """
     built_rows = int(payload.get("built_rows", -1))
     entries = list(payload.get("partitions", ()))
@@ -168,14 +130,7 @@ def partition_entries(payload: dict[str, Any], num_rows: int) -> list[dict[str, 
     if total != built_rows:
         return None
     if num_rows > built_rows:
-        entries.append(
-            {
-                "id": len(entries),
-                "start": built_rows,
-                "rows": num_rows - built_rows,
-                "columns": {},
-            }
-        )
+        entries.append({"id": len(entries), "start": built_rows, "rows": num_rows - built_rows})
     return entries
 
 
@@ -185,9 +140,9 @@ def partition_entries(payload: dict[str, Any], num_rows: int) -> list[dict[str, 
 def range_partition_order(table: Table, column: str) -> np.ndarray:
     """Stable row permutation sorting the table by ``column`` (NULLs last).
 
-    Clustering rows by key value makes contiguous row-range partitions
-    coincide with key ranges, which is what gives range predicates their
-    pruning power.
+    Clustering rows by key value makes contiguous row-range partitions —
+    and the 1024-row blocks inside them — coincide with key ranges, which is
+    what gives range predicates their pruning power.
     """
     col = table.column(column)
     validity = np.asarray(col.validity, dtype=bool)
@@ -206,8 +161,8 @@ def hash_partition_order(
     """Stable permutation clustering rows by a deterministic hash bucket.
 
     Returns ``(order, bucket_ids_sorted)``.  The hash is seed-independent
-    (crc32 for strings, value-derived for numerics) so forked workers and
-    restarted processes agree on the bucketing.
+    (crc32 for strings, value-derived for numerics) so restarted
+    processes agree on the bucketing.
     """
     if num_partitions < 1:
         raise ReproError(f"num_partitions must be positive, got {num_partitions}")

@@ -1,14 +1,8 @@
 """Worker pool for per-partition tasks.
 
-Thread backend by default: partition kernels are NumPy-bound and release
-the GIL inside vectorised ops, and thread workers share the base table's
-column buffers zero-copy (partition slices are views).  A fork-based
-process backend exists for CPython builds where the GIL dominates: tasks
-are parked in a module-level registry *before* the pool forks, so children
-inherit the closures (and the shared NumPy buffers) copy-on-write and the
-parent only ships an integer token per task.  ``_TASK_REGISTRY`` is the one
-sanctioned piece of module state — allowlisted in
-``tools/check_module_state.py`` and always emptied in a ``finally``.
+Tasks run on threads: partition kernels are NumPy-bound and release the GIL
+inside vectorised ops, and thread workers share the base table's column
+buffers zero-copy (partition slices are views).
 
 Resilience contract (fault point ``parallel.worker.task``): a worker that
 raises or hangs past ``deadline_seconds`` is retried once through the pool;
@@ -18,50 +12,25 @@ serially on the coordinator without fault instrumentation, a
 is incremented.  A query is thus slowed by a sick worker, never failed.
 
 Like ``kernels``, this module must not import the obs hub at module scope
-(workers stay observability-free); the coordinator injects ``journal`` /
+(workers report nothing themselves); the coordinator injects ``journal`` /
 ``metrics`` / ``faults`` as instance attributes.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
-import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 __all__ = ["WorkerPool", "FAULT_POINT"]
 
 FAULT_POINT = "parallel.worker.task"
 
-#: Fork-inherited task closures, keyed by token; see module docstring.
-_TASK_REGISTRY: dict[int, Callable[[], Any]] = {}
-_registry_lock = threading.Lock()
-_registry_tokens = itertools.count()
-
-
-def _run_registered(token: int) -> Any:
-    """Process-backend entry point: run a fork-inherited task by token."""
-    return _TASK_REGISTRY[token]()
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
 
 class WorkerPool:
     """Runs per-partition tasks with retry-then-degrade semantics."""
 
-    def __init__(
-        self,
-        max_workers: int = 4,
-        backend: str = "thread",
-        deadline_seconds: float = 30.0,
-    ) -> None:
-        if backend not in ("thread", "process"):
-            raise ValueError(f"unknown worker-pool backend {backend!r}")
+    def __init__(self, max_workers: int = 4, deadline_seconds: float = 30.0) -> None:
         self.max_workers = max(1, int(max_workers))
-        self.backend = backend
         self.deadline_seconds = deadline_seconds
         # Injected by the owning system; None keeps workers dependency-free.
         self.faults = None  # FaultInjector | None
@@ -88,79 +57,47 @@ class WorkerPool:
     # -- execution ----------------------------------------------------------
 
     def run_tasks(
-        self,
-        tasks: Sequence[Callable[[], Any]],
-        *,
-        workers: int | None = None,
-        backend: str | None = None,
+        self, tasks: Sequence[Callable[[], Any]], *, workers: int | None = None
     ) -> list[Any]:
         """Run ``tasks`` and return their results in task order."""
         tasks = list(tasks)
         if not tasks:
             return []
-        backend = backend or self.backend
         workers = max(1, min(workers or self.max_workers, len(tasks)))
         if len(tasks) == 1 and self.faults is None:
             return [tasks[0]()]
-        if backend == "process" and not _fork_available():
-            backend = "thread"
         wrapped = [self._wrap(task) for task in tasks]
-
-        tokens: list[int] = []
-        if backend == "process":
-            with _registry_lock:
-                tokens = [next(_registry_tokens) for _ in wrapped]
-                for token, call in zip(tokens, wrapped):
-                    _TASK_REGISTRY[token] = call
-            executor: ThreadPoolExecutor | ProcessPoolExecutor = ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork")
-            )
-
-            def submit(index: int) -> Future:
-                return executor.submit(_run_registered, tokens[index])
-
-        else:
-            executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-parallel"
-            )
-
-            def submit(index: int) -> Future:
-                return executor.submit(wrapped[index])
-
+        executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-parallel")
         results: list[Any] = [None] * len(tasks)
         try:
-            futures = [submit(index) for index in range(len(tasks))]
-            failed: list[tuple[int, BaseException]] = []
+            futures = [executor.submit(call) for call in wrapped]
+            failed: list[int] = []
             for index, future in enumerate(futures):
                 try:
                     results[index] = future.result(timeout=self.deadline_seconds)
-                except BaseException as exc:  # noqa: BLE001 - timeout or task error
-                    failed.append((index, exc))
+                except Exception:  # noqa: BLE001 - timeout or task error
+                    failed.append(index)
             if failed:
                 self._count("parallel_retries_total", float(len(failed)))
-                still_failed: list[tuple[int, BaseException]] = []
-                for index, _exc in failed:
+                still_failed: list[tuple[int, Exception]] = []
+                for index in failed:
                     try:
-                        results[index] = submit(index).result(timeout=self.deadline_seconds)
-                    except BaseException as exc:  # noqa: BLE001
+                        results[index] = executor.submit(wrapped[index]).result(
+                            timeout=self.deadline_seconds
+                        )
+                    except Exception as exc:  # noqa: BLE001
                         still_failed.append((index, exc))
                 if still_failed:
-                    self._degrade(still_failed, tasks, results, backend=backend)
+                    self._degrade(still_failed, tasks, results)
         finally:
             executor.shutdown(wait=False)
-            if tokens:
-                with _registry_lock:
-                    for token in tokens:
-                        _TASK_REGISTRY.pop(token, None)
         return results
 
     def _degrade(
         self,
-        still_failed: list[tuple[int, BaseException]],
+        still_failed: list[tuple[int, Exception]],
         tasks: list[Callable[[], Any]],
         results: list[Any],
-        *,
-        backend: str,
     ) -> None:
         """Run repeat offenders serially, uninstrumented, and disclose it."""
         self._count("parallel_degraded_total")
@@ -168,7 +105,6 @@ class WorkerPool:
             first_index, first_exc = still_failed[0]
             self.journal.record(
                 "parallel-degraded",
-                backend=backend,
                 tasks=len(still_failed),
                 first_task=first_index,
                 error=f"{type(first_exc).__name__}: {first_exc}",

@@ -338,10 +338,9 @@ class DurableStore:
             report.tables += 1
             report.rows += table.num_rows
             report.segment_files += len(entries)
-            # Freshly-written segments carry exact min/max stats; publish
-            # them as the table's partition map unless the user already
-            # committed one (a range/hash map must not be clobbered by the
-            # storage layout).
+            # Publish the freshly-written segments' row ranges as the
+            # table's partition map unless the user already committed one (a
+            # range/hash map must not be clobbered by the storage layout).
             if len(entries) > 1 and database.catalog.table_meta(name, PARTITION_META_KEY) is None:
                 database.catalog.set_table_meta(
                     name, PARTITION_META_KEY, partition_map_from_segments(table, entries)
@@ -621,11 +620,10 @@ class DurableStore:
             )
         system.database.register_table(table)
         if not lost_segments:
-            # The snapshot's per-segment min/max stats double as a partition
-            # map: serve them through the catalog so partition pruning (and
-            # the fan-out path) works on a reopened store without a rescan.
-            # A partially-quarantined table gets no map — its stats no
-            # longer tile the recovered rows.
+            # The snapshot's segments double as a partition map: serve
+            # them through the catalog so the fan-out path works on a
+            # reopened store.  A partially-quarantined table gets no map —
+            # its segments no longer tile the recovered rows.
             try:
                 payload = partition_map_from_segments(table, entry["segments"])
             except ReproError:
@@ -956,16 +954,27 @@ def _apply_wal_record(
     raise PersistenceError(f"unknown WAL record op {op!r}")
 
 
-def _calibration_payload(system: "LawsDatabase") -> dict[str, float]:
+def _calibration_payload(system: "LawsDatabase") -> dict[str, Any]:
     from dataclasses import asdict
 
-    return asdict(system.planner.cost_model.costs)
+    model = system.planner.cost_model
+    return {**asdict(model.costs), "source": model.source}
 
 
-def _restore_calibration(system: "LawsDatabase", payload: dict[str, float] | None) -> None:
+def _restore_calibration(system: "LawsDatabase", payload: dict[str, Any] | None) -> None:
     if not payload:
         return
     from repro.core.planner.cost import CostModel, OperatorCosts
 
-    valid = {k: float(v) for k, v in payload.items() if k in OperatorCosts.__dataclass_fields__}
-    system.planner.cost_model = CostModel(OperatorCosts(**valid))
+    # Each field keeps the type of its default (``parallel_max_workers`` is a
+    # pool width, not a float); unknown keys are another version's.
+    defaults = OperatorCosts()
+    costs = {
+        name: type(getattr(defaults, name))(payload[name])
+        for name in OperatorCosts.__dataclass_fields__
+        if name in payload
+    }
+    source = str(payload.get("source", "unrecorded")).removeprefix("restored: ")
+    system.planner.set_cost_model(
+        CostModel(OperatorCosts(**costs), source=f"restored: {source}")
+    )

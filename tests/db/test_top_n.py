@@ -402,14 +402,12 @@ def test_top_bounded_scan_on_a_partitioned_table(fan_out: bool) -> None:
     assert [ts for ts, _ in expected] == np.argsort(-values, kind="stable")[5:15].tolist()
 
     db.partition_table("t", partitions=4)
-    db.parallel.cost_model.parallel_fanout = lambda rows, partitions: (2, "thread") if fan_out else None
+    db.planner.cost_model.parallel_fanout = lambda rows, partitions: 2 if fan_out else None
     tasks = db.obs.metrics.counter_total("partition_tasks_total")
     pruned = db.obs.metrics.counter_total("scan_blocks_pruned_total")
     with db.database.io_model.scope() as scope:
         assert db.query(sql, EXACT).rows() == expected
     assert db.obs.metrics.counter_total("partition_tasks_total") - tasks == (4 if fan_out else 0)
-    # Either way the same fifteen blocks and the tail are read and the rest counted as skipped.
+    # Either way the same fifteen blocks and the tail are read, charged once, and the rest counted as skipped.
     assert db.obs.metrics.counter_total("scan_blocks_pruned_total") - pruned == 1
-    # (each fanned-out piece rounds its own bytes up to whole pages)
-    pages = -(-(15 * BLOCK_ROWS + 300) * 16 // 8192)
-    assert pages <= scope.snapshot()["pages_read"] <= pages + (4 if fan_out else 0)
+    assert scope.snapshot()["pages_read"] == -(-(15 * BLOCK_ROWS + 300) * 16 // 8192)

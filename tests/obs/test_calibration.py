@@ -57,10 +57,9 @@ class TestConvergence:
         db = _build_db()
         # Under AUTO with no error budget the decision is pure predicted
         # cost: ~200 model evaluations cost more than a 2000-row exact
-        # pipeline under the static BENCH rates, so exact wins.
+        # pipeline under the built-in rates, so exact wins.
         first = db.query(SQL)
-        assert first.plan.cost_source is not None
-        assert first.plan.cost_source.startswith(("bench:", "builtin"))
+        assert first.plan.cost_source == "builtin-defaults"
         assert first.route_taken == "exact"
 
         # Skew the observed world: every span reading advances 50ms, so the

@@ -141,13 +141,17 @@ class TestExporters:
         from repro import AccuracyContract, LawsDatabase
         from repro.obs.metrics import _GENERIC_HELP, _help_text
 
+        from repro.core.planner.cost import CostModel, OperatorCosts
+
         rows = 8 * 1024
         db = LawsDatabase()
         db.load_dict("t", {"ts": list(range(rows)), "v": [1.0] * rows})
-        exact = AccuracyContract(mode="exact")
-        db.query("SELECT count(*) FROM t WHERE ts < 100", exact)
         db.partition_table("t", partitions=4, by="ts", scheme="range")
-        db.query("SELECT count(*) FROM t WHERE ts < 100", exact)
+        # Free dispatch, so a table this small fans out: three kept blocks
+        # reach the first two shards, the other two shards get no task.
+        db.planner.set_cost_model(CostModel(OperatorCosts(parallel_task_overhead_seconds=0.0)))
+        db.query("SELECT count(*) FROM t WHERE ts < 3000", AccuracyContract(mode="exact"))
+        assert db.obs.metrics.counter_total("partitions_pruned_total") == 2
 
         text = db.obs.metrics.to_prometheus_text()
         for name in ("scan_blocks_pruned_total", "partitions_pruned_total"):

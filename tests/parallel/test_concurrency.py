@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import LawsDatabase
+from repro.core.planner.cost import CostModel, OperatorCosts
 
 pytestmark = pytest.mark.concurrency
 
@@ -28,6 +29,8 @@ def _make_db(rows: int = 4096, batch: int = 256) -> LawsDatabase:
         },
     )
     db.partition_table("readings", partitions=8)
+    # Free dispatch: the default gate would keep a table this small serial.
+    db.planner.set_cost_model(CostModel(OperatorCosts(parallel_task_overhead_seconds=0.0)))
     return db
 
 

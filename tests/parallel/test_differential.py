@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro import LawsDatabase
+from repro.core.planner.cost import CostModel, OperatorCosts
+from repro.obs import MetricsRegistry
 
 PARTITION_COUNTS = (1, 2, 7, 16)
 
@@ -44,9 +46,17 @@ QUERIES = [
 ]
 
 
+#: Dispatch costs nothing, so every query with two live shards fans out — the
+#: default gate would keep tables this small serial and the suite would
+#: compare the serial path with itself.
+FREE_DISPATCH = OperatorCosts(parallel_task_overhead_seconds=0.0)
+
+
 def build_db(seed: int = 7, rows: int = 4000) -> LawsDatabase:
     rng = np.random.default_rng(seed)
     db = LawsDatabase(observability=False)
+    db.parallel.metrics = MetricsRegistry()
+    db.planner.set_cost_model(CostModel(FREE_DISPATCH, source="test:free-dispatch"))
     x = rng.normal(20.0, 6.0, rows)
     x[rng.random(rows) < 0.08] = np.nan  # NULL-bearing aggregate input
     db.load_dict(
@@ -89,6 +99,8 @@ def test_differential_against_oracle(partitions: int) -> None:
     db.partition_table("facts", partitions=partitions)
     for sql in QUERIES:
         assert_rows_equal(oracle[sql], run_query(db, sql, parallel=True), f"p={partitions} {sql}")
+    fanned_out = db.parallel.metrics.counter_value("partition_tasks_total") > 0
+    assert fanned_out == (partitions > 1)
 
 
 @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
@@ -108,7 +120,7 @@ def test_differential_after_physical_reclustering(partitions: int, scheme: str) 
 
 
 def test_tail_partition_covers_appended_rows() -> None:
-    """Rows appended after the map was built land in the unpruned tail."""
+    """Rows appended after the map was built land in the implicit tail shard."""
     db = build_db(rows=1000)
     db.partition_table("facts", partitions=7)
     db.insert_rows("facts", [(10_000 + i, 3, 5.0, 999) for i in range(50)])
@@ -123,6 +135,8 @@ def test_partition_map_visible_after_cached_query() -> None:
     snapshots and cached plans from queries run before ``partition_table``."""
     rng = np.random.default_rng(3)
     db = LawsDatabase(observability=False)
+    db.parallel.metrics = MetricsRegistry()
+    db.planner.set_cost_model(CostModel(FREE_DISPATCH))
     db.load_dict(
         "facts",
         {
@@ -132,18 +146,17 @@ def test_partition_map_visible_after_cached_query() -> None:
     )
     sql = "SELECT count(*) FROM facts WHERE y BETWEEN 10 AND 30"
     before = db.database.sql(sql).rows()  # memoizes a pre-map snapshot
+    assert db.parallel.metrics.counter_value("partition_tasks_total") == 0
     db.partition_table("facts", partitions=8)
     assert db.database.sql(sql).rows() == before
-
-    from repro.obs import MetricsRegistry
-
-    db.parallel.metrics = MetricsRegistry()
-    db.database.sql(sql).rows()
-    assert db.parallel.metrics.counter_value("partitions_pruned_total") > 0
+    # Block 0 and the tail block survive: the five shards they overlap get a
+    # task, the three in between are counted as pruned.
+    assert db.parallel.metrics.counter_value("partition_tasks_total") == 5
+    assert db.parallel.metrics.counter_value("partitions_pruned_total") == 3
 
 
 def test_replace_invalidates_partition_map() -> None:
-    """A replaced table must not be pruned with the old incarnation's stats."""
+    """A replaced table must not be sharded by the old incarnation's map."""
     db = build_db(rows=500)
     db.partition_table("facts", partitions=4)
     replacement = db.table("facts")

@@ -1,14 +1,19 @@
-"""Worker-pool semantics: backends, retry-once, degrade-to-serial chaos."""
+"""Worker-pool semantics: task order, retry-once, degrade-to-serial chaos."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro import LawsDatabase
+from repro import AccuracyContract, LawsDatabase
+from repro.db.schema import Schema
+from repro.db.table import Table
+from repro.db.types import DataType
 from repro.errors import InjectedFault
 from repro.obs import EventJournal, MetricsRegistry
-from repro.parallel.pool import WorkerPool, _TASK_REGISTRY
+from repro.parallel.pool import WorkerPool
 from repro.resilience.faults import FaultInjector, FaultSpec
 
 
@@ -18,11 +23,6 @@ class TestWorkerPool:
         assert pool.run_tasks([lambda i=i: i * i for i in range(10)]) == [
             i * i for i in range(10)
         ]
-
-    def test_process_backend_returns_results_and_clears_registry(self) -> None:
-        pool = WorkerPool(max_workers=2, backend="process")
-        assert pool.run_tasks([lambda i=i: i + 1 for i in range(4)]) == [1, 2, 3, 4]
-        assert not _TASK_REGISTRY
 
     def test_retry_once_recovers_without_degrading(self) -> None:
         pool = WorkerPool(max_workers=2, deadline_seconds=5.0)
@@ -74,13 +74,49 @@ class TestWorkerPool:
             pool.run_tasks([bad])
 
 
+class TestOneExecutionPath:
+    @pytest.mark.parametrize("observability", [True, False])
+    def test_query_runs_its_tasks_through_the_pool(self, observability: bool) -> None:
+        """Traced or not, a partitioned ``query()`` reaches ``run_tasks`` once;
+        only the spans differ, recorded from each task's own wall time."""
+        rows, partitions = 400_000, 8
+        rng = np.random.default_rng(9)
+        db = LawsDatabase(observability=observability)
+        schema = Schema.of(k=DataType.INT64, x=DataType.FLOAT64)
+        arrays = {"k": rng.integers(0, 10, rows), "x": rng.normal(1.0, 2.0, rows)}
+        db.register_table(Table.from_numpy("t", schema, arrays))
+        db.partition_table("t", partitions=partitions)
+
+        with mock.patch.object(db.parallel.pool, "run_tasks", wraps=db.parallel.pool.run_tasks) as run:
+            answer = db.query(
+                "SELECT k, count(*) FROM t GROUP BY k ORDER BY k", AccuracyContract(mode="exact")
+            )
+        assert answer.rows() == [(k, int(n)) for k, n in enumerate(np.bincount(arrays["k"]))]
+        assert run.call_count == 1
+        assert len(run.call_args.args[0]) == partitions
+
+        trace = db.last_trace()
+        if not observability:
+            assert trace is None
+            return
+        spans = [span for span in trace.walk() if span.name == "parallel.partition"]
+        entries = db.partition_map("t")["partitions"]
+        assert [span.attributes for span in spans] == [
+            {"partition": e["id"], "start": e["start"], "rows": e["rows"]} for e in entries
+        ]
+        assert all(span.elapsed_seconds > 0 and span.started_at > 0 for span in spans)
+
+
 class TestChaosPartitionedQuery:
-    def test_worker_faults_degrade_but_query_answers_correctly(self) -> None:
-        """ISSUE satellite 6: chaos coverage of ``parallel.worker.task``.
+    @pytest.mark.parametrize("entry", ["query", "database.sql"])
+    def test_worker_faults_degrade_but_query_answers_correctly(self, entry: str) -> None:
+        """Chaos coverage of ``parallel.worker.task``.
 
         Two scheduled worker faults force retry-then-degrade in the middle
         of a partitioned GROUP BY; the query must still return the oracle
-        answer, journal the degrade and bump ``parallel_degraded_total``.
+        answer, journal the degrade and bump ``parallel_degraded_total`` —
+        through ``query()`` under default observability (a trace is open)
+        as well as through the bare SQL front end.
         """
         # 8 partition tasks arrive as hits 1-8; the single first-pass fault
         # (hit 2) forces one retry, which arrives as hit 9 and faults again,
@@ -107,7 +143,10 @@ class TestChaosPartitionedQuery:
         db = LawsDatabase(fault_injector=injector)
         db.load_dict("t", data)
         db.partition_table("t", partitions=8)
-        result = db.database.sql(sql).rows()
+        if entry == "query":
+            result = db.query(sql, AccuracyContract(mode="exact")).rows()
+        else:
+            result = db.database.sql(sql).rows()
 
         assert [r[:2] for r in result] == [r[:2] for r in oracle]
         for got, want in zip(result, oracle):

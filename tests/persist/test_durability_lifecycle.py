@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import AccuracyContract, LawsDatabase
+from repro.core.planner.cost import CostModel, OperatorCosts
 from repro.errors import FormatVersionError, PersistenceError
 
 
@@ -151,12 +154,41 @@ def test_numpy_typed_ingest_survives_the_wal(tmp_path):
 
 
 def test_planner_calibration_round_trips(tmp_path):
+    """Costs come back with their types and provenance, installed on the one
+    model the planner costs plans with *and* the fan-out gate consults."""
     root = tmp_path / "store"
+    recalibrated = CostModel(
+        replace(OperatorCosts(), scan_seconds_per_row=3.0e-8, parallel_max_workers=3),
+        source="adaptive:gen2 (40 traced queries)",
+    )
     with LawsDatabase.open(root) as db:
         db.load_dict("s", sensor_rows(60))
-        costs = db.planner.cost_model.costs
-    reopened = LawsDatabase.open(root)
-    assert reopened.planner.cost_model.costs == costs
+        db.planner.set_cost_model(recalibrated)
+
+    sql = "SELECT count(*) FROM s"
+    for _ in range(2):  # a second round trip restores the same thing
+        with LawsDatabase.open(root) as reopened:
+            model = reopened.planner.cost_model
+            assert model.costs == recalibrated.costs
+            assert type(model.costs.parallel_max_workers) is int
+            assert model.source == "restored: adaptive:gen2 (40 traced queries)"
+            assert f"Cost model: {model.source}" in reopened.explain(sql)
+            reopened.partition_table("s", partitions=2)
+            with mock.patch.object(model, "parallel_fanout", return_value=None) as gate:
+                assert reopened.query(sql, AccuracyContract(mode="exact")).rows() == [(60,)]
+            gate.assert_called_once_with(60, 2)
+
+
+def test_calibration_of_an_older_checkpoint_restores_without_provenance(tmp_path):
+    """Payloads written before ``source`` was persisted hold floats only."""
+    from repro.persist.store import _restore_calibration
+
+    db = LawsDatabase()
+    _restore_calibration(db, {"scan_seconds_per_row": 3.0e-8, "parallel_max_workers": 4.0, "gone": 1.0})
+    costs = db.planner.cost_model.costs
+    assert costs == replace(OperatorCosts(), scan_seconds_per_row=3.0e-8)
+    assert type(costs.parallel_max_workers) is int
+    assert db.planner.cost_model.source == "restored: unrecorded"
 
 
 def test_open_passes_constructor_kwargs_through(tmp_path):

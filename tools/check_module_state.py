@@ -29,8 +29,8 @@ DEFAULT_ROOTS = ("src/repro/db", "src/repro/obs", "src/repro/parallel")
 
 #: Worker-side modules that must not import the observability hub at module
 #: scope: workers report nothing themselves (spans/metrics/journal are the
-#: coordinator's job), and a forked worker importing the obs hub would drag
-#: its mutable singletons across the fork boundary.
+#: coordinator's job; span stacks are thread-local, so a worker's spans would
+#: be lost anyway).
 OBS_FREE_MODULES = (
     "src/repro/parallel/kernels.py",
     "src/repro/parallel/pool.py",
@@ -57,10 +57,6 @@ ALLOWLIST: dict[str, set[str]] = {
     # Process-wide append lock: serializes Table.append_rows column swaps
     # across all instances by design (see table.py).
     "src/repro/db/table.py": {"_append_lock"},
-    # Fork-inherited task registry for the process worker backend: tasks
-    # are parked here *before* the pool forks so children get the closures
-    # copy-on-write; entries are lock-guarded and emptied in a finally.
-    "src/repro/parallel/pool.py": {"_TASK_REGISTRY", "_registry_lock"},
     # Read-only metric-name -> HELP-text table for Prometheus exposition.
     "src/repro/obs/metrics.py": {"_METRIC_HELP"},
 }

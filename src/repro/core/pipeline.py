@@ -29,7 +29,7 @@ from repro.obs.trace import Span, Tracer
 if TYPE_CHECKING:
     from repro.core.system import LawsDatabase
 
-__all__ = ["QueryContext", "run_query"]
+__all__ = ["QueryContext", "execute_write", "run_query"]
 
 
 @dataclass
@@ -125,7 +125,9 @@ def execute(ctx: QueryContext) -> PlannedAnswer:
     """Run the node the plan chose — or refuse, when it chose none honestly."""
     decided = ctx.plan
     if decided.statement_type != "select":
-        result, route = _execute_write(ctx), decided.statement_type
+        route = decided.statement_type
+        with ctx.tracer.span("execute", route_taken=route):
+            result = execute_write(ctx.system, ctx.sql, ctx.prepared)
     elif decided.blocked_reason is not None and not decided.is_model_route:
         # No honest route: the raw rows are archived (or a needed component
         # is failed) and the contract or the model population rules out
@@ -248,26 +250,23 @@ def account(ctx: QueryContext, answer: PlannedAnswer, root: Span, elapsed_second
 # -- execute: the three kinds of node ---------------------------------------------------
 
 
-def _execute_write(ctx: QueryContext) -> QueryResult:
+def execute_write(system: "LawsDatabase", sql: str, prepared: PreparedStatement) -> QueryResult:
     """DDL/DML: the mutation, its redo record and its lifecycle hook.
 
     A write through the SQL front-end must survive a crash like any
-    programmatic write, so the mutation and its redo record commit in one
-    critical section (atomic with respect to a concurrent checkpoint).  The
-    lifecycle contract is ``insert_rows()``'s: appended data stales the
-    table's captured models (§4.1) from the first appended row on — which
-    also keeps the live process consistent with a WAL replay of the statement.
+    programmatic write, so it commits the way ``LawsDatabase.insert_rows()``
+    and ``register_table()`` do: mutation and redo record in one
+    ``catalog.writing()`` critical section (atomic with respect to a
+    concurrent checkpoint, rolled back if either raises), then — for an
+    INSERT — the table's captured models go stale from the first appended row
+    on (§4.1).  WAL replay re-runs a logged statement through this function.
     """
-    system, statement = ctx.system, ctx.prepared.statement
-    catalog = system.database.catalog
-    is_insert = isinstance(statement, InsertStatement)
-    with catalog.commit_lock:
-        with ctx.tracer.span("execute", route_taken=ctx.plan.statement_type):
-            appended_from = catalog.live_table(statement.name).num_rows if is_insert else None
-            result = system.database.executor.run(ctx.prepared)
+    statement = prepared.statement
+    with system.database.catalog.writing(statement.name) as appended_from:
+        result = system.database.executor.run(prepared)
         if system.durable is not None:
-            system.durable.log_sql(ctx.sql)
-    if is_insert:
+            system.durable.log_sql(sql)
+    if isinstance(statement, InsertStatement):
         system.lifecycle.on_data_changed(statement.name, appended_from=appended_from)
     return result
 

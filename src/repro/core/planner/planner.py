@@ -342,11 +342,7 @@ class UnifiedPlanner:
 
     def _statement_stats(self, statement: SelectStatement) -> dict[str, TableStats]:
         stats: dict[str, TableStats] = {}
-        names = []
-        if statement.table is not None:
-            names.append(statement.table.name)
-        names.extend(join.table.name for join in statement.joins)
-        for name in names:
+        for name in statement.table_names():
             if name not in stats and self.database.has_table(name):
                 stats[name] = self.database.stats(name)
         return stats
@@ -543,8 +539,7 @@ class UnifiedPlanner:
 def _references_telemetry(statement: Any) -> bool:
     """Whether the statement reads or writes a reserved ``_telemetry_*`` table."""
     if isinstance(statement, SelectStatement):
-        names = [statement.table.name] if statement.table is not None else []
-        names.extend(join.table.name for join in statement.joins)
+        names = statement.table_names()
     else:
         names = [getattr(statement, "name", None)]
     return any(is_telemetry_table(name) for name in names)

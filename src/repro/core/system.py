@@ -37,7 +37,7 @@ from repro.db.io_model import IOParameters
 from repro.db.schema import Schema
 from repro.db.sql.ast import SelectStatement
 from repro.db.table import Table
-from repro.errors import ArchiveError, PersistenceError
+from repro.errors import PersistenceError
 from repro.obs import (
     CostCalibrator,
     Event,
@@ -95,7 +95,9 @@ class LawsDatabase:
         self.approx.grouped_model_provider = self._grouped_model_provider
         self.lifecycle = ModelLifecycleManager(self.database, self.models, self.harvester)
         self.zero_io = ZeroIOScanner(self.database)
-        self.ingestor = StreamIngestor(self.database, batch_size=ingest_batch_size)
+        self.ingestor = StreamIngestor(
+            self.database, batch_size=ingest_batch_size, append=self._append
+        )
         self.maintenance = ModelMaintenancePolicy(
             self.database, self.models, self.harvester, self.lifecycle
         )
@@ -104,11 +106,6 @@ class LawsDatabase:
         # blocks fits over tables whose cold rows moved to the archive tier.
         self.harvester.fit_guard = self._archive_refit_reason
         self.ingestor.add_listener(self._on_ingest_batch)
-        # WAL framing runs *inside* the batch's commit critical section so
-        # a concurrent checkpoint can never observe the append without its
-        # redo record (or vice versa).  Lifecycle/maintenance reactions stay
-        # in the post-commit listener above — they can be expensive.
-        self.ingestor.add_commit_listener(self._log_ingest_batch)
         # The unified planner cost-routes every statement between the
         # model-serving routes and the exact vectorized engine; its feedback
         # verifier audits a sample of served answers against exact execution.
@@ -230,13 +227,18 @@ class LawsDatabase:
         :class:`LawsDatabase`.
         """
         system = cls(**kwargs)
-        store = DurableStore(path, rows_per_segment=rows_per_segment, fsync=fsync)
-        # Journal and resilience wired before recover(): the recovery event
-        # is recorded, unreadable artefacts quarantine instead of blocking
-        # the open, and the outcome lands in ``recovery_total``.
-        store.journal = system.obs.journal
-        store.metrics = system.obs.metrics
-        store.attach_resilience(system.resilience)
+        # The store is born with the journal, metrics and resilience runtime:
+        # the recovery event is recorded, unreadable artefacts quarantine
+        # instead of blocking the open, and the outcome lands in
+        # ``recovery_total``.
+        store = DurableStore(
+            path,
+            rows_per_segment=rows_per_segment,
+            fsync=fsync,
+            resilience=system.resilience,
+            journal=system.obs.journal,
+            metrics=system.obs.metrics,
+        )
         system.durable = store
         system.archive_tier = ArchiveTier(system.database, store.archive_dir)
         system.archive_tier.faults = system.resilience.faults
@@ -297,8 +299,6 @@ class LawsDatabase:
         with an explicit reason when the accuracy contract cannot be met).
         """
         store = self._require_durable("archive")
-        if self.archive_tier is None:  # pragma: no cover - open() always sets it
-            raise ArchiveError("no archive tier attached")
         # The warehouse models about to serve in place of the raw rows must
         # be durable BEFORE the raw rows stop being: the archive record is
         # WAL-replayable immediately, but models only persist at
@@ -320,8 +320,6 @@ class LawsDatabase:
     def recall_archive(self, table_name: str) -> int:
         """Load a table's archived segments back into memory."""
         store = self._require_durable("recall_archive")
-        if self.archive_tier is None:  # pragma: no cover - open() always sets it
-            raise ArchiveError("no archive tier attached")
         restored = self.archive_tier.recall(table_name)
         store.log_recall(table_name)
         self.obs.journal.record("archive-recall", table=table_name, rows=restored)
@@ -329,40 +327,34 @@ class LawsDatabase:
 
     # -- data management (delegated to the substrate) -----------------------------
 
-    def create_table(self, name: str, schema: Schema) -> Table:
-        table = self.database.create_table(name, schema)
-        self._log_new_table(table)
-        return table
+    # Every durable mutation below is one ``catalog.writing()`` critical
+    # section — apply, write the redo record, roll the catalog back if either
+    # raised — followed, outside the lock, by the lifecycle notification.
+    # WAL replay calls these same methods (the store's ``log_*`` are no-ops
+    # until recovery finishes), so a recovered database is the live one.
+    # Writes through ``self.database`` bypass all of it, by design.
 
-    def register_table(self, table: Table, replace: bool = False) -> Table:
-        registered = self.database.register_table(table, replace=replace)
-        if replace and self.archive_tier is not None:
-            # Replacing a table replaces ALL of it: archived segments of the
-            # old incarnation must not haunt the new one (phantom stats,
-            # permanently blocked exact queries).
-            self.archive_tier.drop(table.name)
-        self._log_new_table(registered, replace=replace)
-        return registered
+    def create_table(self, name: str, schema: Schema) -> Table:
+        return self.register_table(Table.empty(name, schema))
 
     def load_dict(self, name: str, data: Mapping[str, Sequence[Any]], schema: Schema | None = None) -> Table:
-        table = self.database.load_dict(name, data, schema)
-        self._log_new_table(table)
-        return table
+        return self.register_table(Table.from_dict(name, data, schema))
 
-    def _log_new_table(self, table: Table, replace: bool = False) -> None:
-        if self.durable is None:
-            return
-        from repro.persist.store import LARGE_CREATE_SNAPSHOT_ROWS
-
-        if table.num_rows >= LARGE_CREATE_SNAPSHOT_ROWS:
-            # Bulk loads are snapshotted columnar and referenced from one
-            # WAL record: framing millions of rows as JSON (and re-parsing
-            # them on every reopen) is the slow path the cold-start bench
-            # exists to avoid — and checkpointing per load would re-snapshot
-            # every earlier table, going quadratic across a load burst.
-            self.durable.log_load_table(table, replace=replace)
-        else:
-            self.durable.log_create_table(table, replace=replace)
+    def register_table(self, table: Table, replace: bool = False) -> Table:
+        """Register ``table``; with ``replace`` every captured model of the
+        table it replaces goes stale (§4.1) and its archived segments go."""
+        with self.database.catalog.writing(table.name):
+            registered = self.database.register_table(table, replace=replace)
+            if self.durable is not None:
+                self.durable.log_register_table(registered, replace=replace)
+            if replace and self.archive_tier is not None:
+                # Replacing a table replaces ALL of it: archived segments of the
+                # old incarnation must not haunt the new one (phantom stats,
+                # permanently blocked exact queries).
+                self.archive_tier.drop(table.name)
+        if replace:
+            self.lifecycle.on_data_changed(table.name)
+        return registered
 
     def drop_table(self, name: str) -> None:
         """Drop a table, retire its captured models, and log the drop.
@@ -373,14 +365,15 @@ class LawsDatabase:
         table are discarded with it (the rows belong to the table), so a
         recreated table of the same name starts clean.
         """
-        self.database.drop_table(name)
+        with self.database.catalog.writing(name):
+            self.database.drop_table(name)
+            if self.durable is not None:
+                self.durable.log_drop_table(name)
+            if self.archive_tier is not None:
+                self.archive_tier.drop(name)
         for model in self.models.models_for_table(name, include_unusable=True):
             if model.status != "retired":
                 self.models.retire_model(model.model_id)
-        if self.archive_tier is not None:
-            self.archive_tier.drop(name)
-        if self.durable is not None:
-            self.durable.log_drop_table(name)
 
     def partition_table(
         self,
@@ -406,6 +399,8 @@ class LawsDatabase:
         if scheme in ("range", "hash") and by is None:
             raise ValueError(f"scheme {scheme!r} requires a partitioning column (by=...)")
         catalog = self.database.catalog
+        # One lock across both commits, so no append lands between the
+        # re-clustering and the map that describes it.
         with catalog.commit_lock:
             live = catalog.live_table(name)
             if scheme == "rows":
@@ -417,15 +412,16 @@ class LawsDatabase:
                     order, _ = hash_partition_order(live, by, partitions)
                 else:
                     raise ValueError(f"unknown partitioning scheme {scheme!r}")
-                table = live.take(order)
-                self.register_table(table, replace=True)
-                self.lifecycle.on_data_changed(name)
+                table = self.register_table(live.take(order), replace=True)
             payload = build_partition_map(
                 table.pinned(),
                 partitions,
                 scheme={"kind": scheme, "partitions": partitions, "column": by},
             )
-            catalog.set_table_meta(name, PARTITION_META_KEY, payload)
+            with catalog.writing(name):
+                catalog.set_table_meta(name, PARTITION_META_KEY, payload)
+                if self.durable is not None:
+                    self.durable.log_partition_map(name, payload)
         self.obs.journal.record(
             "partition-map",
             table=name,
@@ -447,16 +443,19 @@ class LawsDatabase:
 
     def insert_rows(self, name: str, rows: Sequence[Sequence[Any]]) -> None:
         """Append rows; captured models of the table become stale (§4.1)."""
-        # Append and redo record commit as one critical section (the lock
-        # is re-entrant — insert_rows takes it again internally); the log
-        # still runs only after the append succeeded, so a row the
-        # substrate rejected never reaches the redo log.
-        with self.database.catalog.commit_lock:
-            appended_from = self.database.catalog.live_table(name).num_rows
+        appended_from = self._append(name, rows)
+        self.lifecycle.on_data_changed(name, appended_from=appended_from)
+
+    def _append(self, name: str, rows: Sequence[Sequence[Any]]) -> int:
+        """The durable append ``insert_rows()`` and every ingest flush commit
+        through; returns the row the batch starts at.  A row the substrate
+        rejected never reaches the redo log, and a row whose redo record
+        failed does not stay in memory."""
+        with self.database.catalog.writing(name) as appended_from:
             self.database.insert_rows(name, rows)
             if self.durable is not None:
                 self.durable.log_append(name, rows)
-        self.lifecycle.on_data_changed(name, appended_from=appended_from)
+        return appended_from
 
     # -- streaming ingestion & online maintenance -----------------------------------
 
@@ -497,16 +496,6 @@ class LawsDatabase:
         refit drifted ones (change-point driven), superseding stale models in
         the store instead of leaving them benched."""
         return self.maintenance.maintain()
-
-    def _log_ingest_batch(self, batch: IngestBatch) -> None:
-        """Commit-scoped listener: frame the batch into the WAL.
-
-        Runs under the catalog commit lock, atomically with the append that
-        produced the batch — what makes the rows survive a crash between
-        checkpoints without ever being double-applied across one.
-        """
-        if self.durable is not None:
-            self.durable.log_append(batch.table_name, batch.rows)
 
     def _on_ingest_batch(self, batch: IngestBatch) -> None:
         self.obs.metrics.inc("ingest_rows_total", len(batch.rows), table=batch.table_name)
@@ -775,11 +764,7 @@ class LawsDatabase:
         :class:`~repro.errors.DegradedServiceError`).
         """
         health = self.resilience.health
-        names = []
-        if statement.table is not None:
-            names.append(statement.table.name)
-        names.extend(join.table.name for join in statement.joins)
-        for name in names:
+        for name in statement.table_names():
             component = f"table:{name}"
             if health.is_failed(component):
                 reason = health.reason(component) or "snapshot segments quarantined"

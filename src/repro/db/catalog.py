@@ -87,6 +87,44 @@ class Catalog:
             return CatalogSnapshot(self._version, tables, stats, self._table_meta)
 
     @contextmanager
+    def writing(self, name: str) -> Iterator[int | None]:
+        """One atomic mutation of table ``name``: append, create/replace, drop
+        or a metadata change.
+
+        The body runs under the commit lock and is the whole commit — the
+        change to the catalog *and* whatever must land with it (the durable
+        store's redo record).  Yields the table's row count before the body
+        (``None`` when the table does not exist yet): the append boundary the
+        model lifecycle is notified with afterwards.  If the body raises, the
+        table and its metadata are put back as they were (its statistics are
+        recomputed on demand), so memory never holds a change its redo log
+        does not — and a retry of the failed call cannot apply it twice.
+        """
+        with self._commit_lock:
+            table = self._tables.get(name)
+            image = table.pinned() if table is not None else None
+            meta = self._table_meta.get(name)
+            meta = dict(meta) if meta is not None else None
+            try:
+                yield image.num_rows if image is not None else None
+            except BaseException:
+                if table is None:
+                    self._tables.pop(name, None)
+                    self._stats.pop(name, None)
+                    self._stats_dirty.discard(name)
+                else:
+                    table.rollback_to(image)
+                    self._tables[name] = table
+                    self._stats_dirty.add(name)
+                if meta is None:
+                    self._table_meta.pop(name, None)
+                else:
+                    self._table_meta[name] = meta
+                # Lock-free readers may have seen the aborted state's version.
+                self._version += 1
+                raise
+
+    @contextmanager
     def reading(self, snapshot: CatalogSnapshot) -> Iterator[CatalogSnapshot]:
         """Resolve every catalog read on this thread through ``snapshot``.
 

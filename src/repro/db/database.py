@@ -49,30 +49,21 @@ class Database:
     def drop_table(self, name: str) -> None:
         self.catalog.drop_table(name)
 
-    def insert_rows(self, name: str, rows: Sequence[Sequence[Any]]) -> None:
+    def insert_rows(self, name: str, rows: Sequence[Sequence[Any]]) -> int:
         """Append row tuples to an existing table (one atomic commit).
 
         The append and its catalog version bump happen under the commit
         lock, so a concurrent :meth:`~repro.db.catalog.Catalog.snapshot`
         sees either none of the batch or all of it with the bumped version
-        — batch-granular commits, never a torn half-batch.
-        """
-        with self.catalog.commit_lock:
-            self.catalog.live_table(name).append_rows(rows)
-            self.catalog.mark_dirty(name)
-
-    def append_batch(self, name: str, rows: Sequence[Sequence[Any]]) -> tuple[int, int]:
-        """Append row tuples and return the half-open row range they occupy.
-
-        The streaming ingestor uses the returned ``(start, end)`` range to
-        tell downstream listeners (drift monitors, maintenance) exactly which
-        rows a batch contributed.
+        — batch-granular commits, never a torn half-batch.  Returns the row
+        index the batch starts at.
         """
         with self.catalog.commit_lock:
             table = self.catalog.live_table(name)
             start = table.num_rows
-            self.insert_rows(name, rows)
-            return start, table.num_rows
+            table.append_rows(rows)
+            self.catalog.mark_dirty(name)
+            return start
 
     # -- lookup ------------------------------------------------------------------
 

@@ -84,6 +84,11 @@ class SelectStatement:
     offset: int = 0
     distinct: bool = False
 
+    def table_names(self) -> list[str]:
+        """Every table the statement reads: the FROM table, then each JOIN's."""
+        base = [self.table.name] if self.table is not None else []
+        return base + [join.table.name for join in self.joins]
+
 
 @dataclass
 class CreateTableStatement:

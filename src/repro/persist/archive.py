@@ -25,25 +25,18 @@ blocked: it only needs live rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from repro.db.constraints import (
-    ColumnConstraint,
-    extract_constraints,
-)
+from repro.db.constraints import ColumnConstraint, extract_constraints
 from repro.db.database import Database
 from repro.db.sql.ast import SelectStatement
 from repro.db.sql.parser import parse_expression
-from repro.db.stats import (
-    ENUMERABLE_DISTINCT_LIMIT,
-    ColumnStats,
-    TableStats,
-    compute_table_stats,
-)
+from repro.db.stats import ColumnStats, TableStats, compute_table_stats
 from repro.db.table import Table
 from repro.db.types import DataType
 from repro.errors import ArchiveError
@@ -185,9 +178,6 @@ class ArchiveTier:
 
     def archived_tables(self) -> list[str]:
         return sorted(name for name, entries in self._segments.items() if entries)
-
-    def segments_for(self, table_name: str) -> list[ArchivedSegment]:
-        return list(self._segments.get(table_name, []))
 
     def archived_rows(self, table_name: str) -> int:
         return sum(s.row_count for s in self._segments.get(table_name, []))
@@ -403,7 +393,7 @@ class ArchiveTier:
             parts = [column] + [
                 s.column_stats[name] for s in segments if name in s.column_stats
             ]
-            merged.columns[name] = _merge_column_stats(parts)
+            merged.columns[name] = reduce(ColumnStats.merge, parts)
         self._merged_cache[table_name] = (version, merged)
         return merged
 
@@ -420,10 +410,7 @@ class ArchiveTier:
         execution even if a concurrent recall has already restored the live
         table — its pinned table is still the shrunken remainder.
         """
-        names = []
-        if statement.table is not None:
-            names.append(statement.table.name)
-        names.extend(join.table.name for join in statement.joins)
+        names = statement.table_names()
         segments_by_name = {
             name: self.database.catalog.table_meta(name, "archive_segments", ())
             for name in names
@@ -515,98 +502,13 @@ def _constraints_disjoint(a: ColumnConstraint, b: ColumnConstraint) -> bool:
     if b.values is not None:
         return all(not a.admits(v) for v in b.values)
     # Interval vs interval: empty intersection?
-    low, low_inclusive = _max_low(a, b)
-    high, high_inclusive = _min_high(a, b)
-    if low is None or high is None:
+    both = replace(a)
+    if b.low is not None:
+        both.bound_below(b.low, b.low_inclusive)
+    if b.high is not None:
+        both.bound_above(b.high, b.high_inclusive)
+    if both.low is None or both.high is None:
         return False
-    if low > high:
-        return True
-    if low == high and not (low_inclusive and high_inclusive):
-        return True
-    return False
-
-
-def _max_low(a: ColumnConstraint, b: ColumnConstraint) -> tuple[float | None, bool]:
-    if a.low is None:
-        return b.low, b.low_inclusive
-    if b.low is None or a.low > b.low:
-        return a.low, a.low_inclusive
-    if b.low > a.low:
-        return b.low, b.low_inclusive
-    return a.low, a.low_inclusive and b.low_inclusive
-
-
-def _min_high(a: ColumnConstraint, b: ColumnConstraint) -> tuple[float | None, bool]:
-    if a.high is None:
-        return b.high, b.high_inclusive
-    if b.high is None or a.high < b.high:
-        return a.high, a.high_inclusive
-    if b.high < a.high:
-        return b.high, b.high_inclusive
-    return a.high, a.high_inclusive and b.high_inclusive
-
-
-def _merge_column_stats(parts: list[ColumnStats]) -> ColumnStats:
-    """Combine per-part column statistics into whole-logical-table stats."""
-    first = parts[0]
-    if len(parts) == 1:
-        return first
-    row_count = sum(p.row_count for p in parts)
-    null_count = sum(p.null_count for p in parts)
-
-    mins = [p.min_value for p in parts if p.min_value is not None]
-    maxs = [p.max_value for p in parts if p.max_value is not None]
-    min_value = min(mins) if mins else None
-    max_value = max(maxs) if maxs else None
-
-    # Weighted mean / pooled std over non-null values (E[x²] composition).
-    mean = None
-    std = None
-    weighted = [
-        (p.row_count - p.null_count, p.mean, p.std)
-        for p in parts
-        if p.mean is not None and (p.row_count - p.null_count) > 0
-    ]
-    if weighted:
-        total = sum(n for n, _, _ in weighted)
-        mean = sum(n * m for n, m, _ in weighted) / total
-        if all(s is not None for _, _, s in weighted):
-            second_moment = sum(n * (s * s + m * m) for n, m, s in weighted) / total
-            std = float(np.sqrt(max(second_moment - mean * mean, 0.0)))
-        mean = float(mean)
-
-    domain = None
-    domain_counts = None
-    distinct_count = max(p.distinct_count for p in parts)
-    if all(p.domain is not None for p in parts):
-        counts: dict[Any, int] = {}
-        for p in parts:
-            part_counts = (
-                p.domain_counts if p.domain_counts is not None else [0] * len(p.domain)
-            )
-            for value, count in zip(p.domain, part_counts):
-                counts[value] = counts.get(value, 0) + int(count)
-        if len(counts) <= ENUMERABLE_DISTINCT_LIMIT:
-            try:
-                ordered = sorted(counts)
-            except TypeError:
-                ordered = list(counts)
-            domain = ordered
-            domain_counts = [counts[v] for v in ordered]
-            distinct_count = len(ordered)
-        else:
-            distinct_count = len(counts)
-
-    return ColumnStats(
-        name=first.name,
-        dtype=first.dtype,
-        row_count=row_count,
-        null_count=null_count,
-        distinct_count=distinct_count,
-        min_value=min_value,
-        max_value=max_value,
-        mean=mean,
-        std=std,
-        domain=domain,
-        domain_counts=domain_counts,
+    return both.low > both.high or (
+        both.low == both.high and not (both.low_inclusive and both.high_inclusive)
     )

@@ -24,9 +24,11 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.db.sql.ast import InsertStatement
 from repro.db.table import Table
 from repro.errors import (
     FormatVersionError,
@@ -37,7 +39,6 @@ from repro.errors import (
     WALError,
 )
 from repro.parallel.partition import PARTITION_META_KEY, partition_map_from_segments
-from repro.persist.archive import ArchiveTier
 from repro.persist.snapshot import (
     DEFAULT_ROWS_PER_SEGMENT,
     read_table_segments,
@@ -45,8 +46,12 @@ from repro.persist.snapshot import (
     schema_to_payload,
     write_table_segments,
 )
-from repro.persist.warehouse import deserialize_model, restore_store, serialize_store
-from repro.persist.wal import WriteAheadLog
+from repro.persist.warehouse import (
+    WAREHOUSE_FORMAT_VERSION,
+    deserialize_model,
+    serialize_store,
+)
+from repro.persist.wal import WalReplay, WriteAheadLog
 from repro.resilience.quarantine import QuarantineManager, minimal_failing_subset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -69,9 +74,11 @@ WAL_APPEND_CHUNK_ROWS = 4096
 
 #: Creates/loads at or above this row count are persisted as columnar npz
 #: segments under ``walseg/`` referenced by one WAL ``load_table`` record
-#: (see :meth:`DurableStore.log_load_table`) instead of row-wise JSON WAL
+#: (see :meth:`DurableStore.log_register_table`) instead of row-wise JSON WAL
 #: frames — the WAL stays for incremental appends, not bulk loads several
-#: times the snapshot's size that would replay row-by-row on every reopen.
+#: times the snapshot's size that would replay row-by-row on every reopen
+#: (and checkpointing per load would re-snapshot every earlier table, going
+#: quadratic across a load burst).
 LARGE_CREATE_SNAPSHOT_ROWS = 65536
 
 
@@ -109,10 +116,6 @@ class RecoveryReport:
     wal_discarded_epoch_mismatch: bool = False
     archived_tables: list[str] = field(default_factory=list)
 
-    @property
-    def cold_started(self) -> bool:
-        return self.tables_loaded > 0 or self.models_restored > 0
-
     def describe(self) -> str:
         parts = [
             f"recovered checkpoint #{self.checkpoint_id}: {self.tables_loaded} table(s), "
@@ -138,48 +141,39 @@ class DurableStore:
         root: Path | str,
         rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
         fsync: bool = False,
+        *,
+        resilience: "ResilienceRuntime",
+        journal: Any,
+        metrics: Any,
     ) -> None:
         self.root = Path(root)
         self.rows_per_segment = rows_per_segment
         self.fsync = fsync
         self.root.mkdir(parents=True, exist_ok=True)
+        #: Retry, health tracking and the (opt-in) fault injector: partial
+        #: corruption met during recovery degrades instead of aborting.
+        self.resilience = resilience
+        self.faults = resilience.faults
+        #: The :class:`repro.obs.EventJournal` recording checkpoint and
+        #: recovery operations, and the :class:`repro.obs.MetricsRegistry`
+        #: (``recovery_total`` etc.).
+        self.journal = journal
+        self.metrics = metrics
         self.wal = WriteAheadLog(self.root / WAL_NAME, fsync=fsync)
+        self.wal.faults = self.faults
+        self.wal.retrier = resilience.retrier
         self.checkpoint_id = 0
-        #: False while recovery replays the WAL, so replayed appends are not
+        #: False while recovery replays the WAL, so replayed writes are not
         #: re-logged; True once the store is live.
         self.accepting_writes = False
-        #: Optional :class:`repro.obs.EventJournal` recording checkpoint and
-        #: recovery operations.
-        self.journal: Any = None
-        #: Optional :class:`repro.obs.MetricsRegistry` (``recovery_total`` etc.).
-        self.metrics: Any = None
-        #: Optional :class:`repro.resilience.ResilienceRuntime` — enables
-        #: retry, health tracking and graceful quarantine during recovery.
-        #: Without it the store keeps its strict fail-stop behaviour.
-        self.resilience: "ResilienceRuntime | None" = None
-        #: Always present: unreadable artefacts move aside instead of
-        #: blocking ``open()`` (journal/metrics attach lazily).
-        self.quarantine = QuarantineManager(self.root)
+        #: Unreadable artefacts move aside instead of blocking ``open()``;
+        #: operator reports find the ledger through the runtime.
+        self.quarantine = QuarantineManager(self.root, journal=journal, metrics=metrics)
+        resilience.quarantine = self.quarantine
         self._closed = False
         #: Sequence for snapshot-backed WAL load records; resumes past any
         #: directories a previous incarnation left under walseg/.
         self._walseg_counter = self._max_walseg_index()
-
-    # -- resilience --------------------------------------------------------------
-
-    @property
-    def faults(self) -> "FaultInjector | None":
-        runtime = self.resilience
-        return runtime.faults if runtime is not None else None
-
-    def attach_resilience(self, runtime: "ResilienceRuntime") -> None:
-        """Wire the shared resilience runtime through the WAL and quarantine."""
-        self.resilience = runtime
-        self.wal.faults = runtime.faults
-        self.wal.retrier = runtime.retrier
-        runtime.quarantine = self.quarantine
-        self.quarantine.journal = runtime.journal
-        self.quarantine.metrics = runtime.metrics
 
     # -- paths -------------------------------------------------------------------
 
@@ -212,44 +206,36 @@ class DurableStore:
         ]
         return max(indices, default=0)
 
-    def has_checkpoint(self) -> bool:
-        return self.manifest_path.is_file()
+    # -- WAL hooks (each called from the one LawsDatabase write path it logs) ----
 
-    # -- WAL hooks (called by the LawsDatabase write paths) -----------------------
-
-    def log_create_table(self, table: Table, replace: bool = False) -> None:
+    def log_register_table(self, table: Table, replace: bool = False) -> None:
+        """Log a created, loaded or replaced table with the rows it holds."""
         if not self.accepting_writes:
             return
-        self.wal.append(
-            {
-                "op": "create_table",
-                "name": table.name,
-                "schema": schema_to_payload(table.schema),
-                "replace": bool(replace),
-            }
-        )
-        if table.num_rows:
-            self.log_append(table.name, table.to_rows())
+        if table.num_rows >= LARGE_CREATE_SNAPSHOT_ROWS:
+            self._log_load_table(table, replace)
+            return
+        create = {
+            "op": "create_table",
+            "name": table.name,
+            "schema": schema_to_payload(table.schema),
+            "replace": bool(replace),
+        }
+        self.wal.append_all(chain([create], _append_records(table.name, table.to_rows())))
 
     def log_append(self, table_name: str, rows: Any) -> None:
         if not self.accepting_writes:
             return
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
-        # Converted per chunk: one transient list-of-lists per frame instead
-        # of a second whole-table materialization next to the caller's rows.
-        for start in range(0, len(rows), WAL_APPEND_CHUNK_ROWS):
-            chunk = [list(row) for row in rows[start : start + WAL_APPEND_CHUNK_ROWS]]
-            self.wal.append({"op": "append", "table": table_name, "rows": chunk})
+        self.wal.append_all(_append_records(table_name, rows))
 
-    def log_load_table(self, table: Table, replace: bool = False) -> None:
+    def _log_load_table(self, table: Table, replace: bool) -> None:
         """Persist a bulk load as columnar segments + one referencing record.
 
         The segments are on disk (and synced, when fsync is on) *before*
         the WAL record naming them is appended, so a replayed record never
         dangles."""
-        if not self.accepting_writes:
-            return
         self._walseg_counter += 1
         directory = self.walseg_dir / f"{self._walseg_counter:05d}"
         entries = write_table_segments(
@@ -259,7 +245,7 @@ class DurableStore:
             for segment_file in directory.iterdir():
                 _fsync_file(segment_file)
             _fsync_dir(directory)
-        self.wal.append(
+        self._log(
             {
                 "op": "load_table",
                 "name": table.name,
@@ -270,29 +256,25 @@ class DurableStore:
             }
         )
 
+    def log_partition_map(self, table_name: str, payload: dict[str, Any]) -> None:
+        self._log({"op": "partition_map", "table": table_name, "map": payload})
+
     def log_drop_table(self, table_name: str) -> None:
-        if not self.accepting_writes:
-            return
-        self.wal.append({"op": "drop_table", "name": table_name})
+        self._log({"op": "drop_table", "name": table_name})
 
     def log_archive(self, table_name: str, predicate_sql: str) -> None:
-        if not self.accepting_writes:
-            return
-        self.wal.append({"op": "archive", "table": table_name, "predicate": predicate_sql})
+        self._log({"op": "archive", "table": table_name, "predicate": predicate_sql})
 
     def log_recall(self, table_name: str) -> None:
-        if not self.accepting_writes:
-            return
-        self.wal.append({"op": "recall", "table": table_name})
+        self._log({"op": "recall", "table": table_name})
 
     def log_sql(self, sql: str) -> None:
-        """Log a DDL/DML statement executed through the SQL front-end.
+        """Log a DDL/DML statement executed through the SQL front-end."""
+        self._log({"op": "sql", "sql": sql})
 
-        Replay re-executes the statement text — deterministic for the
-        supported subset (CREATE TABLE / INSERT ... VALUES)."""
-        if not self.accepting_writes:
-            return
-        self.wal.append({"op": "sql", "sql": sql})
+    def _log(self, record: dict[str, Any]) -> None:
+        if self.accepting_writes:
+            self.wal.append(record)
 
     # -- checkpoint ----------------------------------------------------------------
 
@@ -330,21 +312,22 @@ class DurableStore:
             entries = write_table_segments(
                 segments_dir, table, rows_per_segment=self.rows_per_segment, faults=self.faults
             )
-            tables_payload[name] = {
-                "schema": schema_to_payload(table.schema),
-                "row_count": table.num_rows,
-                "segments": entries,
-            }
             report.tables += 1
             report.rows += table.num_rows
             report.segment_files += len(entries)
             # Publish the freshly-written segments' row ranges as the
-            # table's partition map unless the user already committed one (a
+            # table's partition map unless one is already committed (a user's
             # range/hash map must not be clobbered by the storage layout).
-            if len(entries) > 1 and database.catalog.table_meta(name, PARTITION_META_KEY) is None:
-                database.catalog.set_table_meta(
-                    name, PARTITION_META_KEY, partition_map_from_segments(table, entries)
-                )
+            partition_map = database.catalog.table_meta(name, PARTITION_META_KEY)
+            if partition_map is None and len(entries) > 1:
+                partition_map = partition_map_from_segments(table, entries)
+                database.catalog.set_table_meta(name, PARTITION_META_KEY, partition_map)
+            tables_payload[name] = {
+                "schema": schema_to_payload(table.schema),
+                "row_count": table.num_rows,
+                "segments": entries,
+                "partition_map": partition_map,
+            }
 
         warehouse_payload = serialize_store(system.models)
         warehouse_payload["calibration"] = _calibration_payload(system)
@@ -372,7 +355,7 @@ class DurableStore:
             "catalog_version": database.catalog.version,
             "tables": tables_payload,
             "warehouse_file": str(warehouse_path.relative_to(self.root)),
-            "archive": system.archive_tier.to_payload() if system.archive_tier else {},
+            "archive": system.archive_tier.to_payload(),
             "wal_file": WAL_NAME,
         }
         self._write_json_durable(self.manifest_path, manifest, fault_point="persist.manifest.write")
@@ -387,20 +370,18 @@ class DurableStore:
         # can land under a stale epoch — journal it and carry on.
         self._reset_wal_safe(new_id)
         self._cleanup_stale_artifacts(keep_id=new_id)
-        if system.archive_tier is not None:
-            # Recalled rows are inside the new snapshot now; their archive
-            # segments are unreferenced garbage.
-            system.archive_tier.purge_unreferenced()
+        # Recalled rows are inside the new snapshot now; their archive
+        # segments are unreferenced garbage.
+        system.archive_tier.purge_unreferenced()
         report.elapsed_seconds = perf_counter() - started
-        if self.journal is not None:
-            self.journal.record(
-                "checkpoint",
-                checkpoint_id=report.checkpoint_id,
-                tables=report.tables,
-                rows=report.rows,
-                models=report.models,
-                segment_files=report.segment_files,
-            )
+        self.journal.record(
+            "checkpoint",
+            checkpoint_id=report.checkpoint_id,
+            tables=report.tables,
+            rows=report.rows,
+            models=report.models,
+            segment_files=report.segment_files,
+        )
         return report
 
     def _cleanup_stale_artifacts(self, keep_id: int) -> None:
@@ -440,8 +421,8 @@ class DurableStore:
             try:
                 attempt()
             except OSError as exc:
-                retrier = self.resilience.retrier if self.resilience is not None else None
-                if retrier is None or not retrier.is_transient(exc):
+                retrier = self.resilience.retrier
+                if not retrier.is_transient(exc):
                     raise
                 retrier.retry(attempt, first_error=exc, operation=fault_point)
         except OSError as exc:
@@ -456,15 +437,14 @@ class DurableStore:
     def recover(self, system: "LawsDatabase") -> RecoveryReport:
         """Load the last checkpoint into ``system`` and replay the WAL tail.
 
-        With a resilience runtime attached, partial corruption degrades
-        instead of aborting: unreadable snapshot segments / warehouse
-        entries / WAL frames are quarantined (journaled, metered) and the
-        surviving state serves.  Without one, the store keeps its strict
-        fail-stop contract — every failure is still a typed error.
+        Partial corruption degrades instead of aborting: unreadable snapshot
+        segments / warehouse entries / WAL frames are quarantined (journaled,
+        metered), the component is marked in the health registry and the
+        surviving state serves.  Only an unreadable manifest or a store from
+        a newer build stops the open, with a typed error.
         """
         report = RecoveryReport()
         quarantined_before = len(self.quarantine.records())
-        health = self.resilience.health if self.resilience is not None else None
         manifest = self._load_manifest()
         if manifest is not None:
             version = int(manifest.get("format_version", 0))
@@ -476,24 +456,19 @@ class DurableStore:
             self.checkpoint_id = int(manifest.get("checkpoint_id", 0))
             report.checkpoint_id = self.checkpoint_id
 
-        database = system.database
-        if manifest is not None:
             segments_dir = self._segments_dir(self.checkpoint_id)
             for name, entry in manifest.get("tables", {}).items():
-                schema = schema_from_payload(entry["schema"])
-                self._recover_table(system, segments_dir, name, schema, entry, report, health)
-            database.catalog.restore_version(int(manifest.get("catalog_version", 0)))
+                self._recover_table(system, segments_dir, name, entry, report)
+            system.database.catalog.restore_version(int(manifest.get("catalog_version", 0)))
 
-        # The warehouse loads before the WAL replays: replayed appends mark
-        # the touched tables' models stale, which only lands if the models
-        # are already in the store.
-        if manifest is not None:
+            # The warehouse loads before the WAL replays: a replayed write
+            # notifies the model lifecycle exactly as the live one did, which
+            # only lands if the models are already in the store.
             warehouse_file = manifest.get("warehouse_file")
             if warehouse_file:
-                warehouse_path = self.root / warehouse_file
-                payload = self._load_warehouse_payload(warehouse_path, health)
+                payload = self._load_warehouse_payload(self.root / warehouse_file)
                 if payload is not None:
-                    restored = self._restore_warehouse(payload, system, health)
+                    restored = self._restore_warehouse(payload, system)
                     report.models_restored = len(restored)
                     if restored:
                         from repro.core.captured_model import ensure_model_id_floor
@@ -508,21 +483,12 @@ class DurableStore:
             # an archived table must clear (not precede) its restored state.
             archive_payload = manifest.get("archive") or {}
             if archive_payload.get("tables"):
-                if system.archive_tier is None:
-                    # Reachable when recover() is driven directly (not via
-                    # LawsDatabase.open): the planner guard must be wired
-                    # here too, or archived tables would restore with exact
-                    # execution silently running over the partial remainder.
-                    system.archive_tier = ArchiveTier(database, self.archive_dir)
-                    system.planner.archive_guard = system.archive_tier.blocking_reason
                 system.archive_tier.restore_from_payload(archive_payload)
 
         # WAL replay: only a log stamped with this checkpoint's epoch extends
         # it; any other epoch predates the manifest rename and is discarded.
-        epoch_discarded = self._replay_wal(system, report, health)
-
-        if system.archive_tier is not None:
-            report.archived_tables = system.archive_tier.archived_tables()
+        epoch_discarded = self._replay_wal(system, report)
+        report.archived_tables = system.archive_tier.archived_tables()
 
         self.accepting_writes = True
         quarantined_now = [
@@ -538,23 +504,21 @@ class DurableStore:
             outcome = "epoch-discarded"
         else:
             outcome = "clean"
-        if self.metrics is not None:
-            self.metrics.inc("recovery_total", outcome=outcome)
-        if self.journal is not None:
-            self.journal.record(
-                "recovery",
-                checkpoint_id=report.checkpoint_id,
-                outcome=outcome,
-                tables_loaded=report.tables_loaded,
-                rows_loaded=report.rows_loaded,
-                models_restored=report.models_restored,
-                watches_restored=report.watches_restored,
-                wal_records_replayed=report.wal_records_replayed,
-                wal_rows_replayed=report.wal_rows_replayed,
-                wal_truncated_bytes=report.wal_truncated_bytes,
-                wal_truncation_reason=report.wal_truncation_reason,
-                quarantined=len(quarantined_now),
-            )
+        self.metrics.inc("recovery_total", outcome=outcome)
+        self.journal.record(
+            "recovery",
+            checkpoint_id=report.checkpoint_id,
+            outcome=outcome,
+            tables_loaded=report.tables_loaded,
+            rows_loaded=report.rows_loaded,
+            models_restored=report.models_restored,
+            watches_restored=report.watches_restored,
+            wal_records_replayed=report.wal_records_replayed,
+            wal_rows_replayed=report.wal_rows_replayed,
+            wal_truncated_bytes=report.wal_truncated_bytes,
+            wal_truncation_reason=report.wal_truncation_reason,
+            quarantined=len(quarantined_now),
+        )
         return report
 
     def _load_manifest(self) -> dict[str, Any] | None:
@@ -577,42 +541,37 @@ class DurableStore:
         system: "LawsDatabase",
         segments_dir: Path,
         name: str,
-        schema: Any,
         entry: dict[str, Any],
         report: RecoveryReport,
-        health: Any,
     ) -> None:
         lost_segments: list[str] = []
-        handler = None
-        if self.resilience is not None:
 
-            def handler(seg_entry: dict[str, Any], path: Path, exc: Exception) -> bool:
-                self.quarantine.quarantine_file(
-                    path,
-                    artefact="snapshot-segment",
-                    reason=str(exc),
-                    detail=f"table {name!r} segment {seg_entry.get('file')}",
-                )
-                lost_segments.append(str(seg_entry.get("file")))
-                return True
+        def quarantine_segment(seg_entry: dict[str, Any], path: Path, exc: Exception) -> bool:
+            self.quarantine.quarantine_file(
+                path,
+                artefact="snapshot-segment",
+                reason=str(exc),
+                detail=f"table {name!r} segment {seg_entry.get('file')}",
+            )
+            lost_segments.append(str(seg_entry.get("file")))
+            return True
 
         table = read_table_segments(
             segments_dir,
             name,
-            schema,
+            schema_from_payload(entry["schema"]),
             entry["segments"],
             faults=self.faults,
-            on_segment_error=handler,
-            retrier=self.resilience.retrier if self.resilience is not None else None,
+            on_segment_error=quarantine_segment,
+            retrier=self.resilience.retrier,
         )
         expected = int(entry.get("row_count", table.num_rows))
         if lost_segments:
-            reason = (
+            self.resilience.health.mark_failed(
+                f"table:{name}",
                 f"{len(lost_segments)} snapshot segment(s) quarantined; "
-                f"{table.num_rows}/{expected} row(s) recovered"
+                f"{table.num_rows}/{expected} row(s) recovered",
             )
-            if health is not None:
-                health.mark_failed(f"table:{name}", reason)
         elif table.num_rows != expected:
             raise PersistenceError(
                 f"snapshot of {name!r} has {table.num_rows} row(s) but the "
@@ -620,26 +579,28 @@ class DurableStore:
             )
         system.database.register_table(table)
         if not lost_segments:
-            # The snapshot's segments double as a partition map: serve
-            # them through the catalog so the fan-out path works on a
-            # reopened store.  A partially-quarantined table gets no map —
-            # its segments no longer tile the recovered rows.
-            try:
-                payload = partition_map_from_segments(table, entry["segments"])
-            except ReproError:
-                pass
-            else:
-                if len(payload["partitions"]) > 1:
-                    system.database.catalog.set_table_meta(name, PARTITION_META_KEY, payload)
+            # The map committed at the checkpoint; a manifest written before
+            # maps were recorded falls back to its segments' row ranges, so
+            # the fan-out path works on a reopened store.  A partially-
+            # quarantined table gets no map — its recovered rows are not the
+            # rows any map described.
+            partition_map = entry.get("partition_map")
+            if partition_map is None and len(entry["segments"]) > 1:
+                try:
+                    partition_map = partition_map_from_segments(table, entry["segments"])
+                except ReproError:
+                    pass
+            if partition_map is not None:
+                system.database.catalog.set_table_meta(name, PARTITION_META_KEY, partition_map)
         report.tables_loaded += 1
         report.rows_loaded += table.num_rows
 
-    def _load_warehouse_payload(self, path: Path, health: Any) -> dict[str, Any] | None:
+    def _load_warehouse_payload(self, path: Path) -> dict[str, Any] | None:
+        health = self.resilience.health
         if not path.is_file():
-            if self.resilience is None:
-                raise PersistenceError(f"warehouse file missing: {path}")
             health.mark_failed("warehouse", f"warehouse file missing: {path}")
             return None
+
         def read_payload() -> bytes:
             data = path.read_bytes()
             if self.faults is not None:
@@ -652,8 +613,6 @@ class DurableStore:
             except OSError as exc:
                 # Idempotent read: retry any OSError before condemning the
                 # file — the bytes on disk may be perfectly good.
-                if self.resilience is None:
-                    raise
                 data = self.resilience.retrier.retry(
                     read_payload,
                     first_error=exc,
@@ -662,26 +621,14 @@ class DurableStore:
                 )
             return json.loads(data.decode("utf-8"))
         except (OSError, ValueError, UnicodeDecodeError) as exc:
-            if self.resilience is None:
-                from repro.errors import WarehouseError
-
-                raise WarehouseError(
-                    f"warehouse file {path} is unreadable: {exc}", path=str(path)
-                ) from exc
             self.quarantine.quarantine_file(
                 path, artefact="warehouse-file", reason=str(exc)
             )
             health.mark_failed("warehouse", f"warehouse file quarantined: {exc}")
             return None
 
-    def _restore_warehouse(
-        self, payload: dict[str, Any], system: "LawsDatabase", health: Any
-    ) -> list[Any]:
-        if self.resilience is None:
-            return restore_store(payload, system.models)
+    def _restore_warehouse(self, payload: dict[str, Any], system: "LawsDatabase") -> list[Any]:
         version = int(payload.get("format_version", 0))
-        from repro.persist.warehouse import WAREHOUSE_FORMAT_VERSION
-
         if version > WAREHOUSE_FORMAT_VERSION:
             # A newer format is a build mismatch, not corruption: upgrading
             # the binary fixes it, quarantining would discard good models.
@@ -720,22 +667,19 @@ class DurableStore:
                 for index, entry in enumerate(entries)
                 if index not in bad_set
             ]
-            health.mark_degraded(
+            self.resilience.health.mark_degraded(
                 "warehouse",
                 f"{len(bad)} warehouse entr{'y' if len(bad) == 1 else 'ies'} quarantined; "
                 f"{len(models)} model(s) restored",
             )
         return [system.models.add(model) for model in models]
 
-    def _replay_wal(self, system: "LawsDatabase", report: RecoveryReport, health: Any) -> bool:
+    def _replay_wal(self, system: "LawsDatabase", report: RecoveryReport) -> bool:
         """Replay the WAL tail; returns True when an epoch mismatch discarded it."""
-        from repro.persist.wal import WalReplay
-
+        health = self.resilience.health
         try:
             replay = self.wal.replay(repair=True)
         except WALError as exc:
-            if self.resilience is None:
-                raise
             self.quarantine.quarantine_file(
                 self.wal.path, artefact="wal-file", reason=str(exc)
             )
@@ -753,13 +697,12 @@ class DurableStore:
                     reason=replay.truncation_reason or "torn tail",
                 )
                 quarantined_path = tail_record.quarantined_path
-            if self.journal is not None:
-                self.journal.record(
-                    "wal-truncation",
-                    reason=replay.truncation_reason,
-                    truncated_bytes=replay.truncated_bytes,
-                    quarantined_path=quarantined_path,
-                )
+            self.journal.record(
+                "wal-truncation",
+                reason=replay.truncation_reason,
+                truncated_bytes=replay.truncated_bytes,
+                quarantined_path=quarantined_path,
+            )
         epoch_discarded = False
         if replay.epoch != self.checkpoint_id:
             # A stale-epoch log must be re-stamped even when it holds no
@@ -770,13 +713,10 @@ class DurableStore:
             report.wal_discarded_epoch_mismatch = epoch_discarded
             self._reset_wal_safe(self.checkpoint_id)
         else:
-            touched: set[str] = set()
             for index, record in enumerate(replay.records):
                 try:
-                    rows = _apply_wal_record(self, system, record, touched)
+                    rows = self._apply_wal_record(system, record)
                 except ReproError as exc:
-                    if self.resilience is None:
-                        raise
                     # Records after a failed one may depend on it (create
                     # then append): stop applying, keep everything aside.
                     self.quarantine.quarantine_entry(
@@ -799,19 +739,71 @@ class DurableStore:
                     break
                 report.wal_records_replayed += 1
                 report.wal_rows_replayed += rows
-            for name in touched:
-                system.models.mark_table_stale(name)
         if not self.wal.path.exists() or self.wal.size_bytes == 0:
             self._reset_wal_safe(self.checkpoint_id)
         return epoch_discarded
+
+    def _apply_wal_record(self, system: "LawsDatabase", record: dict[str, Any]) -> int:
+        """Apply one replayed record; returns the rows it appended.
+
+        Table writes go back through the ``LawsDatabase`` methods that logged
+        them (``accepting_writes`` is False, so nothing is re-logged): the
+        recovered tables, model statuses and archive state are the live
+        ones by construction.  ``archive``/``recall`` call the tier, because
+        the live ``archive()`` checkpoints first."""
+        op = record.get("op")
+        if op in ("create_table", "load_table"):
+            name, schema = record["name"], schema_from_payload(record["schema"])
+            if op == "create_table":
+                table = Table.empty(name, schema)
+            else:
+                table = read_table_segments(
+                    self.root / record["dir"],
+                    name,
+                    schema,
+                    record["segments"],
+                    faults=self.faults,
+                    retrier=self.resilience.retrier,
+                )
+            system.register_table(table, replace=record.get("replace", False))
+            return table.num_rows
+        if op == "append":
+            rows = [tuple(row) for row in record["rows"]]
+            system.insert_rows(record["table"], rows)
+            return len(rows)
+        if op == "drop_table":
+            system.drop_table(record["name"])
+            return 0
+        if op == "sql":
+            from repro.core.pipeline import execute_write
+
+            # Deterministic for the supported subset (CREATE TABLE / INSERT
+            # ... VALUES): re-running the text reproduces the write.
+            prepared = system.database.executor.prepare(record["sql"])
+            execute_write(system, record["sql"], prepared)
+            statement = prepared.statement
+            return len(statement.rows) if isinstance(statement, InsertStatement) else 0
+        if op == "partition_map":
+            system.database.catalog.set_table_meta(
+                record["table"], PARTITION_META_KEY, record["map"]
+            )
+            return 0
+        if op == "archive":
+            # Re-archiving is deterministic: the predicate re-selects the same
+            # rows out of the recovered table state at this point of the log.
+            system.archive_tier.archive(record["table"], record["predicate"])
+            return 0
+        if op == "recall":
+            system.archive_tier.recall(record["table"])
+            return 0
+        raise PersistenceError(f"unknown WAL record op {op!r}")
 
     def _reset_wal_safe(self, epoch: int) -> None:
         """Reset the WAL; a failure defers the epoch stamp instead of aborting."""
         try:
             self.wal.reset(epoch=epoch)
         except WALError as exc:
-            if self.journal is not None:
-                self.journal.record("wal-reset-deferred", checkpoint_id=epoch, error=str(exc))
+            self.journal.record("wal-reset-deferred", checkpoint_id=epoch, error=str(exc))
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -869,89 +861,14 @@ def _fsync_file(path: Path) -> None:
 _fsync_dir = _fsync_file
 
 
-def _apply_wal_record(
-    store: DurableStore, system: "LawsDatabase", record: dict[str, Any], touched: set[str]
-) -> int:
-    """Apply one replayed WAL record; returns the rows it appended."""
-    database = system.database
-    op = record.get("op")
-    if op == "load_table":
-        name = record["name"]
-        schema = schema_from_payload(record["schema"])
-        table = read_table_segments(
-            store.root / record["dir"],
-            name,
-            schema,
-            record["segments"],
-            faults=store.faults,
-            retrier=store.resilience.retrier if store.resilience is not None else None,
-        )
-        if database.has_table(name):
-            if not record.get("replace", False):
-                raise PersistenceError(
-                    f"WAL loads table {name!r} which already exists in the snapshot"
-                )
-            database.drop_table(name)
-            if system.archive_tier is not None:
-                system.archive_tier.drop(name)
-        database.register_table(table)
-        return table.num_rows
-    if op == "create_table":
-        name = record["name"]
-        schema = schema_from_payload(record["schema"])
-        if database.has_table(name):
-            if not record.get("replace", False):
-                raise PersistenceError(
-                    f"WAL creates table {name!r} which already exists in the snapshot"
-                )
-            database.drop_table(name)
-            if system.archive_tier is not None:
-                # Mirror the live replace path: the old incarnation's
-                # archived segments go with it.
-                system.archive_tier.drop(name)
-        database.create_table(name, schema)
-        return 0
-    if op == "append":
-        name = record["table"]
-        rows = [tuple(row) for row in record["rows"]]
-        database.insert_rows(name, rows)
-        touched.add(name)
-        return len(rows)
-    if op == "drop_table":
-        name = record["name"]
-        database.drop_table(name)
-        # Mirror the live drop path: warehouse models of a dropped table
-        # must not keep serving for a table that no longer exists, and its
-        # archived segments (restored before replay) go with it.
-        for model in system.models.models_for_table(name, include_unusable=True):
-            if model.status != "retired":
-                system.models.retire_model(model.model_id)
-        if system.archive_tier is not None:
-            system.archive_tier.drop(name)
-        touched.discard(name)
-        return 0
-    if op == "sql":
-        from repro.db.sql.ast import InsertStatement
+def _append_records(table_name: str, rows: Any) -> Any:
+    """``append`` records for ``rows``, one per :data:`WAL_APPEND_CHUNK_ROWS`.
 
-        statement = database.parse_sql(record["sql"])
-        database.sql(record["sql"])
-        if isinstance(statement, InsertStatement):
-            touched.add(statement.name)
-            return len(statement.rows)
-        return 0
-    if op == "archive":
-        if system.archive_tier is None:  # pragma: no cover - open() always sets it
-            raise PersistenceError("WAL archives a segment but no archive tier is attached")
-        # Re-archiving is deterministic: the predicate re-selects the same
-        # rows out of the recovered table state at this point of the log.
-        system.archive_tier.archive(record["table"], record["predicate"])
-        return 0
-    if op == "recall":
-        if system.archive_tier is None:  # pragma: no cover - open() always sets it
-            raise PersistenceError("WAL recalls a segment but no archive tier is attached")
-        system.archive_tier.recall(record["table"])
-        return 0
-    raise PersistenceError(f"unknown WAL record op {op!r}")
+    A generator, converted per chunk: one transient list-of-lists per frame
+    instead of a second whole-table materialization next to the caller's rows."""
+    for start in range(0, len(rows), WAL_APPEND_CHUNK_ROWS):
+        chunk = [list(row) for row in rows[start : start + WAL_APPEND_CHUNK_ROWS]]
+        yield {"op": "append", "table": table_name, "rows": chunk}
 
 
 def _calibration_payload(system: "LawsDatabase") -> dict[str, Any]:

@@ -41,7 +41,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, BinaryIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Iterable
 
 import numpy as np
 
@@ -148,6 +148,24 @@ class WriteAheadLog:
                     path=str(self.path),
                     errno_code=exc.errno,
                 ) from exc
+
+    def append_all(self, records: Iterable[dict[str, Any]]) -> None:
+        """Append several records as one unit: every frame lands, or the log
+        (and an epoch stamp still pending) is left as it was.
+
+        A redo record spanning frames — a created table and its rows, a batch
+        over the chunk size — must not survive in part: the caller rolls the
+        change back in memory, and a replayed prefix would resurrect it.
+        """
+        with self._lock:
+            size, pending_epoch = self.size_bytes, self._pending_epoch
+            try:
+                for record in records:
+                    self.append(record)
+            except BaseException:
+                self._rollback(size)
+                self._pending_epoch = pending_epoch
+                raise
 
     def _append_payload(self, payload: bytes) -> int:
         handle = self._open_handle()

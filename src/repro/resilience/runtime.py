@@ -2,9 +2,9 @@
 
 One object carries everything the production layers share: the (optional)
 fault injector, the retrier, the health registry and the named circuit
-breakers.  The quarantine manager lives on the durable store (it is rooted
-at the store directory) and registers itself here so operator reports have
-one place to look.
+breakers.  The quarantine manager belongs to the durable store (it is rooted
+at the store directory), which hangs it here when it is constructed so
+operator reports have one place to look.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Callable
 
 from .faults import FaultInjector
 from .health import CircuitBreaker, HealthRegistry
+from .quarantine import QuarantineManager
 from .retry import Retrier, RetryPolicy
 
 __all__ = ["ResilienceRuntime"]
@@ -45,7 +46,8 @@ class ResilienceRuntime:
         self.breaker_failure_threshold = breaker_failure_threshold
         self.breaker_cooldown_seconds = breaker_cooldown_seconds
         self._breakers: dict[str, CircuitBreaker] = {}
-        self.quarantine = None  # set by DurableStore.attach_resilience
+        #: The durable store's quarantine manager, once a store was opened.
+        self.quarantine: QuarantineManager | None = None
         self.journal = None
         self.metrics = None
 
@@ -80,9 +82,6 @@ class ResilienceRuntime:
         self.retrier.journal = journal
         for breaker in self._breakers.values():
             breaker.journal = journal
-        if self.quarantine is not None:
-            self.quarantine.journal = journal
-            self.quarantine.metrics = metrics
 
     def report(self) -> dict:
         """Operator-facing health + breaker + quarantine summary."""

@@ -69,11 +69,21 @@ class IngestStats:
 class StreamIngestor:
     """Buffers incoming rows and appends them to base tables in batches."""
 
-    def __init__(self, database: Database, batch_size: int = 512) -> None:
+    def __init__(
+        self,
+        database: Database,
+        batch_size: int = 512,
+        append: Callable[[str, Sequence[Sequence[Any]]], int] | None = None,
+    ) -> None:
         if batch_size < 1:
             raise StreamingError(f"batch_size must be positive, got {batch_size}")
         self.database = database
         self.batch_size = batch_size
+        #: ``append(table_name, rows) -> start row``: the committed append a
+        #: flush goes through.  The substrate's own by default; a
+        #: ``LawsDatabase`` passes its durable one, so a flushed batch and its
+        #: redo record land together or not at all.
+        self._append = append or database.insert_rows
         #: Optional fault injector (``streaming.ingest.flush``); a fault
         #: raised here leaves the batch buffered for the next flush, so the
         #: stream self-heals once the fault clears.
@@ -81,7 +91,6 @@ class StreamIngestor:
         self._buffers: dict[str, list[tuple[Any, ...]]] = {}
         self._stats: dict[str, IngestStats] = {}
         self._listeners: list[Callable[[IngestBatch], None]] = []
-        self._commit_listeners: list[Callable[[IngestBatch], None]] = []
         # Serializes every buffer/stats mutation: concurrent producers may
         # submit to the same table, and a flush must not race a submit
         # repartitioning the same buffer.  Re-entrant because a listener may
@@ -96,19 +105,6 @@ class StreamIngestor:
 
     def remove_listener(self, callback: Callable[[IngestBatch], None]) -> None:
         self._listeners.remove(callback)
-
-    def add_commit_listener(self, callback: Callable[[IngestBatch], None]) -> None:
-        """Register a callback invoked *inside* the commit critical section.
-
-        Commit listeners run while the catalog commit lock is still held,
-        immediately after the batch's append + version bump.  The WAL uses
-        this so a batch and its redo record are atomic with respect to a
-        concurrent checkpoint — a checkpoint (which holds the same lock)
-        can never snapshot a committed batch and then reset the log before
-        that batch's record lands in it.  Keep these cheap: they stall
-        every writer and snapshot-taking reader.
-        """
-        self._commit_listeners.append(callback)
 
     # -- submission ------------------------------------------------------------
 
@@ -283,36 +279,20 @@ class StreamIngestor:
                 raise StreamingError(
                     f"ingest flush for {table_name!r} failed: {exc.strerror or exc}"
                 ) from exc
-        # The append (+ version bump) and any commit listeners (the WAL's
-        # redo record) form one critical section: a checkpoint holding the
-        # same lock either sees the batch in the table *and* the log, or in
-        # neither.
-        with self.database.catalog.commit_lock:
-            catalog = self.database.catalog
-            live = catalog.live_table(table_name)
-            pre_image = live.pinned()
+        catalog = self.database.catalog
+        with catalog.commit_lock:
             # Sampled before the append: the cached stats (if fresh here)
             # describe exactly the pre-append rows, so batch statistics can
             # be merged in instead of rescanning the whole table later.
             stats_were_clean = catalog.stats_clean(table_name)
-            start, end = self.database.append_batch(table_name, rows)
-            batch = IngestBatch(
-                table_name=table_name, start_row=start, end_row=end, rows=tuple(rows)
-            )
-            try:
-                for listener in list(self._commit_listeners):
-                    listener(batch)
-            except BaseException:
-                # A commit listener is part of the commit (it writes the
-                # batch's WAL redo record, atomically).  If it fails, the
-                # in-memory append must not survive either: the caller
-                # re-queues the rows, and a retry would apply them twice.
-                live.rollback_to(pre_image)
-                self.database.catalog.mark_dirty(table_name)
-                raise
+            start = self._append(table_name, rows)
             if stats_were_clean and rows:
-                delta = compute_table_stats(Table.from_rows(table_name, live.schema, rows))
+                schema = catalog.live_table(table_name).schema
+                delta = compute_table_stats(Table.from_rows(table_name, schema, rows))
                 catalog.merge_stats_delta(table_name, delta)
+        batch = IngestBatch(
+            table_name=table_name, start_row=start, end_row=start + len(rows), rows=tuple(rows)
+        )
         elapsed = perf_counter() - started
         stats = self._stats_for(table_name)
         stats.rows_ingested += len(rows)

@@ -88,8 +88,8 @@ class TestShardScopedStaleness:
             reopened.close()
 
         assert observed["sql"] == observed["rows"]
-        live, _ = observed["sql"]
-        assert live == {0: "active", 1: "active", 2: "active", 3: "active"}
+        live, recovered = observed["sql"]
+        assert recovered == live == {0: "active", 1: "active", 2: "active", 3: "active"}
 
     def test_whole_table_model_still_goes_stale_on_append(self) -> None:
         db = _make_db()

@@ -108,3 +108,20 @@ class TestIngestStatsMerge:
         merged = catalog.stats("t").column("k")
         fresh = compute_table_stats(db.table("t").pinned()).column("k")
         _assert_stats_equal(merged, fresh)
+
+
+class TestArchiveOverlayMerge:
+    def test_overlay_over_k_segments_equals_stats_of_the_union(self, tmp_path) -> None:
+        """Live rows + k archived segments: the overlay the planner reads is
+        what one scan of the whole logical table would report."""
+        table = _table(seed=17, rows=1200)
+        whole = compute_table_stats(table)
+        with LawsDatabase.open(tmp_path / "db", observability=False) as db:
+            db.register_table(table)
+            for bound in (1, 3, 5):  # three segments, carved by key
+                db.archive("t", f"k < {bound}")
+            assert len(db.archive_tier.to_payload()["tables"]["t"]) == 3
+            merged = db.database.stats("t")
+            assert db.table("t").num_rows < merged.row_count == whole.row_count
+            for name in table.schema.names:
+                _assert_stats_equal(merged.column(name), whole.column(name))

@@ -6,7 +6,9 @@ process lifetime in three phases:
 
 * **Phase A** (faulted): open a durable store, bulk-load, fit, watch,
   stream batches with maintenance ticks, checkpoint, archive + recall,
-  stream more, then close *without* a final checkpoint (crash-style: the
+  stream more, write one chunk through ``insert_rows`` and one through SQL
+  ``INSERT`` (so WAL faults land on every front door, not only the ingest
+  flush), then close *without* a final checkpoint (crash-style: the
   post-checkpoint acknowledgements live only in the WAL).
 * **Phase B** (faulted): reopen the same store — this is where read-path
   faults (bit flips on snapshot/warehouse/WAL bytes) fire — query under
@@ -25,6 +27,7 @@ journaled quarantine, or a typed error" guarantee.
 Row accounting is by identity, not count: every row carries a unique ``t``
 and a row is *acknowledged* only when the operation that durably committed
 it returned normally (for ingest, only the batches the flush actually
+returned; for ``insert_rows`` and SQL ``INSERT``, only if the call
 returned).  Lost-vs-acknowledged and double-application are then set
 comparisons against the audited final state.
 """
@@ -156,12 +159,21 @@ def run_workload(root: Path | str, faults: FaultInjector | None = None) -> Chaos
 
     next_t = 0
 
-    def ingest_batch(db: Any, name: str) -> None:
+    def next_chunk() -> list[tuple[int, float]]:
         nonlocal next_t
-        ts = list(range(next_t, next_t + BATCH))
+        ts = range(next_t, next_t + BATCH)
         next_t += BATCH
         out.submitted_t.update(ts)
-        rows = [(t, value_for(t)) for t in ts]
+        return [(t, value_for(t)) for t in ts]
+
+    def write_chunk(name: str, write: Callable[[list[tuple[int, float]]], Any]) -> None:
+        rows = next_chunk()
+        _, ok = step(name, lambda: write(rows))
+        if ok:
+            out.acked_t.update(t for t, _ in rows)
+
+    def ingest_batch(db: Any, name: str) -> None:
+        rows = next_chunk()
         batches, ok = step(name, lambda: db.ingest("metrics", rows, flush=True))
         if ok:
             # Acknowledge exactly the rows the flush reported committed —
@@ -215,6 +227,13 @@ def run_workload(root: Path | str, faults: FaultInjector | None = None) -> Chaos
         step("recall", lambda: db.recall_archive("metrics"))
         for i in range(BATCHES_AFTER_CHECKPOINT):
             ingest_batch(db, f"ingest-b{i}")
+        write_chunk("insert-rows", lambda rows: db.insert_rows("metrics", rows))
+        write_chunk(
+            "sql-insert",
+            lambda rows: db.query(
+                "INSERT INTO metrics VALUES " + ", ".join(f"({t}, {v!r})" for t, v in rows)
+            ),
+        )
         check_contract(db, "a")
         step("close-a", db.close)
 

@@ -35,6 +35,7 @@ from repro.fitting.grouped import GroupedFitter
 from repro.fitting.model import FitResult
 from repro.fitting.robust import fit_robust
 from repro.obs.flight import is_telemetry_table
+from repro.weakcall import weak_callback
 
 __all__ = ["HarvestReport", "ModelHarvester"]
 
@@ -95,7 +96,7 @@ class ModelHarvester:
         #: fitted coefficients with NaNs (a silently diverged solver).
         self.faults: Any = None
         # Capture fits that go through the in-database UDF path as well.
-        self.database.udfs.add_fit_listener(self._on_udf_fit)
+        self.database.udfs.add_fit_listener(weak_callback(self._on_udf_fit))
 
     # -- the main entry point ----------------------------------------------------
 

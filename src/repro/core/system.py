@@ -10,6 +10,7 @@ data."
 
 from __future__ import annotations
 
+import weakref
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -36,6 +37,7 @@ from repro.db.database import Database
 from repro.db.io_model import IOParameters
 from repro.db.schema import Schema
 from repro.db.sql.ast import SelectStatement
+from repro.db.stats import compute_table_stats
 from repro.db.table import Table
 from repro.errors import PersistenceError
 from repro.obs import (
@@ -62,6 +64,7 @@ from repro.persist.store import CheckpointReport, DurableStore, RecoveryReport
 from repro.resilience import FaultInjector, ResilienceRuntime, RetryPolicy
 from repro.streaming.ingest import IngestBatch, IngestStats, StreamIngestor
 from repro.streaming.maintenance import MaintenanceReport, ModelMaintenancePolicy, WatchTarget
+from repro.weakcall import weak_callback
 
 __all__ = ["LawsDatabase"]
 
@@ -92,20 +95,21 @@ class LawsDatabase:
         # trigger an on-demand grouped harvest (same formula, per group) —
         # guarded so it never fits against a table whose cold rows moved to
         # the archive tier (the live remainder is predicate-biased).
-        self.approx.grouped_model_provider = self._grouped_model_provider
+        self.approx.grouped_model_provider = weak_callback(self._grouped_model_provider)
         self.lifecycle = ModelLifecycleManager(self.database, self.models, self.harvester)
         self.zero_io = ZeroIOScanner(self.database)
         self.ingestor = StreamIngestor(
-            self.database, batch_size=ingest_batch_size, append=self._append
+            self.database, batch_size=ingest_batch_size, append=weak_callback(self._append)
         )
         self.maintenance = ModelMaintenancePolicy(
             self.database, self.models, self.harvester, self.lifecycle
         )
-        self.maintenance.refit_guard = self._archive_refit_reason
+        archive_guard = weak_callback(self._archive_refit_reason)
+        self.maintenance.refit_guard = archive_guard
         # Every capture path funnels through the harvester; the guard there
         # blocks fits over tables whose cold rows moved to the archive tier.
-        self.harvester.fit_guard = self._archive_refit_reason
-        self.ingestor.add_listener(self._on_ingest_batch)
+        self.harvester.fit_guard = archive_guard
+        self.ingestor.add_listener(weak_callback(self._on_ingest_batch))
         # The unified planner cost-routes every statement between the
         # model-serving routes and the exact vectorized engine; its feedback
         # verifier audits a sample of served answers against exact execution.
@@ -131,10 +135,10 @@ class LawsDatabase:
         # slow-log bundle threaded through every layer.  ``observability=
         # False`` leaves every collector a single attribute check.
         self.obs = Observability(
-            io_snapshot=self.database.io_snapshot,
+            io_snapshot=weak_callback(self.database.io_snapshot),
             enabled=observability,
             slow_query_seconds=slow_query_seconds,
-            io_scope=self.database.io_model.scope,
+            io_scope=weak_callback(self.database.io_model.scope),
         )
         self.database.executor.tracer = self.obs.tracer
         self.database.io_model.tracer = self.obs.tracer
@@ -143,7 +147,9 @@ class LawsDatabase:
         # map run scan/filter/join/group-by per shard on a worker pool when
         # the planner's cost model says the dispatch pays; everything else
         # falls through to the standard root execution.
-        self.parallel = ParallelQueryEngine(self.database.catalog, self.planner)
+        # (A proxy: executor → engine → planner → database → executor would
+        # otherwise be a cycle.)
+        self.parallel = ParallelQueryEngine(self.database.catalog, weakref.proxy(self.planner))
         self.parallel.tracer = self.obs.tracer
         self.parallel.metrics = self.obs.metrics
         self.parallel.pool.journal = self.obs.journal
@@ -167,8 +173,8 @@ class LawsDatabase:
         # changes what the degraded guard answers, so it bumps the model
         # store version to invalidate affected plans — keeping health checks
         # off the per-query hot path.
-        self.resilience.health.on_transition = self._on_health_transition
-        self.planner.degraded_guard = self._degraded_reason
+        self.resilience.health.on_transition = weak_callback(self._on_health_transition)
+        self.planner.degraded_guard = weak_callback(self._degraded_reason)
         self.maintenance.resilience = self.resilience
         if fault_injector is not None:
             self.ingestor.faults = fault_injector
@@ -451,10 +457,21 @@ class LawsDatabase:
         through; returns the row the batch starts at.  A row the substrate
         rejected never reaches the redo log, and a row whose redo record
         failed does not stay in memory."""
-        with self.database.catalog.writing(name) as appended_from:
+        catalog = self.database.catalog
+        with catalog.writing(name) as appended_from:
+            # Sampled before the append: statistics that are fresh here
+            # describe exactly the pre-append rows, so the batch's own can be
+            # merged in and no later reader rescans the whole table.  WAL
+            # replay comes through here too — a reopened store keeps the
+            # statistics its checkpoint recorded fresh across the tail.
+            stats_were_clean = catalog.stats_clean(name)
             self.database.insert_rows(name, rows)
             if self.durable is not None:
                 self.durable.log_append(name, rows)
+            if stats_were_clean:
+                table = catalog.live_table(name)
+                batch = table.slice(appended_from, table.num_rows)
+                catalog.merge_stats_delta(name, compute_table_stats(batch))
         return appended_from
 
     # -- streaming ingestion & online maintenance -----------------------------------

@@ -287,13 +287,14 @@ class Catalog:
         """Return (and lazily recompute) statistics for ``name``.
 
         Inside a :meth:`reading` context the statistics come from the pinned
-        tables, so estimates and data always describe the same rows.  Live
-        recomputes run on a pinned copy of the table outside the commit lock
-        (stats can be expensive), then publish under it.
+        tables, so estimates and data always describe the same rows.  Either
+        way a recompute runs on a pinned copy of the table outside the commit
+        lock (stats can be expensive) and is then offered to the live cache,
+        where later appends merge into it and later snapshots start from it.
         """
         pin = self._pin()
         if pin is not None:
-            return pin.stats(name)
+            return pin.stats(name, on_computed=self._publish_stats)
         with self._commit_lock:
             if name not in self._tables:
                 raise CatalogError(f"unknown table {name!r}")
@@ -304,13 +305,19 @@ class Catalog:
             frozen = self._tables[name].pinned()
             version = self._version
         stats = compute_table_stats(frozen)
+        self._publish_stats(name, stats, version)
+        return overlay(stats) if overlay is not None else stats
+
+    def _publish_stats(self, name: str, stats: TableStats, version: int) -> None:
+        """Cache ``stats``, computed from ``name`` as committed at ``version``.
+
+        Only if no commit landed since; a stale publish would pair new data
+        with old stats.
+        """
         with self._commit_lock:
-            # Only publish if no commit landed while computing; a stale
-            # publish would pair new data with old stats.
             if name in self._tables and self._version == version:
                 self._stats[name] = stats
                 self._stats_dirty.discard(name)
-        return overlay(stats) if overlay is not None else stats
 
     def stats_clean(self, name: str) -> bool:
         """True when the cached live statistics for ``name`` are fresh.
@@ -319,8 +326,36 @@ class Catalog:
         learn whether the cached stats describe exactly the pre-append rows
         — the precondition for :meth:`merge_stats_delta`.
         """
+        return self.fresh_stats(name) is not None
+
+    def fresh_stats(self, name: str) -> TableStats | None:
+        """The cached live statistics of ``name`` if they are fresh, else None.
+
+        Never computes, and applies no overlay: what a checkpoint records
+        next to the rows it describes, for :meth:`restore_stats` to publish
+        when those rows are loaded again.
+        """
         with self._commit_lock:
-            return name in self._stats and name not in self._stats_dirty
+            return None if name in self._stats_dirty else self._stats.get(name)
+
+    def restore_stats(self, name: str, stats: TableStats) -> bool:
+        """Publish statistics computed before a restart as fresh.
+
+        Guarded like :meth:`merge_stats_delta`: they must count exactly the
+        live table's rows and cover exactly its columns, otherwise nothing is
+        published, False is returned and the next :meth:`stats` call computes.
+        """
+        with self._commit_lock:
+            table = self._tables.get(name)
+            if (
+                table is None
+                or stats.row_count != table.num_rows
+                or list(stats.columns) != table.schema.names
+            ):
+                return False
+            self._stats[name] = stats
+            self._stats_dirty.discard(name)
+            return True
 
     def merge_stats_delta(self, name: str, delta: TableStats) -> bool:
         """Fold per-batch statistics into the cached stats of ``name``.

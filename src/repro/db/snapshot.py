@@ -20,7 +20,7 @@ it will scan.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.db.stats import TableStats, compute_table_stats
 from repro.db.table import Table
@@ -83,17 +83,24 @@ class CatalogSnapshot:
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
-    def stats(self, name: str) -> TableStats:
+    def stats(
+        self, name: str, on_computed: Callable[[str, TableStats, int], None] | None = None
+    ) -> TableStats:
         """Statistics of the *pinned* table (lazily computed, then cached).
 
         A duplicate compute under a thread race is harmless — both threads
         derive identical stats from the same immutable pinned table and the
-        dict store is atomic — so no lock is needed here.
+        dict store is atomic — so no lock is needed here.  ``on_computed``
+        is told ``(name, stats, version)`` when they had to be computed: the
+        catalog offers them to its live cache, which every query would
+        otherwise bypass (queries always read through a pin).
         """
         cached = self._stats.get(name)
         if cached is None:
             cached = compute_table_stats(self.table(name))
             self._stats[name] = cached
+            if on_computed is not None:
+                on_computed(name, cached, self.version)
         overlay = self.table_meta(name, "stats_overlay")
         return overlay(cached) if overlay is not None else cached
 

@@ -398,40 +398,56 @@ class _PlanBuilder:
         specs: list[AggregateSpec] = []
         spec_index: dict[str, str] = {}
 
-        def rewrite(expression: Expression) -> Expression:
-            if isinstance(expression, FunctionCall) and expression.name.lower() in SUPPORTED_AGGREGATES:
-                if len(expression.args) > 1:
-                    raise UnsupportedSQLError(f"aggregate {expression.name} takes at most one argument")
-                argument = self._resolve(expression.args[0]) if expression.args else None
-                key = f"{expression.name.lower()}({argument})"
-                if key not in spec_index:
-                    spec = AggregateSpec(expression.name.lower(), argument)
-                    specs.append(spec)
-                    spec_index[key] = spec.name
-                return ColumnRef(spec_index[key])
-            if isinstance(expression, BinaryOp):
-                return BinaryOp(expression.op, rewrite(expression.left), rewrite(expression.right))
-            if isinstance(expression, UnaryOp):
-                return UnaryOp(expression.op, rewrite(expression.operand))
-            if isinstance(expression, FunctionCall):
-                return FunctionCall(expression.name, tuple(rewrite(a) for a in expression.args))
-            if isinstance(expression, Between):
-                return Between(rewrite(expression.operand), rewrite(expression.low), rewrite(expression.high))
-            if isinstance(expression, InList):
-                return InList(rewrite(expression.operand), [rewrite(v) for v in expression.values])
-            if isinstance(expression, IsNull):
-                return IsNull(rewrite(expression.operand), expression.negated)
-            return expression
-
         rewritten_items = []
         for item in statement.items:
             if isinstance(item.expression, Star):
                 rewritten_items.append(item)
             else:
-                rewritten_items.append(type(item)(expression=rewrite(item.expression), alias=item.alias))
+                rewritten = self._rewrite_aggregates(item.expression, specs, spec_index)
+                rewritten_items.append(type(item)(expression=rewritten, alias=item.alias))
 
-        rewritten_having = rewrite(statement.having) if statement.having is not None else None
+        rewritten_having = (
+            self._rewrite_aggregates(statement.having, specs, spec_index)
+            if statement.having is not None
+            else None
+        )
         return specs, rewritten_items, rewritten_having
+
+    def _rewrite_aggregates(
+        self, expression: Expression, specs: list[AggregateSpec], spec_index: dict[str, str]
+    ) -> Expression:
+        """``expression`` with each aggregate call replaced by a reference to
+        its output column; new calls are appended to ``specs``.  (A method,
+        not a closure of its caller: a recursive closure refers to itself, and
+        that cycle would pin this builder — and its catalog — until the cyclic
+        collector's next pass.)"""
+
+        def rewrite(inner: Expression) -> Expression:
+            return self._rewrite_aggregates(inner, specs, spec_index)
+
+        if isinstance(expression, FunctionCall) and expression.name.lower() in SUPPORTED_AGGREGATES:
+            if len(expression.args) > 1:
+                raise UnsupportedSQLError(f"aggregate {expression.name} takes at most one argument")
+            argument = self._resolve(expression.args[0]) if expression.args else None
+            key = f"{expression.name.lower()}({argument})"
+            if key not in spec_index:
+                spec = AggregateSpec(expression.name.lower(), argument)
+                specs.append(spec)
+                spec_index[key] = spec.name
+            return ColumnRef(spec_index[key])
+        if isinstance(expression, BinaryOp):
+            return BinaryOp(expression.op, rewrite(expression.left), rewrite(expression.right))
+        if isinstance(expression, UnaryOp):
+            return UnaryOp(expression.op, rewrite(expression.operand))
+        if isinstance(expression, FunctionCall):
+            return FunctionCall(expression.name, tuple(rewrite(a) for a in expression.args))
+        if isinstance(expression, Between):
+            return Between(rewrite(expression.operand), rewrite(expression.low), rewrite(expression.high))
+        if isinstance(expression, InList):
+            return InList(rewrite(expression.operand), [rewrite(v) for v in expression.values])
+        if isinstance(expression, IsNull):
+            return IsNull(rewrite(expression.operand), expression.negated)
+        return expression
 
     def _group_key_name(self, expression: Expression) -> str:
         if isinstance(expression, ColumnRef):

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.db.column import Column
 from repro.db.table import Table
-from repro.db.types import DataType
+from repro.db.types import DataType, python_value
 
 __all__ = [
     "ColumnStats",
@@ -91,6 +91,39 @@ class ColumnStats:
             return 1.0 if lo <= float(self.min_value) <= hi else 0.0
         overlap = max(0.0, min(hi, float(self.max_value)) - max(lo, float(self.min_value)))
         return min(1.0, overlap / span)
+
+    def to_payload(self) -> dict[str, Any]:
+        """JSON-friendly form (archive and checkpoint manifests): statistics
+        of rows that are not in memory when it is read back."""
+        return {
+            "name": self.name,
+            "dtype": self.dtype.value,
+            "row_count": self.row_count,
+            "null_count": self.null_count,
+            "distinct_count": self.distinct_count,
+            "min_value": self.min_value,
+            "max_value": self.max_value,
+            "mean": self.mean,
+            "std": self.std,
+            "domain": self.domain,
+            "domain_counts": self.domain_counts,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> "ColumnStats":
+        return cls(
+            name=payload["name"],
+            dtype=DataType(payload["dtype"]),
+            row_count=int(payload["row_count"]),
+            null_count=int(payload["null_count"]),
+            distinct_count=int(payload["distinct_count"]),
+            min_value=payload.get("min_value"),
+            max_value=payload.get("max_value"),
+            mean=payload.get("mean"),
+            std=payload.get("std"),
+            domain=payload.get("domain"),
+            domain_counts=payload.get("domain_counts"),
+        )
 
     def merge(self, other: "ColumnStats") -> "ColumnStats":
         """Merge statistics of two *disjoint* row sets of the same column.
@@ -184,6 +217,25 @@ class TableStats:
     def column(self, name: str) -> ColumnStats:
         return self.columns[name]
 
+    def to_payload(self) -> dict[str, Any]:
+        return {
+            "row_count": self.row_count,
+            "byte_size": self.byte_size,
+            "columns": {name: stats.to_payload() for name, stats in self.columns.items()},
+        }
+
+    @classmethod
+    def from_payload(cls, table_name: str, payload: dict[str, Any]) -> "TableStats":
+        return cls(
+            table_name=table_name,
+            row_count=int(payload["row_count"]),
+            byte_size=int(payload["byte_size"]),
+            columns={
+                name: ColumnStats.from_payload(entry)
+                for name, entry in payload["columns"].items()
+            },
+        )
+
 
 def compute_column_stats(name: str, column: Column) -> ColumnStats:
     """Compute :class:`ColumnStats` for a column by scanning it once."""
@@ -225,13 +277,9 @@ def compute_column_stats(name: str, column: Column) -> ColumnStats:
     domain = None
     domain_counts = None
     if distinct_count <= ENUMERABLE_DISTINCT_LIMIT:
-        if column.dtype is DataType.INT64:
-            domain = [int(v) for v in unique]
-        elif column.dtype is DataType.BOOL:
-            domain = [bool(v) for v in unique]
-        else:
-            domain = [float(v) for v in unique]
-        domain_counts = [int(c) for c in unique_counts]
+        # Plain ints / floats / bools, per the column's packed dtype.
+        domain = unique.tolist()
+        domain_counts = unique_counts.tolist()
 
     mean = None
     std = None
@@ -240,8 +288,8 @@ def compute_column_stats(name: str, column: Column) -> ColumnStats:
     if column.dtype.is_numeric:
         mean = float(np.mean(data))
         std = float(np.std(data))
-        min_value = column.min()
-        max_value = column.max()
+        min_value = python_value(column.dtype, data.min())
+        max_value = python_value(column.dtype, data.max())
     elif column.dtype is DataType.BOOL:
         min_value = bool(unique.min())
         max_value = bool(unique.max())

@@ -21,6 +21,7 @@ reads, and a flush can never recursively observe itself.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import deque
 from typing import Any
 
@@ -64,8 +65,10 @@ class FlightRecorder:
         capacity: int = 8192,
     ) -> None:
         #: The owning :class:`~repro.core.system.LawsDatabase` façade — the
-        #: recorder rides its real ingest/harvest/maintenance machinery.
-        self.system = system
+        #: recorder rides its real ingest/harvest/maintenance machinery.  A
+        #: weak proxy: the façade owns the recorder, and a strong reference
+        #: back would make every dropped database cyclic garbage.
+        self.system = weakref.proxy(system)
         self.enabled = True
         #: Pending query records auto-flush through the ingest path once
         #: this many accumulate (0 disables auto-flush; call flush()).

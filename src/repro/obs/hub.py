@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.weakcall import weak_callback
+
 from .events import ComplianceLedger, Event, EventJournal
 from .metrics import MetricsRegistry
 from .slowlog import SlowQueryLog
@@ -57,7 +59,7 @@ class Observability:
         )
         self.journal = EventJournal(capacity=journal_capacity)
         self.journal.enabled = enabled
-        self.journal.on_record = self._on_event
+        self.journal.on_record = weak_callback(self._on_event)
         self.compliance = ComplianceLedger()
         self.slow_log = SlowQueryLog(threshold_seconds=slow_query_seconds)
         self.slow_log.enabled = enabled

@@ -290,11 +290,14 @@ def traced_operator_execute(root: Any, tracer: Tracer):
     spans nest into the plan shape by construction.
     """
     wrapped: list[Any] = []
+    # A work list, not a recursive closure: one that names itself is a
+    # reference cycle, and this one would hold the whole plan (and through
+    # its scans the catalog) until the cyclic collector's next pass.
+    pending = [root]
+    while pending:
+        node = pending.pop()
 
-    def _wrap(node: Any) -> None:
-        original = type(node).execute
-
-        def _traced(_node=node, _original=original):
+        def _traced(_node=node, _original=type(node).execute):
             with tracer.span(f"op:{type(_node).__name__}") as span:
                 span.annotate(operator=_node.describe())
                 result = _original(_node)
@@ -304,10 +307,8 @@ def traced_operator_execute(root: Any, tracer: Tracer):
 
         node.__dict__["execute"] = _traced
         wrapped.append(node)
-        for child in node.children():
-            _wrap(child)
+        pending.extend(node.children())
 
-    _wrap(root)
     try:
         return root.execute()
     finally:

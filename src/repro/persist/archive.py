@@ -38,7 +38,6 @@ from repro.db.sql.ast import SelectStatement
 from repro.db.sql.parser import parse_expression
 from repro.db.stats import ColumnStats, TableStats, compute_table_stats
 from repro.db.table import Table
-from repro.db.types import DataType
 from repro.errors import ArchiveError
 from repro.persist.snapshot import (
     read_table_segments,
@@ -46,46 +45,9 @@ from repro.persist.snapshot import (
     schema_to_payload,
     write_table_segments,
 )
+from repro.weakcall import weak_callback
 
 __all__ = ["ArchivedSegment", "ArchiveReport", "ArchiveTier"]
-
-
-# ---------------------------------------------------------------------------
-# Column-stats serialization (the archive manifest stores the statistics of
-# rows that no longer exist in memory)
-# ---------------------------------------------------------------------------
-
-
-def _column_stats_payload(stats: ColumnStats) -> dict[str, Any]:
-    return {
-        "name": stats.name,
-        "dtype": stats.dtype.value,
-        "row_count": stats.row_count,
-        "null_count": stats.null_count,
-        "distinct_count": stats.distinct_count,
-        "min_value": stats.min_value,
-        "max_value": stats.max_value,
-        "mean": stats.mean,
-        "std": stats.std,
-        "domain": stats.domain,
-        "domain_counts": stats.domain_counts,
-    }
-
-
-def _column_stats_from_payload(payload: dict[str, Any]) -> ColumnStats:
-    return ColumnStats(
-        name=payload["name"],
-        dtype=DataType(payload["dtype"]),
-        row_count=int(payload["row_count"]),
-        null_count=int(payload["null_count"]),
-        distinct_count=int(payload["distinct_count"]),
-        min_value=payload.get("min_value"),
-        max_value=payload.get("max_value"),
-        mean=payload.get("mean"),
-        std=payload.get("std"),
-        domain=payload.get("domain"),
-        domain_counts=payload.get("domain_counts"),
-    )
 
 
 @dataclass
@@ -117,7 +79,7 @@ class ArchivedSegment:
             "schema": self.schema_payload,
             "segments": self.segment_entries,
             "column_stats": {
-                name: _column_stats_payload(stats) for name, stats in self.column_stats.items()
+                name: stats.to_payload() for name, stats in self.column_stats.items()
             },
         }
 
@@ -131,7 +93,7 @@ class ArchivedSegment:
             schema_payload=payload["schema"],
             segment_entries=payload["segments"],
             column_stats={
-                name: _column_stats_from_payload(entry)
+                name: ColumnStats.from_payload(entry)
                 for name, entry in payload.get("column_stats", {}).items()
             },
         )
@@ -350,8 +312,10 @@ class ArchiveTier:
         # must keep seeing the archive state of *its* commit even after a
         # later recall or re-archive rebinds the live overlay.
         segments = tuple(self._segments.get(table_name, ()))
+        # Weakly: the closure lives in the catalog this tier refers to.
+        merged_stats = weak_callback(self.merged_stats)
         self.database.set_stats_overlay(
-            table_name, lambda live: self.merged_stats(table_name, live, segments)
+            table_name, lambda live: merged_stats(table_name, live, segments)
         )
         self.database.catalog.set_table_meta(table_name, "archive_segments", segments)
 

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.db.sql.ast import InsertStatement
+from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.errors import (
     FormatVersionError,
@@ -60,8 +61,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 
 __all__ = ["CheckpointReport", "RecoveryReport", "DurableStore"]
 
-#: On-disk format version; a major bump breaks compatibility.
-FORMAT_VERSION = 1
+#: On-disk format version.  2: snapshot segments store INT64 at its narrowest
+#: width and omit all-valid masks (see :mod:`repro.persist.snapshot`); this
+#: build reads both, and a v1 build refuses a v2 store with
+#: ``FormatVersionError`` instead of quarantining segments it misreads.
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
@@ -328,6 +332,12 @@ class DurableStore:
                 "segments": entries,
                 "partition_map": partition_map,
             }
+            # The catalog's statistics ride along when they are fresh (never
+            # computed for a checkpoint), so the first answer after open()
+            # does not start with a whole-table rescan.
+            stats = database.catalog.fresh_stats(name)
+            if stats is not None:
+                tables_payload[name]["stats"] = stats.to_payload()
 
         warehouse_payload = serialize_store(system.models)
         warehouse_payload["calibration"] = _calibration_payload(system)
@@ -592,6 +602,12 @@ class DurableStore:
                     pass
             if partition_map is not None:
                 system.database.catalog.set_table_meta(name, PARTITION_META_KEY, partition_map)
+            # Likewise the statistics: only of the rows they counted (the
+            # catalog checks), published before the WAL tail replays so each
+            # replayed append merges into them as it did live.
+            recorded = entry.get("stats")  # absent: stale at the checkpoint, or a v1 store
+            if recorded is not None:
+                system.database.catalog.restore_stats(name, TableStats.from_payload(name, recorded))
         report.tables_loaded += 1
         report.rows_loaded += table.num_rows
 

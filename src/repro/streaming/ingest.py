@@ -20,8 +20,6 @@ from time import perf_counter
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.db.database import Database
-from repro.db.stats import compute_table_stats
-from repro.db.table import Table
 from repro.errors import StreamingError
 
 __all__ = ["IngestBatch", "IngestStats", "StreamIngestor"]
@@ -279,17 +277,7 @@ class StreamIngestor:
                 raise StreamingError(
                     f"ingest flush for {table_name!r} failed: {exc.strerror or exc}"
                 ) from exc
-        catalog = self.database.catalog
-        with catalog.commit_lock:
-            # Sampled before the append: the cached stats (if fresh here)
-            # describe exactly the pre-append rows, so batch statistics can
-            # be merged in instead of rescanning the whole table later.
-            stats_were_clean = catalog.stats_clean(table_name)
-            start = self._append(table_name, rows)
-            if stats_were_clean and rows:
-                schema = catalog.live_table(table_name).schema
-                delta = compute_table_stats(Table.from_rows(table_name, schema, rows))
-                catalog.merge_stats_delta(table_name, delta)
+        start = self._append(table_name, rows)
         batch = IngestBatch(
             table_name=table_name, start_row=start, end_row=start + len(rows), rows=tuple(rows)
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import replace
 from unittest import mock
@@ -197,10 +198,89 @@ def test_open_passes_constructor_kwargs_through(tmp_path):
 
 
 def test_future_format_version_is_refused(tmp_path):
+    """v2 changed how a segment stores its members, not what a manifest
+    says: a v1 manifest opens, the build's own does, the next one is refused
+    (the exit a v1 build takes when it meets a v2 store)."""
+    from repro.persist.store import FORMAT_VERSION
+
     root = tmp_path / "store"
     with LawsDatabase.open(root) as db:
         db.load_dict("s", sensor_rows(40))
-    manifest = root / "MANIFEST.json"
-    manifest.write_text(manifest.read_text().replace('"format_version": 1', '"format_version": 99'))
-    with pytest.raises(FormatVersionError, match="v99"):
+    assert json.loads((root / "MANIFEST.json").read_text())["format_version"] == FORMAT_VERSION == 2
+    _stamp_format_version(root, 1)
+    with LawsDatabase.open(root) as db:
+        assert db.table("s").num_rows == 40
+    _stamp_format_version(root, 3)
+    with pytest.raises(FormatVersionError, match="v3"):
         LawsDatabase.open(root)
+
+
+def _stamp_format_version(root, version):
+    manifest = root / "MANIFEST.json"
+    payload = json.loads(manifest.read_text())
+    payload["format_version"] = version
+    manifest.write_text(json.dumps(payload))
+
+
+def _rewrite_segments_as_v1(root):
+    """Every segment file under ``root`` back to what a v1 build wrote: each
+    column at its in-memory width with a validity mask, all of it deflated."""
+    for path in sorted(root.rglob("*.npz")):
+        with np.load(path) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        for key in [k for k in arrays if k.startswith("v__")]:
+            values = arrays[key]
+            mask = arrays.setdefault("m__" + key[3:], np.ones(len(values), dtype=bool))
+            if values.dtype.kind == "i":
+                arrays[key] = np.where(mask, values.astype(np.int64), np.iinfo(np.int64).min)
+        np.savez_compressed(path, **arrays)
+
+
+def test_store_written_by_a_v1_build_opens_and_is_upgraded_by_its_next_checkpoint(tmp_path, monkeypatch):
+    from repro.persist import store as store_module
+
+    monkeypatch.setattr(store_module, "LARGE_CREATE_SNAPSHOT_ROWS", 64)
+    root = tmp_path / "store"
+    rng = np.random.default_rng(4)
+
+    def observe(db):
+        return (
+            db.database.fingerprint(),
+            {m.model_id: m.status for m in db.captured_models()},
+            {name: db.partition_map(name) for name in db.table_names()},
+            {name: db.table(name).num_rows for name in db.table_names()},
+        )
+
+    db = LawsDatabase.open(root, rows_per_segment=50)
+    k = rng.integers(0, 9, 120)
+    db.load_dict("s", {"k": k.tolist(), "c": [None if i % 17 == 0 else 300 * i for i in range(120)],
+                       "y": (3.0 * k + rng.normal(0, 0.01, 120)).tolist()})
+    assert db.fit("s", "y ~ linear(k)").accepted
+    db.checkpoint()  # segments/ckpt*/, three of them, and the partition map they imply
+    db.load_dict("bulk", {"n": list(range(-40, 60))})  # a load_table record over walseg/
+    db.insert_rows("s", [(3, 7, 9.0), (4, None, 12.0)])  # the WAL tail
+    live = observe(db)
+    db.close()
+
+    _rewrite_segments_as_v1(root)
+    assert len(list(root.rglob("*.npz"))) == 5
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    for entry in manifest["tables"].values():
+        entry.pop("stats", None)
+    (root / "MANIFEST.json").write_text(json.dumps(manifest))
+    _stamp_format_version(root, 1)
+
+    reopened = LawsDatabase.open(root, rows_per_segment=50)
+    assert reopened.quarantine_report()["count"] == 0
+    assert reopened.last_recovery.wal_rows_replayed == 102
+    assert observe(reopened) == live
+    reopened.checkpoint()
+    assert json.loads((root / "MANIFEST.json").read_text())["format_version"] == 2
+    with np.load(sorted(root.rglob("bulk__00000.npz"))[0]) as payload:
+        assert payload.files == ["v__n"] and payload["v__n"].dtype == np.int8
+    upgraded = observe(reopened)  # the checkpoint gave "bulk" its segments' map
+    assert upgraded[0] == live[0] and upgraded[1] == live[1]
+    reopened.close()
+    again = LawsDatabase.open(root, rows_per_segment=50)
+    assert observe(again) == upgraded
+    again.close()

@@ -10,6 +10,7 @@ was, and a recovered database *is* the live one.
 from __future__ import annotations
 
 import errno
+import json
 
 import numpy as np
 import pytest
@@ -147,6 +148,9 @@ def _observe(db):
         "fingerprint": db.database.fingerprint(),
         "models": {m.model_id: m.status for m in db.captured_models()},
         "partition_maps": {name: db.partition_map(name) for name in db.table_names()},
+        # Field for field: a reopened planner must cost routes from the numbers
+        # the live one held (a checkpoint records them, the WAL tail merges in).
+        "stats": {name: db.database.stats(name) for name in db.table_names()},
     }
 
 
@@ -174,7 +178,11 @@ def test_recovered_state_equals_live_state_through_every_front_door(tmp_path, mo
     assert db.fit("replaced", "v ~ linear(t)").accepted
     db.load_dict("doomed", _line(100, 4))
     assert db.fit("doomed", "v ~ linear(t)").accepted
+    for name in ("parts", "grouped"):  # a planned query leaves fresh statistics
+        db.query(f"SELECT count(*) FROM {name}", EXACT)
     db.checkpoint()  # the warehouse persists models at checkpoints only
+    recorded = json.loads((root / "MANIFEST.json").read_text())["tables"]
+    assert {name for name, entry in recorded.items() if "stats" in entry} == {"parts", "grouped"}
 
     # Every front door, after the checkpoint: the WAL alone carries these.
     db.insert_rows("parts", [(3000.0, 0, 9007.0)])  # above every shard: all stay active
@@ -207,6 +215,88 @@ def test_recovered_state_equals_live_state_through_every_front_door(tmp_path, mo
     assert again.last_recovery.wal_records_replayed == 0
     assert _observe(again) == live
     again.close()
+
+
+def _whole_table_rescans(monkeypatch, rows):
+    """Row counts of every column whose statistics are computed from here on,
+    as long as a whole table of ``rows``."""
+    from repro.db import stats as stats_module
+
+    seen = []
+    compute = stats_module.compute_column_stats
+
+    def spy(name, column):
+        if len(column) >= rows:
+            seen.append((name, len(column)))
+        return compute(name, column)
+
+    monkeypatch.setattr(stats_module, "compute_column_stats", spy)
+    return seen
+
+
+@pytest.mark.parametrize("wal_tail", [False, True])
+def test_first_answer_after_open_rescans_no_table(tmp_path, monkeypatch, wal_tail):
+    """The checkpoint records the statistics the catalog held fresh, recovery
+    publishes them before the WAL replays, and every replayed append merges
+    its own batch in — as the live append did."""
+    root = tmp_path / "db"
+    db = _open(root)
+    db.load_dict("t", _line(600, 9))
+    assert db.fit("t", "v ~ linear(t)").accepted
+    db.query("SELECT v FROM t WHERE t = 5")  # the live process computes them once
+    db.ingest("t", [(600.0 + i, 0, 1807.0 + 3.0 * i) for i in range(16)], flush=True)
+    db.checkpoint()
+    if wal_tail:
+        db.insert_rows("t", [(700.0, 1, 2107.0)])
+        db.ingest("t", [(701.0 + i, 2, 2110.0 + 3.0 * i) for i in range(16)], flush=True)
+    live = db.database.stats("t")
+    assert db.database.catalog.stats_clean("t")
+    db.close()
+
+    rescans = _whole_table_rescans(monkeypatch, rows=600)
+    reopened = _open(root)
+    assert reopened.last_recovery.wal_rows_replayed == (17 if wal_tail else 0)
+    answer = reopened.query("SELECT v FROM t WHERE t = 5")
+    assert not answer.is_exact
+    assert rescans == []
+    assert reopened.database.stats("t") == live
+    reopened.close()
+
+
+def test_manifest_without_statistics_recomputes_on_demand(tmp_path, monkeypatch):
+    """A v1 manifest, or a table whose statistics were stale at the
+    checkpoint: nothing is published, the first reader computes."""
+    root = tmp_path / "db"
+    with _open(root) as db:
+        db.load_dict("t", _line(600, 10))
+        live = db.database.stats("t")
+    manifest = root / "MANIFEST.json"
+    payload = json.loads(manifest.read_text())
+    assert payload["tables"]["t"].pop("stats")["row_count"] == 600
+    manifest.write_text(json.dumps(payload))
+
+    rescans = _whole_table_rescans(monkeypatch, rows=600)
+    reopened = _open(root)
+    assert not reopened.database.catalog.stats_clean("t")
+    assert reopened.database.stats("t") == live
+    assert [count for _, count in rescans] == [600, 600, 600]
+    reopened.close()
+
+
+def test_statistics_of_other_rows_are_not_published(tmp_path):
+    """The guard of ``Catalog.restore_stats``: only statistics that count
+    exactly the table's rows and cover exactly its columns."""
+    from repro.db.stats import compute_table_stats
+
+    db = LawsDatabase()
+    table = db.load_dict("t", {"k": [1, 2, 3], "v": [1.0, 2.0, 3.0]})
+    catalog = db.database.catalog
+    assert not catalog.restore_stats("t", compute_table_stats(table.slice(0, 2)))
+    assert not catalog.restore_stats("t", compute_table_stats(table.select(["k"])))
+    assert not catalog.restore_stats("missing", compute_table_stats(table))
+    assert not catalog.stats_clean("t")
+    assert catalog.restore_stats("t", compute_table_stats(table))
+    assert catalog.fresh_stats("t") == compute_table_stats(table)
 
 
 def test_partition_map_survives_checkpoint_and_reopen(tmp_path):

@@ -5,7 +5,7 @@ other bench suites):
 
 * ``exact_hotpath_instrumented`` — the plain ``Database.sql`` grouped
   aggregation hot path (the ``BENCH_hotpaths`` group-by shape) with the
-  executor's tracer hook in place but no tracer attached, against the same
+  executor's tracer hook in place and a switched-off tracer, against the same
   suite with the hook bypassed.  ``overhead_fraction`` is the cost the
   instrumentation adds when observability is off — the acceptance budget
   is ≤3% (gated at 5% by ``check_hotpath_regression.py``).
@@ -16,13 +16,6 @@ other bench suites):
   trees, per-operator tracing, metrics, compliance accounting), reported
   as ``instrumented_overhead_fraction`` over the obs-off run.  Tracing is
   opt-in, so this is informational, not gated at the 5% budget.
-* ``flight_calibration_obs_off`` — the obs-off suite with the disabled
-  flight-recorder / calibration / SLO hooks in the planner's accounting
-  path, against the same suite with those components unwired entirely
-  (the pre-flight-recorder obs-off path).  The hooks are enabled-flag
-  checks when observability is off, so ``overhead_fraction`` is the
-  telemetry subsystem's cost on the hot path nobody opted into —
-  acceptance is ≤3%, gated here.
 
 Also writes ``BENCH_obs_metrics.snapshot.json`` — the metrics snapshot of
 the obs-on run — and, with ``--ops-report-output``, the obs-on run's full
@@ -132,7 +125,7 @@ def _bench_exact_hotpath(rows: int) -> dict:
     queries = len(EXACT_SUITE)
     overhead = instrumented_seconds / bypassed_seconds - 1.0 if bypassed_seconds > 0 else 0.0
     return {
-        "description": "plain Database group-by hot path with the executor tracer hook in place (no tracer attached)",
+        "description": "plain Database group-by hot path with the executor tracer hook in place (a switched-off tracer)",
         "queries": queries,
         "seconds": instrumented_seconds,
         "queries_per_second": queries / instrumented_seconds,
@@ -195,53 +188,9 @@ def _bench_laws_query(rows: int) -> tuple[dict, dict, str, dict]:
     return off_entry, on_entry, db_on.metrics_json(), db_on.ops_report()
 
 
-def _bench_flight_calibration(rows: int) -> dict:
-    """Cost of the (disabled) telemetry hooks on the obs-off serving path."""
-    contract = AccuracyContract(max_relative_error=0.25)
-    db = _build_laws_db(rows, observability=False)
-
-    def _suite():
-        for sql in SUITE:
-            db.query(sql, contract)
-
-    _suite()  # warm plan caches
-    hooked = db.obs.calibration, db.obs.slo, db.obs.flight
-    hooked_seconds = float("inf")
-    unwired_seconds = float("inf")
-    # Interleaved rounds, same rationale as _bench_exact_hotpath: keep
-    # cache/frequency noise common-mode across the two sides of the ratio.
-    try:
-        for _ in range(ROUNDS * 3):
-            db.obs.calibration, db.obs.slo, db.obs.flight = hooked
-            started = perf_counter()
-            _suite()
-            hooked_seconds = min(hooked_seconds, perf_counter() - started)
-            db.obs.calibration = db.obs.slo = db.obs.flight = None
-            started = perf_counter()
-            _suite()
-            unwired_seconds = min(unwired_seconds, perf_counter() - started)
-    finally:
-        db.obs.calibration, db.obs.slo, db.obs.flight = hooked
-
-    queries = len(SUITE)
-    overhead = hooked_seconds / unwired_seconds - 1.0 if unwired_seconds > 0 else 0.0
-    return {
-        "description": "obs-off LawsDatabase.query suite with disabled flight/calibration/SLO hooks in the accounting path",
-        "queries": queries,
-        "seconds": hooked_seconds,
-        "queries_per_second": queries / hooked_seconds,
-        "reference": "same suite with flight/calibration/SLO unwired entirely",
-        "reference_seconds": unwired_seconds,
-        "speedup_vs_seed": unwired_seconds / hooked_seconds,
-        "overhead_fraction": max(0.0, overhead),
-        "overhead_note": "flight-recorder + calibration cost on the obs-off hot path (acceptance: 0.03, gated)",
-    }
-
-
 def run(rows: int) -> tuple[dict, str, dict]:
     exact_entry = _bench_exact_hotpath(rows)
     off_entry, on_entry, metrics_snapshot, ops_report = _bench_laws_query(rows)
-    flight_entry = _bench_flight_calibration(rows)
     report = {
         "benchmark": "bench_observability",
         "generated_by": "benchmarks/bench_observability.py",
@@ -252,7 +201,6 @@ def run(rows: int) -> tuple[dict, str, dict]:
             "exact_hotpath_instrumented": exact_entry,
             "laws_query_obs_off": off_entry,
             "laws_query_obs_on": on_entry,
-            "flight_calibration_obs_off": flight_entry,
         },
     }
     return report, metrics_snapshot, ops_report
@@ -280,19 +228,14 @@ def main() -> int:
 
     exact = report["hot_paths"]["exact_hotpath_instrumented"]
     on = report["hot_paths"]["laws_query_obs_on"]
-    flight = report["hot_paths"]["flight_calibration_obs_off"]
     print(
         f"instrumentation-off overhead: {exact['overhead_fraction']:.2%} "
-        f"(acceptance 3%); flight+calibration obs-off overhead: "
-        f"{flight['overhead_fraction']:.2%} (acceptance 3%); telemetry-on cost: "
+        f"(acceptance 3%); telemetry-on cost: "
         f"{on['instrumented_overhead_fraction']:+.2%} over obs-off"
     )
     failed = False
     if exact["overhead_fraction"] > 0.03:
         print("FAIL: instrumentation-off overhead exceeds 3% on the exact hot path")
-        failed = True
-    if flight["overhead_fraction"] > 0.03:
-        print("FAIL: flight/calibration hooks exceed 3% on the obs-off serving path")
         failed = True
     return 1 if failed else 0
 

@@ -79,7 +79,7 @@ from repro.errors import (
     ModelNotFoundError,
     SQLError,
 )
-from repro.obs.trace import NULL_TRACER, traced_operator_execute
+from repro.obs.trace import Tracer, traced_operator_execute
 
 __all__ = ["ApproximateAnswer", "ApproximateQueryEngine", "RouteSketch"]
 
@@ -178,6 +178,9 @@ class ApproximateQueryEngine:
         max_virtual_rows: int = DEFAULT_MAX_ROWS,
         use_legal_filter: bool = False,
         routing_policy: RoutingPolicy | None = None,
+        *,
+        tracer: Tracer,
+        grouped_model_provider: Callable[..., CapturedModel | None],
     ) -> None:
         self.database = database
         self.store = store
@@ -185,14 +188,12 @@ class ApproximateQueryEngine:
         self.use_legal_filter = use_legal_filter
         #: Per-group model-vs-exact routing thresholds for the grouped route.
         self.routing_policy = routing_policy or RoutingPolicy()
-        #: :class:`repro.obs.Tracer` for per-route spans.  Defaults to the
-        #: shared disabled tracer, so span calls cost one attribute check.
-        self.tracer = NULL_TRACER
-        #: Optional callback ``(table, output_column, group_columns) ->
-        #: CapturedModel | None`` that harvests a grouped model on demand when
-        #: a GROUP BY query finds only ungrouped captures (wired to
-        #: :meth:`repro.core.harvester.ModelHarvester.ensure_grouped`).
-        self.grouped_model_provider = None
+        #: Per-route spans go here.
+        self.tracer = tracer
+        #: ``(table, output_column, group_columns) -> CapturedModel | None``:
+        #: harvests a grouped model on demand when a GROUP BY query finds only
+        #: ungrouped captures (same formula, per group), or declines.
+        self.grouped_model_provider = grouped_model_provider
         #: (table_name, key columns) -> legality filter, built lazily on demand
         self._legal_filters: dict[tuple[str, tuple[str, ...]], LegalCombinationFilter] = {}
 
@@ -367,7 +368,7 @@ class ApproximateQueryEngine:
         group_columns = statement_analysis.group_columns
         output_column = statement_analysis.output_column
         candidates = self.store.grouped_candidates(table_name, output_column, group_columns)
-        if not candidates and allow_harvest and self.grouped_model_provider is not None:
+        if not candidates and allow_harvest:
             harvested = self.grouped_model_provider(table_name, output_column, group_columns)
             if harvested is not None:
                 # The on-demand grouped harvest reads the raw data once; like

@@ -18,7 +18,7 @@ through the in-database UDF path are captured identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.fitting.formulas import ParsedFormula, parse_formula
 from repro.fitting.grouped import GroupedFitter
 from repro.fitting.model import FitResult
 from repro.fitting.robust import fit_robust
+from repro.obs.events import EventJournal
 from repro.obs.flight import is_telemetry_table
 from repro.weakcall import weak_callback
 
@@ -77,24 +78,27 @@ class ModelHarvester:
         database: Database,
         store: ModelStore,
         policy: QualityPolicy | None = None,
+        *,
+        journal: EventJournal,
+        fit_guard: Callable[[str], str | None],
+        faults: Any = None,
     ) -> None:
         self.database = database
         self.store = store
         self.policy = policy or QualityPolicy()
-        #: Optional callable ``(table_name) -> str | None`` naming why a
-        #: capture over the table is unsound right now.  The archive tier
-        #: sets this: with cold rows in the model-only tier, a fit would see
-        #: only the predicate-biased live remainder yet be served as
-        #: describing the full logical table.  Gated here — the chokepoint
-        #: every capture path (fit(), strawman, UDF interception, grouped
-        #: on-demand harvest, maintenance refits) runs through.
-        self.fit_guard: Any = None
-        #: Optional :class:`repro.obs.EventJournal` recording every capture.
-        self.journal: Any = None
-        #: Optional fault injector (``fitting.fit``): exception storms,
+        #: Every capture is recorded here.
+        self.journal = journal
+        #: ``(table_name) -> str | None`` naming why a capture over the table
+        #: is unsound right now: with cold rows in the model-only archive
+        #: tier, a fit would see only the predicate-biased live remainder yet
+        #: be served as describing the full logical table.  Gated here — the
+        #: chokepoint every capture path (fit(), strawman, UDF interception,
+        #: grouped on-demand harvest, maintenance refits) runs through.
+        self.fit_guard = fit_guard
+        #: Fault injector (``fitting.fit``; None = unarmed): exception storms,
         #: latency spikes, and the cooperative ``nan`` kind that replaces
         #: fitted coefficients with NaNs (a silently diverged solver).
-        self.faults: Any = None
+        self.faults = faults
         # Capture fits that go through the in-database UDF path as well.
         self.database.udfs.add_fit_listener(weak_callback(self._on_udf_fit))
 
@@ -146,10 +150,9 @@ class ModelHarvester:
             series is the healthy case, yet its R² ≈ 0 would fail the
             default gate tuned for user data.
         """
-        if self.fit_guard is not None:
-            blocked = self.fit_guard(table_name)
-            if blocked is not None:
-                raise HarvestError(f"cannot capture a model of {table_name!r}: {blocked}")
+        blocked = self.fit_guard(table_name)
+        if blocked is not None:
+            raise HarvestError(f"cannot capture a model of {table_name!r}: {blocked}")
         if row_range is not None and predicate_sql is not None:
             raise HarvestError(
                 "row_range and predicate_sql cannot be combined: a partition model "
@@ -190,16 +193,15 @@ class ModelHarvester:
             metadata=metadata,
         )
         self.store.add(model)
-        if self.journal is not None:
-            self.journal.record(
-                "model-capture",
-                model_id=model.model_id,
-                table=table_name,
-                column=parsed.output,
-                formula=formula,
-                accepted=accepted,
-                grouped=bool(group_columns),
-            )
+        self.journal.record(
+            "model-capture",
+            model_id=model.model_id,
+            table=table_name,
+            column=parsed.output,
+            formula=formula,
+            accepted=accepted,
+            grouped=bool(group_columns),
+        )
         return HarvestReport(model=model, quality=quality, accepted=accepted)
 
     def fit_partitioned(

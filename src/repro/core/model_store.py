@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator
 from repro.core.captured_model import CapturedModel
 from repro.db.snapshot import PinStack
 from repro.errors import HarvestError, ModelNotFoundError
+from repro.obs.events import EventJournal
 
 __all__ = ["ModelStore", "ModelStorePin"]
 
@@ -68,10 +69,11 @@ class ModelStore:
     mutation made *by a pinned thread itself* (the approximate engine's
     on-demand harvest registers a model mid-query and immediately re-queries
     for it) is mirrored into that thread's pin, so a query always sees its
-    own writes while staying isolated from other threads'.
+    own writes while staying isolated from other threads'.  Demotions,
+    supersedes and retirements are recorded in ``journal``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, journal: EventJournal | None = None) -> None:
         self._models: dict[int, CapturedModel] = {}
         #: (table_name, output_column) -> model ids, in capture order
         self._by_target: dict[tuple[str, str], list[int]] = {}
@@ -79,9 +81,7 @@ class ModelStore:
         #: planner keys its plan cache on this so routing decisions are
         #: invalidated when the serving model population changes.
         self._version = 0
-        #: Optional :class:`repro.obs.EventJournal` recording demotions,
-        #: supersedes and retirements.
-        self.journal = None
+        self.journal = journal or EventJournal(enabled=False)
         self._lock = threading.RLock()
         self._local = PinStack()
 
@@ -338,14 +338,13 @@ class ModelStore:
                 model.mark_stale()
             model.metadata["planner_demoted"] = reason
             self._version += 1
-        if self.journal is not None:
-            self.journal.record(
-                "model-demotion",
-                model_id=model_id,
-                table=model.table_name,
-                column=model.output_column,
-                reason=reason,
-            )
+        self.journal.record(
+            "model-demotion",
+            model_id=model_id,
+            table=model.table_name,
+            column=model.output_column,
+            reason=reason,
+        )
         return model
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -382,8 +381,7 @@ class ModelStore:
     def retire_model(self, model_id: int) -> None:
         self.get(model_id).retire()
         self._bump()
-        if self.journal is not None:
-            self.journal.record("model-retire", model_id=model_id)
+        self.journal.record("model-retire", model_id=model_id)
 
     def reactivate(self, model_id: int) -> None:
         """Reactivate a stale model (e.g. after re-validation against new data)."""
@@ -409,14 +407,13 @@ class ModelStore:
             old.metadata["superseded_by"] = successor.model_id
             successor.metadata.setdefault("supersedes", []).append(old.model_id)
             self._version += 1
-        if self.journal is not None:
-            self.journal.record(
-                "model-supersede",
-                model_id=model_id,
-                successor_id=successor_id,
-                table=old.table_name,
-                column=old.output_column,
-            )
+        self.journal.record(
+            "model-supersede",
+            model_id=model_id,
+            successor_id=successor_id,
+            table=old.table_name,
+            column=old.output_column,
+        )
         return old
 
     # -- accounting --------------------------------------------------------------------------

@@ -66,7 +66,8 @@ def run_query(
     """
     obs = system.obs
     ctx = QueryContext(system, sql, contract or AUTO, obs.tracer, snapshot, perf_counter())
-    if not obs.enabled:
+    observed = obs.enabled
+    if not (observed or obs.tracer.enabled):
         return _run_stages(ctx)
     with obs.tracer.trace("query", sql=sql.strip()) as root:
         try:
@@ -74,7 +75,10 @@ def run_query(
         except Exception as exc:
             obs.metrics.inc("query_errors_total", error=type(exc).__name__)
             raise
-    account(ctx, answer, root, perf_counter() - ctx.started)
+    # Traced is not observed: ``explain_analyze()`` on an observability-off
+    # database switches the tracer on for one query and accounts nothing.
+    if observed:
+        account(ctx, answer, root, perf_counter() - ctx.started)
     return answer
 
 
@@ -177,8 +181,7 @@ def verify(ctx: QueryContext, answer: PlannedAnswer) -> None:
                 answer.feedback = system.planner.feedback.verify(ctx.sql, approx)
             except Exception as exc:  # noqa: BLE001 - the audit must not kill the answer
                 breaker.record_failure(f"{type(exc).__name__}: {exc}")
-                if system.obs.enabled:
-                    system.obs.metrics.inc("verifier_failures_total", error=type(exc).__name__)
+                system.obs.metrics.inc("verifier_failures_total", error=type(exc).__name__)
             else:
                 breaker.record_success()
     if ctx.tracer.active and answer.feedback is not None:
@@ -237,14 +240,9 @@ def account(ctx: QueryContext, answer: PlannedAnswer, root: Span, elapsed_second
         trace_summary=root.summary(),
         contract=answer.contract.describe(),
     )
-    # Enabled is re-checked here (not just inside each component) so a
-    # switched-off component costs an attribute read, not a method call.
-    if obs.calibration is not None and obs.calibration.enabled:
-        obs.calibration.observe_trace(root)
-    if obs.slo is not None and obs.slo.enabled:
-        obs.slo.observe_query(elapsed_seconds, degraded=degraded, violated=violated)
-    if obs.flight is not None and obs.flight.enabled:
-        obs.flight.on_query(answer, root, elapsed_seconds)
+    obs.calibration.observe_trace(root)
+    obs.slo.observe_query(elapsed_seconds, degraded=degraded, violated=violated)
+    obs.flight.on_query(answer, root, elapsed_seconds)
 
 
 # -- execute: the three kinds of node ---------------------------------------------------

@@ -54,16 +54,17 @@ class ObservedErrorFeedback:
         quality_policy: QualityPolicy | None = None,
         sample_fraction: float = 0.05,
         seed: int | None = None,
+        faults: Any = None,
     ) -> None:
         self.database = database
         self.store = store
         self.quality_policy = quality_policy or QualityPolicy()
         self.sample_fraction = sample_fraction
-        #: Optional fault injector (``planner.verify``): exception storms
-        #: and latency spikes inside the verification pass.  The planner's
-        #: verifier breaker absorbs these — a failing audit must never take
-        #: down the answer it was auditing.
-        self.faults: Any = None
+        #: Fault injector (``planner.verify``; None = unarmed): exception
+        #: storms and latency spikes inside the verification pass.  The
+        #: planner's verifier breaker absorbs these — a failing audit must
+        #: never take down the answer it was auditing.
+        self.faults = faults
         self._rng = random.Random(seed)
 
     def should_verify(self, contract: AccuracyContract) -> bool:

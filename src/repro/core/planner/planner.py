@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from repro.core.approx.engine import ApproximateAnswer, ApproximateQueryEngine, RouteSketch
 from repro.core.approx.error_bounds import ErrorEstimate
@@ -152,27 +152,30 @@ class UnifiedPlanner:
         database: Database,
         store: ModelStore,
         engine: ApproximateQueryEngine,
+        feedback: ObservedErrorFeedback,
+        *,
+        archive_guard: Callable[[SelectStatement], str | None],
+        degraded_guard: Callable[[SelectStatement], str | None],
         cost_model: CostModel | None = None,
-        feedback: ObservedErrorFeedback | None = None,
         plan_cache_size: int = 128,
     ) -> None:
         self.database = database
         self.store = store
         self.engine = engine
         self.cost_model = cost_model or CostModel()
-        self.feedback = feedback or ObservedErrorFeedback(database, store)
-        #: Optional callable ``(SelectStatement) -> str | None`` naming why a
-        #: statement cannot honestly run over the raw rows (the archive
-        #: tier's model-only guard).  When it fires, only pure model routes
-        #: may execute; anything else raises with the reason.
-        self.archive_guard = None
-        #: Optional callable ``(SelectStatement) -> str | None`` naming why a
-        #: component this statement depends on is failed or quarantined
-        #: ("``component`` — ``quarantine reason``").  Exact execution over
-        #: the surviving partial rows would be silently wrong; pure model
-        #: routes still answer (with the reason disclosed on the plan) and
-        #: everything else raises :class:`~repro.errors.DegradedServiceError`.
-        self.degraded_guard = None
+        self.feedback = feedback
+        #: ``(SelectStatement) -> str | None`` naming why a statement cannot
+        #: honestly run over the raw rows (the archive tier's model-only
+        #: guard).  When it fires, only pure model routes may execute;
+        #: anything else raises with the reason.
+        self.archive_guard = archive_guard
+        #: ``(SelectStatement) -> str | None`` naming why a component this
+        #: statement depends on is failed or quarantined ("``component`` —
+        #: ``quarantine reason``").  Exact execution over the surviving
+        #: partial rows would be silently wrong; pure model routes still
+        #: answer (with the reason disclosed on the plan) and everything else
+        #: raises :class:`~repro.errors.DegradedServiceError`.
+        self.degraded_guard = degraded_guard
         #: Plans are keyed on everything they were costed against, the cost
         #: model included: installing another one invalidates them all.
         self._plan_cache = LockedLRU(plan_cache_size)
@@ -293,12 +296,8 @@ class UnifiedPlanner:
         exact_node = self._exact_node(sql, statement, stats_by_table)
         candidates = [exact_node]
 
-        archived_reason = (
-            self.archive_guard(statement) if self.archive_guard is not None else None
-        )
-        degraded_reason = (
-            self.degraded_guard(statement) if self.degraded_guard is not None else None
-        )
+        archived_reason = self.archive_guard(statement)
+        degraded_reason = self.degraded_guard(statement)
         # From here on "the raw rows cannot honestly be scanned" is one
         # concept; which guard fired (archive first) only picks the wording.
         blocked = archived_reason if archived_reason is not None else degraded_reason

@@ -34,25 +34,31 @@ from repro.core.storage.semantic_compression import CompressedTable, ModelCompre
 from repro.core.storage.zero_io import ScanComparison, ZeroIOScanner
 from repro.core.strawman import StrawmanFrame
 from repro.db.database import Database
-from repro.db.io_model import IOParameters
+from repro.db.io_model import IOAccountant, IOModel
 from repro.db.schema import Schema
 from repro.db.sql.ast import SelectStatement
 from repro.db.stats import compute_table_stats
 from repro.db.table import Table
 from repro.errors import PersistenceError
 from repro.obs import (
+    ComplianceLedger,
     CostCalibrator,
     Event,
+    EventJournal,
     FlightRecorder,
+    MetricsRegistry,
     Observability,
-    SLO,
     SLOEngine,
     SlowQuery,
+    SlowQueryLog,
     Span,
+    Tracer,
     is_telemetry_table,
     spans_to_otlp,
 )
+from repro.obs.slo import default_slos
 from repro.parallel import ParallelQueryEngine
+from repro.parallel.pool import WorkerPool
 from repro.parallel.partition import (
     PARTITION_META_KEY,
     build_partition_map,
@@ -75,7 +81,6 @@ class LawsDatabase:
     def __init__(
         self,
         quality_policy: QualityPolicy | None = None,
-        io_parameters: IOParameters | None = None,
         use_legal_filter: bool = False,
         ingest_batch_size: int = 512,
         verify_sample_fraction: float = 0.05,
@@ -85,80 +90,24 @@ class LawsDatabase:
         fault_injector: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        self.database = Database(io_parameters)
-        self.models = ModelStore()
-        self.harvester = ModelHarvester(self.database, self.models, quality_policy)
-        self.approx = ApproximateQueryEngine(
-            self.database, self.models, use_legal_filter=use_legal_filter
-        )
-        # GROUP BY queries over a column whose captures are all ungrouped
-        # trigger an on-demand grouped harvest (same formula, per group) —
-        # guarded so it never fits against a table whose cold rows moved to
-        # the archive tier (the live remainder is predicate-biased).
-        self.approx.grouped_model_provider = weak_callback(self._grouped_model_provider)
-        self.lifecycle = ModelLifecycleManager(self.database, self.models, self.harvester)
-        self.zero_io = ZeroIOScanner(self.database)
-        self.ingestor = StreamIngestor(
-            self.database, batch_size=ingest_batch_size, append=weak_callback(self._append)
-        )
-        self.maintenance = ModelMaintenancePolicy(
-            self.database, self.models, self.harvester, self.lifecycle
-        )
-        archive_guard = weak_callback(self._archive_refit_reason)
-        self.maintenance.refit_guard = archive_guard
-        # Every capture path funnels through the harvester; the guard there
-        # blocks fits over tables whose cold rows moved to the archive tier.
-        self.harvester.fit_guard = archive_guard
-        self.ingestor.add_listener(weak_callback(self._on_ingest_batch))
-        # The unified planner cost-routes every statement between the
-        # model-serving routes and the exact vectorized engine; its feedback
-        # verifier audits a sample of served answers against exact execution.
-        self.planner = UnifiedPlanner(
-            self.database,
-            self.models,
-            self.approx,
-            feedback=ObservedErrorFeedback(
-                self.database,
-                self.models,
-                quality_policy=self.harvester.policy,
-                sample_fraction=verify_sample_fraction,
-                seed=verify_seed,
-            ),
-        )
-        # Durable storage is strictly opt-in: a directly constructed
-        # LawsDatabase never touches disk.  ``LawsDatabase.open(path)``
-        # attaches a DurableStore and the model-only archive tier.
-        self.durable: DurableStore | None = None
-        self.archive_tier: ArchiveTier | None = None
-        self.last_recovery: RecoveryReport | None = None
-        # The observability hub: one tracer/metrics/journal/compliance/
-        # slow-log bundle threaded through every layer.  ``observability=
-        # False`` leaves every collector a single attribute check.
-        self.obs = Observability(
-            io_snapshot=weak_callback(self.database.io_snapshot),
+        # Construction order, top to bottom.  Every component is built once and
+        # complete: the collectors it reports to, the resilience equipment it
+        # uses and the guards it consults are constructor arguments.  What it
+        # calls back into on this façade it gets as a ``weak_callback`` —
+        # owner → component → bound method → owner would be a cycle reference
+        # counting never frees.
+        #
+        # The collectors first; ``observability=False`` builds the same objects
+        # switched off, so nothing downstream asks whether they are there.
+        # Spans read the IO charged while they were open from the accountant's
+        # per-thread scopes — which is why it exists before the IO model does.
+        accountant = IOAccountant()
+        metrics = MetricsRegistry(enabled=observability)
+        journal = EventJournal(
             enabled=observability,
-            slow_query_seconds=slow_query_seconds,
-            io_scope=weak_callback(self.database.io_model.scope),
+            on_record=lambda event: metrics.inc("events_total", kind=event.kind),
         )
-        self.database.executor.tracer = self.obs.tracer
-        self.database.io_model.tracer = self.obs.tracer
-        self.database.io_model.metrics = self.obs.metrics
-        # Partitioned parallel execution: tables with a committed partition
-        # map run scan/filter/join/group-by per shard on a worker pool when
-        # the planner's cost model says the dispatch pays; everything else
-        # falls through to the standard root execution.
-        # (A proxy: executor → engine → planner → database → executor would
-        # otherwise be a cycle.)
-        self.parallel = ParallelQueryEngine(self.database.catalog, weakref.proxy(self.planner))
-        self.parallel.tracer = self.obs.tracer
-        self.parallel.metrics = self.obs.metrics
-        self.parallel.pool.journal = self.obs.journal
-        self.parallel.pool.metrics = self.obs.metrics
-        self.database.executor.parallel = self.parallel
-        self.approx.tracer = self.obs.tracer
-        self.maintenance.journal = self.obs.journal
-        self.harvester.journal = self.obs.journal
-        self.models.journal = self.obs.journal
+        tracer = Tracer(enabled=observability, io_scope=accountant.scope)
         # The self-healing resilience runtime: retry with backoff, per-
         # component health, circuit breakers (refit storms, verifier
         # failures) and — once a durable store attaches — quarantine.
@@ -166,51 +115,117 @@ class LawsDatabase:
         # every instrumented call site pays one attribute check and behaves
         # exactly as before.
         self.resilience = ResilienceRuntime(
-            faults=fault_injector, retry_policy=retry_policy
+            faults=fault_injector,
+            retry_policy=retry_policy,
+            journal=journal,
+            # Plans are cached by (catalog, store) version; a health
+            # transition changes what the degraded guard answers, so it bumps
+            # the model store version to invalidate affected plans — keeping
+            # health checks off the per-query hot path.
+            on_health_transition=weak_callback(self._on_health_transition),
         )
-        self.resilience.attach_observability(self.obs.journal, self.obs.metrics)
-        # Plans are cached by (catalog, store) version; a health transition
-        # changes what the degraded guard answers, so it bumps the model
-        # store version to invalidate affected plans — keeping health checks
-        # off the per-query hot path.
-        self.resilience.health.on_transition = weak_callback(self._on_health_transition)
-        self.planner.degraded_guard = weak_callback(self._degraded_reason)
-        self.maintenance.resilience = self.resilience
-        if fault_injector is not None:
-            self.ingestor.faults = fault_injector
-            self.maintenance.faults = fault_injector
-            self.harvester.faults = fault_injector
-            self.planner.feedback.faults = fault_injector
-            self.parallel.pool.faults = fault_injector
-        # The self-observation loop (wired last — it needs the planner, the
-        # health registry and this façade): adaptive cost calibration over
-        # traced operator timings, declarative SLOs whose error-budget burn
-        # degrades components through the health registry, and the flight
-        # recorder streaming the system's own telemetry into reserved
-        # ``_telemetry_*`` tables via the real ingest path.
-        self.obs.calibration = CostCalibrator(
-            self.planner, journal=self.obs.journal, metrics=self.obs.metrics
+        self.database = Database(IOModel(accountant=accountant, metrics=metrics, tracer=tracer))
+        self.models = ModelStore(journal=journal)
+        # Every capture path funnels through the harvester; the guard there
+        # (and on maintenance refits) blocks fits over tables whose cold rows
+        # moved to the archive tier.
+        refit_guard = weak_callback(self._archive_refit_reason)
+        self.harvester = ModelHarvester(
+            self.database,
+            self.models,
+            quality_policy,
+            journal=journal,
+            fit_guard=refit_guard,
+            faults=fault_injector,
         )
-        self.obs.slo = SLOEngine(
-            health=self.resilience.health,
-            journal=self.obs.journal,
-            metrics=self.obs.metrics,
-            slos=(
-                SLO(
-                    name="latency",
-                    kind="latency",
-                    objective=0.99,
-                    threshold_seconds=slow_query_seconds,
-                ),
-                SLO(name="compliance", kind="compliance", objective=0.95),
-                SLO(name="degraded-serving", kind="degraded", objective=0.99),
+        self.approx = ApproximateQueryEngine(
+            self.database,
+            self.models,
+            use_legal_filter=use_legal_filter,
+            tracer=tracer,
+            grouped_model_provider=weak_callback(self._grouped_model_provider),
+        )
+        self.lifecycle = ModelLifecycleManager(self.database, self.models, self.harvester)
+        self.zero_io = ZeroIOScanner(self.database)
+        self.ingestor = StreamIngestor(
+            self.database,
+            batch_size=ingest_batch_size,
+            append=weak_callback(self._append),
+            faults=fault_injector,
+        )
+        self.ingestor.add_listener(weak_callback(self._on_ingest_batch))
+        self.maintenance = ModelMaintenancePolicy(
+            self.database,
+            self.models,
+            self.harvester,
+            self.lifecycle,
+            journal=journal,
+            resilience=self.resilience,
+            refit_guard=refit_guard,
+        )
+        # The unified planner cost-routes every statement between the
+        # model-serving routes and the exact vectorized engine; its feedback
+        # verifier audits a sample of served answers against exact execution.
+        feedback = ObservedErrorFeedback(
+            self.database,
+            self.models,
+            quality_policy=self.harvester.policy,
+            sample_fraction=verify_sample_fraction,
+            seed=verify_seed,
+            faults=fault_injector,
+        )
+        self.planner = UnifiedPlanner(
+            self.database,
+            self.models,
+            self.approx,
+            feedback,
+            archive_guard=weak_callback(self._archive_blocking_reason),
+            degraded_guard=weak_callback(self._degraded_reason),
+        )
+        # Partitioned parallel execution: tables with a committed partition
+        # map run scan/filter/join/group-by per shard on a worker pool when
+        # the planner's cost model says the dispatch pays; everything else
+        # falls through to the standard root execution.
+        # (A proxy: executor → engine → planner → database → executor would
+        # otherwise be a cycle — and the reason the executor's strategy hook
+        # is the one collaborator still assigned after construction.)
+        pool = WorkerPool(journal=journal, metrics=metrics, faults=fault_injector)
+        self.parallel = ParallelQueryEngine(
+            self.database.catalog, weakref.proxy(self.planner), pool, tracer=tracer, metrics=metrics
+        )
+        self.database.executor.parallel = self.parallel
+        # Durable storage is strictly opt-in: a directly constructed
+        # LawsDatabase never touches disk.  ``LawsDatabase.open(path)``
+        # attaches a DurableStore and the model-only archive tier.
+        self.durable: DurableStore | None = None
+        self.archive_tier: ArchiveTier | None = None
+        self.last_recovery: RecoveryReport | None = None
+        # Last, the observability hub: the collectors above bundled with the
+        # self-observation loop, which needs the finished planner, the health
+        # registry and this façade — adaptive cost calibration over traced
+        # operator timings, declarative SLOs whose error-budget burn degrades
+        # components through the health registry, and the flight recorder
+        # streaming the system's own telemetry into reserved ``_telemetry_*``
+        # tables via the real ingest path.
+        self.obs = Observability(
+            enabled=observability,
+            metrics=metrics,
+            journal=journal,
+            tracer=tracer,
+            compliance=ComplianceLedger(),
+            slow_log=SlowQueryLog(slow_query_seconds, enabled=observability),
+            calibration=CostCalibrator(
+                self.planner, journal=journal, metrics=metrics, enabled=observability
             ),
+            slo=SLOEngine(
+                health=self.resilience.health,
+                journal=journal,
+                metrics=metrics,
+                slos=default_slos(slow_query_seconds),
+                enabled=observability,
+            ),
+            flight=FlightRecorder(self, enabled=observability),
         )
-        self.obs.flight = FlightRecorder(self)
-        if not observability:
-            self.obs.calibration.enabled = False
-            self.obs.slo.enabled = False
-            self.obs.flight.enabled = False
 
     # -- durable storage -----------------------------------------------------------
 
@@ -236,8 +251,9 @@ class LawsDatabase:
         # The store is born with the journal, metrics and resilience runtime:
         # the recovery event is recorded, unreadable artefacts quarantine
         # instead of blocking the open, and the outcome lands in
-        # ``recovery_total``.
-        store = DurableStore(
+        # ``recovery_total``.  The archive tier is born with the store: its
+        # directory, fault injector and redo log are the store's.
+        system.durable = DurableStore(
             path,
             rows_per_segment=rows_per_segment,
             fsync=fsync,
@@ -245,11 +261,8 @@ class LawsDatabase:
             journal=system.obs.journal,
             metrics=system.obs.metrics,
         )
-        system.durable = store
-        system.archive_tier = ArchiveTier(system.database, store.archive_dir)
-        system.archive_tier.faults = system.resilience.faults
-        system.planner.archive_guard = system.archive_tier.blocking_reason
-        system.last_recovery = store.recover(system)
+        system.archive_tier = ArchiveTier(system.database, system.durable)
+        system.last_recovery = system.durable.recover(system)
         return system
 
     def checkpoint(self, flush_ingest: bool = True) -> CheckpointReport:
@@ -304,17 +317,15 @@ class LawsDatabase:
         archived rows are served purely from warehouse models (or refused
         with an explicit reason when the accuracy contract cannot be met).
         """
-        store = self._require_durable("archive")
+        self._require_durable("archive")
         # The warehouse models about to serve in place of the raw rows must
         # be durable BEFORE the raw rows stop being: the archive record is
         # WAL-replayable immediately, but models only persist at
         # checkpoints — replaying an archive with no models behind it would
         # leave every non-disjoint query refusing until a manual recall.
         self.checkpoint()
+        # The tier commits the move and its redo record as one critical section.
         report = self.archive_tier.archive(table_name, predicate_sql)
-        # Logged like every other acknowledged mutation: an archive that a
-        # crash silently undoes would reload the shed rows into memory.
-        store.log_archive(table_name, predicate_sql)
         self.obs.journal.record(
             "archive",
             table=table_name,
@@ -325,9 +336,8 @@ class LawsDatabase:
 
     def recall_archive(self, table_name: str) -> int:
         """Load a table's archived segments back into memory."""
-        store = self._require_durable("recall_archive")
+        self._require_durable("recall_archive")
         restored = self.archive_tier.recall(table_name)
-        store.log_recall(table_name)
         self.obs.journal.record("archive-recall", table=table_name, rows=restored)
         return restored
 
@@ -590,16 +600,16 @@ class LawsDatabase:
         if stripped[:15].upper() == "EXPLAIN ANALYZE":
             stripped = stripped[15:].strip()
         contract = replace(contract or AccuracyContract(), verify_fraction=1.0)
-        obs = self.obs
-        was_enabled = obs.enabled
-        if not was_enabled:
-            obs.enable()
+        # Only the tracer is needed: on an ``observability=False`` database
+        # it is switched on for this one query and nothing else is — no
+        # metric, SLO observation or flight record is left behind.
+        tracer = self.obs.tracer
+        tracer.enabled = True
         try:
             answer = self.query(stripped, contract)
-            trace = obs.tracer.last_trace()
+            trace = tracer.last_trace()
         finally:
-            if not was_enabled:
-                obs.disable()
+            tracer.enabled = self.obs.enabled
         lines = [
             f"EXPLAIN ANALYZE: {stripped}",
             f"Route: {answer.route_taken} — {answer.plan.reason}",
@@ -677,20 +687,14 @@ class LawsDatabase:
 
     def slo_report(self) -> dict[str, Any]:
         """Current SLO burn-rate evaluation and latency percentiles."""
-        if self.obs.slo is None:
-            return {"observed_queries": 0, "objectives": {}}
         return self.obs.slo.report()
 
     def calibration_report(self) -> dict[str, Any]:
         """Cost-model provenance and the adaptive calibrator's estimates."""
-        if self.obs.calibration is None:
-            return {"source": self.planner.cost_model.source, "recalibrations": 0}
         return self.obs.calibration.report()
 
     def flush_telemetry(self) -> int:
         """Force the flight recorder's pending records through ingest."""
-        if self.obs.flight is None:
-            return 0
         return self.obs.flight.flush()
 
     def export_traces_otlp(self) -> dict[str, Any]:
@@ -731,7 +735,7 @@ class LawsDatabase:
             },
             "slo": self.slo_report(),
             "calibration": self.calibration_report(),
-            "flight": self.obs.flight.report() if self.obs.flight is not None else {},
+            "flight": self.obs.flight.report(),
             "events": self.obs.journal.totals(),
             "health": self.health_report(),
             "plan_cache": {
@@ -750,8 +754,7 @@ class LawsDatabase:
 
     def quarantine_report(self) -> dict[str, Any]:
         """What recovery moved aside instead of failing the open."""
-        if self.durable is not None:
-            return self.durable.quarantine.report()
+        # The store hangs its quarantine manager on the runtime when it opens.
         quarantine = self.resilience.quarantine
         return quarantine.report() if quarantine is not None else {"records": []}
 
@@ -933,7 +936,16 @@ class LawsDatabase:
             )
         return None
 
+    def _archive_blocking_reason(self, statement: SelectStatement) -> str | None:
+        """The planner's archive guard: why ``statement`` cannot honestly run
+        over the raw rows (None without an archive tier)."""
+        if self.archive_tier is None:
+            return None
+        return self.archive_tier.blocking_reason(statement)
+
     def _grouped_model_provider(self, table_name: str, output_column: str, group_columns, formula=None):
+        """The approximate engine's on-demand grouped harvest — declined over
+        telemetry tables and over tables with archived rows."""
         if is_telemetry_table(table_name):
             # No auto-harvest over the system's own telemetry: the flight
             # recorder owns its baselines, and a query-triggered fit here
@@ -941,6 +953,7 @@ class LawsDatabase:
             # merely reading telemetry.
             return None
         if self._archive_refit_reason(table_name) is not None:
+            # The live remainder is predicate-biased; never fit against it.
             return None
         return self.harvester.ensure_grouped(
             table_name, output_column, group_columns, formula=formula

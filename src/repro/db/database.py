@@ -12,7 +12,7 @@ import hashlib
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.db.catalog import Catalog
-from repro.db.io_model import IOModel, IOParameters
+from repro.db.io_model import IOModel
 from repro.db.schema import Schema
 from repro.db.sql.executor import QueryResult, SQLExecutor
 from repro.db.stats import TableStats
@@ -23,13 +23,18 @@ __all__ = ["Database"]
 
 
 class Database:
-    """An in-memory columnar relational database with a SQL subset."""
+    """An in-memory columnar relational database with a SQL subset.
 
-    def __init__(self, io_parameters: IOParameters | None = None) -> None:
+    ``io_model`` brings the owning system's collectors: the executor traces
+    to its tracer.  Built on its own, a database charges a default
+    :class:`IOModel` and traces nothing.
+    """
+
+    def __init__(self, io_model: IOModel | None = None) -> None:
         self.catalog = Catalog()
-        self.io_model = IOModel(io_parameters)
+        self.io_model = io_model or IOModel()
         self.udfs = UDFRegistry()
-        self._executor = SQLExecutor(self.catalog, self.io_model)
+        self._executor = SQLExecutor(self.catalog, self.io_model, tracer=self.io_model.tracer)
 
     # -- DDL / data loading -----------------------------------------------------
 

@@ -22,6 +22,8 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.db.table import Table
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 
 __all__ = ["IOParameters", "IOAccountant", "IOModel", "IOScope"]
 
@@ -189,24 +191,28 @@ class IOAccountant:
 
 
 class IOModel:
-    """Attributes page counts to tables and charges scans to an accountant."""
+    """Attributes page counts to tables and charges scans to an accountant.
 
-    def __init__(self, parameters: IOParameters | None = None) -> None:
-        self.parameters = parameters or IOParameters()
-        self.accountant = IOAccountant(parameters=self.parameters)
-        #: Optional :class:`repro.obs.MetricsRegistry` and
-        #: :class:`repro.obs.Tracer`, injected by the owning system: where
-        #: scans report the blocks they never read (:meth:`skip_blocks`).
-        self.metrics = None
-        self.tracer = None
+    ``accountant`` is for an owner that needed it before this model existed
+    (a tracer reads span IO from its scopes); its parameters are the model's.
+    ``metrics`` and ``tracer`` are where scans report the blocks they never
+    read (:meth:`skip_blocks`).
+    """
+
+    def __init__(
+        self,
+        parameters: IOParameters | None = None,
+        accountant: IOAccountant | None = None,
+        *,
+        metrics: MetricsRegistry | None = None,
+        tracer: Tracer | None = None,
+    ) -> None:
+        self.accountant = accountant or IOAccountant(parameters=parameters or IOParameters())
+        self.parameters = self.accountant.parameters
+        self.metrics = metrics or MetricsRegistry(enabled=False)
+        self.tracer = tracer or Tracer(enabled=False)
 
     # -- sizing ---------------------------------------------------------------
-
-    def table_bytes(self, table: Table) -> int:
-        return table.byte_size()
-
-    def table_pages(self, table: Table) -> int:
-        return self.parameters.pages_for_bytes(table.byte_size())
 
     def column_bytes(self, table: Table, column_names: list[str] | None = None) -> int:
         """Bytes occupied by a subset of a table's columns (columnar layout)."""
@@ -228,9 +234,8 @@ class IOModel:
         ``scan_blocks_pruned_total`` counter and onto the calling thread's
         open span (the scan's own, in a traced execution) as ``blocks_pruned``.
         """
-        if self.metrics is not None:
-            self.metrics.inc("scan_blocks_pruned_total", float(blocks))
-        span = self.tracer.current if self.tracer is not None else None
+        self.metrics.inc("scan_blocks_pruned_total", float(blocks))
+        span = self.tracer.current
         if span is not None:
             span.annotate(blocks_pruned=span.attributes.get("blocks_pruned", 0) + blocks)
 

@@ -26,6 +26,7 @@ from repro.db.sql.parser import parse
 from repro.db.sql.planner import PlannedQuery, plan_select
 from repro.db.table import Table
 from repro.errors import SQLPlanningError, UnsupportedSQLError
+from repro.obs.trace import Tracer, traced_operator_execute
 
 __all__ = ["PreparedStatement", "QueryResult", "SQLExecutor"]
 
@@ -68,19 +69,23 @@ class SQLExecutor:
     def __init__(
         self,
         catalog: Catalog,
-        io_model: IOModel | None = None,
+        io_model: IOModel,
+        *,
+        tracer: Tracer,
         plan_cache_size: int = 128,
     ) -> None:
         self.catalog = catalog
-        self.io_model = io_model or IOModel()
-        #: Optional :class:`repro.obs.Tracer`.  When set *and* a trace is
-        #: open, SELECT operator trees execute with one span per operator;
-        #: otherwise execution pays a single attribute check.
-        self.tracer = None
+        self.io_model = io_model
+        #: While a trace is open on ``tracer``, SELECT operator trees execute
+        #: with one span per operator; otherwise execution pays one check.
+        self.tracer = tracer
         #: Optional :class:`repro.parallel.ParallelQueryEngine`.  When set,
         #: SELECT roots are first offered to the partitioned-execution path;
         #: it returns ``None`` (and this stays a single attribute check per
-        #: query) whenever the partitioned strategy does not apply.
+        #: query) whenever the partitioned strategy does not apply.  Assigned
+        #: after construction, unlike every other collaborator: executor →
+        #: engine → planner → database → executor is a cycle until the pool
+        #: becomes database-owned (ROADMAP item 2(a)).
         self.parallel = None
         #: sql text -> :class:`PreparedStatement`; hits and misses count
         #: plan reuse, not text lookups (see :meth:`_plan`).
@@ -147,9 +152,7 @@ class SQLExecutor:
             if table is not None:
                 return table
         tracer = self.tracer
-        if tracer is not None and tracer.active:
-            from repro.obs.trace import traced_operator_execute
-
+        if tracer.active:
             return traced_operator_execute(clone_operator_tree(planned.root), tracer)
         return planned.root.execute()
 

@@ -12,7 +12,7 @@ from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 from .otlp import spans_to_otlp
 from .slo import DEFAULT_SLOS, SLO, SLOEngine
 from .slowlog import SlowQuery, SlowQueryLog
-from .trace import NULL_TRACER, Span, Tracer, traced_operator_execute
+from .trace import Span, Tracer, traced_operator_execute
 
 __all__ = [
     "ComplianceLedger",
@@ -24,7 +24,6 @@ __all__ = [
     "FlightRecorder",
     "Histogram",
     "MetricsRegistry",
-    "NULL_TRACER",
     "Observability",
     "SLO",
     "SLOEngine",

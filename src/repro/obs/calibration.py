@@ -26,6 +26,9 @@ from __future__ import annotations
 import threading
 from typing import Any
 
+from .events import EventJournal
+from .metrics import MetricsRegistry
+
 __all__ = ["CostCalibrator"]
 
 #: Operator span-name fragments -> cost-model rate field.  A tuple of pairs
@@ -69,17 +72,18 @@ class CostCalibrator:
     def __init__(
         self,
         planner: Any,
-        journal: Any = None,
-        metrics: Any = None,
+        journal: EventJournal | None = None,
+        metrics: MetricsRegistry | None = None,
         alpha: float = 0.25,
         min_rows: int = 256,
         min_samples: int = 5,
         drift_threshold: float = 0.25,
+        enabled: bool = True,
     ) -> None:
         self.planner = planner
-        self.journal = journal
-        self.metrics = metrics
-        self.enabled = True
+        self.journal = journal or EventJournal(enabled=False)
+        self.metrics = metrics or MetricsRegistry(enabled=False)
+        self.enabled = enabled
         self.alpha = alpha
         self.min_rows = min_rows
         self.min_samples = min_samples
@@ -192,18 +196,16 @@ class CostCalibrator:
             traces = self._observed_traces
         source = f"adaptive:gen{generation} ({traces} traced queries)"
         self.planner.set_cost_model(CostModel(new_costs, source=source))
-        if self.metrics is not None:
-            self.metrics.inc("cost_recalibrations_total")
-        if self.journal is not None:
-            self.journal.record(
-                "cost-recalibration",
-                generation=generation,
-                source=source,
-                shifted={
-                    field: {"planned": planned, "observed": observed}
-                    for field, (planned, observed) in shifted.items()
-                },
-            )
+        self.metrics.inc("cost_recalibrations_total")
+        self.journal.record(
+            "cost-recalibration",
+            generation=generation,
+            source=source,
+            shifted={
+                field: {"planned": planned, "observed": observed}
+                for field, (planned, observed) in shifted.items()
+            },
+        )
         return True
 
     # -- reporting ------------------------------------------------------------

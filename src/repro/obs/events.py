@@ -44,17 +44,25 @@ class EventJournal:
 
     Retention is a ring buffer (oldest events drop first) but the per-kind
     totals are monotonic, so counters survive eviction.  ``on_record`` is
-    an optional hook the observability hub uses to mirror every event into
-    a metrics counter.
+    called with every recorded event (``LawsDatabase`` mirrors them into the
+    ``events_total`` counter); None means nobody is listening.  A journal
+    built with ``enabled=False`` records nothing — what a component reports
+    to when it was handed no journal of its owner's.
     """
 
-    def __init__(self, capacity: int = 2048) -> None:
+    def __init__(
+        self,
+        capacity: int = 2048,
+        *,
+        enabled: bool = True,
+        on_record: Callable[[Event], None] | None = None,
+    ) -> None:
         self.capacity = capacity
-        self.enabled = True
+        self.enabled = enabled
+        self.on_record = on_record
         self._events: deque[Event] = deque(maxlen=capacity)
         self._seq = 0
         self._totals: dict[str, int] = {}
-        self.on_record: Callable[[Event], None] | None = None
         self._lock = threading.Lock()
 
     def record(self, kind: str, **fields: Any) -> Event | None:
@@ -91,10 +99,6 @@ class EventJournal:
         """Monotonic per-kind event counts (including evicted events)."""
         with self._lock:
             return dict(self._totals)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -63,13 +63,14 @@ class FlightRecorder:
         flush_every: int = 64,
         baseline_min_rows: int = 64,
         capacity: int = 8192,
+        enabled: bool = True,
     ) -> None:
         #: The owning :class:`~repro.core.system.LawsDatabase` façade — the
         #: recorder rides its real ingest/harvest/maintenance machinery.  A
         #: weak proxy: the façade owns the recorder, and a strong reference
         #: back would make every dropped database cyclic garbage.
         self.system = weakref.proxy(system)
-        self.enabled = True
+        self.enabled = enabled
         #: Pending query records auto-flush through the ingest path once
         #: this many accumulate (0 disables auto-flush; call flush()).
         self.flush_every = flush_every
@@ -161,10 +162,8 @@ class FlightRecorder:
                 self._flushing = False
 
     def _ingest(self, queries: list[tuple], operators: list[tuple]) -> int:
-        if not queries and not operators:
-            # A metrics snapshot alone is still worth flushing on an
-            # explicit call, so fall through with empty query batches.
-            pass
+        # With no queries pending an explicit flush still writes a metrics
+        # snapshot.
         system = self.system
         self._ensure_tables()
         ingested = 0

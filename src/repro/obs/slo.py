@@ -33,7 +33,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["SLO", "SLOEngine", "DEFAULT_SLOS"]
+from .events import EventJournal
+from .metrics import MetricsRegistry
+
+__all__ = ["SLO", "SLOEngine", "DEFAULT_SLOS", "default_slos"]
 
 
 @dataclass(frozen=True)
@@ -67,14 +70,18 @@ class SLO:
         return 1.0 - self.objective
 
 
-#: The default objectives LawsDatabase wires in: p99-style latency under the
-#: slow-query threshold, contract compliance of verified answers, and a cap
-#: on disclosed-degraded serving.
-DEFAULT_SLOS = (
-    SLO(name="latency", kind="latency", objective=0.99, threshold_seconds=0.25),
-    SLO(name="compliance", kind="compliance", objective=0.95),
-    SLO(name="degraded-serving", kind="degraded", objective=0.99),
-)
+def default_slos(slow_query_seconds: float = 0.25) -> tuple[SLO, ...]:
+    """The objectives of a ``LawsDatabase``: p99-style latency under the
+    slow-query threshold, contract compliance of verified answers, and a cap
+    on disclosed-degraded serving."""
+    return (
+        SLO(name="latency", kind="latency", objective=0.99, threshold_seconds=slow_query_seconds),
+        SLO(name="compliance", kind="compliance", objective=0.95),
+        SLO(name="degraded-serving", kind="degraded", objective=0.99),
+    )
+
+
+DEFAULT_SLOS = default_slos()
 
 
 class _SLOState:
@@ -107,19 +114,20 @@ class SLOEngine:
 
     def __init__(
         self,
-        health: Any = None,
-        journal: Any = None,
-        metrics: Any = None,
+        health: Any,
+        journal: EventJournal | None = None,
+        metrics: MetricsRegistry | None = None,
         slos: tuple[SLO, ...] | list[SLO] = DEFAULT_SLOS,
         clock: Callable[[], float] = time.time,
         capacity: int = 4096,
         evaluate_every: int = 8,
+        enabled: bool = True,
     ) -> None:
         self.health = health
-        self.journal = journal
-        self.metrics = metrics
+        self.journal = journal or EventJournal(enabled=False)
+        self.metrics = metrics or MetricsRegistry(enabled=False)
         self.clock = clock
-        self.enabled = True
+        self.enabled = enabled
         self.capacity = capacity
         self.evaluate_every = evaluate_every
         self._states: dict[str, _SLOState] = {}
@@ -133,10 +141,6 @@ class SLOEngine:
         """Declare (or replace) one SLO; tracking starts empty."""
         with self._lock:
             self._states[slo.name] = _SLOState(slo, self.capacity)
-
-    def slos(self) -> list[SLO]:
-        with self._lock:
-            return [state.slo for state in self._states.values()]
 
     # -- observation ----------------------------------------------------------
 
@@ -228,23 +232,18 @@ class SLOEngine:
                     f"error-budget burn {burn:.1f}x over the {window} window "
                     f"(objective {slo.objective:g})"
                 )
-                if self.metrics is not None:
-                    self.metrics.inc("slo_breaches_total", slo=slo.name, window=window)
-                if self.journal is not None:
-                    self.journal.record(
-                        "slo-burn",
-                        slo=slo.name,
-                        window=window,
-                        burn_rate=burn,
-                        objective=slo.objective,
-                    )
-                if self.health is not None:
-                    self.health.mark_degraded(component, reason)
+                self.metrics.inc("slo_breaches_total", slo=slo.name, window=window)
+                self.journal.record(
+                    "slo-burn",
+                    slo=slo.name,
+                    window=window,
+                    burn_rate=burn,
+                    objective=slo.objective,
+                )
+                self.health.mark_degraded(component, reason)
             else:
-                if self.journal is not None:
-                    self.journal.record("slo-recovered", slo=slo.name)
-                if self.health is not None:
-                    self.health.mark_healthy(component, "error-budget burn subsided")
+                self.journal.record("slo-recovered", slo=slo.name)
+                self.health.mark_healthy(component, "error-budget burn subsided")
         return report
 
     # -- reporting ------------------------------------------------------------

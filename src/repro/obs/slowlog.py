@@ -37,10 +37,12 @@ class SlowQuery:
 class SlowQueryLog:
     """Keeps the most recent queries slower than ``threshold_seconds``."""
 
-    def __init__(self, threshold_seconds: float = 0.25, capacity: int = 128) -> None:
+    def __init__(
+        self, threshold_seconds: float = 0.25, capacity: int = 128, *, enabled: bool = True
+    ) -> None:
         self.threshold_seconds = threshold_seconds
         self.capacity = capacity
-        self.enabled = True
+        self.enabled = enabled
         self._entries: deque[SlowQuery] = deque(maxlen=capacity)
         self._total = 0
         self._lock = threading.Lock()
@@ -80,7 +82,3 @@ class SlowQueryLog:
     def total(self) -> int:
         """Slow queries ever observed (including evicted entries)."""
         return self._total
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterator
 
-__all__ = ["NULL_TRACER", "Span", "Tracer", "traced_operator_execute"]
+__all__ = ["Span", "Tracer", "traced_operator_execute"]
 
 #: IO counters copied onto spans (a subset of the accountant snapshot —
 #: the two numbers the paper's zero-IO argument is about).
@@ -111,13 +111,11 @@ class Span:
 class Tracer:
     """Builds one span tree per traced query.
 
-    ``io_snapshot`` is a zero-argument callable returning the cumulative
-    simulated-IO counters (:meth:`repro.db.database.Database.io_snapshot`);
-    every span records the delta across its lifetime.  When ``io_scope`` is
-    also provided (a context-manager factory like
-    :meth:`repro.db.io_model.IOModel.scope`), spans attribute IO through
-    per-thread scopes instead, so a concurrent query on another thread can
-    never inflate this trace's page counts.
+    ``io_scope`` is a context-manager factory like
+    :meth:`repro.db.io_model.IOAccountant.scope`: every span opens one and
+    records what was charged on its thread while it was open, so a concurrent
+    query on another thread can never inflate this trace's page counts.
+    Without one, spans carry wall time only.
 
     Span stacks are thread-local: concurrent traced queries each build their
     own tree.  The completed-trace ring is shared (and lock-protected), so
@@ -126,13 +124,11 @@ class Tracer:
 
     def __init__(
         self,
-        io_snapshot: Callable[[], dict[str, float]] | None = None,
         enabled: bool = True,
         keep_traces: int = 8,
         io_scope: Callable[[], Any] | None = None,
     ) -> None:
         self.enabled = enabled
-        self.io_snapshot = io_snapshot
         self.io_scope = io_scope
         self.keep_traces = keep_traces
         #: Injectable monotonic clock.  Span timings come from here, so a
@@ -171,34 +167,23 @@ class Tracer:
         with self._traces_lock:
             return list(self._traces)
 
-    def clear(self) -> None:
-        with self._traces_lock:
-            self._traces.clear()
-
     # -- span management -------------------------------------------------------
-
-    def _io(self) -> dict[str, float]:
-        return self.io_snapshot() if self.io_snapshot is not None else {}
 
     @contextmanager
     def _span_io(self, span: Span) -> Iterator[None]:
         """Attribute the IO charged while the span is open onto ``span.io``."""
-        if self.io_scope is not None:
-            with self.io_scope() as scope:
-                try:
-                    yield
-                finally:
-                    span.io = {
-                        key: value
-                        for key, value in scope.snapshot().items()
-                        if key in _IO_KEYS and value
-                    }
-        else:
-            io_before = self._io()
+        if self.io_scope is None:
+            yield
+            return
+        with self.io_scope() as scope:
             try:
                 yield
             finally:
-                span.io = _io_delta(io_before, self._io())
+                span.io = {
+                    key: value
+                    for key, value in scope.snapshot().items()
+                    if key in _IO_KEYS and value
+                }
 
     @contextmanager
     def trace(self, name: str, **attributes: Any) -> Iterator[Span]:
@@ -262,20 +247,6 @@ class Tracer:
 #: Shared throwaway span handed out when tracing is off: callers may
 #: annotate it freely; nothing is retained.
 _DISCARDED = Span(name="discarded")
-
-#: Shared always-disabled tracer: components default to it so their span
-#: calls degrade to a single attribute check when no hub is wired in.
-NULL_TRACER = Tracer(enabled=False)
-
-
-def _io_delta(before: dict[str, float], after: dict[str, float]) -> dict[str, float]:
-    delta = {}
-    for key in _IO_KEYS:
-        if key in after:
-            value = after[key] - before.get(key, 0.0)
-            if value:
-                delta[key] = value
-    return delta
 
 
 def traced_operator_execute(root: Any, tracer: Tracer):

@@ -55,6 +55,8 @@ from repro.db.table import Table
 from repro.parallel.kernels import GroupedPartial, partial_aggregate
 from repro.parallel.merge import merge_global, merge_grouped, merge_tables
 from repro.parallel.partition import PARTITION_META_KEY, partition_entries
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.parallel.pool import WorkerPool
 
 __all__ = ["ParallelQueryEngine"]
@@ -120,23 +122,20 @@ class ParallelQueryEngine:
 
     ``planner`` owns the cost model (``planner.cost_model``); the fan-out gate
     reads it per query, so a recalibrated or restored model installed through
-    ``set_cost_model`` is the one consulted.
+    ``set_cost_model`` is the one consulted.  ``tracer`` gets one
+    ``parallel.partition`` span per task, ``metrics`` the task and pruning
+    counters.
     """
 
-    def __init__(self, catalog, planner, pool: WorkerPool | None = None) -> None:
+    def __init__(
+        self, catalog, planner, pool: WorkerPool, *, tracer: Tracer, metrics: MetricsRegistry
+    ) -> None:
         self.catalog = catalog
         self.planner = planner
-        self.pool = pool or WorkerPool()
+        self.pool = pool
         self.enabled = True
-        # Injected by the owning system (all optional).
-        self.tracer = None
-        self.metrics = None
-
-    # -- helpers ------------------------------------------------------------
-
-    def _count(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, amount, **labels)
+        self.tracer = tracer
+        self.metrics = metrics
 
     # -- execution ----------------------------------------------------------
 
@@ -168,8 +167,8 @@ class ParallelQueryEngine:
         if workers is None:
             return None
 
-        self._count("partitions_pruned_total", float(len(entries) - len(shards)))
-        self._count("partition_tasks_total", float(len(shards)))
+        self.metrics.inc("partitions_pruned_total", float(len(entries) - len(shards)))
+        self.metrics.inc("partition_tasks_total", float(len(shards)))
 
         # The scan's own read: simulated IO for the rows that remain, charged
         # once, on the coordinator thread so the query's thread-local IO
@@ -182,7 +181,7 @@ class ParallelQueryEngine:
 
         tasks = [self._make_task(parts, table.slice(lo, hi), rights) for _, lo, hi in shards]
         timed = self.pool.run_tasks(tasks, workers=workers)
-        if self.tracer is not None:
+        if self.tracer.active:
             # Spans are thread-local, so each task timed itself and the
             # thread that owns the trace records it.
             for (entry, _, _), (_, started_at, seconds) in zip(shards, timed):

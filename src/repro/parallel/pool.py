@@ -11,9 +11,10 @@ serially on the coordinator without fault instrumentation, a
 ``parallel-degraded`` event is journaled and ``parallel_degraded_total``
 is incremented.  A query is thus slowed by a sick worker, never failed.
 
-Like ``kernels``, this module must not import the obs hub at module scope
-(workers report nothing themselves); the coordinator injects ``journal`` /
-``metrics`` / ``faults`` as instance attributes.
+Like ``kernels``, this module must not import the obs hub at module scope:
+workers report nothing themselves.  The coordinator's retries and degrades
+go to the ``journal`` and ``metrics`` the pool is constructed with — its
+owner's, so "off" is their ``enabled`` flag and the pool never asks.
 """
 
 from __future__ import annotations
@@ -29,13 +30,23 @@ FAULT_POINT = "parallel.worker.task"
 class WorkerPool:
     """Runs per-partition tasks with retry-then-degrade semantics."""
 
-    def __init__(self, max_workers: int = 4, deadline_seconds: float = 30.0) -> None:
+    def __init__(
+        self,
+        *,
+        journal: Any,
+        metrics: Any,
+        faults: Any = None,
+        max_workers: int = 4,
+        deadline_seconds: float = 30.0,
+    ) -> None:
         self.max_workers = max(1, int(max_workers))
         self.deadline_seconds = deadline_seconds
-        # Injected by the owning system; None keeps workers dependency-free.
-        self.faults = None  # FaultInjector | None
-        self.journal = None  # EventJournal | None
-        self.metrics = None  # MetricsRegistry | None
+        #: :class:`repro.obs.EventJournal` / :class:`repro.obs.MetricsRegistry`
+        #: (untyped here: this module stays import-free of ``repro.obs``).
+        self.journal = journal
+        self.metrics = metrics
+        #: Fault injector (``parallel.worker.task``); None = unarmed.
+        self.faults = faults
 
     # -- internals ----------------------------------------------------------
 
@@ -49,10 +60,6 @@ class WorkerPool:
             return task()
 
         return call
-
-    def _count(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, amount, **labels)
 
     # -- execution ----------------------------------------------------------
 
@@ -78,7 +85,7 @@ class WorkerPool:
                 except Exception:  # noqa: BLE001 - timeout or task error
                     failed.append(index)
             if failed:
-                self._count("parallel_retries_total", float(len(failed)))
+                self.metrics.inc("parallel_retries_total", float(len(failed)))
                 still_failed: list[tuple[int, Exception]] = []
                 for index in failed:
                     try:
@@ -100,14 +107,13 @@ class WorkerPool:
         results: list[Any],
     ) -> None:
         """Run repeat offenders serially, uninstrumented, and disclose it."""
-        self._count("parallel_degraded_total")
-        if self.journal is not None:
-            first_index, first_exc = still_failed[0]
-            self.journal.record(
-                "parallel-degraded",
-                tasks=len(still_failed),
-                first_task=first_index,
-                error=f"{type(first_exc).__name__}: {first_exc}",
-            )
+        self.metrics.inc("parallel_degraded_total")
+        first_index, first_exc = still_failed[0]
+        self.journal.record(
+            "parallel-degraded",
+            tasks=len(still_failed),
+            first_task=first_index,
+            error=f"{type(first_exc).__name__}: {first_exc}",
+        )
         for index, _exc in still_failed:
             results[index] = tasks[index]()

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -46,6 +45,9 @@ from repro.persist.snapshot import (
     write_table_segments,
 )
 from repro.weakcall import weak_callback
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.persist.store import DurableStore
 
 __all__ = ["ArchivedSegment", "ArchiveReport", "ArchiveTier"]
 
@@ -118,15 +120,20 @@ class ArchiveReport:
 
 
 class ArchiveTier:
-    """Manages archived segments and the merged-statistics overlay."""
+    """Manages archived segments and the merged-statistics overlay.
 
-    def __init__(self, database: Database, directory: Path) -> None:
+    Born with the durable store it cannot exist without: segment directory,
+    fault injector (``persist.archive.write`` / ``.read``; None = unarmed) and
+    the redo log its moves are recorded in are ``store``'s.
+    """
+
+    def __init__(self, database: Database, store: "DurableStore") -> None:
         self.database = database
-        self.directory = Path(directory)
+        self.store = store
+        self.directory = store.archive_dir
+        self.faults = store.faults
         self._segments: dict[str, list[ArchivedSegment]] = {}
         self._sequence = 0
-        #: Optional fault injector (persist.archive.write / persist.archive.read).
-        self.faults: Any = None
         #: table -> (catalog version, merged TableStats): the approximate
         #: engine asks for stats many times per query, and re-merging the
         #: archived segments' statistics each time would put dictionary
@@ -159,6 +166,12 @@ class ArchiveTier:
         state (``_segments``) flip atomically with respect to snapshot
         acquisition — no reader can ever pin the shrunken remainder while
         the guard still reports the table as unarchived.
+
+        The redo record is written inside the same section — after the
+        segment files are on disk, before anything in memory flips — so a
+        failed record leaves table, guard state and overlay as they were
+        (:meth:`purge_unreferenced` collects the orphaned files), and a crash
+        never reloads rows the caller was told are shed.
         """
         with self.database.catalog.commit_lock:
             # live_table: a pin on the archiving thread must not divert the
@@ -195,6 +208,7 @@ class ArchiveTier:
                 segment_entries=entries,
                 column_stats=dict(stats.columns),
             )
+            self.store.log_archive(table_name, predicate_sql)
             # Replace the base table with the live remainder.  Deliberately NOT
             # a data-change notification to the model lifecycle: archiving does
             # not invalidate what the models learned — the rows still exist,
@@ -215,7 +229,8 @@ class ArchiveTier:
 
         Same critical section as :meth:`archive`: the read-concat-replace
         must be atomic against concurrent appends, and the guard state must
-        clear in the same commit the restored table lands in.
+        clear in the same commit the restored table lands in — and the redo
+        record is written once the segments are read, before anything flips.
         """
         with self.database.catalog.commit_lock:
             segments = self._segments.get(table_name)
@@ -238,6 +253,7 @@ class ArchiveTier:
                     ) from exc
                 table = table.concat(piece)
                 restored_rows += piece.num_rows
+            self.store.log_recall(table_name)
             self.database.catalog.replace_table(table)
             self._segments[table_name] = []
             self._merged_cache.pop(table_name, None)

@@ -163,9 +163,9 @@ class DurableStore:
         #: (``recovery_total`` etc.).
         self.journal = journal
         self.metrics = metrics
-        self.wal = WriteAheadLog(self.root / WAL_NAME, fsync=fsync)
-        self.wal.faults = self.faults
-        self.wal.retrier = resilience.retrier
+        self.wal = WriteAheadLog(
+            self.root / WAL_NAME, fsync=fsync, faults=self.faults, retrier=resilience.retrier
+        )
         self.checkpoint_id = 0
         #: False while recovery replays the WAL, so replayed writes are not
         #: re-logged; True once the store is live.
@@ -210,7 +210,8 @@ class DurableStore:
         ]
         return max(indices, default=0)
 
-    # -- WAL hooks (each called from the one LawsDatabase write path it logs) ----
+    # -- WAL hooks (each called from the one write path it logs: a LawsDatabase
+    # -- method, or the archive tier's own critical section) ---------------------
 
     def log_register_table(self, table: Table, replace: bool = False) -> None:
         """Log a created, loaded or replaced table with the rows it holds."""

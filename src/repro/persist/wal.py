@@ -24,11 +24,11 @@ replay.
 
 Failure handling: a torn in-process write is rolled back by truncating the
 file to its pre-append size, transient OS errors (EIO/EAGAIN) are retried
-through the attached :class:`~repro.resilience.Retrier`, and every OS-level
+through its :class:`~repro.resilience.Retrier`, and every OS-level
 failure that escapes surfaces as a typed :class:`~repro.errors.WALError`
 carrying the log path.  Fault injection (``persist.wal.append``,
 ``persist.wal.reset``, ``persist.wal.replay``) is strictly opt-in via the
-``faults`` attribute.
+``faults=`` argument.
 """
 
 from __future__ import annotations
@@ -96,9 +96,21 @@ class WalReplay:
 class WriteAheadLog:
     """A single append-only log file with CRC-framed JSON records."""
 
-    def __init__(self, path: Path | str, fsync: bool = False) -> None:
+    def __init__(
+        self,
+        path: Path | str,
+        fsync: bool = False,
+        *,
+        faults: FaultInjector | None = None,
+        retrier: Retrier | None = None,
+    ) -> None:
         self.path = Path(path)
         self.fsync = fsync
+        #: Fault injector (``persist.wal.append`` / ``.reset`` / ``.replay``;
+        #: None = unarmed) and the retrier transient IO errors go through
+        #: (None = the first failure surfaces).
+        self.faults = faults
+        self.retrier = retrier
         self._handle: BinaryIO | None = None
         # Frames must hit the file whole: two concurrent appends
         # interleaving header and payload writes would corrupt the log.
@@ -108,9 +120,6 @@ class WriteAheadLog:
         #: (full disk mid-checkpoint) the next successful append writes the
         #: epoch frame first, so records can never land under a stale epoch.
         self._pending_epoch: int | None = None
-        #: Optional resilience hooks (attached by DurableStore).
-        self.faults: FaultInjector | None = None
-        self.retrier: Retrier | None = None
 
     # -- writing ---------------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Deterministic, seed-driven fault injection.
 
-A :class:`FaultInjector` is threaded through the persist layer, streaming,
-model fitting and the feedback verifier as an *optional* attribute: every
-instrumented call site does a single ``if self.faults is not None`` check,
-so with injection disabled (the default everywhere) the hot paths pay one
-attribute load and nothing else.
+A :class:`FaultInjector` reaches the persist layer, streaming, model fitting,
+the feedback verifier and the worker pool as the ``faults=`` argument of
+their constructors — from ``LawsDatabase(fault_injector=)`` directly, or off
+the resilience runtime a component already takes.  ``None`` means unarmed
+and is the one collaborator that may be: every instrumented call site does
+a single ``if self.faults is not None`` check, so with injection off (the
+default everywhere) the hot paths pay one attribute load and nothing else.
 
 Fault points are named strings (``persist.wal.append``, ``fitting.fit``,
 ...).  A schedule is a list of :class:`FaultSpec` entries binding a fault

@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.obs.events import EventJournal
+
 __all__ = ["HEALTHY", "DEGRADED", "FAILED", "ComponentHealth", "HealthRegistry", "CircuitBreaker"]
 
 HEALTHY = "healthy"
@@ -41,13 +43,19 @@ class ComponentHealth:
 class HealthRegistry:
     """Thread-safe map of component name -> health state."""
 
-    def __init__(self, *, journal: object | None = None) -> None:
+    def __init__(
+        self,
+        *,
+        journal: EventJournal | None = None,
+        on_transition: Callable[[str, str, str], None] | None = None,
+    ) -> None:
         self._lock = threading.Lock()
         self._components: dict[str, ComponentHealth] = {}
-        self.journal = journal
-        #: Called (without the lock held) after every state *transition*;
-        #: the system wires this to plan-cache invalidation.
-        self.on_transition: Callable[[str, str, str], None] | None = None
+        self.journal = journal or EventJournal(enabled=False)
+        #: Called (without the lock held) after every state *transition* —
+        #: ``LawsDatabase`` invalidates cached plans from it.  None: nobody
+        #: is listening.
+        self.on_transition = on_transition
 
     def set_state(self, name: str, state: str, reason: str = "") -> None:
         if state not in _STATES:
@@ -63,13 +71,11 @@ class HealthRegistry:
             if previous != state:
                 component.since = time.time()
         if previous != state:
-            if self.journal is not None:
-                self.journal.record(
-                    "health-transition", component=name, state=state, was=previous, reason=reason
-                )
-            hook = self.on_transition
-            if hook is not None:
-                hook(name, previous, state)
+            self.journal.record(
+                "health-transition", component=name, state=state, was=previous, reason=reason
+            )
+            if self.on_transition is not None:
+                self.on_transition(name, previous, state)
 
     def mark_degraded(self, name: str, reason: str) -> None:
         self.set_state(name, DEGRADED, reason)
@@ -116,7 +122,7 @@ class CircuitBreaker:
         cooldown_seconds: float = 60.0,
         clock: Callable[[], float] = time.monotonic,
         health: HealthRegistry | None = None,
-        journal: object | None = None,
+        journal: EventJournal | None = None,
     ) -> None:
         self.name = name
         self.failure_threshold = failure_threshold
@@ -127,7 +133,7 @@ class CircuitBreaker:
         self._opened_at: float | None = None
         self._half_open = False
         self.health = health
-        self.journal = journal
+        self.journal = journal or EventJournal(enabled=False)
 
     @property
     def is_open(self) -> bool:
@@ -153,8 +159,7 @@ class CircuitBreaker:
             self._opened_at = None
             self._half_open = False
         if was_open:
-            if self.journal is not None:
-                self.journal.record("breaker-close", component=self.name)
+            self.journal.record("breaker-close", component=self.name)
             if self.health is not None:
                 self.health.mark_healthy(self.name, "circuit closed after successful trial")
 
@@ -169,10 +174,9 @@ class CircuitBreaker:
             if should_open:
                 self._opened_at = self._clock()
         if newly_open:
-            if self.journal is not None:
-                self.journal.record(
-                    "breaker-open", component=self.name, failures=self._failures, reason=reason
-                )
+            self.journal.record(
+                "breaker-open", component=self.name, failures=self._failures, reason=reason
+            )
             if self.health is not None:
                 self.health.mark_degraded(self.name, f"circuit open: {reason}" if reason else "circuit open")
         return newly_open

@@ -24,6 +24,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
+from repro.obs.events import EventJournal
+from repro.obs.metrics import MetricsRegistry
+
 T = TypeVar("T")
 
 __all__ = ["QuarantineRecord", "QuarantineManager", "minimal_failing_subset"]
@@ -74,12 +77,18 @@ class QuarantineRecord:
 class QuarantineManager:
     """Moves unreadable artefacts under ``<root>/quarantine/`` and ledgers them."""
 
-    def __init__(self, root: Path | str, *, journal: object | None = None, metrics: object | None = None) -> None:
+    def __init__(
+        self,
+        root: Path | str,
+        *,
+        journal: EventJournal | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
         self.root = Path(root)
         self.directory = self.root / "quarantine"
         self.ledger_path = self.directory / LEDGER_NAME
-        self.journal = journal
-        self.metrics = metrics
+        self.journal = journal or EventJournal(enabled=False)
+        self.metrics = metrics or MetricsRegistry(enabled=False)
         self._lock = threading.Lock()
         self._records: list[QuarantineRecord] = []
         if self.ledger_path.exists():
@@ -174,16 +183,14 @@ class QuarantineManager:
         with self._lock:
             self._records.append(record)
             self._flush_ledger_locked()
-        if self.journal is not None:
-            self.journal.record(
-                "quarantine",
-                artefact=artefact,
-                source=source,
-                reason=reason,
-                quarantined_path=destination,
-            )
-        if self.metrics is not None:
-            self.metrics.inc("quarantine_total", artefact=artefact)
+        self.journal.record(
+            "quarantine",
+            artefact=artefact,
+            source=source,
+            reason=reason,
+            quarantined_path=destination,
+        )
+        self.metrics.inc("quarantine_total", artefact=artefact)
         return record
 
     def _flush_ledger_locked(self) -> None:

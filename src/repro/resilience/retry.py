@@ -19,6 +19,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
+from repro.obs.events import EventJournal
+
 T = TypeVar("T")
 
 __all__ = ["RetryPolicy", "Retrier", "TRANSIENT_ERRNOS"]
@@ -65,13 +67,13 @@ class Retrier:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         seed: int = 0,
-        journal: object | None = None,
+        journal: EventJournal | None = None,
     ) -> None:
         self.policy = policy or RetryPolicy()
         self._sleep = sleep
         self._clock = clock
         self._rng = random.Random(seed)
-        self.journal = journal
+        self.journal = journal or EventJournal(enabled=False)
 
     @staticmethod
     def is_transient(exc: BaseException) -> bool:
@@ -112,13 +114,9 @@ class Retrier:
                     raise
                 last = exc
                 continue
-            if self.journal is not None:
-                self.journal.record(
-                    "retry", operation=operation, attempts=attempts, outcome="success"
-                )
-            return result
-        if self.journal is not None:
             self.journal.record(
-                "retry", operation=operation, attempts=attempts, outcome="exhausted"
+                "retry", operation=operation, attempts=attempts, outcome="success"
             )
+            return result
+        self.journal.record("retry", operation=operation, attempts=attempts, outcome="exhausted")
         raise last

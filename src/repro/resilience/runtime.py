@@ -1,16 +1,20 @@
-"""The resilience runtime bundle wired into :class:`~repro.core.system.LawsDatabase`.
+"""The resilience runtime bundle :class:`~repro.core.system.LawsDatabase` builds.
 
 One object carries everything the production layers share: the (optional)
 fault injector, the retrier, the health registry and the named circuit
-breakers.  The quarantine manager belongs to the durable store (it is rooted
-at the store directory), which hangs it here when it is constructed so
-operator reports have one place to look.
+breakers.  It is constructed with the journal its members report to and
+hands it over as it builds each member — there is no second step that
+attaches it.  The quarantine manager belongs to the durable store (it is
+rooted at the store directory), which hangs it here when it is constructed
+so operator reports have one place to look.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Callable
+
+from repro.obs.events import EventJournal
 
 from .faults import FaultInjector
 from .health import CircuitBreaker, HealthRegistry
@@ -23,65 +27,46 @@ __all__ = ["ResilienceRuntime"]
 class ResilienceRuntime:
     """Shared resilience state: faults (opt-in), retry, health, breakers."""
 
+    #: Consecutive failures that open a breaker, and how long it stays open.
+    breaker_failure_threshold = 3
+    breaker_cooldown_seconds = 60.0
+
     def __init__(
         self,
         *,
         faults: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] | None = None,
-        breaker_failure_threshold: int = 3,
-        breaker_cooldown_seconds: float = 60.0,
+        journal: EventJournal,
+        on_health_transition: Callable[[str, str, str], None],
     ) -> None:
+        #: None = unarmed: every fault point is one ``is not None`` check.
         self.faults = faults
-        self.clock = clock
-        # Under an armed injector default to a no-op sleep so chaos schedules
-        # with latency faults and retry backoff stay fast; production (no
-        # injector) sleeps for real.
-        if sleep is None:
-            sleep = (lambda _s: None) if faults is not None else time.sleep
-        self.sleep = sleep
-        self.retrier = Retrier(retry_policy or RetryPolicy(), sleep=sleep, clock=clock)
-        self.health = HealthRegistry()
-        self.breaker_failure_threshold = breaker_failure_threshold
-        self.breaker_cooldown_seconds = breaker_cooldown_seconds
+        self.journal = journal
+        # Under an armed injector retry backoff does not sleep, so chaos
+        # schedules with latency faults stay fast; production (no injector)
+        # sleeps for real.
+        sleep = (lambda _s: None) if faults is not None else time.sleep
+        self.retrier = Retrier(retry_policy, sleep=sleep, journal=journal)
+        self.health = HealthRegistry(journal=journal, on_transition=on_health_transition)
         self._breakers: dict[str, CircuitBreaker] = {}
-        #: The durable store's quarantine manager, once a store was opened.
+        #: The durable store's quarantine manager, once a store was opened —
+        #: assigned by the store, not passed here: it is rooted at a store
+        #: directory that a memory-only database never has.
         self.quarantine: QuarantineManager | None = None
-        self.journal = None
-        self.metrics = None
 
-    def breaker(
-        self,
-        name: str,
-        *,
-        failure_threshold: int | None = None,
-        cooldown_seconds: float | None = None,
-    ) -> CircuitBreaker:
+    def breaker(self, name: str) -> CircuitBreaker:
         """Get-or-create the named circuit breaker."""
         existing = self._breakers.get(name)
         if existing is not None:
             return existing
         breaker = CircuitBreaker(
             name,
-            failure_threshold=failure_threshold or self.breaker_failure_threshold,
-            cooldown_seconds=(
-                cooldown_seconds if cooldown_seconds is not None else self.breaker_cooldown_seconds
-            ),
-            clock=self.clock,
+            failure_threshold=self.breaker_failure_threshold,
+            cooldown_seconds=self.breaker_cooldown_seconds,
             health=self.health,
             journal=self.journal,
         )
         return self._breakers.setdefault(name, breaker)
-
-    def attach_observability(self, journal: object, metrics: object) -> None:
-        """Wire the event journal and metrics registry through every member."""
-        self.journal = journal
-        self.metrics = metrics
-        self.health.journal = journal
-        self.retrier.journal = journal
-        for breaker in self._breakers.values():
-            breaker.journal = journal
 
     def report(self) -> dict:
         """Operator-facing health + breaker + quarantine summary."""

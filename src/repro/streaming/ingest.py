@@ -72,6 +72,7 @@ class StreamIngestor:
         database: Database,
         batch_size: int = 512,
         append: Callable[[str, Sequence[Sequence[Any]]], int] | None = None,
+        faults: Any = None,
     ) -> None:
         if batch_size < 1:
             raise StreamingError(f"batch_size must be positive, got {batch_size}")
@@ -82,10 +83,10 @@ class StreamIngestor:
         #: ``LawsDatabase`` passes its durable one, so a flushed batch and its
         #: redo record land together or not at all.
         self._append = append or database.insert_rows
-        #: Optional fault injector (``streaming.ingest.flush``); a fault
-        #: raised here leaves the batch buffered for the next flush, so the
-        #: stream self-heals once the fault clears.
-        self.faults: Any = None
+        #: Fault injector (``streaming.ingest.flush``; None = unarmed); a
+        #: fault raised here leaves the batch buffered for the next flush, so
+        #: the stream self-heals once the fault clears.
+        self.faults = faults
         self._buffers: dict[str, list[tuple[Any, ...]]] = {}
         self._stats: dict[str, IngestStats] = {}
         self._listeners: list[Callable[[IngestBatch], None]] = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from repro.db.database import Database
 from repro.db.sql.parser import parse_expression
 from repro.db.table import Table
 from repro.errors import DriftMonitorError, ModelNotFoundError, ReproError, StreamingError
+from repro.obs.events import EventJournal
+from repro.resilience import CircuitBreaker, ResilienceRuntime
 from repro.streaming.changepoint import ChangePointResult, find_changepoints
 from repro.streaming.drift import DriftVerdict, ResidualDriftDetector
 from repro.streaming.ingest import IngestBatch
@@ -112,6 +114,10 @@ class ModelMaintenancePolicy:
         store: ModelStore,
         harvester: ModelHarvester,
         lifecycle: ModelLifecycleManager,
+        *,
+        journal: EventJournal,
+        resilience: ResilienceRuntime,
+        refit_guard: Callable[[str], str | None],
         drift_multiplier: float = 2.5,
         drift_window: int = 512,
         drift_min_observations: int = 16,
@@ -131,35 +137,26 @@ class ModelMaintenancePolicy:
         self.min_segment = min_segment
         self.significance = significance
         self.max_changepoints = max_changepoints
-        #: Optional callable ``(table_name) -> str | None`` naming why the
-        #: table's models must not be refitted right now.  The archive tier
-        #: sets this: a refit over a table whose cold rows moved to the
-        #: model-only tier would fit only the (predicate-biased) live
-        #: remainder yet be served as covering the full logical table.
-        self.refit_guard: Any = None
-        #: Optional :class:`repro.obs.EventJournal`.  When set, drift
-        #: transitions, change-point localizations and every maintenance
-        #: action are recorded as queryable events.
-        self.journal: Any = None
-        #: Optional fault injector (``streaming.maintenance.refit``).
-        self.faults: Any = None
-        #: Optional :class:`repro.resilience.ResilienceRuntime`.  When set,
-        #: each watch target gets a per-target circuit breaker
+        #: ``(table_name) -> str | None`` naming why the table's models must
+        #: not be refitted right now: a refit over a table whose cold rows
+        #: moved to the model-only archive tier would fit only the
+        #: (predicate-biased) live remainder yet be served as covering the
+        #: full logical table.
+        self.refit_guard = refit_guard
+        #: Drift transitions, change-point localizations and every
+        #: maintenance action are recorded here as queryable events.
+        self.journal = journal
+        #: Each watch target gets a per-target circuit breaker
         #: (``refit:{table}.{column}``): a refit storm (repeated refit
         #: failures on one target) trips the breaker and further refits of
         #: that target are skipped until the cooldown passes, instead of
-        #: burning a failing fit per tick while other targets wait.
-        self.resilience: Any = None
+        #: burning a failing fit per tick while other targets wait.  Its
+        #: ``faults`` arm ``streaming.maintenance.refit``.
+        self.resilience = resilience
         self._targets: dict[tuple[str, str], WatchTarget] = {}
 
-    def _breaker(self, target: WatchTarget) -> Any:
-        if self.resilience is None:
-            return None
-        return self.resilience.breaker(f"refit:{target.table_name}.{target.output_column}")
-
-    def _journal_record(self, kind: str, **fields: Any) -> None:
-        if self.journal is not None:
-            self.journal.record(kind, **fields)
+    def _breaker(self, model: CapturedModel | WatchTarget) -> CircuitBreaker:
+        return self.resilience.breaker(f"refit:{model.table_name}.{model.output_column}")
 
     # -- registration ------------------------------------------------------------
 
@@ -301,7 +298,7 @@ class ModelMaintenancePolicy:
             target.batches_seen += 1
             verdict = target.last_verdict
             if verdict is not None and verdict.drifted and not was_drifted:
-                self._journal_record(
+                self.journal.record(
                     "drift-detected",
                     table=target.table_name,
                     column=target.output_column,
@@ -323,9 +320,7 @@ class ModelMaintenancePolicy:
             try:
                 report.actions.append(self._maintain_target(target))
             except ReproError as exc:
-                breaker = self._breaker(target)
-                if breaker is not None:
-                    breaker.record_failure(f"{type(exc).__name__}: {exc}")
+                self._breaker(target).record_failure(f"{type(exc).__name__}: {exc}")
                 report.actions.append(
                     MaintenanceAction(
                         table_name=target.table_name,
@@ -335,26 +330,25 @@ class ModelMaintenancePolicy:
                         details=f"{type(exc).__name__}: {exc}",
                     )
                 )
-        if self.journal is not None:
-            for action in report.actions:
-                if action.kind == "none":
-                    continue
-                self._journal_record(
-                    "maintenance",
+        for action in report.actions:
+            if action.kind == "none":
+                continue
+            self.journal.record(
+                "maintenance",
+                table=action.table_name,
+                column=action.output_column,
+                action=action.kind,
+                old_model_ids=list(action.old_model_ids),
+                new_model_ids=list(action.new_model_ids),
+                detail=action.details,
+            )
+            if action.changepoint_indices:
+                self.journal.record(
+                    "changepoint",
                     table=action.table_name,
                     column=action.output_column,
-                    action=action.kind,
-                    old_model_ids=list(action.old_model_ids),
-                    new_model_ids=list(action.new_model_ids),
-                    detail=action.details,
+                    indices=list(action.changepoint_indices),
                 )
-                if action.changepoint_indices:
-                    self._journal_record(
-                        "changepoint",
-                        table=action.table_name,
-                        column=action.output_column,
-                        indices=list(action.changepoint_indices),
-                    )
         return report
 
     def _maintain_target(self, target: WatchTarget) -> MaintenanceAction:
@@ -363,7 +357,7 @@ class ModelMaintenancePolicy:
         drifted = verdict is not None and verdict.drifted
 
         breaker = self._breaker(target)
-        if breaker is not None and not breaker.allow():
+        if not breaker.allow():
             # Refit storm: this target's recent refits all failed.  Skip the
             # tick (the stale-but-servable old model keeps answering) until
             # the breaker's cooldown admits a half-open trial.
@@ -375,9 +369,7 @@ class ModelMaintenancePolicy:
                 details=f"maintenance skipped: circuit breaker {breaker.name!r} is open",
             )
 
-        blocked = (
-            self.refit_guard(target.table_name) if self.refit_guard is not None else None
-        )
+        blocked = self.refit_guard(target.table_name)
         if blocked is not None:
             # No refit, no revalidation: both would score against the
             # partial live rows.  The existing (possibly stale) model keeps
@@ -588,9 +580,10 @@ class ModelMaintenancePolicy:
     # -- helpers ---------------------------------------------------------------------------
 
     def _harvest(self, model: CapturedModel, predicate_sql: str | None) -> HarvestReport:
-        if self.faults is not None:
+        faults = self.resilience.faults
+        if faults is not None:
             try:
-                self.faults.hit("streaming.maintenance.refit")
+                faults.hit("streaming.maintenance.refit")
             except OSError as exc:
                 raise StreamingError(
                     f"maintenance refit of {model.table_name}.{model.output_column} "
@@ -620,12 +613,9 @@ class ModelMaintenancePolicy:
             row_range=row_range,
             partition_id=None if partition_id is None else int(partition_id),
         )
-        if self.resilience is not None:
-            # A completed fit — accepted or quality-rejected — is not a
-            # fault; it closes (or keeps closed) the target's breaker.
-            self.resilience.breaker(
-                f"refit:{model.table_name}.{model.output_column}"
-            ).record_success()
+        # A completed fit — accepted or quality-rejected — is not a fault; it
+        # closes (or keeps closed) the target's breaker.
+        self._breaker(model).record_success()
         return report
 
     def _adopt(self, target: WatchTarget, model: CapturedModel) -> None:

@@ -98,11 +98,22 @@ def test_explain_analyze_restores_disabled_observability():
     assert not db.obs.enabled
     text = db.explain_analyze("SELECT count(*) AS n FROM t")
     assert "Route: exact" in text
+    for stage in ("query", "parse", "plan", "execute", "op:TableScan"):
+        _assert_stage_timed(text, stage)
     # The temporary enable is undone: follow-up queries trace nothing.
-    assert not db.obs.enabled
+    assert not db.obs.enabled and not db.obs.tracer.enabled
     traces_before = len(db.obs.tracer.traces())
     db.query("SELECT count(*) AS n FROM t")
     assert len(db.obs.tracer.traces()) == traces_before
+    # Only the tracer was switched on: a database told to observe nothing
+    # counted, recorded and journaled nothing for the analyzed query.
+    assert db.ops_report()["queries"]["total"] == 0
+    assert db.slo_report()["observed_queries"] == 0
+    flight = db.obs.flight.report()
+    assert (flight["recorded_queries"], flight["pending_queries"]) == (0, 0)
+    assert flight["pending_operator_rows"] == 0
+    assert db.compliance_report()["routes"] == {}
+    assert db.events() == []
 
 
 def test_explain_analyze_strips_prefix(db):

@@ -10,6 +10,7 @@ pre-order — and the decision attributes.
 import pytest
 
 from repro import AccuracyContract, LawsDatabase
+from repro.db.io_model import IOAccountant
 from repro.obs import Span, Tracer
 
 
@@ -71,15 +72,21 @@ class TestTracer:
         assert [t.name for t in tracer.traces()] == ["q2", "q3"]
         assert tracer.last_trace().name == "q3"
 
-    def test_io_snapshot_delta(self):
-        counter = {"pages_read": 0.0, "virtual_io_seconds": 0.0}
-        tracer = Tracer(io_snapshot=lambda: dict(counter))
+    def test_span_io_is_what_was_charged_while_it_was_open(self):
+        accountant = IOAccountant()
+        tracer = Tracer(io_scope=accountant.scope)
+        page = accountant.parameters.page_size_bytes
+        accountant.charge_sequential(page)  # before the trace: nobody's
         with tracer.trace("query"):
+            with tracer.span("parse"):
+                pass
             with tracer.span("execute"):
-                counter["pages_read"] += 4
+                accountant.charge_sequential(4 * page)
+            accountant.charge_sequential(page)  # the root's own
         trace = tracer.last_trace()
-        assert trace.pages_read == 4
+        assert trace.pages_read == 5
         assert trace.find("execute").pages_read == 4
+        assert trace.find("parse").io == {}
 
 
 @pytest.fixture(scope="module")

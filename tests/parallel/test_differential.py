@@ -17,7 +17,6 @@ import pytest
 
 from repro import LawsDatabase
 from repro.core.planner.cost import CostModel, OperatorCosts
-from repro.obs import MetricsRegistry
 
 PARTITION_COUNTS = (1, 2, 7, 16)
 
@@ -55,7 +54,7 @@ FREE_DISPATCH = OperatorCosts(parallel_task_overhead_seconds=0.0)
 def build_db(seed: int = 7, rows: int = 4000) -> LawsDatabase:
     rng = np.random.default_rng(seed)
     db = LawsDatabase(observability=False)
-    db.parallel.metrics = MetricsRegistry()
+    db.obs.metrics.enabled = True  # the one switch: every layer holds this registry
     db.planner.set_cost_model(CostModel(FREE_DISPATCH, source="test:free-dispatch"))
     x = rng.normal(20.0, 6.0, rows)
     x[rng.random(rows) < 0.08] = np.nan  # NULL-bearing aggregate input
@@ -135,7 +134,7 @@ def test_partition_map_visible_after_cached_query() -> None:
     snapshots and cached plans from queries run before ``partition_table``."""
     rng = np.random.default_rng(3)
     db = LawsDatabase(observability=False)
-    db.parallel.metrics = MetricsRegistry()
+    db.obs.metrics.enabled = True  # the one switch: every layer holds this registry
     db.planner.set_cost_model(CostModel(FREE_DISPATCH))
     db.load_dict(
         "facts",

@@ -17,33 +17,40 @@ from repro.parallel.pool import WorkerPool
 from repro.resilience.faults import FaultInjector, FaultSpec
 
 
+def make_pool(faults: FaultInjector | None = None, **kwargs) -> WorkerPool:
+    """A pool reporting to collectors of its own (the façade passes the hub's)."""
+    return WorkerPool(journal=EventJournal(), metrics=MetricsRegistry(), faults=faults, **kwargs)
+
+
 class TestWorkerPool:
     def test_results_in_task_order(self) -> None:
-        pool = WorkerPool(max_workers=4)
+        pool = make_pool(max_workers=4)
         assert pool.run_tasks([lambda i=i: i * i for i in range(10)]) == [
             i * i for i in range(10)
         ]
 
     def test_retry_once_recovers_without_degrading(self) -> None:
-        pool = WorkerPool(max_workers=2, deadline_seconds=5.0)
-        pool.faults = FaultInjector([FaultSpec("parallel.worker.task", "exception", hit=1)])
-        pool.metrics = MetricsRegistry()
-        pool.journal = EventJournal()
+        pool = make_pool(
+            FaultInjector([FaultSpec("parallel.worker.task", "exception", hit=1)]),
+            max_workers=2,
+            deadline_seconds=5.0,
+        )
         assert pool.run_tasks([lambda: 1, lambda: 2]) == [1, 2]
         assert pool.metrics.counter_value("parallel_retries_total") == 1.0
         assert pool.metrics.counter_value("parallel_degraded_total") == 0.0
         assert pool.journal.events(kind="parallel-degraded") == []
 
     def test_repeat_exception_degrades_to_serial(self) -> None:
-        pool = WorkerPool(max_workers=2, deadline_seconds=5.0)
-        pool.faults = FaultInjector(
-            [
-                FaultSpec("parallel.worker.task", "exception", hit=1),
-                FaultSpec("parallel.worker.task", "exception", hit=2),
-            ]
+        pool = make_pool(
+            FaultInjector(
+                [
+                    FaultSpec("parallel.worker.task", "exception", hit=1),
+                    FaultSpec("parallel.worker.task", "exception", hit=2),
+                ]
+            ),
+            max_workers=2,
+            deadline_seconds=5.0,
         )
-        pool.metrics = MetricsRegistry()
-        pool.journal = EventJournal()
         assert pool.run_tasks([lambda: 7]) == [7]  # degraded run still answers
         assert pool.metrics.counter_value("parallel_degraded_total") == 1.0
         events = pool.journal.events(kind="parallel-degraded")
@@ -51,21 +58,22 @@ class TestWorkerPool:
         assert "InjectedFault" in events[0].fields["error"]
 
     def test_hang_past_deadline_degrades(self) -> None:
-        pool = WorkerPool(max_workers=2, deadline_seconds=0.05)
-        pool.faults = FaultInjector(
-            [
-                FaultSpec("parallel.worker.task", "latency", hit=1, latency_seconds=0.5),
-                FaultSpec("parallel.worker.task", "latency", hit=2, latency_seconds=0.5),
-            ]
+        pool = make_pool(
+            FaultInjector(
+                [
+                    FaultSpec("parallel.worker.task", "latency", hit=1, latency_seconds=0.5),
+                    FaultSpec("parallel.worker.task", "latency", hit=2, latency_seconds=0.5),
+                ]
+            ),
+            max_workers=2,
+            deadline_seconds=0.05,
         )
-        pool.metrics = MetricsRegistry()
-        pool.journal = EventJournal()
         assert pool.run_tasks([lambda: "ok"]) == ["ok"]
         assert pool.metrics.counter_value("parallel_degraded_total") == 1.0
         assert "TimeoutError" in pool.journal.events(kind="parallel-degraded")[0].fields["error"]
 
     def test_genuine_error_still_raises_after_degrade(self) -> None:
-        pool = WorkerPool(max_workers=2, deadline_seconds=5.0)
+        pool = make_pool(max_workers=2, deadline_seconds=5.0)
 
         def bad() -> None:
             raise ValueError("task bug, not a fault")

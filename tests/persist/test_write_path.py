@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import errno
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,66 @@ def test_failed_redo_record_leaves_memory_as_it_was(tmp_path, door, fault):
     db.close()
     reopened = _open(root)
     assert reopened.database.fingerprint() == live
+    reopened.close()
+
+
+def _tier_state(db):
+    stats = db.database.stats("t")
+    return (
+        db.table("t").num_rows,
+        db.archive_tier.has_archived("t"),
+        (stats.row_count, stats.byte_size),
+        db.query("SELECT count(*) FROM t WHERE k >= 10", EXACT).rows(),
+        db.database.fingerprint(),
+    )
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("move", ["archive", "recall"])
+def test_failed_archive_redo_record_leaves_memory_as_it_was(tmp_path, move, fault):
+    """The tier writes its redo record inside its own critical section, before
+    anything in memory flips: rows a failed ``archive()`` left live are not
+    shed by a crash, rows a failed ``recall_archive()`` left archived stay so."""
+    root = tmp_path / "db"
+    with _open(root) as db:
+        db.load_dict("t", {"k": list(range(20)), "v": [float(k) for k in range(20)]})
+        if move == "recall":
+            db.archive("t", "k < 10")
+
+    # ``archive()`` checkpoints first and the WAL reset stamps its epoch through
+    # the same fault point: the archive record is the second arrival, a
+    # recall's (no checkpoint) the first.
+    spec = replace(FAULTS[fault], hit=2 if move == "archive" else 1)
+    def move_rows(db):
+        return db.archive("t", "k < 10") if move == "archive" else db.recall_archive("t")
+
+    db = _open(root, FaultInjector([spec], sleep=lambda _s: None))
+    before = _tier_state(db)
+    try:
+        move_rows(db)
+        raised = False
+    except ReproError:
+        raised = True
+    assert [event.point for event in db.resilience.faults.fired()] == ["persist.wal.append"]
+    assert raised == (fault == "oserror"), "EROFS must surface, a torn write is retried"
+    if raised:
+        assert _tier_state(db) == before
+        assert db.events(kind="archive") == db.events(kind="archive-recall") == []
+    else:
+        assert db.archive_tier.has_archived("t") == (move == "archive")
+    live = _tier_state(db)
+    db.close()
+
+    db = _open(root)
+    assert _tier_state(db) == live
+    if raised:
+        move_rows(db)  # the fault is spent: the repeated call applies
+        assert db.archive_tier.has_archived("t") == (move == "archive")
+        live = _tier_state(db)
+    db.close()
+    reopened = _open(root)
+    assert reopened.quarantine_report()["count"] == 0
+    assert _tier_state(reopened) == live
     reopened.close()
 
 

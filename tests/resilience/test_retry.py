@@ -117,8 +117,7 @@ def test_timeout_budget_stops_early():
 
 def test_retry_outcomes_are_journaled():
     journal = EventJournal()
-    retrier, _, _ = make_retrier(RetryPolicy(max_attempts=2, jitter=0.0))
-    retrier.journal = journal
+    retrier, _, _ = make_retrier(RetryPolicy(max_attempts=2, jitter=0.0), journal=journal)
     retrier.retry(lambda: "ok", first_error=OSError(errno.EIO, "x"), operation="op-a")
     with pytest.raises(OSError):
         retrier.retry(

@@ -100,6 +100,9 @@ def _bench_exact_hotpath(rows: int) -> dict:
             db.sql(sql)
 
     def _bypass_run_root(self, planned):
+        """The plan walk with no tracer handed down: ``Operator.execute()``
+        runs the children and ``apply`` without the root's ``tracer.active``
+        test (and without the partitioned engine's offer)."""
         return planned.root.execute()
 
     # Interleave the two modes: a single pass is ~ms-scale, so measuring

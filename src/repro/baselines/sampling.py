@@ -36,10 +36,6 @@ class SampleEstimate:
     def error(self) -> ErrorEstimate:
         return ErrorEstimate(value=self.value, standard_error=self.standard_error)
 
-    @property
-    def sampling_fraction(self) -> float:
-        return self.sample_rows / self.total_rows if self.total_rows else 0.0
-
 
 class UniformSampler:
     """Uniform row sampling over a table."""

@@ -66,9 +66,8 @@ from repro.core.captured_model import CapturedModel
 from repro.core.model_store import ModelStore
 from repro.db.catalog import Catalog
 from repro.db.database import Database
-from repro.db.expressions import Between, BinaryOp, ColumnRef, Expression, InList
+from repro.db.expressions import BinaryOp, ColumnRef, Expression, FunctionCall
 from repro.db.operators.aggregate import SUPPORTED_AGGREGATES
-from repro.db.expressions import FunctionCall
 from repro.db.sql.ast import SelectStatement, Star, Statement
 from repro.db.sql.planner import plan_select
 from repro.db.table import Table
@@ -79,7 +78,7 @@ from repro.errors import (
     ModelNotFoundError,
     SQLError,
 )
-from repro.obs.trace import Tracer, traced_operator_execute
+from repro.obs.trace import Tracer
 
 __all__ = ["ApproximateAnswer", "ApproximateQueryEngine", "RouteSketch"]
 
@@ -506,11 +505,8 @@ class ApproximateQueryEngine:
             distinct=False,
         )
         planned = plan_select(sub_statement, self.database.catalog, io_model=self.database.io_model)
-        tracer = self.tracer
-        if tracer.active:
-            with tracer.span("exact-fill-in"):
-                return traced_operator_execute(planned.root, tracer)
-        return planned.root.execute()
+        with self.tracer.span("exact-fill-in"):
+            return planned.root.execute(self.tracer)
 
     # -- route: point (every group key and input pinned to one value) -------------------
 
@@ -671,10 +667,7 @@ class ApproximateQueryEngine:
         try:
             planned = plan_select(statement, shadow_catalog, io_model=None)
             with tracer.span("evaluate"):
-                if tracer.active:
-                    result = traced_operator_execute(planned.root, tracer)
-                else:
-                    result = planned.root.execute()
+                result = planned.root.execute(tracer)
         except (SQLError, ExecutionError) as exc:
             # e.g. an aggregate/function outside the supported set: record it
             # as a fallback reason instead of crashing the engine mid-route.
@@ -880,23 +873,11 @@ def _first_aggregate(expression: Expression) -> tuple[str, Expression | None] | 
     if isinstance(expression, FunctionCall) and expression.name.lower() in SUPPORTED_AGGREGATES:
         argument = expression.args[0] if expression.args else None
         return expression.name.lower(), argument
-    for child in _children_of(expression):
+    for child in expression.children():
         found = _first_aggregate(child)
         if found is not None:
             return found
     return None
-
-
-def _children_of(expression: Expression) -> list[Expression]:
-    if isinstance(expression, BinaryOp):
-        return [expression.left, expression.right]
-    if isinstance(expression, FunctionCall):
-        return list(expression.args)
-    if isinstance(expression, Between):
-        return [expression.operand, expression.low, expression.high]
-    if isinstance(expression, InList):
-        return [expression.operand, *expression.values]
-    return []
 
 
 def _simple_aggregates(

@@ -41,14 +41,12 @@ class BloomFilter:
         self.num_bits = max(256, int(math.ceil(-expected_items * math.log(false_positive_rate) / (math.log(2) ** 2))))
         self.num_hashes = max(1, int(round(self.num_bits / expected_items * math.log(2))))
         self._bits = np.zeros(self.num_bits, dtype=bool)
-        self._count = 0
 
     # -- core operations ----------------------------------------------------------
 
     def add(self, item: Any) -> None:
         for position in self._positions(item):
             self._bits[position] = True
-        self._count += 1
 
     def __contains__(self, item: Any) -> bool:
         return all(self._bits[position] for position in self._positions(item))
@@ -59,21 +57,9 @@ class BloomFilter:
 
     # -- accounting ------------------------------------------------------------------
 
-    @property
-    def num_items_added(self) -> int:
-        return self._count
-
     def byte_size(self) -> int:
         """Nominal storage footprint of the filter (one bit per slot)."""
         return (self.num_bits + 7) // 8
-
-    @property
-    def fill_fraction(self) -> float:
-        return float(self._bits.mean())
-
-    def estimated_false_positive_rate(self) -> float:
-        """FPR estimate from the current fill level: (fill)^k."""
-        return float(self.fill_fraction**self.num_hashes)
 
     # -- hashing ----------------------------------------------------------------------
 
@@ -99,7 +85,6 @@ class LegalCombinationFilter:
         self.false_positive_rate = false_positive_rate
         self.round_decimals = round_decimals
         self._bloom: BloomFilter | None = None
-        self._exact_count = 0
 
     # -- construction -----------------------------------------------------------------
 
@@ -116,7 +101,6 @@ class LegalCombinationFilter:
         combos = instance._distinct_combinations(table)
         instance._bloom = BloomFilter(len(combos), false_positive_rate)
         instance._bloom.add_many(combos)
-        instance._exact_count = len(combos)
         return instance
 
     def _distinct_combinations(self, table: Table) -> set[tuple[Any, ...]]:
@@ -159,7 +143,3 @@ class LegalCombinationFilter:
 
     def byte_size(self) -> int:
         return self._bloom.byte_size() if self._bloom is not None else 0
-
-    @property
-    def num_legal_combinations(self) -> int:
-        return self._exact_count

@@ -182,15 +182,6 @@ class CapturedModel:
             )
         return self.fit.predict_rows(arrays, group_key_columns)  # type: ignore[union-attr]
 
-    def prediction_error(self, group_key: tuple[Any, ...] | Any | None = None) -> float:
-        """The residual standard error to attach to approximate answers."""
-        if self.is_grouped and group_key is not None:
-            try:
-                return self.result_for_group(group_key).residual_standard_error
-            except ModelNotFoundError:
-                return self.quality.residual_standard_error
-        return self.quality.residual_standard_error
-
     # -- storage accounting -----------------------------------------------------------
 
     def parameter_table(self) -> Table:

@@ -57,29 +57,34 @@ def run_query(
     sql: str,
     contract: AccuracyContract | None = None,
     snapshot: Snapshot | None = None,
-) -> PlannedAnswer:
+    *,
+    force_trace: bool = False,
+) -> tuple[PlannedAnswer, Span | None]:
     """Run ``sql`` under ``contract`` through all six stages.
 
-    ``snapshot`` pins the execution to an explicitly held view; by default
-    every query pins the current one, so concurrent ``ingest()`` /
-    ``maintain()`` / ``archive()`` commits are never observed mid-query.
+    Returns the answer and the root span this call opened (``None`` when it
+    traced nothing).  ``snapshot`` pins the execution to an explicitly held
+    view; by default every query pins the current one, so concurrent
+    ``ingest()`` / ``maintain()`` / ``archive()`` commits are never observed
+    mid-query.  ``force_trace`` traces this one query — on this thread only —
+    even on an observability-off database.
     """
     obs = system.obs
     ctx = QueryContext(system, sql, contract or AUTO, obs.tracer, snapshot, perf_counter())
     observed = obs.enabled
-    if not (observed or obs.tracer.enabled):
-        return _run_stages(ctx)
-    with obs.tracer.trace("query", sql=sql.strip()) as root:
+    if not (observed or force_trace):
+        return _run_stages(ctx), None
+    with obs.tracer.trace("query", force=force_trace, sql=sql.strip()) as root:
         try:
             answer = _run_stages(ctx)
         except Exception as exc:
             obs.metrics.inc("query_errors_total", error=type(exc).__name__)
             raise
     # Traced is not observed: ``explain_analyze()`` on an observability-off
-    # database switches the tracer on for one query and accounts nothing.
+    # database forces a trace of its one query and accounts nothing.
     if observed:
         account(ctx, answer, root, perf_counter() - ctx.started)
-    return answer
+    return answer, root
 
 
 def _run_stages(ctx: QueryContext) -> PlannedAnswer:

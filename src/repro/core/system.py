@@ -566,7 +566,7 @@ class LawsDatabase:
         default, or an explicitly held one passed as ``snapshot`` (see
         :meth:`snapshot`) for repeatable reads across statements.
         """
-        return run_query(self, sql, contract, snapshot)
+        return run_query(self, sql, contract, snapshot)[0]
 
     def explain(self, sql: str, contract: AccuracyContract | None = None) -> str:
         """The unified plan for ``sql``: candidate routes, predicted cost
@@ -600,23 +600,19 @@ class LawsDatabase:
         if stripped[:15].upper() == "EXPLAIN ANALYZE":
             stripped = stripped[15:].strip()
         contract = replace(contract or AccuracyContract(), verify_fraction=1.0)
-        # Only the tracer is needed: on an ``observability=False`` database
-        # it is switched on for this one query and nothing else is — no
-        # metric, SLO observation or flight record is left behind.
-        tracer = self.obs.tracer
-        tracer.enabled = True
-        try:
-            answer = self.query(stripped, contract)
-            trace = tracer.last_trace()
-        finally:
-            tracer.enabled = self.obs.enabled
-        lines = [
-            f"EXPLAIN ANALYZE: {stripped}",
-            f"Route: {answer.route_taken} — {answer.plan.reason}",
-        ]
-        if trace is not None:
-            lines.append(trace.to_text())
-        return "\n".join(lines)
+        # The tree rendered is the root span this call opened, not whichever
+        # trace finished last.  On an ``observability=False`` database the
+        # trace is forced for this one query on this thread and nothing else
+        # is switched on — no metric, SLO observation or flight record is left
+        # behind, and no other thread's query is traced.
+        answer, trace = run_query(self, stripped, contract, force_trace=True)
+        return "\n".join(
+            [
+                f"EXPLAIN ANALYZE: {stripped}",
+                f"Route: {answer.route_taken} — {answer.plan.reason}",
+                trace.to_text(),
+            ]
+        )
 
     def last_trace(self) -> Span | None:
         """The span tree of the most recently traced query."""

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -282,9 +281,3 @@ def _intensity_for(
     # ANOMALY_NOISE: intensity is pure interference, unrelated to the model.
     level = p * float(np.mean(np.asarray(config.frequency_bands))) ** alpha
     return np.abs(rng.normal(level, level * 0.8, len(frequencies))) + 1e-6
-
-
-def frequencies_grid(config: LofarConfig | None = None) -> Iterable[float]:
-    """The enumerable domain of the frequency column (band centres)."""
-    bands = (config or LofarConfig()).frequency_bands
-    return tuple(float(b) for b in bands)

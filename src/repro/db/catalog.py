@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.db.schema import Schema
 from repro.db.snapshot import CatalogSnapshot, PinStack
@@ -272,6 +272,23 @@ class Catalog:
         if pin is not None:
             return len(pin)
         return len(self._tables)
+
+    def append_rows(self, name: str, rows: Sequence[Sequence[Any]]) -> int:
+        """Append row tuples to table ``name`` (one atomic commit).
+
+        The append and its version bump happen under the commit lock, so a
+        concurrent :meth:`snapshot` sees either none of the batch or all of it
+        with the bumped version — batch-granular commits, never a torn
+        half-batch.  Always the *live* table: resolving the target through a
+        thread-pinned snapshot would append to a frozen copy and lose the
+        write.  Returns the row index the batch starts at.
+        """
+        with self._commit_lock:
+            table = self.live_table(name)
+            start = table.num_rows
+            table.append_rows(rows)
+            self.mark_dirty(name)
+            return start
 
     # -- statistics -----------------------------------------------------------------
 

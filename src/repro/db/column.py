@@ -27,7 +27,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from repro.db.types import DataType, is_null, null_value, python_value
+from repro.db.types import DataType, null_value, python_value
 from repro.errors import TypeMismatchError
 
 __all__ = ["BLOCK_ROWS", "Column"]
@@ -464,6 +464,3 @@ class Column:
         if self.dtype is DataType.STRING:
             return max(data)
         return python_value(self.dtype, data.max())
-
-    def is_value_null(self, index: int) -> bool:
-        return not bool(self.validity[index]) or is_null(self.dtype, self.values[index])

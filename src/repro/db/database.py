@@ -55,20 +55,10 @@ class Database:
         self.catalog.drop_table(name)
 
     def insert_rows(self, name: str, rows: Sequence[Sequence[Any]]) -> int:
-        """Append row tuples to an existing table (one atomic commit).
-
-        The append and its catalog version bump happen under the commit
-        lock, so a concurrent :meth:`~repro.db.catalog.Catalog.snapshot`
-        sees either none of the batch or all of it with the bumped version
-        — batch-granular commits, never a torn half-batch.  Returns the row
-        index the batch starts at.
-        """
-        with self.catalog.commit_lock:
-            table = self.catalog.live_table(name)
-            start = table.num_rows
-            table.append_rows(rows)
-            self.catalog.mark_dirty(name)
-            return start
+        """Append row tuples to an existing table (one atomic commit, see
+        :meth:`~repro.db.catalog.Catalog.append_rows`); returns the row index
+        the batch starts at."""
+        return self.catalog.append_rows(name, rows)
 
     # -- lookup ------------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -87,9 +87,32 @@ class Expression:
         single = Table.from_dict("_row", {k: [v] for k, v in row.items()})
         return self.evaluate(single)[0]
 
+    def children(self) -> Sequence["Expression"]:
+        """The direct child expressions.
+
+        With :meth:`with_children` the one place a node type states its
+        shape: :meth:`map_children`, :meth:`referenced_columns` and every
+        walk elsewhere (name resolution, aggregate extraction) derive from
+        the pair.
+        """
+        raise NotImplementedError
+
+    def with_children(self, *children: "Expression") -> "Expression":
+        """This node rebuilt over ``children``, given in :meth:`children` order."""
+        if children:
+            raise NotImplementedError
+        return self
+
+    def map_children(self, fn: Callable[["Expression"], "Expression"]) -> "Expression":
+        """This node rebuilt with ``fn`` applied to each child (a leaf is returned as it is)."""
+        return self.with_children(*map(fn, self.children()))
+
     def referenced_columns(self) -> set[str]:
         """Names of all columns referenced anywhere in this expression."""
-        raise NotImplementedError
+        names: set[str] = set()
+        for child in self.children():
+            names |= child.referenced_columns()
+        return names
 
     def output_name(self) -> str:
         """Default output column name when used in a SELECT list."""
@@ -169,6 +192,9 @@ class ColumnRef(Expression):
     def evaluate(self, table: Table) -> Column:
         return table.column(self.name)
 
+    def children(self) -> Sequence[Expression]:
+        return ()
+
     def referenced_columns(self) -> set[str]:
         return {self.name}
 
@@ -192,8 +218,8 @@ class Literal(Expression):
         dtype = DataType.infer(self.value)
         return Column(dtype, np.full(n, self.value, dtype=dtype.numpy_dtype))
 
-    def referenced_columns(self) -> set[str]:
-        return set()
+    def children(self) -> Sequence[Expression]:
+        return ()
 
     def output_name(self) -> str:
         return repr(self.value)
@@ -212,8 +238,11 @@ class BinaryOp(Expression):
     left: Expression
     right: Expression
 
-    def referenced_columns(self) -> set[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
+    def children(self) -> Sequence[Expression]:
+        return (self.left, self.right)
+
+    def with_children(self, left: Expression, right: Expression) -> Expression:
+        return BinaryOp(self.op, left, right)
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -237,8 +266,11 @@ class UnaryOp(Expression):
     op: str
     operand: Expression
 
-    def referenced_columns(self) -> set[str]:
-        return self.operand.referenced_columns()
+    def children(self) -> Sequence[Expression]:
+        return (self.operand,)
+
+    def with_children(self, operand: Expression) -> Expression:
+        return UnaryOp(self.op, operand)
 
     def __str__(self) -> str:
         return f"({self.op} {self.operand})"
@@ -264,11 +296,11 @@ class FunctionCall(Expression):
     name: str
     args: tuple[Expression, ...]
 
-    def referenced_columns(self) -> set[str]:
-        out: set[str] = set()
-        for arg in self.args:
-            out |= arg.referenced_columns()
-        return out
+    def children(self) -> Sequence[Expression]:
+        return self.args
+
+    def with_children(self, *args: Expression) -> Expression:
+        return FunctionCall(self.name, args)
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
@@ -296,12 +328,11 @@ class Between(Expression):
     low: Expression
     high: Expression
 
-    def referenced_columns(self) -> set[str]:
-        return (
-            self.operand.referenced_columns()
-            | self.low.referenced_columns()
-            | self.high.referenced_columns()
-        )
+    def children(self) -> Sequence[Expression]:
+        return (self.operand, self.low, self.high)
+
+    def with_children(self, operand: Expression, low: Expression, high: Expression) -> Expression:
+        return Between(operand, low, high)
 
     def __str__(self) -> str:
         return f"({self.operand} BETWEEN {self.low} AND {self.high})"
@@ -332,11 +363,11 @@ class InList(Expression):
         object.__setattr__(self, "operand", operand)
         object.__setattr__(self, "values", tuple(values))
 
-    def referenced_columns(self) -> set[str]:
-        out = self.operand.referenced_columns()
-        for value in self.values:
-            out |= value.referenced_columns()
-        return out
+    def children(self) -> Sequence[Expression]:
+        return (self.operand, *self.values)
+
+    def with_children(self, operand: Expression, *values: Expression) -> Expression:
+        return InList(operand, values)
 
     def __str__(self) -> str:
         return f"({self.operand} IN ({', '.join(str(v) for v in self.values)}))"
@@ -372,8 +403,11 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def referenced_columns(self) -> set[str]:
-        return self.operand.referenced_columns()
+    def children(self) -> Sequence[Expression]:
+        return (self.operand,)
+
+    def with_children(self, operand: Expression) -> Expression:
+        return IsNull(operand, self.negated)
 
     def __str__(self) -> str:
         return f"({self.operand} IS {'NOT ' if self.negated else ''}NULL)"

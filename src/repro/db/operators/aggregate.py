@@ -181,12 +181,7 @@ class Aggregate(Operator):
         aggs = ", ".join(a.name for a in self.aggregates)
         return f"Aggregate(group_by=[{keys}], aggregates=[{aggs}])"
 
-    def execute(self) -> Table:
-        table = self.child.execute()
-        return self.apply(table)
-
     def apply(self, table: Table) -> Table:
-        """Aggregate an already-materialised table (shared with the AQP engine)."""
         key_columns = [expr.evaluate(table) for expr in self.group_by]
         agg_inputs: list[Column | None] = []
         for spec in self.aggregates:

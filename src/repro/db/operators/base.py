@@ -1,30 +1,57 @@
-"""Operator base class."""
+"""Operator base class: the one walk over a physical plan."""
 
 from __future__ import annotations
 
-import copy
+from typing import TYPE_CHECKING
 
 from repro.db.table import Table
 
-__all__ = ["Operator", "clone_operator_tree"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.trace import Tracer
+
+__all__ = ["Operator"]
 
 
 class Operator:
     """A node in a physical query plan.
 
-    Operators are pull-based at table granularity: calling :meth:`execute`
-    recursively executes the children and returns the full result table.
-    This is the simplest execution model that still lets the benchmarks
-    measure per-query IO and CPU, which is all the paper's experiments need.
+    A node names its inputs (:meth:`children`) and says what it computes from
+    their results (:meth:`apply`); how the tree is walked — and traced — is
+    written once, in :meth:`execute`.  Execution is pull-based at table
+    granularity: the simplest model that still lets the benchmarks measure
+    per-query IO and CPU, which is all the paper's experiments need.
+
+    Nodes hold no per-execution state and ``execute`` writes to none, so a
+    cached plan is shared across executions and threads as it is, traced or
+    not — never copied, never patched.
     """
 
-    def execute(self) -> Table:
-        """Execute this operator (and its subtree) and return the result."""
+    def apply(self, *inputs: Table) -> Table:
+        """This node's result as a function of its children's results.
+
+        ``inputs`` arrive in :meth:`children` order; a leaf takes none.
+        """
         raise NotImplementedError
 
     def children(self) -> list["Operator"]:
-        """Child operators, for plan display and rewriting."""
+        """Child operators, for execution, plan display and rewriting."""
         return []
+
+    def execute(self, tracer: "Tracer | None" = None) -> Table:
+        """Execute this subtree: the children, then :meth:`apply` on their results.
+
+        While a trace is open on ``tracer``, every node runs inside its own
+        ``op:<Class>`` span, so the spans nest into the plan's shape by
+        construction.  The root makes the one ``tracer.active`` test;
+        untraced, the children run without it.
+        """
+        if tracer is None or not tracer.active:
+            return self.apply(*[child.execute() for child in self.children()])
+        with tracer.span(f"op:{type(self).__name__}") as span:
+            span.annotate(operator=self.describe())
+            result = self.apply(*[child.execute(tracer) for child in self.children()])
+            span.annotate(rows_out=result.num_rows)
+            return result
 
     def explain(self, indent: int = 0) -> str:
         """Render the plan subtree as indented text."""
@@ -36,21 +63,3 @@ class Operator:
     def describe(self) -> str:
         """One-line description of this operator."""
         return type(self).__name__
-
-
-def clone_operator_tree(node: Operator) -> Operator:
-    """Shallow-clone an operator tree (fresh nodes, shared leaf bindings).
-
-    Used when an execution needs private node instances — e.g. tracing,
-    which shadows ``execute`` in each node's ``__dict__`` and must never do
-    that to a cached plan another thread may be executing.  Child operators
-    are discovered structurally: any attribute holding an ``Operator`` (or a
-    non-empty list of them) is rebound to its clone.
-    """
-    clone = copy.copy(node)
-    for attr, value in vars(clone).items():
-        if isinstance(value, Operator):
-            setattr(clone, attr, clone_operator_tree(value))
-        elif isinstance(value, list) and value and all(isinstance(v, Operator) for v in value):
-            setattr(clone, attr, [clone_operator_tree(v) for v in value])
-    return clone

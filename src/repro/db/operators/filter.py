@@ -19,8 +19,7 @@ class Filter(Operator):
     def children(self) -> list[Operator]:
         return [self.child]
 
-    def execute(self) -> Table:
-        table = self.child.execute()
+    def apply(self, table: Table) -> Table:
         if table.num_rows == 0:
             return table
         mask = truthy_mask(self.predicate.evaluate(table))

@@ -119,9 +119,7 @@ class HashJoin(Operator):
         conditions = ", ".join(f"{l} = {r}" for l, r in zip(self.left_keys, self.right_keys))
         return f"HashJoin({conditions})"
 
-    def execute(self) -> Table:
-        left_table = self.left.execute()
-        right_table = self.right.execute()
+    def apply(self, left_table: Table, right_table: Table) -> Table:
         left_indices, right_indices = self._match_indices(left_table, right_table)
 
         left_result = left_table.take(left_indices)

@@ -26,8 +26,7 @@ class Limit(Operator):
     def describe(self) -> str:
         return f"Limit(count={self.count}, offset={self.offset})"
 
-    def execute(self) -> Table:
-        table = self.child.execute()
+    def apply(self, table: Table) -> Table:
         start = min(self.offset, table.num_rows)
         stop = min(start + self.count, table.num_rows)
         return table.slice(start, stop)

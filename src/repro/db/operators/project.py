@@ -34,8 +34,7 @@ class Project(Operator):
     def children(self) -> list[Operator]:
         return [self.child]
 
-    def execute(self) -> Table:
-        table = self.child.execute()
+    def apply(self, table: Table) -> Table:
         columns = {}
         defs = []
         for projection in self.projections:

@@ -201,7 +201,7 @@ class TableScan(Operator):
             self.io_model.charge_scan(table)
         return table
 
-    def execute(self) -> Table:
+    def apply(self) -> Table:
         return self.read(*self.bind())
 
     def describe(self) -> str:
@@ -229,7 +229,7 @@ class MaterializedInput(Operator):
     def __init__(self, table: Table) -> None:
         self.table = table
 
-    def execute(self) -> Table:
+    def apply(self) -> Table:
         return self.table
 
     def describe(self) -> str:

@@ -30,6 +30,5 @@ class Sort(Operator):
     def describe(self) -> str:
         return f"Sort({render_sort_keys(self.keys)})"
 
-    def execute(self) -> Table:
-        table = self.child.execute()
+    def apply(self, table: Table) -> Table:
         return table.sort_by(self.keys)

@@ -32,6 +32,6 @@ class TopN(Operator):
     def describe(self) -> str:
         return f"TopN({render_sort_keys(self.keys)}, count={self.count}, offset={self.offset})"
 
-    def execute(self) -> Table:
-        best = self.child.execute().top_n(self.keys, self.offset + self.count)
+    def apply(self, table: Table) -> Table:
+        best = table.top_n(self.keys, self.offset + self.count)
         return best.slice(min(self.offset, best.num_rows), best.num_rows)

@@ -19,14 +19,13 @@ from time import perf_counter
 from repro.db.catalog import Catalog
 from repro.db.io_model import IOModel
 from repro.db.lru import LockedLRU
-from repro.db.operators.base import clone_operator_tree
 from repro.db.schema import ColumnDef, Schema
 from repro.db.sql.ast import CreateTableStatement, InsertStatement, SelectStatement, Statement
 from repro.db.sql.parser import parse
 from repro.db.sql.planner import PlannedQuery, plan_select
 from repro.db.table import Table
 from repro.errors import SQLPlanningError, UnsupportedSQLError
-from repro.obs.trace import Tracer, traced_operator_execute
+from repro.obs.trace import Tracer
 
 __all__ = ["PreparedStatement", "QueryResult", "SQLExecutor"]
 
@@ -138,23 +137,19 @@ class SQLExecutor:
     def _run_root(self, planned: PlannedQuery) -> Table:
         """Execute a plan's root, per-operator traced when a trace is open.
 
-        Cached plans are shared across executions and threads, which is safe
-        untraced: operators are stateless and every :class:`TableScan` binds a
-        frozen (pin-aware) view of its table per execution.  Tracing is the
-        exception — ``traced_operator_execute`` shadows ``execute`` in node
-        ``__dict__``s, so a traced run first takes a private clone of the
-        tree; the shared cached plan is never mutated and concurrent
-        executions of the same plan never see another query's spans.
+        Cached plans are shared across executions and threads: operators are
+        stateless, every :class:`TableScan` binds a frozen (pin-aware) view of
+        its table per execution, and a traced run differs only in the tracer
+        handed down the one walk (:meth:`Operator.execute`) — its spans go to
+        the calling thread's stack, so concurrent executions of the same plan
+        never see another query's spans.
         """
         parallel = self.parallel
         if parallel is not None:
             table = parallel.try_execute(planned)
             if table is not None:
                 return table
-        tracer = self.tracer
-        if tracer.active:
-            return traced_operator_execute(clone_operator_tree(planned.root), tracer)
-        return planned.root.execute()
+        return planned.root.execute(self.tracer)
 
     def explain(self, sql: str) -> str:
         """Return the physical plan for a SELECT without executing it."""
@@ -220,25 +215,24 @@ class SQLExecutor:
 
     def _execute_insert(self, statement: InsertStatement) -> Table:
         # DML always targets the *live* table (a thread-pinned snapshot copy
-        # would swallow the write), and the append + version bump commit
-        # atomically under the catalog's commit lock (batch granularity).
+        # would swallow the write).  The commit is the catalog's; the lock is
+        # taken here already so the schema the rows are re-ordered for is the
+        # schema of the table they land in.
         with self.catalog.commit_lock:
             table = self.catalog.live_table(statement.name)
-            if statement.columns is None:
-                table.append_rows(statement.rows)
-            else:
+            rows = statement.rows
+            if statement.columns is not None:
                 names = table.schema.names
                 unknown = [c for c in statement.columns if c not in names]
                 if unknown:
                     raise SQLPlanningError(f"INSERT references unknown columns {unknown} of table {statement.name!r}")
-                reordered = []
+                rows = []
                 for row in statement.rows:
                     if len(row) != len(statement.columns):
                         raise SQLPlanningError(
                             f"INSERT row has {len(row)} values but {len(statement.columns)} columns were named"
                         )
                     mapping = dict(zip(statement.columns, row))
-                    reordered.append(tuple(mapping.get(name) for name in names))
-                table.append_rows(reordered)
-            self.catalog.mark_dirty(statement.name)
+                    rows.append(tuple(mapping.get(name) for name in names))
+            self.catalog.append_rows(statement.name, rows)
             return table

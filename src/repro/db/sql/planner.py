@@ -26,21 +26,12 @@ into :class:`~repro.db.operators.aggregate.AggregateSpec` entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from repro.db.catalog import Catalog
 from repro.db.constraints import ColumnConstraint, conjuncts, extract_constraints
-from repro.db.expressions import (
-    Between,
-    BinaryOp,
-    ColumnRef,
-    Expression,
-    FunctionCall,
-    InList,
-    IsNull,
-    Literal,
-    UnaryOp,
-)
+from repro.db.expressions import BinaryOp, ColumnRef, Expression, FunctionCall, Literal
 from repro.db.io_model import IOModel
 from repro.db.operators import (
     Aggregate,
@@ -284,7 +275,7 @@ class _PlanBuilder:
 
     def _scan_columns(self, table: Table) -> list[str] | None:
         """Restrict the scan to the columns the query references, when possible."""
-        needed = self._all_statement_columns()
+        needed = self._all_statement_columns
         if needed is None:
             return None
         names = []
@@ -298,8 +289,10 @@ class _PlanBuilder:
             names = [min(table.schema.columns, key=lambda c: c.dtype.byte_width).name]
         return names or None
 
+    @cached_property
     def _all_statement_columns(self) -> set[str] | None:
-        """Every column name (possibly qualified) the statement mentions."""
+        """Every column name (possibly qualified) the statement mentions —
+        walked once per plan, however many scans and reports read it."""
         statement = self.statement
         names: set[str] = set()
         for item in statement.items:
@@ -421,10 +414,6 @@ class _PlanBuilder:
         not a closure of its caller: a recursive closure refers to itself, and
         that cycle would pin this builder — and its catalog — until the cyclic
         collector's next pass.)"""
-
-        def rewrite(inner: Expression) -> Expression:
-            return self._rewrite_aggregates(inner, specs, spec_index)
-
         if isinstance(expression, FunctionCall) and expression.name.lower() in SUPPORTED_AGGREGATES:
             if len(expression.args) > 1:
                 raise UnsupportedSQLError(f"aggregate {expression.name} takes at most one argument")
@@ -435,19 +424,9 @@ class _PlanBuilder:
                 specs.append(spec)
                 spec_index[key] = spec.name
             return ColumnRef(spec_index[key])
-        if isinstance(expression, BinaryOp):
-            return BinaryOp(expression.op, rewrite(expression.left), rewrite(expression.right))
-        if isinstance(expression, UnaryOp):
-            return UnaryOp(expression.op, rewrite(expression.operand))
-        if isinstance(expression, FunctionCall):
-            return FunctionCall(expression.name, tuple(rewrite(a) for a in expression.args))
-        if isinstance(expression, Between):
-            return Between(rewrite(expression.operand), rewrite(expression.low), rewrite(expression.high))
-        if isinstance(expression, InList):
-            return InList(rewrite(expression.operand), [rewrite(v) for v in expression.values])
-        if isinstance(expression, IsNull):
-            return IsNull(rewrite(expression.operand), expression.negated)
-        return expression
+        return expression.map_children(
+            lambda inner: self._rewrite_aggregates(inner, specs, spec_index)
+        )
 
     def _group_key_name(self, expression: Expression) -> str:
         if isinstance(expression, ColumnRef):
@@ -551,7 +530,7 @@ class _PlanBuilder:
 
     def _collect_referenced_columns(self) -> dict[str, set[str]]:
         """Map base table name -> set of its columns the statement references."""
-        needed = self._all_statement_columns()
+        needed = self._all_statement_columns
         referenced: dict[str, set[str]] = {}
         for table_name in dict.fromkeys(self.alias_map.values()):
             columns = self.table_columns[table_name]
@@ -574,30 +553,7 @@ def _map_columns(expression: Expression, rename: Callable[[str], str]) -> Expres
     """``expression`` rebuilt with every column reference passed through ``rename``."""
     if isinstance(expression, ColumnRef):
         return ColumnRef(rename(expression.name))
-    if isinstance(expression, Literal):
-        return expression
-    if isinstance(expression, BinaryOp):
-        return BinaryOp(
-            expression.op, _map_columns(expression.left, rename), _map_columns(expression.right, rename)
-        )
-    if isinstance(expression, UnaryOp):
-        return UnaryOp(expression.op, _map_columns(expression.operand, rename))
-    if isinstance(expression, FunctionCall):
-        return FunctionCall(expression.name, tuple(_map_columns(a, rename) for a in expression.args))
-    if isinstance(expression, Between):
-        return Between(
-            _map_columns(expression.operand, rename),
-            _map_columns(expression.low, rename),
-            _map_columns(expression.high, rename),
-        )
-    if isinstance(expression, InList):
-        return InList(
-            _map_columns(expression.operand, rename),
-            [_map_columns(v, rename) for v in expression.values],
-        )
-    if isinstance(expression, IsNull):
-        return IsNull(_map_columns(expression.operand, rename), expression.negated)
-    raise SQLPlanningError(f"cannot resolve expression of type {type(expression).__name__}")
+    return expression.map_children(lambda child: _map_columns(child, rename))
 
 
 class _Distinct(Operator):
@@ -618,10 +574,9 @@ class _Distinct(Operator):
     def describe(self) -> str:
         return "Distinct"
 
-    def execute(self) -> Table:
+    def apply(self, table: Table) -> Table:
         from repro.db.operators.codes import factorize_keys
 
-        table = self.child.execute()
         if table.num_rows == 0:
             return table
         key_columns = [table.column(name) for name in table.schema.names]

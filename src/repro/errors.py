@@ -103,10 +103,6 @@ class ModelNotFoundError(HarvestError):
     """No captured model covers the requested table/columns/predicate."""
 
 
-class ModelQualityError(HarvestError):
-    """A captured model does not meet the configured quality gate."""
-
-
 class ApproximationError(ReproError):
     """An approximate query could not be answered from captured models."""
 
@@ -217,14 +213,6 @@ class InjectedFault(ResilienceError):
     def __init__(self, message: str, *, point: str = "", hit: int = 0) -> None:
         self.point = point
         self.hit = hit
-        super().__init__(message)
-
-
-class CircuitOpenError(ResilienceError):
-    """An operation was rejected because its circuit breaker is open."""
-
-    def __init__(self, message: str, *, component: str = "") -> None:
-        self.component = component
         super().__init__(message)
 
 

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from repro.errors import FormulaError
-from repro.fitting.families import FAMILY_REGISTRY, LinearModel, family_by_name
+from repro.fitting.families import FAMILY_REGISTRY, family_by_name
 from repro.fitting.model import ModelFamily
 
 __all__ = ["ParsedFormula", "parse_formula"]
@@ -129,8 +129,3 @@ def _parse_literal(text: str) -> object:
     except ValueError:
         pass
     return text.strip("'\"")
-
-
-def linear_family_for(inputs: tuple[str, ...], intercept: bool = True) -> LinearModel:
-    """Convenience constructor used by callers that bypass the formula text."""
-    return LinearModel(input_names=inputs, intercept=intercept)

@@ -145,20 +145,6 @@ class FitResult:
         """Design matrix X of a linear family for new inputs (``predict = X @ params``)."""
         return self.family.design_matrix(self._as_named(inputs))
 
-    def predict_with_error(
-        self, inputs: Mapping[str, np.ndarray] | np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Predict outputs together with a per-point error estimate.
-
-        The error estimate is the residual standard error of the fit — the
-        quantity the paper proposes to attach to approximate answers ("the
-        value is calculated using the model ... and returned with error
-        bounds").
-        """
-        predictions = self.predict(inputs)
-        errors = np.full_like(predictions, self.residual_standard_error, dtype=np.float64)
-        return predictions, errors
-
     def param_standard_errors(self) -> dict[str, float] | None:
         """Standard errors of the parameter estimates, when covariance is known."""
         if self.covariance is None:

@@ -12,7 +12,7 @@ from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 from .otlp import spans_to_otlp
 from .slo import DEFAULT_SLOS, SLO, SLOEngine
 from .slowlog import SlowQuery, SlowQueryLog
-from .trace import Span, Tracer, traced_operator_execute
+from .trace import Span, Tracer
 
 __all__ = [
     "ComplianceLedger",
@@ -35,5 +35,4 @@ __all__ = [
     "is_telemetry_table",
     "normalize_reason",
     "spans_to_otlp",
-    "traced_operator_execute",
 ]

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterator
 
-__all__ = ["Span", "Tracer", "traced_operator_execute"]
+__all__ = ["Span", "Tracer"]
 
 #: IO counters copied onto spans (a subset of the accountant snapshot —
 #: the two numbers the paper's zero-IO argument is about).
@@ -108,6 +108,19 @@ class Span:
         return "\n".join(self.render())
 
 
+class _SpanStack(threading.local):
+    """One thread's open spans, root first.
+
+    The :class:`repro.db.snapshot.PinStack` idiom, for its reason: ``.spans``
+    always exists, so the ``active`` test every plan execution makes is a
+    plain attribute load and not a ``getattr`` miss — over a microsecond per
+    query on a thread that never traced.
+    """
+
+    def __init__(self) -> None:
+        self.spans: list[Span] = []
+
+
 class Tracer:
     """Builds one span tree per traced query.
 
@@ -118,8 +131,12 @@ class Tracer:
     Without one, spans carry wall time only.
 
     Span stacks are thread-local: concurrent traced queries each build their
-    own tree.  The completed-trace ring is shared (and lock-protected), so
-    ``last_trace()`` reports whichever trace finished most recently.
+    own tree, and whether spans are recorded at all is a fact about the
+    calling thread's stack — non-empty only under a root :meth:`trace`
+    opened, which is the one place ``enabled`` is read.  The completed-trace
+    ring is shared (and lock-protected), so ``last_trace()`` reports whichever
+    trace finished most recently; a caller that wants *its* trace keeps the
+    root ``trace()`` handed it.
     """
 
     def __init__(
@@ -135,27 +152,20 @@ class Tracer:
         #: test (or the calibration convergence harness) can skew observed
         #: operator durations without sleeping.
         self.clock: Callable[[], float] = perf_counter
-        self._local = threading.local()
+        self._local = _SpanStack()
         self._traces: list[Span] = []
         self._traces_lock = threading.Lock()
 
     # -- state ----------------------------------------------------------------
 
     @property
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    @property
     def active(self) -> bool:
         """True while a trace is open *on this thread* (spans get recorded)."""
-        return self.enabled and bool(getattr(self._local, "stack", None))
+        return bool(self._local.spans)
 
     @property
     def current(self) -> Span | None:
-        stack = getattr(self._local, "stack", None)
+        stack = self._local.spans
         return stack[-1] if stack else None
 
     def last_trace(self) -> Span | None:
@@ -185,40 +195,36 @@ class Tracer:
                     if key in _IO_KEYS and value
                 }
 
-    @contextmanager
-    def trace(self, name: str, **attributes: Any) -> Iterator[Span]:
-        """Open a root span (a no-op yielding a throwaway span when disabled)."""
-        stack = self._stack
-        if not self.enabled or stack:
-            # Disabled, or a trace is already open on this thread (a nested
-            # query() from the feedback verifier): record as a child span
-            # instead of clobbering the open trace.
-            with self.span(name, **attributes) as span:
-                yield span
-            return
-        root = Span(name=name, attributes=dict(attributes), started_at=time.time())
-        stack.append(root)
-        started = self.clock()
-        try:
-            with self._span_io(root):
-                yield root
-        finally:
-            root.elapsed_seconds = self.clock() - started
-            stack.pop()
-            with self._traces_lock:
-                self._traces.append(root)
-                if len(self._traces) > self.keep_traces:
-                    del self._traces[: len(self._traces) - self.keep_traces]
+    def trace(
+        self, name: str, *, force: bool = False, **attributes: Any
+    ) -> AbstractContextManager[Span]:
+        """Open a root span on this thread (a throwaway one when disabled).
+
+        ``force`` opens the root whatever ``enabled`` says.  Forcing is a
+        fact about *this thread's* span stack, not about the tracer —
+        ``EXPLAIN ANALYZE`` on an observability-off database traces its own
+        query and no other thread's.  With a trace already open on this
+        thread (a nested ``query()`` from the feedback verifier) the span
+        becomes a child of the open one instead of clobbering it.
+        """
+        stack = self._local.spans
+        if stack or force or self.enabled:
+            return self._open(stack, name, attributes)
+        return _DISCARD
+
+    def span(self, name: str, **attributes: Any) -> AbstractContextManager[Span]:
+        """Open a child span under the current one (no-op outside a trace)."""
+        stack = self._local.spans
+        if stack:
+            return self._open(stack, name, attributes)
+        return _DISCARD
 
     @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        """Open a child span under the current one (no-op outside a trace)."""
-        stack = getattr(self._local, "stack", None)
-        if not self.enabled or not stack:
-            yield _DISCARDED
-            return
-        span = Span(name=name, attributes=dict(attributes), started_at=time.time())
-        stack[-1].children.append(span)
+    def _open(self, stack: list[Span], name: str, attributes: dict[str, Any]) -> Iterator[Span]:
+        """Time one span on ``stack``; the span that leaves it empty is a finished trace."""
+        span = Span(name=name, attributes=attributes, started_at=time.time())
+        if stack:
+            stack[-1].children.append(span)
         stack.append(span)
         started = self.clock()
         try:
@@ -227,6 +233,11 @@ class Tracer:
         finally:
             span.elapsed_seconds = self.clock() - started
             stack.pop()
+            if not stack:
+                with self._traces_lock:
+                    self._traces.append(span)
+                    if len(self._traces) > self.keep_traces:
+                        del self._traces[: len(self._traces) - self.keep_traces]
 
     def record(
         self, name: str, started_at: float, elapsed_seconds: float, **attributes: Any
@@ -237,8 +248,8 @@ class Tracer:
         pool worker reports its own wall time and the thread that owns the
         trace records it.
         """
-        stack = getattr(self._local, "stack", None)
-        if self.enabled and stack:
+        stack = self._local.spans
+        if stack:
             stack[-1].children.append(
                 Span(name, dict(attributes), elapsed_seconds, started_at)
             )
@@ -247,41 +258,5 @@ class Tracer:
 #: Shared throwaway span handed out when tracing is off: callers may
 #: annotate it freely; nothing is retained.
 _DISCARDED = Span(name="discarded")
-
-
-def traced_operator_execute(root: Any, tracer: Tracer):
-    """Execute a physical operator tree with one span per operator.
-
-    Works on any pull-based operator tree exposing ``execute()``,
-    ``children()`` and ``describe()`` (:class:`repro.db.operators.base.
-    Operator`).  Each node's bound ``execute`` is shadowed with a
-    span-opening wrapper for the duration of this one call — plans are
-    cached and reused, so the shadowing is always undone, even on error.
-    Child operators execute inside their parent's ``execute()``, so the
-    spans nest into the plan shape by construction.
-    """
-    wrapped: list[Any] = []
-    # A work list, not a recursive closure: one that names itself is a
-    # reference cycle, and this one would hold the whole plan (and through
-    # its scans the catalog) until the cyclic collector's next pass.
-    pending = [root]
-    while pending:
-        node = pending.pop()
-
-        def _traced(_node=node, _original=type(node).execute):
-            with tracer.span(f"op:{type(_node).__name__}") as span:
-                span.annotate(operator=_node.describe())
-                result = _original(_node)
-                if result is not None:
-                    span.annotate(rows_out=result.num_rows)
-                return result
-
-        node.__dict__["execute"] = _traced
-        wrapped.append(node)
-        pending.extend(node.children())
-
-    try:
-        return root.execute()
-    finally:
-        for node in wrapped:
-            node.__dict__.pop("execute", None)
+#: The context manager yielding it (stateless, so one serves every thread).
+_DISCARD = nullcontext(_DISCARDED)

@@ -25,7 +25,9 @@ root execution.  A partitioned query is the serial scan, fanned out:
    not; each task times itself and the coordinator records one
    ``parallel.partition`` span per task from those wall times.
 7. **Merge** partials associatively and run the uppers once on the merged
-   table — upper operators are reused verbatim on a rebound shallow copy.
+   table — each upper operator's own :meth:`Operator.apply` on the table
+   in hand, the way every task applied the plan's joins and WHERE filter;
+   no node is copied or rebound.
 
 Anything the decomposition does not recognise — no partition map, a stale
 map, subqueries of unexpected shape — returns ``None`` and the executor
@@ -35,7 +37,6 @@ semantics, pages read or blocks skipped, only execution strategy.
 
 from __future__ import annotations
 
-import copy
 import time
 from time import perf_counter
 from typing import Any, Callable
@@ -203,12 +204,9 @@ class ParallelQueryEngine:
         else:
             merged = merge_tables(partials)
 
-        node: Any = MaterializedInput(merged)
         for op in reversed(parts.uppers):
-            rebound = copy.copy(op)
-            rebound.child = node
-            node = rebound
-        return node.execute()
+            merged = op.apply(merged)
+        return merged
 
     def _make_task(
         self,
@@ -229,14 +227,9 @@ class ParallelQueryEngine:
             started_at, started = time.time(), perf_counter()
             current = piece
             for join, right_table in zip(reversed(joins), reversed(rights)):
-                current = HashJoin(
-                    MaterializedInput(current),
-                    MaterializedInput(right_table),
-                    join.left_keys,
-                    join.right_keys,
-                ).execute()
+                current = join.apply(current, right_table)
             if where is not None:
-                current = Filter(MaterializedInput(current), where.predicate).execute()
+                current = where.apply(current)
             if aggregate is not None:
                 current = partial_aggregate(aggregate, current)
             return current, started_at, perf_counter() - started

@@ -47,11 +47,7 @@ from repro.persist.snapshot import (
     schema_to_payload,
     write_table_segments,
 )
-from repro.persist.warehouse import (
-    WAREHOUSE_FORMAT_VERSION,
-    deserialize_model,
-    serialize_store,
-)
+from repro.persist.warehouse import deserialize_model, restore_store, serialize_store
 from repro.persist.wal import WalReplay, WriteAheadLog
 from repro.resilience.quarantine import QuarantineManager, minimal_failing_subset
 
@@ -645,20 +641,19 @@ class DurableStore:
             return None
 
     def _restore_warehouse(self, payload: dict[str, Any], system: "LawsDatabase") -> list[Any]:
-        version = int(payload.get("format_version", 0))
-        if version > WAREHOUSE_FORMAT_VERSION:
+        """:func:`restore_store`, quarantining the entries that do not decode."""
+        try:
+            return restore_store(payload, system.models)
+        except FormatVersionError:
             # A newer format is a build mismatch, not corruption: upgrading
             # the binary fixes it, quarantining would discard good models.
-            raise FormatVersionError(
-                f"warehouse format v{version} is newer than this build supports "
-                f"(v{WAREHOUSE_FORMAT_VERSION}); upgrade before opening it"
-            )
-        entries = payload.get("models", [])
-        try:
-            models = [deserialize_model(entry) for entry in entries]
+            raise
         except Exception:
+            # Nothing was added (restore_store decodes every entry first).
             # Isolate the minimal failing subset by binary-search shrinking
             # and quarantine exactly those entries; everything else serves.
+            entries = payload.get("models", [])
+
             def probe(batch: Any) -> None:
                 for candidate in batch:
                     deserialize_model(candidate)
@@ -679,17 +674,13 @@ class DurableStore:
                     artefact="warehouse-entry",
                     reason=reason,
                 )
-            models = [
-                deserialize_model(entry)
-                for index, entry in enumerate(entries)
-                if index not in bad_set
-            ]
+            rest = [entry for index, entry in enumerate(entries) if index not in bad_set]
             self.resilience.health.mark_degraded(
                 "warehouse",
                 f"{len(bad)} warehouse entr{'y' if len(bad) == 1 else 'ies'} quarantined; "
-                f"{len(models)} model(s) restored",
+                f"{len(rest)} model(s) restored",
             )
-        return [system.models.add(model) for model in models]
+            return restore_store({**payload, "models": rest}, system.models)
 
     def _replay_wal(self, system: "LawsDatabase", report: RecoveryReport) -> bool:
         """Replay the WAL tail; returns True when an epoch mismatch discarded it."""

@@ -356,14 +356,17 @@ def serialize_store(store: ModelStore) -> dict[str, Any]:
 
 
 def restore_store(payload: dict[str, Any], store: ModelStore) -> list[CapturedModel]:
-    """Load a warehouse payload into ``store``; returns the restored models."""
+    """Load a warehouse payload into ``store``; returns the restored models.
+
+    Every entry is decoded before any is added, so a payload with an
+    undecodable entry raises with ``store`` untouched — recovery quarantines
+    the offenders and calls again with the rest.
+    """
     version = int(payload.get("format_version", 0))
     if version > WAREHOUSE_FORMAT_VERSION:
         raise FormatVersionError(
             f"warehouse format v{version} is newer than this build supports "
             f"(v{WAREHOUSE_FORMAT_VERSION}); upgrade before opening it"
         )
-    restored = []
-    for entry in payload.get("models", []):
-        restored.append(store.add(deserialize_model(entry)))
-    return restored
+    models = [deserialize_model(entry) for entry in payload.get("models", [])]
+    return [store.add(model) for model in models]

@@ -215,3 +215,86 @@ def test_no_collaborator_is_born_none_or_assigned_into_another_object():
             if owner != "self" and (tracked or name in ARGUMENT_ONLY):
                 found.add((relative, dotted, "assigned into"))
     assert found == ASSIGNED_AFTER_CONSTRUCTION
+
+
+# -- (d) one walk per tree ---------------------------------------------------------------
+
+COMPOSITE_EXPRESSIONS = {"BinaryOp", "UnaryOp", "FunctionCall", "Between", "InList", "IsNull"}
+#: Not a walk, by name: each arm reads a different *meaning* off a conjunct's
+#: class (comparison → bound, BETWEEN → interval, IN → pin) and none recurses.
+READS_A_PREDICATE_SHAPE = {"db/constraints.py:_apply_conjunct"}
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def _base_names(node: ast.ClassDef) -> set[str]:
+    return {base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "") for base in node.bases}
+
+
+def test_operator_execute_is_defined_once_and_nothing_reaches_through_dunder_dict():
+    """The plan walk lives in ``Operator.execute``; a node type adds ``apply``.
+
+    Tracing used to patch ``execute`` into node ``__dict__``s on a per-run
+    plan clone; with the tracer handed down the one walk there is nothing
+    left to patch, so no module touches ``__dict__`` at all.
+    """
+    classes = [
+        (relative, node)
+        for relative, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    operators = {"Operator"}
+    while True:
+        grown = operators | {node.name for _, node in classes if _base_names(node) & operators}
+        if grown == operators:
+            break
+        operators = grown
+    assert {"TableScan", "HashJoin", "_Distinct"} <= operators
+    defines_execute = {
+        (relative, node.name)
+        for relative, node in classes
+        if node.name in operators
+        and any(isinstance(item, ast.FunctionDef) and item.name == "execute" for item in node.body)
+    }
+    assert defines_execute == {("db/operators/base.py", "Operator")}
+    reaches_through = [
+        f"{relative}:{node.lineno}"
+        for relative, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    ]
+    assert reaches_through == []
+
+
+def test_no_function_outside_expressions_switches_over_the_composite_classes():
+    """A walk over expressions goes through ``map_children`` / ``children()``.
+
+    A function may single out a class or two (the aggregate call, the
+    conjunction); three or more ``isinstance`` arms over the composites is
+    the hand-rolled traversal a new node type would have to be added to.
+    """
+    switches = set()
+    for relative, tree in _modules():
+        if relative == "db/expressions.py":
+            continue
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            tested = set()
+            for call in ast.walk(function):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "isinstance"
+                    and len(call.args) == 2
+                ):
+                    tested |= {
+                        node.id for node in ast.walk(call.args[1]) if isinstance(node, ast.Name)
+                    } & COMPOSITE_EXPRESSIONS
+            if len(tested) >= 3:
+                switches.add(f"{relative}:{function.name}")
+    assert switches == READS_A_PREDICATE_SHAPE

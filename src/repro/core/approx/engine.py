@@ -639,15 +639,27 @@ class ApproximateQueryEngine:
     # -- route: virtual-table (parameter-space enumeration, the general route) -----------
 
     def _virtual_gate(self, probe: "_Probe"):
-        """The enumeration plan; raises :class:`EnumerationError` when the
-        parameter space cannot be enumerated (the end of the route table)."""
+        """The enumeration plan (the end of the route table: admits or raises).
+
+        Raises :class:`EnumerationError` when the parameter space cannot be
+        enumerated, and :class:`ApproximationError` when the statement calls
+        SUM or COUNT: the generated table holds one row per parameter
+        combination, not per stored row, and their value scales with the latter.
+        """
         model = probe.model
-        return build_enumeration_plan(
+        plan = build_enumeration_plan(
             model,
             self.database.stats(model.table_name),
             pinned_values=probe.pinned,
             max_rows=self.max_virtual_rows,
         )
+        scaling = sorted(_aggregate_calls(probe.statement) & {"sum", "count"})
+        if scaling:
+            raise ApproximationError(
+                f"{'/'.join(scaling).upper()} scales with row multiplicity, which the "
+                "enumerated parameter space does not have"
+            )
+        return plan
 
     def _virtual_answer(self, probe: "_Probe", plan) -> ApproximateAnswer:
         statement, model = probe.statement, probe.model
@@ -866,6 +878,20 @@ def _has_aggregates(statement: SelectStatement) -> bool:
         if _first_aggregate(item.expression) is not None:
             return True
     return False
+
+
+def _aggregate_calls(statement: SelectStatement) -> set[str]:
+    """Every aggregate function called anywhere in the SELECT list or HAVING."""
+    pending = [item.expression for item in statement.items if not isinstance(item.expression, Star)]
+    if statement.having is not None:
+        pending.append(statement.having)
+    found: set[str] = set()
+    while pending:
+        expression = pending.pop()
+        if isinstance(expression, FunctionCall) and expression.name.lower() in SUPPORTED_AGGREGATES:
+            found.add(expression.name.lower())
+        pending.extend(expression.children())
+    return found
 
 
 def _first_aggregate(expression: Expression) -> tuple[str, Expression | None] | None:

@@ -19,6 +19,12 @@ The same immutability makes per-block min/max *synopses* (zone maps) safe to
 cache on the shared buffer: a complete :data:`BLOCK_ROWS`-row block below any
 snapshot's length never changes, so every snapshot of the chain reads the
 same summary of it (:meth:`Column.block_synopsis`).
+
+A column whose validity mask is all True does no mask work.  The property is
+tested where it is used (``validity.all()``, microseconds per million rows),
+never assumed or cached: :meth:`Column.take` / :meth:`Column.filter` gather
+the values only, and :meth:`Column.nonnull_numpy` returns a *read-only view*
+of the packed values — safe for the reason synopses are.
 """
 
 from __future__ import annotations
@@ -333,14 +339,24 @@ class Column:
         return self.values
 
     def nonnull_numpy(self) -> np.ndarray:
-        """Return only the non-NULL values as a NumPy array."""
-        return self.values[self.validity]
+        """Return only the non-NULL values as a NumPy array.
+
+        A column without NULLs hands back a *read-only view* of its packed
+        values, not a gathered copy (later appends to the shared buffer land
+        beyond it); a caller that writes must copy first.
+        """
+        validity = self.validity
+        if validity.all():
+            view = self.values.view()
+            view.flags.writeable = False
+            return view
+        return self.values[validity]
 
     # -- null accounting -----------------------------------------------------
 
     @property
     def null_count(self) -> int:
-        return int((~self.validity).sum())
+        return self._length - int(np.count_nonzero(self.validity))
 
     @property
     def has_nulls(self) -> bool:
@@ -370,14 +386,19 @@ class Column:
     # -- derivation ----------------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "Column":
-        """Gather rows by integer index (used by joins, sorts and filters)."""
+        """Gather rows by integer index (used by joins, sorts and filters).
+
+        The validity mask is gathered only when it holds a NULL: the rows of
+        an all-valid column are all valid, whichever are taken.
+        """
         indices = np.asarray(indices, dtype=np.int64)
-        return Column(self.dtype, self.values[indices], self.validity[indices])
+        validity = self.validity
+        return Column(self.dtype, self.values[indices], None if validity.all() else validity[indices])
 
     def filter(self, mask: np.ndarray) -> "Column":
-        """Keep only rows where ``mask`` is True."""
-        mask = np.asarray(mask, dtype=bool)
-        return Column(self.dtype, self.values[mask], self.validity[mask])
+        """Keep only rows where ``mask`` is True: :meth:`take` of its set
+        positions (several times faster than a boolean gather)."""
+        return self.take(np.flatnonzero(np.asarray(mask, dtype=bool)))
 
     def slice(self, start: int, stop: int) -> "Column":
         return Column(self.dtype, self.values[start:stop], self.validity[start:stop])

@@ -6,14 +6,16 @@ benchmark need: COUNT, COUNT(*), SUM, AVG, MIN, MAX, STDDEV and VAR.
 Grouping is vectorised: the key columns are factorised into dense integer
 group codes (NULL-aware — NULL keys form their own group, as the hash-based
 implementation always did), and every aggregate is computed per group with
-``np.bincount`` / sorted-segment reductions instead of a per-row python
-loop.  Groups are emitted in first-occurrence order, matching the original
-dict-based implementation.
+``np.bincount`` / ``ufunc.at`` scatter reductions instead of a per-row python
+loop — no sort of the rows anywhere.  Groups are emitted in first-occurrence
+order, matching the original dict-based implementation; that order is applied
+to the per-group results, not to the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from repro.db.column import Column
 from repro.db.expressions import ColumnRef, Expression
 from repro.db.operators.base import Operator
-from repro.db.operators.codes import argsort_codes, factorize_keys
+from repro.db.operators.codes import dense_key_codes
 from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType
@@ -84,80 +86,88 @@ def compute_aggregate(function: str, values: np.ndarray) -> Any:
 
 
 class _GroupContext:
-    """Per-aggregation shared state: group ids and the lazy row order."""
+    """Per-aggregation shared state: the rows' group codes and the group order.
 
-    __slots__ = ("group_ids", "num_groups", "_row_order")
+    ``group_ids`` are :func:`dense_key_codes`' codes (numbered by key rank).
+    Every per-group reduction is computed by code; ``order`` lists the codes
+    by first occurrence, so a result is emitted as ``reduction[order]`` — a
+    gather of ``num_groups`` results, not a renumbering of the input rows.
+    """
 
-    def __init__(self, group_ids: np.ndarray, num_groups: int) -> None:
-        self.group_ids = group_ids
-        self.num_groups = num_groups
-        self._row_order: np.ndarray | None = None
+    __slots__ = ("group_ids", "num_groups", "order", "first_rows", "counts")
 
-    @property
-    def row_order(self) -> np.ndarray:
-        """Stable row permutation clustering rows by group (computed once)."""
-        if self._row_order is None:
-            self._row_order = argsort_codes(self.group_ids, self.num_groups)
-        return self._row_order
+    def __init__(self, key_columns: list[Column], num_rows: int) -> None:
+        self.group_ids, first_rows, self.num_groups = dense_key_codes(key_columns, num_rows)
+        self.order = np.argsort(first_rows, kind="stable")
+        #: One representative row per group, in output order.
+        self.first_rows = first_rows[self.order]
+        #: Rows per group code — ``COUNT(*)``, and the non-NULL count of every
+        #: input that has no NULL.
+        self.counts = np.bincount(self.group_ids, minlength=self.num_groups).astype(np.int64)
 
 
 class _InputState:
-    """Lazy per-input-column reductions shared by every aggregate over it."""
+    """Lazy per-input-column reductions shared by every aggregate over it.
 
-    __slots__ = ("column", "context", "_valid", "_ids", "_counts", "_vals", "_sums", "_sorted_vals")
+    All per-group arrays are indexed by group *code* (see
+    :class:`_GroupContext`).  An input without NULLs (``valid is None``) is
+    reduced as it stands: no row is dropped, so nothing is gathered.
+    """
 
     def __init__(self, column: Column, context: _GroupContext) -> None:
         self.column = column
         self.context = context
-        self._valid: np.ndarray | None = None
-        self._ids: np.ndarray | None = None
-        self._counts: np.ndarray | None = None
-        self._vals: np.ndarray | None = None
-        self._sums: np.ndarray | None = None
-        self._sorted_vals: np.ndarray | None = None
+        validity = column.validity
+        self.valid: np.ndarray | None = None if validity.all() else validity
 
-    @property
-    def valid(self) -> np.ndarray:
-        if self._valid is None:
-            self._valid = self.column.validity
-        return self._valid
-
-    @property
+    @cached_property
     def ids(self) -> np.ndarray:
-        """Group id of every non-NULL row of this input."""
-        if self._ids is None:
-            self._ids = self.context.group_ids[self.valid]
-        return self._ids
+        """Group code of every non-NULL row of this input."""
+        ids = self.context.group_ids
+        return ids if self.valid is None else ids[self.valid]
 
-    @property
-    def counts(self) -> np.ndarray:
-        """Non-NULL row count per group."""
-        if self._counts is None:
-            self._counts = np.bincount(self.ids, minlength=self.context.num_groups).astype(np.int64)
-        return self._counts
-
-    @property
+    @cached_property
     def vals(self) -> np.ndarray:
         """Non-NULL values as float64, aligned with :attr:`ids`."""
-        if self._vals is None:
-            self._vals = self.column.values[self.valid].astype(np.float64)
-        return self._vals
+        values = self.column.values
+        if self.valid is None:
+            return values.astype(np.float64, copy=False)
+        return values[self.valid].astype(np.float64)
 
-    @property
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Non-NULL row count per group."""
+        if self.valid is None:
+            return self.context.counts
+        return np.bincount(self.ids, minlength=self.context.num_groups).astype(np.int64)
+
+    @cached_property
     def sums(self) -> np.ndarray:
         """Per-group sum of non-NULL values."""
-        if self._sums is None:
-            self._sums = np.bincount(self.ids, weights=self.vals, minlength=self.context.num_groups)
-        return self._sums
+        return np.bincount(self.ids, weights=self.vals, minlength=self.context.num_groups)
 
-    @property
-    def sorted_vals(self) -> np.ndarray:
-        """Non-NULL values clustered by group (for segment MIN/MAX)."""
-        if self._sorted_vals is None:
-            row_order = self.context.row_order
-            valid_sorted = self.valid[row_order]
-            self._sorted_vals = self.column.values[row_order][valid_sorted].astype(np.float64)
-        return self._sorted_vals
+    @cached_property
+    def m2(self) -> np.ndarray:
+        """Per-group sum of squared deviations about the group's mean."""
+        means = self.sums / np.maximum(self.counts, 1)
+        deviations = self.vals - means[self.ids]
+        return np.bincount(self.ids, weights=deviations * deviations, minlength=self.context.num_groups)
+
+    @cached_property
+    def mins(self) -> np.ndarray:
+        """Per-group minimum of non-NULL values (+inf for a group without one)."""
+        return self._scatter(np.minimum, np.inf)
+
+    @cached_property
+    def maxs(self) -> np.ndarray:
+        """Per-group maximum of non-NULL values (-inf for a group without one)."""
+        return self._scatter(np.maximum, -np.inf)
+
+    def _scatter(self, reducer: np.ufunc, identity: float) -> np.ndarray:
+        out = np.full(self.context.num_groups, identity, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # a NaN value makes its group NaN, quietly
+            reducer.at(out, self.ids, self.vals)
+        return out
 
 
 class Aggregate(Operator):
@@ -228,26 +238,20 @@ class Aggregate(Operator):
     def _grouped_aggregate(
         self, table: Table, key_columns: list[Column], agg_inputs: list[Column | None]
     ) -> Table:
-        num_rows = table.num_rows
-        group_ids, first_rows, num_groups = factorize_keys(key_columns, num_rows)
+        context = _GroupContext(key_columns, table.num_rows)
 
-        key_names = []
-        for expr in self.group_by:
-            key_names.append(expr.name if isinstance(expr, ColumnRef) else expr.output_name())
-
+        key_names = [e.name if isinstance(e, ColumnRef) else e.output_name() for e in self.group_by]
         defs = []
         columns = {}
         for name, key_column in zip(key_names, key_columns):
             # One representative row per group carries the key value (and its
             # NULL-ness) into the output with the original dtype.
-            columns[name] = key_column.take(first_rows)
+            columns[name] = key_column.take(context.first_rows)
             defs.append(ColumnDef(name, key_column.dtype))
 
-        counts_star = np.bincount(group_ids, minlength=num_groups).astype(np.int64)
+        counts_star = context.counts[context.order]
         # Per-input shared state: aggregates over the same column reuse one
-        # validity split, one per-group count and one per-group sum, and all
-        # MIN/MAX aggregates share a single group-clustered row order.
-        context = _GroupContext(group_ids, num_groups)
+        # validity split, one per-group count, sum, minimum and maximum.
         states: dict[int, _InputState] = {}
         for spec, column in zip(self.aggregates, agg_inputs):
             state = None
@@ -256,23 +260,21 @@ class Aggregate(Operator):
                 if state is None:
                     state = _InputState(column, context)
                     states[id(column)] = state
-            columns[spec.name] = self._grouped_one(spec, state, counts_star, num_groups)
+            columns[spec.name] = self._grouped_one(spec, state, counts_star)
             defs.append(ColumnDef(spec.name, spec.output_dtype))
         return Table("aggregate", Schema(defs), columns)
 
     @staticmethod
     def _grouped_one(
-        spec: AggregateSpec,
-        state: "_InputState | None",
-        counts_star: np.ndarray,
-        num_groups: int,
+        spec: AggregateSpec, state: "_InputState | None", counts_star: np.ndarray
     ) -> Column:
-        """Compute one aggregate for every group via segment reductions."""
+        """Compute one aggregate for every group, in output (first-occurrence) order."""
         function = spec.function.lower()
         if state is None:
             if function != "count":
                 raise ExecutionError(f"aggregate {function!r} requires an argument")
             return Column(DataType.INT64, counts_star.copy())
+        num_groups = state.context.num_groups
         if num_groups == 0:
             return Column.empty(spec.output_dtype)
         if function != "count" and not state.column.dtype.is_numeric:
@@ -280,9 +282,10 @@ class Aggregate(Operator):
 
         # NULL handling matches the row-at-a-time path: aggregates consume
         # the validity-masked values of the input column.
+        order = state.context.order
         counts = state.counts
         if function == "count":
-            return Column(DataType.INT64, counts.copy())
+            return Column(DataType.INT64, counts[order])
 
         nonempty = counts > 0
         out = np.full(num_groups, np.nan, dtype=np.float64)
@@ -292,29 +295,21 @@ class Aggregate(Operator):
         elif function == "avg":
             out[nonempty] = state.sums[nonempty] / counts[nonempty]
         elif function in ("stddev", "var"):
-            means = np.zeros(num_groups, dtype=np.float64)
-            means[nonempty] = state.sums[nonempty] / counts[nonempty]
-            deviations = state.vals - means[state.ids]
-            ssq = np.bincount(state.ids, weights=deviations * deviations, minlength=num_groups)
             multi = counts > 1
-            out[multi] = ssq[multi] / (counts[multi] - 1)
+            out[multi] = state.m2[multi] / (counts[multi] - 1)
             out[counts == 1] = 0.0
             if function == "stddev":
                 out[multi] = np.sqrt(out[multi])
         elif function in ("min", "max"):
-            starts = np.zeros(num_groups, dtype=np.int64)
-            starts[1:] = np.cumsum(counts)[:-1]
-            reducer = np.minimum if function == "min" else np.maximum
-            if nonempty.any():
-                out[nonempty] = reducer.reduceat(state.sorted_vals, starts[nonempty])
+            extremes = state.mins if function == "min" else state.maxs
+            out[nonempty] = extremes[nonempty]
         else:  # pragma: no cover - SUPPORTED_AGGREGATES guards this
             raise ExecutionError(f"unsupported aggregate function {function!r}")
 
-        # An all-NULL group yields NULL; a NaN produced from genuine values
-        # keeps validity True, exactly like the old per-group
-        # ``float(np.sum([...nan...]))`` path.
-        out[~nonempty] = np.nan
-        return Column(DataType.FLOAT64, out, nonempty.copy())
+        # An all-NULL group yields NULL (``out`` keeps its NaN there); a NaN
+        # produced from genuine values keeps validity True, exactly like the
+        # old per-group ``float(np.sum([...nan...]))`` path.
+        return Column(DataType.FLOAT64, out[order], nonempty[order])
 
     @staticmethod
     def _aggregate_one(spec: AggregateSpec, column: Column | None, group_size: int) -> Any:
@@ -327,4 +322,4 @@ class Aggregate(Operator):
             return group_size - column.null_count
         if not column.dtype.is_numeric:
             raise ExecutionError(f"aggregate {function!r} requires a numeric argument")
-        return compute_aggregate(function, column.nonnull_numpy().astype(np.float64))
+        return compute_aggregate(function, column.nonnull_numpy().astype(np.float64, copy=False))

@@ -5,6 +5,10 @@ integer codes ranked in ascending value order (the order ``np.unique``
 produces).  For integer-like keys whose value range is not much larger than
 the row count, the ranking is computed with a histogram in O(n) instead of
 a sort.
+
+A key column without NULLs has no NULL bucket (its ranks are its codes), and
+a single column — or a single join key pair — is its own code space: only
+several are packed into one composite code per row (:class:`CodeSpacePacker`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.column import Column
 
-__all__ = ["rank_codes", "argsort_codes", "factorize_keys", "CodeSpacePacker"]
+__all__ = ["rank_codes", "argsort_codes", "dense_key_codes", "factorize_keys", "CodeSpacePacker"]
 
 
 class CodeSpacePacker:
@@ -61,59 +65,69 @@ class CodeSpacePacker:
         return self.parts, self.space
 
 
+def dense_key_codes(key_columns: "list[Column]", num_rows: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense composite key codes, numbered by key value rank.
+
+    Returns ``(codes, first_rows, num_groups)``: ``codes`` maps each row to a
+    group in ``[0, num_groups)``, every code occurs, and ``first_rows[c]`` is
+    the row where code ``c`` first appears.  NULL key components (validity or
+    in-array sentinel) are their own code, so NULL keys group together —
+    matching python-value hashing.  A consumer of per-group results computes
+    them by code and emits ``result[np.argsort(first_rows)]``: first-occurrence
+    order costs a permutation of the groups, never a renumbering of the rows
+    (:func:`factorize_keys` does that, for callers that read per-row ids).
+    """
+    codes: np.ndarray | None = None
+    space = 0
+    packer: CodeSpacePacker | None = None
+    for column in key_columns:
+        nulls = column.null_mask()
+        if nulls.any():
+            valid = ~nulls
+            column_codes = np.zeros(num_rows, dtype=np.int64)  # 0 = NULL bucket
+            value_codes, width = rank_codes(column.values[valid])
+            column_codes[valid] = value_codes + 1
+            width += 1
+        else:
+            column_codes, width = rank_codes(column.values)
+        if codes is None:
+            # A single factorised column is already dense: every rank occurs
+            # by construction, and so does the NULL bucket when there is one.
+            codes, space = column_codes, width
+        else:
+            if packer is None:
+                # The packer re-densifies before the composite code space
+                # could overflow int64 under many / wide key columns.
+                packer = CodeSpacePacker([codes], space)
+            packer.add([column_codes], width)
+
+    assert codes is not None
+    if packer is not None:
+        unique_packed, codes = np.unique(packer.parts[0], return_inverse=True)
+        space = len(unique_packed)
+
+    # The reversed scatter makes the *earliest* row win each code's slot
+    # without a sort.
+    first_rows = np.empty(space, dtype=np.int64)
+    first_rows[codes[::-1]] = np.arange(num_rows - 1, -1, -1, dtype=np.int64)
+    return codes, first_rows, space
+
+
 def factorize_keys(key_columns: "list[Column]", num_rows: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Factorise composite group keys into dense integer codes.
 
     Returns ``(group_ids, first_rows, num_groups)`` where ``group_ids`` maps
     each row to a group in ``[0, num_groups)`` numbered by first occurrence,
-    and ``first_rows[g]`` is the row index where group ``g`` first appears.
-    NULL key components (validity or in-array sentinel) are their own code,
-    so NULL keys group together — matching python-value hashing.  Used by
-    grouped aggregation and by DISTINCT (every output column is a key).
+    and ``first_rows[g]`` is the row index where group ``g`` first appears
+    (ascending) — the insertion order of the old dict-based implementation.
+    NULL handling is :func:`dense_key_codes`'.  Used by DISTINCT (every output
+    column is a key), the partial-aggregate merge and grouped fitting.
     """
-    group_ids: np.ndarray | None = None
-    space = 0
-    packer: CodeSpacePacker | None = None
-    for column in key_columns:
-        nulls = column.null_mask()
-        valid = ~nulls
-        codes = np.zeros(num_rows, dtype=np.int64)  # 0 = NULL bucket
-        cardinality = 0
-        if valid.any():
-            value_codes, cardinality = rank_codes(column.values[valid])
-            codes[valid] = value_codes + 1
-        if group_ids is None:
-            # A single factorised column is already dense: codes 1..cardinality
-            # all occur by construction, and 0 occurs iff NULLs exist.
-            if nulls.any():
-                group_ids = codes
-                space = cardinality + 1
-            else:
-                group_ids = codes - 1
-                space = cardinality
-        else:
-            if packer is None:
-                # The packer re-densifies before the composite code space
-                # could overflow int64 under many / wide key columns.
-                packer = CodeSpacePacker([group_ids], space)
-            packer.add([codes], cardinality + 1)
-
-    assert group_ids is not None
-    if packer is not None:
-        unique_packed, group_ids = np.unique(packer.parts[0], return_inverse=True)
-        num_groups = len(unique_packed)
-    else:
-        num_groups = space
-
-    # Renumber groups by first occurrence so output order matches the
-    # insertion order of the old dict-based implementation.  The reversed
-    # scatter makes the *earliest* row win each group's slot without a sort.
-    first = np.empty(num_groups, dtype=np.int64)
-    first[group_ids[::-1]] = np.arange(num_rows - 1, -1, -1, dtype=np.int64)
-    order = np.argsort(first, kind="stable")  # num_groups elements, not num_rows
+    codes, first_rows, num_groups = dense_key_codes(key_columns, num_rows)
+    order = np.argsort(first_rows, kind="stable")  # num_groups elements, not num_rows
     rank = np.empty(num_groups, dtype=np.int64)
     rank[order] = np.arange(num_groups)
-    return rank[group_ids], first[order], num_groups
+    return rank[codes], first_rows[order], num_groups
 
 
 def rank_codes(values: np.ndarray) -> tuple[np.ndarray, int]:

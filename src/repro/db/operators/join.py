@@ -1,13 +1,19 @@
 """Hash join operator (inner equi-join), vectorised.
 
-Keys are factorised into dense integer codes over the *union* of both
-sides' key values, so the probe phase is a single ``np.searchsorted`` over
-the build side's sorted codes and the match expansion is ``np.repeat``
-arithmetic — no per-row python loops.  Semantics are identical to the old
-dict-of-python-values implementation: NULL keys never match, key equality
-follows numeric equality across INT64/FLOAT64/BOOL (``1 == 1.0 == True``),
-and output rows are left-row-major with right matches in ascending
-right-row order.
+Both sides' keys are mapped into one small integer code space, so the probe
+phase is direct array indexing — no binary search, no per-row hashing, no
+per-row python loops.  Each step does only the work its keys need, decided on
+the arrays in hand: integer-like keys over a narrow joint span are their own
+codes (``value - min``), anything else is ranked over the union of both
+sides' values; one key pair is its own code space, several are packed into a
+composite code per row; unique build keys pair each probe row with its
+partner by one gather, duplicate ones expand the matches with ``np.repeat``
+arithmetic over the build rows sorted by code.
+
+Semantics are identical to the old dict-of-python-values implementation,
+whichever kernels run: NULL keys never match, key equality follows numeric
+equality across INT64/FLOAT64/BOOL (``1 == 1.0 == True``), and output rows
+are left-row-major with right matches in ascending right-row order.
 """
 
 from __future__ import annotations
@@ -34,58 +40,63 @@ def _comparable(left_dtype: DataType, right_dtype: DataType) -> bool:
     return left_dtype is not DataType.STRING and right_dtype is not DataType.STRING
 
 
-def _int64_exact(values: np.ndarray, dtype: DataType) -> tuple[np.ndarray, np.ndarray]:
-    """Map numeric key values to exact int64, flagging the convertible ones.
+def _matchable(column: Column, other: Column) -> tuple[np.ndarray, np.ndarray | None]:
+    """One side's keys that can match at all: ``(values, rows)``.
 
-    Used when an integer-like key column joins a FLOAT64 one: comparing in
-    float64 would collapse integers differing beyond 2**53.  A float that is
-    non-integral, non-finite or outside int64 range can never equal an INT64
-    key, so it is simply flagged unmatchable (equivalent to no match for an
-    inner join).
+    ``rows`` masks the rows that are not NULL (validity or in-array sentinel)
+    and ``values`` are their keys; ``rows`` is ``None`` when that is every
+    row, and then nothing was gathered.  Against a key column of another
+    numeric dtype python equality is exact (``1 == 1.0 == True``, but
+    ``2**53 + 1 != float(2**53)``), so both sides compare as exact int64: a
+    float that is non-integral, non-finite or outside int64 range equals no
+    integer and is dropped like a NULL.
     """
-    if dtype is DataType.FLOAT64:
-        convertible = (
-            np.isfinite(values)
-            & (values == np.floor(values))
-            & (values >= -(2.0**63))
-            & (values < 2.0**63)
-        )
-        ints = np.zeros(len(values), dtype=np.int64)
-        ints[convertible] = values[convertible].astype(np.int64)
-        return ints, convertible
-    return values.astype(np.int64, copy=False), np.ones(len(values), dtype=bool)
+    values = column.values
+    rows = ~column.null_mask()
+    if column.dtype is not other.dtype:
+        if column.dtype is DataType.FLOAT64:
+            rows &= (values == np.floor(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
+            values = np.where(rows, values, 0.0)
+        values = values.astype(np.int64, copy=False)
+    if rows.all():
+        return values, None
+    return values[rows], rows
+
+
+def _spread(codes: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """Per-row codes from the matchable rows' codes: ``-1`` everywhere else."""
+    if rows is None:
+        return codes
+    spread = np.full(len(rows), -1, dtype=np.int64)
+    spread[rows] = codes
+    return spread
 
 
 def _pair_codes(left: Column, right: Column) -> tuple[np.ndarray, np.ndarray, int]:
     """Factorise one key column pair into a shared integer code space.
 
-    Returns ``(left_codes, right_codes, cardinality)`` with ``-1`` marking
-    keys that can never match: NULLs (validity or in-array sentinel) on
-    either side, and — for mixed int/float key pairs — float values with no
-    exact integer counterpart.
+    Returns ``(left_codes, right_codes, space)``: ``-1`` marks a key that can
+    never match (see :func:`_matchable`), every other code is in
+    ``[0, space)``, and ``space`` is 0 when a side has no matchable key.
+    Integer-like keys whose joint span is within the scratch bound
+    :func:`rank_codes` allows itself are their own codes.
     """
-    left_valid = ~left.null_mask()
-    right_valid = ~right.null_mask()
-    left_vals = left.values[left_valid]
-    right_vals = right.values[right_valid]
-    if left.dtype is not right.dtype:
-        # Mixed numeric dtypes: python equality is exact (1 == 1.0 == True,
-        # but 2**53 + 1 != float(2**53)), so compare in exact int64 space
-        # when an integer-like side is involved.
-        left_vals, left_matchable = _int64_exact(left_vals, left.dtype)
-        right_vals, right_matchable = _int64_exact(right_vals, right.dtype)
-        left_vals = left_vals[left_matchable]
-        right_vals = right_vals[right_matchable]
-        left_valid[left_valid] = left_matchable
-        right_valid[right_valid] = right_matchable
-    combined = np.concatenate([left_vals, right_vals])
-    left_codes = np.full(len(left), -1, dtype=np.int64)
-    right_codes = np.full(len(right), -1, dtype=np.int64)
-    inverse, cardinality = rank_codes(combined)
-    if cardinality:
-        left_codes[left_valid] = inverse[: len(left_vals)]
-        right_codes[right_valid] = inverse[len(left_vals) :]
-    return left_codes, right_codes, cardinality
+    left_vals, left_rows = _matchable(left, right)
+    right_vals, right_rows = _matchable(right, left)
+    num_left, num_right = len(left_vals), len(right_vals)
+    if num_left == 0 or num_right == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+    left_codes = right_codes = None
+    if left_vals.dtype.kind in "iub" and right_vals.dtype.kind in "iub":
+        low = min(int(left_vals.min()), int(right_vals.min()))
+        space = max(int(left_vals.max()), int(right_vals.max())) - low + 1
+        if space <= 4 * (num_left + num_right) + 64:
+            left_codes = left_vals.astype(np.int64, copy=False) - low
+            right_codes = right_vals.astype(np.int64, copy=False) - low
+    if left_codes is None:
+        inverse, space = rank_codes(np.concatenate([left_vals, right_vals]))
+        left_codes, right_codes = inverse[:num_left], inverse[num_left:]
+    return _spread(left_codes, left_rows), _spread(right_codes, right_rows), space
 
 
 class HashJoin(Operator):
@@ -159,53 +170,51 @@ class HashJoin(Operator):
         ):
             return empty, empty
 
-        # Factorise each key pair, then pack the per-column codes into one
-        # composite code per row.  Rows with any NULL component drop out.
-        # The code space stays dense (the packer re-densifies whenever the
-        # packed range outgrows the row count), so the probe phase is direct
-        # array indexing — no binary search, no per-row hashing.
-        packer = CodeSpacePacker(
-            [np.zeros(num_left, dtype=np.int64), np.zeros(num_right, dtype=np.int64)]
-        )
-        left_ok = np.ones(num_left, dtype=bool)
-        right_ok = np.ones(num_right, dtype=bool)
-        for left_column, right_column in zip(left_columns, right_columns):
-            left_codes, right_codes, cardinality = _pair_codes(left_column, right_column)
-            if cardinality == 0:  # every key on both sides is NULL/unmatchable
-                return empty, empty
-            left_ok &= left_codes >= 0
-            right_ok &= right_codes >= 0
-            packer.add(
-                [
-                    np.where(left_codes >= 0, left_codes, 0),
-                    np.where(right_codes >= 0, right_codes, 0),
-                ],
-                cardinality,
-            )
-        (left_packed, right_packed), space = packer.finish()
-
-        probe_rows = np.flatnonzero(left_ok)
-        build_rows = np.flatnonzero(right_ok)
-        if len(probe_rows) == 0 or len(build_rows) == 0:
+        # One key pair is its own code space; several are packed into one
+        # composite code per row (the packer re-densifies whenever the packed
+        # range outgrows the row count), so the probe phase is direct array
+        # indexing either way.  A row with an unmatchable component keeps -1.
+        pairs = [_pair_codes(l, r) for l, r in zip(left_columns, right_columns)]
+        if any(space == 0 for _, _, space in pairs):
             return empty, empty
-        probe_codes = left_packed[probe_rows]
-        build_codes = right_packed[build_rows]
+        if len(pairs) == 1:
+            ((left_codes, right_codes, space),) = pairs
+        else:
+            packer = CodeSpacePacker(
+                [np.zeros(num_left, dtype=np.int64), np.zeros(num_right, dtype=np.int64)]
+            )
+            for left_part, right_part, width in pairs:
+                packer.add([np.maximum(left_part, 0), np.maximum(right_part, 0)], width)
+            (left_packed, right_packed), space = packer.finish()
+            left_parts, right_parts, _ = zip(*pairs)
+            left_codes = np.where(np.minimum.reduce(left_parts) >= 0, left_packed, -1)
+            right_codes = np.where(np.minimum.reduce(right_parts) >= 0, right_packed, -1)
 
-        # Build: per-code match counts and slice offsets into the build rows
+        build_rows = np.flatnonzero(right_codes >= 0)
+        build_codes = right_codes[build_rows]
+        # One slot past the code space stays empty: it is where a probe code
+        # of -1 lands, so unmatchable probe rows need no filtering of their own.
+        counts_by_code = np.bincount(build_codes, minlength=space + 1)
+
+        if counts_by_code.max() == 1:
+            # Unique build keys: a probe row has at most one partner, found by
+            # one gather.
+            row_by_code = np.full(space + 1, -1, dtype=np.int64)
+            row_by_code[build_codes] = build_rows
+            partners = row_by_code[left_codes]
+            left_indices = np.flatnonzero(partners >= 0)
+            return left_indices, partners[left_indices]
+
+        # Duplicate build keys.  Per-code slice offsets into the build rows
         # sorted by code; stable sort keeps matches in ascending right-row
         # order within each code.
-        counts_by_code = np.bincount(build_codes, minlength=space)
-        match_counts_all = counts_by_code[probe_codes]
-        matched = match_counts_all > 0
-        if not matched.any():
-            return empty, empty
+        match_counts_all = counts_by_code[left_codes]
+        matched_probe_rows = np.flatnonzero(match_counts_all)
         build_order = argsort_codes(build_codes, space)
         sorted_build_rows = build_rows[build_order]
         starts_by_code = np.cumsum(counts_by_code) - counts_by_code
-
-        matched_probe_rows = probe_rows[matched]
-        matched_codes = probe_codes[matched]
-        match_counts = match_counts_all[matched]
+        matched_codes = left_codes[matched_probe_rows]
+        match_counts = match_counts_all[matched_probe_rows]
 
         # Expand: each matched probe row repeats once per build match, and a
         # per-match ramp indexes into that code's slice of the sorted build

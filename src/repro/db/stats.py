@@ -237,76 +237,80 @@ class TableStats:
         )
 
 
+def _value_counts(data: np.ndarray) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+    """``(distinct, values, counts)`` of a non-empty array: ``values`` /
+    ``counts`` are ``np.unique(data, return_counts=True)``'s, materialised only
+    when ``distinct <= ENUMERABLE_DISTINCT_LIMIT`` (else both ``None``).
+
+    The kernel is chosen from the data: a strictly increasing array has no
+    repeats (one comparison pass); integers and booleans over a narrow span
+    are counted by a histogram; other numbers by one sort and a count of the
+    run boundaries; strings by ``np.unique`` itself.
+    """
+    n = len(data)
+    kind = data.dtype.kind
+    if kind == "O":
+        values, counts = np.unique(data, return_counts=True)
+    elif (data[1:] > data[:-1]).all():
+        values, counts = data, np.ones(n, dtype=np.int64)
+    else:
+        span = None
+        if kind in "ib":
+            ints = data.view(np.uint8) if kind == "b" else data
+            low = int(ints.min())
+            span = int(ints.max()) - low + 1
+        if span is not None and span <= 4 * n + 64:
+            histogram = np.bincount(ints - low, minlength=span)
+            occupied = np.flatnonzero(histogram)
+            values = (occupied + low).astype(data.dtype)
+            counts = histogram[occupied]
+        else:
+            ordered = np.sort(data)
+            if kind == "f" and np.isnan(ordered[-1]):
+                # NaNs sort last and are one value, as ``np.unique`` has it.
+                ordered = ordered[: np.searchsorted(ordered, np.nan) + 1]
+            new_run = ordered[1:] != ordered[:-1]
+            distinct = 1 + int(np.count_nonzero(new_run))
+            if distinct > ENUMERABLE_DISTINCT_LIMIT:
+                return distinct, None, None
+            starts = np.concatenate(([0], np.flatnonzero(new_run) + 1))
+            values = ordered[starts]
+            counts = np.diff(np.append(starts, n))
+    if len(values) > ENUMERABLE_DISTINCT_LIMIT:
+        return len(values), None, None
+    return len(values), values, counts
+
+
 def compute_column_stats(name: str, column: Column) -> ColumnStats:
     """Compute :class:`ColumnStats` for a column by scanning it once."""
-    row_count = len(column)
-    null_count = column.null_count
-    data = column.nonnull_numpy()
-
-    if column.dtype is DataType.STRING:
-        values, value_counts = np.unique(data, return_counts=True) if len(data) else ([], [])
-        distinct_count = len(values)
-        domain = None
-        domain_counts = None
-        if 0 < distinct_count <= ENUMERABLE_DISTINCT_LIMIT:
-            domain = [str(v) for v in values]
-            domain_counts = [int(c) for c in value_counts]
-        return ColumnStats(
-            name=name,
-            dtype=column.dtype,
-            row_count=row_count,
-            null_count=null_count,
-            distinct_count=distinct_count,
-            min_value=domain[0] if domain else (min(data.tolist()) if len(data) else None),
-            max_value=domain[-1] if domain else (max(data.tolist()) if len(data) else None),
-            domain=domain,
-            domain_counts=domain_counts,
-        )
-
-    if len(data) == 0:
-        return ColumnStats(
-            name=name,
-            dtype=column.dtype,
-            row_count=row_count,
-            null_count=null_count,
-            distinct_count=0,
-        )
-
-    unique, unique_counts = np.unique(data, return_counts=True)
-    distinct_count = len(unique)
-    domain = None
-    domain_counts = None
-    if distinct_count <= ENUMERABLE_DISTINCT_LIMIT:
-        # Plain ints / floats / bools, per the column's packed dtype.
-        domain = unique.tolist()
-        domain_counts = unique_counts.tolist()
-
-    mean = None
-    std = None
-    min_value: Any = None
-    max_value: Any = None
-    if column.dtype.is_numeric:
-        mean = float(np.mean(data))
-        std = float(np.std(data))
-        min_value = python_value(column.dtype, data.min())
-        max_value = python_value(column.dtype, data.max())
-    elif column.dtype is DataType.BOOL:
-        min_value = bool(unique.min())
-        max_value = bool(unique.max())
-
-    return ColumnStats(
+    stats = ColumnStats(
         name=name,
         dtype=column.dtype,
-        row_count=row_count,
-        null_count=null_count,
-        distinct_count=distinct_count,
-        min_value=min_value,
-        max_value=max_value,
-        mean=mean,
-        std=std,
-        domain=domain,
-        domain_counts=domain_counts,
+        row_count=len(column),
+        null_count=column.null_count,
+        distinct_count=0,
     )
+    data = column.nonnull_numpy()
+    if len(data) == 0:
+        return stats
+
+    stats.distinct_count, values, value_counts = _value_counts(data)
+    if values is not None:
+        # Plain ints / floats / bools / strs, per the column's packed dtype.
+        stats.domain = [str(v) for v in values] if column.dtype is DataType.STRING else values.tolist()
+        stats.domain_counts = value_counts.tolist()
+
+    if column.dtype.is_numeric:
+        stats.mean = float(np.mean(data))
+        stats.std = float(np.std(data))
+        stats.min_value = python_value(column.dtype, data.min())
+        stats.max_value = python_value(column.dtype, data.max())
+    elif stats.domain is not None:  # BOOL always; STRING when enumerable
+        stats.min_value, stats.max_value = stats.domain[0], stats.domain[-1]
+    else:
+        strings = data.tolist()
+        stats.min_value, stats.max_value = min(strings), max(strings)
+    return stats
 
 
 def compute_table_stats(table: Table) -> TableStats:

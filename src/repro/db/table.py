@@ -250,7 +250,7 @@ class Table:
         mask = np.asarray(mask, dtype=bool)
         if len(mask) != self.num_rows:
             raise ExecutionError(f"filter mask length {len(mask)} != row count {self.num_rows}")
-        return Table(self.name, self.schema, {n: c.filter(mask) for n, c in self._columns.items()})
+        return self.take(np.flatnonzero(mask))
 
     def take(self, indices: np.ndarray) -> "Table":
         return Table(self.name, self.schema, {n: c.take(indices) for n, c in self._columns.items()})

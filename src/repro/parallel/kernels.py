@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.db.column import Column
 from repro.db.operators.aggregate import Aggregate, _GroupContext, _InputState
-from repro.db.operators.codes import factorize_keys
 from repro.db.table import Table
 from repro.errors import ExecutionError
 
@@ -132,9 +131,12 @@ def partial_aggregate(aggregate: Aggregate, table: Table) -> GroupedPartial | Gl
 def _global_partial(
     aggregate: Aggregate, table: Table, agg_inputs: list[Column | None]
 ) -> GlobalPartial:
+    """Only the reductions :func:`_input_needs` lists are computed; the other
+    positions of a ``stats`` tuple hold the merge's identities."""
+    needs = _input_needs(aggregate)
     counts: list[int] = []
     stats: list[tuple[int, float, float, float, float] | None] = []
-    for spec, column in zip(aggregate.aggregates, agg_inputs):
+    for index, (spec, column) in enumerate(zip(aggregate.aggregates, agg_inputs)):
         if column is None:
             counts.append(table.num_rows)
             stats.append(None)
@@ -143,17 +145,20 @@ def _global_partial(
         if spec.function.lower() == "count":
             stats.append(None)
             continue
-        values = column.nonnull_numpy().astype(np.float64)
+        values = column.nonnull_numpy().astype(np.float64, copy=False)
         n = int(len(values))
-        if n == 0:
-            stats.append((0, 0.0, 0.0, np.inf, -np.inf))
-            continue
-        total = float(np.sum(values))
-        mean = total / n
-        deviations = values - mean
-        stats.append(
-            (n, total, float(np.dot(deviations, deviations)), float(np.min(values)), float(np.max(values)))
-        )
+        total, m2, low, high = 0.0, 0.0, np.inf, -np.inf
+        needed = needs[input_slot(aggregate, index)] if n else ()
+        if "sum" in needed:
+            total = float(np.sum(values))
+        if "m2" in needed:
+            deviations = values - total / n
+            m2 = float(np.dot(deviations, deviations))
+        if "min" in needed:
+            low = float(np.min(values))
+        if "max" in needed:
+            high = float(np.max(values))
+        stats.append((n, total, m2, low, high))
     return GlobalPartial(num_rows=table.num_rows, counts=counts, stats=stats)
 
 
@@ -161,40 +166,26 @@ def _grouped_partial(
     aggregate: Aggregate, table: Table, agg_inputs: list[Column | None]
 ) -> GroupedPartial:
     key_columns = [expr.evaluate(table) for expr in aggregate.group_by]
-    group_ids, first_rows, num_groups = factorize_keys(key_columns, table.num_rows)
+    context = _GroupContext(key_columns, table.num_rows)
+    # Per-group arrays are reduced by code and stored in first-occurrence
+    # order, the order the merge re-factorises the representative keys in.
+    order = context.order
     partial = GroupedPartial(
-        key_columns=[key.take(first_rows) for key in key_columns],
-        counts_star=np.bincount(group_ids, minlength=num_groups).astype(np.int64),
+        key_columns=[key.take(context.first_rows) for key in key_columns],
+        counts_star=context.counts[order],
     )
-    context = _GroupContext(group_ids, num_groups)
     for slot, needed in _input_needs(aggregate).items():
         column = agg_inputs[slot]
         assert column is not None
         state = _InputState(column, context)
-        entry = InputPartial(counts=state.counts)
+        entry = InputPartial(counts=state.counts[order])
         if "sum" in needed:
-            entry.sums = state.sums
+            entry.sums = state.sums[order]
         if "m2" in needed:
-            counts = state.counts
-            nonempty = counts > 0
-            means = np.zeros(num_groups, dtype=np.float64)
-            means[nonempty] = state.sums[nonempty] / counts[nonempty]
-            deviations = state.vals - means[state.ids]
-            entry.m2 = np.bincount(state.ids, weights=deviations * deviations, minlength=num_groups)
-        if "min" in needed or "max" in needed:
-            counts = state.counts
-            nonempty = counts > 0
-            starts = np.zeros(num_groups, dtype=np.int64)
-            starts[1:] = np.cumsum(counts)[:-1]
-            if "min" in needed:
-                mins = np.full(num_groups, np.inf, dtype=np.float64)
-                if nonempty.any():
-                    mins[nonempty] = np.minimum.reduceat(state.sorted_vals, starts[nonempty])
-                entry.mins = mins
-            if "max" in needed:
-                maxs = np.full(num_groups, -np.inf, dtype=np.float64)
-                if nonempty.any():
-                    maxs[nonempty] = np.maximum.reduceat(state.sorted_vals, starts[nonempty])
-                entry.maxs = maxs
+            entry.m2 = state.m2[order]
+        if "min" in needed:
+            entry.mins = state.mins[order]
+        if "max" in needed:
+            entry.maxs = state.maxs[order]
         partial.inputs[slot] = entry
     return partial

@@ -1,6 +1,5 @@
 """Approximate query answering from captured models (§4.2 of the paper)."""
 
-from repro.core.approx.aggregates import AnalyticAggregate, analytic_aggregate, supports_analytic
 from repro.core.approx.anomalies import AnomalyReport, GroupAnomaly, detect_anomalies, rank_groups_by_misfit
 from repro.core.approx.engine import ApproximateAnswer, ApproximateQueryEngine
 from repro.core.approx.enumeration import EnumerationPlan, build_enumeration_plan, generate_virtual_table
@@ -12,20 +11,10 @@ from repro.core.approx.error_bounds import (
 )
 from repro.core.approx.exploration import InterestingRegion, explore_gradients, extreme_parameter_groups
 from repro.core.approx.legal import BloomFilter, LegalCombinationFilter
-from repro.core.approx.point import PointAnswer, answer_point_query
-from repro.core.approx.range_query import SelectionAnswer, answer_selection
-from repro.core.approx.routes import (
-    GroupedAnswer,
-    RangeAnswer,
-    RoutingPolicy,
-    answer_grouped,
-    answer_range,
-    extract_constraints,
-    plan_group_routing,
-)
+from repro.core.approx.routes.router import RoutingPolicy, plan_group_routing
+from repro.db.constraints import extract_constraints
 
 __all__ = [
-    "AnalyticAggregate",
     "AnomalyReport",
     "ApproximateAnswer",
     "ApproximateQueryEngine",
@@ -33,19 +22,10 @@ __all__ = [
     "EnumerationPlan",
     "ErrorEstimate",
     "GroupAnomaly",
-    "GroupedAnswer",
     "InterestingRegion",
     "LegalCombinationFilter",
-    "PointAnswer",
-    "RangeAnswer",
     "RoutingPolicy",
-    "SelectionAnswer",
     "aggregate_error",
-    "analytic_aggregate",
-    "answer_grouped",
-    "answer_point_query",
-    "answer_range",
-    "answer_selection",
     "build_enumeration_plan",
     "combine_independent",
     "detect_anomalies",
@@ -56,5 +36,4 @@ __all__ = [
     "extreme_parameter_groups",
     "generate_virtual_table",
     "rank_groups_by_misfit",
-    "supports_analytic",
 ]

@@ -1,45 +1,36 @@
-"""Answer routes for grouped and range-predicate approximate queries.
+"""The answer routes, in routing order.
 
-This package holds the machinery the engine uses to answer the two query
-shapes the paper's Section 2 workload is built from — ``GROUP BY`` aggregates
-and range-predicate aggregates — directly from captured models:
+One module per route, each the :class:`~repro.core.approx.protocol.Route`
+triple — ``gate`` / ``sketch`` / ``answer`` — handing back the one
+:class:`~repro.core.approx.protocol.ApproximateAnswer`:
 
-* :mod:`repro.db.constraints` analyses a WHERE clause's
-  top-level conjuncts into per-column value/interval constraints;
-* :mod:`repro.core.approx.routes.router` decides model-vs-exact *per group*,
-  so healthy groups are served from models while uncovered groups are
-  computed exactly and merged;
-* :mod:`repro.core.approx.routes.grouped` evaluates per-group models
-  group-by-group and attaches per-group error estimates;
-* :mod:`repro.core.approx.routes.range_agg` answers aggregates restricted by
-  range predicates by evaluating/integrating the model over the restricted
-  input domain.
+* :mod:`~repro.core.approx.routes.grouped` — ``GROUP BY`` aggregates
+  evaluated per group, the per-group model-vs-exact split decided by
+  :mod:`~repro.core.approx.routes.router` (healthy groups from models,
+  uncovered groups computed exactly and merged);
+* :mod:`~repro.core.approx.routes.point` — every input and group key pinned
+  by equality: one model evaluation;
+* :mod:`~repro.core.approx.routes.range_agg` — ungrouped aggregates
+  evaluated/integrated over the model's input box, clipped by the range
+  predicates (``range-aggregate``) or whole (``analytic-aggregate``);
+* :mod:`~repro.core.approx.routes.virtual` — the general route: enumerate
+  the parameter space and run the statement's plan over the generated table.
+
+:mod:`~repro.core.approx.routes.aggcalc` holds the SELECT-list analysis and
+the row-weighted value/error computation the grouped and range routes share.
+The engine walks :data:`ROUTES` and knows nothing else about a route; adding
+one means writing its module and listing its ``ROUTE`` here.
 """
 
-from repro.db.constraints import (
-    ColumnConstraint,
-    WhereConstraints,
-    extract_constraints,
-)
-from repro.core.approx.routes.grouped import GroupedAnswer, answer_grouped
-from repro.core.approx.routes.range_agg import RangeAnswer, answer_range
-from repro.core.approx.routes.router import (
-    GroupAssignment,
-    GroupRoutingPlan,
-    RoutingPolicy,
-    plan_group_routing,
-)
+from repro.core.approx.protocol import Route
+from repro.core.approx.routes import grouped, point, range_agg, virtual
 
-__all__ = [
-    "ColumnConstraint",
-    "WhereConstraints",
-    "extract_constraints",
-    "GroupAssignment",
-    "GroupRoutingPlan",
-    "RoutingPolicy",
-    "plan_group_routing",
-    "GroupedAnswer",
-    "answer_grouped",
-    "RangeAnswer",
-    "answer_range",
-]
+__all__ = ["ROUTES"]
+
+ROUTES: tuple[Route, ...] = (
+    grouped.ROUTE,
+    point.ROUTE,
+    range_agg.RANGE_ROUTE,
+    range_agg.ANALYTIC_ROUTE,
+    virtual.ROUTE,
+)

@@ -39,6 +39,7 @@ __all__ = [
     "ROUTE_AGGREGATES",
     "ItemSpec",
     "analyse_select_items",
+    "as_floats",
     "DomainRestriction",
     "restricted_domains",
     "current_group_rows",
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 #: Aggregate functions the model-backed routes know how to weight.
-ROUTE_AGGREGATES = {"count", "sum", "avg", "min", "max"}
+ROUTE_AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,12 @@ def restricted_domains(
 
         # Model inputs are numeric by construction; a non-numeric pin is a
         # type error the exact engine raises on — decline so both paths agree.
-        if constraint is not None and constraint.is_pinned and _as_floats(constraint.values) is None:
+        if constraint is not None and constraint.is_pinned and as_floats(constraint.values) is None:
             return None
 
         if known is not None:
             admitted = known if constraint is None else constraint.restrict_domain(known)
-            values = _as_floats(admitted)
+            values = as_floats(admitted)
             if values is None:
                 return None
             domains[column] = values
@@ -190,7 +191,7 @@ def restricted_domains(
     return DomainRestriction(domains=domains, fraction=fraction, weights=weights)
 
 
-def _as_floats(values: list[Any]) -> list[float] | None:
+def as_floats(values: list[Any]) -> list[float] | None:
     """Coerce domain values to floats; None when any value is non-numeric
     (e.g. ``WHERE x = 'abc'`` on a numeric model input) so the caller
     declines instead of crashing."""

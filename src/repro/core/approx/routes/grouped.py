@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.approx.protocol import ApproximateAnswer, Probe, Route, RouteSketch
 from repro.core.approx.routes.aggcalc import (
     ItemSpec,
     aggregate_values_errors,
@@ -38,60 +39,44 @@ from repro.db.constraints import (
     bare_name as _bare,
     extract_constraints,
 )
-from repro.core.approx.routes.router import RoutingPolicy, plan_group_routing
+from repro.core.approx.routes.router import GroupRoutingPlan, plan_group_routing
 from repro.core.captured_model import CapturedModel
 from repro.core.model_store import ModelStore
 from repro.db.column import Column
 from repro.db.expressions import BinaryOp, ColumnRef, Expression, InList, Literal
 from repro.db.sql.ast import SelectStatement
+from repro.db.sql.planner import plan_select
 from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.db.types import DataType
 
+if TYPE_CHECKING:
+    from repro.core.approx.engine import ApproximateQueryEngine
+
 __all__ = [
-    "GroupedAnswer",
+    "ROUTE",
     "GroupedRoutePlan",
     "GroupedStatementAnalysis",
     "analyse_grouped_statement",
-    "answer_grouped",
-    "plan_grouped_route",
 ]
-
-
-@dataclass
-class GroupedAnswer:
-    """A GROUP BY aggregate answered from per-group models (plus exact fill-in)."""
-
-    table: Table
-    route: str  # "grouped-model" | "grouped-hybrid"
-    used_model_ids: list[int]
-    reason: str
-    #: aggregate column -> worst per-group standard error (conservative).
-    column_errors: dict[str, float]
-    #: group key -> aggregate column -> standard error (model-served groups).
-    group_errors: Mapping[tuple[Any, ...], dict[str, float]]
-    #: group key -> aggregate column -> value (model-served groups).
-    group_values: Mapping[tuple[Any, ...], dict[str, Any]]
-    #: group key -> "model#<id>" / "exact" provenance.
-    group_routes: dict[tuple[Any, ...], str]
-    virtual_rows_generated: int
 
 
 @dataclass
 class GroupedRoutePlan:
     """The planned (not yet evaluated) grouped route for one statement.
 
-    This is the *plan phase* of the grouped route, split out so the unified
-    query planner can inspect the model/exact group split — and predict cost
-    and error for it — without evaluating a single model.  ``answer_grouped``
-    consumes it to produce the actual answer.
+    This is what the route's gate returns — the *plan phase*, split out so
+    the unified query planner can inspect the model/exact group split, and
+    predict cost and error for it, without evaluating a single model.  The
+    planner's sketch keeps it and hands it back at execution
+    (``answer(grouped_route_plan=)``), so a query is route-planned once.
     """
 
     analysis: GroupedStatementAnalysis
     #: Candidate models that can honor the statement's predicates.
     candidates: list[CapturedModel]
     #: Per-group model-vs-exact assignments (the PR-2 router's output).
-    routing: Any  # GroupRoutingPlan
+    routing: GroupRoutingPlan
     output_null_fraction: float
 
     @property
@@ -111,27 +96,51 @@ class GroupedRoutePlan:
         return self.routing.used_model_ids
 
 
-def plan_grouped_route(
-    statement: SelectStatement,
-    store: ModelStore,
-    stats: TableStats,
-    policy: RoutingPolicy | None = None,
-    models: list[CapturedModel] | None = None,
-    analysis: "GroupedStatementAnalysis | None" = None,
-) -> GroupedRoutePlan | None:
-    """Plan the grouped route: shape gates + per-group routing, no evaluation.
-
-    Returns None when the statement shape is outside this route or no group
-    can be served from a model, leaving the statement to the
-    enumeration/exact paths.  This is the single gate implementation shared
-    by route execution (:func:`answer_grouped`) and the unified planner's
-    static probe — what the probe predicts and what execution serves cannot
-    drift apart.
-    """
-    if analysis is None:
-        analysis = analyse_grouped_statement(statement)
+def _gate(engine: ApproximateQueryEngine, probe: Probe) -> GroupedRoutePlan | None:
+    """Shape gate, candidate lookup (harvesting on demand) and per-group
+    routing — skipped when the planner's sketch already handed its plan over."""
+    if probe.grouped_plan is not None:
+        return probe.grouped_plan
+    analysis = analyse_grouped_statement(probe.statement)
     if analysis is None:
         return None
+    candidates = _candidates(engine, probe, analysis)
+    if not candidates:
+        return None
+    return _plan_route(engine.store, probe.stats, analysis, candidates)
+
+
+def _candidates(
+    engine: ApproximateQueryEngine, probe: Probe, analysis: GroupedStatementAnalysis
+) -> list[CapturedModel]:
+    """Grouped candidate models, harvesting on demand when allowed."""
+    table_name, database = probe.table_name, engine.database
+    lookup = (table_name, analysis.output_column, analysis.group_columns)
+    candidates = engine.store.grouped_candidates(*lookup)
+    if not candidates and probe.allow_harvest:
+        harvested = engine.grouped_model_provider(*lookup)
+        if harvested is not None:
+            # The on-demand grouped harvest reads the raw data once; like
+            # building a legality filter, it is charged as a one-off scan.
+            table = database.table(table_name)
+            database.io_model.charge_scan(
+                table, [c for c in harvested.coverage.columns() if c in table.schema]
+            )
+            candidates = engine.store.grouped_candidates(*lookup)
+    return candidates
+
+
+def _plan_route(
+    store: ModelStore,
+    stats: TableStats,
+    analysis: GroupedStatementAnalysis,
+    candidates: list[CapturedModel],
+) -> GroupedRoutePlan | None:
+    """Per-group routing over ``candidates``, no evaluation.
+
+    Returns None when no group can be served from a model, leaving the
+    statement to the enumeration/exact paths.
+    """
     group_columns = analysis.group_columns
     output_column = analysis.output_column
     constraints = analysis.constraints
@@ -147,9 +156,6 @@ def plan_grouped_route(
     output_stats = stats.columns.get(output_column)
     output_null_fraction = output_stats.null_fraction if output_stats is not None else 0.0
 
-    candidates = models if models is not None else store.grouped_candidates(
-        stats.table_name, output_column, group_columns
-    )
     # A model can only honor WHERE constraints over its own input (or group)
     # columns; serving a query whose predicate mentions anything else would
     # silently drop that predicate.  Restrict to candidates that cover every
@@ -179,13 +185,7 @@ def plan_grouped_route(
 
     requested = _requested_group_keys(candidates, stats, group_columns, constraints)
     routing = plan_group_routing(
-        store,
-        stats.table_name,
-        output_column,
-        group_columns,
-        requested,
-        policy,
-        models=candidates,
+        store, stats.table_name, output_column, group_columns, requested, models=candidates
     )
     if not routing.model_groups:
         return None
@@ -197,32 +197,66 @@ def plan_grouped_route(
     )
 
 
-def answer_grouped(
-    statement: SelectStatement,
-    store: ModelStore,
-    stats: TableStats,
-    execute_exact_groups,
-    policy: RoutingPolicy | None = None,
-    models: list[CapturedModel] | None = None,
-    analysis: "GroupedStatementAnalysis | None" = None,
-    route_plan: GroupedRoutePlan | None = None,
-) -> GroupedAnswer | None:
-    """Try to answer a GROUP BY aggregate statement from per-group models.
+def _sketch(
+    engine: ApproximateQueryEngine, probe: Probe, grouped: GroupedRoutePlan
+) -> RouteSketch:
+    routing, stats = grouped.routing, probe.stats
+    uncovered_rows = 0.0
+    if routing.exact_groups:
+        live = current_group_rows(stats, grouped.analysis.group_columns)
+        if live is not None:
+            uncovered_rows = float(sum(live.get(a.key[0], 0) for a in routing.exact_groups))
+        else:
+            # No live per-group counts: assume uniform group sizes.
+            uncovered_rows = stats.row_count * (
+                len(routing.exact_groups) / max(len(routing.assignments), 1)
+            )
+    relatives = [
+        m.quality.relative_rse for m in grouped.candidates if m.quality.relative_rse is not None
+    ]
+    return RouteSketch(
+        route="grouped-hybrid" if routing.exact_groups else "grouped-model",
+        model_ids=grouped.used_model_ids,
+        detail=routing.describe(),
+        residual_standard_error=max(
+            (m.quality.residual_standard_error for m in grouped.candidates), default=0.0
+        ),
+        relative_rse=max(relatives) if relatives else None,
+        est_points=grouped.n_model_groups,
+        n_model_groups=grouped.n_model_groups,
+        n_exact_groups=grouped.n_exact_groups,
+        uncovered_rows=uncovered_rows,
+        aggregate_functions=tuple(
+            spec.function for spec in grouped.analysis.specs if spec.kind == "aggregate"
+        ),
+        output_column=grouped.analysis.output_column,
+        grouped_plan=grouped,
+    )
 
-    ``execute_exact_groups(statement, membership_expression)`` is a callback
-    (supplied by the engine) that runs the statement exactly, restricted to
-    the given groups, against the real catalog — charging real IO.
-    ``analysis`` lets the engine pass the :func:`analyse_grouped_statement`
-    result it already computed; ``route_plan`` an already-planned route
-    (from :func:`plan_grouped_route`).  Returns None when the statement
-    shape is outside this route, leaving it to the enumeration/exact paths.
+
+def _answer(
+    engine: ApproximateQueryEngine, probe: Probe, route_plan: GroupedRoutePlan
+) -> ApproximateAnswer | None:
+    """GROUP BY aggregates evaluated per group, with exact fill-in.
+
+    Returns None when some serving model cannot restrict its input domain
+    to the statement's predicates after all (the walk moves on).
     """
-    if route_plan is None:
-        route_plan = plan_grouped_route(
-            statement, store, stats, policy=policy, models=models, analysis=analysis
-        )
-    if route_plan is None:
-        return None
+    tracer = engine.tracer
+    with tracer.span("route:grouped") as span:
+        if tracer.active:
+            span.annotate(
+                model_groups=route_plan.n_model_groups,
+                exact_groups=route_plan.n_exact_groups,
+                models=list(route_plan.used_model_ids),
+            )
+        return _evaluate(engine, probe, route_plan)
+
+
+def _evaluate(
+    engine: ApproximateQueryEngine, probe: Probe, route_plan: GroupedRoutePlan
+) -> ApproximateAnswer | None:
+    statement, stats = probe.statement, probe.stats
     analysis = route_plan.analysis
     group_columns = analysis.group_columns
     specs = analysis.specs
@@ -303,7 +337,7 @@ def answer_grouped(
     exact_keys = [a.key for a in plan.exact_groups]
     if exact_keys:
         membership = _membership_expression(group_columns, exact_keys)
-        exact_table = execute_exact_groups(statement, membership)
+        exact_table = _execute_exact_groups(engine, statement, membership)
         for position, spec in enumerate(specs):
             data[spec.name] = _stack_columns(
                 data[spec.name], exact_table.column(exact_table.schema.names[position])
@@ -330,21 +364,54 @@ def answer_grouped(
     elif statement.offset:
         table = table.slice(statement.offset, table.num_rows)
 
-    column_errors = {
-        name: float(np.max(vector)) if len(vector) else 0.0 for name, vector in errors.items()
-    }
-    route = "grouped-hybrid" if exact_keys else "grouped-model"
-    return GroupedAnswer(
+    return ApproximateAnswer(
+        sql=probe.sql,
         table=table,
-        route=route,
+        route="grouped-hybrid" if exact_keys else "grouped-model",
+        is_exact=False,
         used_model_ids=plan.used_model_ids,
         reason=f"per-group model evaluation: {plan.describe()}",
-        column_errors=column_errors,
+        # The worst per-group standard error (conservative).
+        column_errors={
+            name: float(np.max(vector)) if len(vector) else 0.0 for name, vector in errors.items()
+        },
+        virtual_rows_generated=virtual_rows,
         group_errors=_PerGroup(slot_of, errors),
         group_values=_PerGroup(slot_of, values),
         group_routes=group_routes,
-        virtual_rows_generated=virtual_rows,
     )
+
+
+ROUTE = Route(_gate, _sketch, _answer, needs_model=False)
+
+
+def _execute_exact_groups(
+    engine: ApproximateQueryEngine, statement: SelectStatement, membership: Expression
+) -> Table:
+    """Run ``statement`` exactly, restricted to the given groups.
+
+    This is the exact half of the hybrid grouped route: only the rows of
+    the uncovered groups are scanned (and charged as real IO).
+    """
+    where = (
+        membership if statement.where is None else BinaryOp("and", statement.where, membership)
+    )
+    sub_statement = SelectStatement(
+        items=list(statement.items),
+        table=statement.table,
+        joins=[],
+        where=where,
+        group_by=list(statement.group_by),
+        having=None,
+        order_by=[],
+        limit=None,
+        offset=0,
+        distinct=False,
+    )
+    database = engine.database
+    planned = plan_select(sub_statement, database.catalog, io_model=database.io_model)
+    with engine.tracer.span("exact-fill-in"):
+        return planned.root.execute(engine.tracer)
 
 
 class _PerGroup(Mapping):
@@ -397,9 +464,10 @@ class GroupedStatementAnalysis:
 def analyse_grouped_statement(statement: SelectStatement) -> GroupedStatementAnalysis | None:
     """The single shape gate for the grouped route.
 
-    The engine runs this once per query — to gate the model lookup and the
-    on-demand grouped harvest — and hands the result to ``answer_grouped``,
-    so what triggers a harvest and what the route serves cannot drift apart.
+    The route's gate runs this once per query — before the model lookup and
+    the on-demand grouped harvest — and the result travels inside the
+    :class:`GroupedRoutePlan`, so what triggers a harvest and what the route
+    serves cannot drift apart.
     """
     group_columns = _group_by_columns(statement)
     if group_columns is None:

@@ -18,13 +18,16 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.approx.engine import ApproximateAnswer, _relative_errors
+import numpy as np
+
+from repro.core.approx.engine import ApproximateAnswer
 from repro.core.model_store import ModelStore
 from repro.core.planner.contract import AccuracyContract
 from repro.core.quality import QualityPolicy
 from repro.db.database import Database
+from repro.db.table import Table
 
-__all__ = ["FeedbackResult", "ObservedErrorFeedback"]
+__all__ = ["FeedbackResult", "ObservedErrorFeedback", "relative_errors"]
 
 
 @dataclass
@@ -142,7 +145,7 @@ class ObservedErrorFeedback:
                 exact = exact.sort_by([(name, True) for name in exact.schema.names])
             except Exception:
                 return None
-        errors = _relative_errors(approx_table, exact)
+        errors = relative_errors(approx_table, exact)
         if not errors:
             return None
         observed = max(errors.values())
@@ -195,3 +198,24 @@ class ObservedErrorFeedback:
         return {
             model_id: sum(values) / len(values) for model_id, values in samples.items()
         }
+
+
+def relative_errors(approx: Table, exact: Table) -> dict[str, float]:
+    """Mean relative error per numeric column, aligning result rows by position."""
+    errors: dict[str, float] = {}
+    if approx.num_rows == 0 or exact.num_rows == 0:
+        return errors
+    for approx_name, exact_name in zip(approx.schema.names, exact.schema.names):
+        approx_column = approx.column(approx_name)
+        exact_column = exact.column(exact_name)
+        if not (approx_column.dtype.is_numeric and exact_column.dtype.is_numeric):
+            continue
+        n = min(len(approx_column), len(exact_column))
+        approx_values = np.asarray(approx_column.to_numpy()[:n], dtype=np.float64)
+        exact_values = np.asarray(exact_column.to_numpy()[:n], dtype=np.float64)
+        mask = np.isfinite(approx_values) & np.isfinite(exact_values)
+        if not mask.any():
+            continue
+        denominator = np.where(np.abs(exact_values[mask]) > 1e-12, np.abs(exact_values[mask]), 1.0)
+        errors[approx_name] = float(np.mean(np.abs(approx_values[mask] - exact_values[mask]) / denominator))
+    return errors

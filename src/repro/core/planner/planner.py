@@ -3,8 +3,9 @@
 Every SQL statement becomes one :class:`UnifiedPlan` whose candidate nodes
 are either model-serving routes (the PR-2 routing machinery, probed
 statically through :meth:`ApproximateQueryEngine.sketch_route`) or the
-exact vectorized pipeline (PR-3), each with a predicted cost (calibrated
-from ``BENCH_hotpaths.json``) and a predicted relative error (from the
+exact vectorized pipeline (PR-3), each with a predicted cost (from the
+constants of :mod:`repro.core.planner.cost`, the prior the online
+calibrator starts from) and a predicted relative error (from the
 captured models' quality judgements).  The accuracy contract decides which
 node executes.  The planner only *decides*: running the chosen node,
 auditing a sample against exact and accounting for it are the stages of

@@ -1,10 +1,11 @@
 """Adaptive cost calibration: the planner's cost model tracks live hardware.
 
-The planner ships calibrated from the committed ``BENCH_hotpaths.json`` —
-the machine the benchmarks ran on, frozen at commit time.  The calibrator
-closes that gap online: every traced exact execution leaves per-operator
-spans (``op:TableScan``, ``op:Aggregate``, ``op:HashJoin``) whose self time
-and row counts yield observed seconds-per-row rates.  Those are folded into
+The planner ships with the constants of :mod:`repro.core.planner.cost` —
+rates measured once on the machine the benchmarks ran on, frozen in code.
+They are the calibrator's prior; it closes that gap online: every traced
+exact execution leaves per-operator spans (``op:TableScan``,
+``op:Aggregate``, ``op:HashJoin``) whose self time and row counts yield
+observed seconds-per-row rates.  Those are folded into
 bounded EWMA estimates, and when an operator's observed rate has shifted
 materially away from what the planner is costing with, a fresh
 :class:`~repro.core.planner.cost.CostModel` is installed through

@@ -10,12 +10,13 @@ aggregate shapes."""
 import numpy as np
 import pytest
 
-from repro import LawsDatabase
+from repro import AccuracyContract, LawsDatabase
 from repro.errors import (
     ApproximationError,
     CatalogError,
     ExecutionError,
     ModelNotFoundError,
+    ReproError,
 )
 
 from tests.conftest import APPROX, EXACT, STRICT
@@ -146,6 +147,36 @@ def test_non_numeric_pin_reports_typed_errors(fallback_db):
         fallback_db.query(sql, STRICT).approx
     with pytest.raises(ExecutionError, match="cannot compare string column"):
         fallback_db.query(sql, APPROX).approx
+
+
+#: Auto mode under an error budget: the planner, not the caller, picks the route.
+BUDGET = AccuracyContract(max_relative_error=0.5, verify_fraction=0.0)
+
+
+@pytest.mark.parametrize("contract", [APPROX, BUDGET, STRICT], ids=["approx", "budget", "strict"])
+@pytest.mark.parametrize(
+    "sql",
+    [
+        pytest.param("SELECT y FROM t WHERE g = 3 AND x = 'abc'", id="string-pin"),
+        pytest.param("SELECT y FROM t WHERE g = 3 AND x = NULL", id="null-pin"),
+        pytest.param("SELECT y FROM t WHERE g = 3 AND x = 2 LIMIT 0", id="limit-0"),
+    ],
+)
+def test_point_route_declines_what_it_cannot_evaluate(fallback_db, sql, contract):
+    """A pin the model cannot be evaluated at, or a LIMIT that may cut the
+    one row away, leaves the point route: the answer equals exact execution
+    or is a typed refusal — never a bare ``ValueError`` / ``TypeError``, never
+    a row exact would not return."""
+    try:
+        expected = fallback_db.query(sql, EXACT).rows()
+    except ReproError as exc:
+        expected = type(exc)
+    try:
+        answer = fallback_db.query(sql, contract)
+    except ReproError:
+        return
+    assert answer.route_taken != "point"
+    assert answer.rows() == expected
 
 
 def test_blowup_protection_reason():

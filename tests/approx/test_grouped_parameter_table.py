@@ -23,16 +23,17 @@ import numpy as np
 import pytest
 
 from repro import LawsDatabase
-from repro.core.approx.routes.aggcalc import growth_scale, restricted_domains, staleness_rows
-from repro.core.approx.routes.grouped import (
-    GroupedRoutePlan,
-    analyse_grouped_statement,
-    answer_grouped,
+from repro.core.approx.routes.aggcalc import (
+    analyse_select_items,
+    growth_scale,
+    restricted_domains,
+    staleness_rows,
 )
-from repro.core.approx.routes.range_agg import analyse_range_statement, answer_range
+from repro.core.approx.routes.grouped import GroupedRoutePlan, analyse_grouped_statement
 from repro.core.approx.routes.router import plan_group_routing
 from repro.core.captured_model import CapturedModel, ModelCoverage
 from repro.core.quality import ModelQuality
+from repro.db.constraints import extract_constraints
 from repro.db.sql.parser import parse
 from repro.db.table import Table
 from repro.fitting.families import Constant, LinearModel, PowerLaw
@@ -244,7 +245,8 @@ def _grouped(db: LawsDatabase, sql: str):
 def _ranged(db: LawsDatabase, sql: str, output: str):
     statement = parse(sql)
     model = db.best_model(statement.table.name, output)
-    specs, constraints = analyse_range_statement(statement, model)
+    specs, _ = analyse_select_items(statement, group_columns=())
+    constraints = extract_constraints(statement.where)
     stats = db.database.stats(statement.table.name)
     return db.query(sql, APPROX).approx, reference_combined(model, stats, constraints, specs)
 
@@ -400,16 +402,16 @@ class TestBatchedEqualsPerGroup:
         model = report.model
         assert not model.coverage.covers_whole_table
         model.status = status
-        statement = parse(f"SELECT a, b, {ALL_AGGREGATES} FROM t WHERE x >= 1 GROUP BY a, b")
-        analysis = analyse_grouped_statement(statement)
+        sql = f"SELECT a, b, {ALL_AGGREGATES} FROM t WHERE x >= 1 GROUP BY a, b"
+        analysis = analyse_grouped_statement(parse(sql))
         stats = db.database.stats("t")
         # Planned by hand: on its own a partial model cannot prove the group
         # set complete, which is the planner's concern, not the evaluation's.
         keys = [record.key for record in model.fit.records]
         routing = plan_group_routing(db.models, "t", "y", ("a", "b"), keys, models=[model])
         route_plan = GroupedRoutePlan(analysis, [model], routing, output_null_fraction=0.0)
-        answer = answer_grouped(statement, db.models, stats, None, route_plan=route_plan)
-        assert answer is not None and answer.route == "grouped-model"
+        answer = db.approx.answer(sql, allow_fallback=False, grouped_route_plan=route_plan)
+        assert answer.route == "grouped-model"
         assert_grouped_matches(answer, reference_per_group(model, stats, analysis.constraints, analysis.specs))
 
     def test_input_free_constant_model(self):
@@ -435,11 +437,11 @@ class TestBatchedEqualsPerGroup:
             coverage=ModelCoverage("t", (), "y", ("g",)), formula="y ~ constant()", fit=fit,
             quality=ModelQuality(0.9, 0.9, 0.1, 60), accepted=True, fitted_row_count=60,
         ))  # fmt: skip
-        statement = parse(f"SELECT g, {ALL_AGGREGATES} FROM t GROUP BY g")
-        analysis = analyse_grouped_statement(statement)
+        sql = f"SELECT g, {ALL_AGGREGATES} FROM t GROUP BY g"
+        analysis = analyse_grouped_statement(parse(sql))
         stats = db.database.stats("t")
-        answer = answer_grouped(statement, db.models, stats, None, models=[model], analysis=analysis)
-        assert answer is not None and answer.virtual_rows_generated == 3
+        answer = db.query(sql, APPROX).approx
+        assert answer.route == "grouped-model" and answer.virtual_rows_generated == 3
         assert_grouped_matches(answer, reference_per_group(model, stats, analysis.constraints, analysis.specs))
         assert answer.group_values[(2,)]["m"] == -2.5 and answer.group_values[(3,)]["n"] == 30
 
@@ -459,16 +461,20 @@ class TestBatchedEqualsPerGroup:
         """An ungrouped model's range answer is the G = 1 call of the same code."""
         db = _linear_db(groups=1, null_outputs=2)
         assert db.fit("t", "y ~ linear(x)").accepted
-        statement = parse(f"SELECT {ALL_AGGREGATES} FROM t WHERE x BETWEEN 1 AND 3")
+        sql = f"SELECT {ALL_AGGREGATES} FROM t WHERE x BETWEEN 1 AND 3"
+        statement = parse(sql)
         model = db.best_model("t", "y")
-        specs, constraints = analyse_range_statement(statement, model)
+        specs, _ = analyse_select_items(statement, group_columns=())
+        constraints = extract_constraints(statement.where)
         stats = db.database.stats("t")
         reference = reference_aggregates(
             model.fit, model.input_columns, restricted_domains(model, stats, constraints),
             observations=stats.row_count, scale=1.0, stale_rows=0.0, active=True,
             null_fraction=stats.columns["y"].null_fraction, specs=specs,
         )  # fmt: skip
-        assert_range_matches(answer_range(statement, model, stats), reference)
+        answer = db.query(sql, APPROX).approx
+        assert answer.route == "range-aggregate"
+        assert_range_matches(answer, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import AccuracyContract, LawsDatabase
-from repro.core.approx.engine import _relative_errors
+from repro.core.planner.feedback import relative_errors
 from repro.datasets import lofar, sensors, tpcds_lite
 from repro.db import Database
 
@@ -42,7 +42,7 @@ def compare_sql(db: LawsDatabase, sql: str) -> dict:
     approximation's route, per-column mean relative error and page IO."""
     approx = db.query(sql, APPROX).approx
     exact = db.query(sql, EXACT).query_result
-    errors = _relative_errors(approx.table, exact.table)
+    errors = relative_errors(approx.table, exact.table)
     return {
         "approximate": approx,
         "exact": exact,

@@ -4,16 +4,12 @@ point answers, selections, analytic aggregates, error bounds."""
 import numpy as np
 import pytest
 
-from repro.core.approx.aggregates import analytic_aggregate, supports_analytic
 from repro.core.approx.enumeration import build_enumeration_plan, generate_virtual_table
 from repro.core.approx.error_bounds import ErrorEstimate, aggregate_error, combine_independent
 from repro.core.approx.legal import BloomFilter, LegalCombinationFilter
-from repro.core.approx.point import answer_point_query
-from repro.core.approx.range_query import answer_selection
-from repro.db.expressions import col, lit
-from repro.errors import ApproximationError, EnumerationError
+from repro.errors import EnumerationError
 
-from tests.conftest import EXACT
+from tests.conftest import EXACT, STRICT
 
 
 class TestEnumeration:
@@ -113,94 +109,72 @@ class TestBloomAndLegality:
 
 
 class TestPointAnswers:
-    def test_point_answer_matches_truth(self, lofar_model, lofar_dataset):
+    def test_point_answer_matches_truth(self, lofar_db, lofar_dataset):
         truth = lofar_dataset.truth_for(7)
-        answer = answer_point_query(lofar_model, {"frequency": 0.16}, {"source": 7})
-        assert answer.value == pytest.approx(truth.p * 0.16**truth.alpha, rel=0.2)
-        assert answer.error.standard_error > 0
-        assert answer.interval.lower < answer.value < answer.interval.upper
-
-    def test_missing_input_raises(self, lofar_model):
-        with pytest.raises(ApproximationError):
-            answer_point_query(lofar_model, {}, {"source": 7})
-
-    def test_missing_group_key_raises(self, lofar_model):
-        with pytest.raises(ApproximationError):
-            answer_point_query(lofar_model, {"frequency": 0.15})
+        answer = lofar_db.query(
+            "SELECT intensity FROM measurements WHERE source = 7 AND frequency = 0.16", STRICT
+        ).approx
+        assert answer.route == "point"
+        assert answer.scalar() == pytest.approx(truth.p * 0.16**truth.alpha, rel=0.2)
+        estimate = answer.error_estimate("intensity")
+        assert estimate.standard_error > 0
+        assert estimate.lower < answer.scalar() < estimate.upper
 
     def test_ungrouped_model_point(self, tpcds_db):
-        model = tpcds_db.best_model("store_sales", "sales_price")
-        answer = answer_point_query(model, {"list_price": 100.0})
-        assert answer.group_key is None
-        assert answer.value > 0
+        answer = tpcds_db.query(
+            "SELECT sales_price FROM store_sales WHERE list_price = 100.0", STRICT
+        ).approx
+        assert answer.route == "point"
+        assert answer.scalar() > 0
 
 
 class TestSelectionAnswers:
-    def test_paper_second_query_shape(self, lofar_db, lofar_model):
-        stats = lofar_db.database.stats("measurements")
+    def test_paper_second_query_shape(self, lofar_db):
         threshold = 0.3
-        answer = answer_selection(
-            lofar_model,
-            stats,
-            predicate=col("intensity") > lit(threshold),
-            pinned_values={"frequency": [0.15]},
-            output_columns=["source", "intensity"],
-        )
+        answer = lofar_db.query(
+            f"SELECT source, intensity FROM measurements WHERE frequency = 0.15 AND intensity > {threshold}",
+            STRICT,
+        ).approx
+        assert answer.route == "virtual-table"
         assert answer.table.schema.names == ["source", "intensity"]
         assert all(value > threshold for value in answer.table.column("intensity").to_pylist())
-        assert answer.virtual_rows_generated >= answer.rows_after_filter
-
-    def test_selection_with_error_column(self, lofar_db, lofar_model):
-        stats = lofar_db.database.stats("measurements")
-        answer = answer_selection(
-            lofar_model, stats, pinned_values={"frequency": [0.15]}, include_error_column=True
-        )
-        assert "intensity_error" in answer.table.schema.names
+        assert answer.virtual_rows_generated >= answer.table.num_rows
 
 
 class TestAnalyticAggregates:
-    def test_supports_analytic_for_linear(self, tpcds_db):
-        assert supports_analytic(tpcds_db.best_model("store_sales", "sales_price"))
-
-    def test_min_max_at_endpoints(self, tpcds_db, tpcds_dataset):
+    def _model_and_input(self, tpcds_db):
         model = tpcds_db.best_model("store_sales", "sales_price")
-        stats = tpcds_db.database.stats("store_sales")
-        ranges = {"list_price": (stats.columns["list_price"].min_value, stats.columns["list_price"].max_value)}
-        low = analytic_aggregate(model, "min", ranges, stats.row_count)
-        high = analytic_aggregate(model, "max", ranges, stats.row_count)
-        exact = tpcds_db.query("SELECT min(sales_price), max(sales_price) FROM store_sales", EXACT).query_result.table.row(0)
-        assert low.value == pytest.approx(exact[0], rel=0.25)
-        assert high.value == pytest.approx(exact[1], rel=0.25)
-        assert low.method == "endpoint"
+        return model, tpcds_db.database.stats("store_sales").columns["list_price"]
+
+    def test_min_max_at_endpoints(self, tpcds_db):
+        model, column = self._model_and_input(tpcds_db)
+        sql = "SELECT min(sales_price) AS lo, max(sales_price) AS hi FROM store_sales"
+        answer = tpcds_db.query(sql, STRICT).approx
+        assert answer.route == "analytic-aggregate"
+        low, high = answer.table.row(0)
+        exact = tpcds_db.query(sql, EXACT).query_result.table.row(0)
+        assert low == pytest.approx(exact[0], rel=0.25)
+        assert high == pytest.approx(exact[1], rel=0.25)
+        # The extremes of a linear law sit at the ends of its input's range.
+        ends = model.fit.predict({"list_price": np.array([column.min_value, column.max_value])})
+        assert (low, high) == (float(np.min(ends)), float(np.max(ends)))
 
     def test_avg_uses_linearity_with_means(self, tpcds_db):
-        model = tpcds_db.best_model("store_sales", "sales_price")
-        stats = tpcds_db.database.stats("store_sales")
-        column = stats.columns["list_price"]
-        ranges = {"list_price": (column.min_value, column.max_value)}
-        result = analytic_aggregate(model, "avg", ranges, stats.row_count, input_means={"list_price": column.mean})
-        exact = tpcds_db.query("SELECT avg(sales_price) FROM store_sales", EXACT).query_result.scalar()
-        assert result.value == pytest.approx(exact, rel=0.02)
-        assert result.method == "linearity"
+        model, column = self._model_and_input(tpcds_db)
+        sql = "SELECT avg(sales_price) FROM store_sales"
+        answer = tpcds_db.query(sql, STRICT).approx
+        assert answer.route == "analytic-aggregate"
+        exact = tpcds_db.query(sql, EXACT).query_result.scalar()
+        assert answer.scalar() == pytest.approx(exact, rel=0.02)
+        # By linearity of expectation: the law evaluated at the input's mean.
+        assert answer.scalar() == float(model.fit.predict({"list_price": np.array([column.mean])})[0])
 
     def test_sum_scales_average(self, tpcds_db):
-        model = tpcds_db.best_model("store_sales", "sales_price")
-        stats = tpcds_db.database.stats("store_sales")
-        column = stats.columns["list_price"]
-        ranges = {"list_price": (column.min_value, column.max_value)}
-        result = analytic_aggregate(model, "sum", ranges, stats.row_count, input_means={"list_price": column.mean})
-        exact = tpcds_db.query("SELECT sum(sales_price) FROM store_sales", EXACT).query_result.scalar()
-        assert result.value == pytest.approx(exact, rel=0.02)
-
-    def test_unsupported_function_rejected(self, tpcds_db):
-        model = tpcds_db.best_model("store_sales", "sales_price")
-        with pytest.raises(ApproximationError):
-            analytic_aggregate(model, "median", {"list_price": (0, 1)}, 10)
-
-    def test_missing_range_rejected(self, tpcds_db):
-        model = tpcds_db.best_model("store_sales", "sales_price")
-        with pytest.raises(ApproximationError):
-            analytic_aggregate(model, "avg", {}, 10)
+        sql = "SELECT sum(sales_price) FROM store_sales"
+        answer = tpcds_db.query(sql, STRICT).approx
+        assert answer.route == "analytic-aggregate"
+        exact = tpcds_db.query(sql, EXACT).query_result.scalar()
+        assert answer.scalar() == pytest.approx(exact, rel=0.02)
 
 
 class TestErrorBounds:

@@ -298,3 +298,42 @@ def test_no_function_outside_expressions_switches_over_the_composite_classes():
             if len(tested) >= 3:
                 switches.add(f"{relative}:{function.name}")
     assert switches == READS_A_PREDICATE_SHAPE
+
+
+# -- (e) one route, one module, one answer type ---------------------------------------
+
+
+def test_the_engine_is_the_walk_and_every_route_hands_back_the_one_answer_type():
+    """``core/approx/engine.py`` walks ``ROUTES`` and holds no route: gates,
+    sketches and answers live in the route's own module under ``routes/``,
+    and all of them return :class:`ApproximateAnswer` — there is no second
+    result type to re-wrap field by field."""
+    approx = {relative: tree for relative, tree in _modules() if relative.startswith("core/approx/")}
+    route_parts = [
+        node.name
+        for node in ast.walk(approx["core/approx/engine.py"])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.endswith(("_gate", "_sketch", "_answer"))
+    ]
+    assert route_parts == []
+    answer_types = {
+        (relative, node.name)
+        for relative, tree in approx.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Answer")
+    }
+    assert answer_types == {("core/approx/protocol.py", "ApproximateAnswer")}
+
+
+def test_no_module_imports_a_private_name_from_the_approx_package():
+    """What another module needs of ``repro.core.approx`` has a public name,
+    or lives with its one caller."""
+    private = [
+        f"{relative}:{node.lineno} {node.module}.{alias.name}"
+        for relative, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro.core.approx")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

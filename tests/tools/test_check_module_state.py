@@ -45,6 +45,18 @@ def test_ignores_immutable_bindings_and_nested_scopes():
     assert _names(source) == set()
 
 
+def test_the_answer_routes_are_guarded_and_a_route_table_must_be_a_tuple():
+    assert "src/repro/core/approx" in check_module_state.DEFAULT_ROOTS
+    assert _names("ROUTES = [grouped.ROUTE, point.ROUTE]\n") == {"ROUTES"}
+    assert _names("ROUTE_AGGREGATES = {'count', 'sum'}\n") == {"ROUTE_AGGREGATES"}
+    source = (
+        "ROUTES: tuple[Route, ...] = (grouped.ROUTE, point.ROUTE)\n"
+        "ROUTE_AGGREGATES = frozenset({'count', 'sum'})\n"
+        "ROUTE = Route(_gate, _sketch, _answer)\n"
+    )
+    assert _names(source) == set()
+
+
 def test_check_flags_new_state_and_stale_allowlist(tmp_path, monkeypatch):
     pkg = tmp_path / "src" / "pkg"
     pkg.mkdir(parents=True)

@@ -24,8 +24,11 @@ import ast
 import sys
 from pathlib import Path
 
-#: Packages whose module scope must stay free of mutable state.
-DEFAULT_ROOTS = ("src/repro/db", "src/repro/obs", "src/repro/parallel")
+#: Packages whose module scope must stay free of mutable state.  The answer
+#: routes of ``core/approx`` run on every reader thread; their route table
+#: and lookup sets are module-level and must be immutable (a tuple, a
+#: frozenset).
+DEFAULT_ROOTS = ("src/repro/db", "src/repro/obs", "src/repro/parallel", "src/repro/core/approx")
 
 #: Worker-side modules that must not import the observability hub at module
 #: scope: workers report nothing themselves (spans/metrics/journal are the

@@ -18,12 +18,21 @@ import numpy as np
 
 from repro.core.quality import ModelQuality
 from repro.db.column import Column
+from repro.db.sql.parser import parse_expression
 from repro.db.table import Table
 from repro.errors import ModelNotFoundError
 from repro.fitting.grouped import GroupedFitResult
 from repro.fitting.model import FitResult
 
-__all__ = ["ModelCoverage", "CapturedModel", "ensure_model_id_floor"]
+__all__ = [
+    "ModelCoverage",
+    "CapturedModel",
+    "covered_rows",
+    "ensure_model_id_floor",
+    "narrow",
+    "predicate_mask",
+    "residuals",
+]
 
 _id_counter = itertools.count(1)
 
@@ -69,6 +78,38 @@ class ModelCoverage:
 
     def columns(self) -> set[str]:
         return set(self.input_columns) | {self.output_column} | set(self.group_columns)
+
+
+def predicate_mask(table: Table, predicate_sql: str) -> np.ndarray:
+    """Rows of ``table`` where the WHERE clause is TRUE (a NULL outcome is not)."""
+    result = parse_expression(predicate_sql).evaluate(table)
+    return np.asarray(result.values, dtype=bool) & np.asarray(result.validity, dtype=bool)
+
+
+def narrow(predicate_sql: str | None, extra_sql: str) -> str:
+    """The conjunction of a (possibly absent) predicate with ``extra_sql``.
+
+    Parenthesised: a predicate containing OR must not be re-bracketed by
+    AND precedence.
+    """
+    return extra_sql if predicate_sql is None else f"({predicate_sql}) AND ({extra_sql})"
+
+
+def covered_rows(table: Table, coverage: ModelCoverage, start_row: int = 0) -> Table:
+    """The rows of ``table`` that ``coverage`` describes.
+
+    ``table`` is the live table or an ingest batch staged as a table, whose
+    first row is base-table row ``start_row`` — a partition's row range is
+    in base-table positions, clamped to the rows at hand.
+    """
+    if coverage.row_range is not None:
+        start, stop = (
+            min(max(int(bound) - start_row, 0), table.num_rows) for bound in coverage.row_range
+        )
+        return table.slice(start, stop)
+    if coverage.predicate_sql is None:
+        return table
+    return table.filter(predicate_mask(table, coverage.predicate_sql))
 
 
 @dataclass
@@ -224,3 +265,15 @@ class CapturedModel:
             f"{self.output_column} ~ {self.family_name}({', '.join(self.input_columns)}){grouped} "
             f"({self.quality.summary()})"
         )
+
+
+def residuals(model: CapturedModel, table: Table) -> np.ndarray:
+    """Per-row ``y - ŷ`` of ``model`` over ``table``.
+
+    NaN where an input or the output is NULL, and where the row's group has
+    no fitted parameters (new entities appearing mid-stream): revalidation,
+    the drift detectors and the change-point test all skip non-finite rows.
+    """
+    inputs = {name: table.column(name).float_numpy() for name in model.input_columns}
+    keys = [table.column(name) for name in model.group_columns] or None
+    return table.column(model.output_column).float_numpy() - model.predict_rows(inputs, keys)

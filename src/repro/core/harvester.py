@@ -12,17 +12,19 @@ harvester
    model was captured.
 
 The harvester also listens to the UDF registry's fit log, so fits executed
-through the in-database UDF path are captured identically.
+through the in-database UDF path are captured identically.  A refit is the
+capture again: :meth:`ModelHarvester.refit` re-runs it with the settings the
+capture recorded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.captured_model import CapturedModel, ModelCoverage
+from repro.core.captured_model import CapturedModel, ModelCoverage, covered_rows, narrow
 from repro.core.model_store import ModelStore
 from repro.core.quality import ModelQuality, QualityPolicy, judge_fit, judge_grouped
 from repro.db.database import Database
@@ -160,7 +162,15 @@ class ModelHarvester:
             )
         parsed = parse_formula(formula)
         group_columns = self._normalise_group_by(group_by)
-        table = self._fitting_input(table_name, parsed, group_columns, predicate_sql, row_range)
+        coverage = ModelCoverage(
+            table_name=table_name,
+            input_columns=parsed.inputs,
+            output_column=parsed.output,
+            group_columns=tuple(group_columns),
+            predicate_sql=predicate_sql,
+            row_range=row_range,
+        )
+        table = self._fitting_input(coverage, parsed.text)
 
         gate = policy if policy is not None else self.policy
         if group_columns:
@@ -171,15 +181,13 @@ class ModelHarvester:
             fraction = 1.0
             accepted = gate.accepts(quality)
 
-        coverage = ModelCoverage(
-            table_name=table_name,
-            input_columns=parsed.inputs,
-            output_column=parsed.output,
-            group_columns=tuple(group_columns),
-            predicate_sql=predicate_sql,
-            row_range=row_range,
-        )
+        # Everything a refit needs to capture the model again as it was
+        # captured (read back by :meth:`capture_settings` only).
         metadata: dict[str, Any] = {"robust": robust, "method": method}
+        if min_observations is not None:
+            metadata["min_observations"] = int(min_observations)
+        if policy is not None:
+            metadata["policy"] = asdict(policy)
         if partition_id is not None:
             metadata["partition_id"] = int(partition_id)
         model = CapturedModel(
@@ -222,28 +230,74 @@ class ModelHarvester:
         per-partition models are merged per group by the grouped route, the
         same way archive-segment models are.
         """
-        payload = self.database.catalog.table_meta(table_name, "partitions")
-        if not payload or not payload.get("partitions"):
+        ranges = self._partition_ranges(table_name)
+        if not ranges:
             raise HarvestError(
                 f"table {table_name!r} has no partition map; call partition_table() first"
             )
-        reports: list[HarvestReport] = []
-        for entry in payload["partitions"]:
-            start = int(entry["start"])
-            stop = start + int(entry["rows"])
-            reports.append(
-                self.fit_and_capture(
-                    table_name,
-                    formula,
-                    group_by=group_by,
-                    robust=robust,
-                    method=method,
-                    min_observations=min_observations,
-                    row_range=(start, stop),
-                    partition_id=int(entry["id"]),
-                )
+        return [
+            self.fit_and_capture(
+                table_name,
+                formula,
+                group_by=group_by,
+                robust=robust,
+                method=method,
+                min_observations=min_observations,
+                row_range=row_range,
+                partition_id=partition_id,
             )
-        return reports
+            for partition_id, row_range in ranges.items()
+        ]
+
+    # -- capturing again ----------------------------------------------------------
+
+    def capture_settings(self, model: CapturedModel) -> dict[str, Any]:
+        """How ``model`` was captured, as :meth:`fit_and_capture` keywords.
+
+        Formula, grouping, estimator, the per-capture gate (``policy`` is
+        None for the harvester's own) and scope — a partition model's scope
+        is its partition's *current* row range: the partition map may have
+        absorbed appended rows since the capture.  A model restored from a
+        warehouse written before a setting was recorded gets the default.
+        """
+        metadata = model.metadata
+        policy = metadata.get("policy")
+        partition_id = metadata.get("partition_id")
+        row_range = model.coverage.row_range
+        if row_range is not None and partition_id is not None:
+            row_range = self._partition_ranges(model.table_name).get(int(partition_id), row_range)
+        return {
+            "formula": model.formula,
+            "group_by": list(model.group_columns) or None,
+            "predicate_sql": model.coverage.predicate_sql,
+            "robust": bool(metadata.get("robust", False)),
+            "method": str(metadata.get("method", "lm")),
+            "min_observations": metadata.get("min_observations"),
+            "row_range": row_range,
+            "partition_id": None if partition_id is None else int(partition_id),
+            "policy": None if policy is None else QualityPolicy(**policy),
+        }
+
+    def gate(self, model: CapturedModel) -> QualityPolicy:
+        """The acceptance gate ``model`` was captured under."""
+        return self.capture_settings(model)["policy"] or self.policy
+
+    def refit(
+        self, model: CapturedModel, segment: str | None = None, *, keep_predicate: bool = True
+    ) -> HarvestReport:
+        """Capture ``model`` again, over the current rows of its scope.
+
+        ``segment`` narrows the scope to one regime of it;
+        ``keep_predicate=False`` widens a partial model's scope to its whole
+        table.  Whether the new capture replaces ``model`` is the lifecycle's
+        one succession rule (``ModelLifecycleManager.succeed``).
+        """
+        settings = self.capture_settings(model)
+        if not keep_predicate:
+            settings["predicate_sql"] = None
+        if segment is not None:
+            settings["predicate_sql"] = narrow(settings["predicate_sql"], segment)
+        return self.fit_and_capture(model.table_name, **settings)
 
     def ensure_grouped(
         self,
@@ -279,7 +333,7 @@ class ModelHarvester:
         if any(not m.accepted and m.fitted_row_count >= current_rows for m in prior):
             return None
 
-        robust, method = False, "lm"
+        settings: dict[str, Any] = {"formula": formula}
         if formula is None:
             # Any capture of the target column works as a formula template —
             # including *rejected* ones: a global fit the quality gate turned
@@ -295,17 +349,12 @@ class ModelHarvester:
             template = max(
                 templates, key=lambda m: (m.quality.adjusted_r_squared, m.model_id)
             )
-            formula = template.formula
-            robust = bool(template.metadata.get("robust", False))
-            method = str(template.metadata.get("method", "lm"))
+            # The template's estimator and gate, over the whole table.
+            settings = self.capture_settings(template)
+            settings.update(predicate_sql=None, row_range=None, partition_id=None)
+        settings["group_by"] = list(group_columns)
         try:
-            report = self.fit_and_capture(
-                table_name,
-                formula,
-                group_by=list(group_columns),
-                robust=robust,
-                method=method,
-            )
+            report = self.fit_and_capture(table_name, **settings)
         except ReproError:
             return None
         return report.model if report.accepted else None
@@ -320,42 +369,38 @@ class ModelHarvester:
             return [group_by]
         return list(group_by)
 
-    def _fitting_input(
-        self,
-        table_name: str,
-        parsed: ParsedFormula,
-        group_columns: list[str],
-        predicate_sql: str | None,
-        row_range: tuple[int, int] | None = None,
-    ) -> Table:
+    def _partition_ranges(self, table_name: str) -> dict[int, tuple[int, int]]:
+        """Partition id -> current half-open row range, from the catalog's map."""
+        payload = self.database.catalog.table_meta(table_name, "partitions") or {}
+        return {
+            int(entry["id"]): (int(entry["start"]), int(entry["start"]) + int(entry["rows"]))
+            for entry in payload.get("partitions", ())
+        }
+
+    def _fitting_input(self, coverage: ModelCoverage, formula: str) -> Table:
         """Materialise exactly the columns (and rows) the fit needs."""
+        table_name = coverage.table_name
         table = self.database.table(table_name)
-        needed = list(dict.fromkeys([*group_columns, *parsed.inputs, parsed.output]))
+        columns = [*coverage.group_columns, *coverage.input_columns, coverage.output_column]
+        needed = list(dict.fromkeys(columns))
         missing = [name for name in needed if name not in table.schema]
         if missing:
             raise HarvestError(
-                f"formula {parsed.text!r} references columns {missing} not present in table {table_name!r}"
+                f"formula {formula!r} references columns {missing} not present in table {table_name!r}"
             )
-        if predicate_sql:
-            projected = ", ".join(needed)
-            result = self.database.query(f"SELECT {projected} FROM {table_name} WHERE {predicate_sql}")
-            return result
-        if row_range is not None:
-            start, stop = row_range
-            if not (0 <= start <= stop <= table.num_rows):
-                raise HarvestError(
-                    f"row range {row_range!r} is outside table {table_name!r} "
-                    f"({table.num_rows} rows)"
-                )
-            return table.slice(start, stop).select(needed)
-        return table.select(needed)
+        row_range = coverage.row_range
+        if row_range is not None and not (0 <= row_range[0] <= row_range[1] <= table.num_rows):
+            raise HarvestError(
+                f"row range {row_range!r} is outside table {table_name!r} ({table.num_rows} rows)"
+            )
+        return covered_rows(table, coverage).select(needed)
 
     def _fit_single(
         self, table: Table, parsed: ParsedFormula, robust: bool, method: str
     ) -> tuple[FitResult, ModelQuality]:
         family = parsed.build_family()
-        inputs = {name: table.column(name).to_numpy().astype(np.float64) for name in parsed.inputs}
-        y = table.column(parsed.output).to_numpy().astype(np.float64)
+        inputs = {name: table.column(name).float_numpy() for name in parsed.inputs}
+        y = table.column(parsed.output).float_numpy()
         action = self.faults.hit("fitting.fit") if self.faults is not None else None
         if robust:
             fit = fit_robust(family, inputs, y, output_name=parsed.output)

@@ -391,10 +391,10 @@ class ModelStore:
     def supersede(self, model_id: int, successor_id: int) -> CapturedModel:
         """Replace ``model_id`` with ``successor_id`` in the serving rotation.
 
-        The maintenance loop calls this after refitting: the old model is
-        taken out of service permanently (unlike ``stale`` it cannot be
-        re-validated back) but kept for provenance, with metadata linking the
-        two so lineage across regime changes stays queryable.
+        The lifecycle's succession rule calls this for an accepted refit: the
+        old model is taken out of service permanently (unlike ``stale`` it
+        cannot be re-validated back) but kept for provenance, with metadata
+        linking the two so lineage across regime changes stays queryable.
         """
         old = self.get(model_id)
         successor = self.get(successor_id)

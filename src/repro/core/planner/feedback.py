@@ -211,8 +211,8 @@ def relative_errors(approx: Table, exact: Table) -> dict[str, float]:
         if not (approx_column.dtype.is_numeric and exact_column.dtype.is_numeric):
             continue
         n = min(len(approx_column), len(exact_column))
-        approx_values = np.asarray(approx_column.to_numpy()[:n], dtype=np.float64)
-        exact_values = np.asarray(exact_column.to_numpy()[:n], dtype=np.float64)
+        approx_values = approx_column.float_numpy()[:n]
+        exact_values = exact_column.float_numpy()[:n]
         mask = np.isfinite(approx_values) & np.isfinite(exact_values)
         if not mask.any():
             continue

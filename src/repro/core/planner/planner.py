@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
+from types import MappingProxyType
 from typing import Any, Callable, NamedTuple
 
 from repro.core.approx.engine import ApproximateAnswer, ApproximateQueryEngine, RouteSketch
@@ -46,15 +47,17 @@ __all__ = ["PlannedAnswer", "UnifiedPlanner"]
 #: Aggregate-specific scaling of the model's base relative error: counts
 #: come from (near-live) cardinalities, extremes pay the Gaussian
 #: extreme-value premium, value aggregates track the model's own scale.
-_AGGREGATE_ERROR_FACTOR = {
-    "count": 0.25,
-    "avg": 1.0,
-    "sum": 1.0,
-    "min": 2.0,
-    "max": 2.0,
-    "stddev": 1.0,
-    "var": 1.0,
-}
+_AGGREGATE_ERROR_FACTOR = MappingProxyType(
+    {
+        "count": 0.25,
+        "avg": 1.0,
+        "sum": 1.0,
+        "min": 2.0,
+        "max": 2.0,
+        "stddev": 1.0,
+        "var": 1.0,
+    }
+)
 
 
 class _BlockedWording(NamedTuple):

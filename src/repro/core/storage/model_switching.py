@@ -11,26 +11,33 @@ all previous models and switch when appropriate."
 * :meth:`revalidate` re-computes the quality of every candidate model
   (accepted or previously rejected) against the current data — without
   re-fitting — and re-activates / retires models accordingly;
-* :meth:`refit_if_needed` re-fits the active model when its re-validated
-  quality has degraded past a configurable tolerance;
-* the best model is chosen by information criterion (AIC by default), which
-  is how "switch when appropriate" is made concrete.
+* :meth:`refit_if_needed` re-fits the serving model when its re-validated R²
+  has dropped by more than :data:`REFIT_DEGRADATION`;
+* :meth:`succeed` is the one succession rule every refit goes through: an
+  accepted refit supersedes its predecessor, a rejected one leaves the
+  predecessor serving;
+* the best model is chosen by AIC against the current data, which is how
+  "switch when appropriate" is made concrete.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.captured_model import CapturedModel
-from repro.core.harvester import ModelHarvester
+from repro.core.captured_model import CapturedModel, covered_rows, residuals
+from repro.core.harvester import HarvestReport, ModelHarvester
 from repro.core.model_store import ModelStore
-from repro.core.quality import judge_fit
 from repro.db.database import Database
 from repro.errors import ModelNotFoundError
-from repro.fitting.metrics import aic, bic, r_squared
+from repro.fitting.metrics import aic, r_squared
 
-__all__ = ["RevalidationResult", "ModelLifecycleManager"]
+__all__ = ["REFIT_DEGRADATION", "RevalidationResult", "ModelLifecycleManager"]
+
+#: :meth:`ModelLifecycleManager.refit_if_needed` refits once the re-validated
+#: R² has dropped by more than this much.
+REFIT_DEGRADATION = 0.05
 
 
 @dataclass
@@ -45,10 +52,6 @@ class RevalidationResult:
     #: Rows in the model's covered subset at re-validation time.
     covered_rows: int = 0
 
-    @property
-    def degraded(self) -> bool:
-        return self.current_r_squared < self.previous_r_squared - 1e-9
-
 
 @dataclass
 class ModelLifecycleManager:
@@ -57,11 +60,6 @@ class ModelLifecycleManager:
     database: Database
     store: ModelStore
     harvester: ModelHarvester
-    #: Re-fit when the re-validated R² drops by more than this much.
-    refit_degradation: float = 0.05
-    #: Information criterion used to pick among competing models ("aic" or "bic").
-    criterion: str = "aic"
-    history: list[RevalidationResult] = field(default_factory=list)
 
     # -- change notification -------------------------------------------------------
 
@@ -90,11 +88,12 @@ class ModelLifecycleManager:
     ) -> list[RevalidationResult]:
         """Re-score every captured model of a table against the current data.
 
-        Models that still meet the harvest policy become active again;
-        models that no longer do are left stale.  Previously *rejected*
-        models that now fit well are re-activated — the paper's "a model with
-        a previously poor fit relevant again".  Retired and superseded
-        models are out of the rotation for good and are never re-scored.
+        Models that still meet the R² gate they were captured under become
+        active again; models that no longer do are left stale.  Previously
+        *rejected* models that now fit well are re-activated — the paper's
+        "a model with a previously poor fit relevant again".  Retired and
+        superseded models are out of the rotation for good and are never
+        re-scored.
 
         ``output_column`` restricts re-validation to one target (the
         streaming maintenance loop re-validates only the column whose drift
@@ -107,7 +106,7 @@ class ModelLifecycleManager:
                 continue
             if output_column is not None and model.output_column != output_column:
                 continue
-            result = self._revalidate_model(model)
+            result = self._score(model)
             results.append(result)
             if result.still_acceptable:
                 # A capture-time rejection stands until *new* data arrives:
@@ -122,73 +121,31 @@ class ModelLifecycleManager:
                 model.fitted_row_count = result.covered_rows
             else:
                 model.mark_stale()
-        self.history.extend(results)
         return results
 
-    def _revalidate_model(self, model: CapturedModel) -> RevalidationResult:
-        table = self.covered_data(model)
-        y = table.column(model.output_column).to_numpy().astype(np.float64)
-        inputs = {
-            name: table.column(name).to_numpy().astype(np.float64) for name in model.input_columns
-        }
+    def _score(self, model: CapturedModel) -> RevalidationResult:
+        """R² and AIC of ``model`` over the rows its coverage describes.
 
-        if model.is_grouped:
-            predictions = model.predict_rows(
-                inputs, [table.column(name) for name in model.group_columns]
-            )
-        else:
-            predictions = model.predict_rows(inputs)
-
-        finite = np.isfinite(y) & np.isfinite(predictions)
-        current_r2 = r_squared(y[finite], predictions[finite]) if finite.any() else 0.0
-        num_params = self._effective_num_params(model)
-        criterion_fn = aic if self.criterion == "aic" else bic
-        criterion_value = criterion_fn(y[finite], predictions[finite], num_params) if finite.any() else float("inf")
-
-        acceptable = current_r2 >= self.harvester.policy.min_r_squared
+        Partial models (a WHERE-restricted fit, e.g. one regime segment of a
+        streamed table) are judged on their own subset — scoring them
+        against the whole table would condemn every segment model as soon as
+        a second regime exists.
+        """
+        table = covered_rows(self.database.table(model.table_name), model.coverage)
+        resid = residuals(model, table)
+        finite = np.isfinite(resid)
+        y = table.column(model.output_column).float_numpy()[finite]
+        predictions = y - resid[finite]
+        found = finite.any()
+        current_r2 = r_squared(y, predictions) if found else 0.0
+        criterion = aic(y, predictions, self._effective_num_params(model)) if found else float("inf")
         return RevalidationResult(
             model_id=model.model_id,
             previous_r_squared=model.quality.r_squared,
             current_r_squared=float(current_r2),
-            information_criterion=float(criterion_value),
-            still_acceptable=acceptable,
+            information_criterion=float(criterion),
+            still_acceptable=current_r2 >= self.harvester.gate(model).min_r_squared,
             covered_rows=table.num_rows,
-        )
-
-    def covered_data(self, model: CapturedModel, extra_columns: list[str] | None = None):
-        """The model's table restricted to the subset its coverage describes.
-
-        Partial models (a WHERE-restricted fit, e.g. one regime segment of a
-        streamed table) must be judged on their own subset — scoring them
-        against the whole table would condemn every segment model as soon as
-        a second regime exists.  ``extra_columns`` requests additional
-        columns in the projection (the maintenance loop needs the arrival-
-        order column alongside the modelled ones).
-        """
-        table = self.database.table(model.table_name)
-        row_range = model.coverage.row_range
-        if row_range is not None:
-            # Partition-scoped coverage: exactly the shard's rows, clamped
-            # to the current table length (a shrink mid-repartition).
-            start = min(int(row_range[0]), table.num_rows)
-            stop = min(int(row_range[1]), table.num_rows)
-            return table.slice(start, stop)
-        predicate = model.coverage.predicate_sql
-        if predicate is None:
-            return table
-        needed = list(
-            dict.fromkeys(
-                [
-                    *model.group_columns,
-                    *model.input_columns,
-                    model.output_column,
-                    *(extra_columns or []),
-                ]
-            )
-        )
-        projected = ", ".join(needed)
-        return self.database.query(
-            f"SELECT {projected} FROM {model.table_name} WHERE {predicate}"
         )
 
     @staticmethod
@@ -208,53 +165,49 @@ class ModelLifecycleManager:
             raise ModelNotFoundError(
                 f"no usable captured model predicts {output_column!r} of {table_name!r}"
             )
-        scored = [(self._revalidate_model(model).information_criterion, model) for model in candidates]
-        scored.sort(key=lambda pair: pair[0])
-        return scored[0][1]
+        return min(candidates, key=lambda model: self._score(model).information_criterion)
 
     def refit_if_needed(self, table_name: str, output_column: str) -> CapturedModel:
-        """Re-fit the current best model when its quality has degraded.
+        """Re-fit the serving model when its quality has degraded.
 
-        Returns the model that should be used afterwards (the re-fitted one,
-        or the existing one when it is still good).
+        Appends mark models stale, so the serving model is the best
+        servable one — stale included — whole-table models first.  Returns
+        the model that should be used afterwards: the accepted refit, or the
+        existing model when it is still good or its refit was rejected.
         """
-        model = self._current_model(table_name, output_column)
-        result = self._revalidate_model(model)
-        if not result.degraded or (model.quality.r_squared - result.current_r_squared) < self.refit_degradation:
+        candidates = self.store.candidates(
+            table_name, output_column, require_whole_table=False, include_stale=True
+        )
+        if not candidates:
+            raise ModelNotFoundError(
+                f"no usable captured model predicts {output_column!r} of {table_name!r}"
+            )
+        model = max(
+            candidates,
+            key=lambda m: (
+                m.coverage.covers_whole_table,
+                m.status == "active",
+                m.quality.adjusted_r_squared,
+                m.model_id,
+            ),
+        )
+        result = self._score(model)
+        if model.quality.r_squared - result.current_r_squared < REFIT_DEGRADATION:
             # Still fine: refresh its bookkeeping and keep it.
-            model.fitted_row_count = self.database.table(table_name).num_rows
+            model.fitted_row_count = result.covered_rows
             self.store.reactivate(model.model_id)
             return model
+        return self.succeed(model, self.harvester.refit(model))
 
-        return self._refit(model, table_name)
+    def succeed(self, model: CapturedModel, report: HarvestReport) -> CapturedModel:
+        """The succession rule: the model serving after ``report``'s refit.
 
-    def _current_model(self, table_name: str, output_column: str) -> CapturedModel:
-        """The model to re-validate: the best usable one, or the best stale one.
-
-        Appends mark models stale, so ``refit_if_needed`` right after an
-        insert must still find the previously-active model to judge it.
+        An accepted refit supersedes ``model`` (lineage and a journal event
+        included).  A rejected one must not bench it — a stale servable
+        model still beats answering nothing — so ``model`` keeps serving
+        and the rejected capture stays in the store for provenance.
         """
-        try:
-            return self.store.best_model(table_name, output_column)
-        except ModelNotFoundError:
-            candidates = [
-                model
-                for model in self.store.models_for_table(table_name, include_unusable=True)
-                if model.output_column == output_column
-                and model.status not in ("retired", "superseded")
-                and model.accepted
-            ]
-            if not candidates:
-                raise
-            return max(candidates, key=lambda m: (m.quality.adjusted_r_squared, m.model_id))
-
-    def _refit(self, model: CapturedModel, table_name: str) -> CapturedModel:
-        group_by = list(model.group_columns) or None
-        report = self.harvester.fit_and_capture(
-            table_name,
-            model.formula,
-            group_by=group_by,
-            predicate_sql=model.coverage.predicate_sql,
-        )
-        model.retire()
+        if not report.accepted:
+            return model
+        self.store.supersede(model.model_id, report.model.model_id)
         return report.model

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.captured_model import ModelCoverage, covered_rows, narrow
 from repro.core.harvester import HarvestReport
 from repro.db.table import Table
 from repro.errors import HarvestError
@@ -76,12 +77,7 @@ class StrawmanFrame:
         coverage records the predicate (§4.1, "multiple, partial or grouped
         models").
         """
-        combined = (
-            predicate_sql
-            if self._predicate_sql is None
-            else f"({self._predicate_sql}) AND ({predicate_sql})"
-        )
-        return StrawmanFrame(self._system, self._table_name, combined)
+        return StrawmanFrame(self._system, self._table_name, narrow(self._predicate_sql, predicate_sql))
 
     def summary(self) -> dict[str, dict[str, Any]]:
         """Per-column summary statistics, like a statistical environment's summary()."""
@@ -127,12 +123,11 @@ class StrawmanFrame:
     # -- internals ------------------------------------------------------------------------
 
     def _materialise(self) -> Table:
-        if self._predicate_sql is None:
-            return self._system.table(self._table_name)
+        table = self._system.table(self._table_name)
+        # The rows a fit on this frame would cover.
+        scope = ModelCoverage(self._table_name, (), "", predicate_sql=self._predicate_sql)
         try:
-            return self._system.database.query(
-                f"SELECT * FROM {self._table_name} WHERE {self._predicate_sql}"
-            )
+            return covered_rows(table, scope)
         except Exception as exc:  # surface a clearer error for bad predicates
             raise HarvestError(
                 f"could not materialise strawman for {self._table_name!r} "

@@ -352,6 +352,22 @@ class Column:
             return view
         return self.values[validity]
 
+    def float_numpy(self) -> np.ndarray:
+        """Return the values as a fresh float64 array with NaN at every NULL.
+
+        The numeric read for fitting and scoring: casting :meth:`to_numpy`
+        would turn the INT64 NULL sentinel into -9.2e18 instead of a value
+        every NaN-skipping consumer leaves out.
+        """
+        array = self.values.astype(np.float64)
+        validity = self.validity
+        if not validity.all():
+            array[~validity] = np.nan
+        if self.dtype is DataType.INT64:
+            # As in :meth:`null_mask`: the sentinel is NULL even where marked valid.
+            array[self.values == null_value(DataType.INT64)] = np.nan
+        return array
+
     # -- null accounting -----------------------------------------------------
 
     @property

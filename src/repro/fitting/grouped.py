@@ -283,11 +283,9 @@ class GroupedFitter:
         keys, group_row_positions = group_rows(
             [table.column(name) for name in self.group_columns]
         )
-        input_arrays = {
-            name: table.column(name).to_numpy().astype(np.float64) for name in self.input_columns
-        }
+        input_arrays = {name: table.column(name).float_numpy() for name in self.input_columns}
         input_validity = {name: table.column(name).validity for name in self.input_columns}
-        output_array = table.column(self.output_column).to_numpy().astype(np.float64)
+        output_array = table.column(self.output_column).float_numpy()
         output_validity = table.column(self.output_column).validity
 
         for key, rows in zip(keys, group_row_positions):

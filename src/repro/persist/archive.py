@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.captured_model import predicate_mask
 from repro.db.constraints import ColumnConstraint, extract_constraints
 from repro.db.database import Database
 from repro.db.sql.ast import SelectStatement
@@ -310,15 +311,12 @@ class ArchiveTier:
 
     def _predicate_mask(self, table: Table, predicate_sql: str) -> np.ndarray:
         try:
-            expression = parse_expression(predicate_sql)
-            result = expression.evaluate(table)
+            return predicate_mask(table, predicate_sql)
         except Exception as exc:
             raise ArchiveError(
                 f"cannot evaluate archive predicate {predicate_sql!r} on "
                 f"{table.name!r}: {exc}"
             ) from exc
-        values = np.asarray(result.values, dtype=bool)
-        return values & np.asarray(result.validity, dtype=bool)
 
     # -- merged statistics overlay ----------------------------------------------
 

@@ -23,6 +23,7 @@ import errno as _errno_mod
 import json
 import os
 import shutil
+import time
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -293,6 +294,11 @@ class DurableStore:
         """
         if self._closed:
             raise PersistenceError("durable store is closed")
+        # The commit lock is not fair: a caller checkpointing back to back
+        # re-takes it before a writer woken by the previous release can run,
+        # and starves that writer.  Yielding the processor first hands the
+        # lock to whoever is already waiting for it.
+        time.sleep(0)
         with system.database.catalog.commit_lock:
             return self._checkpoint_locked(system)
 

@@ -16,23 +16,27 @@ closes that loop autonomously:
    fresh whole-table model, then **supersedes** the old model in the store —
    so the approximate engine, semantic compression and zero-IO scans keep
    answering from fresh models instead of falling back to exact execution.
+
+Every refit here is the harvester's one refit (:meth:`ModelHarvester.refit`:
+the capture again — formula, grouping, estimator, gate and scope — narrowed
+to a segment or widened to the table), and every replacement goes through
+the lifecycle's one succession rule (:meth:`ModelLifecycleManager.succeed`).
+Rows are the coverage's (:func:`~repro.core.captured_model.covered_rows`)
+and scores are :func:`~repro.core.captured_model.residuals`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.captured_model import CapturedModel
+from repro.core.captured_model import CapturedModel, covered_rows, residuals
 from repro.core.harvester import HarvestReport, ModelHarvester
 from repro.core.model_store import ModelStore
 from repro.core.storage.model_switching import ModelLifecycleManager
-from repro.db.column import Column
 from repro.db.database import Database
-from repro.db.sql.parser import parse_expression
 from repro.db.table import Table
 from repro.errors import DriftMonitorError, ModelNotFoundError, ReproError, StreamingError
 from repro.obs.events import EventJournal
@@ -282,19 +286,21 @@ class ModelMaintenancePolicy:
         rows belonging to a historical segment must not feed the current
         segment model's drift detector.
         """
+        staged: Table | None = None
         for target in self._targets.values():
             if target.table_name != batch.table_name:
                 continue
+            if staged is None:
+                schema = self.database.table(batch.table_name).schema
+                staged = Table.from_rows("ingest_batch", schema, batch.rows)
             model = self.store.get(target.model_id)
-            rows = self._covered_batch_rows(batch, model)
-            if not rows:
+            rows = covered_rows(staged, model.coverage, start_row=batch.start_row)
+            if not rows.num_rows:
                 continue
-            arrays, group_keys = self._batch_columns(batch.table_name, rows, model)
-            residuals = _model_residuals(model, arrays, group_keys)
             was_drifted = (
                 target.last_verdict is not None and target.last_verdict.drifted
             )
-            target.detector.observe(residuals)
+            target.detector.observe(residuals(model, rows))
             target.batches_seen += 1
             verdict = target.last_verdict
             if verdict is not None and verdict.drifted and not was_drifted:
@@ -452,10 +458,17 @@ class ModelMaintenancePolicy:
             return self._refit_coverage(
                 target, model, reason="drift confirmed but no order column to segment on"
             )
-        arrays, group_keys, order_values = self._ordered_columns(model, target.order_column)
-        residuals = _model_residuals(model, arrays, group_keys)
+        # The model's *covered* rows in arrival order: scoring a partial
+        # (segment) model on rows it never fitted would re-detect every
+        # historical change point on each new drift.  Rows with a NULL
+        # arrival order cannot be placed on the timeline (and a NaN boundary
+        # would render an unparseable predicate); they are left out.
+        table = covered_rows(self.database.table(model.table_name), model.coverage)
+        order_values = table.column(target.order_column).float_numpy()
+        placed = np.flatnonzero(np.isfinite(order_values))
+        order = placed[np.argsort(order_values[placed], kind="stable")]
         cp_result = find_changepoints(
-            residuals,
+            residuals(model, table.take(order)),
             min_segment=self.min_segment,
             max_changepoints=self.max_changepoints,
             significance=self.significance,
@@ -464,19 +477,16 @@ class ModelMaintenancePolicy:
             return self._refit_coverage(
                 target, model, reason=f"drift confirmed; {cp_result.describe()}"
             )
-        return self._segment_and_refit(target, model, cp_result, order_values)
+        return self._segment_and_refit(target, model, cp_result, order_values[order])
 
     def _refit_coverage(
         self, target: WatchTarget, model: CapturedModel, reason: str
     ) -> MaintenanceAction:
-        # Preserve the old model's coverage: a drifted segment model is
-        # refitted over its own segment, a whole-table model over the table.
-        report = self._harvest(model, predicate_sql=model.coverage.predicate_sql)
+        # The old model's own scope: a drifted segment model is refitted
+        # over its own segment, a whole-table model over the table.
+        report = self._harvest(model)
         if report.accepted:
-            # A rejected refit must not bench the old model: a stale servable
-            # model still beats answering nothing.
-            self.store.supersede(model.model_id, report.model.model_id)
-            self._adopt(target, report.model)
+            self._adopt(target, self.lifecycle.succeed(model, report))
         else:
             # Keep monitoring the still-serving old model; clearing the
             # detector and deferring further attempts until new data arrives
@@ -505,16 +515,10 @@ class ModelMaintenancePolicy:
         # coverage, so the new segments partition *that* subset — a drifted
         # tail-segment model is split into sub-segments of its own range, not
         # into segments that re-cover (and duplicate) historical regimes.
-        base_predicate = model.coverage.predicate_sql
-        predicates = _segment_predicates(target.order_column, boundaries)
-        if base_predicate is not None:
-            # Parenthesised: a base predicate containing OR must not be
-            # re-bracketed by AND precedence.
-            predicates = [f"({base_predicate}) AND ({p})" for p in predicates]
         segment_reports: list[HarvestReport] = []
-        for predicate in predicates:
+        for segment in _segment_predicates(target.order_column, boundaries):
             try:
-                segment_reports.append(self._harvest(model, predicate_sql=predicate))
+                segment_reports.append(self._harvest(model, segment))
             except ReproError:
                 # A segment too small or degenerate to fit is skipped; the
                 # whole-table refit below still covers its rows.
@@ -524,7 +528,7 @@ class ModelMaintenancePolicy:
         # raising fit would otherwise leave half-finished state (segments
         # stored, no supersede, no deferral) that is re-done every tick.
         try:
-            whole_report = self._harvest(model, predicate_sql=None)
+            whole_report = self._harvest(model, keep_predicate=False)
             whole_note = f"whole-table model#{whole_report.model.model_id} (accepted={whole_report.accepted})"
         except ReproError as exc:
             whole_report = None
@@ -532,26 +536,20 @@ class ModelMaintenancePolicy:
         whole_accepted = whole_report is not None and whole_report.accepted
 
         # The old model's serving role passes to whoever now covers it: the
-        # last accepted sub-segment for a partial model, the accepted
-        # whole-table refit otherwise.  A rejected successor must not bench
-        # the old model — stale servable still beats answering nothing.
-        last_segment = next(
-            (report.model for report in reversed(segment_reports) if report.accepted), None
-        )
-        if base_predicate is not None:
-            successor = last_segment or (whole_report.model if whole_accepted else None)
-        else:
-            successor = whole_report.model if whole_accepted else None
+        # last accepted sub-segment for a partial model, the whole-table
+        # refit otherwise — through the one succession rule.
+        last_segment = next((report for report in reversed(segment_reports) if report.accepted), None)
+        successor = whole_report
+        if model.coverage.predicate_sql is not None and last_segment is not None:
+            successor = last_segment
         if successor is not None:
-            self.store.supersede(model.model_id, successor.model_id)
+            self.lifecycle.succeed(model, successor)
 
         # Monitor the freshest regime: new rows arrive at the end of the
         # order, which the last accepted segment model covers best.
-        monitored = last_segment
-        if monitored is None and whole_accepted:
-            monitored = whole_report.model
+        monitored = last_segment or (whole_report if whole_accepted else None)
         if monitored is not None:
-            self._adopt(target, monitored)
+            self._adopt(target, monitored.model)
         else:
             target.detector.reset()
         if not whole_accepted:
@@ -579,7 +577,10 @@ class ModelMaintenancePolicy:
 
     # -- helpers ---------------------------------------------------------------------------
 
-    def _harvest(self, model: CapturedModel, predicate_sql: str | None) -> HarvestReport:
+    def _harvest(
+        self, model: CapturedModel, segment: str | None = None, *, keep_predicate: bool = True
+    ) -> HarvestReport:
+        """The harvester's one refit, behind the target's fault point and breaker."""
         faults = self.resilience.faults
         if faults is not None:
             try:
@@ -589,30 +590,7 @@ class ModelMaintenancePolicy:
                     f"maintenance refit of {model.table_name}.{model.output_column} "
                     f"failed: {exc.strerror or exc}"
                 ) from exc
-        # Refit with the same estimator settings the original capture used —
-        # a robust or Gauss-Newton model must not silently become a plain
-        # least-squares one across a maintenance refit.  Partition-scoped
-        # models refit over their shard's *current* row range (the partition
-        # map may have absorbed appended rows since the capture).
-        row_range = model.coverage.row_range
-        partition_id = model.metadata.get("partition_id")
-        if row_range is not None and partition_id is not None:
-            payload = self.database.catalog.table_meta(model.table_name, "partitions")
-            for entry in (payload or {}).get("partitions", ()):
-                if int(entry["id"]) == int(partition_id):
-                    start = int(entry["start"])
-                    row_range = (start, start + int(entry["rows"]))
-                    break
-        report = self.harvester.fit_and_capture(
-            model.table_name,
-            model.formula,
-            group_by=list(model.group_columns) or None,
-            predicate_sql=predicate_sql,
-            robust=bool(model.metadata.get("robust", False)),
-            method=str(model.metadata.get("method", "lm")),
-            row_range=row_range,
-            partition_id=None if partition_id is None else int(partition_id),
-        )
+        report = self.harvester.refit(model, segment, keep_predicate=keep_predicate)
         # A completed fit — accepted or quality-rejected — is not a fault; it
         # closes (or keeps closed) the target's breaker.
         self._breaker(model).record_success()
@@ -636,116 +614,10 @@ class ModelMaintenancePolicy:
             )
         return float(rse)
 
-    @staticmethod
-    def _needed_columns(model: CapturedModel) -> list[str]:
-        return list(dict.fromkeys([*model.input_columns, model.output_column]))
-
-    def _covered_table(self, model: CapturedModel, order_column: str | None) -> Table:
-        """The model's table restricted to its coverage predicate (if any)."""
-        extra = [order_column] if order_column is not None else None
-        return self.lifecycle.covered_data(model, extra_columns=extra)
-
-    def _covered_batch_rows(
-        self, batch: IngestBatch, model: CapturedModel
-    ) -> tuple[tuple[Any, ...], ...]:
-        """The batch rows that fall inside the model's coverage predicate."""
-        row_range = model.coverage.row_range
-        if row_range is not None:
-            # Partition-scoped coverage: only the batch rows that landed
-            # inside the shard's row interval are the model's to score.
-            lo = max(int(row_range[0]), batch.start_row) - batch.start_row
-            hi = min(int(row_range[1]), batch.end_row) - batch.start_row
-            return batch.rows[lo:hi] if hi > lo else ()
-        predicate = model.coverage.predicate_sql
-        if predicate is None:
-            return batch.rows
-        schema = self.database.table(batch.table_name).schema
-        staged = Table.from_rows("ingest_batch", schema, batch.rows)
-        mask = _parsed_predicate(predicate).evaluate(staged).to_pylist()
-        return tuple(row for row, keep in zip(batch.rows, mask) if keep)
-
-    def _batch_columns(
-        self, table_name: str, rows: tuple[tuple[Any, ...], ...], model: CapturedModel
-    ) -> tuple[dict[str, np.ndarray], list[list[Any]] | None]:
-        """Column arrays (and group key lists) for just the given batch rows."""
-        schema_names = self.database.table(table_name).schema.names
-        positions = {name: i for i, name in enumerate(schema_names)}
-        arrays = {
-            name: np.array(
-                [_as_float(row[positions[name]]) for row in rows], dtype=np.float64
-            )
-            for name in self._needed_columns(model)
-        }
-        group_keys = None
-        if model.is_grouped:
-            group_keys = [
-                [row[positions[name]] for row in rows] for name in model.group_columns
-            ]
-        return arrays, group_keys
-
-    def _ordered_columns(
-        self, model: CapturedModel, order_column: str | None
-    ) -> tuple[dict[str, np.ndarray], list[Column] | None, np.ndarray | None]:
-        """Column arrays of the model's *covered* rows, in arrival order.
-
-        Restricting to the coverage subset matters for partial (segment)
-        models: scoring them on rows they never fitted would re-detect every
-        historical change point on each new drift.
-        """
-        table = self._covered_table(model, order_column)
-        arrays = {
-            name: table.column(name).to_numpy().astype(np.float64)
-            for name in self._needed_columns(model)
-        }
-        group_keys = None
-        if model.is_grouped:
-            group_keys = [table.column(name) for name in model.group_columns]
-        order_values = None
-        if order_column is not None:
-            order_values = table.column(order_column).to_numpy().astype(np.float64)
-            # Rows with a NULL/NaN arrival order cannot be placed on the
-            # timeline (and a NaN boundary would render an unparseable
-            # predicate); they are excluded from drift analysis.
-            finite = np.isfinite(order_values)
-            order = np.argsort(order_values[finite], kind="stable")
-            arrays = {name: values[finite][order] for name, values in arrays.items()}
-            order_values = order_values[finite][order]
-            if group_keys is not None:
-                kept = np.flatnonzero(finite)[order]
-                group_keys = [keys.take(kept) for keys in group_keys]
-        return arrays, group_keys, order_values
-
 
 # ---------------------------------------------------------------------------
-# Residual and segmentation helpers
+# Segmentation helpers
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=256)
-def _parsed_predicate(text: str):
-    """Parsed coverage predicates, memoized — on_batch evaluates the same
-    predicate for every flushed batch of a watched table."""
-    return parse_expression(text)
-
-
-def _as_float(value: Any) -> float:
-    return float(value) if value is not None else float("nan")
-
-
-def _model_residuals(
-    model: CapturedModel,
-    arrays: dict[str, np.ndarray],
-    group_keys: "list[list[Any]] | list[Column] | None",
-) -> np.ndarray:
-    """Per-row residuals of ``model`` over the given column arrays.
-
-    Rows of groups the model has no parameters for (new entities appearing
-    mid-stream) come back NaN — the detectors and the change-point test both
-    ignore non-finite entries.
-    """
-    y = arrays[model.output_column]
-    inputs = {name: arrays[name] for name in model.input_columns}
-    return y - model.predict_rows(inputs, group_keys)
 
 
 def _segment_boundaries(indices: list[int], order_values: np.ndarray) -> list[float]:

@@ -141,11 +141,15 @@ class TestModelLifecycle:
         db.insert_rows("measurements", rows)
         db.lifecycle.revalidate("measurements")
         old_model = db.captured_models("measurements")[0]
-        # Reactivate so refit_if_needed can find it as the current best.
         db.models.reactivate(old_model.model_id)
-        new_model = db.lifecycle.refit_if_needed("measurements", "intensity")
-        assert new_model.model_id != old_model.model_id
-        assert old_model.status == "retired"
+        serving = db.lifecycle.refit_if_needed("measurements", "intensity")
+        # The data is noise now, so the per-source refit is rejected: it is
+        # kept for provenance and the predecessor keeps serving.
+        refits = [m for m in db.captured_models("measurements") if m.model_id > old_model.model_id]
+        assert len(refits) == 1
+        assert not refits[0].accepted and refits[0].group_columns == ("source",)
+        assert serving is old_model and old_model.status == "active"
+        assert db.best_model("measurements", "intensity") is old_model
 
     def test_refit_not_needed_keeps_model(self, db):
         model = db.captured_models("measurements")[0]

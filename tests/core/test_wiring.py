@@ -337,3 +337,100 @@ def test_no_module_imports_a_private_name_from_the_approx_package():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# -- (f) one answer per lifecycle question ----------------------------------------------
+
+#: Capture settings a refit re-applies; ``metadata`` holds them for the warehouse.
+CAPTURE_SETTINGS = {"robust", "method", "partition_id", "min_observations", "policy"}
+#: Where numeric reads must go through ``Column.float_numpy`` (NULL -> NaN).
+NUMERIC_READERS = ("core/harvester.py", "core/storage/model_switching.py", "core/planner/feedback.py", "streaming/")
+
+
+def _functions():
+    for relative, tree in _modules():
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield relative, function
+
+
+def _is_metadata(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "metadata") or (
+        isinstance(node, ast.Attribute) and node.attr == "metadata"
+    )
+
+
+def _reads_a_capture_setting(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+        receiver, keys = node.func.value, node.args[:1]
+    elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+        receiver, keys = node.value, [node.slice]
+    else:
+        return False
+    return _is_metadata(receiver) and any(
+        isinstance(key, ast.Constant) and key.value in CAPTURE_SETTINGS for key in keys
+    )
+
+
+def test_capture_settings_are_read_back_in_one_function():
+    """How a model was captured is re-read by ``capture_settings`` alone: the
+    refit, the on-demand grouped capture and revalidation's gate ask it."""
+    readers = {
+        f"{relative}:{function.name}"
+        for relative, function in _functions()
+        if any(_reads_a_capture_setting(node) for node in ast.walk(function))
+    }
+    assert readers == {"core/harvester.py:capture_settings"}
+
+
+def _literal_parts(node: ast.JoinedStr) -> list[str | None]:
+    """The f-string's literal text, with None for each ``{…}`` field."""
+    return [part.value if isinstance(part, ast.Constant) else None for part in node.values]
+
+
+def test_covered_rows_are_never_selected_by_sql_text_and_predicates_are_narrowed_once():
+    """Rows come from ``covered_rows``: no f-string builds ``SELECT … WHERE {…}``,
+    and the ``({a}) AND ({b})`` conjunction is ``narrow`` alone."""
+    selects, conjunctions = [], []
+    for relative, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.JoinedStr):
+                continue
+            parts = _literal_parts(node)
+            for before, after in zip(parts, parts[1:]):
+                if after is None and isinstance(before, str) and before.rstrip().endswith("WHERE"):
+                    if any(isinstance(p, str) and "SELECT" in p for p in parts):
+                        selects.append(f"{relative}:{node.lineno}")
+            for i, part in enumerate(parts[1:-1], start=1):
+                if part is not None and part.strip() == ") AND (" and parts[i - 1] is None and parts[i + 1] is None:
+                    conjunctions.append(relative)
+    assert selects == []
+    assert conjunctions == ["core/captured_model.py"]
+
+
+def test_lifecycle_numeric_reads_never_cast_the_null_sentinel():
+    """``to_numpy()`` keeps the INT64 NULL sentinel; a float cast of it is
+    −9.2·10¹⁸, not a missing value.  Fitting, scoring and verification read
+    ``float_numpy()`` instead."""
+    casts = []
+    for relative, tree in _modules():
+        if not relative.startswith(NUMERIC_READERS):
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "astype":
+                operands = [node.func.value]
+            elif node.func.attr in ("asarray", "array"):
+                operands = node.args
+            else:
+                continue
+            if any(
+                isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr == "to_numpy"
+                for operand in operands
+                for inner in ast.walk(operand)
+            ):
+                casts.append(f"{relative}:{node.lineno}")
+    assert casts == []

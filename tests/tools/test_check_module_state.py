@@ -45,8 +45,14 @@ def test_ignores_immutable_bindings_and_nested_scopes():
     assert _names(source) == set()
 
 
+def _guarded(path: str) -> bool:
+    return any(
+        path == root or path.startswith(root + "/") for root in check_module_state.DEFAULT_ROOTS
+    )
+
+
 def test_the_answer_routes_are_guarded_and_a_route_table_must_be_a_tuple():
-    assert "src/repro/core/approx" in check_module_state.DEFAULT_ROOTS
+    assert _guarded("src/repro/core/approx/routes/__init__.py")
     assert _names("ROUTES = [grouped.ROUTE, point.ROUTE]\n") == {"ROUTES"}
     assert _names("ROUTE_AGGREGATES = {'count', 'sum'}\n") == {"ROUTE_AGGREGATES"}
     source = (
@@ -55,6 +61,22 @@ def test_the_answer_routes_are_guarded_and_a_route_table_must_be_a_tuple():
         "ROUTE = Route(_gate, _sketch, _answer)\n"
     )
     assert _names(source) == set()
+
+
+def test_the_lifecycle_is_guarded_and_a_lookup_table_must_be_read_only():
+    """Drift scoring runs on ingest threads and refits on every ``maintain()``
+    caller: all of ``core`` and ``streaming`` is guarded, and a module-level
+    lookup table there is a ``MappingProxyType`` over its dict."""
+    for path in (
+        "src/repro/core/harvester.py",
+        "src/repro/core/storage/model_switching.py",
+        "src/repro/core/planner/planner.py",
+        "src/repro/streaming/maintenance.py",
+    ):
+        assert _guarded(path), path
+    assert _names("_FACTOR = {'count': 0.25, 'avg': 1.0}\n") == {"_FACTOR"}
+    assert _names("_FACTOR = MappingProxyType({'count': 0.25, 'avg': 1.0})\n") == set()
+    assert _names("_FACTOR = types.MappingProxyType({'count': 0.25})\n") == set()
 
 
 def test_check_flags_new_state_and_stale_allowlist(tmp_path, monkeypatch):

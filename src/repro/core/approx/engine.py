@@ -42,23 +42,30 @@ order:
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain
 from time import perf_counter
 from typing import Any, Callable
 
 from repro.core.approx.enumeration import DEFAULT_MAX_ROWS
 from repro.core.approx.legal import LegalCombinationFilter
-from repro.core.approx.protocol import ApproximateAnswer, Probe, Route, RouteSketch
+from repro.core.approx.protocol import ApproximateAnswer, BoundRoute, Probe, Route, RouteSketch
 from repro.core.approx.routes import ROUTES
 from repro.core.approx.routes.grouped import GroupedRoutePlan
 from repro.core.captured_model import CapturedModel
 from repro.core.model_store import ModelStore
-from repro.db.constraints import bare_name, extract_constraints
+from repro.db.constraints import bare_name
 from repro.db.database import Database
 from repro.db.sql.ast import SelectStatement, Star, Statement
 from repro.errors import ApproximationError, EnumerationError, ModelNotFoundError
 from repro.obs.trace import Tracer
 
-__all__ = ["ApproximateAnswer", "ApproximateQueryEngine", "RouteSketch"]
+__all__ = [
+    "ApproximateAnswer",
+    "ApproximateQueryEngine",
+    "BoundRoute",
+    "RouteSketch",
+    "walked",
+]
 
 
 class ApproximateQueryEngine:
@@ -99,20 +106,30 @@ class ApproximateQueryEngine:
     ) -> ApproximateAnswer:
         """Answer ``sql`` from captured models, falling back to exact execution.
 
-        ``statement`` lets the query pipeline hand over the AST it already
-        parsed; without it, the SQL text is parsed through the executor's
-        shared LRU cache — never re-lexed per call.
-        ``grouped_route_plan`` likewise hands over the per-group routing the
-        planner's sketch already computed, so grouped queries are not
-        route-planned twice per execution (the caller guarantees it was
-        built against the current catalog/store state).
+        :meth:`resolve` then :meth:`answer_bound`.  ``statement`` lets the
+        caller hand over the AST it already parsed; without it, the SQL text
+        is parsed through the executor's shared LRU cache.
+        ``grouped_route_plan`` likewise hands over a per-group routing already
+        computed (the caller guarantees it was built against the current
+        catalog/store state).
+        """
+        bound = self.resolve(sql, statement, True, grouped_plan=grouped_route_plan)
+        return self.answer_bound(sql, bound, allow_fallback)
+
+    def answer_bound(self, sql: str, bound: BoundRoute, allow_fallback: bool = True) -> ApproximateAnswer:
+        """Serve what a walk bound to ``sql``: the route's answer, directly.
+
+        No earlier gate runs again and no model is selected.  When the route
+        declines at evaluation the walk continues from the next route; when
+        no route admitted the statement, it falls back (or raises) with the
+        reason the walk declined with.
         """
         started = perf_counter()
         # Per-execution IO scope: interleaved queries on other threads never
         # leak pages into this answer's attribution.
         with self.database.io_model.scope() as io_scope:
             try:
-                answer = self._serve(self._probe(sql, statement, grouped_route_plan))
+                answer = self._serve(bound)
                 self._note_staleness(answer)
             except (ApproximationError, EnumerationError, ModelNotFoundError) as exc:
                 if not allow_fallback:
@@ -127,21 +144,63 @@ class ApproximateQueryEngine:
     ) -> RouteSketch | None:
         """Predict — without executing — which model route would serve ``sql``.
 
-        Walks the same route table as :meth:`answer`, stopping at the first
-        shape gate that admits the statement, so the prediction and the
-        execution cannot drift apart.  Returns None when no model route
-        applies (the statement can only run exactly).  ``for_execution=True``
+        The sketch of the route :meth:`resolve` binds, so the prediction and
+        the execution cannot drift apart.  Returns None when no model route
+        applies (the statement can only run exactly).
+        """
+        bound = self.resolve(sql, statement, for_execution)
+        return bound.sketch(self) if bound.match is not None else None
+
+    def resolve(
+        self,
+        sql: str,
+        statement: Statement | None = None,
+        for_execution: bool = False,
+        grouped_plan: GroupedRoutePlan | None = None,
+    ) -> BoundRoute:
+        """The first route whose shape gate admits ``sql``, bound to it.
+
+        When no gate admits the statement the result carries the rung the
+        walk stopped on and the error it declined with.  ``for_execution=True``
         permits side effects the real answer path would incur anyway (the
         on-demand grouped harvest); a pure EXPLAIN must leave the store
         untouched and passes False.
         """
         try:
-            probe = self._probe(sql, statement, allow_harvest=for_execution)
-            for route, match in self._admitting_routes(probe):
-                return route.sketch(self, probe, match)
-        except (ApproximationError, EnumerationError, ModelNotFoundError):
-            pass
-        return None
+            probe = self._probe(sql, statement, grouped_plan, allow_harvest=for_execution)
+        except (ApproximationError, EnumerationError, ModelNotFoundError) as exc:
+            return BoundRoute(None, None, None, _fresh(exc))
+        return self._bind_from(probe, 0)
+
+    def rebind(self, bound: BoundRoute, sql: str, statement: SelectStatement) -> BoundRoute:
+        """``bound`` — what a statement of the same shape resolved to — bound to ``statement``.
+
+        The caller guarantees every gate the walk to ``bound`` consulted reads
+        ``statement``'s literals as it read the first statement's (equal
+        :func:`walked` literal keys): the earlier gates decline again and a
+        declined walk declines alike, so neither runs.  The probe keeps what
+        the shape decides — the table, the referenced columns, the serving
+        model and the grouped route's per-group routing; the WHERE pins and
+        the bound route's own gate are this statement's, and the walk goes on
+        from the next route only if that gate does not admit it.  A walk made
+        for ``statement`` itself is returned as it is.
+        """
+        if bound.match is None or bound.probe.statement is statement:
+            return bound
+        shaped = bound.probe
+        probe = Probe(
+            sql,
+            statement,
+            shaped.table_name,
+            shaped.referenced,
+            self.database,
+            bound.match if isinstance(bound.match, GroupedRoutePlan) else None,
+            shaped.allow_harvest,
+        )
+        if shaped.model is not None:
+            probe.model = shaped.model
+            probe.pinned = _pins(statement)
+        return self._bind_from(probe, ROUTES.index(bound.route))
 
     # -- the route walk -----------------------------------------------------------
 
@@ -173,25 +232,43 @@ class ApproximateQueryEngine:
             allow_harvest,
         )
 
-    def _admitting_routes(self, probe: Probe) -> Iterator[tuple[Route, Any]]:
-        """Yield ``(route, gate match)`` for each route whose shape gate admits
-        the statement, in routing order — the one walk behind both the static
-        sketch (which stops at the first) and the answer (which moves on when
-        a route declines at evaluation time).  The last route, enumeration,
-        admits or raises, so the walk never comes up empty."""
-        for route in ROUTES:
-            if route.needs_model and probe.model is None:
-                self._bind_model(probe)
-            match = route.gate(self, probe)
+    def _bind_from(self, probe: Probe, start: int) -> BoundRoute:
+        """Walk ``ROUTES`` from ``start``: the first route whose shape gate
+        admits ``probe``, bound to it — or the rung that raised, with the
+        error.  The last route, enumeration, admits or raises, so only a walk
+        that starts past it comes up empty."""
+        for route in ROUTES[start:]:
+            try:
+                if route.needs_model and probe.model is None:
+                    self._bind_model(probe)
+                match = route.gate(self, probe)
+            except (ApproximationError, EnumerationError, ModelNotFoundError) as exc:
+                return BoundRoute(route, probe, None, _fresh(exc))
             if match is not None:
-                yield route, match
+                return BoundRoute(route, probe, match)
+        return BoundRoute(None, probe, None, ApproximationError("no model route serves the statement"))
 
-    def _serve(self, probe: Probe) -> ApproximateAnswer:
-        for route, match in self._admitting_routes(probe):
-            answer = route.answer(self, probe, match)
+    def _admitting_routes(self, probe: Probe, start: int = 0) -> Iterator[tuple[Route, Any]]:
+        """Yield ``(route, gate match)`` for each route from ``ROUTES[start]``
+        on whose shape gate admits the statement, in routing order; past the
+        last, raise the error the walk declined with."""
+        bound = self._bind_from(probe, start)
+        while bound.match is not None:
+            yield bound.route, bound.match
+            bound = self._bind_from(probe, ROUTES.index(bound.route) + 1)
+        raise _fresh(bound.declined)
+
+    def _serve(self, bound: BoundRoute) -> ApproximateAnswer:
+        """The bound route's answer; when it declines at evaluation, the next
+        admitting route's — the walk moves on."""
+        if bound.match is None:
+            raise _fresh(bound.declined)
+        later = self._admitting_routes(bound.probe, ROUTES.index(bound.route) + 1)
+        for route, match in chain([(bound.route, bound.match)], later):
+            answer = route.answer(self, bound.probe, match)
             if answer is not None:
                 return answer
-        raise ApproximationError("no model route serves the statement")  # pragma: no cover
+        raise AssertionError("the walk ends by raising")  # pragma: no cover
 
     def _exact(self, sql: str, reason: str) -> ApproximateAnswer:
         result = self.database.sql(sql)
@@ -221,11 +298,7 @@ class ApproximateQueryEngine:
                 f"query references columns {sorted(uncovered)} that model {model.model_id} does not cover"
             )
         probe.model = model
-        probe.pinned = {
-            column: list(constraint.values)
-            for column, constraint in extract_constraints(probe.statement.where).by_column.items()
-            if constraint.is_pinned
-        }
+        probe.pinned = _pins(probe.statement)
 
     def _select_model(self, table_name: str, referenced: set[str]) -> CapturedModel:
         """Pick the captured model whose output the query needs.
@@ -271,6 +344,29 @@ class ApproximateQueryEngine:
         if stale_ids:
             note = f"served by stale model(s) {stale_ids} pending maintenance"
             answer.reason = f"{answer.reason}; {note}" if answer.reason else note
+
+
+def _fresh(error: Exception) -> Exception:
+    """The same error without its traceback: one a cached plan can hold (and
+    execution raise) without keeping the walk's frames alive."""
+    return type(error)(*error.args)
+
+
+def _pins(statement: SelectStatement) -> dict[str, list[Any]]:
+    """The values the WHERE clause's top-level conjuncts pin columns to."""
+    return {
+        column: list(constraint.values)
+        for column, constraint in statement.constraints.by_column.items()
+        if constraint.is_pinned
+    }
+
+
+def walked(bound: BoundRoute | None) -> tuple[Route, ...]:
+    """The routes whose gates decided ``bound``: every rung up to the one the
+    walk ended on (none when it could not start)."""
+    if bound is None or bound.route is None:
+        return ()
+    return ROUTES[: ROUTES.index(bound.route) + 1]
 
 
 def _referenced_columns(statement: SelectStatement) -> set[str]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.approx.error_bounds import ErrorEstimate
@@ -25,12 +24,14 @@ from repro.db.sql.ast import SelectStatement
 from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.errors import ApproximationError
+from repro.lazy import lazy_attribute
 
 if TYPE_CHECKING:
     from repro.core.approx.routes.grouped import GroupedRoutePlan
 
 __all__ = [
     "ApproximateAnswer",
+    "BoundRoute",
     "Probe",
     "Route",
     "RouteSketch",
@@ -132,7 +133,8 @@ class Probe:
     table_name: str
     referenced: set[str]
     database: Database
-    #: The grouped route plan the planner's sketch already computed, if any.
+    #: The grouped route plan already computed for a statement of this
+    #: shape, if any: its routing is kept, its analysis redone.
     grouped_plan: GroupedRoutePlan | None
     #: Whether the grouped gate may harvest a grouped model on demand.
     allow_harvest: bool
@@ -141,18 +143,22 @@ class Probe:
     model: CapturedModel | None = None
     pinned: dict[str, list[Any]] = field(default_factory=dict)
 
-    @cached_property
+    @lazy_attribute
     def stats(self) -> TableStats:
         """The table's statistics, looked up by the first route that asks."""
         return self.database.stats(self.table_name)
 
-    @cached_property
+    @lazy_attribute
     def item_aggregates(self) -> list[list[FunctionCall]]:
         """Per SELECT item, the aggregate calls inside it, outermost first."""
         return [aggregate_calls(item.expression) for item in self.statement.items]
 
 
-@dataclass(frozen=True)
+def _reads_no_literals(statement: SelectStatement) -> tuple:
+    return ()
+
+
+@dataclass(frozen=True, eq=False)
 class Route:
     """One rung of the routing order.
 
@@ -161,6 +167,10 @@ class Route:
     ``sketch(engine, probe, match)`` predicts the route statically;
     ``answer(engine, probe, match)`` serves it, or returns None when
     evaluation finds it cannot after all (the walk moves on).
+    ``literal_key(statement)`` names every fact ``gate`` and ``sketch`` read
+    from the statement's literal *values* (beyond its shape): two statements
+    of one shape with equal keys get the same gate decision and the same
+    sketch, so the planner may decide one for the other.
     """
 
     gate: Callable[..., Any]
@@ -168,6 +178,30 @@ class Route:
     answer: Callable[..., "ApproximateAnswer | None"]
     #: Whether the engine must bind ``probe.model`` before the gate runs.
     needs_model: bool = True
+    literal_key: Callable[[SelectStatement], Any] = _reads_no_literals
+
+
+@dataclass(frozen=True)
+class BoundRoute:
+    """Where one statement's route walk ended: the rung whose gate admitted
+    it, the statement's probe and what the gate returned — or, with no
+    ``match``, the rung the walk stopped on and the error it declined with.
+
+    The planner keeps the one a statement shape first resolved to and rebinds
+    it for every statement of that shape whose literals the walked gates
+    read alike (:meth:`ApproximateQueryEngine.rebind`); execution calls the
+    route's ``answer`` with it directly, or falls back for the stated reason.
+    ``route`` is None when no rung decided: the statement's shape rules every
+    rung out, or a walk resumed after the last one.
+    """
+
+    route: Route | None
+    probe: Probe | None
+    match: Any
+    declined: Exception | None = None
+
+    def sketch(self, engine: Any) -> RouteSketch:
+        return self.route.sketch(engine, self.probe, self.match)
 
 
 def aggregate_calls(expression: Expression) -> list[FunctionCall]:

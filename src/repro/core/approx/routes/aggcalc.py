@@ -40,6 +40,7 @@ __all__ = [
     "ItemSpec",
     "analyse_select_items",
     "as_floats",
+    "pin_facts",
     "DomainRestriction",
     "restricted_domains",
     "current_group_rows",
@@ -199,6 +200,17 @@ def as_floats(values: list[Any]) -> list[float] | None:
         return [float(v) for v in values]
     except (TypeError, ValueError):
         return None
+
+
+def pin_facts(statement: SelectStatement) -> tuple:
+    """Per pinned column, how many values the WHERE clause keeps and whether
+    they all read as numbers: what a point lookup or a domain restriction
+    decides on (a route's ``literal_key``)."""
+    return tuple(
+        (column, len(constraint.values), as_floats(constraint.values) is not None)
+        for column, constraint in statement.constraints.by_column.items()
+        if constraint.is_pinned
+    )
 
 
 def growth_scale(model: CapturedModel, stats: TableStats) -> float:

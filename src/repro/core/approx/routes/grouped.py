@@ -17,13 +17,14 @@ and merged in, per the routing plan of
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.core.approx.protocol import ApproximateAnswer, Probe, Route, RouteSketch
 from repro.core.approx.routes.aggcalc import (
+    DomainRestriction,
     ItemSpec,
     aggregate_values_errors,
     analyse_select_items,
@@ -31,14 +32,11 @@ from repro.core.approx.routes.aggcalc import (
     current_group_rows,
     evaluate_over_domains,
     growth_scale,
+    pin_facts,
     restricted_domains,
     staleness_rows,
 )
-from repro.db.constraints import (
-    WhereConstraints,
-    bare_name as _bare,
-    extract_constraints,
-)
+from repro.db.constraints import WhereConstraints, bare_name as _bare
 from repro.core.approx.routes.router import GroupRoutingPlan, plan_group_routing
 from repro.core.captured_model import CapturedModel
 from repro.core.model_store import ModelStore
@@ -78,6 +76,9 @@ class GroupedRoutePlan:
     #: Per-group model-vs-exact assignments (the PR-2 router's output).
     routing: GroupRoutingPlan
     output_null_fraction: float
+    #: Per serving batch (``routing.batches``), the input domains evaluation
+    #: enumerates, restricted by the statement's WHERE clause (the gate's).
+    restrictions: list[DomainRestriction] = field(default_factory=list)
 
     @property
     def n_model_groups(self) -> int:
@@ -97,17 +98,33 @@ class GroupedRoutePlan:
 
 
 def _gate(engine: ApproximateQueryEngine, probe: Probe) -> GroupedRoutePlan | None:
-    """Shape gate, candidate lookup (harvesting on demand) and per-group
-    routing — skipped when the planner's sketch already handed its plan over."""
-    if probe.grouped_plan is not None:
-        return probe.grouped_plan
+    """Shape gate, candidate lookup (harvesting on demand), per-group routing
+    and the input domains evaluation enumerates.  A plan handed over — the
+    planner's, made for this statement or another of its shape — keeps its
+    candidates and routing; the analysis and the domains are this statement's.
+
+    Evaluation restricts every serving model's inputs to the WHERE clause: an
+    input with neither a known domain nor a pin cannot be restricted, so the
+    gate declines and a plan never names a route that does not run.
+    """
     analysis = analyse_grouped_statement(probe.statement)
     if analysis is None:
         return None
-    candidates = _candidates(engine, probe, analysis)
-    if not candidates:
+    planned = probe.grouped_plan
+    if planned is None:
+        candidates = _candidates(engine, probe, analysis)
+        if not candidates:
+            return None
+        planned = _plan_route(engine.store, probe.stats, analysis, candidates)
+        if planned is None:
+            return None
+    restrictions = [
+        restricted_domains(batch.model, probe.stats, analysis.constraints)
+        for batch in planned.routing.batches
+    ]
+    if any(restricted is None for restricted in restrictions):
         return None
-    return _plan_route(engine.store, probe.stats, analysis, candidates)
+    return replace(planned, analysis=analysis, restrictions=restrictions)
 
 
 def _candidates(
@@ -236,12 +253,8 @@ def _sketch(
 
 def _answer(
     engine: ApproximateQueryEngine, probe: Probe, route_plan: GroupedRoutePlan
-) -> ApproximateAnswer | None:
-    """GROUP BY aggregates evaluated per group, with exact fill-in.
-
-    Returns None when some serving model cannot restrict its input domain
-    to the statement's predicates after all (the walk moves on).
-    """
+) -> ApproximateAnswer:
+    """GROUP BY aggregates evaluated per group, with exact fill-in."""
     tracer = engine.tracer
     with tracer.span("route:grouped") as span:
         if tracer.active:
@@ -255,7 +268,7 @@ def _answer(
 
 def _evaluate(
     engine: ApproximateQueryEngine, probe: Probe, route_plan: GroupedRoutePlan
-) -> ApproximateAnswer | None:
+) -> ApproximateAnswer:
     statement, stats = probe.statement, probe.stats
     analysis = route_plan.analysis
     group_columns = analysis.group_columns
@@ -279,11 +292,8 @@ def _evaluate(
     # Live per-group cardinalities from the catalog supersede the fit-time
     # counts entirely (no growth heuristics, no staleness allowance needed).
     live_rows = current_group_rows(stats, group_columns)
-    for batch in plan.batches:
+    for batch, restricted in zip(plan.batches, route_plan.restrictions):
         model, slots = batch.model, batch.slots
-        restricted = restricted_domains(model, stats, analysis.constraints)
-        if restricted is None:
-            return None
         stacked = model.fit.stacked()  # type: ignore[union-attr]
         observations = stacked.n_obs[batch.record_positions]
         scale: np.ndarray | float = growth_scale(model, stats)
@@ -382,7 +392,28 @@ def _evaluate(
     )
 
 
-ROUTE = Route(_gate, _sketch, _answer, needs_model=False)
+def _literal_key(statement: SelectStatement) -> tuple:
+    """Which groups the routing requests — every GROUP BY column's
+    constraint, each value with its type — and whether the other pins keep
+    numbers (the domain restriction, :func:`pin_facts`).  The sketch reads
+    the routing only."""
+    group_columns = _group_by_columns(statement) or ()
+    requested = tuple(
+        (
+            column,
+            None if c.values is None else tuple((type(v), v) for v in c.values),
+            c.low,
+            c.low_inclusive,
+            c.high,
+            c.high_inclusive,
+        )
+        for column, c in statement.constraints.by_column.items()
+        if column in group_columns
+    )
+    return requested, pin_facts(statement)
+
+
+ROUTE = Route(_gate, _sketch, _answer, needs_model=False, literal_key=_literal_key)
 
 
 def _execute_exact_groups(
@@ -481,7 +512,7 @@ def analyse_grouped_statement(statement: SelectStatement) -> GroupedStatementAna
     order_keys = _order_keys(statement, [spec.name for spec in specs])
     if statement.order_by and order_keys is None:
         return None
-    constraints = extract_constraints(statement.where)
+    constraints = statement.constraints
     if not constraints.fully_analysed:
         return None
     if constraints.constrains(output_column):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.core.approx.protocol import ApproximateAnswer, Probe, Route, RouteSketch, model_sketch
-from repro.core.approx.routes.aggcalc import as_floats
+from repro.core.approx.routes.aggcalc import as_floats, pin_facts
 from repro.db.constraints import bare_name
 from repro.db.expressions import ColumnRef
 from repro.db.table import Table
@@ -86,4 +86,5 @@ def _answer(
     )
 
 
-ROUTE = Route(_gate, _sketch, _answer)
+#: The gate asks each pin for one numeric value; the sketch reads no literal.
+ROUTE = Route(_gate, _sketch, _answer, literal_key=pin_facts)

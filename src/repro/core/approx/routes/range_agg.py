@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.approx.error_bounds import combine_independent, extreme_value_error
 from repro.core.approx.protocol import ApproximateAnswer, Probe, Route, RouteSketch, model_sketch
 from repro.core.approx.routes.aggcalc import (
+    DomainRestriction,
     ItemSpec,
     aggregate_values_errors,
     analyse_select_items,
@@ -42,10 +43,11 @@ from repro.core.approx.routes.aggcalc import (
     current_group_rows,
     evaluate_over_domains,
     growth_scale,
+    pin_facts,
     restricted_domains,
     staleness_rows,
 )
-from repro.db.constraints import WhereConstraints, extract_constraints
+from repro.db.constraints import WhereConstraints
 from repro.core.captured_model import CapturedModel
 from repro.db.stats import TableStats
 from repro.fitting.families import Constant, Exponential, LinearModel, Polynomial, PowerLaw
@@ -57,8 +59,11 @@ if TYPE_CHECKING:
 
 __all__ = ["ANALYTIC_ROUTE", "RANGE_ROUTE"]
 
-#: What a shape gate hands on: the analysed SELECT items and WHERE constraints.
+#: The statement shape both routes serve: the analysed SELECT items and WHERE constraints.
 _Shape = tuple[list[ItemSpec], WhereConstraints]
+#: What a gate hands on: the shape and the input domains evaluation
+#: enumerates — None to integrate the closed form over the clipped box.
+_Match = tuple[list[ItemSpec], WhereConstraints, DomainRestriction | None]
 #: What an evaluation hands back: values and standard errors by result
 #: column, the domain points evaluated, and a description for the reason.
 _Evaluated = tuple[dict[str, Any], dict[str, float], int, str]
@@ -80,7 +85,7 @@ def _aggregate_shape(probe: Probe) -> _Shape | None:
     if output_column != model.output_column:
         return None
 
-    constraints = extract_constraints(statement.where)
+    constraints = statement.constraints
     if not constraints.fully_analysed:
         return None
     if constraints.constrains(output_column):
@@ -117,17 +122,26 @@ def _answer(
 # ---------------------------------------------------------------------------
 
 
-def _range_gate(engine: ApproximateQueryEngine, probe: Probe) -> _Shape | None:
+def _range_gate(engine: ApproximateQueryEngine, probe: Probe) -> _Match | None:
+    """The restriction evaluation enumerates: every input's known or pinned
+    domain, clipped — else, for an ungrouped closed-form model, None to
+    integrate.  Declines when neither applies, so a plan never names a
+    route whose evaluation cannot restrict the inputs."""
     if probe.statement.distinct or probe.statement.where is None:
         return None
     shape = _aggregate_shape(probe)
     if shape is None or not any(c.has_interval for c in shape[1].by_column.values()):
         # Equality/IN-only restrictions stay on the point/enumeration routes.
         return None
-    return shape
+    specs, constraints = shape
+    model, stats = probe.model, probe.stats
+    restricted = restricted_domains(model, stats, constraints)
+    if restricted is None and (model.is_grouped or not _integrable(model, stats, constraints)):
+        return None
+    return specs, constraints, restricted
 
 
-def _range_sketch(engine: ApproximateQueryEngine, probe: Probe, _match: _Shape) -> RouteSketch:
+def _range_sketch(engine: ApproximateQueryEngine, probe: Probe, _match: _Match) -> RouteSketch:
     """How many domain points the evaluation touches is the cost input."""
     model, stats = probe.model, probe.stats
     points = 1
@@ -146,22 +160,29 @@ def _range_sketch(engine: ApproximateQueryEngine, probe: Probe, _match: _Shape) 
 
 
 def _range_answer(
-    engine: ApproximateQueryEngine, probe: Probe, shape: _Shape
+    engine: ApproximateQueryEngine, probe: Probe, match: _Match
 ) -> ApproximateAnswer | None:
-    """Returns None when evaluation finds the model cannot serve the range
-    after all: an input with neither a known domain nor a closed form, a
-    failed or missing per-group fit that would bias the global aggregate."""
-    specs, constraints = shape
-    evaluate = _combine_groups if probe.model.is_grouped else _ungrouped
-    evaluated = evaluate(specs, probe.model, probe.stats, constraints)
-    if evaluated is None:
-        return None
+    """Returns None when a grouped model's groups cannot be combined after
+    all: a NULL group key, a group newer than the capture or a failed
+    per-group fit would bias the global aggregate."""
+    specs, constraints, restricted = match
+    model, stats = probe.model, probe.stats
+    if restricted is None:
+        evaluated = _analytic_ranges(specs, model, stats, constraints)
+    elif model.is_grouped:
+        evaluated = _combine_groups(specs, model, stats, constraints, restricted)
+        if evaluated is None:
+            return None
+    else:
+        evaluated = _enumerated(specs, model, stats, restricted)
     *_, detail = evaluated
     reason = f"model evaluated over range-restricted domain ({detail})"
     return _answer(probe, specs, evaluated, "range-aggregate", reason)
 
 
-RANGE_ROUTE = Route(_range_gate, _range_sketch, _range_answer)
+#: The gate reads whether each pin keeps numbers (the domain restriction);
+#: the sketch reads no literal.
+RANGE_ROUTE = Route(_range_gate, _range_sketch, _range_answer, literal_key=pin_facts)
 
 
 # ---------------------------------------------------------------------------
@@ -169,35 +190,32 @@ RANGE_ROUTE = Route(_range_gate, _range_sketch, _range_answer)
 # ---------------------------------------------------------------------------
 
 
-def _analytic_gate(engine: ApproximateQueryEngine, probe: Probe) -> _Shape | None:
+def _analytic_gate(engine: ApproximateQueryEngine, probe: Probe) -> _Match | None:
     """MIN/MAX/AVG/SUM without a WHERE over an ungrouped closed-form model
     whose inputs all have min/max statistics.  (COUNT needs no model at all
     and DISTINCT over the one result row changes nothing.)"""
     model = probe.model
-    if model.is_grouped or probe.statement.where is not None or not _closed_form(model):
+    if model.is_grouped or probe.statement.where is not None:
         return None
     shape = _aggregate_shape(probe)
     if shape is None or any(spec.function == "count" for spec in shape[0]):
         return None
-    stats = probe.stats
-    for column in model.input_columns:
-        column_stats = stats.columns.get(column)
-        if column_stats is None or column_stats.min_value is None or column_stats.max_value is None:
-            return None
-    return shape
+    specs, constraints = shape
+    if not _integrable(model, probe.stats, constraints):
+        return None
+    return specs, constraints, None
 
 
-def _analytic_sketch(engine: ApproximateQueryEngine, probe: Probe, _match: _Shape) -> RouteSketch:
+def _analytic_sketch(engine: ApproximateQueryEngine, probe: Probe, _match: _Match) -> RouteSketch:
     return model_sketch(
         probe, "analytic-aggregate", "closed-form aggregate from model parameters", 0
     )
 
 
 def _analytic_answer(
-    engine: ApproximateQueryEngine, probe: Probe, shape: _Shape
+    engine: ApproximateQueryEngine, probe: Probe, match: _Match
 ) -> ApproximateAnswer:
-    specs, constraints = shape
-    # The gate checked everything the kernel declines on.
+    specs, constraints, _ = match
     evaluated = _analytic_ranges(specs, probe.model, probe.stats, constraints)
     reason = "closed-form aggregate from linear model parameters"
     return _answer(probe, specs, evaluated, "analytic-aggregate", reason)
@@ -211,38 +229,36 @@ ANALYTIC_ROUTE = Route(_analytic_gate, _analytic_sketch, _analytic_answer)
 # ---------------------------------------------------------------------------
 
 
-def _ungrouped(
+def _enumerated(
     specs: list[ItemSpec],
     model: CapturedModel,
     stats: TableStats,
-    constraints: WhereConstraints,
-) -> _Evaluated | None:
-    restricted = restricted_domains(model, stats, constraints)
-    if restricted is not None:
-        fit: FitResult = model.fit  # type: ignore[assignment]
-        evaluation = evaluate_over_domains(
-            fit.family,
-            np.asarray(fit.params, dtype=np.float64)[None, :],
-            np.array([fit.residual_standard_error]),
-            model,
-            restricted,
-            fitted_observations=np.array([stats.row_count]),
-            stale_rows=np.zeros(1),  # cardinality comes from live statistics
-            output_null_fraction=_output_null_fraction(model, stats),
+    restricted: DomainRestriction,
+) -> _Evaluated:
+    """Evaluate an ungrouped model over its restricted input domains."""
+    fit: FitResult = model.fit  # type: ignore[assignment]
+    evaluation = evaluate_over_domains(
+        fit.family,
+        np.asarray(fit.params, dtype=np.float64)[None, :],
+        np.array([fit.residual_standard_error]),
+        model,
+        restricted,
+        fitted_observations=np.array([stats.row_count]),
+        stale_rows=np.zeros(1),  # cardinality comes from live statistics
+        output_null_fraction=_output_null_fraction(model, stats),
+    )
+    if evaluation.n_points == 0:
+        return _empty_result(specs)
+    values: dict[str, Any] = {}
+    errors: dict[str, float] = {}
+    for spec in specs:
+        value, error = aggregate_values_errors(
+            spec.function, evaluation, count_star=spec.argument is None
         )
-        if evaluation.n_points == 0:
-            return _empty_result(specs)
-        values: dict[str, Any] = {}
-        errors: dict[str, float] = {}
-        for spec in specs:
-            value, error = aggregate_values_errors(
-                spec.function, evaluation, count_star=spec.argument is None
-            )
-            values[spec.name] = value[0].item()
-            errors[spec.name] = float(error[0])
-        detail = f"enumerated {evaluation.n_points} restricted domain point(s)"
-        return values, errors, evaluation.n_points, detail
-    return _analytic_ranges(specs, model, stats, constraints)
+        values[spec.name] = value[0].item()
+        errors[spec.name] = float(error[0])
+    detail = f"enumerated {evaluation.n_points} restricted domain point(s)"
+    return values, errors, evaluation.n_points, detail
 
 
 def _analytic_ranges(
@@ -250,10 +266,9 @@ def _analytic_ranges(
     model: CapturedModel,
     stats: TableStats,
     constraints: WhereConstraints,
-) -> _Evaluated | None:
-    """Integrate a continuous-input model over the clipped input box."""
-    if not _closed_form(model):
-        return None
+) -> _Evaluated:
+    """Integrate a continuous-input model over the clipped input box (the
+    gates checked :func:`_integrable`)."""
     fit: FitResult = model.fit  # type: ignore[assignment]
 
     # ``is_linear`` means linear in the *parameters* (a Polynomial is); the
@@ -271,13 +286,7 @@ def _analytic_ranges(
     # a uniform grid, an interval midpoint — rather than at measured means.
     assumed_spread = not linear_in_inputs
     for column in model.input_columns:
-        column_stats = stats.columns.get(column)
-        if (
-            column_stats is None
-            or column_stats.min_value is None
-            or column_stats.max_value is None
-        ):
-            return None
+        column_stats = stats.columns[column]
         low, high = float(column_stats.min_value), float(column_stats.max_value)
         constraint = constraints.constraint(column)
         measured = constraint is None and column_stats.mean is not None
@@ -286,9 +295,6 @@ def _analytic_ranges(
             input_ranges[column] = (low, high)
             point[column] = float(column_stats.mean) if measured else (low + high) / 2.0
         elif constraint.is_pinned:
-            # A non-numeric pin is a type error the exact engine raises on.
-            if as_floats(constraint.values) is None:
-                return None
             # admits() also applies any interval bounds pinned alongside
             # (e.g. ``x IN (2, 8) AND x < 5`` keeps only 2).
             pinned = [float(v) for v in constraint.values if constraint.admits(v)]
@@ -366,14 +372,9 @@ def _analytic_ranges(
                 (avg_value * math.hypot(rows_error, null_error)) ** 2
                 + (avg_error * non_null_rows) ** 2
             )
-        elif function == "min":
-            values[spec.name] = float(np.min(extremes))
+        else:  # min / max (ROUTE_AGGREGATES)
+            values[spec.name] = float(np.min(extremes) if function == "min" else np.max(extremes))
             errors[spec.name] = float(extreme_value_error(rse, est_rows))
-        elif function == "max":
-            values[spec.name] = float(np.max(extremes))
-            errors[spec.name] = float(extreme_value_error(rse, est_rows))
-        else:
-            return None
     ranges_text = ", ".join(
         f"{name} in [{low:.6g}, {high:.6g}]" for name, (low, high) in input_ranges.items()
     )
@@ -390,6 +391,7 @@ def _combine_groups(
     model: CapturedModel,
     stats: TableStats,
     constraints: WhereConstraints,
+    restricted: DomainRestriction,
 ) -> _Evaluated | None:
     # Rows with a NULL group key have no per-group fit but still belong in a
     # global aggregate; combining fitted groups would silently drop them.
@@ -398,9 +400,6 @@ def _combine_groups(
         if column_stats is not None and column_stats.null_count > 0:
             return None
 
-    restricted = restricted_domains(model, stats, constraints)
-    if restricted is None:
-        return None
     grouped: GroupedFitResult = model.fit  # type: ignore[assignment]
     records = grouped.records
     stacked = grouped.stacked()
@@ -477,14 +476,12 @@ def _combine_groups(
         elif function == "avg":
             values[spec.name] = float(weights @ per_group)
             errors[spec.name] = combine_independent(weights * per_group_error)
-        elif function in ("min", "max"):
+        else:  # min / max (ROUTE_AGGREGATES)
             index = int(np.argmin(per_group) if function == "min" else np.argmax(per_group))
             values[spec.name] = float(per_group[index])
             errors[spec.name] = float(
                 extreme_value_error(evaluation.residual_standard_error[index], total_covered)
             )
-        else:
-            return None
     detail = f"combined {len(rows)} group(s) over restricted domain"
     return values, errors, evaluation.n_points * len(rows), detail
 
@@ -506,6 +503,23 @@ def _empty_result(specs: list[ItemSpec]) -> _Evaluated:
     }
     errors = {spec.name: 0.0 for spec in specs}
     return values, errors, 0, "restriction covers no rows"
+
+
+def _integrable(model: CapturedModel, stats: TableStats, constraints: WhereConstraints) -> bool:
+    """Whether :func:`_analytic_ranges` can integrate the model over the
+    clipped input box: a closed-form family, min/max statistics for every
+    input, and only numbers pinned (a string pin is a type error the exact
+    engine raises on)."""
+    if not _closed_form(model):
+        return False
+    for column in model.input_columns:
+        column_stats = stats.columns.get(column)
+        if column_stats is None or column_stats.min_value is None or column_stats.max_value is None:
+            return False
+        constraint = constraints.constraint(column)
+        if constraint is not None and constraint.is_pinned and as_floats(constraint.values) is None:
+            return False
+    return True
 
 
 def _closed_form(model: CapturedModel) -> bool:

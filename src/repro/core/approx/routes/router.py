@@ -12,7 +12,6 @@ so the engine can serve what it can from models and scan only the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -22,6 +21,7 @@ from repro.core.model_store import ModelStore, _default_ranking
 from repro.db.column import Column
 from repro.fitting.grouped import StackedFits
 from repro.fitting.model import FitResult
+from repro.lazy import lazy_attribute
 
 __all__ = [
     "RoutingPolicy",
@@ -96,15 +96,15 @@ class GroupRoutingPlan:
     group_columns: tuple[str, ...]
     assignments: list[GroupAssignment] = field(default_factory=list)
 
-    @cached_property
+    @lazy_attribute
     def model_groups(self) -> list[GroupAssignment]:
         return [a for a in self.assignments if a.served_from_model]
 
-    @cached_property
+    @lazy_attribute
     def exact_groups(self) -> list[GroupAssignment]:
         return [a for a in self.assignments if not a.served_from_model]
 
-    @cached_property
+    @lazy_attribute
     def batches(self) -> list[ModelBatch]:
         """The model-served groups gathered per serving model."""
         grouped: dict[int, tuple[CapturedModel, list[int], list[int]]] = {}
@@ -118,21 +118,21 @@ class GroupRoutingPlan:
             for model, positions, slots in grouped.values()
         ]
 
-    @cached_property
+    @lazy_attribute
     def model_keys(self) -> list[tuple[Any, ...]]:
         """Keys of the model-served groups; a group's position is its slot."""
         return [a.key for a in self.model_groups]
 
-    @cached_property
+    @lazy_attribute
     def slot_of(self) -> dict[tuple[Any, ...], int]:
         return {key: slot for slot, key in enumerate(self.model_keys)}
 
-    @cached_property
+    @lazy_attribute
     def key_columns(self) -> list[Column]:
         """The model-served keys as one typed column per group column."""
         return [Column.infer(list(parts)) for parts in zip(*self.model_keys)]
 
-    @cached_property
+    @lazy_attribute
     def reasons(self) -> dict[tuple[Any, ...], str]:
         """Provenance (``model#<id>``) of every model-served group."""
         return {a.key: a.reason for a in self.model_groups}

@@ -33,6 +33,7 @@ from repro.core.approx.protocol import (
 )
 from repro.core.captured_model import CapturedModel
 from repro.db.catalog import Catalog
+from repro.db.sql.ast import SelectStatement
 from repro.db.sql.planner import plan_select
 from repro.errors import ApproximationError, ExecutionError, SQLError
 
@@ -108,7 +109,17 @@ def _answer(
     )
 
 
-ROUTE = Route(_gate, _sketch, _answer)
+def _literal_key(statement: SelectStatement) -> tuple:
+    """The enumerated space — whether it fits, how many rows it holds — is
+    built from the pinned values themselves, each kept with its type."""
+    return tuple(
+        (column, tuple((type(value), value) for value in constraint.values))
+        for column, constraint in statement.constraints.by_column.items()
+        if constraint.is_pinned
+    )
+
+
+ROUTE = Route(_gate, _sketch, _answer, literal_key=_literal_key)
 
 
 def _legal_filter(engine: ApproximateQueryEngine, model: CapturedModel) -> LegalCombinationFilter:

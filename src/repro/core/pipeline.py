@@ -3,10 +3,11 @@
 One :meth:`LawsDatabase.query` call is one :class:`QueryContext` flowing
 through six small stage functions.  Each fact about the query is established
 once and carried on the context: the SQL text is looked up (and, the first
-time, parsed) by the parse stage only; the snapshot pinned by the pin stage
-is what every later layer reads; the :class:`UnifiedPlan` from the plan
-stage is the one place where "which route", "may exact run at all" and "is
-this telemetry" are decided — execute, verify and account only read it.
+time, bound from its shape's template or parsed) by the parse stage only;
+the snapshot pinned by the pin stage is what every later layer reads; the
+:class:`UnifiedPlan` from the plan stage is the one place where "which
+route", "may exact run at all" and "is this telemetry" are decided —
+execute, verify and account only read it.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ def _run_stages(ctx: QueryContext) -> PlannedAnswer:
 
 
 def parse(ctx: QueryContext) -> None:
-    """The query's one text-keyed lookup in the SQL layer."""
+    """The query's one text-keyed lookup in the SQL layer (a text miss binds
+    its shape's template, or parses)."""
     with ctx.tracer.span("parse"):
         ctx.prepared = ctx.system.database.executor.prepare(ctx.sql)
 
@@ -121,10 +123,11 @@ def pin(ctx: QueryContext) -> None:
 
 
 def plan(ctx: QueryContext) -> None:
-    """The query's one text-keyed lookup in the planner layer."""
+    """The query's one shape-keyed lookup in the planner layer: the chosen
+    route comes back bound to this statement's literals."""
     with ctx.tracer.span("plan") as span:
         ctx.plan = ctx.system.planner.plan(
-            ctx.sql, ctx.contract, for_execution=True, statement=ctx.prepared.statement
+            ctx.sql, ctx.contract, for_execution=True, prepared=ctx.prepared
         )
     if ctx.tracer.active:
         span.annotate(**ctx.plan.decision_attributes())
@@ -275,18 +278,13 @@ def execute_write(system: "LawsDatabase", sql: str, prepared: PreparedStatement)
 
 
 def _execute_model(ctx: QueryContext) -> PlannedAnswer:
-    decided, tracer = ctx.plan, ctx.tracer
+    decided, tracer, engine = ctx.plan, ctx.tracer, ctx.system.approx
+    # Falling back to exact is dishonest over a blocked plan: a mid-route
+    # failure must surface, not degrade into an answer over the partial table.
+    allow_fallback = ctx.contract.allow_exact_fallback and decided.blocked_reason is None
     with tracer.span("execute") as span:
         try:
-            approx = ctx.system.approx.answer(
-                ctx.sql,
-                # Falling back to exact is dishonest over a blocked plan: a
-                # mid-route failure must surface, not degrade into an answer
-                # over the partial table.
-                allow_fallback=ctx.contract.allow_exact_fallback and decided.blocked_reason is None,
-                statement=ctx.prepared.statement,
-                grouped_route_plan=decided.sketch.grouped_plan if decided.sketch is not None else None,
-            )
+            approx = engine.answer_bound(ctx.sql, decided.bound, allow_fallback)
         except ApproximationError as exc:
             if decided.archived_reason is not None:
                 raise ApproximationError(f"{exc}; {decided.archived_reason}") from exc

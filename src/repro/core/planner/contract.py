@@ -9,7 +9,7 @@ so the model-vs-exact decision belongs to the planner, not the user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from repro.errors import ReproError
 
@@ -61,6 +61,11 @@ class AccuracyContract:
             raise ReproError("deadline_ms must be positive")
         if self.verify_fraction is not None and not 0.0 <= self.verify_fraction <= 1.0:
             raise ReproError("verify_fraction must be within [0, 1]")
+        # Every cached plan is keyed on its contract: hash the fields once.
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def error_budget(self) -> float:

@@ -11,9 +11,10 @@ whole subplans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.planner.contract import AccuracyContract
+from repro.lazy import lazy_attribute
 
 __all__ = ["PlanNode", "UnifiedPlan"]
 
@@ -26,7 +27,9 @@ class PlanNode:
     kind: str
     #: The serving route label ("point", "grouped-hybrid", "exact", ...).
     route: str
-    detail: str
+    #: The one-line description, or what renders it on first read: the
+    #: exact candidate's physical plan is built only when someone reads it.
+    description: str | Callable[[], str]
     predicted_seconds: float = 0.0
     #: Predicted |relative error| of the answer (0.0 for exact execution).
     predicted_relative_error: float = 0.0
@@ -37,6 +40,13 @@ class PlanNode:
     unavailable_reason: str | None = None
 
     @property
+    def detail(self) -> str:
+        description = self.description
+        if callable(description):
+            description = self.description = description()
+        return description
+
+    @property
     def is_exact(self) -> bool:
         return self.kind != "model-route"
 
@@ -44,8 +54,8 @@ class PlanNode:
     def is_available(self) -> bool:
         return self.unavailable_reason is None
 
-    def render(self, indent: int = 0) -> list[str]:
-        pad = "  " * indent
+    def headline(self) -> str:
+        """Route, predicted cost and error — the line that names the node."""
         cost = f"cost≈{self.predicted_seconds * 1000.0:.3f}ms"
         if self.kind == "model-route":
             error = f"err≈{self.predicted_relative_error:.2%}"
@@ -54,12 +64,16 @@ class PlanNode:
                 if self.model_ids
                 else ""
             )
-            head = f"{pad}{self.route} [{cost}, {error}{models}]"
+            head = f"{self.route} [{cost}, {error}{models}]"
         else:
-            head = f"{pad}{self.route} [{cost}, exact]"
+            head = f"{self.route} [{cost}, exact]"
         if self.unavailable_reason is not None:
             head += " [UNAVAILABLE]"
-        lines = [head]
+        return head
+
+    def render(self, indent: int = 0) -> list[str]:
+        pad = "  " * indent
+        lines = [pad + self.headline()]
         if self.unavailable_reason is not None:
             lines.append(f"{pad}  ! {self.unavailable_reason}")
         if self.detail:
@@ -86,10 +100,11 @@ class UnifiedPlan:
     catalog_version: int = 0
     store_version: int = 0
     #: The engine's RouteSketch behind the model candidate (None when no
-    #: model route applies).  Execution reuses its grouped route plan so
-    #: the per-group routing is not recomputed; validity is guaranteed by
-    #: the plan cache's catalog/store version key.
+    #: model route applies).
     sketch: Any = None
+    #: Binds this statement's route walk to its literals (see
+    #: :attr:`bound`); None when no model route was asked for.
+    binder: Callable[[], Any] | None = None
     #: Set when raw rows this statement may need live in the model-only
     #: archive tier: exact execution would be incomplete.  If the chosen
     #: node is not a pure model route, execution raises with this reason.
@@ -115,6 +130,15 @@ class UnifiedPlan:
     def is_model_route(self) -> bool:
         return self.chosen.kind == "model-route"
 
+    @lazy_attribute
+    def bound(self) -> Any:
+        """This statement's route walk bound to its literals
+        (:class:`~repro.core.approx.protocol.BoundRoute`), on first use:
+        execution calls the route's answer directly, or falls back for the
+        reason the walk declined with.  Validity is guaranteed by the plan
+        cache's catalog/store version key."""
+        return self.binder() if self.binder is not None else None
+
     @property
     def blocked_reason(self) -> str | None:
         """Why the raw rows cannot honestly be scanned (archived, else
@@ -127,7 +151,7 @@ class UnifiedPlan:
             "decision": self.chosen.route,
             "reason": self.reason,
             "candidates": [
-                f"{'chosen' if node is self.chosen else 'rejected'} — {node.render(0)[0]}"
+                f"{'chosen' if node is self.chosen else 'rejected'} — {node.headline()}"
                 for node in self.candidates
             ],
         }

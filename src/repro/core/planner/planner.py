@@ -11,21 +11,42 @@ node executes.  The planner only *decides*: running the chosen node,
 auditing a sample against exact and accounting for it are the stages of
 :mod:`repro.core.pipeline`.
 
-Plans are cached in an LRU keyed on (sql, contract, catalog version,
-model-store version, cost model): any DDL/data change, model lifecycle
-event or recalibration invalidates affected decisions, so a cached decision
-can never outlive the state it was costed against.
+Plans are cached per statement *shape* (:mod:`repro.db.sql.shape`) in one
+LRU holding two kinds of entry.  The shape's entry, keyed on (shape,
+contract, for_execution, catalog version, model-store version, cost model)
+and the archive guard's verdict, holds what the shape decides: table
+statistics, the exact candidate's predicted cost, the degraded guard's
+verdict, and the routes whose gates the shape's first walk consulted.  The
+route entry, keyed on the shape's key plus those routes' ``literal_key`` of
+the statement (each route names what its gate and sketch read from literal
+values), holds the :class:`BoundRoute` the walk ended on and the choice
+between it and exact execution.  Any DDL/data change, model lifecycle event
+(a health transition included) or recalibration invalidates affected
+decisions, so a cached decision can never outlive the state it was costed
+against.  Each statement's plan carries its own exact candidate, whose
+physical plan is built only when ``explain()`` reads it, and binds the route
+to its own literals when execution asks (:attr:`UnifiedPlan.bound`); a
+statement planned again under the same state gets the same plan back.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from types import MappingProxyType
 from typing import Any, Callable, NamedTuple
 
-from repro.core.approx.engine import ApproximateAnswer, ApproximateQueryEngine, RouteSketch
+from repro.core.approx.engine import (
+    ApproximateAnswer,
+    ApproximateQueryEngine,
+    BoundRoute,
+    RouteSketch,
+    walked,
+)
+from repro.core.approx.protocol import Route
 from repro.core.approx.error_bounds import ErrorEstimate
 from repro.core.model_store import ModelStore
 from repro.core.planner.contract import AccuracyContract, AUTO
@@ -35,8 +56,8 @@ from repro.core.planner.nodes import PlanNode, UnifiedPlan
 from repro.core.snapshot import Snapshot
 from repro.db.database import Database
 from repro.db.lru import LockedLRU
-from repro.db.sql.ast import SelectStatement, Statement
-from repro.db.sql.executor import QueryResult
+from repro.db.sql.ast import CreateTableStatement, SelectStatement, Statement
+from repro.db.sql.executor import PreparedStatement, QueryResult, SQLExecutor
 from repro.db.stats import TableStats
 from repro.errors import ApproximationError
 from repro.db.table import Table
@@ -94,6 +115,47 @@ _DEGRADED = _BlockedWording(
     # component and silently under-count.
     hybrid="hybrid route needs an exact fill-in over a degraded component",
 )
+
+
+class _Decision(NamedTuple):
+    """The model candidate and the contract's choice between it and exact."""
+
+    sketch: RouteSketch | None
+    model_node: PlanNode | None
+    model_chosen: bool
+    reason: str
+
+
+class _Routed(NamedTuple):
+    """A shape's route and decision for every statement whose literals the
+    walked gates read alike."""
+
+    #: Where the walk ended — rebound to each statement's literals when its
+    #: execution asks.  None when no model route was asked for (a
+    #: pinned-exact contract over rows that may be scanned).
+    bound: BoundRoute | None
+    decision: _Decision
+
+
+class _ShapeCost(NamedTuple):
+    """What a shape decides before any route is walked."""
+
+    stats_by_table: dict[str, TableStats]
+    exact_seconds: float
+    degraded_reason: str | None
+
+
+class _ShapePlan(NamedTuple):
+    """What every statement of one shape shares under one cached state."""
+
+    cost: _ShapeCost
+    #: The routes whose gates decided the shape's first walk: their literal
+    #: keys of a statement name its :class:`_Routed`.
+    walked: tuple[Route, ...]
+    #: The first statement's literal keys and route; statements whose keys
+    #: differ have their own entry under ``(shape key, keys)``.
+    literals: tuple
+    routed: _Routed
 
 
 @dataclass
@@ -183,6 +245,13 @@ class UnifiedPlanner:
         #: Plans are keyed on everything they were costed against, the cost
         #: model included: installing another one invalidates them all.
         self._plan_cache = LockedLRU(plan_cache_size)
+        #: The plan each prepared statement was last given: ``(state it was
+        #: stated under, cache key, cache entry it was stated from, plan)``.
+        #: Kept while the executor's entry for the statement lives, and
+        #: served only while the cache still holds that entry.
+        self._stated: weakref.WeakKeyDictionary[PreparedStatement, tuple[tuple, Any, Any, UnifiedPlan]] = (
+            weakref.WeakKeyDictionary()
+        )
         #: Last snapshot handed out, reused while both registries are
         #: unchanged so repeated tiny queries do not re-copy table/model
         #: maps.  A benign overwrite race just builds one extra snapshot.
@@ -217,35 +286,38 @@ class UnifiedPlanner:
         sql: str,
         contract: AccuracyContract | None = None,
         for_execution: bool = False,
-        statement: Statement | None = None,
+        prepared: PreparedStatement | None = None,
     ) -> UnifiedPlan:
-        """Build (or fetch) the unified plan for ``sql`` under ``contract``.
+        """The unified plan for ``sql`` under ``contract``.
 
         ``for_execution=False`` (EXPLAIN) is side-effect free; True permits
         what real execution would do anyway (the on-demand grouped harvest).
-        ``statement`` hands over the AST the query pipeline already parsed.
+        ``prepared`` hands over the executor's entry for ``sql`` the query
+        pipeline already looked up.  A statement planned again under the same
+        state, while the cache still holds the entry its plan was stated
+        from, gets that plan back.
         """
         contract = contract or AUTO
-        key = (
-            sql,
-            contract,
-            for_execution,
-            self.database.catalog.version,
-            self.store.version,
-            self.cost_model,
-        )
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            return cached
+        if prepared is None:
+            prepared = self.database.executor.prepare(sql)
+        catalog_version, store_version = self.database.catalog.version, self.store.version
+        stamp = (contract, for_execution, catalog_version, store_version, self.cost_model)
+        stated = self._stated.get(prepared)
+        count = True  # one hit or miss per call: the checking lookup's, if made
+        if stated is not None and stated[0] == stamp:
+            _, key, entry, plan = stated
+            if self._plan_cache.get(key) is entry:
+                return plan
+            count = False
         started = perf_counter()
-        # Planning runs outside the cache lock (it may scan tables for the
-        # on-demand harvest); two threads racing the same key just build
-        # the plan twice and the last insert wins.
-        if statement is None:
-            statement = self.database.parse_sql(sql)
-        plan = self._build_plan(sql, statement, contract, for_execution)
+        if prepared.shape is None:
+            key, entry, plan = self._write_plan(sql, prepared.statement, contract, count)
+        else:
+            key, entry, plan = self._select_plan(
+                sql, prepared, contract, for_execution, catalog_version, store_version, count
+            )
         plan.planning_seconds = perf_counter() - started
-        self._plan_cache.put(key, plan)
+        self._stated[prepared] = (stamp, key, entry, plan)
         return plan
 
     def set_cost_model(self, cost_model: CostModel) -> None:
@@ -256,11 +328,12 @@ class UnifiedPlanner:
         served once the new one is installed; the clear only frees them.
         """
         self.cost_model = cost_model
-        self._plan_cache.clear()
+        self.clear_plan_cache()
 
     def clear_plan_cache(self) -> None:
         """Drop every cached route decision (counters are kept)."""
         self._plan_cache.clear()
+        self._stated.clear()
 
     def explain(self, sql: str, contract: AccuracyContract | None = None) -> str:
         """Render the chosen route, predicted cost and predicted error per node."""
@@ -270,78 +343,150 @@ class UnifiedPlanner:
         """Hit/miss counters and current occupancy of the route-decision cache."""
         return self._plan_cache.info()
 
-    def _build_plan(
-        self, sql: str, statement: Statement, contract: AccuracyContract, for_execution: bool
-    ) -> UnifiedPlan:
-        catalog_version = self.database.catalog.version
-        store_version = self.store.version
-        telemetry = _references_telemetry(statement)
-
-        if not isinstance(statement, SelectStatement):
-            is_create = type(statement).__name__.startswith("CreateTable")
+    def _write_plan(
+        self, sql: str, statement: Statement, contract: AccuracyContract, count: bool
+    ) -> tuple[Any, PlanNode, UnifiedPlan]:
+        """DDL/DML: one node per statement kind and table, whatever the values
+        (with the cache key and entry the plan was stated from)."""
+        key = (type(statement).__name__, statement.name)
+        node = self._plan_cache.get(key, count)
+        if node is None:
+            is_create = isinstance(statement, CreateTableStatement)
             node = PlanNode(
                 kind="ddl" if is_create else "dml",
                 route="create" if is_create else "insert",
-                detail="DDL/DML always executes against the stored data",
+                description="DDL/DML always executes against the stored data",
             )
-            return UnifiedPlan(
-                sql=sql,
-                contract=contract,
-                statement_type=node.route,
-                candidates=[node],
-                chosen=node,
-                reason="not a SELECT; model routes do not apply",
-                catalog_version=catalog_version,
-                store_version=store_version,
-                telemetry=telemetry,
-            )
+            self._plan_cache.put(key, node)
+        return key, node, UnifiedPlan(
+            sql=sql,
+            contract=contract,
+            statement_type=node.route,
+            candidates=[node],
+            chosen=node,
+            reason="not a SELECT; model routes do not apply",
+            catalog_version=self.database.catalog.version,
+            store_version=self.store.version,
+            telemetry=_references_telemetry(statement),
+        )
 
-        stats_by_table = self._statement_stats(statement)
-        exact_node = self._exact_node(sql, statement, stats_by_table)
-        candidates = [exact_node]
-
+    def _select_plan(
+        self,
+        sql: str,
+        prepared: PreparedStatement,
+        contract: AccuracyContract,
+        for_execution: bool,
+        catalog_version: int,
+        store_version: int,
+        count: bool,
+    ) -> tuple[Any, Any, UnifiedPlan]:
+        """Look the shape up, then the route of statements whose literals its
+        walked gates read alike (resolving the statement's own on a miss), and
+        state the plan for this statement: the decision with this statement's
+        exact candidate, its route bound to these literals when execution
+        asks (:attr:`UnifiedPlan.bound`) — with the cache key and entry the
+        route came from."""
+        statement = prepared.statement
         archived_reason = self.archive_guard(statement)
-        degraded_reason = self.degraded_guard(statement)
-        # From here on "the raw rows cannot honestly be scanned" is one
-        # concept; which guard fired (archive first) only picks the wording.
-        blocked = archived_reason if archived_reason is not None else degraded_reason
-        wording = _ARCHIVED if archived_reason is not None else _DEGRADED
-
-        sketch: RouteSketch | None = None
-        if contract.mode != "exact" or blocked is not None:
-            # Even under a pinned-exact contract a blocked statement needs
-            # the model candidate sketched, so EXPLAIN shows the only honest
-            # route next to the unavailable exact one.
-            sketch = self.engine.sketch_route(
-                sql, statement=statement, for_execution=for_execution
-            )
-        model_node = None
-        if sketch is not None:
-            model_node = self._model_node(sketch, statement, stats_by_table)
-            candidates.insert(0, model_node)
-
-        if blocked is None:
-            chosen, reason = self._choose(contract, model_node, exact_node)
-        else:
-            exact_node.unavailable_reason = blocked
-            if model_node is not None and sketch.uncovered_rows > 0:
-                model_node.unavailable_reason = wording.hybrid
-            chosen, reason = self._choose_blocked(contract, model_node, exact_node, wording)
-        return UnifiedPlan(
+        key = (
+            prepared.shape,
+            contract,
+            for_execution,
+            catalog_version,
+            store_version,
+            self.cost_model,
+            archived_reason,
+        )
+        shaped = self._plan_cache.get(key, count=False)
+        routed = None
+        if shaped is not None:
+            literals = tuple(route.literal_key(statement) for route in shaped.walked)
+            if literals == shaped.literals:
+                routed = shaped.routed
+            else:
+                routed = self._plan_cache.get((key, literals), count=False)
+        if count:
+            self._plan_cache.tally(hit=routed is not None)
+        if routed is None:
+            # Planning runs outside the cache lock (it may scan tables for
+            # the on-demand harvest); two threads racing the same key just
+            # build the entry twice and the last insert wins.
+            cost = self._shape_cost(statement) if shaped is None else shaped.cost
+            bound = None
+            if contract.mode != "exact" or archived_reason or cost.degraded_reason:
+                # Even under a pinned-exact contract a blocked statement needs
+                # the model candidate sketched, so EXPLAIN shows the only
+                # honest route next to the unavailable exact one.
+                bound = self.engine.resolve(sql, statement, for_execution)
+            routed = _Routed(bound, self._decide(contract, bound, statement, cost, archived_reason))
+            if shaped is None:
+                route_walk = walked(bound)
+                literals = tuple(route.literal_key(statement) for route in route_walk)
+                shaped = _ShapePlan(cost, route_walk, literals, routed)
+                self._plan_cache.put(key, shaped)
+            else:
+                self._plan_cache.put((key, literals), routed)
+        held_key, held = (key, shaped) if routed is shaped.routed else ((key, literals), routed)
+        cost = shaped.cost
+        decision = routed.decision
+        blocked = archived_reason if archived_reason is not None else cost.degraded_reason
+        exact_node = PlanNode(
+            kind="exact",
+            route="exact",
+            description=partial(_exact_detail, self.database.executor, sql, statement),
+            predicted_seconds=cost.exact_seconds,
+            unavailable_reason=blocked,
+        )
+        model_node = decision.model_node
+        binder = None if routed.bound is None else partial(self.engine.rebind, routed.bound, sql, statement)
+        return held_key, held, UnifiedPlan(
             sql=sql,
             contract=contract,
             statement_type="select",
-            candidates=candidates,
-            chosen=chosen,
-            reason=reason,
+            candidates=[exact_node] if model_node is None else [model_node, exact_node],
+            chosen=model_node if decision.model_chosen else exact_node,
+            reason=decision.reason,
             catalog_version=catalog_version,
             store_version=store_version,
-            sketch=sketch,
+            sketch=decision.sketch,
+            binder=binder,
             archived_reason=archived_reason,
-            degraded_reason=degraded_reason,
+            degraded_reason=cost.degraded_reason,
             cost_source=self.cost_model.source,
-            telemetry=telemetry,
+            telemetry=_references_telemetry(statement),
         )
+
+    def _decide(
+        self,
+        contract: AccuracyContract,
+        bound: BoundRoute | None,
+        statement: SelectStatement,
+        cost: _ShapeCost,
+        archived_reason: str | None,
+    ) -> _Decision:
+        """The model candidate of ``bound`` and the contract's choice."""
+        sketch = bound.sketch(self.engine) if bound is not None and bound.match is not None else None
+        model_node = None
+        if sketch is not None:
+            model_node = self._model_node(sketch, statement, cost.stats_by_table)
+        exact_node = PlanNode(
+            kind="exact", route="exact", description="", predicted_seconds=cost.exact_seconds
+        )
+        # From here on "the raw rows cannot honestly be scanned" is one
+        # concept; which guard fired (archive first) only picks the wording.
+        if archived_reason is None and cost.degraded_reason is None:
+            chosen, reason = self._choose(contract, model_node, exact_node)
+        else:
+            wording = _ARCHIVED if archived_reason is not None else _DEGRADED
+            if model_node is not None and sketch.uncovered_rows > 0:
+                model_node.unavailable_reason = wording.hybrid
+            chosen, reason = self._choose_blocked(contract, model_node, exact_node, wording)
+        return _Decision(sketch, model_node, chosen is model_node, reason)
+
+    def _shape_cost(self, statement: SelectStatement) -> _ShapeCost:
+        stats_by_table = self._statement_stats(statement)
+        exact_seconds = self.cost_model.exact_seconds(statement, stats_by_table)
+        return _ShapeCost(stats_by_table, exact_seconds, self.degraded_guard(statement))
 
     def _statement_stats(self, statement: SelectStatement) -> dict[str, TableStats]:
         stats: dict[str, TableStats] = {}
@@ -349,25 +494,6 @@ class UnifiedPlanner:
             if name not in stats and self.database.has_table(name):
                 stats[name] = self.database.stats(name)
         return stats
-
-    def _exact_node(
-        self,
-        sql: str,
-        statement: SelectStatement,
-        stats_by_table: dict[str, TableStats],
-    ) -> PlanNode:
-        seconds = self.cost_model.exact_seconds(statement, stats_by_table)
-        try:
-            _, plan_text = self.database.executor.plan_statement(sql, statement)
-            detail = plan_text.replace("\n", " → ")
-        except Exception:  # pragma: no cover - malformed SQL surfaces at execution
-            detail = "vectorized exact pipeline"
-        return PlanNode(
-            kind="exact",
-            route="exact",
-            detail=detail,
-            predicted_seconds=seconds,
-        )
 
     def _model_node(
         self,
@@ -390,7 +516,7 @@ class UnifiedPlanner:
         node = PlanNode(
             kind="model-route",
             route=sketch.route,
-            detail=sketch.detail,
+            description=sketch.detail,
             predicted_seconds=seconds,
             predicted_relative_error=predicted_error,
             model_ids=list(sketch.model_ids),
@@ -402,7 +528,7 @@ class UnifiedPlanner:
                 PlanNode(
                     kind="model-route",
                     route="grouped-model",
-                    detail=f"{sketch.n_model_groups} group(s) from model(s)",
+                    description=f"{sketch.n_model_groups} group(s) from model(s)",
                     predicted_seconds=self.cost_model.model_route_seconds(sketch.est_points),
                     predicted_relative_error=predicted_error,
                     model_ids=list(sketch.model_ids),
@@ -410,7 +536,7 @@ class UnifiedPlanner:
                 PlanNode(
                     kind="exact",
                     route="exact-fill-in",
-                    detail=(
+                    description=(
                         f"{sketch.n_exact_groups} uncovered group(s), "
                         f"≈{sketch.uncovered_rows:.0f} row(s) computed exactly"
                     ),
@@ -537,6 +663,15 @@ class UnifiedPlanner:
                 f"cheaper than exact"
             )
         return exact_node, "exact execution predicted cheaper than the model route"
+
+
+def _exact_detail(executor: SQLExecutor, sql: str, statement: SelectStatement) -> str:
+    """The exact candidate's physical plan on one line."""
+    try:
+        _, plan_text = executor.plan_statement(sql, statement)
+    except Exception:  # pragma: no cover - malformed SQL surfaces at execution
+        return "vectorized exact pipeline"
+    return plan_text.replace("\n", " → ")
 
 
 def _references_telemetry(statement: Any) -> bool:

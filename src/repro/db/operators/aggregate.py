@@ -15,7 +15,6 @@ to the per-group results, not to the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -28,6 +27,7 @@ from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType
 from repro.errors import ExecutionError
+from repro.lazy import lazy_attribute
 
 __all__ = ["AggregateSpec", "Aggregate", "SUPPORTED_AGGREGATES", "compute_aggregate"]
 
@@ -120,13 +120,13 @@ class _InputState:
         validity = column.validity
         self.valid: np.ndarray | None = None if validity.all() else validity
 
-    @cached_property
+    @lazy_attribute
     def ids(self) -> np.ndarray:
         """Group code of every non-NULL row of this input."""
         ids = self.context.group_ids
         return ids if self.valid is None else ids[self.valid]
 
-    @cached_property
+    @lazy_attribute
     def vals(self) -> np.ndarray:
         """Non-NULL values as float64, aligned with :attr:`ids`."""
         values = self.column.values
@@ -134,31 +134,31 @@ class _InputState:
             return values.astype(np.float64, copy=False)
         return values[self.valid].astype(np.float64)
 
-    @cached_property
+    @lazy_attribute
     def counts(self) -> np.ndarray:
         """Non-NULL row count per group."""
         if self.valid is None:
             return self.context.counts
         return np.bincount(self.ids, minlength=self.context.num_groups).astype(np.int64)
 
-    @cached_property
+    @lazy_attribute
     def sums(self) -> np.ndarray:
         """Per-group sum of non-NULL values."""
         return np.bincount(self.ids, weights=self.vals, minlength=self.context.num_groups)
 
-    @cached_property
+    @lazy_attribute
     def m2(self) -> np.ndarray:
         """Per-group sum of squared deviations about the group's mean."""
         means = self.sums / np.maximum(self.counts, 1)
         deviations = self.vals - means[self.ids]
         return np.bincount(self.ids, weights=deviations * deviations, minlength=self.context.num_groups)
 
-    @cached_property
+    @lazy_attribute
     def mins(self) -> np.ndarray:
         """Per-group minimum of non-NULL values (+inf for a group without one)."""
         return self._scatter(np.minimum, np.inf)
 
-    @cached_property
+    @lazy_attribute
     def maxs(self) -> np.ndarray:
         """Per-group maximum of non-NULL values (-inf for a group without one)."""
         return self._scatter(np.maximum, -np.inf)

@@ -48,10 +48,20 @@ class Operator:
         if tracer is None or not tracer.active:
             return self.apply(*[child.execute() for child in self.children()])
         with tracer.span(f"op:{type(self).__name__}") as span:
-            span.annotate(operator=self.describe())
-            result = self.apply(*[child.execute(tracer) for child in self.children()])
+            result, description = self.apply_described(
+                *[child.execute(tracer) for child in self.children()]
+            )
+            span.annotate(operator=description)
             span.annotate(rows_out=result.num_rows)
             return result
+
+    def apply_described(self, *inputs: Table) -> tuple[Table, str]:
+        """:meth:`apply` and :meth:`describe` together, for a traced run.
+
+        One call, so a node whose description needs what ``apply`` works out
+        anyway (a constrained scan's kept rows) works it out once.
+        """
+        return self.apply(*inputs), self.describe()
 
     def explain(self, indent: int = 0) -> str:
         """Render the plan subtree as indented text."""

@@ -204,11 +204,20 @@ class TableScan(Operator):
     def apply(self) -> Table:
         return self.read(*self.bind())
 
+    def apply_described(self) -> tuple[Table, str]:
+        table, kept = self.bind()
+        return self.read(table, kept), self._describe(kept)
+
     def describe(self) -> str:
+        if not self.constraints and self.top is None:
+            return self._describe(None)
+        return self._describe(kept_rows(self._bind_table(), self.constraints, top=self.top))
+
+    def _describe(self, kept: KeptRows | None) -> str:
+        """The one-line description; ``kept`` is read only when the scan prunes."""
         cols = "*" if self.projected_columns is None else ", ".join(self.projected_columns)
         if not self.constraints and self.top is None:
             return f"TableScan({self.table.name}, columns=[{cols}])"
-        kept = kept_rows(self._bind_table(), self.constraints, top=self.top)
         top = ""
         if self.top is not None:
             name, ascending, count = self.top

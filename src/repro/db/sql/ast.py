@@ -9,8 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.db.constraints import WhereConstraints, extract_constraints
 from repro.db.expressions import Expression
 from repro.db.types import DataType
+from repro.lazy import lazy_attribute
 
 __all__ = [
     "SelectItem",
@@ -88,6 +90,12 @@ class SelectStatement:
         """Every table the statement reads: the FROM table, then each JOIN's."""
         base = [self.table.name] if self.table is not None else []
         return base + [join.table.name for join in self.joins]
+
+    @lazy_attribute
+    def constraints(self) -> WhereConstraints:
+        """The WHERE clause's per-column constraints, analysed once per
+        statement and shared by every reader (none modifies them)."""
+        return extract_constraints(self.where)
 
 
 @dataclass

@@ -1,14 +1,20 @@
 """SQL statement executor: ties the parser, planner and operators together.
 
-The executor keeps one LRU entry per SQL text (:class:`PreparedStatement`):
-the parsed AST and — for SELECTs — the physical plan.  The approximate
-engine re-runs the same fallback and differential queries over and over;
-re-lexing, re-parsing and re-planning each time dominates the cost of small
-queries.  Parsing is pure, so the AST never goes stale; the plan is stamped
-with the catalog's version counter — any DDL or data change (appends mark
-the table dirty, which bumps the version) invalidates it, so a cached plan
-can never serve a stale schema.  Plans are stateless operator trees:
-re-executing one always reads the current table contents.
+A text is looked up in two LRUs.  The first is keyed by the SQL text and
+holds a :class:`PreparedStatement`: the parsed AST and — for SELECTs — the
+physical plan.  On a text miss a SELECT is lexed once and reduced to its
+shape (:mod:`repro.db.sql.shape`: the WHERE clause's comparison literals
+become typed slots); the second LRU holds one parsed :class:`Template` per
+shape, so a text that differs from a seen one only in those literals is
+bound, not parsed.  INSERT and CREATE keep the text key alone.  Parsing is
+pure, so neither entry goes stale.
+
+The physical plan stays per statement: literals feed zone-map pruning and
+top-N bounds when a plan binds.  It is stamped with the catalog's version
+counter — any DDL or data change (appends mark the table dirty, which bumps
+the version) invalidates it, so a cached plan can never serve a stale
+schema.  Plans are stateless operator trees: re-executing one always reads
+the current table contents.
 """
 
 from __future__ import annotations
@@ -21,13 +27,18 @@ from repro.db.io_model import IOModel
 from repro.db.lru import LockedLRU
 from repro.db.schema import ColumnDef, Schema
 from repro.db.sql.ast import CreateTableStatement, InsertStatement, SelectStatement, Statement
+from repro.db.sql.lexer import tokenize
 from repro.db.sql.parser import parse
 from repro.db.sql.planner import PlannedQuery, plan_select
+from repro.db.sql.shape import Shape, Template, select_shape, verbatim_key
 from repro.db.table import Table
-from repro.errors import SQLPlanningError, UnsupportedSQLError
+from repro.errors import SQLError, SQLPlanningError, UnsupportedSQLError
 from repro.obs.trace import Tracer
 
 __all__ = ["PreparedStatement", "QueryResult", "SQLExecutor"]
+
+#: Statements that keep the text key alone, told apart without lexing them.
+_TEXT_KEYED = frozenset({"insert", "create"})
 
 
 @dataclass
@@ -52,11 +63,14 @@ class QueryResult:
         return self.table.row(0)[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class PreparedStatement:
-    """One SQL text, parsed once; the cache entry a query carries end to end."""
+    """One SQL text, parsed once; the cache entry a query carries end to end
+    (hashed by identity: layers above may key what they derive on it)."""
 
     statement: Statement
+    #: The SELECT's shape key (:mod:`repro.db.sql.shape`); None for DDL/DML.
+    shape: str | None = None
     #: ``(catalog version, plan, rendered plan text)`` of a SELECT.  Stored
     #: as one attribute so concurrent executions swap it atomically.
     plan: tuple[int, PlannedQuery, str] | None = None
@@ -89,6 +103,8 @@ class SQLExecutor:
         #: sql text -> :class:`PreparedStatement`; hits and misses count
         #: plan reuse, not text lookups (see :meth:`_plan`).
         self._cache = LockedLRU(plan_cache_size)
+        #: SELECT shape key -> :class:`Template`.
+        self._templates = LockedLRU(plan_cache_size)
 
     @property
     def plan_cache_size(self) -> int:
@@ -160,29 +176,53 @@ class SQLExecutor:
 
     # -- parse / plan caching -------------------------------------------------
 
-    def prepare(self, sql: str, statement: Statement | None = None) -> PreparedStatement:
+    def prepare(self, sql: str) -> PreparedStatement:
         """The cache entry for ``sql`` — the one text-keyed lookup of a query.
 
-        A text seen for the first time is parsed (unless the caller hands
-        over the ``statement`` it already holds) and remembered; parsing is
-        pure (the AST is immutable and never depends on catalog state), so
-        entries need no invalidation — only LRU eviction.  The entry stays
-        valid in the caller's hands after eviction or :meth:`clear_plan_cache`.
+        A text seen for the first time is bound from its shape's template, or
+        parsed, and remembered; parsing is pure (the AST is immutable and
+        never depends on catalog state), so entries need no invalidation —
+        only LRU eviction.  The entry stays valid in the caller's hands after
+        eviction or :meth:`clear_plan_cache`.
         """
         prepared = self._cache.get(sql, count=False)
         if prepared is None:
-            prepared = PreparedStatement(statement if statement is not None else parse(sql))
+            prepared = self._prepare(sql)
             self._cache.put(sql, prepared)
         return prepared
+
+    def _prepare(self, sql: str) -> PreparedStatement:
+        tokens = None
+        if sql.lstrip()[:6].lower() not in _TEXT_KEYED:
+            try:
+                tokens = tokenize(sql)
+            except SQLError:
+                pass  # ``parse`` raises the same error
+        shape = select_shape(tokens) if tokens else None
+        if shape is None:
+            return PreparedStatement(parse(sql))
+        template = self._templates.get(shape.key, count=False)
+        if template is not None:
+            return PreparedStatement(template.bind(shape.values), shape.key)
+        statement = parse(sql)
+        template = Template.of(statement, shape)
+        if template is None:
+            # The token scan and the parser disagree about where this text's
+            # literals sit: its shape is every token as written.
+            shape = Shape(verbatim_key(tokens), 0, (), ())
+            template = Template(statement, ())
+        self._templates.put(shape.key, template)
+        return PreparedStatement(statement, shape.key)
 
     def plan_statement(self, sql: str, statement: SelectStatement) -> tuple[PlannedQuery, str]:
         """Plan a SELECT through the version-stamped LRU cache.
 
         Exposed for the unified planner: a cached plan is only reused while
         ``catalog.version`` is unchanged, so DDL or data changes can never
-        serve a stale schema.
+        serve a stale schema.  A text the cache no longer holds is planned
+        from the ``statement`` handed over, without an entry.
         """
-        return self._plan(self.prepare(sql, statement))
+        return self._plan(self._cache.get(sql, count=False) or PreparedStatement(statement))
 
     def _plan(self, prepared: PreparedStatement) -> tuple[PlannedQuery, str]:
         """Plan a SELECT, reusing its cached plan while the catalog is unchanged."""
@@ -204,8 +244,9 @@ class SQLExecutor:
         return info
 
     def clear_plan_cache(self) -> None:
-        """Drop every cached parse and plan (counters are kept)."""
+        """Drop every cached parse, template and plan (counters are kept)."""
         self._cache.clear()
+        self._templates.clear()
 
     # -- DDL / DML ------------------------------------------------------------
 

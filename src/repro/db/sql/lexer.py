@@ -3,13 +3,15 @@
 Produces a flat list of :class:`Token` objects.  Keywords are recognised
 case-insensitively; identifiers keep their original spelling (the engine is
 case-sensitive about table and column names, like most columnar research
-prototypes).
+prototypes).  Every text a parse cache has not seen is lexed, so one
+compiled pattern reads each token, blanks and comments before it included.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import SQLSyntaxError
 
@@ -33,8 +35,9 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme (a tuple: a text is a few dozen of them, built per lex)."""
+
     type: TokenType
     value: str
     position: int
@@ -46,109 +49,76 @@ class Token:
         return f"Token({self.type.value}, {self.value!r})"
 
 
-_OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCTUATION = ("(", ")", ",", ".", ";")
+#: One token and the blanks and comments before it, per match; operators
+#: longest first.  The blanks are taken whole (a lookahead captures them,
+#: then the match consumes exactly that: no backtracking can re-read a
+#: comment as tokens).  A string's closing quote is the first one not doubled
+#: (``''`` escapes a quote).  A word is an identifier only if it starts with
+#: a letter or ``_``.  ``end`` matches the blanks that close the text.
+_TOKEN = re.compile(
+    r"""
+    (?=(?P<blank>(?:\s+|--[^\n]*)*))(?P=blank)
+    (?:
+      (?P<string>'(?:[^']|'')*'(?!'))
+    | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d*)?)
+    | (?P<word>\w+)
+    | (?P<quoted>"[^"]*")
+    | (?P<operator><=|>=|!=|<>|[=<>+\-*/%])
+    | (?P<punctuation>[(),.;])
+    | (?P<end>\Z)
+    )
+    """,
+    re.VERBOSE,
+)
+_BLANKS = re.compile(r"(?:\s+|--[^\n]*)*")
+_STRING, _QUOTED, _NUMBER, _WORD, _OPERATOR, _END = (
+    _TOKEN.groupindex[name] for name in ("string", "quoted", "number", "word", "operator", "end")
+)
+_new = tuple.__new__  # builds a Token without NamedTuple's Python-level constructor
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenise ``text`` into a list of tokens terminated by an EOF token."""
     tokens: list[Token] = []
+    append = tokens.append
     i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-
-        if ch.isspace():
-            i += 1
-            continue
-
-        # Line comments
-        if text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-
-        # String literal
-        if ch == "'":
-            end = i + 1
-            parts = []
-            while True:
-                if end >= n:
-                    raise SQLSyntaxError("unterminated string literal", i)
-                if text[end] == "'":
-                    if end + 1 < n and text[end + 1] == "'":  # escaped quote
-                        parts.append("'")
-                        end += 2
-                        continue
-                    break
-                parts.append(text[end])
-                end += 1
-            tokens.append(Token(TokenType.STRING, "".join(parts), i))
-            i = end + 1
-            continue
-
-        # Number literal (integer, float, scientific)
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            end = i
-            seen_dot = False
-            seen_exp = False
-            while end < n:
-                c = text[end]
-                if c.isdigit():
-                    end += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    end += 1
-                elif c in "eE" and not seen_exp and end > i:
-                    seen_exp = True
-                    end += 1
-                    if end < n and text[end] in "+-":
-                        end += 1
-                else:
-                    break
-            tokens.append(Token(TokenType.NUMBER, text[i:end], i))
-            i = end
-            continue
-
-        # Identifier or keyword
-        if ch.isalpha() or ch == "_" or ch == '"':
-            if ch == '"':
-                end = text.find('"', i + 1)
-                if end == -1:
-                    raise SQLSyntaxError("unterminated quoted identifier", i)
-                tokens.append(Token(TokenType.IDENTIFIER, text[i + 1 : end], i))
-                i = end + 1
-                continue
-            end = i
-            while end < n and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[i:end]
-            lowered = word.lower()
-            if lowered in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, lowered, i))
-            else:
-                tokens.append(Token(TokenType.IDENTIFIER, word, i))
-            i = end
-            continue
-
-        # Operators (longest match first)
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                value = "!=" if op == "<>" else op
-                tokens.append(Token(TokenType.OPERATOR, value, i))
-                i += len(op)
-                matched = True
+    for found in _TOKEN.finditer(text):
+        kind = found.lastindex
+        if found.start() != i or kind == _END:
+            break  # no token starts at ``i``, or the text ended
+        start = found.start(kind)
+        value = found[kind]
+        if kind == _WORD:
+            if not (value[0].isalpha() or value[0] == "_"):
                 break
-        if matched:
-            continue
-
-        if ch in _PUNCTUATION:
-            tokens.append(Token(TokenType.PUNCTUATION, ch, i))
-            i += 1
-            continue
-
-        raise SQLSyntaxError(f"unexpected character {ch!r}", i)
-
-    tokens.append(Token(TokenType.EOF, "", n))
+            lowered = value.lower()
+            if lowered in KEYWORDS:
+                append(_new(Token, (TokenType.KEYWORD, lowered, start)))
+            else:
+                append(_new(Token, (TokenType.IDENTIFIER, value, start)))
+        elif kind == _STRING:
+            append(_new(Token, (TokenType.STRING, value[1:-1].replace("''", "'"), start)))
+        elif kind == _QUOTED:
+            append(_new(Token, (TokenType.IDENTIFIER, value[1:-1], start)))
+        elif kind == _NUMBER:
+            append(_new(Token, (TokenType.NUMBER, value, start)))
+        elif kind == _OPERATOR:
+            append(_new(Token, (TokenType.OPERATOR, "!=" if value == "<>" else value, start)))
+        else:
+            append(_new(Token, (TokenType.PUNCTUATION, value, start)))
+        i = found.end()
+    stuck = _BLANKS.match(text, i).end()
+    if stuck < len(text):
+        raise _syntax_error(text, stuck)
+    append(_new(Token, (TokenType.EOF, "", len(text))))
     return tokens
+
+
+def _syntax_error(text: str, i: int) -> SQLSyntaxError:
+    """Why no token starts at ``text[i]``."""
+    ch = text[i]
+    if ch == "'":
+        return SQLSyntaxError("unterminated string literal", i)
+    if ch == '"':
+        return SQLSyntaxError("unterminated quoted identifier", i)
+    return SQLSyntaxError(f"unexpected character {ch!r}", i)

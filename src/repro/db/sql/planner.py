@@ -26,7 +26,6 @@ into :class:`~repro.db.operators.aggregate.AggregateSpec` entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from repro.db.catalog import Catalog
@@ -51,6 +50,7 @@ from repro.db.operators.scan import TopBound
 from repro.db.sql.ast import SelectStatement, Star
 from repro.db.table import Table
 from repro.errors import SQLPlanningError, UnsupportedSQLError
+from repro.lazy import lazy_attribute
 
 __all__ = ["plan_select", "PlannedQuery"]
 
@@ -289,7 +289,7 @@ class _PlanBuilder:
             names = [min(table.schema.columns, key=lambda c: c.dtype.byte_width).name]
         return names or None
 
-    @cached_property
+    @lazy_attribute
     def _all_statement_columns(self) -> set[str] | None:
         """Every column name (possibly qualified) the statement mentions —
         walked once per plan, however many scans and reports read it."""

@@ -401,7 +401,7 @@ class ArchiveTier:
         # another table's archived ``ts`` predicate.  With joins present,
         # any archived table blocks.
         query_constraints = (
-            extract_constraints(statement.where) if not statement.joins else None
+            statement.constraints if not statement.joins else None
         )
         for name in names:
             segments = segments_by_name[name]

@@ -270,6 +270,21 @@ def test_operator_execute_is_defined_once_and_nothing_reaches_through_dunder_dic
     assert reaches_through == []
 
 
+def test_no_lazy_attribute_takes_a_lock():
+    """``functools.cached_property`` holds a class-wide lock while it computes
+    on Python < 3.12: one query's first statistics read would block every
+    other query's.  Lazy attributes are :class:`repro.lazy.lazy_attribute`."""
+    found = [
+        f"{relative}:{node.lineno}"
+        for relative, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (isinstance(node, ast.alias) and node.name == "cached_property")
+    ]
+    assert found == []
+
+
 def test_no_function_outside_expressions_switches_over_the_composite_classes():
     """A walk over expressions goes through ``map_children`` / ``children()``.
 

@@ -52,6 +52,34 @@ class TestLexer:
     def test_eof_token_terminates(self):
         assert tokenize("select")[-1].type is TokenType.EOF
 
+    def test_tokens_keep_their_positions(self):
+        tokens = tokenize(" x<>'a''b' -- c\n\"q\" 1.5e3e")
+        assert [(t.type.value, t.value, t.position) for t in tokens] == [
+            ("identifier", "x", 1),
+            ("operator", "!=", 2),
+            ("string", "a'b", 4),
+            ("identifier", "q", 16),
+            ("number", "1.5e3", 20),
+            ("identifier", "e", 25),
+            ("eof", "", 26),
+        ]
+
+    @pytest.mark.parametrize(
+        "text,position,message",
+        [
+            ("x = 'a''", 4, "unterminated string literal"),
+            ("x -- it's\n = 'b", 13, "unterminated string literal"),
+            ('x = "a', 4, "unterminated quoted identifier"),
+            ("x =  @", 5, "unexpected character '@'"),
+            ("x = 2²", 5, "unexpected character '²'"),
+        ],
+    )
+    def test_a_syntax_error_names_where_no_token_starts(self, text, position, message):
+        """A comment is never re-read as tokens, and a doubled quote never
+        closes a string."""
+        with pytest.raises(SQLSyntaxError, match=f"{message} \\(at position {position}\\)"):
+            tokenize(text)
+
 
 class TestExpressionParsing:
     def test_precedence_multiplication_over_addition(self):

@@ -32,6 +32,7 @@ from repro.db.expressions import (  # noqa: E402
     UnaryOp,
     col,
 )
+import repro.db.operators.scan as scan_module  # noqa: E402
 from repro.db.io_model import IOModel  # noqa: E402
 from repro.db.operators import Filter, MaterializedInput, Operator  # noqa: E402
 from repro.db.sql.ast import Star  # noqa: E402
@@ -154,6 +155,26 @@ def test_a_traced_run_mirrors_the_plan(plans):
     before = len(tracer.traces())
     plans[0].execute(tracer)
     assert len(tracer.traces()) == before and not tracer.active
+
+
+def test_a_traced_constrained_scan_works_out_its_kept_rows_once(monkeypatch):
+    """The span's ``blocks=kept/total`` and the read share one ``kept_rows`` pass."""
+    db = _database()
+    root = plan_select(parse("SELECT count(*) FROM readings WHERE x > 2"), db.catalog, db.io_model).root
+    calls = []
+    real = scan_module.kept_rows
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scan_module, "kept_rows", counting)
+    tracer = Tracer()
+    with tracer.trace("run") as run:
+        root.execute(tracer)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert "\n".join(_span_shape(run.children[0])) == root.explain()
 
 
 def test_one_cached_plan_serves_traced_and_untraced_threads_at_once():

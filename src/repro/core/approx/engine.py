@@ -14,7 +14,7 @@ Answer routes
 The engine walks :data:`repro.core.approx.routes.ROUTES` — one module per
 route, each a ``gate`` / ``sketch`` / ``answer`` triple
 (:mod:`repro.core.approx.protocol`) — and the first route whose gate admits
-the statement and whose evaluation does not decline serves it.  In routing
+the statement serves it; a gate that admits always answers.  In routing
 order:
 
 ``grouped-model`` / ``grouped-hybrid``
@@ -25,30 +25,26 @@ order:
 ``point``
     Every model input and group key is pinned by equality predicates: a
     single model evaluation (the paper's first example query).
-``range-aggregate``
-    Aggregates restricted by range predicates (``BETWEEN``, ``<``, ``>``,
-    ``IN``): the model is evaluated/integrated over the restricted input
-    domain instead of falling back.
-``analytic-aggregate``
-    A global aggregate over the modelled column of an ungrouped closed-form
-    model: the range integration with nothing clipped (§4.2).
+``range-aggregate`` / ``analytic-aggregate``
+    An aggregate without ``GROUP BY``, with or without a ``WHERE``: the
+    aggregate kernel evaluates the model's parameter rows over the
+    restricted input domain (§4.2) and combines a grouped model's groups.
 ``virtual-table``
-    The general route: enumerate the parameter space, generate the virtual
-    table, run the query plan over it (the paper's second example query).
+    Non-aggregate selections: enumerate the parameter space, generate the
+    virtual table, run the query plan over it (the paper's second example
+    query).
 ``exact-fallback``
     No usable model covers the query; execute against the raw data.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import chain
 from time import perf_counter
 from typing import Any, Callable
 
 from repro.core.approx.enumeration import DEFAULT_MAX_ROWS
 from repro.core.approx.legal import LegalCombinationFilter
-from repro.core.approx.protocol import ApproximateAnswer, BoundRoute, Probe, Route, RouteSketch
+from repro.core.approx.protocol import ApproximateAnswer, BoundRoute, Probe, RouteSketch
 from repro.core.approx.routes import ROUTES
 from repro.core.approx.routes.grouped import GroupedRoutePlan
 from repro.core.captured_model import CapturedModel
@@ -64,7 +60,7 @@ __all__ = [
     "ApproximateQueryEngine",
     "BoundRoute",
     "RouteSketch",
-    "walked",
+    "literal_keys",
 ]
 
 
@@ -119,17 +115,18 @@ class ApproximateQueryEngine:
     def answer_bound(self, sql: str, bound: BoundRoute, allow_fallback: bool = True) -> ApproximateAnswer:
         """Serve what a walk bound to ``sql``: the route's answer, directly.
 
-        No earlier gate runs again and no model is selected.  When the route
-        declines at evaluation the walk continues from the next route; when
-        no route admitted the statement, it falls back (or raises) with the
-        reason the walk declined with.
+        No earlier gate runs again and no model is selected.  When no route
+        admitted the statement, it falls back (or raises) with the reason the
+        walk declined with.
         """
         started = perf_counter()
         # Per-execution IO scope: interleaved queries on other threads never
         # leak pages into this answer's attribution.
         with self.database.io_model.scope() as io_scope:
             try:
-                answer = self._serve(bound)
+                if bound.match is None:
+                    raise _fresh(bound.declined)
+                answer = bound.route.answer(self, bound.probe, bound.match)
                 self._note_staleness(answer)
             except (ApproximationError, EnumerationError, ModelNotFoundError) as exc:
                 if not allow_fallback:
@@ -177,7 +174,7 @@ class ApproximateQueryEngine:
 
         The caller guarantees every gate the walk to ``bound`` consulted reads
         ``statement``'s literals as it read the first statement's (equal
-        :func:`walked` literal keys): the earlier gates decline again and a
+        :func:`literal_keys`): the earlier gates decline again and a
         declined walk declines alike, so neither runs.  The probe keeps what
         the shape decides — the table, the referenced columns, the serving
         model and the grouped route's per-group routing; the WHERE pins and
@@ -247,28 +244,6 @@ class ApproximateQueryEngine:
             if match is not None:
                 return BoundRoute(route, probe, match)
         return BoundRoute(None, probe, None, ApproximationError("no model route serves the statement"))
-
-    def _admitting_routes(self, probe: Probe, start: int = 0) -> Iterator[tuple[Route, Any]]:
-        """Yield ``(route, gate match)`` for each route from ``ROUTES[start]``
-        on whose shape gate admits the statement, in routing order; past the
-        last, raise the error the walk declined with."""
-        bound = self._bind_from(probe, start)
-        while bound.match is not None:
-            yield bound.route, bound.match
-            bound = self._bind_from(probe, ROUTES.index(bound.route) + 1)
-        raise _fresh(bound.declined)
-
-    def _serve(self, bound: BoundRoute) -> ApproximateAnswer:
-        """The bound route's answer; when it declines at evaluation, the next
-        admitting route's — the walk moves on."""
-        if bound.match is None:
-            raise _fresh(bound.declined)
-        later = self._admitting_routes(bound.probe, ROUTES.index(bound.route) + 1)
-        for route, match in chain([(bound.route, bound.match)], later):
-            answer = route.answer(self, bound.probe, match)
-            if answer is not None:
-                return answer
-        raise AssertionError("the walk ends by raising")  # pragma: no cover
 
     def _exact(self, sql: str, reason: str) -> ApproximateAnswer:
         result = self.database.sql(sql)
@@ -361,12 +336,14 @@ def _pins(statement: SelectStatement) -> dict[str, list[Any]]:
     }
 
 
-def walked(bound: BoundRoute | None) -> tuple[Route, ...]:
-    """The routes whose gates decided ``bound``: every rung up to the one the
-    walk ended on (none when it could not start)."""
+def literal_keys(bound: BoundRoute | None, statement: SelectStatement) -> tuple:
+    """What the gates that decided ``bound`` — every rung up to the one the
+    walk ended on, none when it could not start — read from ``statement``'s
+    literals, given the serving model the walk bound."""
     if bound is None or bound.route is None:
         return ()
-    return ROUTES[: ROUTES.index(bound.route) + 1]
+    model = bound.probe.model
+    return tuple(route.literal_key(statement, model) for route in ROUTES[: ROUTES.index(bound.route) + 1])
 
 
 def _referenced_columns(statement: SelectStatement) -> set[str]:

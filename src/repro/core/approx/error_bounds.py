@@ -4,7 +4,9 @@ Every approximate answer must carry "an indication of the error that is to
 be expected" (§2).  For per-row answers that indication is the residual
 standard error of the model that produced the value; for aggregates the
 per-row errors combine according to standard error-propagation rules under
-the (paper-consistent) assumption of independent, zero-mean residuals.
+the (paper-consistent) assumption of independent, zero-mean residuals — the
+convention the aggregate kernel states once
+(:func:`repro.core.approx.routes.aggcalc.aggregate_values_errors`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ErrorEstimate", "aggregate_error", "combine_independent", "extreme_value_error"]
+__all__ = ["ErrorEstimate", "combine_independent", "extreme_value_error"]
 
 
 @dataclass(frozen=True)
@@ -61,32 +63,3 @@ def extreme_value_error(
     (one entry per group).
     """
     return per_row_error * np.sqrt(2.0 * np.log(np.maximum(n_rows, 2.0)))
-
-
-def aggregate_error(function: str, per_row_error: float, n_rows: int) -> float:
-    """Standard error of an aggregate computed over model-generated rows.
-
-    Assuming independent per-row residuals with standard deviation
-    ``per_row_error``:
-
-    * ``sum`` — errors add in quadrature: ``per_row_error * sqrt(n)``;
-    * ``avg`` — the error of the mean: ``per_row_error / sqrt(n)``;
-    * ``min`` / ``max`` — bounded by the per-row error of the extreme row;
-    * ``count`` — counting model-generated rows is exact given the
-      enumeration, so 0 (legality false-positives are reported separately);
-    * ``stddev`` / ``var`` — conservatively the per-row error itself.
-    """
-    function = function.lower()
-    if n_rows <= 0:
-        return 0.0
-    if function == "sum":
-        return per_row_error * math.sqrt(n_rows)
-    if function == "avg":
-        return per_row_error / math.sqrt(n_rows)
-    if function in ("min", "max"):
-        return per_row_error
-    if function == "count":
-        return 0.0
-    if function in ("stddev", "var"):
-        return per_row_error
-    return per_row_error

@@ -154,7 +154,7 @@ class Probe:
         return [aggregate_calls(item.expression) for item in self.statement.items]
 
 
-def _reads_no_literals(statement: SelectStatement) -> tuple:
+def _reads_no_literals(statement: SelectStatement, model: CapturedModel | None) -> tuple:
     return ()
 
 
@@ -165,20 +165,21 @@ class Route:
     ``gate(engine, probe)`` is the shape gate: a match object the other two
     reuse, or None when the statement belongs to a later route.
     ``sketch(engine, probe, match)`` predicts the route statically;
-    ``answer(engine, probe, match)`` serves it, or returns None when
-    evaluation finds it cannot after all (the walk moves on).
-    ``literal_key(statement)`` names every fact ``gate`` and ``sketch`` read
-    from the statement's literal *values* (beyond its shape): two statements
-    of one shape with equal keys get the same gate decision and the same
-    sketch, so the planner may decide one for the other.
+    ``answer(engine, probe, match)`` serves it — a gate admits only what its
+    answer serves, so a refusal is the gate's (None, or a typed error).
+    ``literal_key(statement, model)`` names every fact ``gate`` and ``sketch``
+    read from the statement's literal *values* (beyond its shape), given the
+    serving model the walk bound (None before one is): two statements of one
+    shape with equal keys get the same gate decision and the same sketch, so
+    the planner may decide one for the other.
     """
 
     gate: Callable[..., Any]
     sketch: Callable[..., RouteSketch]
-    answer: Callable[..., "ApproximateAnswer | None"]
+    answer: Callable[..., ApproximateAnswer]
     #: Whether the engine must bind ``probe.model`` before the gate runs.
     needs_model: bool = True
-    literal_key: Callable[[SelectStatement], Any] = _reads_no_literals
+    literal_key: Callable[[SelectStatement, "CapturedModel | None"], Any] = _reads_no_literals
 
 
 @dataclass(frozen=True)

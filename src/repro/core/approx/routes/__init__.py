@@ -10,14 +10,16 @@ triple — ``gate`` / ``sketch`` / ``answer`` — handing back the one
   uncovered groups computed exactly and merged);
 * :mod:`~repro.core.approx.routes.point` — every input and group key pinned
   by equality: one model evaluation;
-* :mod:`~repro.core.approx.routes.range_agg` — ungrouped aggregates
-  evaluated/integrated over the model's input box, clipped by the range
-  predicates (``range-aggregate``) or whole (``analytic-aggregate``);
-* :mod:`~repro.core.approx.routes.virtual` — the general route: enumerate
-  the parameter space and run the statement's plan over the generated table.
+* :mod:`~repro.core.approx.routes.range_agg` — aggregates without ``GROUP
+  BY``, with a ``WHERE`` (``range-aggregate``) or without
+  (``analytic-aggregate``), over an ungrouped or a grouped model;
+* :mod:`~repro.core.approx.routes.virtual` — non-aggregate selections:
+  enumerate the parameter space and run the statement's plan over the
+  generated table.
 
-:mod:`~repro.core.approx.routes.aggcalc` holds the SELECT-list analysis and
-the row-weighted value/error computation the grouped and range routes share.
+:mod:`~repro.core.approx.routes.aggcalc` is the aggregate kernel the grouped
+and aggregate routes share: ``(parameter rows, restriction) → per-group
+values and errors``, and the one reduction across groups.
 The engine walks :data:`ROUTES` and knows nothing else about a route; adding
 one means writing its module and listing its ``ROUTE`` here.
 """
@@ -30,7 +32,6 @@ __all__ = ["ROUTES"]
 ROUTES: tuple[Route, ...] = (
     grouped.ROUTE,
     point.ROUTE,
-    range_agg.RANGE_ROUTE,
-    range_agg.ANALYTIC_ROUTE,
+    range_agg.ROUTE,
     virtual.ROUTE,
 )

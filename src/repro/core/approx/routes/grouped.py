@@ -6,7 +6,8 @@ The paper's Section 2 workload is built from queries like::
 
 Instead of materialising a virtual table and running the full plan over it,
 this route evaluates the captured *per-group* models directly — one model
-evaluation per group over the (range-restricted) input domain — and attaches
+evaluation per group over the (range-restricted) input domain, by the
+aggregate kernel of :mod:`~repro.core.approx.routes.aggcalc` — and attaches
 a per-group :class:`~repro.core.approx.error_bounds.ErrorEstimate` to every
 aggregate.  Groups no servable model covers (failed fits, groups that
 appeared after the last capture) are computed exactly over just their rows
@@ -26,15 +27,13 @@ from repro.core.approx.protocol import ApproximateAnswer, Probe, Route, RouteSke
 from repro.core.approx.routes.aggcalc import (
     DomainRestriction,
     ItemSpec,
-    aggregate_values_errors,
+    aggregate_groups,
     analyse_select_items,
     build_result_table,
-    current_group_rows,
-    evaluate_over_domains,
-    growth_scale,
+    constraint_facts,
+    live_group_rows,
     pin_facts,
-    restricted_domains,
-    staleness_rows,
+    restrict,
 )
 from repro.db.constraints import WhereConstraints, bare_name as _bare
 from repro.core.approx.routes.router import GroupRoutingPlan, plan_group_routing
@@ -75,37 +74,21 @@ class GroupedRoutePlan:
     candidates: list[CapturedModel]
     #: Per-group model-vs-exact assignments (the PR-2 router's output).
     routing: GroupRoutingPlan
-    output_null_fraction: float
-    #: Per serving batch (``routing.batches``), the input domains evaluation
-    #: enumerates, restricted by the statement's WHERE clause (the gate's).
+    #: Per serving batch (``routing.batches``), where the kernel evaluates
+    #: it under the statement's WHERE clause (the gate's).
     restrictions: list[DomainRestriction] = field(default_factory=list)
-
-    @property
-    def n_model_groups(self) -> int:
-        return len(self.routing.model_groups)
-
-    @property
-    def n_exact_groups(self) -> int:
-        return len(self.routing.exact_groups)
-
-    @property
-    def is_hybrid(self) -> bool:
-        return self.routing.is_hybrid
-
-    @property
-    def used_model_ids(self) -> list[int]:
-        return self.routing.used_model_ids
 
 
 def _gate(engine: ApproximateQueryEngine, probe: Probe) -> GroupedRoutePlan | None:
     """Shape gate, candidate lookup (harvesting on demand), per-group routing
-    and the input domains evaluation enumerates.  A plan handed over — the
-    planner's, made for this statement or another of its shape — keeps its
-    candidates and routing; the analysis and the domains are this statement's.
+    and where the kernel evaluates each serving model.  A plan handed over —
+    the planner's, made for this statement or another of its shape — keeps
+    its candidates and routing; the analysis and the restrictions are this
+    statement's.
 
     Evaluation restricts every serving model's inputs to the WHERE clause: an
-    input with neither a known domain nor a pin cannot be restricted, so the
-    gate declines and a plan never names a route that does not run.
+    input that can be neither enumerated nor integrated cannot be restricted,
+    so the gate declines and a plan never names a route that does not run.
     """
     analysis = analyse_grouped_statement(probe.statement)
     if analysis is None:
@@ -119,8 +102,7 @@ def _gate(engine: ApproximateQueryEngine, probe: Probe) -> GroupedRoutePlan | No
         if planned is None:
             return None
     restrictions = [
-        restricted_domains(batch.model, probe.stats, analysis.constraints)
-        for batch in planned.routing.batches
+        restrict(batch.model, probe.stats, analysis.constraints) for batch in planned.routing.batches
     ]
     if any(restricted is None for restricted in restrictions):
         return None
@@ -164,14 +146,11 @@ def _plan_route(
 
     # NULL group keys form their own group in exact execution; the fitted
     # parameters cannot represent it, so decline when present.  (NULLs in
-    # the aggregated column are handled quantitatively via the null
-    # fraction below.)
+    # the aggregated column are handled quantitatively by the kernel.)
     for column in group_columns:
         column_stats = stats.columns.get(column)
         if column_stats is not None and column_stats.null_count > 0:
             return None
-    output_stats = stats.columns.get(output_column)
-    output_null_fraction = output_stats.null_fraction if output_stats is not None else 0.0
 
     # A model can only honor WHERE constraints over its own input (or group)
     # columns; serving a query whose predicate mentions anything else would
@@ -206,12 +185,7 @@ def _plan_route(
     )
     if not routing.model_groups:
         return None
-    return GroupedRoutePlan(
-        analysis=analysis,
-        candidates=candidates,
-        routing=routing,
-        output_null_fraction=output_null_fraction,
-    )
+    return GroupedRoutePlan(analysis=analysis, candidates=candidates, routing=routing)
 
 
 def _sketch(
@@ -220,7 +194,7 @@ def _sketch(
     routing, stats = grouped.routing, probe.stats
     uncovered_rows = 0.0
     if routing.exact_groups:
-        live = current_group_rows(stats, grouped.analysis.group_columns)
+        live = live_group_rows(stats, grouped.analysis.group_columns)
         if live is not None:
             uncovered_rows = float(sum(live.get(a.key[0], 0) for a in routing.exact_groups))
         else:
@@ -233,15 +207,15 @@ def _sketch(
     ]
     return RouteSketch(
         route="grouped-hybrid" if routing.exact_groups else "grouped-model",
-        model_ids=grouped.used_model_ids,
+        model_ids=routing.used_model_ids,
         detail=routing.describe(),
         residual_standard_error=max(
             (m.quality.residual_standard_error for m in grouped.candidates), default=0.0
         ),
         relative_rse=max(relatives) if relatives else None,
-        est_points=grouped.n_model_groups,
-        n_model_groups=grouped.n_model_groups,
-        n_exact_groups=grouped.n_exact_groups,
+        est_points=len(routing.model_groups),
+        n_model_groups=len(routing.model_groups),
+        n_exact_groups=len(routing.exact_groups),
         uncovered_rows=uncovered_rows,
         aggregate_functions=tuple(
             spec.function for spec in grouped.analysis.specs if spec.kind == "aggregate"
@@ -255,13 +229,13 @@ def _answer(
     engine: ApproximateQueryEngine, probe: Probe, route_plan: GroupedRoutePlan
 ) -> ApproximateAnswer:
     """GROUP BY aggregates evaluated per group, with exact fill-in."""
-    tracer = engine.tracer
+    tracer, routing = engine.tracer, route_plan.routing
     with tracer.span("route:grouped") as span:
         if tracer.active:
             span.annotate(
-                model_groups=route_plan.n_model_groups,
-                exact_groups=route_plan.n_exact_groups,
-                models=list(route_plan.used_model_ids),
+                model_groups=len(routing.model_groups),
+                exact_groups=len(routing.exact_groups),
+                models=list(routing.used_model_ids),
             )
         return _evaluate(engine, probe, route_plan)
 
@@ -289,45 +263,21 @@ def _evaluate(
     emitted = np.ones(len(keys), dtype=bool)
     virtual_rows = 0
 
-    # Live per-group cardinalities from the catalog supersede the fit-time
-    # counts entirely (no growth heuristics, no staleness allowance needed).
-    live_rows = current_group_rows(stats, group_columns)
-    for batch, restricted in zip(plan.batches, route_plan.restrictions):
-        model, slots = batch.model, batch.slots
-        stacked = model.fit.stacked()  # type: ignore[union-attr]
-        observations = stacked.n_obs[batch.record_positions]
-        scale: np.ndarray | float = growth_scale(model, stats)
-        stale = staleness_rows(model, stats)
-        stale_rows = np.full(len(slots), np.nan if stale is None else stale)
-        if live_rows is not None:
-            live = np.array([live_rows.get(keys[slot][0], np.nan) for slot in slots])
-            known = ~np.isnan(live)
-            observations = np.where(known, live, observations)
-            scale = np.where(known, 1.0, scale)
-            stale_rows[known] = 0.0
-        evaluation = evaluate_over_domains(
-            model.fit.family,
-            stacked.params[batch.record_positions],
-            stacked.rse[batch.record_positions],
-            model,
-            restricted,
-            fitted_observations=observations,
-            scale=scale,
-            stale_rows=stale_rows,
-            output_null_fraction=route_plan.output_null_fraction,
+    for batch, restriction in zip(plan.batches, route_plan.restrictions):
+        slots = batch.slots
+        batch_values, batch_errors, evaluation = aggregate_groups(
+            aggregates, batch.model, batch.record_positions, restriction, stats
         )
         if evaluation.n_points == 0:
             # The restriction keeps no input values: the groups have no
             # qualifying rows and (like exact execution) emit no row.
             emitted[slots] = False
             for slot in slots:
-                group_routes[keys[slot]] = f"model#{model.model_id} (empty restriction)"
+                group_routes[keys[slot]] = f"model#{batch.model.model_id} (empty restriction)"
             continue
-        virtual_rows += evaluation.n_points * len(slots)
-        for spec in aggregates:
-            values[spec.name][slots], errors[spec.name][slots] = aggregate_values_errors(
-                spec.function, evaluation, count_star=spec.argument is None
-            )
+        virtual_rows += evaluation.virtual_rows
+        for name, vector in batch_values.items():
+            values[name][slots], errors[name][slots] = vector, batch_errors[name]
 
     slot_of, key_columns = plan.slot_of, plan.key_columns
     if not emitted.all():
@@ -392,25 +342,12 @@ def _evaluate(
     )
 
 
-def _literal_key(statement: SelectStatement) -> tuple:
+def _literal_key(statement: SelectStatement, model: CapturedModel | None) -> tuple:
     """Which groups the routing requests — every GROUP BY column's
     constraint, each value with its type — and whether the other pins keep
     numbers (the domain restriction, :func:`pin_facts`).  The sketch reads
     the routing only."""
-    group_columns = _group_by_columns(statement) or ()
-    requested = tuple(
-        (
-            column,
-            None if c.values is None else tuple((type(v), v) for v in c.values),
-            c.low,
-            c.low_inclusive,
-            c.high,
-            c.high_inclusive,
-        )
-        for column, c in statement.constraints.by_column.items()
-        if column in group_columns
-    )
-    return requested, pin_facts(statement)
+    return constraint_facts(statement, _group_by_columns(statement) or ()), pin_facts(statement)
 
 
 ROUTE = Route(_gate, _sketch, _answer, needs_model=False, literal_key=_literal_key)
@@ -427,17 +364,9 @@ def _execute_exact_groups(
     where = (
         membership if statement.where is None else BinaryOp("and", statement.where, membership)
     )
+    # No HAVING, ORDER BY, LIMIT or DISTINCT: those apply to the merged result.
     sub_statement = SelectStatement(
-        items=list(statement.items),
-        table=statement.table,
-        joins=[],
-        where=where,
-        group_by=list(statement.group_by),
-        having=None,
-        order_by=[],
-        limit=None,
-        offset=0,
-        distinct=False,
+        items=list(statement.items), table=statement.table, where=where, group_by=list(statement.group_by)
     )
     database = engine.database
     planned = plan_select(sub_statement, database.catalog, io_model=database.io_model)

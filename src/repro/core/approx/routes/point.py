@@ -17,8 +17,10 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.approx.protocol import ApproximateAnswer, Probe, Route, RouteSketch, model_sketch
 from repro.core.approx.routes.aggcalc import as_floats, pin_facts
+from repro.core.captured_model import CapturedModel
 from repro.db.constraints import bare_name
 from repro.db.expressions import ColumnRef
+from repro.db.sql.ast import SelectStatement
 from repro.db.table import Table
 from repro.fitting.predict import predict_interval
 
@@ -86,5 +88,9 @@ def _answer(
     )
 
 
-#: The gate asks each pin for one numeric value; the sketch reads no literal.
-ROUTE = Route(_gate, _sketch, _answer, literal_key=pin_facts)
+def _literal_key(statement: SelectStatement, model: CapturedModel | None) -> tuple:
+    """The gate asks each pin for one numeric value; the sketch reads no literal."""
+    return pin_facts(statement)
+
+
+ROUTE = Route(_gate, _sketch, _answer, literal_key=_literal_key)

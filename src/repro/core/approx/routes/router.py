@@ -141,10 +141,6 @@ class GroupRoutingPlan:
     def used_model_ids(self) -> list[int]:
         return [batch.model.model_id for batch in self.batches]
 
-    @property
-    def is_hybrid(self) -> bool:
-        return bool(self.model_groups) and bool(self.exact_groups)
-
     def describe(self) -> str:
         return (
             f"{len(self.model_groups)} group(s) from model(s) {self.used_model_ids}, "

@@ -1,7 +1,7 @@
 """The virtual-table route: enumerate the parameter space, run the real plan.
 
-The general route, and the end of the routing order (the paper's second
-example query)::
+The general route for non-aggregate selections, and the end of the routing
+order (the paper's second example query)::
 
     SELECT source, intensity FROM measurements
     WHERE wavelength = 0.14 AND intensity > 3.0;
@@ -10,6 +10,12 @@ is answered "by calculating all intensity values with the stored set of
 parameters for all sources and the given wavelength" and then filtering on
 the predicted value: the model regenerates one tuple per parameter
 combination, and the statement's own query plan runs over that table.
+
+The generated table holds one row per parameter combination, not per stored
+row, so it does not aggregate: aggregates are the kernel's
+(:mod:`~repro.core.approx.routes.aggcalc`), weighted by the rows each
+combination stands for, and whatever the aggregate routes decline runs
+exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from repro.core.approx.enumeration import (
     build_enumeration_plan,
     generate_virtual_table,
 )
-from repro.core.approx.error_bounds import aggregate_error
 from repro.core.approx.legal import LegalCombinationFilter
 from repro.core.approx.protocol import (
     ApproximateAnswer,
@@ -47,9 +52,9 @@ def _gate(engine: ApproximateQueryEngine, probe: Probe) -> EnumerationPlan:
     """The enumeration plan (the end of the route table: admits or raises).
 
     Raises :class:`EnumerationError` when the parameter space cannot be
-    enumerated, and :class:`ApproximationError` when the statement calls
-    SUM or COUNT: the generated table holds one row per parameter
-    combination, not per stored row, and their value scales with the latter.
+    enumerated, and :class:`ApproximationError` when the statement
+    aggregates: every aggregate's value depends on how many stored rows each
+    generated row stands for, which the generated table does not say.
     """
     plan = build_enumeration_plan(
         probe.model, probe.stats, pinned_values=probe.pinned, max_rows=engine.max_virtual_rows
@@ -57,11 +62,11 @@ def _gate(engine: ApproximateQueryEngine, probe: Probe) -> EnumerationPlan:
     calls = [call for item in probe.item_aggregates for call in item]
     if probe.statement.having is not None:
         calls += aggregate_calls(probe.statement.having)
-    scaling = sorted({call.name.lower() for call in calls} & {"sum", "count"})
-    if scaling:
+    if calls:
+        names = "/".join(sorted({call.name.upper() for call in calls}))
         raise ApproximationError(
-            f"{'/'.join(scaling).upper()} scales with row multiplicity, which the "
-            "enumerated parameter space does not have"
+            f"{names} over the enumerated parameter space counts parameter combinations, "
+            "not stored rows; no model route serves this aggregate"
         )
     return plan
 
@@ -91,12 +96,15 @@ def _answer(
         with tracer.span("evaluate"):
             result = planned.root.execute(tracer)
     except (SQLError, ExecutionError) as exc:
-        # e.g. an aggregate/function outside the supported set: record it
-        # as a fallback reason instead of crashing the engine mid-route.
+        # e.g. a function outside the supported set: record it as a
+        # fallback reason instead of crashing the engine mid-route.
         raise ApproximationError(
             f"query plan cannot run over the model-generated table: {exc}"
         ) from exc
 
+    # A result column derived from the modelled output carries its per-row
+    # standard error.
+    per_row = model.quality.residual_standard_error
     return ApproximateAnswer(
         sql=probe.sql,
         table=result,
@@ -104,12 +112,16 @@ def _answer(
         is_exact=False,
         used_model_ids=[model.model_id],
         reason=f"parameter space enumerated ({plan.describe()})",
-        column_errors=_result_errors(probe, max(virtual.num_rows, 1)),
+        column_errors={
+            item.alias or item.expression.output_name(): per_row
+            for item in statement.items
+            if model.output_column in item.expression.referenced_columns()
+        },
         virtual_rows_generated=virtual.num_rows,
     )
 
 
-def _literal_key(statement: SelectStatement) -> tuple:
+def _literal_key(statement: SelectStatement, model: CapturedModel | None) -> tuple:
     """The enumerated space — whether it fits, how many rows it holds — is
     built from the pinned values themselves, each kept with its type."""
     return tuple(
@@ -135,20 +147,3 @@ def _legal_filter(engine: ApproximateQueryEngine, model: CapturedModel) -> Legal
             table, key_columns, round_decimals=3
         )
     return engine.legal_filters[cache_key]
-
-
-def _result_errors(probe: Probe, n_rows: int) -> dict[str, float]:
-    """Standard-error estimates for the result columns derived from the model."""
-    output_column = probe.model.output_column
-    per_row = probe.model.quality.residual_standard_error
-    errors: dict[str, float] = {}
-    for item, calls in zip(probe.statement.items, probe.item_aggregates):
-        name = item.alias or item.expression.output_name()
-        if calls:
-            # The item's outermost aggregate sets how per-row errors combine.
-            call = calls[0]
-            if not call.args or output_column in call.args[0].referenced_columns():
-                errors[name] = aggregate_error(call.name.lower(), per_row, n_rows)
-        elif output_column in item.expression.referenced_columns():
-            errors[name] = per_row
-    return errors

@@ -44,9 +44,8 @@ from repro.core.approx.engine import (
     ApproximateQueryEngine,
     BoundRoute,
     RouteSketch,
-    walked,
+    literal_keys,
 )
-from repro.core.approx.protocol import Route
 from repro.core.approx.error_bounds import ErrorEstimate
 from repro.core.model_store import ModelStore
 from repro.core.planner.contract import AccuracyContract, AUTO
@@ -149,11 +148,9 @@ class _ShapePlan(NamedTuple):
     """What every statement of one shape shares under one cached state."""
 
     cost: _ShapeCost
-    #: The routes whose gates decided the shape's first walk: their literal
-    #: keys of a statement name its :class:`_Routed`.
-    walked: tuple[Route, ...]
-    #: The first statement's literal keys and route; statements whose keys
-    #: differ have their own entry under ``(shape key, keys)``.
+    #: The first statement's literal keys and route: the keys the gates that
+    #: decided its walk read of another statement name that statement's
+    #: :class:`_Routed`, under ``(shape key, keys)`` where they differ.
     literals: tuple
     routed: _Routed
 
@@ -400,7 +397,7 @@ class UnifiedPlanner:
         shaped = self._plan_cache.get(key, count=False)
         routed = None
         if shaped is not None:
-            literals = tuple(route.literal_key(statement) for route in shaped.walked)
+            literals = literal_keys(shaped.routed.bound, statement)
             if literals == shaped.literals:
                 routed = shaped.routed
             else:
@@ -420,9 +417,8 @@ class UnifiedPlanner:
                 bound = self.engine.resolve(sql, statement, for_execution)
             routed = _Routed(bound, self._decide(contract, bound, statement, cost, archived_reason))
             if shaped is None:
-                route_walk = walked(bound)
-                literals = tuple(route.literal_key(statement) for route in route_walk)
-                shaped = _ShapePlan(cost, route_walk, literals, routed)
+                literals = literal_keys(bound, statement)
+                shaped = _ShapePlan(cost, literals, routed)
                 self._plan_cache.put(key, shaped)
             else:
                 self._plan_cache.put((key, literals), routed)

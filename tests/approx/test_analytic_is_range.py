@@ -2,13 +2,13 @@
 
 ``analytic-aggregate`` used to be a second implementation of "a global
 aggregate over a closed-form model" — its own shape gate, its own arithmetic,
-its own error convention — and the twins had drifted.  It is now the range
-route's shape gate without the interval requirement, evaluated by the range
-route's kernel over the whole input box.  These tests pin what that closes:
+its own error convention — and the twins had drifted.  It is now the name the
+one aggregate rung answers under without a ``WHERE``, evaluated by the one
+aggregate kernel over the whole input box.  These tests pin what that closes:
 the statement shapes the laxer gate mishandled, the NULL-skipping it never
 had, one stated error for one question, bands that cover at their nominal
-rate — and that the *values* did not move: the deleted arithmetic is kept
-here, verbatim, as the reference.
+rate on every route the kernel serves — and that the *values* did not move:
+the deleted arithmetic is kept here, verbatim, as the reference.
 
 NumPy only: this file runs in the ``no-scipy`` CI job.
 """
@@ -109,20 +109,76 @@ def test_a_vacuous_interval_does_not_change_the_stated_extreme_error(linear_db):
 
 
 # -- (d) a band is a coverage claim -----------------------------------------------------
+#
+# Every route × model × function × input kind the aggregate kernel admits,
+# over seeded tables with known laws: the stated 95 % band must hold the exact
+# answer at its nominal rate (README, "Answer routes", holds the table).
+
+FIVE = "count(*) AS n, sum(y) AS s, avg(y) AS m, min(y) AS lo, max(y) AS hi"
+COVERAGE_STATEMENTS = {
+    ("grouped-model", "grouped"): f"SELECT g, {FIVE} FROM t WHERE x BETWEEN 1 AND 5 GROUP BY g",
+    ("range-aggregate", "grouped"): f"SELECT {FIVE} FROM t WHERE x BETWEEN 1 AND 5",
+    ("analytic-aggregate", "grouped"): f"SELECT {FIVE} FROM t",
+    ("range-aggregate", "ungrouped"): f"SELECT {FIVE} FROM u WHERE x BETWEEN 1 AND 5",
+    ("analytic-aggregate", "ungrouped"): f"SELECT {FIVE} FROM u",
+}
 
 
-def test_nominal_95_percent_bands_cover_at_their_rate():
-    tables = 200
-    covered = dict.fromkeys(("lo", "hi", "m", "s"), 0)
+def _coverage_db(seed: int, kind: str) -> LawsDatabase:
+    """``t``: 8 groups, each its own line in x; ``u``: one line.  x takes 8
+    values (enumerable) or is uniform on [0, 8) with more distinct values than
+    the catalog enumerates (continuous)."""
+    rng = np.random.default_rng(seed)
+    per_group = 64 if kind == "enumerable" else 520
+    g = np.repeat(np.arange(8), per_group)
+
+    def inputs() -> np.ndarray:
+        if kind == "enumerable":
+            return rng.integers(0, 8, g.size).astype(float)
+        return rng.uniform(0.0, 8.0, g.size)
+
+    x, ux = inputs(), inputs()
+    a, b = rng.uniform(0.0, 10.0, 8), rng.uniform(0.5, 2.0, 8)
+    db = LawsDatabase(observability=False, verify_sample_fraction=0.0)
+    y = a[g] + b[g] * x + rng.normal(0.0, 0.5, g.size)
+    db.load_dict("t", {"g": g.tolist(), "x": x.tolist(), "y": y.tolist()})
+    db.load_dict("u", {"x": ux.tolist(), "y": (3.0 + 1.5 * ux + rng.normal(0.0, 0.5, g.size)).tolist()})
+    assert db.fit("t", "y ~ linear(x)", group_by="g").accepted
+    assert db.fit("u", "y ~ linear(x)").accepted
+    return db
+
+
+def coverage_table(kind: str, tables: int = 40) -> dict[tuple[str, str, str], tuple[int, int]]:
+    """``(route, model, column) -> (answers inside their 95 % band, answers)``."""
+    counts: dict[tuple[str, str, str], list[int]] = {}
     for seed in range(tables):
-        db, y = _linear_db(seed=1_000 + seed, rows=2_000)
-        answer = db.query(ALL_FOUR, STRICT).approx
-        assert answer.route == "analytic-aggregate"
-        truth = {"lo": y.min(), "hi": y.max(), "m": y.mean(), "s": y.sum()}
-        for name, value in zip(answer.table.schema.names, answer.rows()[0]):
-            covered[name] += bool(abs(value - truth[name]) <= 1.96 * answer.column_errors[name])
-    rates = {name: count / tables for name, count in covered.items()}
-    assert min(rates.values()) >= 0.9, rates
+        db = _coverage_db(2_000 + seed, kind)
+        for (route, model), sql in COVERAGE_STATEMENTS.items():
+            answer = db.query(sql, STRICT).approx
+            assert answer.route == route, (kind, sql, answer.route)
+            exact = db.query(sql, EXACT).query_result.table
+            for row in exact.to_rows():
+                for position, name in enumerate(exact.schema.names):
+                    if name == "g":
+                        continue
+                    if route == "grouped-model":
+                        estimate = answer.group_error_estimate(row[0], name)
+                    else:
+                        estimate = answer.error_estimate(name)
+                    inside = abs(estimate.value - row[position]) <= 1.96 * estimate.standard_error + 1e-9
+                    tally = counts.setdefault((route, model, name), [0, 0])
+                    tally[0] += inside
+                    tally[1] += 1
+        db.close()
+    return {key: (inside, total) for key, (inside, total) in counts.items()}
+
+
+@pytest.mark.parametrize("kind", ["enumerable", "continuous"])
+def test_nominal_95_percent_bands_cover_at_their_rate(kind):
+    table = coverage_table(kind)
+    assert len(table) == 5 * len(COVERAGE_STATEMENTS)
+    rates = {key: inside / total for key, (inside, total) in table.items()}
+    assert min(rates.values()) >= 0.9, {key: rate for key, rate in rates.items() if rate < 0.9}
 
 
 # -- (e) the values are the deleted closed form's, to the last bit ----------------------

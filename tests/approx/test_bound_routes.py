@@ -183,6 +183,10 @@ MATRIX = [
     "SELECT g, x, y FROM readings WHERE g IN (5, 77) AND y > 3.0",
     "SELECT g, x, y FROM readings WHERE g IN (6, 7) AND y > 3.0",
     "SELECT g, x, y FROM readings WHERE g IN (88, 8) AND y > 3.0",
+    # Only a group-column literal differs; group 3's fit failed, and a
+    # combined answer must not leave its rows out.
+    "SELECT avg(y) AS m FROM sparse WHERE g IN (1, 2) AND x >= 1",
+    "SELECT avg(y) AS m FROM sparse WHERE g IN (1, 3) AND x >= 1",
 ]
 #: 2 groups x 6 input values = 12 rows enumerate past it, one group does not.
 MAX_VIRTUAL_ROWS = 10
@@ -202,6 +206,17 @@ def _harness_db() -> LawsDatabase:
     x = rng.uniform(0.0, 10.0, size=3000)
     db.load_dict("ticks", {"x": x.tolist(), "y": (2.0 + 1.5 * x + rng.normal(0.0, 0.4, size=3000)).tolist()})
     assert db.fit("ticks", "y ~ linear(x)").accepted
+    # ``sparse``: group 3 holds too few rows for its per-group fit.
+    cells = [(g, x) for g in range(3) for x in X_DOMAIN for _ in range(5)] + [(3, 0.0), (3, 0.0), (3, 1.0), (3, 1.0)]
+    db.load_dict(
+        "sparse",
+        {
+            "g": [g for g, _ in cells],
+            "x": [x for _, x in cells],
+            "y": [1.0 + g + 0.5 * x + rng.normal(0.0, 0.1) for g, x in cells],
+        },
+    )
+    assert db.fit("sparse", "y ~ linear(x)", group_by="g", min_observations=5).accepted
     db.approx.max_virtual_rows = MAX_VIRTUAL_ROWS
     return db
 
@@ -269,6 +284,8 @@ def test_the_matrix_decides_differently_inside_one_shape():
         "SELECT g, x, y FROM readings WHERE g IN (5, 77) AND y > 3.0": "virtual-table",
         "SELECT g, x, y FROM readings WHERE g IN (6, 7) AND y > 3.0": "exact-fallback",
         "SELECT g, x, y FROM readings WHERE g IN (88, 8) AND y > 3.0": "virtual-table",
+        "SELECT avg(y) AS m FROM sparse WHERE g IN (1, 2) AND x >= 1": "range-aggregate",
+        "SELECT avg(y) AS m FROM sparse WHERE g IN (1, 3) AND x >= 1": "exact-fallback",
     }
     assert {sql: db.query(sql, APPROX).route_taken for sql in expected} == expected
 

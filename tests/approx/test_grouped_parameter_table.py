@@ -1,7 +1,8 @@
 """The grouped model as a parameter table: batched == one group at a time.
 
-Capture (``GroupedFitter``) and the two answering routes (``grouped-model``,
-``range-aggregate``) work column-wise over a (groups × parameters) matrix.
+Capture (``GroupedFitter``) and the aggregate kernel behind the answering
+routes (``grouped-model``, ``range-aggregate``) work column-wise over a
+(groups × parameters) matrix.
 The reference here is the obvious implementation — a Python loop over rows to
 group them, and one scalar evaluation per group to answer — kept in this file
 so the batched path always has something slow and simple to be compared with:
@@ -15,7 +16,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
-import itertools
 import math
 from unittest import mock
 
@@ -23,12 +23,7 @@ import numpy as np
 import pytest
 
 from repro import LawsDatabase
-from repro.core.approx.routes.aggcalc import (
-    analyse_select_items,
-    growth_scale,
-    restricted_domains,
-    staleness_rows,
-)
+from repro.core.approx.routes.aggcalc import analyse_select_items, restrict
 from repro.core.approx.routes.grouped import GroupedRoutePlan, analyse_grouped_statement
 from repro.core.approx.routes.router import plan_group_routing
 from repro.core.captured_model import CapturedModel, ModelCoverage
@@ -73,22 +68,19 @@ def reference_aggregates(
     null_fraction: float,
     specs,
 ) -> dict[str, tuple] | None:
-    """``{aggregate name: (value, standard error)}`` for one group, or None
+    """``{aggregate name: (value, standard error)}`` for one group, plus the
+    group's ``(covered rows, their standard error)`` under ``ROWS``, or None
     when the restriction keeps no domain point."""
-    combos = list(itertools.product(*[restriction.domains[name] for name in input_columns]))
-    weight_combos = list(itertools.product(*[restriction.weights[name] for name in input_columns]))
+    if restriction.n_points == 0:
+        return None
     if input_columns:
-        if not combos:
-            return None
-        arrays = {
-            name: np.array([combo[i] for combo in combos], dtype=np.float64)
-            for i, name in enumerate(input_columns)
-        }
-        predictions = [float(p) for p in fit.predict(arrays)]
-        weights = [math.prod(combo) for combo in weight_combos]
+        predictions = [float(p) for p in fit.predict(restriction.points)]
     else:
         predictions = [float(fit.family.predict(np.zeros(1), fit.params)[0])]
-        weights = [1.0]
+    if restriction.weights is not None:
+        weights = [float(w) for w in restriction.weights]
+    else:
+        weights = [1.0] * len(predictions)
 
     fraction = restriction.fraction
     covered = max(float(observations) * fraction * scale, 0.0)
@@ -104,14 +96,12 @@ def reference_aggregates(
     non_null = covered * (1.0 - null_fraction)
     null_error = math.sqrt(covered * null_fraction * (1.0 - null_fraction))
 
-    if sum(weights) > 0.0:
-        mean = sum(p * w for p, w in zip(predictions, weights)) / sum(weights)
-        occupied = [p for p, w in zip(predictions, weights) if w > 0.0]
-    else:
-        mean = sum(predictions) / len(predictions)
-        occupied = predictions
+    mean = sum(p * w for p, w in zip(predictions, weights)) / sum(weights)
+    occupied = [p for p, w in zip(predictions, weights) if w > 0.0]
+    spread = ((max(occupied) - min(occupied)) / 2.0) ** 2 if restriction.assumed else 0.0
+    avg_error = math.sqrt((2.0 * rse * rse + spread) / max(non_null, 1.0))
 
-    out: dict[str, tuple] = {}
+    out: dict[str, tuple] = {ROWS: (covered, cardinality_error)}
     for spec in specs:
         if spec.kind != "aggregate":
             continue
@@ -121,15 +111,18 @@ def reference_aggregates(
         elif function == "count":
             out[spec.name] = (round(non_null), math.hypot(cardinality_error, null_error))
         elif function == "sum":
-            noise = rse * math.sqrt(2.0 * max(non_null, 1.0))
-            spread = mean * math.hypot(cardinality_error, null_error)
-            out[spec.name] = (mean * non_null, math.sqrt(noise * noise + spread * spread))
+            spread_error = mean * math.hypot(cardinality_error, null_error)
+            out[spec.name] = (mean * non_null, math.hypot(avg_error * non_null, spread_error))
         elif function == "avg":
-            out[spec.name] = (mean, rse / math.sqrt(len(predictions)))
+            out[spec.name] = (mean, avg_error)
         else:
             extreme = min(occupied) if function == "min" else max(occupied)
             out[spec.name] = (extreme, rse * math.sqrt(2.0 * math.log(max(covered, 2.0))))
     return out
+
+
+#: Where the reference keeps a group's covered rows and their standard error.
+ROWS = "__rows__"
 
 
 def _live_rows(stats, group_columns) -> dict[tuple, float] | None:
@@ -143,10 +136,15 @@ def _live_rows(stats, group_columns) -> dict[tuple, float] | None:
 
 def reference_per_group(model: CapturedModel, stats, constraints, specs) -> dict[tuple, dict]:
     """Every fitted, predicate-admitted group of ``model`` answered on its own."""
-    restriction = restricted_domains(model, stats, constraints)
+    restriction = restrict(model, stats, constraints)
     assert restriction is not None
     live = _live_rows(stats, model.group_columns)
     output = stats.columns.get(model.output_column)
+    # Fit-time counts rescale by the table's growth, with the appended rows
+    # as the staleness allowance; a partial model's growth is unknowable.
+    whole = model.coverage.covers_whole_table and model.fitted_row_count > 0
+    growth = max(stats.row_count, 1) / model.fitted_row_count if whole else 1.0
+    appended = abs(float(stats.row_count - model.fitted_row_count)) if whole else None
     answers: dict[tuple, dict] = {}
     for record in model.fit.records:
         if record.result is None:
@@ -156,8 +154,7 @@ def reference_per_group(model: CapturedModel, stats, constraints, specs) -> dict
         if live is not None and record.key in live:
             observations, scale, stale = live[record.key], 1.0, 0.0
         else:
-            observations = record.result.n_observations
-            scale, stale = growth_scale(model, stats), staleness_rows(model, stats)
+            observations, scale, stale = record.result.n_observations, growth, appended
         answer = reference_aggregates(
             record.result,
             model.input_columns,
@@ -175,19 +172,14 @@ def reference_per_group(model: CapturedModel, stats, constraints, specs) -> dict
 
 
 def reference_combined(model: CapturedModel, stats, constraints, specs) -> dict[str, tuple]:
-    """The range route's global aggregates: per-group answers, then combined."""
-    restriction = restricted_domains(model, stats, constraints)
+    """The aggregate rung's global aggregates: per-group answers, then combined."""
     live = _live_rows(stats, model.group_columns)
     groups = {
         key: answer
         for key, answer in reference_per_group(model, stats, constraints, specs).items()
         if live is None or live.get(key, 0.0) > 0.0
     }
-    covered = {}
-    for key in groups:
-        record = next(r for r in model.fit.records if r.key == key)
-        observations = live[key] if live is not None else record.result.n_observations * growth_scale(model, stats)
-        covered[key] = observations * restriction.fraction
+    covered = {key: answer[ROWS][0] for key, answer in groups.items()}
     total = sum(covered.values())
     out: dict[str, tuple] = {}
     for spec in specs:
@@ -196,9 +188,15 @@ def reference_combined(model: CapturedModel, stats, constraints, specs) -> dict[
             out[spec.name] = (sum(v for v, _ in pairs), math.sqrt(sum(e * e for _, e in pairs)))
         elif spec.function == "avg":
             weights = [covered[key] / total for key in groups]
+            value = sum(w * v for w, (v, _) in zip(weights, pairs))
+            # Each group's share of the rows is itself an estimate.
+            shares = [(v - value) * groups[key][ROWS][1] / total for key, (v, _) in zip(groups, pairs)]
             out[spec.name] = (
-                sum(w * v for w, (v, _) in zip(weights, pairs)),
-                math.sqrt(sum((w * e) ** 2 for w, (_, e) in zip(weights, pairs))),
+                value,
+                math.hypot(
+                    math.sqrt(sum((w * e) ** 2 for w, (_, e) in zip(weights, pairs))),
+                    math.sqrt(sum(share * share for share in shares)),
+                ),
             )
         else:
             chooser = min if spec.function == "min" else max
@@ -217,6 +215,7 @@ def assert_grouped_matches(answer, reference: dict[tuple, dict]) -> None:
     the result table carries the same numbers."""
     assert set(answer.group_values) == set(reference)
     for key, expected in reference.items():
+        expected = {name: pair for name, pair in expected.items() if name != ROWS}
         values, errors = answer.group_values[key], answer.group_errors[key]
         assert set(values) == set(errors) == set(expected)
         for name, (value, error) in expected.items():
@@ -362,9 +361,10 @@ class TestBatchedEqualsPerGroup:
         assert answer.route == "grouped-hybrid"
         assert answer.group_routes[(3,)] == "exact" and (3,) not in reference
         assert_grouped_matches(answer, reference)
-        # A global aggregate cannot leave the failed group out: the range route declines.
+        # A global aggregate cannot leave the failed group out: the aggregate
+        # rung's gate refuses, with the reason.
         ranged = db.query("SELECT sum(y) AS s FROM t WHERE x >= 1", APPROX).approx
-        assert ranged.route != "range-aggregate"
+        assert ranged.route == "exact-fallback" and "failed for group(s) [(3,)]" in ranged.reason
 
     def test_stale_model_uses_live_catalog_counts(self):
         db = _linear_db(skew=False)
@@ -409,7 +409,7 @@ class TestBatchedEqualsPerGroup:
         # set complete, which is the planner's concern, not the evaluation's.
         keys = [record.key for record in model.fit.records]
         routing = plan_group_routing(db.models, "t", "y", ("a", "b"), keys, models=[model])
-        route_plan = GroupedRoutePlan(analysis, [model], routing, output_null_fraction=0.0)
+        route_plan = GroupedRoutePlan(analysis, [model], routing)
         answer = db.approx.answer(sql, allow_fallback=False, grouped_route_plan=route_plan)
         assert answer.route == "grouped-model"
         assert_grouped_matches(answer, reference_per_group(model, stats, analysis.constraints, analysis.specs))
@@ -468,7 +468,7 @@ class TestBatchedEqualsPerGroup:
         constraints = extract_constraints(statement.where)
         stats = db.database.stats("t")
         reference = reference_aggregates(
-            model.fit, model.input_columns, restricted_domains(model, stats, constraints),
+            model.fit, model.input_columns, restrict(model, stats, constraints),
             observations=stats.row_count, scale=1.0, stale_rows=0.0, active=True,
             null_fraction=stats.columns["y"].null_fraction, specs=specs,
         )  # fmt: skip

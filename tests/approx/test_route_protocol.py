@@ -17,7 +17,6 @@ import pytest
 
 from repro import LawsDatabase
 from repro.core.approx.routes import ROUTES
-from repro.errors import ApproximationError, ModelNotFoundError
 
 from query_gen import TableProfile, generate_queries
 
@@ -64,28 +63,22 @@ def engine():
 
 
 def test_routes_is_an_ordered_tuple_and_the_corpus_reaches_every_entry(engine):
-    assert isinstance(ROUTES, tuple) and len(set(ROUTES)) == len(ROUTES) == 5
-    admitted = set()
-    for sql in CORPUS:
-        try:
-            route, _ = next(engine._admitting_routes(engine._probe(sql, None)))
-        except (ApproximationError, ModelNotFoundError):
-            continue  # no model route applies: the statement runs exactly
-        admitted.add(route)
+    assert isinstance(ROUTES, tuple) and len(set(ROUTES)) == len(ROUTES) == 4
+    admitted = {bound.route for bound in map(engine.resolve, CORPUS) if bound.match is not None}
     assert admitted == set(ROUTES)
 
 
 def test_the_sketch_predicts_the_route_that_serves(engine):
+    """A gate admits only what its answer serves: a sketch that names a model
+    route is followed by that route, and no sketch by the fallback."""
     for sql in CORPUS:
         sketch = engine.sketch_route(sql)
         answer = engine.answer(sql)
-        predicted = sketch.route if sketch is not None else "exact-fallback"
-        if answer.route != predicted:
-            # Evaluation may still decline what the shape gate admitted; the
-            # walk then ends in the fallback, which says why.
-            assert answer.route == "exact-fallback" and answer.reason, sql
-        if sketch is not None and not answer.is_exact:
+        assert answer.route == (sketch.route if sketch is not None else "exact-fallback"), sql
+        if sketch is not None:
             assert answer.used_model_ids == sketch.model_ids, sql
+        else:
+            assert answer.reason, sql
 
 
 def test_handing_the_sketched_grouped_plan_back_changes_nothing(engine):

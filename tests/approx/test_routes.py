@@ -158,12 +158,13 @@ class TestGroupedRoute:
         assert answer.route == "grouped-model"
         assert answer.table.num_rows == 0
 
-    def test_having_stays_on_virtual_table_route(self, routed_db):
-        answer = routed_db.query(
-            "SELECT g, avg(y) AS m FROM t GROUP BY g HAVING avg(y) > 2",
-            APPROX,
-        ).approx
-        assert answer.route == "virtual-table"
+    def test_having_falls_back_exactly(self, routed_db):
+        """HAVING filters on per-group aggregates no kernel answer carries, and
+        the virtual table does not aggregate: the statement runs exactly."""
+        sql = "SELECT g, avg(y) AS m FROM t GROUP BY g HAVING avg(y) > 2 ORDER BY g"
+        answer = routed_db.query(sql, APPROX).approx
+        assert answer.route == "exact-fallback"
+        assert answer.rows() == routed_db.query(sql, EXACT).query_result.table.to_rows()
 
     def test_hybrid_merges_exact_groups(self):
         rng = np.random.default_rng(5)
@@ -232,9 +233,15 @@ class TestRangeRoute:
         assert comparison["route"] == "range-aggregate"
         assert comparison["max_relative_error"] < 0.05
 
-    def test_equality_only_queries_keep_their_routes(self, routed_db):
-        answer = routed_db.query("SELECT avg(y) AS m FROM t WHERE x = 1", APPROX).approx
-        assert answer.route == "virtual-table"
+    def test_equality_only_restrictions_are_the_kernels_too(self, routed_db):
+        """A pin is a restriction like any other: the groups' laws evaluated at
+        the pinned value, weighted by the rows each group holds there."""
+        comparison = compare_sql(routed_db, "SELECT avg(y) AS m, count(*) AS n FROM t WHERE x = 1")
+        assert comparison["route"] == "range-aggregate"
+        approx, exact = comparison["approximate"], comparison["exact"]
+        assert approx.table.column("n").to_pylist() == exact.table.column("n").to_pylist()
+        estimate = approx.error_estimate("m")
+        assert estimate.lower <= exact.table.column("m").to_pylist()[0] <= estimate.upper
 
     def test_predicate_on_output_declines(self, routed_db):
         sql = "SELECT count(y) AS n FROM t WHERE x >= 1 AND y > 3"

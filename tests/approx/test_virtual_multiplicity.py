@@ -1,12 +1,14 @@
 """The virtual-table route holds one row per parameter combination, not one
-per stored row: an aggregate whose value scales with row multiplicity (SUM,
-COUNT) evaluated over it answers for the domain, not for the data.
+per stored row, so it does not aggregate: every aggregate's value depends on
+how many stored rows a generated row stands for.
 
 Regression for the defect recorded in ROADMAP item 5(A): ``SELECT -sum(y)``
 returned −36.01 for a true −3584.73 on 600 rows over a 6-value domain, under
-``mode="approx"`` *and* under an error budget.  The route must decline such
-statements (exact fallback, or the typed refusal when fallback is disallowed)
-and keep serving the multiplicity-free ones it serves today."""
+``mode="approx"`` *and* under an error budget — and AVG / MIN / MAX over the
+unweighted domain answered outside their stated bands on skewed inputs.
+What the aggregate kernel serves is served there, row-weighted; everything
+else the route declines (exact fallback, or the typed refusal when fallback
+is disallowed), while non-aggregate selections keep the route."""
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.errors import ApproximationError
 from tests.conftest import APPROX, EXACT, STRICT
 
 BUDGET = AccuracyContract(max_relative_error=0.05)
+REASON = "counts parameter combinations, not stored rows"
 
 
 def _database(family: str) -> LawsDatabase:
@@ -43,41 +46,42 @@ def powerlaw_db():
     return _database("powerlaw")
 
 
-MULTIPLICITY_CASES = [
+DECLINED_CASES = [
     pytest.param("linear_db", "SELECT -sum(y) FROM t", "SUM", id="negated-sum"),
     pytest.param("linear_db", "SELECT 2 * sum(y) FROM t", "SUM", id="scaled-sum"),
-    pytest.param("powerlaw_db", "SELECT count(y) FROM t", "COUNT", id="bare-count"),
+    pytest.param("linear_db", "SELECT -avg(y) FROM t", "AVG", id="negated-avg"),
+    pytest.param("powerlaw_db", "SELECT stddev(y) FROM t", "STDDEV", id="stddev"),
     pytest.param("linear_db", "SELECT count(y) FROM t WHERE y > 3", "COUNT", id="count-where-output"),
     pytest.param(
-        "linear_db", "SELECT x, avg(y) FROM t GROUP BY x HAVING count(*) > 1", "COUNT", id="having-count"
+        "linear_db", "SELECT x, avg(y) FROM t GROUP BY x HAVING count(*) > 1", "AVG/COUNT", id="having-count"
     ),
 ]
 
 
-@pytest.mark.parametrize("fixture, sql, function", MULTIPLICITY_CASES)
-class TestMultiplicityAggregatesDecline:
+@pytest.mark.parametrize("fixture, sql, functions", DECLINED_CASES)
+class TestAggregatesTheKernelDeclines:
     def _exact_rows(self, db, sql):
         return db.query(sql, EXACT).query_result.table.to_rows()
 
-    def test_pinned_approx_falls_back_with_the_reason(self, fixture, sql, function, request):
+    def test_pinned_approx_falls_back_with_the_reason(self, fixture, sql, functions, request):
         db = request.getfixturevalue(fixture)
         answer = db.query(sql, APPROX)
         assert answer.route_taken == "exact-fallback"
         assert answer.rows() == self._exact_rows(db, sql)
-        assert f"{function} scales with row multiplicity" in answer.approx.reason
+        assert f"{functions} over the enumerated parameter space {REASON}" in answer.approx.reason
 
-    def test_error_budget_routes_exact(self, fixture, sql, function, request):
+    def test_error_budget_routes_exact(self, fixture, sql, functions, request):
         db = request.getfixturevalue(fixture)
         answer = db.query(sql, BUDGET)
         assert answer.route_taken in ("exact", "exact-fallback")
         assert answer.rows() == self._exact_rows(db, sql)
 
-    def test_refusal_is_typed_when_fallback_is_disallowed(self, fixture, sql, function, request):
+    def test_refusal_is_typed_when_fallback_is_disallowed(self, fixture, sql, functions, request):
         db = request.getfixturevalue(fixture)
-        with pytest.raises(ApproximationError, match="scales with row multiplicity"):
+        with pytest.raises(ApproximationError, match=REASON):
             db.query(sql, STRICT)
 
-    def test_explain_shows_the_fallback(self, fixture, sql, function, request):
+    def test_explain_shows_the_fallback(self, fixture, sql, functions, request):
         db = request.getfixturevalue(fixture)
         text = db.explain(sql, APPROX)
         assert "virtual-table" not in text
@@ -85,16 +89,23 @@ class TestMultiplicityAggregatesDecline:
 
 
 @pytest.mark.parametrize(
-    "sql",
+    "fixture, sql, route",
     [
-        "SELECT avg(y) FROM t WHERE x = 1",
-        "SELECT min(y), max(y) FROM t WHERE x = 1",
-        "SELECT -avg(y) FROM t",
-        "SELECT stddev(y) FROM t",
-        "SELECT x, avg(y) FROM t GROUP BY x HAVING avg(y) > 2",
-        "SELECT x, y FROM t WHERE y > 3",
+        ("powerlaw_db", "SELECT count(y) AS n FROM t", "analytic-aggregate"),
+        ("linear_db", "SELECT avg(y) AS m FROM t WHERE x = 1", "range-aggregate"),
+        ("linear_db", "SELECT min(y) AS lo, max(y) AS hi FROM t WHERE x = 1", "range-aggregate"),
     ],
 )
+def test_the_kernel_serves_what_it_can_weight(fixture, sql, route, request):
+    db = request.getfixturevalue(fixture)
+    answer = db.query(sql, APPROX)
+    assert answer.route_taken == route
+    exact = db.query(sql, EXACT).query_result.table.to_rows()[0]
+    for name, truth in zip(answer.table.schema.names, exact):
+        estimate = answer.error_estimate(name)
+        assert estimate.lower - 1e-9 <= truth <= estimate.upper + 1e-9, (name, estimate, truth)
+
+
 @pytest.mark.parametrize("contract", [APPROX, BUDGET], ids=["approx", "budget"])
-def test_multiplicity_free_statements_keep_the_route(linear_db, sql, contract):
-    assert linear_db.query(sql, contract).route_taken == "virtual-table"
+def test_non_aggregate_selections_keep_the_route(linear_db, contract):
+    assert linear_db.query("SELECT x, y FROM t WHERE y > 3", contract).route_taken == "virtual-table"

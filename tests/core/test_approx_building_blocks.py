@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.approx.enumeration import build_enumeration_plan, generate_virtual_table
-from repro.core.approx.error_bounds import ErrorEstimate, aggregate_error, combine_independent
+from repro.core.approx.error_bounds import ErrorEstimate, combine_independent
 from repro.core.approx.legal import BloomFilter, LegalCombinationFilter
 from repro.errors import EnumerationError
 
@@ -178,13 +178,6 @@ class TestAnalyticAggregates:
 
 
 class TestErrorBounds:
-    def test_aggregate_error_shapes(self):
-        assert aggregate_error("avg", 1.0, 100) == pytest.approx(0.1)
-        assert aggregate_error("sum", 1.0, 100) == pytest.approx(10.0)
-        assert aggregate_error("min", 1.0, 100) == 1.0
-        assert aggregate_error("count", 1.0, 100) == 0.0
-        assert aggregate_error("avg", 1.0, 0) == 0.0
-
     def test_combine_independent(self):
         assert combine_independent([3.0, 4.0]) == pytest.approx(5.0)
 

@@ -116,11 +116,12 @@ class TestAccuracy:
             lofar_db,
             "SELECT count(intensity) AS n FROM measurements WHERE source IN (1, 2, 3) AND frequency = 0.15"
         )
-        # The model generates exactly one tuple per (source, frequency) combination,
-        # while the raw data holds several observations: a COUNT over the generated
-        # table would count combinations (3), not rows, so no model route serves it.
-        assert comparison["route"] == "exact-fallback"
-        assert comparison["approximate"].scalar() == comparison["exact"].scalar()
+        # The model holds one law per (source, frequency) combination, while the
+        # raw data holds several observations of each: the kernel counts the rows
+        # each group stands for, not the combinations (3).
+        assert comparison["route"] == "range-aggregate"
+        estimate = comparison["approximate"].error_estimate("n")
+        assert estimate.lower <= comparison["exact"].scalar() <= estimate.upper
 
     def test_selection_recall_of_bright_sources(self, lofar_db, lofar_dataset):
         """Sources the model says are bright at 0.12 GHz should mostly be truly bright."""

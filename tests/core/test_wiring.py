@@ -340,6 +340,50 @@ def test_the_engine_is_the_walk_and_every_route_hands_back_the_one_answer_type()
     assert answer_types == {("core/approx/protocol.py", "ApproximateAnswer")}
 
 
+def _called_name(node: ast.Call) -> str | None:
+    return node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+
+
+def test_aggregates_are_evaluated_by_the_one_kernel_and_every_admitted_route_answers():
+    """``predict_many`` and ``evaluate_over_domains`` are called from the
+    aggregate kernel alone; the aggregate rung does not fork on whether its
+    model is grouped (the kernel's parameter rows are); and no route's
+    ``answer`` returns None — a refusal is its gate's, so a sketch that names
+    a route is followed by that route."""
+    routes = {relative: tree for relative, tree in _modules() if relative.startswith("core/approx/routes/")}
+    evaluators = {
+        relative
+        for relative, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) in ("predict_many", "evaluate_over_domains")
+    }
+    assert evaluators == {"core/approx/routes/aggcalc.py"}
+    forks = [
+        node.lineno
+        for node in ast.walk(routes["core/approx/routes/range_agg.py"])
+        if (isinstance(node, ast.Attribute) and node.attr == "is_grouped")
+        or (isinstance(node, ast.Name) and node.id == "is_grouped")
+    ]
+    assert forks == []
+    answers = []
+    for relative, tree in routes.items():
+        functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) == "Route":
+                answers.append((relative, functions[node.args[2].id]))
+    assert len(answers) == 4
+    returns_none = [
+        f"{relative}:{function.name}"
+        for relative, function in answers
+        if (function.returns is not None and "None" in ast.unparse(function.returns))
+        or any(
+            isinstance(node, ast.Return) and (node.value is None or ast.unparse(node.value) == "None")
+            for node in ast.walk(function)
+        )
+    ]
+    assert returns_none == []
+
+
 def test_no_module_imports_a_private_name_from_the_approx_package():
     """What another module needs of ``repro.core.approx`` has a public name,
     or lives with its one caller."""

@@ -6,7 +6,7 @@ from repro.core.approx.enumeration import EnumerationPlan, build_enumeration_pla
 from repro.core.approx.error_bounds import ErrorEstimate, combine_independent, extreme_value_error
 from repro.core.approx.exploration import InterestingRegion, explore_gradients, extreme_parameter_groups
 from repro.core.approx.legal import BloomFilter, LegalCombinationFilter
-from repro.core.approx.routes.router import RoutingPolicy, plan_group_routing
+from repro.core.approx.routes.router import plan_group_routing
 from repro.db.constraints import extract_constraints
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "GroupAnomaly",
     "InterestingRegion",
     "LegalCombinationFilter",
-    "RoutingPolicy",
     "build_enumeration_plan",
     "combine_independent",
     "detect_anomalies",

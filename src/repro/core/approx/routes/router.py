@@ -19,40 +19,15 @@ import numpy as np
 from repro.core.captured_model import CapturedModel
 from repro.core.model_store import ModelStore, _default_ranking
 from repro.db.column import Column
-from repro.fitting.grouped import StackedFits
 from repro.fitting.model import FitResult
 from repro.lazy import lazy_attribute
 
 __all__ = [
-    "RoutingPolicy",
     "GroupAssignment",
     "ModelBatch",
     "GroupRoutingPlan",
     "plan_group_routing",
 ]
-
-
-@dataclass(frozen=True)
-class RoutingPolicy:
-    """When is a per-group fit healthy enough to serve a query?
-
-    The defaults serve every group that has finite fitted parameters —
-    model acceptance already gated overall quality at capture time.  Callers
-    wanting stricter routing can require a per-group R² floor or refuse
-    stale models entirely.
-    """
-
-    #: Minimum per-group R² to serve the group from the model (None = any).
-    min_group_r_squared: float | None = None
-    #: Refuse groups whose only cover is a stale model awaiting maintenance.
-    allow_stale: bool = True
-
-    def healthy(self, fits: StackedFits) -> np.ndarray:
-        """Which records hold a fit healthy enough to serve (never a failed one)."""
-        healthy = np.isfinite(fits.params).all(axis=1)
-        if self.min_group_r_squared is not None:
-            healthy &= fits.r_squared >= self.min_group_r_squared
-        return healthy
 
 
 @dataclass
@@ -154,7 +129,6 @@ def plan_group_routing(
     output_column: str,
     group_columns: tuple[str, ...],
     requested_keys: list[tuple[Any, ...]],
-    policy: RoutingPolicy | None = None,
     models: list[CapturedModel] | None = None,
 ) -> GroupRoutingPlan:
     """Assign every requested group to the best servable model or to exact.
@@ -163,20 +137,17 @@ def plan_group_routing(
     fit records indexed by (re-aligned) group key, so routing stays
     O(groups + models·records) instead of re-filtering the store per group.
     ``models`` restricts routing to a pre-filtered candidate list (the
-    grouped route passes the models that can honor the query's predicates);
-    the policy's staleness gate still applies.
+    grouped route passes the models that can honor the query's predicates).
+    A stale model serves until maintenance replaces it; a group serves from
+    a fit with finite parameters — model acceptance already gated overall
+    quality at capture time — and a failed fit sends it exact.
     """
-    policy = policy or RoutingPolicy()
     plan = GroupRoutingPlan(group_columns=group_columns)
 
     if models is not None:
-        candidates = [
-            m for m in models if (m.is_servable if policy.allow_stale else m.is_usable)
-        ]
+        candidates = [m for m in models if m.is_servable]
     else:
-        candidates = store.grouped_candidates(
-            table_name, output_column, group_columns, include_stale=policy.allow_stale
-        )
+        candidates = store.grouped_candidates(table_name, output_column, group_columns, include_stale=True)
     ranked = sorted(candidates, key=_default_ranking, reverse=True)
     indexed: list[tuple[CapturedModel, dict[tuple[Any, ...], int], np.ndarray]] = []
     for model in ranked:
@@ -185,22 +156,23 @@ def plan_group_routing(
         for position, record in enumerate(model.fit.records):  # type: ignore[union-attr]
             if record.result is not None:
                 index[tuple(record.key[p] for p in positions)] = position
-        indexed.append((model, index, policy.healthy(model.fit.stacked())))  # type: ignore[union-attr]
+        finite = np.isfinite(model.fit.stacked().params).all(axis=1)  # type: ignore[union-attr]
+        indexed.append((model, index, finite))
 
     for key in requested_keys:
         assignment = GroupAssignment(
             key=key, model=None, fit=None, reason="no servable per-group fit"
         )
-        for model, index, healthy in indexed:
+        for model, index, finite in indexed:
             position = index.get(key)
             if position is None:
                 continue
-            if not healthy[position]:
+            if not finite[position]:
                 assignment = GroupAssignment(
                     key=key,
                     model=None,
                     fit=None,
-                    reason=f"per-group fit of model#{model.model_id} below routing policy",
+                    reason=f"per-group fit of model#{model.model_id} has non-finite parameters",
                 )
                 continue
             status = "" if model.status == "active" else f" ({model.status})"

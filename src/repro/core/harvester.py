@@ -20,13 +20,14 @@ capture recorded.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.core.captured_model import CapturedModel, ModelCoverage, covered_rows, narrow
 from repro.core.model_store import ModelStore
 from repro.core.quality import ModelQuality, QualityPolicy, judge_fit, judge_grouped
+from repro.db.archived import refit_reason
 from repro.db.database import Database
 from repro.db.table import Table
 from repro.db.udf import FitInvocation
@@ -38,6 +39,7 @@ from repro.fitting.model import FitResult
 from repro.fitting.robust import fit_robust
 from repro.obs.events import EventJournal
 from repro.obs.flight import is_telemetry_table
+from repro.parallel.partition import PARTITION_META_KEY
 from repro.weakcall import weak_callback
 
 __all__ = ["HarvestReport", "ModelHarvester"]
@@ -82,7 +84,6 @@ class ModelHarvester:
         policy: QualityPolicy | None = None,
         *,
         journal: EventJournal,
-        fit_guard: Callable[[str], str | None],
         faults: Any = None,
     ) -> None:
         self.database = database
@@ -90,13 +91,6 @@ class ModelHarvester:
         self.policy = policy or QualityPolicy()
         #: Every capture is recorded here.
         self.journal = journal
-        #: ``(table_name) -> str | None`` naming why a capture over the table
-        #: is unsound right now: with cold rows in the model-only archive
-        #: tier, a fit would see only the predicate-biased live remainder yet
-        #: be served as describing the full logical table.  Gated here — the
-        #: chokepoint every capture path (fit(), strawman, UDF interception,
-        #: grouped on-demand harvest, maintenance refits) runs through.
-        self.fit_guard = fit_guard
         #: Fault injector (``fitting.fit``; None = unarmed): exception storms,
         #: latency spikes, and the cooperative ``nan`` kind that replaces
         #: fitted coefficients with NaNs (a silently diverged solver).
@@ -152,7 +146,9 @@ class ModelHarvester:
             series is the healthy case, yet its R² ≈ 0 would fail the
             default gate tuned for user data.
         """
-        blocked = self.fit_guard(table_name)
+        # The chokepoint every capture path (fit(), strawman, UDF interception,
+        # grouped on-demand harvest, maintenance refits) runs through.
+        blocked = refit_reason(self.database.catalog, table_name)
         if blocked is not None:
             raise HarvestError(f"cannot capture a model of {table_name!r}: {blocked}")
         if row_range is not None and predicate_sql is not None:
@@ -319,6 +315,11 @@ class ModelHarvester:
         existing = self.store.grouped_candidates(table_name, output_column, group_columns)
         if existing:
             return existing[-1]
+        if is_telemetry_table(table_name) or refit_reason(self.database.catalog, table_name):
+            # Never over the system's own telemetry (the flight recorder owns
+            # its baselines; reading telemetry must not mint models), nor over
+            # a predicate-biased live remainder.
+            return None
 
         # Negative cache: if a grouped refit over this very data was already
         # rejected, don't re-scan and refit on every query — wait for growth.
@@ -371,7 +372,7 @@ class ModelHarvester:
 
     def _partition_ranges(self, table_name: str) -> dict[int, tuple[int, int]]:
         """Partition id -> current half-open row range, from the catalog's map."""
-        payload = self.database.catalog.table_meta(table_name, "partitions") or {}
+        payload = self.database.catalog.table_meta(table_name, PARTITION_META_KEY) or {}
         return {
             int(entry["id"]): (int(entry["start"]), int(entry["start"]) + int(entry["rows"]))
             for entry in payload.get("partitions", ())

@@ -14,9 +14,9 @@ auditing a sample against exact and accounting for it are the stages of
 Plans are cached per statement *shape* (:mod:`repro.db.sql.shape`) in one
 LRU holding two kinds of entry.  The shape's entry, keyed on (shape,
 contract, for_execution, catalog version, model-store version, cost model)
-and the archive guard's verdict, holds what the shape decides: table
-statistics, the exact candidate's predicted cost, the degraded guard's
-verdict, and the routes whose gates the shape's first walk consulted.  The
+and the archive record's verdict, holds what the shape decides: table
+statistics, the exact candidate's predicted cost, whether a table it reads
+has failed, and the routes whose gates the shape's first walk consulted.  The
 route entry, keyed on the shape's key plus those routes' ``literal_key`` of
 the statement (each route names what its gate and sketch read from literal
 values), holds the :class:`BoundRoute` the walk ended on and the choice
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
 from types import MappingProxyType
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from repro.core.approx.engine import (
     ApproximateAnswer,
@@ -53,6 +53,7 @@ from repro.core.planner.cost import CostModel
 from repro.core.planner.feedback import FeedbackResult, ObservedErrorFeedback
 from repro.core.planner.nodes import PlanNode, UnifiedPlan
 from repro.core.snapshot import Snapshot
+from repro.db.archived import blocking_reason
 from repro.db.database import Database
 from repro.db.lru import LockedLRU
 from repro.db.sql.ast import CreateTableStatement, SelectStatement, Statement
@@ -61,6 +62,7 @@ from repro.db.stats import TableStats
 from repro.errors import ApproximationError
 from repro.db.table import Table
 from repro.obs.flight import is_telemetry_table
+from repro.resilience.health import HealthRegistry
 
 __all__ = ["PlannedAnswer", "UnifiedPlanner"]
 
@@ -217,8 +219,7 @@ class UnifiedPlanner:
         engine: ApproximateQueryEngine,
         feedback: ObservedErrorFeedback,
         *,
-        archive_guard: Callable[[SelectStatement], str | None],
-        degraded_guard: Callable[[SelectStatement], str | None],
+        health: HealthRegistry,
         cost_model: CostModel | None = None,
         plan_cache_size: int = 128,
     ) -> None:
@@ -227,18 +228,9 @@ class UnifiedPlanner:
         self.engine = engine
         self.cost_model = cost_model or CostModel()
         self.feedback = feedback
-        #: ``(SelectStatement) -> str | None`` naming why a statement cannot
-        #: honestly run over the raw rows (the archive tier's model-only
-        #: guard).  When it fires, only pure model routes may execute;
-        #: anything else raises with the reason.
-        self.archive_guard = archive_guard
-        #: ``(SelectStatement) -> str | None`` naming why a component this
-        #: statement depends on is failed or quarantined ("``component`` —
-        #: ``quarantine reason``").  Exact execution over the surviving
-        #: partial rows would be silently wrong; pure model routes still
-        #: answer (with the reason disclosed on the plan) and everything else
-        #: raises :class:`~repro.errors.DegradedServiceError`.
-        self.degraded_guard = degraded_guard
+        #: Where a table whose snapshot segments were quarantined at recovery
+        #: is FAILED (:meth:`_degraded_reason`).
+        self.health = health
         #: Plans are keyed on everything they were costed against, the cost
         #: model included: installing another one invalidates them all.
         self._plan_cache = LockedLRU(plan_cache_size)
@@ -384,7 +376,9 @@ class UnifiedPlanner:
         asks (:attr:`UnifiedPlan.bound`) — with the cache key and entry the
         route came from."""
         statement = prepared.statement
-        archived_reason = self.archive_guard(statement)
+        # Rows of a table read here may live only in the model-only tier:
+        # only pure model routes may then execute; anything else raises.
+        archived_reason = blocking_reason(self.database.catalog, statement)
         key = (
             prepared.shape,
             contract,
@@ -469,7 +463,7 @@ class UnifiedPlanner:
             kind="exact", route="exact", description="", predicted_seconds=cost.exact_seconds
         )
         # From here on "the raw rows cannot honestly be scanned" is one
-        # concept; which guard fired (archive first) only picks the wording.
+        # concept; which check fired (archive first) only picks the wording.
         if archived_reason is None and cost.degraded_reason is None:
             chosen, reason = self._choose(contract, model_node, exact_node)
         else:
@@ -482,7 +476,24 @@ class UnifiedPlanner:
     def _shape_cost(self, statement: SelectStatement) -> _ShapeCost:
         stats_by_table = self._statement_stats(statement)
         exact_seconds = self.cost_model.exact_seconds(statement, stats_by_table)
-        return _ShapeCost(stats_by_table, exact_seconds, self.degraded_guard(statement))
+        return _ShapeCost(stats_by_table, exact_seconds, self._degraded_reason(statement))
+
+    def _degraded_reason(self, statement: SelectStatement) -> str | None:
+        """Why ``statement`` cannot honestly run over the raw rows right now.
+
+        A table whose snapshot segments were quarantined at recovery is
+        FAILED: its surviving rows are incomplete, so exact execution would
+        silently under-count; pure model routes still answer (with the reason
+        disclosed on the plan) and everything else raises
+        :class:`~repro.errors.DegradedServiceError`.  Formatted as
+        ``component — reason`` (split back for that typed error).
+        """
+        for name in statement.table_names():
+            component = f"table:{name}"
+            if self.health.is_failed(component):
+                reason = self.health.reason(component) or "snapshot segments quarantined"
+                return f"{component} — {reason}"
+        return None
 
     def _statement_stats(self, statement: SelectStatement) -> dict[str, TableStats]:
         stats: dict[str, TableStats] = {}

@@ -33,10 +33,10 @@ from repro.core.storage.model_switching import ModelLifecycleManager
 from repro.core.storage.semantic_compression import CompressedTable, ModelCompressor
 from repro.core.storage.zero_io import ScanComparison, ZeroIOScanner
 from repro.core.strawman import StrawmanFrame
+from repro.db.archived import archived_segments
 from repro.db.database import Database
 from repro.db.io_model import IOAccountant, IOModel
 from repro.db.schema import Schema
-from repro.db.sql.ast import SelectStatement
 from repro.db.stats import compute_table_stats
 from repro.db.table import Table
 from repro.errors import PersistenceError
@@ -53,7 +53,6 @@ from repro.obs import (
     SlowQueryLog,
     Span,
     Tracer,
-    is_telemetry_table,
     spans_to_otlp,
 )
 from repro.obs.slo import default_slos
@@ -91,11 +90,11 @@ class LawsDatabase:
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         # Construction order, top to bottom.  Every component is built once and
-        # complete: the collectors it reports to, the resilience equipment it
-        # uses and the guards it consults are constructor arguments.  What it
-        # calls back into on this façade it gets as a ``weak_callback`` —
-        # owner → component → bound method → owner would be a cycle reference
-        # counting never frees.
+        # complete: the collectors it reports to and the resilience equipment
+        # it uses are constructor arguments; what a table has archived it asks
+        # the catalog.  What it calls back into on this façade it gets as a
+        # ``weak_callback`` — owner → component → bound method → owner would be
+        # a cycle reference counting never frees.
         #
         # The collectors first; ``observability=False`` builds the same objects
         # switched off, so nothing downstream asks whether they are there.
@@ -119,31 +118,22 @@ class LawsDatabase:
             retry_policy=retry_policy,
             journal=journal,
             # Plans are cached by (catalog, store) version; a health
-            # transition changes what the degraded guard answers, so it bumps
-            # the model store version to invalidate affected plans — keeping
-            # health checks off the per-query hot path.
+            # transition changes which tables the planner finds failed, so it
+            # bumps the model store version to invalidate affected plans —
+            # keeping health checks off the per-query hot path.
             on_health_transition=weak_callback(self._on_health_transition),
         )
         self.database = Database(IOModel(accountant=accountant, metrics=metrics, tracer=tracer))
         self.models = ModelStore(journal=journal)
-        # Every capture path funnels through the harvester; the guard there
-        # (and on maintenance refits) blocks fits over tables whose cold rows
-        # moved to the archive tier.
-        refit_guard = weak_callback(self._archive_refit_reason)
         self.harvester = ModelHarvester(
-            self.database,
-            self.models,
-            quality_policy,
-            journal=journal,
-            fit_guard=refit_guard,
-            faults=fault_injector,
+            self.database, self.models, quality_policy, journal=journal, faults=fault_injector
         )
         self.approx = ApproximateQueryEngine(
             self.database,
             self.models,
             use_legal_filter=use_legal_filter,
             tracer=tracer,
-            grouped_model_provider=weak_callback(self._grouped_model_provider),
+            grouped_model_provider=self.harvester.ensure_grouped,
         )
         self.lifecycle = ModelLifecycleManager(self.database, self.models, self.harvester)
         self.zero_io = ZeroIOScanner(self.database)
@@ -161,7 +151,6 @@ class LawsDatabase:
             self.lifecycle,
             journal=journal,
             resilience=self.resilience,
-            refit_guard=refit_guard,
         )
         # The unified planner cost-routes every statement between the
         # model-serving routes and the exact vectorized engine; its feedback
@@ -179,8 +168,7 @@ class LawsDatabase:
             self.models,
             self.approx,
             feedback,
-            archive_guard=weak_callback(self._archive_blocking_reason),
-            degraded_guard=weak_callback(self._degraded_reason),
+            health=self.resilience.health,
         )
         # Partitioned parallel execution: tables with a committed partition
         # map run scan/filter/join/group-by per shard on a worker pool when
@@ -358,16 +346,11 @@ class LawsDatabase:
 
     def register_table(self, table: Table, replace: bool = False) -> Table:
         """Register ``table``; with ``replace`` every captured model of the
-        table it replaces goes stale (§4.1) and its archived segments go."""
+        table it replaces goes stale (§4.1) and what it archived goes with it."""
         with self.database.catalog.writing(table.name):
             registered = self.database.register_table(table, replace=replace)
             if self.durable is not None:
                 self.durable.log_register_table(registered, replace=replace)
-            if replace and self.archive_tier is not None:
-                # Replacing a table replaces ALL of it: archived segments of the
-                # old incarnation must not haunt the new one (phantom stats,
-                # permanently blocked exact queries).
-                self.archive_tier.drop(table.name)
         if replace:
             self.lifecycle.on_data_changed(table.name)
         return registered
@@ -377,16 +360,14 @@ class LawsDatabase:
 
         Dropping through this wrapper (not ``db.database.drop_table``)
         keeps the WAL consistent — an unlogged drop would be resurrected
-        from the last snapshot on crash recovery.  Archived segments of the
-        table are discarded with it (the rows belong to the table), so a
-        recreated table of the same name starts clean.
+        from the last snapshot on crash recovery.  What the table archived
+        is discarded with it (the rows belong to the table), so a recreated
+        table of the same name starts clean.
         """
         with self.database.catalog.writing(name):
             self.database.drop_table(name)
             if self.durable is not None:
                 self.durable.log_drop_table(name)
-            if self.archive_tier is not None:
-                self.archive_tier.drop(name)
         for model in self.models.models_for_table(name, include_unusable=True):
             if model.status != "retired":
                 self.models.retire_model(model.model_id)
@@ -746,20 +727,19 @@ class LawsDatabase:
 
     def health_report(self) -> dict[str, Any]:
         """Component health, circuit breakers and quarantined artefacts."""
-        return self.resilience.report()
+        quarantine = self.durable.quarantine.report() if self.durable is not None else None
+        return {**self.resilience.report(), "quarantine": quarantine}
 
     def quarantine_report(self) -> dict[str, Any]:
         """What recovery moved aside instead of failing the open."""
-        # The store hangs its quarantine manager on the runtime when it opens.
-        quarantine = self.resilience.quarantine
-        return quarantine.report() if quarantine is not None else {"records": []}
+        return self.durable.quarantine.report() if self.durable is not None else {"records": []}
 
     def acknowledge_degraded(self, component: str) -> None:
         """Operator acknowledgement: mark a failed/degraded component healthy.
 
-        Quarantined artefacts stay journaled on disk for forensics; this
-        only lifts the planner's degraded guard (e.g. after the lost rows
-        were re-ingested or the loss was accepted).
+        Quarantined artefacts stay journaled on disk for forensics; this only
+        lets the planner run exact over the table again (e.g. after the lost
+        rows were re-ingested or the loss was accepted).
         """
         self.resilience.health.mark_healthy(
             component, "operator acknowledged the degradation"
@@ -769,23 +749,6 @@ class LawsDatabase:
         # Cached plans were costed against the old health state; the bump
         # invalidates them through the (sql, contract, versions) cache key.
         self.models._bump()
-
-    def _degraded_reason(self, statement: SelectStatement) -> str | None:
-        """Why ``statement`` cannot honestly run over the raw rows right now.
-
-        A table whose snapshot segments were quarantined at recovery is
-        FAILED: its surviving in-memory rows are incomplete, so exact
-        execution would silently under-count.  Formatted as
-        ``component — reason`` (the planner splits it back for the typed
-        :class:`~repro.errors.DegradedServiceError`).
-        """
-        health = self.resilience.health
-        for name in statement.table_names():
-            component = f"table:{name}"
-            if health.is_failed(component):
-                reason = health.reason(component) or "snapshot segments quarantined"
-                return f"{component} — {reason}"
-        return None
 
     # -- model harvesting -----------------------------------------------------------------
 
@@ -894,13 +857,11 @@ class LawsDatabase:
             model_bytes = sum(
                 model.stored_byte_size() for model in self.models.models_for_table(name)
             )
-            archived = (
-                self.archive_tier.archived_bytes(name) if self.archive_tier is not None else 0
-            )
+            archived = archived_segments(self.database.catalog, name)
             per_table[name] = {
                 "raw_bytes": raw,
                 "model_bytes": model_bytes,
-                "archived_bytes": archived,
+                "archived_bytes": sum(segment.byte_size for segment in archived),
             }
         return {
             "tables": per_table,
@@ -915,45 +876,6 @@ class LawsDatabase:
         return f"{self.database.describe()}\n\nCaptured models:\n{self.models.describe()}"
 
     # -- internals ---------------------------------------------------------------------------------
-
-    def _archive_refit_reason(self, table_name: str) -> str | None:
-        """Why refitting models of ``table_name`` is unsound right now.
-
-        With raw segments in the model-only tier, a fresh fit would see only
-        the (predicate-biased) live remainder yet be served as describing
-        the full logical table — and the archive guard disables feedback
-        verification, so nothing would ever catch the bias.
-        """
-        if self.archive_tier is not None and self.archive_tier.has_archived(table_name):
-            rows = self.archive_tier.archived_rows(table_name)
-            return (
-                f"{rows} row(s) of {table_name!r} are archived; a refit would "
-                f"fit only the live remainder — recall the archive first"
-            )
-        return None
-
-    def _archive_blocking_reason(self, statement: SelectStatement) -> str | None:
-        """The planner's archive guard: why ``statement`` cannot honestly run
-        over the raw rows (None without an archive tier)."""
-        if self.archive_tier is None:
-            return None
-        return self.archive_tier.blocking_reason(statement)
-
-    def _grouped_model_provider(self, table_name: str, output_column: str, group_columns, formula=None):
-        """The approximate engine's on-demand grouped harvest — declined over
-        telemetry tables and over tables with archived rows."""
-        if is_telemetry_table(table_name):
-            # No auto-harvest over the system's own telemetry: the flight
-            # recorder owns its baselines, and a query-triggered fit here
-            # would mint models (and journal events) as a side effect of
-            # merely reading telemetry.
-            return None
-        if self._archive_refit_reason(table_name) is not None:
-            # The live remainder is predicate-biased; never fit against it.
-            return None
-        return self.harvester.ensure_grouped(
-            table_name, output_column, group_columns, formula=formula
-        )
 
     def _any_model_for(self, table_name: str) -> CapturedModel:
         # include_stale: during continuous ingestion a stale (deprioritized)

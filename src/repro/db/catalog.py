@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
+from repro.db.archived import ARCHIVE_META_KEY, with_archived
 from repro.db.schema import Schema
 from repro.db.snapshot import CatalogSnapshot, PinStack
 from repro.db.stats import TableStats, compute_table_stats, merge_table_stats
@@ -37,11 +38,10 @@ class Catalog:
         self._tables: dict[str, Table] = {}
         self._stats: dict[str, TableStats] = {}
         self._stats_dirty: set[str] = set()
-        #: Per-table metadata committed alongside the tables (the archive
-        #: tier keeps its stats overlay and frozen segment list here).
-        #: Lives in the catalog — not the Database façade — so
+        #: Per-table metadata committed alongside the tables: the partition
+        #: map and what the table archived (:mod:`repro.db.archived`).
         #: :meth:`snapshot` captures it in the same commit as the tables it
-        #: describes and pinned readers see matching archive state.
+        #: describes, and it is created, replaced and dropped with its table.
         self._table_meta: dict[str, dict[str, Any]] = {}
         self._version = 0
         # Serializes every commit (DDL + version bump).  Re-entrant so a
@@ -181,6 +181,7 @@ class Catalog:
             if name in self._tables:
                 raise CatalogError(f"table {name!r} already exists")
             table = Table.empty(name, schema)
+            self._table_meta.pop(name, None)
             self._tables[name] = table
             self._stats_dirty.add(name)
             self._version += 1
@@ -191,15 +192,11 @@ class Catalog:
         with self._commit_lock:
             if table.name in self._tables and not replace:
                 raise CatalogError(f"table {table.name!r} already exists")
-            if replace:
-                # A replaced table invalidates its partition map: the old
-                # per-shard min/max stats no longer describe the rows, and
-                # serving them would let pruning drop live rows.  (Appends
-                # keep the map valid — the tail past ``built_rows`` is never
-                # pruned — so ``replace_table`` does not clear it.)
-                entry = self._table_meta.get(table.name)
-                if entry is not None:
-                    entry.pop("partitions", None)
+            # Metadata describes the rows of one incarnation: a replaced
+            # table's partition map would let pruning drop live rows, and its
+            # archive record would count rows the new table never had.
+            # (Appends keep both valid, so ``replace_table`` keeps them.)
+            self._table_meta.pop(table.name, None)
             self._tables[table.name] = table
             self._stats_dirty.add(table.name)
             self._version += 1
@@ -301,7 +298,8 @@ class Catalog:
             self._version += 1
 
     def stats(self, name: str) -> TableStats:
-        """Return (and lazily recompute) statistics for ``name``.
+        """Return (and lazily recompute) statistics for ``name``, with the
+        rows it archived folded in (:func:`repro.db.archived.with_archived`).
 
         Inside a :meth:`reading` context the statistics come from the pinned
         tables, so estimates and data always describe the same rows.  Either
@@ -315,15 +313,14 @@ class Catalog:
         with self._commit_lock:
             if name not in self._tables:
                 raise CatalogError(f"unknown table {name!r}")
-            overlay = self._table_meta.get(name, {}).get("stats_overlay")
+            archived = self.live_table_meta(name, ARCHIVE_META_KEY, ())
             if name not in self._stats_dirty and name in self._stats:
-                base = self._stats[name]
-                return overlay(base) if overlay is not None else base
+                return with_archived(self._stats[name], archived)
             frozen = self._tables[name].pinned()
             version = self._version
         stats = compute_table_stats(frozen)
         self._publish_stats(name, stats, version)
-        return overlay(stats) if overlay is not None else stats
+        return with_archived(stats, archived)
 
     def _publish_stats(self, name: str, stats: TableStats, version: int) -> None:
         """Cache ``stats``, computed from ``name`` as committed at ``version``.
@@ -348,7 +345,7 @@ class Catalog:
     def fresh_stats(self, name: str) -> TableStats | None:
         """The cached live statistics of ``name`` if they are fresh, else None.
 
-        Never computes, and applies no overlay: what a checkpoint records
+        Never computes, and folds in no archived rows: what a checkpoint records
         next to the rows it describes, for :meth:`restore_stats` to publish
         when those rows are loaded again.
         """
@@ -436,17 +433,11 @@ class Catalog:
         pin = self._pin()
         if pin is not None:
             return pin.table_meta(name, key, default)
-        entry = self._table_meta.get(name)
-        if entry is None:
-            return default
-        return entry.get(key, default)
+        return self.live_table_meta(name, key, default)
 
-    def set_stats_overlay(self, name: str, overlay: Callable[[TableStats], TableStats]) -> None:
-        """Serve ``stats(name)`` through ``overlay`` (archive-tier merging)."""
-        self.set_table_meta(name, "stats_overlay", overlay)
-
-    def clear_stats_overlay(self, name: str) -> None:
-        self.clear_table_meta(name, "stats_overlay")
+    def live_table_meta(self, name: str, key: str, default: Any = None) -> Any:
+        """The committed metadata, bypassing any pin (writers, as :meth:`live_table`)."""
+        return self._table_meta.get(name, {}).get(key, default)
 
     def total_bytes(self) -> int:
         """Total nominal storage footprint of all registered tables."""

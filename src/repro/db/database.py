@@ -9,7 +9,7 @@ approximate query engine.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.db.catalog import Catalog
 from repro.db.io_model import IOModel
@@ -73,17 +73,6 @@ class Database:
 
     def stats(self, name: str) -> TableStats:
         return self.catalog.stats(name)
-
-    def set_stats_overlay(self, name: str, overlay: Callable[[TableStats], TableStats]) -> None:
-        """Serve ``stats(name)`` through ``overlay`` (archive-tier merging).
-
-        Overlays live in the catalog and are captured by snapshots, so a
-        pinned reader keeps the overlay state of its commit, not the live one.
-        """
-        self.catalog.set_stats_overlay(name, overlay)
-
-    def clear_stats_overlay(self, name: str) -> None:
-        self.catalog.clear_stats_overlay(name)
 
     # -- snapshots ---------------------------------------------------------------
 

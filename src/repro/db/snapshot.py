@@ -22,6 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterator
 
+from repro.db.archived import ARCHIVE_META_KEY, with_archived
 from repro.db.stats import TableStats, compute_table_stats
 from repro.db.table import Table
 from repro.errors import CatalogError
@@ -57,15 +58,18 @@ class CatalogSnapshot:
     ) -> None:
         self.version = version
         self._tables = tables
-        self._stats: dict[str, TableStats] = dict(stats) if stats else {}
         #: Per-table metadata captured in the same commit as the tables
-        #: (see :meth:`repro.db.catalog.Catalog.set_table_meta`).  The
-        #: archive tier keeps its stats overlay and segment list here;
-        #: reading the *live* values from a pinned thread would pair one
-        #: commit's tables with another commit's archive state — e.g. a
-        #: live overlay over pinned stats double-counts rows archived
-        #: after the pin.
+        #: (see :meth:`repro.db.catalog.Catalog.set_table_meta`).  Reading
+        #: the *live* values from a pinned thread would pair one commit's
+        #: tables with another commit's metadata — e.g. live archived rows
+        #: folded into pinned stats double-count rows archived after the pin.
         self._meta = {name: dict(entry) for name, entry in meta.items()} if meta else {}
+        #: The statistics served: the pinned rows' with the archived rows of
+        #: the same commit folded in, once per snapshot.
+        self._stats: dict[str, TableStats] = {
+            name: with_archived(live, self.table_meta(name, ARCHIVE_META_KEY, ()))
+            for name, live in (stats or {}).items()
+        }
 
     # -- lookup (mirrors the Catalog read surface) ----------------------------
 
@@ -86,23 +90,24 @@ class CatalogSnapshot:
     def stats(
         self, name: str, on_computed: Callable[[str, TableStats, int], None] | None = None
     ) -> TableStats:
-        """Statistics of the *pinned* table (lazily computed, then cached).
+        """Statistics of the *pinned* table and what it archived (lazily
+        computed, then cached).
 
         A duplicate compute under a thread race is harmless — both threads
         derive identical stats from the same immutable pinned table and the
         dict store is atomic — so no lock is needed here.  ``on_computed``
-        is told ``(name, stats, version)`` when they had to be computed: the
-        catalog offers them to its live cache, which every query would
-        otherwise bypass (queries always read through a pin).
+        is told ``(name, stats, version)`` of the pinned rows when they had
+        to be computed: the catalog offers them to its live cache, which
+        every query would otherwise bypass (queries always read through a pin).
         """
         cached = self._stats.get(name)
         if cached is None:
-            cached = compute_table_stats(self.table(name))
-            self._stats[name] = cached
+            live = compute_table_stats(self.table(name))
             if on_computed is not None:
-                on_computed(name, cached, self.version)
-        overlay = self.table_meta(name, "stats_overlay")
-        return overlay(cached) if overlay is not None else cached
+                on_computed(name, live, self.version)
+            cached = with_archived(live, self.table_meta(name, ARCHIVE_META_KEY, ()))
+            self._stats[name] = cached
+        return cached
 
     def table_meta(self, name: str, key: str, default: Any = None) -> Any:
         """Per-table metadata frozen at capture time."""

@@ -29,6 +29,7 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.db.archived import archived_tables
 from repro.db.sql.ast import InsertStatement
 from repro.db.stats import TableStats
 from repro.db.table import Table
@@ -167,10 +168,8 @@ class DurableStore:
         #: False while recovery replays the WAL, so replayed writes are not
         #: re-logged; True once the store is live.
         self.accepting_writes = False
-        #: Unreadable artefacts move aside instead of blocking ``open()``;
-        #: operator reports find the ledger through the runtime.
+        #: Unreadable artefacts move aside instead of blocking ``open()``.
         self.quarantine = QuarantineManager(self.root, journal=journal, metrics=metrics)
-        resilience.quarantine = self.quarantine
         self._closed = False
         #: Sequence for snapshot-backed WAL load records; resumes past any
         #: directories a previous incarnation left under walseg/.
@@ -501,7 +500,7 @@ class DurableStore:
         # WAL replay: only a log stamped with this checkpoint's epoch extends
         # it; any other epoch predates the manifest rename and is discarded.
         epoch_discarded = self._replay_wal(system, report)
-        report.archived_tables = system.archive_tier.archived_tables()
+        report.archived_tables = archived_tables(system.database.catalog)
 
         self.accepting_writes = True
         quarantined_now = [

@@ -42,7 +42,8 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import InjectedFault
 
@@ -74,7 +75,7 @@ FAULT_KINDS: tuple[str, ...] = ("oserror", "exception", "latency", "torn_write",
 #: Kinds that make sense at each point.  ``torn_write``/``bit_flip`` are
 #: cooperative and only honoured where the call site manipulates bytes;
 #: ``nan`` only at the fitting point.  Used by :meth:`FaultInjector.random_schedule`.
-_POINT_KINDS: dict[str, tuple[str, ...]] = {
+_POINT_KINDS: Mapping[str, tuple[str, ...]] = MappingProxyType({
     "persist.snapshot.write": ("oserror", "latency", "torn_write"),
     "persist.snapshot.read": ("oserror", "latency", "bit_flip"),
     "persist.wal.append": ("oserror", "latency", "torn_write"),
@@ -92,7 +93,7 @@ _POINT_KINDS: dict[str, tuple[str, ...]] = {
     # A worker task raising (exception) or hanging past its deadline
     # (latency): the pool retries once, then degrades to serial execution.
     "parallel.worker.task": ("exception", "latency"),
-}
+})
 
 #: Fault kinds that, by construction, destroy durable bytes that may hold
 #: acknowledged commits (silent media rot on a read path).  The chaos

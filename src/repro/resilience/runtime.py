@@ -4,9 +4,8 @@ One object carries everything the production layers share: the (optional)
 fault injector, the retrier, the health registry and the named circuit
 breakers.  It is constructed with the journal its members report to and
 hands it over as it builds each member — there is no second step that
-attaches it.  The quarantine manager belongs to the durable store (it is
-rooted at the store directory), which hangs it here when it is constructed
-so operator reports have one place to look.
+attaches it.  The quarantine manager is not here: it is rooted at a store
+directory a memory-only database never has, so the durable store owns it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.obs.events import EventJournal
 
 from .faults import FaultInjector
 from .health import CircuitBreaker, HealthRegistry
-from .quarantine import QuarantineManager
 from .retry import Retrier, RetryPolicy
 
 __all__ = ["ResilienceRuntime"]
@@ -49,10 +47,6 @@ class ResilienceRuntime:
         self.retrier = Retrier(retry_policy, sleep=sleep, journal=journal)
         self.health = HealthRegistry(journal=journal, on_transition=on_health_transition)
         self._breakers: dict[str, CircuitBreaker] = {}
-        #: The durable store's quarantine manager, once a store was opened —
-        #: assigned by the store, not passed here: it is rooted at a store
-        #: directory that a memory-only database never has.
-        self.quarantine: QuarantineManager | None = None
 
     def breaker(self, name: str) -> CircuitBreaker:
         """Get-or-create the named circuit breaker."""
@@ -69,13 +63,12 @@ class ResilienceRuntime:
         return self._breakers.setdefault(name, breaker)
 
     def report(self) -> dict:
-        """Operator-facing health + breaker + quarantine summary."""
+        """Operator-facing health + breaker summary."""
         return {
             "health": self.health.report(),
             "breakers": {
                 name: {"open": breaker.is_open}
                 for name, breaker in sorted(self._breakers.items())
             },
-            "quarantine": self.quarantine.report() if self.quarantine is not None else None,
             "faults_armed": self.faults is not None,
         }

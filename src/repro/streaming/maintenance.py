@@ -28,7 +28,7 @@ and scores are :func:`~repro.core.captured_model.residuals`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.core.captured_model import CapturedModel, covered_rows, residuals
 from repro.core.harvester import HarvestReport, ModelHarvester
 from repro.core.model_store import ModelStore
 from repro.core.storage.model_switching import ModelLifecycleManager
+from repro.db.archived import refit_reason
 from repro.db.database import Database
 from repro.db.table import Table
 from repro.errors import DriftMonitorError, ModelNotFoundError, ReproError, StreamingError
@@ -46,6 +47,10 @@ from repro.streaming.drift import DriftVerdict, ResidualDriftDetector
 from repro.streaming.ingest import IngestBatch
 
 __all__ = ["WatchTarget", "MaintenanceAction", "MaintenanceReport", "ModelMaintenancePolicy"]
+
+#: Residuals a watch's drift detector scores over (its other settings are
+#: the detector's defaults).
+DRIFT_WINDOW = 512
 
 
 @dataclass
@@ -121,11 +126,6 @@ class ModelMaintenancePolicy:
         *,
         journal: EventJournal,
         resilience: ResilienceRuntime,
-        refit_guard: Callable[[str], str | None],
-        drift_multiplier: float = 2.5,
-        drift_window: int = 512,
-        drift_min_observations: int = 16,
-        drift_patience: int = 2,
         min_segment: int = 16,
         significance: float = 2.5,
         max_changepoints: int = 4,
@@ -134,19 +134,9 @@ class ModelMaintenancePolicy:
         self.store = store
         self.harvester = harvester
         self.lifecycle = lifecycle
-        self.drift_multiplier = drift_multiplier
-        self.drift_window = drift_window
-        self.drift_min_observations = drift_min_observations
-        self.drift_patience = drift_patience
         self.min_segment = min_segment
         self.significance = significance
         self.max_changepoints = max_changepoints
-        #: ``(table_name) -> str | None`` naming why the table's models must
-        #: not be refitted right now: a refit over a table whose cold rows
-        #: moved to the model-only archive tier would fit only the
-        #: (predicate-biased) live remainder yet be served as covering the
-        #: full logical table.
-        self.refit_guard = refit_guard
         #: Drift transitions, change-point localizations and every
         #: maintenance action are recorded here as queryable events.
         self.journal = journal
@@ -197,13 +187,7 @@ class ModelMaintenancePolicy:
                     f"order column {order_column!r} of {table_name!r} is {dtype.value}; "
                     "segmentation needs a numeric arrival-order column"
                 )
-        detector = ResidualDriftDetector(
-            reference_rse=self._reference_rse(model),
-            multiplier=self.drift_multiplier,
-            window=self.drift_window,
-            min_observations=self.drift_min_observations,
-            patience=self.drift_patience,
-        )
+        detector = ResidualDriftDetector(reference_rse=self._reference_rse(model), window=DRIFT_WINDOW)
         target = WatchTarget(
             table_name=table_name,
             output_column=output_column,
@@ -375,7 +359,7 @@ class ModelMaintenancePolicy:
                 details=f"maintenance skipped: circuit breaker {breaker.name!r} is open",
             )
 
-        blocked = self.refit_guard(target.table_name)
+        blocked = refit_reason(self.database.catalog, target.table_name)
         if blocked is not None:
             # No refit, no revalidation: both would score against the
             # partial live rows.  The existing (possibly stale) model keeps

@@ -6,7 +6,7 @@ import pytest
 
 from repro import LawsDatabase
 from repro.db.constraints import extract_constraints
-from repro.core.approx.routes.router import RoutingPolicy, plan_group_routing
+from repro.core.approx.routes.router import plan_group_routing
 from repro.db.sql.parser import parse_expression
 
 from tests.conftest import APPROX, EXACT, compare_sql
@@ -92,13 +92,6 @@ class TestRouter:
         exact_keys = {a.key for a in plan.exact_groups}
         failed = {r.key for r in model.fit.records if not r.succeeded}
         assert failed <= exact_keys
-
-    def test_policy_r_squared_floor(self, routed_db):
-        strict = RoutingPolicy(min_group_r_squared=0.999999)
-        plan = plan_group_routing(
-            routed_db.models, "t", "y", ("g",), [(0,)], policy=strict
-        )
-        assert not plan.model_groups
 
     def test_active_model_preferred_over_stale(self, routed_db):
         plan = plan_group_routing(routed_db.models, "t", "y", ("g",), [(1,)])

@@ -68,7 +68,6 @@ def test_every_reporter_holds_the_hubs_own_collectors(tmp_path, durable, observa
     if durable:
         journals |= {"durable": db.durable, "durable.quarantine": db.durable.quarantine}
         registries |= {"durable": db.durable, "durable.quarantine": db.durable.quarantine}
-        assert db.resilience.quarantine is db.durable.quarantine
         assert db.durable.wal.retrier is db.resilience.retrier
         assert db.archive_tier.store is db.durable
     assert [name for name, holder in journals.items() if holder.journal is not obs.journal] == []
@@ -165,12 +164,10 @@ COLLABORATORS = {
 #: May be ``None`` (unarmed / nobody listening) but arrive the same way.
 ARGUMENT_ONLY = {"faults", "retrier", "on_transition", "on_record"}
 #: Out of scope, by name: a strategy hook whose cycle is ROADMAP item 2(a)'s
-#: to dissolve, and a manager rooted at a store that may never exist.
+#: to dissolve.
 ASSIGNED_AFTER_CONSTRUCTION = {
     ("db/sql/executor.py", "self.parallel", "born None"),
-    ("resilience/runtime.py", "self.quarantine", "born None"),
     ("core/system.py", "self.database.executor.parallel", "assigned into"),
-    ("persist/store.py", "resilience.quarantine", "assigned into"),
 }
 
 
@@ -215,6 +212,40 @@ def test_no_collaborator_is_born_none_or_assigned_into_another_object():
             if owner != "self" and (tracked or name in ARGUMENT_ONLY):
                 found.add((relative, dotted, "assigned into"))
     assert found == ASSIGNED_AFTER_CONSTRUCTION
+
+
+def test_what_a_table_archived_has_one_record_and_every_reader_asks_it():
+    """The archive record is catalog metadata (``repro.db.archived``): no
+    component is handed a ``*_guard`` callback to ask on its behalf, the
+    façade never asks whether a tier exists, and the tier keeps no per-table
+    copy of the record."""
+    guards = [
+        f"{relative}:{node.lineno} {arg.arg}"
+        for relative, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.arg.endswith("_guard")
+    ]
+    assert guards == []
+    trees = dict(_modules())
+    tier_tests = [
+        node.lineno
+        for node in ast.walk(trees["core/system.py"])
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == "archive_tier"
+            for side in (node.left, *node.comparators)
+        )
+    ]
+    assert tier_tests == []
+    segments = [
+        node.lineno
+        for node in ast.walk(trees["persist/archive.py"])
+        if isinstance(node, ast.Attribute) and _dotted(node) == "self._segments"
+    ]
+    assert segments == []
 
 
 # -- (d) one walk per tree ---------------------------------------------------------------

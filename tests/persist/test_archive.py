@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import AccuracyContract, LawsDatabase
+from repro.db.archived import archived_rows
 from repro.errors import ApproximationError, ArchiveError, PersistenceError
 
 
@@ -214,7 +215,7 @@ def test_recall_keeps_segment_files_until_a_checkpoint_persists_them(db, tmp_pat
     crashed = LawsDatabase.open(tmp_path / "store")
     # The WAL-logged recall replays: the acknowledged state (everything
     # live) survives the crash.
-    assert crashed.archive_tier.archived_rows("m") == 0
+    assert archived_rows(crashed.database.catalog, "m") == 0
     assert crashed.table("m").num_rows == 1200
     crashed.close()
 
@@ -234,7 +235,7 @@ def test_archive_itself_survives_a_crash_via_the_wal(db, tmp_path):
     db.durable.wal.close()  # crash immediately after the archive
 
     crashed = LawsDatabase.open(tmp_path / "store")
-    assert crashed.archive_tier.archived_rows("m") == 900
+    assert archived_rows(crashed.database.catalog, "m") == 900
     assert crashed.table("m").num_rows == 300
     assert crashed.last_recovery.models_restored >= 1  # models came with it
     answer = crashed.query(GROUPED_SQL, AccuracyContract(max_relative_error=0.5))
@@ -248,7 +249,7 @@ def test_dropping_an_archived_table_clears_the_tier(db):
     db.archive("m", "ts < 900")
     db.drop_table("m")
     assert not db.database.has_table("m")
-    assert db.archive_tier.archived_rows("m") == 0
+    assert archived_rows(db.database.catalog, "m") == 0
     # A recreated table of the same name starts clean: no dead overlay, no
     # phantom archived rows, no blocked queries.
     db.load_dict("m", {"ts": [1.0, 2.0], "intensity": [5.0, 6.0]})
@@ -266,7 +267,7 @@ def test_drop_of_archived_table_replays_cleanly(db, tmp_path):
 
     crashed = LawsDatabase.open(tmp_path / "store")
     assert not crashed.database.has_table("m")
-    assert crashed.archive_tier.archived_rows("m") == 0
+    assert archived_rows(crashed.database.catalog, "m") == 0
     crashed.load_dict("m", {"ts": [1.0], "intensity": [5.0]})
     assert crashed.database.stats("m").row_count == 1
 
@@ -336,7 +337,7 @@ def test_replacing_an_archived_table_clears_the_tier(db, tmp_path):
     db.archive("m", "ts < 900")
     replacement = Table.from_dict("m", {"ts": [1.0, 2.0], "intensity": [5.0, 6.0]})
     db.register_table(replacement, replace=True)
-    assert db.archive_tier.archived_rows("m") == 0
+    assert archived_rows(db.database.catalog, "m") == 0
     assert db.database.stats("m").row_count == 2
     count = db.query("SELECT COUNT(intensity) FROM m", AccuracyContract(mode="exact"))
     assert count.scalar() == 2
@@ -344,8 +345,42 @@ def test_replacing_an_archived_table_clears_the_tier(db, tmp_path):
     # ... and the WAL replay of that replace behaves identically.
     db.durable.wal.close()
     crashed = LawsDatabase.open(tmp_path / "store")
-    assert crashed.archive_tier.archived_rows("m") == 0
+    assert archived_rows(crashed.database.catalog, "m") == 0
     assert crashed.table("m").num_rows == 2
+
+
+@pytest.mark.parametrize("rebuild", ["drop-then-register", "replace"])
+def test_a_table_rebuilt_on_the_substrate_has_archived_nothing(tmp_path, rebuild):
+    """What a table archived is its catalog metadata, so it goes with the
+    table — also when the table is dropped or replaced through
+    ``db.database``, past the façade.  Every reader then agrees that the new
+    table has archived nothing."""
+    from repro.db.table import Table
+
+    rng = np.random.default_rng(28)
+
+    def rows():
+        x = rng.uniform(0.0, 10.0, 2000)
+        return {"x": x.tolist(), "y": (2.0 * x + rng.normal(0.0, 0.1, 2000)).tolist()}
+
+    db = LawsDatabase.open(tmp_path / "store")
+    db.load_dict("t", rows())
+    assert db.archive("t", "x < 3").rows_archived > 0
+    fresh = Table.from_dict("t", rows())
+    if rebuild == "replace":
+        db.database.register_table(fresh, replace=True)
+    else:
+        db.database.drop_table("t")
+        db.database.register_table(fresh)
+
+    assert db.fit("t", "y ~ linear(x)").accepted
+    assert db.storage_report()["tables"]["t"]["archived_bytes"] == 0
+    assert db.database.stats("t").row_count == 2000
+    count = db.query("SELECT count(*) FROM t", AccuracyContract(mode="exact"))
+    assert count.scalar() == 2000
+    with pytest.raises(ArchiveError):
+        db.recall_archive("t")
+    db.close()
 
 
 def test_archiving_does_not_stale_models(db):

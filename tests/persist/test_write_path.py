@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import AccuracyContract, LawsDatabase
+from repro.db.archived import archived_segments
 from repro.db.table import Table
 from repro.errors import ReproError
 from repro.persist import store as store_module
@@ -98,7 +99,7 @@ def _tier_state(db):
     stats = db.database.stats("t")
     return (
         db.table("t").num_rows,
-        db.archive_tier.has_archived("t"),
+        bool(archived_segments(db.database.catalog, "t")),
         (stats.row_count, stats.byte_size),
         db.query("SELECT count(*) FROM t WHERE k >= 10", EXACT).rows(),
         db.database.fingerprint(),
@@ -137,7 +138,7 @@ def test_failed_archive_redo_record_leaves_memory_as_it_was(tmp_path, move, faul
         assert _tier_state(db) == before
         assert db.events(kind="archive") == db.events(kind="archive-recall") == []
     else:
-        assert db.archive_tier.has_archived("t") == (move == "archive")
+        assert bool(archived_segments(db.database.catalog, "t")) == (move == "archive")
     live = _tier_state(db)
     db.close()
 
@@ -145,7 +146,7 @@ def test_failed_archive_redo_record_leaves_memory_as_it_was(tmp_path, move, faul
     assert _tier_state(db) == live
     if raised:
         move_rows(db)  # the fault is spent: the repeated call applies
-        assert db.archive_tier.has_archived("t") == (move == "archive")
+        assert bool(archived_segments(db.database.catalog, "t")) == (move == "archive")
         live = _tier_state(db)
     db.close()
     reopened = _open(root)

@@ -41,6 +41,7 @@ from typing import Any, Callable
 
 from repro import LawsDatabase
 from repro.core.planner import AccuracyContract
+from repro.db.archived import archived_tables
 from repro.errors import ReproError
 from repro.resilience import FaultInjector
 from repro.resilience.faults import FaultEvent
@@ -247,12 +248,12 @@ def run_workload(root: Path | str, faults: FaultInjector | None = None) -> Chaos
     # -- phase C: never-faulted audit ---------------------------------------
     audit = open_db("audit-open", with_faults=False)
     if audit is not None:
-        if audit.archive_tier is not None and audit.archive_tier.archived_tables():
+        if archived_tables(audit.database.catalog):
             step(
                 "audit-recall",
                 lambda: [
                     audit.recall_archive(name)
-                    for name in audit.archive_tier.archived_tables()
+                    for name in archived_tables(audit.database.catalog)
                 ],
             )
         if audit.database.has_table("metrics"):

@@ -79,6 +79,18 @@ def test_the_lifecycle_is_guarded_and_a_lookup_table_must_be_read_only():
     assert _names("_FACTOR = types.MappingProxyType({'count': 0.25})\n") == set()
 
 
+def test_the_durable_layers_are_guarded():
+    """The archive tier, the WAL and quarantine run on writer and reader
+    threads: ``persist`` and ``resilience`` are guarded like the rest."""
+    for path in (
+        "src/repro/persist/archive.py",
+        "src/repro/persist/wal.py",
+        "src/repro/resilience/quarantine.py",
+        "src/repro/resilience/faults.py",
+    ):
+        assert _guarded(path), path
+
+
 def test_check_flags_new_state_and_stale_allowlist(tmp_path, monkeypatch):
     pkg = tmp_path / "src" / "pkg"
     pkg.mkdir(parents=True)

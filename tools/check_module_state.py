@@ -27,9 +27,18 @@ from pathlib import Path
 #: Packages whose module scope must stay free of mutable state.  The answer
 #: routes of ``core/approx`` run on every reader thread, drift scoring in
 #: ``streaming`` on ingest threads and refits on every ``maintain()`` caller;
-#: their module-level tables must be immutable (a tuple, a frozenset, a
-#: ``MappingProxyType``).
-DEFAULT_ROOTS = ("src/repro/db", "src/repro/obs", "src/repro/parallel", "src/repro/core", "src/repro/streaming")
+#: the archive tier, the WAL and quarantine in ``persist`` / ``resilience``
+#: on writer and reader threads.  Their module-level tables must be
+#: immutable (a tuple, a frozenset, a ``MappingProxyType``).
+DEFAULT_ROOTS = (
+    "src/repro/db",
+    "src/repro/obs",
+    "src/repro/parallel",
+    "src/repro/core",
+    "src/repro/streaming",
+    "src/repro/persist",
+    "src/repro/resilience",
+)
 
 #: Worker-side modules that must not import the observability hub at module
 #: scope: workers report nothing themselves (spans/metrics/journal are the

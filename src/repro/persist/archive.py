@@ -24,13 +24,8 @@ from repro.db.archived import ARCHIVE_META_KEY, ArchivedSegment, archived_segmen
 from repro.db.database import Database
 from repro.db.stats import compute_table_stats
 from repro.db.table import Table
-from repro.errors import ArchiveError
-from repro.persist.snapshot import (
-    read_table_segments,
-    schema_from_payload,
-    schema_to_payload,
-    write_table_segments,
-)
+from repro.errors import ArchiveError, SnapshotReadError, SnapshotWriteError
+from repro.persist.snapshot import read_table_segments, schema_to_payload, write_table_segments
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.persist.store import DurableStore
@@ -60,10 +55,12 @@ class ArchiveTier:
     """Moves rows between memory and archive segments.
 
     Born with the durable store it cannot exist without: segment directory,
-    fault injector (``persist.archive.write`` / ``.read``; None = unarmed) and
-    the redo log its moves are recorded in are ``store``'s.  What a table has
-    archived is catalog state, not the tier's: the tier holds nothing per
-    table, only the sequence that names its segment files.
+    fault injector, retrier, sync rule and the redo log its moves are
+    recorded in are ``store``'s.  Its segments are written and read like
+    every other segment — per file, at ``persist.archive.write`` / ``.read``
+    — and what escapes surfaces as :class:`~repro.errors.ArchiveError`.
+    What a table has archived is catalog state, not the tier's: the tier
+    holds nothing per table, only the sequence that names its segment files.
     """
 
     def __init__(self, database: Database, store: "DurableStore") -> None:
@@ -85,9 +82,9 @@ class ArchiveTier:
 
         The redo record is written inside the same section — after the
         segment files are on disk, before anything in memory flips — so a
-        failed record leaves table and archive record as they were
-        (:meth:`purge_unreferenced` collects the orphaned files), and a crash
-        never reloads rows the caller was told are shed.
+        failed record leaves table and archive record as they were (the next
+        checkpoint sweeps the orphaned files), and a crash never reloads rows
+        the caller was told are shed.
         """
         catalog = self.database.catalog
         with catalog.commit_lock:
@@ -104,16 +101,18 @@ class ArchiveTier:
             live = table.filter(~mask)
 
             self._sequence += 1
-            prefix = f"{table_name}__arch{self._sequence:05d}"
             try:
-                if self.faults is not None:
-                    self.faults.hit("persist.archive.write", path=self.directory)
-                entries = write_table_segments(self.directory, archived, file_prefix=prefix)
-            except OSError as exc:
-                raise ArchiveError(
-                    f"archive segment write for {table_name!r} under {self.directory} "
-                    f"failed: {exc.strerror or exc}"
-                ) from exc
+                entries = write_table_segments(
+                    self.directory,
+                    archived,
+                    file_prefix=f"{table_name}__arch{self._sequence:05d}",
+                    faults=self.faults,
+                    point="persist.archive.write",
+                    retrier=self.store.retrier,
+                    sync_root=self.store.sync_root,
+                )
+            except SnapshotWriteError as exc:
+                raise ArchiveError(f"archive of {table_name!r} failed: {exc}") from exc
             segment = ArchivedSegment(
                 table_name=table_name,
                 predicate_sql=predicate_sql,
@@ -152,60 +151,26 @@ class ArchiveTier:
             if not segments:
                 raise ArchiveError(f"table {table_name!r} has no archived segments to recall")
             table = catalog.live_table(table_name)
-            restored_rows = 0
-            for segment in segments:
-                schema = schema_from_payload(segment.schema_payload)
-                try:
-                    if self.faults is not None:
-                        self.faults.hit("persist.archive.read", path=self.directory)
-                    piece = read_table_segments(
-                        self.directory, table_name, schema, segment.segment_entries
-                    )
-                except OSError as exc:
-                    raise ArchiveError(
-                        f"archive segment read for {table_name!r} under {self.directory} "
-                        f"failed: {exc.strerror or exc}"
-                    ) from exc
-                table = table.concat(piece)
-                restored_rows += piece.num_rows
+            try:
+                recalled = read_table_segments(
+                    self.directory,
+                    table_name,
+                    table.schema,
+                    [entry for segment in segments for entry in segment.segment_entries],
+                    faults=self.faults,
+                    retrier=self.store.retrier,
+                    point="persist.archive.read",
+                )
+            except SnapshotReadError as exc:
+                raise ArchiveError(f"recall of {table_name!r} failed: {exc}") from exc
             self.store.log_recall(table_name)
-            catalog.replace_table(table)
+            catalog.replace_table(table.concat(recalled))
             catalog.clear_table_meta(table_name, ARCHIVE_META_KEY)
         # The segment files are NOT deleted here: until the next checkpoint
         # snapshots the recalled rows, they are the only durable copy — a
         # crash now must be able to restore the pre-recall manifest.  The
-        # checkpoint that persists the recall purges them (see
-        # :meth:`purge_unreferenced`).
-        return restored_rows
-
-    def purge_unreferenced(self) -> int:
-        """Delete archive segment files no archive record references any more.
-
-        Called by the durable store *after* a checkpoint's manifest rename:
-        at that point recalled rows live in the new snapshot, and a dropped
-        or replaced table's segments belong to no table, so their files are
-        garbage — leaving them would leak the archived bytes on every
-        archive/recall cycle.  Crash-safe by construction: before the rename,
-        the old manifest still references the files and this purge has not
-        run."""
-        if not self.directory.is_dir():
-            return 0
-        catalog = self.database.catalog
-        keep = {
-            entry["file"]
-            for name in archived_tables(catalog)
-            for segment in archived_segments(catalog, name)
-            for entry in segment.segment_entries
-        }
-        removed = 0
-        for path in self.directory.glob("*.npz"):
-            if path.name not in keep:
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        # checkpoint that persists the recall sweeps them.
+        return recalled.num_rows
 
     def _predicate_mask(self, table: Table, predicate_sql: str) -> np.ndarray:
         try:

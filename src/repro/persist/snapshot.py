@@ -21,14 +21,16 @@ Strings are stored as fixed-width unicode arrays (``object`` arrays cannot
 be saved without pickling, and pickled snapshots would tie the on-disk
 format to Python internals); NULL positions are carried solely by the
 validity bitmap and restored as ``None`` on read.
+
+Bytes reach the disk and come back through :mod:`repro.persist.files`
+(fault arrival, retry, sync); this module knows only the layout.
 """
 
 from __future__ import annotations
 
-import errno as _errno
-import io
 import zipfile
 import zlib
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable
 
@@ -39,6 +41,7 @@ from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType, null_value, python_value
 from repro.errors import PersistenceError, SnapshotReadError, SnapshotWriteError
+from repro.persist import files
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience import FaultInjector
@@ -160,15 +163,22 @@ def write_table_segments(
     rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
     file_prefix: str | None = None,
     faults: "FaultInjector | None" = None,
+    *,
+    point: str = "persist.snapshot.write",
+    retrier: "Retrier | None" = None,
+    sync_root: Path | None = None,
 ) -> list[dict[str, Any]]:
     """Write ``table`` as npz segments under ``directory``.
 
     Returns one manifest entry per segment: relative file name, row range
     and per-column stats.  An empty table writes no segment files (schema
-    alone reconstructs it).  OS failures surface as typed
-    :class:`SnapshotWriteError` carrying the segment path.  The caller keeps
-    ``table`` from changing underneath (every user holds the commit lock):
-    members are written from views of its buffers, not copies.
+    alone reconstructs it).  Each file is one :func:`files.write_file` at
+    ``point`` (checkpoints and bulk loads ``persist.snapshot.write``, the
+    archive tier ``persist.archive.write``); with a ``sync_root`` (the store
+    root) each file and every directory on its path below it is synced.  OS
+    failures surface as typed :class:`SnapshotWriteError` carrying the
+    path.  The caller keeps ``table`` from changing underneath (every user
+    holds the commit lock): members are written from views of its buffers.
     """
     if rows_per_segment < 1:
         raise PersistenceError(f"rows_per_segment must be positive, got {rows_per_segment}")
@@ -180,22 +190,16 @@ def write_table_segments(
         members, column_stats = _encode_segment(table.slice(start, stop))
         file_name = f"{prefix}__{index:05d}.npz"
         path = directory / file_name
-        try:
-            _write_segment(path, members, faults)
-        except OSError as exc:
-            raise SnapshotWriteError(
-                f"snapshot segment {path} could not be written: {exc.strerror or exc}",
-                path=str(path),
-                errno_code=exc.errno,
-            ) from exc
-        entries.append(
-            {
-                "file": file_name,
-                "start_row": start,
-                "rows": stop - start,
-                "columns": column_stats,
-            }
-        )
+        with files.raising(SnapshotWriteError, "snapshot segment write of", path):
+            files.write_file(
+                path,
+                lambda handle: _write_members(handle, members),
+                point=point,
+                faults=faults,
+                retrier=retrier,
+                sync_root=sync_root,
+            )
+        entries.append({"file": file_name, "start_row": start, "rows": stop - start, "columns": column_stats})
     return entries
 
 
@@ -220,25 +224,6 @@ def _write_members(handle: BinaryIO, members: dict[str, np.ndarray]) -> None:
                 np.lib.format.write_array(member, array, allow_pickle=False)
 
 
-def _write_segment(path: Path, members: dict[str, np.ndarray], faults: "FaultInjector | None") -> None:
-    action = None
-    if faults is not None:
-        action = faults.hit("persist.snapshot.write", path=path)
-    if action is None:
-        with open(path, "wb") as handle:
-            _write_members(handle, members)
-        return
-    # Cooperative faults need the full payload in hand: torn_write persists
-    # only a prefix then fails the call, bit_flip persists silently-corrupt
-    # bytes (caught later by the read path, never here).
-    buffer = io.BytesIO()
-    _write_members(buffer, members)
-    data = faults.apply(action, buffer.getvalue())
-    path.write_bytes(data)
-    if action.kind == "torn_write":
-        raise OSError(_errno.EIO, "injected torn write", str(path))
-
-
 def read_table_segments(
     directory: Path,
     name: str,
@@ -247,19 +232,23 @@ def read_table_segments(
     faults: "FaultInjector | None" = None,
     on_segment_error: Callable[[dict[str, Any], Path, Exception], bool] | None = None,
     retrier: "Retrier | None" = None,
+    *,
+    point: str = "persist.snapshot.read",
 ) -> Table:
     """Rebuild a table from its snapshot segments (in manifest order).
 
     Every column is one array allocated from the entries' row counts; each
-    segment decodes straight into its row range of it.  An unreadable
-    segment raises a typed :class:`SnapshotReadError` — unless
-    ``on_segment_error`` is given and returns True for it, in which case the
-    segment is skipped (the caller quarantines it), the next one takes its
-    place and the table is the surviving rows.
+    segment is one :func:`files.read` at ``point`` and decodes straight into
+    its row range of it.  An unreadable segment raises a typed
+    :class:`SnapshotReadError` — unless ``on_segment_error`` is given and
+    returns True for it, in which case the segment is skipped (the caller
+    quarantines it), the next one takes its place and the table is the
+    surviving rows.
     """
     capacity = sum(int(entry["rows"]) for entry in entries)
     values = {c.name: np.empty(capacity, dtype=c.dtype.numpy_dtype) for c in schema}
     validity = {c.name: np.empty(capacity, dtype=bool) for c in schema}
+    read = partial(files.read, point=point, faults=faults, retrier=retrier)
     filled = 0
     for entry in entries:
         path = directory / entry["file"]
@@ -270,8 +259,7 @@ def read_table_segments(
                 schema,
                 {n: v[rows] for n, v in values.items()},
                 {n: v[rows] for n, v in validity.items()},
-                faults,
-                retrier,
+                read,
             )
         except SnapshotReadError as exc:
             if on_segment_error is not None and on_segment_error(entry, path, exc):
@@ -284,26 +272,18 @@ def read_table_segments(
     return Table(name, schema, columns)
 
 
-def _open_segment(path: Path, faults: "FaultInjector | None") -> BinaryIO:
-    if faults is None:
-        return open(path, "rb")
-    # A cooperative read fault corrupts the bytes, so it needs them in hand.
-    return io.BytesIO(faults.filter_bytes("persist.snapshot.read", path.read_bytes(), path=path))
-
-
 def _load_segment(
     path: Path,
     schema: Schema,
     values: dict[str, np.ndarray],
     validity: dict[str, np.ndarray],
-    faults: "FaultInjector | None",
-    retrier: "Retrier | None" = None,
+    read: Callable[..., None],
 ) -> None:
     """Decode the segment at ``path`` into ``values`` / ``validity``: per
     column, views of exactly the rows the manifest entry promised."""
 
-    def decode() -> None:
-        with _open_segment(path, faults) as handle, np.load(handle, allow_pickle=False) as payload:
+    def decode(handle: BinaryIO) -> None:
+        with np.load(handle, allow_pickle=False) as payload:
             for col_def in schema:
                 value_key, mask_key = f"v__{col_def.name}", f"m__{col_def.name}"
                 if value_key not in payload:
@@ -328,15 +308,7 @@ def _load_segment(
     try:
         if not path.is_file():
             raise SnapshotReadError(f"snapshot segment missing: {path}", path=str(path))
-        try:
-            decode()
-        except OSError as exc:
-            # Segment reads are idempotent, so any OSError — not just the
-            # transient set — is retried before the caller quarantines bytes
-            # that may be perfectly intact on disk.
-            if retrier is None:
-                raise
-            retrier.retry(decode, first_error=exc, operation="snapshot.read", retry_all=True)
+        read(path, decode)
     except SnapshotReadError:
         raise
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error) as exc:

@@ -15,15 +15,18 @@ leaves either the old manifest (whose files are untouched) or the new one;
 the WAL's epoch record tells a reopening process whether the log extends
 the manifest it found or predates it (in which case it is discarded —
 its records are already inside the snapshot).
+
+Every file is written and read through :mod:`repro.persist.files` under the
+store's fault injector, retrier and sync rule; what escapes becomes a
+:class:`~repro.errors.StorageIOError`, or is quarantined during recovery.
 """
 
 from __future__ import annotations
 
-import errno as _errno_mod
 import json
-import os
 import shutil
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -42,6 +45,7 @@ from repro.errors import (
     WALError,
 )
 from repro.parallel.partition import PARTITION_META_KEY, partition_map_from_segments
+from repro.persist import files
 from repro.persist.snapshot import (
     DEFAULT_ROWS_PER_SEGMENT,
     read_table_segments,
@@ -55,7 +59,7 @@ from repro.resilience.quarantine import QuarantineManager, minimal_failing_subse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.core.system import LawsDatabase
-    from repro.resilience import FaultInjector, ResilienceRuntime
+    from repro.resilience import ResilienceRuntime
 
 __all__ = ["CheckpointReport", "RecoveryReport", "DurableStore"]
 
@@ -150,20 +154,20 @@ class DurableStore:
     ) -> None:
         self.root = Path(root)
         self.rows_per_segment = rows_per_segment
-        self.fsync = fsync
+        #: The root of the sync rule (:mod:`repro.persist.files`); None = no fsync.
+        self.sync_root = self.root if fsync else None
         self.root.mkdir(parents=True, exist_ok=True)
         #: Retry, health tracking and the (opt-in) fault injector: partial
         #: corruption met during recovery degrades instead of aborting.
         self.resilience = resilience
         self.faults = resilience.faults
+        self.retrier = resilience.retrier
         #: The :class:`repro.obs.EventJournal` recording checkpoint and
         #: recovery operations, and the :class:`repro.obs.MetricsRegistry`
         #: (``recovery_total`` etc.).
         self.journal = journal
         self.metrics = metrics
-        self.wal = WriteAheadLog(
-            self.root / WAL_NAME, fsync=fsync, faults=self.faults, retrier=resilience.retrier
-        )
+        self.wal = WriteAheadLog(self.root / WAL_NAME, fsync=fsync, faults=self.faults, retrier=self.retrier)
         self.checkpoint_id = 0
         #: False while recovery replays the WAL, so replayed writes are not
         #: re-logged; True once the store is live.
@@ -197,6 +201,31 @@ class DurableStore:
 
         Obsolete the moment the WAL resets; purged wholesale at checkpoint."""
         return self.root / "walseg"
+
+    # -- files (each under the store's faults, retrier and sync rule) ------------
+
+    def _write_segments(self, directory: Path, table: Table) -> list[dict[str, Any]]:
+        return write_table_segments(
+            directory,
+            table,
+            self.rows_per_segment,
+            faults=self.faults,
+            retrier=self.retrier,
+            sync_root=self.sync_root,
+        )
+
+    def _read_segments(self, directory: Path, name: str, entry: dict[str, Any], on_error: Any = None) -> Table:
+        """The table a manifest entry or a ``load_table`` record names."""
+        schema = schema_from_payload(entry["schema"])
+        return read_table_segments(
+            directory, name, schema, entry["segments"], self.faults, on_error, retrier=self.retrier
+        )
+
+    def _write_json(self, path: Path, payload: dict[str, Any], point: str) -> None:
+        with files.raising(StorageIOError, "durable write of", path):
+            files.write_json(
+                path, payload, point=point, faults=self.faults, retrier=self.retrier, sync_root=self.sync_root
+            )
 
     def _max_walseg_index(self) -> int:
         if not self.walseg_dir.is_dir():
@@ -236,19 +265,15 @@ class DurableStore:
 
         The segments are on disk (and synced, when fsync is on) *before*
         the WAL record naming them is appended, so a replayed record never
-        dangles."""
+        dangles.  The record carries the format version its segments are
+        written in: no manifest may stamp the store yet."""
         self._walseg_counter += 1
         directory = self.walseg_dir / f"{self._walseg_counter:05d}"
-        entries = write_table_segments(
-            directory, table, rows_per_segment=self.rows_per_segment, faults=self.faults
-        )
-        if self.fsync:
-            for segment_file in directory.iterdir():
-                _fsync_file(segment_file)
-            _fsync_dir(directory)
+        entries = self._write_segments(directory, table)
         self._log(
             {
                 "op": "load_table",
+                "format_version": FORMAT_VERSION,
                 "name": table.name,
                 "schema": schema_to_payload(table.schema),
                 "dir": str(directory.relative_to(self.root)),
@@ -315,9 +340,7 @@ class DurableStore:
         database = system.database
         for name in database.table_names():
             table = database.table(name)
-            entries = write_table_segments(
-                segments_dir, table, rows_per_segment=self.rows_per_segment, faults=self.faults
-            )
+            entries = self._write_segments(segments_dir, table)
             report.tables += 1
             report.rows += table.num_rows
             report.segment_files += len(entries)
@@ -347,19 +370,7 @@ class DurableStore:
         report.models = len(warehouse_payload["models"])
         warehouse_path = self._warehouse_path(new_id)
         warehouse_path.parent.mkdir(parents=True, exist_ok=True)
-        self._write_json_durable(
-            warehouse_path, warehouse_payload, fault_point="persist.warehouse.store"
-        )
-
-        if self.fsync:
-            # The manifest rename must not become durable before the file
-            # contents it references: flush every new segment (and its
-            # directory entry) to stable storage first.
-            if segments_dir.is_dir():
-                for segment_file in segments_dir.iterdir():
-                    _fsync_file(segment_file)
-                _fsync_dir(segments_dir)
-            _fsync_dir(warehouse_path.parent)
+        self._write_json(warehouse_path, warehouse_payload, "persist.warehouse.store")
 
         manifest = {
             "format_version": FORMAT_VERSION,
@@ -370,7 +381,7 @@ class DurableStore:
             "archive": system.archive_tier.to_payload(),
             "wal_file": WAL_NAME,
         }
-        self._write_json_durable(self.manifest_path, manifest, fault_point="persist.manifest.write")
+        self._write_json(self.manifest_path, manifest, "persist.manifest.write")
         # The manifest rename is the commit point: checkpoint N exists from
         # here on regardless of what the WAL reset below does.
         self.checkpoint_id = new_id
@@ -381,10 +392,7 @@ class DurableStore:
         # replay-restart marker) by the next successful append, so no record
         # can land under a stale epoch — journal it and carry on.
         self._reset_wal_safe(new_id)
-        self._cleanup_stale_artifacts(keep_id=new_id)
-        # Recalled rows are inside the new snapshot now; their archive
-        # segments are unreferenced garbage.
-        system.archive_tier.purge_unreferenced()
+        self._sweep(manifest)
         report.elapsed_seconds = perf_counter() - started
         self.journal.record(
             "checkpoint",
@@ -396,53 +404,27 @@ class DurableStore:
         )
         return report
 
-    def _cleanup_stale_artifacts(self, keep_id: int) -> None:
-        """Drop every snapshot/warehouse/walseg artefact the manifest no
-        longer references.
-
-        A sweep (not just "delete N-1") so artefacts orphaned by a crash
-        between a manifest rename and its cleanup are reclaimed by the next
-        successful checkpoint instead of leaking forever."""
-        segments_root = self.root / "segments"
-        if segments_root.is_dir():
-            keep_segments = self._segments_dir(keep_id).name
-            for child in segments_root.iterdir():
-                if child.name != keep_segments:
-                    shutil.rmtree(child, ignore_errors=True)
-        warehouse_root = self.root / "warehouse"
-        if warehouse_root.is_dir():
-            keep_warehouse = self._warehouse_path(keep_id).name
-            for child in warehouse_root.iterdir():
-                if child.name != keep_warehouse:
-                    try:
-                        child.unlink()
-                    except OSError:
-                        pass
-        # The WAL was just reset: no record references walseg/ any more.
-        shutil.rmtree(self.walseg_dir, ignore_errors=True)
-
-    def _write_json_durable(self, path: Path, payload: dict[str, Any], fault_point: str) -> None:
-        """Atomic JSON write + transient-error retry + typed wrapping."""
-
-        def attempt() -> None:
-            _write_json_atomic(
-                path, payload, fsync=self.fsync, faults=self.faults, fault_point=fault_point
-            )
-
-        try:
-            try:
-                attempt()
-            except OSError as exc:
-                retrier = self.resilience.retrier
-                if not retrier.is_transient(exc):
-                    raise
-                retrier.retry(attempt, first_error=exc, operation=fault_point)
-        except OSError as exc:
-            raise StorageIOError(
-                f"durable write of {path} failed: {exc.strerror or exc}",
-                path=str(path),
-                errno_code=exc.errno,
-            ) from exc
+    def _sweep(self, manifest: dict[str, Any]) -> None:
+        """Delete what the manifest just renamed into place does not name: old
+        snapshots and warehouses, ``walseg/`` (the WAL was just reset) and the
+        archive segments of recalled, dropped or replaced tables.  A sweep, not
+        "delete N-1": what a crash orphaned before a sweep goes at the next."""
+        keep = {self._segments_dir(self.checkpoint_id), self.root / manifest["warehouse_file"]}
+        keep.update(
+            self.archive_dir / entry["file"]
+            for segments in manifest["archive"]["tables"].values()
+            for segment in segments
+            for entry in segment["segments"]
+        )
+        tiers = (self.root / "segments", self.root / "warehouse", self.archive_dir)
+        for path in chain([self.walseg_dir], *(tier.glob("*") for tier in tiers)):
+            if path in keep:
+                continue
+            with suppress(OSError):
+                if path.is_dir():
+                    shutil.rmtree(path)
+                else:
+                    path.unlink()
 
     # -- recovery -------------------------------------------------------------------
 
@@ -459,12 +441,7 @@ class DurableStore:
         quarantined_before = len(self.quarantine.records())
         manifest = self._load_manifest()
         if manifest is not None:
-            version = int(manifest.get("format_version", 0))
-            if version > FORMAT_VERSION:
-                raise FormatVersionError(
-                    f"store at {self.root} uses format v{version}; this build "
-                    f"supports up to v{FORMAT_VERSION}"
-                )
+            self._refuse_newer(manifest, f"store at {self.root}")
             self.checkpoint_id = int(manifest.get("checkpoint_id", 0))
             report.checkpoint_id = self.checkpoint_id
 
@@ -541,12 +518,24 @@ class DurableStore:
         if not self.manifest_path.is_file():
             return None
         try:
-            return json.loads(self.manifest_path.read_text())
+            return files.read(
+                self.manifest_path, json.load, point="persist.manifest.read", retrier=self.retrier
+            )
         except (OSError, ValueError) as exc:
             raise ManifestError(
                 f"checkpoint manifest {self.manifest_path} is unreadable: {exc}",
                 path=str(self.manifest_path),
             ) from exc
+
+    @staticmethod
+    def _refuse_newer(artefact: dict[str, Any], what: str) -> None:
+        """A manifest or a WAL ``load_table`` record from a newer build is a
+        build mismatch, not corruption: refused, never quarantined."""
+        version = int(artefact.get("format_version", 0))
+        if version > FORMAT_VERSION:
+            raise FormatVersionError(
+                f"{what} uses format v{version}; this build supports up to v{FORMAT_VERSION}"
+            )
 
     def _recover_table(
         self,
@@ -568,15 +557,7 @@ class DurableStore:
             lost_segments.append(str(seg_entry.get("file")))
             return True
 
-        table = read_table_segments(
-            segments_dir,
-            name,
-            schema_from_payload(entry["schema"]),
-            entry["segments"],
-            faults=self.faults,
-            on_segment_error=quarantine_segment,
-            retrier=self.resilience.retrier,
-        )
+        table = self._read_segments(segments_dir, name, entry, on_error=quarantine_segment)
         expected = int(entry.get("row_count", table.num_rows))
         if lost_segments:
             self.resilience.health.mark_failed(
@@ -618,27 +599,10 @@ class DurableStore:
         if not path.is_file():
             health.mark_failed("warehouse", f"warehouse file missing: {path}")
             return None
-
-        def read_payload() -> bytes:
-            data = path.read_bytes()
-            if self.faults is not None:
-                data = self.faults.filter_bytes("persist.warehouse.load", data, path=path)
-            return data
-
         try:
-            try:
-                data = read_payload()
-            except OSError as exc:
-                # Idempotent read: retry any OSError before condemning the
-                # file — the bytes on disk may be perfectly good.
-                data = self.resilience.retrier.retry(
-                    read_payload,
-                    first_error=exc,
-                    operation="warehouse.load",
-                    retry_all=True,
-                )
-            return json.loads(data.decode("utf-8"))
-        except (OSError, ValueError, UnicodeDecodeError) as exc:
+            point = "persist.warehouse.load"
+            return files.read(path, json.load, point=point, faults=self.faults, retrier=self.retrier)
+        except (OSError, ValueError) as exc:
             self.quarantine.quarantine_file(
                 path, artefact="warehouse-file", reason=str(exc)
             )
@@ -691,7 +655,7 @@ class DurableStore:
         """Replay the WAL tail; returns True when an epoch mismatch discarded it."""
         health = self.resilience.health
         try:
-            replay = self.wal.replay(repair=True)
+            replay = self.wal.replay()
         except WALError as exc:
             self.quarantine.quarantine_file(
                 self.wal.path, artefact="wal-file", reason=str(exc)
@@ -729,6 +693,8 @@ class DurableStore:
             for index, record in enumerate(replay.records):
                 try:
                     rows = self._apply_wal_record(system, record)
+                except FormatVersionError:
+                    raise
                 except ReproError as exc:
                     # Records after a failed one may depend on it (create
                     # then append): stop applying, keep everything aside.
@@ -770,14 +736,8 @@ class DurableStore:
             if op == "create_table":
                 table = Table.empty(name, schema)
             else:
-                table = read_table_segments(
-                    self.root / record["dir"],
-                    name,
-                    schema,
-                    record["segments"],
-                    faults=self.faults,
-                    retrier=self.resilience.retrier,
-                )
+                self._refuse_newer(record, f"WAL load_table record for {name!r}")
+                table = self._read_segments(self.root / record["dir"], name, record)
             system.register_table(table, replace=record.get("replace", False))
             return table.num_rows
         if op == "append":
@@ -829,49 +789,6 @@ class DurableStore:
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-
-def _write_json_atomic(
-    path: Path,
-    payload: dict[str, Any],
-    fsync: bool = False,
-    faults: "FaultInjector | None" = None,
-    fault_point: str | None = None,
-) -> None:
-    """Write-to-temp + (fsync) + rename: the target is never half-written.
-
-    A failure at any step — including an injected torn write — leaves the
-    previous file at ``path`` untouched; only the ``.tmp`` sibling can be
-    partial, and the next successful write overwrites it.
-    """
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    data = json.dumps(payload, indent=1).encode("utf-8")
-    action = None
-    if faults is not None and fault_point is not None:
-        action = faults.hit(fault_point, path=path)
-    if action is not None:
-        data = faults.apply(action, data)
-    tmp.write_bytes(data)
-    if action is not None and action.kind == "torn_write":
-        # The torn prefix sits in the .tmp file; the rename never happens.
-        raise OSError(_errno_mod.EIO, "injected torn write", str(tmp))
-    if fsync:
-        _fsync_file(tmp)
-    tmp.replace(path)
-    if fsync:
-        _fsync_dir(path.parent)
-
-
-def _fsync_file(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-#: Directories fsync the same way on POSIX (O_RDONLY open + fsync).
-_fsync_dir = _fsync_file
 
 
 def _append_records(table_name: str, rows: Any) -> Any:

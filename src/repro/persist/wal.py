@@ -22,20 +22,17 @@ truncate the file (ENOSPC, flaky disk) is still safe — the next successful
 append stamps the new epoch first and the stale prefix is dropped on
 replay.
 
-Failure handling: a torn in-process write is rolled back by truncating the
-file to its pre-append size, transient OS errors (EIO/EAGAIN) are retried
-through its :class:`~repro.resilience.Retrier`, and every OS-level
-failure that escapes surfaces as a typed :class:`~repro.errors.WALError`
-carrying the log path.  Fault injection (``persist.wal.append``,
-``persist.wal.reset``, ``persist.wal.replay``) is strictly opt-in via the
-``faults=`` argument.
+Failure handling: the log keeps its own framing and rollback — a torn
+in-process write is truncated back off to the pre-append size — and takes
+fault arrival (``persist.wal.append`` / ``.reset`` / ``.replay``, opt-in via
+``faults=``), retry, sync and the escaping ``OSError`` from
+:mod:`repro.persist.files`; that error surfaces as a typed
+:class:`~repro.errors.WALError` carrying the log path.
 """
 
 from __future__ import annotations
 
-import errno as _errno
 import json
-import os
 import struct
 import threading
 import zlib
@@ -46,6 +43,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Iterable
 import numpy as np
 
 from repro.errors import PersistenceError, WALError
+from repro.persist import files
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience import FaultInjector, Retrier
@@ -139,24 +137,10 @@ class WriteAheadLog:
                 f"WAL record of {len(payload)} bytes exceeds the frame limit "
                 f"({_MAX_FRAME_BYTES} bytes); checkpoint instead of logging it"
             )
-        with self._lock:
-            try:
-                return self._append_payload(payload)
-            except OSError as exc:
-                if self.retrier is not None and self.retrier.is_transient(exc):
-                    try:
-                        return self.retrier.retry(
-                            lambda: self._append_payload(payload),
-                            first_error=exc,
-                            operation="wal.append",
-                        )
-                    except OSError as final:
-                        exc = final
-                raise WALError(
-                    f"WAL append to {self.path} failed: {exc.strerror or exc}",
-                    path=str(self.path),
-                    errno_code=exc.errno,
-                ) from exc
+        with self._lock, files.raising(WALError, "WAL append to", self.path):
+            return files.retrying(
+                lambda: self._append_payload(payload), point="persist.wal.append", retrier=self.retrier
+            )
 
     def append_all(self, records: Iterable[dict[str, Any]]) -> None:
         """Append several records as one unit: every frame lands, or the log
@@ -177,84 +161,56 @@ class WriteAheadLog:
                 raise
 
     def _append_payload(self, payload: bytes) -> int:
-        handle = self._open_handle()
         if self._pending_epoch is not None:
-            epoch_payload = json.dumps(
-                {"op": "epoch", "id": int(self._pending_epoch)}, separators=(",", ":")
-            ).encode("utf-8")
-            self._write_frame(handle, epoch_payload)
-            self._pending_epoch = None
-            handle = self._open_handle()
-        return self._write_frame(handle, payload)
+            self._write_epoch(self._pending_epoch)
+        return self._write_frame(payload)
 
-    def _write_frame(self, handle: BinaryIO, payload: bytes) -> int:
+    def _write_epoch(self, epoch: int) -> None:
+        self._write_frame(json.dumps({"op": "epoch", "id": epoch}, separators=(",", ":")).encode())
+        self._pending_epoch = None
+
+    def _write_frame(self, payload: bytes) -> int:
+        handle = self._open_handle()
         start = handle.tell()
         frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         try:
-            action = None
-            if self.faults is not None:
-                action = self.faults.hit("persist.wal.append", path=self.path)
-            if action is not None and action.kind == "torn_write":
-                cut = max(1, int(len(frame) * action.fraction))
-                handle.write(frame[:cut])
-                handle.flush()
-                raise OSError(
-                    _errno.EIO,
-                    f"injected torn write ({cut}/{len(frame)} bytes)",
-                    str(self.path),
-                )
-            if action is not None and action.kind == "bit_flip":
-                frame = self.faults.apply(action, frame)
-            handle.write(frame)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            files.put(handle, frame, point="persist.wal.append", faults=self.faults, fsync=self.fsync)
         except OSError:
             self._rollback(start)
             raise
         return handle.tell()
 
     def _rollback(self, size: int) -> None:
-        """Truncate a torn frame back off the log so a retry starts clean."""
+        """Truncate the log back to ``size`` bytes so a retry starts clean.
+
+        Best-effort: if even the truncate fails, the CRC framing makes a
+        torn tail detectable (and truncatable) at the next replay, and an
+        epoch frame written after a stale prefix restarts the log there."""
         try:
             self.close()
             with open(self.path, "r+b") as handle:
                 handle.truncate(size)
         except OSError:
-            # Rollback is best-effort: if even the truncate fails, the CRC
-            # framing makes the torn tail detectable (and truncatable) at
-            # the next replay.
             pass
 
     def reset(self, epoch: int) -> None:
         """Truncate the log and stamp it with the checkpoint epoch it extends.
 
-        If truncation or stamping fails the epoch stays *pending*: the next
-        successful append writes the epoch frame first, and since an epoch
-        frame is a restart marker on replay, any stale prefix left by the
-        failed truncate is discarded rather than double-applied.
+        If stamping fails the epoch stays *pending*: the next successful
+        append writes the epoch frame first.  An epoch frame is a restart
+        marker on replay, so a stale prefix a failed truncate left behind is
+        discarded rather than double-applied.
         """
-        with self._lock:
-            self._pending_epoch = int(epoch)
-            try:
-                if self.faults is not None:
-                    self.faults.hit("persist.wal.reset", path=self.path)
-                self.close()
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "wb"):
-                    pass  # truncate
-                handle = self._open_handle()
-                epoch_payload = json.dumps(
-                    {"op": "epoch", "id": int(epoch)}, separators=(",", ":")
-                ).encode("utf-8")
-                self._write_frame(handle, epoch_payload)
-                self._pending_epoch = None
-            except OSError as exc:
-                raise WALError(
-                    f"WAL reset of {self.path} failed: {exc.strerror or exc}",
-                    path=str(self.path),
-                    errno_code=exc.errno,
-                ) from exc
+        epoch = int(epoch)
+
+        def restart() -> None:
+            files.arrive("persist.wal.reset", self.path, self.faults)
+            self._rollback(0)
+            self._write_epoch(epoch)
+
+        with self._lock, files.raising(WALError, "WAL reset of", self.path):
+            self._pending_epoch = epoch
+            files.retrying(restart, point="persist.wal.reset", retrier=self.retrier)
 
     def close(self) -> None:
         with self._lock:
@@ -271,46 +227,25 @@ class WriteAheadLog:
 
     # -- replay ----------------------------------------------------------------
 
-    def _read_log_bytes(self) -> bytes:
-        data = self.path.read_bytes()
-        if self.faults is not None:
-            data = self.faults.filter_bytes("persist.wal.replay", data, path=self.path)
-        return data
+    def replay(self) -> WalReplay:
+        """Read every intact record and truncate the file at a bad tail, so
+        later appends extend a clean log.
 
-    def replay(self, repair: bool = True) -> WalReplay:
-        """Read every intact record; truncate (or just skip) a bad tail.
-
-        ``repair=True`` (the default during recovery) physically truncates
-        the file at the first bad frame so subsequent appends extend a
-        clean log.  An epoch record mid-log restarts accumulation: records
-        before it belong to an older checkpoint that already contains them.
+        An epoch record mid-log restarts accumulation: records before it
+        belong to an older checkpoint that already contains them.
         """
         replay = WalReplay()
         if not self.path.exists():
             return replay
         self.close()  # never replay through a buffered write handle
-        try:
-            try:
-                data = self._read_log_bytes()
-            except OSError as exc:
-                # Replay is an idempotent read: retrying cannot double-apply
-                # anything, and a failed read says nothing about the bytes on
-                # disk — so *any* OSError is worth retrying before the caller
-                # escalates to quarantining a perfectly good log.
-                if self.retrier is None:
-                    raise
-                data = self.retrier.retry(
-                    self._read_log_bytes,
-                    first_error=exc,
-                    operation="wal.replay",
-                    retry_all=True,
-                )
-        except OSError as exc:
-            raise WALError(
-                f"WAL replay of {self.path} failed: {exc.strerror or exc}",
-                path=str(self.path),
-                errno_code=exc.errno,
-            ) from exc
+        with files.raising(WALError, "WAL replay of", self.path):
+            data = files.read(
+                self.path,
+                lambda handle: handle.read(),
+                point="persist.wal.replay",
+                faults=self.faults,
+                retrier=self.retrier,
+            )
         offset = 0
         total = len(data)
         while offset < total:
@@ -345,12 +280,11 @@ class WriteAheadLog:
         replay.truncated_bytes = total - offset
         if replay.was_truncated:
             replay.tail = bytes(data[offset:])
-            if repair:
-                try:
-                    with open(self.path, "r+b") as handle:
-                        handle.truncate(offset)
-                except OSError:
-                    # Leave the tail in place; the next replay will hit the
-                    # same clean truncation point.
-                    pass
+            try:
+                with open(self.path, "r+b") as handle:
+                    handle.truncate(offset)
+            except OSError:
+                # Leave the tail in place; the next replay will hit the
+                # same clean truncation point.
+                pass
         return replay

@@ -1,9 +1,9 @@
 """Retry with exponential backoff, jitter and a per-operation time budget.
 
-The :class:`Retrier` is used by the persist layer for transient IO errors
-(``EIO``, ``EAGAIN``, ``EINTR``, ``EBUSY``): the first attempt always runs
-inline at the call site so the happy path pays nothing; the retry loop only
-engages once an exception has already been raised.  ``ENOSPC`` and friends
+The :class:`Retrier` is used by :mod:`repro.persist.files` for transient IO
+errors (``EIO``, ``EAGAIN``, ``EINTR``, ``EBUSY``): the first attempt always
+runs inline at the call site so the happy path pays nothing; the retry loop
+only engages once an exception has already been raised.  ``ENOSPC`` and friends
 are *not* transient — retrying a full disk is pointless — so they bypass
 retry and surface as typed errors immediately.
 
@@ -86,12 +86,11 @@ class Retrier:
         *,
         first_error: BaseException,
         operation: str = "",
-        retryable: type[BaseException] | tuple[type[BaseException], ...] = OSError,
         retry_all: bool = False,
     ) -> T:
         """Keep re-running ``fn`` until success, exhaustion or budget overrun.
 
-        ``retry_all=True`` retries every ``retryable`` error, not only the
+        ``retry_all=True`` retries every ``OSError``, not only the
         transient set — correct for *idempotent reads*, where a retry can
         never double-apply anything and even an "unretryable" errno (say
         ``ENOSPC`` reported by a flaky mount) says nothing about whether the
@@ -109,7 +108,7 @@ class Retrier:
             attempts += 1
             try:
                 result = fn()
-            except retryable as exc:
+            except OSError as exc:
                 if not retry_all and not self.is_transient(exc):
                     raise
                 last = exc

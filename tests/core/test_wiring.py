@@ -524,3 +524,23 @@ def test_lifecycle_numeric_reads_never_cast_the_null_sentinel():
             ):
                 casts.append(f"{relative}:{node.lineno}")
     assert casts == []
+
+
+# -- (g) one way to write and read a durable byte ----------------------------------------
+
+#: Fault arrival, retry and sync: ``persist/files.py`` is the only caller under ``persist/``.
+DISK_DISCIPLINE = {"fsync", "hit", "filter_bytes", "apply", "retry", "is_transient"}
+
+
+def test_persist_files_are_written_and_read_through_one_module():
+    """Every persist file goes through ``persist/files.py``: no other module
+    under ``persist/`` arrives at a fault point, enacts a cooperative fault,
+    retries or fsyncs on its own."""
+    found = [
+        f"{relative}:{node.lineno} {ast.unparse(node.func)}"
+        for relative, tree in _modules()
+        if relative.startswith("persist/") and relative != "persist/files.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) in DISK_DISCIPLINE
+    ]
+    assert found == []

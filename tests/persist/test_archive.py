@@ -9,12 +9,15 @@ answer computed over the partial table.
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 
 from repro import AccuracyContract, LawsDatabase
 from repro.db.archived import archived_rows
 from repro.errors import ApproximationError, ArchiveError, PersistenceError
+from repro.resilience import FaultInjector, FaultSpec
 
 
 def seeded_rows(n=1200, seed=3):
@@ -387,3 +390,60 @@ def test_archiving_does_not_stale_models(db):
     statuses = {m.model_id: m.status for m in db.captured_models()}
     db.archive("m", "ts < 900")
     assert {m.model_id: m.status for m in db.captured_models()} == statuses
+
+
+# ---------------------------------------------------------------------------
+# The archive tier writes and reads its segments like every other segment
+# ---------------------------------------------------------------------------
+
+
+def _faulted(tmp_path, spec):
+    faults = FaultInjector([spec])
+    database = LawsDatabase.open(tmp_path / "faulted", fault_injector=faults)
+    database.load_dict("m", seeded_rows())
+    return database, faults
+
+
+def _retries(database, point):
+    return [
+        event.fields["outcome"]
+        for event in database.events(kind="retry")
+        if event.fields["operation"] == point
+    ]
+
+
+def test_a_transient_error_on_an_archive_segment_write_is_retried(tmp_path):
+    spec = FaultSpec("persist.archive.write", "oserror", errno_code=errno.EAGAIN)
+    database, faults = _faulted(tmp_path, spec)
+    assert database.archive("m", "ts < 900").rows_archived == 900
+    assert [(e.point, e.hit) for e in faults.fired()] == [("persist.archive.write", 1)]
+    assert _retries(database, "persist.archive.write") == ["success"]
+    assert database.table("m").num_rows == 300
+    assert database.recall_archive("m") == 900
+
+
+@pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOSPC], ids=["EAGAIN", "ENOSPC"])
+def test_any_error_on_an_archive_segment_read_is_retried(tmp_path, code):
+    """A recall is an idempotent read: even an errno a write would give up
+    on says nothing about the bytes on disk."""
+    spec = FaultSpec("persist.archive.read", "oserror", errno_code=code)
+    database, faults = _faulted(tmp_path, spec)
+    database.archive("m", "ts < 900")
+    assert database.recall_archive("m") == 900
+    assert [(e.point, e.hit) for e in faults.fired()] == [("persist.archive.read", 1)]
+    assert _retries(database, "persist.archive.read") == ["success"]
+    assert database.table("m").num_rows == 1200
+
+
+def test_a_full_disk_under_an_archive_leaves_table_and_record_as_they_were(tmp_path):
+    spec = FaultSpec("persist.archive.write", "oserror", errno_code=errno.ENOSPC)
+    database, faults = _faulted(tmp_path, spec)
+    before = (database.database.fingerprint(), database.storage_report())
+    with pytest.raises(ArchiveError, match="ENOSPC"):
+        database.archive("m", "ts < 900")
+    assert [(e.point, e.hit) for e in faults.fired()] == [("persist.archive.write", 1)]
+    assert _retries(database, "persist.archive.write") == []
+    assert database.table("m").num_rows == 1200
+    assert archived_rows(database.database.catalog, "m") == 0
+    assert (database.database.fingerprint(), database.storage_report()) == before
+    assert database.archive("m", "ts < 900").rows_archived == 900  # the repeat succeeds

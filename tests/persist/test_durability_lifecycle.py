@@ -284,3 +284,89 @@ def test_store_written_by_a_v1_build_opens_and_is_upgraded_by_its_next_checkpoin
     again = LawsDatabase.open(root, rows_per_segment=50)
     assert observe(again) == upgraded
     again.close()
+
+
+# ---------------------------------------------------------------------------
+# fsync=True: what a manifest names is on stable storage before its rename
+# ---------------------------------------------------------------------------
+
+
+def test_fsync_syncs_every_file_the_manifest_names_and_its_directories_before_the_rename(
+    tmp_path, monkeypatch
+):
+    root = tmp_path / "store"
+    rng = np.random.default_rng(29)
+    x = rng.uniform(0.0, 10.0, 2000)
+    db = LawsDatabase.open(root, fsync=True)
+    db.load_dict("t", {"x": x.tolist(), "y": (2.0 * x + rng.normal(0.0, 0.1, 2000)).tolist()})
+
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}")))
+        real_fsync(fd)
+
+    def spy_replace(source, target, *args, **kwargs):
+        events.append(("replace", os.path.realpath(target)))
+        return real_replace(source, target, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    assert db.archive("t", "x < 3").rows_archived > 0
+    db.checkpoint()
+    monkeypatch.undo()
+    db.close()
+
+    base = root.resolve()
+    manifest = json.loads((base / "MANIFEST.json").read_text())
+    rename = max(i for i, event in enumerate(events) if event == ("replace", str(base / "MANIFEST.json")))
+    synced = {path for kind, path in events[:rename] if kind == "fsync"}
+    segments = base / "segments" / f"ckpt{manifest['checkpoint_id']:05d}"
+    named = [segments / s["file"] for entry in manifest["tables"].values() for s in entry["segments"]]
+    named += [
+        base / "archive" / s["file"]
+        for segments_of_table in manifest["archive"]["tables"].values()
+        for archived in segments_of_table
+        for s in archived["segments"]
+    ]
+    assert any(path.parent.name == "archive" for path in named)
+    warehouse = base / manifest["warehouse_file"]
+    directories = {parent for path in [*named, warehouse] for parent in path.parents if base in parent.parents}
+    expected = {str(path) for path in [*named, *directories]} | {f"{warehouse}.tmp"}
+    assert sorted(expected - synced) == []
+
+
+# ---------------------------------------------------------------------------
+# A bulk-load record carries the format version its walseg/ segments use
+# ---------------------------------------------------------------------------
+
+
+def test_a_load_table_record_from_a_newer_build_is_refused(tmp_path, monkeypatch):
+    """A store holding only ``walseg/`` segments has no manifest to stamp it:
+    the ``load_table`` record is the stamp, and replay refuses a newer one
+    the way the manifest check does."""
+    from repro.persist import store as store_module
+    from repro.persist.store import FORMAT_VERSION
+    from repro.persist.wal import WriteAheadLog
+
+    monkeypatch.setattr(store_module, "LARGE_CREATE_SNAPSHOT_ROWS", 64)
+    root = tmp_path / "store"
+    db = LawsDatabase.open(root)
+    db.load_dict("bulk", {"n": list(range(100))})
+    db.close()
+    assert not (root / "MANIFEST.json").exists() and (root / "walseg").is_dir()
+
+    wal = WriteAheadLog(root / "wal.log")
+    records = wal.replay().records
+    (load,) = [record for record in records if record["op"] == "load_table"]
+    assert load["format_version"] == FORMAT_VERSION
+    reopened = LawsDatabase.open(root)  # no exit checkpoint: the WAL stays the stamp
+    assert reopened.table("bulk").num_rows == 100
+    reopened.close()
+    load["format_version"] = FORMAT_VERSION + 1
+    wal.reset(0)
+    wal.append_all(records)
+    wal.close()
+    with pytest.raises(FormatVersionError, match=f"v{FORMAT_VERSION + 1}"):
+        LawsDatabase.open(root)

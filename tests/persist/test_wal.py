@@ -48,11 +48,11 @@ def test_torn_header_is_truncated(wal):
     wal.close()
     with open(wal.path, "ab") as handle:
         handle.write(b"\x05\x00")  # half a frame header
-    replay = wal.replay(repair=True)
+    replay = wal.replay()
     assert len(replay.records) == 1
     assert replay.was_truncated
     assert replay.truncation_reason == "torn frame header"
-    # repair=True physically removed the tail: a fresh replay is clean.
+    # The replay physically removed the tail: a fresh replay is clean.
     again = wal.replay()
     assert not again.was_truncated
     assert len(again.records) == 1
@@ -67,7 +67,7 @@ def test_torn_payload_is_truncated(wal):
     # Chop the last record's payload mid-way (simulated crash mid-write).
     with open(wal.path, "r+b") as handle:
         handle.truncate(size_before + 10)
-    replay = wal.replay(repair=True)
+    replay = wal.replay()
     assert len(replay.records) == 1
     assert replay.records[0]["rows"] == [[1]]
     assert replay.truncation_reason == "torn frame payload"
@@ -83,7 +83,7 @@ def test_corrupted_checksum_drops_tail(wal):
     data = bytearray(wal.path.read_bytes())
     data[offsets[1] + 12] ^= 0xFF
     wal.path.write_bytes(bytes(data))
-    replay = wal.replay(repair=True)
+    replay = wal.replay()
     # Records after the corruption are untrusted and dropped with it.
     assert [r["rows"] for r in replay.records] == [[[0]], [[1]]]
     assert replay.truncation_reason == "frame checksum mismatch"
@@ -95,7 +95,7 @@ def test_implausible_length_stops_replay(wal):
     wal.close()
     with open(wal.path, "ab") as handle:
         handle.write(struct.pack("<II", 2**31, 0) + b"garbage")
-    replay = wal.replay(repair=True)
+    replay = wal.replay()
     assert len(replay.records) == 1
     assert "implausible" in replay.truncation_reason
 

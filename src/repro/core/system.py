@@ -245,6 +245,7 @@ class LawsDatabase:
             path,
             rows_per_segment=rows_per_segment,
             fsync=fsync,
+            catalog=system.database.catalog,
             resilience=system.resilience,
             journal=system.obs.journal,
             metrics=system.obs.metrics,

@@ -44,6 +44,8 @@ class Catalog:
         #: describes, and it is created, replaced and dropped with its table.
         self._table_meta: dict[str, dict[str, Any]] = {}
         self._version = 0
+        #: Per table, the version of its last change of rows (not metadata).
+        self._generations: dict[str, int] = {}
         # Serializes every commit (DDL + version bump).  Re-entrant so a
         # writer can hold it across a multi-step commit (append + mark_dirty)
         # that internally takes it again.
@@ -121,7 +123,7 @@ class Catalog:
                 else:
                     self._table_meta[name] = meta
                 # Lock-free readers may have seen the aborted state's version.
-                self._version += 1
+                self._data_changed(name)
                 raise
 
     @contextmanager
@@ -184,7 +186,7 @@ class Catalog:
             self._table_meta.pop(name, None)
             self._tables[name] = table
             self._stats_dirty.add(name)
-            self._version += 1
+            self._data_changed(name)
             return table
 
     def register_table(self, table: Table, replace: bool = False) -> Table:
@@ -199,7 +201,7 @@ class Catalog:
             self._table_meta.pop(table.name, None)
             self._tables[table.name] = table
             self._stats_dirty.add(table.name)
-            self._version += 1
+            self._data_changed(table.name)
             return table
 
     def drop_table(self, name: str) -> None:
@@ -210,7 +212,7 @@ class Catalog:
             self._stats.pop(name, None)
             self._stats_dirty.discard(name)
             self._table_meta.pop(name, None)
-            self._version += 1
+            self._data_changed(name)
 
     def replace_table(self, table: Table) -> None:
         """Replace the stored table (e.g. after appends return a new object)."""
@@ -219,7 +221,19 @@ class Catalog:
                 raise CatalogError(f"cannot replace unknown table {table.name!r}")
             self._tables[table.name] = table
             self._stats_dirty.add(table.name)
-            self._version += 1
+            self._data_changed(table.name)
+
+    def _data_changed(self, name: str) -> None:
+        """Commit a change of ``name``'s rows: a new version, its data generation."""
+        self._version += 1
+        if name in self._tables:
+            self._generations[name] = self._version
+        else:
+            self._generations.pop(name, None)
+
+    def data_generation(self, name: str) -> int | None:
+        """The live generation of ``name``'s rows: equal generations, equal rows."""
+        return self._generations.get(name)
 
     # -- lookup -------------------------------------------------------------------
 
@@ -295,7 +309,7 @@ class Catalog:
             if name not in self._tables:
                 raise CatalogError(f"unknown table {name!r}")
             self._stats_dirty.add(name)
-            self._version += 1
+            self._data_changed(name)
 
     def stats(self, name: str) -> TableStats:
         """Return (and lazily recompute) statistics for ``name``, with the

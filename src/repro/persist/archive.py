@@ -15,17 +15,17 @@ and clears the record, for when the cold data becomes hot again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.captured_model import predicate_mask
-from repro.db.archived import ARCHIVE_META_KEY, ArchivedSegment, archived_segments, archived_tables
+from repro.db.archived import ARCHIVE_META_KEY, ArchivedSegment
 from repro.db.database import Database
 from repro.db.stats import compute_table_stats
 from repro.db.table import Table
 from repro.errors import ArchiveError, SnapshotReadError, SnapshotWriteError
-from repro.persist.snapshot import read_table_segments, schema_to_payload, write_table_segments
+from repro.persist.snapshot import schema_to_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.persist.store import DurableStore
@@ -54,21 +54,17 @@ class ArchiveReport:
 class ArchiveTier:
     """Moves rows between memory and archive segments.
 
-    Born with the durable store it cannot exist without: segment directory,
-    fault injector, retrier, sync rule and the redo log its moves are
-    recorded in are ``store``'s.  Its segments are written and read like
-    every other segment — per file, at ``persist.archive.write`` / ``.read``
-    — and what escapes surfaces as :class:`~repro.errors.ArchiveError`.
-    What a table has archived is catalog state, not the tier's: the tier
-    holds nothing per table, only the sequence that names its segment files.
+    Born with the durable store it cannot exist without: its segments are
+    written into and read from the store's segment pool by the store's own
+    segment methods — per file, at ``persist.archive.write`` / ``.read`` —
+    and its moves are recorded in the store's redo log; what escapes
+    surfaces as :class:`~repro.errors.ArchiveError`.  What a table has
+    archived is catalog state, not the tier's: the tier holds nothing.
     """
 
     def __init__(self, database: Database, store: "DurableStore") -> None:
         self.database = database
         self.store = store
-        self.directory = store.archive_dir
-        self.faults = store.faults
-        self._sequence = 0
 
     def archive(self, table_name: str, predicate_sql: str) -> ArchiveReport:
         """Move the rows matching ``predicate_sql`` out of memory onto disk.
@@ -100,17 +96,8 @@ class ArchiveTier:
             archived = table.filter(mask)
             live = table.filter(~mask)
 
-            self._sequence += 1
             try:
-                entries = write_table_segments(
-                    self.directory,
-                    archived,
-                    file_prefix=f"{table_name}__arch{self._sequence:05d}",
-                    faults=self.faults,
-                    point="persist.archive.write",
-                    retrier=self.store.retrier,
-                    sync_root=self.store.sync_root,
-                )
+                entries = self.store.write_segments(archived, "persist.archive.write")
             except SnapshotWriteError as exc:
                 raise ArchiveError(f"archive of {table_name!r} failed: {exc}") from exc
             segment = ArchivedSegment(
@@ -152,13 +139,10 @@ class ArchiveTier:
                 raise ArchiveError(f"table {table_name!r} has no archived segments to recall")
             table = catalog.live_table(table_name)
             try:
-                recalled = read_table_segments(
-                    self.directory,
+                recalled = self.store.read_segments(
                     table_name,
                     table.schema,
                     [entry for segment in segments for entry in segment.segment_entries],
-                    faults=self.faults,
-                    retrier=self.store.retrier,
                     point="persist.archive.read",
                 )
             except SnapshotReadError as exc:
@@ -180,22 +164,3 @@ class ArchiveTier:
                 f"cannot evaluate archive predicate {predicate_sql!r} on "
                 f"{table.name!r}: {exc}"
             ) from exc
-
-    # -- manifest round trip --------------------------------------------------------
-
-    def to_payload(self) -> dict[str, Any]:
-        catalog = self.database.catalog
-        return {
-            "sequence": self._sequence,
-            "tables": {
-                name: [segment.to_payload() for segment in archived_segments(catalog, name)]
-                for name in archived_tables(catalog)
-            },
-        }
-
-    def restore_from_payload(self, payload: dict[str, Any]) -> None:
-        """Commit the manifest's archive records onto the recovered tables."""
-        self._sequence = int(payload.get("sequence", 0))
-        for name, entries in payload.get("tables", {}).items():
-            segments = tuple(ArchivedSegment.from_payload(entry) for entry in entries)
-            self.database.catalog.set_table_meta(name, ARCHIVE_META_KEY, segments)

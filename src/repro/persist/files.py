@@ -1,7 +1,7 @@
 """The one way a persist file is written and read.
 
-WAL frames, snapshot / walseg / archive segments, the warehouse and the
-manifest all go through here.  Each write or read attempt is one arrival at
+WAL frames, pool segments (checkpoint, bulk-load, archive), the warehouse
+and the manifest all go through here.  Each write or read attempt is one arrival at
 its named fault point: a cooperative ``torn_write`` persists a prefix and
 fails with ``EIO``, a ``bit_flip`` persists (or reads back) one flipped bit;
 unarmed, a write streams straight into its file.  A write retries transient
@@ -113,7 +113,7 @@ def write_json(
 ) -> None:
     """:func:`write_file` to a ``.tmp`` sibling, then rename it into place."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    data = json.dumps(payload, indent=1).encode("utf-8")
+    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     write_file(tmp, data, point=point, faults=faults, retrier=retrier, sync_root=sync_root)
     tmp.replace(path)
     if sync_root is not None:

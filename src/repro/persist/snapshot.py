@@ -1,12 +1,13 @@
 """Columnar table snapshots: one ``.npz`` segment per column batch.
 
-A checkpoint (and a bulk load, and the archive tier) writes a table as a
-sequence of segments, each holding a contiguous row range of all columns.
-The manifest entry for a segment records its row count and lightweight
+A checkpoint, a bulk load and the archive tier write a table as a sequence
+of segments, each a contiguous row range of all columns, into the store's
+segment pool (through ``DurableStore.write_segments``, their one caller).
+The entry for a segment records its file, row count and lightweight
 per-column statistics (null count, min, max) so tooling can reason about a
 snapshot without opening it.
 
-On-disk format (``FORMAT_VERSION`` 2 in :mod:`repro.persist.store`): a
+On-disk format (since ``FORMAT_VERSION`` 2 in :mod:`repro.persist.store`): a
 segment is a zip of ``.npy`` members, ``v__<column>`` for the values and
 ``m__<column>`` for the validity mask, the mask present only when the column
 has a NULL in that segment.  INT64 values are stored at the narrowest signed

@@ -4,9 +4,13 @@ On-disk layout (all under one root directory)::
 
     MANIFEST.json            checkpoint manifest (atomic tmp+rename)
     wal.log                  append-only checksummed WAL (epoch-stamped)
-    segments/ckpt<N>/        columnar table snapshots of checkpoint N
+    segments/                the segment pool: every columnar segment file
     warehouse/models-<N>.json  the model warehouse of checkpoint N
-    archive/                 model-only-tier segments (survive checkpoints)
+
+Manifest table entries (with their archive records) and WAL ``load_table``
+records name their files in the one pool, under one name sequence.  A
+checkpoint writes only the tables whose rows changed (the catalog's data
+generation says which) and names the rest by reference.
 
 Crash safety is manifest-pivoted: a checkpoint writes the new segment files
 and warehouse first, then renames the manifest into place, then resets the
@@ -27,12 +31,12 @@ import json
 import shutil
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field, replace
+from itertools import chain, count
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.db.archived import archived_tables
+from repro.db.archived import ARCHIVE_META_KEY, ArchivedSegment, archived_segments, archived_tables
 from repro.db.sql.ast import InsertStatement
 from repro.db.stats import TableStats
 from repro.db.table import Table
@@ -41,6 +45,7 @@ from repro.errors import (
     ManifestError,
     PersistenceError,
     ReproError,
+    SnapshotReadError,
     StorageIOError,
     WALError,
 )
@@ -59,15 +64,17 @@ from repro.resilience.quarantine import QuarantineManager, minimal_failing_subse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.core.system import LawsDatabase
+    from repro.db.catalog import Catalog
+    from repro.db.schema import Schema
     from repro.resilience import ResilienceRuntime
 
 __all__ = ["CheckpointReport", "RecoveryReport", "DurableStore"]
 
-#: On-disk format version.  2: snapshot segments store INT64 at its narrowest
-#: width and omit all-valid masks (see :mod:`repro.persist.snapshot`); this
-#: build reads both, and a v1 build refuses a v2 store with
-#: ``FormatVersionError`` instead of quarantining segments it misreads.
-FORMAT_VERSION = 2
+#: On-disk format version.  2: segments store INT64 at its narrowest width and
+#: omit all-valid masks (:mod:`repro.persist.snapshot`); 3: one segment pool.
+#: This build reads all three; an older one refuses a newer store with
+#: ``FormatVersionError`` instead of quarantining segments it cannot find.
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
@@ -79,7 +86,7 @@ WAL_NAME = "wal.log"
 WAL_APPEND_CHUNK_ROWS = 4096
 
 #: Creates/loads at or above this row count are persisted as columnar npz
-#: segments under ``walseg/`` referenced by one WAL ``load_table`` record
+#: segments in the pool referenced by one WAL ``load_table`` record
 #: (see :meth:`DurableStore.log_register_table`) instead of row-wise JSON WAL
 #: frames — the WAL stays for incremental appends, not bulk loads several
 #: times the snapshot's size that would replay row-by-row on every reopen
@@ -148,11 +155,13 @@ class DurableStore:
         rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
         fsync: bool = False,
         *,
+        catalog: "Catalog",
         resilience: "ResilienceRuntime",
         journal: Any,
         metrics: Any,
     ) -> None:
         self.root = Path(root)
+        self.catalog = catalog
         self.rows_per_segment = rows_per_segment
         #: The root of the sync rule (:mod:`repro.persist.files`); None = no fsync.
         self.sync_root = self.root if fsync else None
@@ -175,50 +184,48 @@ class DurableStore:
         #: Unreadable artefacts move aside instead of blocking ``open()``.
         self.quarantine = QuarantineManager(self.root, journal=journal, metrics=metrics)
         self._closed = False
-        #: Sequence for snapshot-backed WAL load records; resumes past any
-        #: directories a previous incarnation left under walseg/.
-        self._walseg_counter = self._max_walseg_index()
-
-    # -- paths -------------------------------------------------------------------
+        #: The segment pool, its name sequence (resumed past every file in it)
+        #: and, per table, ``(data generation, entries)`` of its last committed
+        #: write: while the catalog's generation holds, the entries are its rows.
+        self.pool = self.root / "segments"
+        self.pool.mkdir(exist_ok=True)
+        self._names = count(1 + max((_serial(path.name) for path in self.pool.iterdir()), default=0))
+        self._durable: dict[str, tuple[int | None, list[dict[str, Any]]]] = {}
 
     @property
     def manifest_path(self) -> Path:
         return self.root / MANIFEST_NAME
 
-    def _segments_dir(self, checkpoint_id: int) -> Path:
-        return self.root / "segments" / f"ckpt{checkpoint_id:05d}"
-
     def _warehouse_path(self, checkpoint_id: int) -> Path:
         return self.root / "warehouse" / f"models-{checkpoint_id:05d}.json"
 
-    @property
-    def archive_dir(self) -> Path:
-        return self.root / "archive"
-
-    @property
-    def walseg_dir(self) -> Path:
-        """Columnar segments referenced by WAL ``load_table`` records.
-
-        Obsolete the moment the WAL resets; purged wholesale at checkpoint."""
-        return self.root / "walseg"
-
     # -- files (each under the store's faults, retrier and sync rule) ------------
 
-    def _write_segments(self, directory: Path, table: Table) -> list[dict[str, Any]]:
+    def write_segments(self, table: Table, point: str = "persist.snapshot.write") -> list[dict[str, Any]]:
+        """Write ``table`` into the pool under the next name; the entries name its files."""
+        prefix = f"{next(self._names):06d}_{table.name}"
         return write_table_segments(
-            directory,
+            self.pool,
             table,
             self.rows_per_segment,
-            faults=self.faults,
+            prefix,
+            self.faults,
+            point=point,
             retrier=self.retrier,
             sync_root=self.sync_root,
         )
 
-    def _read_segments(self, directory: Path, name: str, entry: dict[str, Any], on_error: Any = None) -> Table:
-        """The table a manifest entry or a ``load_table`` record names."""
-        schema = schema_from_payload(entry["schema"])
+    def read_segments(
+        self,
+        name: str,
+        schema: "Schema",
+        entries: list[dict[str, Any]],
+        on_error: Any = None,
+        point: str = "persist.snapshot.read",
+    ) -> Table:
+        """The table ``entries`` name in the pool."""
         return read_table_segments(
-            directory, name, schema, entry["segments"], self.faults, on_error, retrier=self.retrier
+            self.pool, name, schema, entries, self.faults, on_error, retrier=self.retrier, point=point
         )
 
     def _write_json(self, path: Path, payload: dict[str, Any], point: str) -> None:
@@ -226,14 +233,6 @@ class DurableStore:
             files.write_json(
                 path, payload, point=point, faults=self.faults, retrier=self.retrier, sync_root=self.sync_root
             )
-
-    def _max_walseg_index(self) -> int:
-        if not self.walseg_dir.is_dir():
-            return 0
-        indices = [
-            int(child.name) for child in self.walseg_dir.iterdir() if child.name.isdigit()
-        ]
-        return max(indices, default=0)
 
     # -- WAL hooks (each called from the one write path it logs: a LawsDatabase
     # -- method, or the archive tier's own critical section) ---------------------
@@ -267,20 +266,18 @@ class DurableStore:
         the WAL record naming them is appended, so a replayed record never
         dangles.  The record carries the format version its segments are
         written in: no manifest may stamp the store yet."""
-        self._walseg_counter += 1
-        directory = self.walseg_dir / f"{self._walseg_counter:05d}"
-        entries = self._write_segments(directory, table)
+        entries = self.write_segments(table)
         self._log(
             {
                 "op": "load_table",
                 "format_version": FORMAT_VERSION,
                 "name": table.name,
                 "schema": schema_to_payload(table.schema),
-                "dir": str(directory.relative_to(self.root)),
                 "segments": entries,
                 "replace": bool(replace),
             }
         )
+        self._keep(table.name, entries)
 
     def log_partition_map(self, table_name: str, payload: dict[str, Any]) -> None:
         self._log({"op": "partition_map", "table": table_name, "map": payload})
@@ -305,7 +302,7 @@ class DurableStore:
     # -- checkpoint ----------------------------------------------------------------
 
     def checkpoint(self, system: "LawsDatabase") -> CheckpointReport:
-        """Snapshot every table, the warehouse and the planner calibration.
+        """Snapshot every changed table, the warehouse and the planner calibration.
 
         The whole body runs under the catalog commit lock: writers commit
         batch + redo record as one critical section under the same lock, so
@@ -333,17 +330,19 @@ class DurableStore:
         new_id = self.checkpoint_id + 1
         report = CheckpointReport(checkpoint_id=new_id)
 
-        segments_dir = self._segments_dir(new_id)
-        if segments_dir.exists():
-            shutil.rmtree(segments_dir)
         tables_payload: dict[str, Any] = {}
+        durable = {}
         database = system.database
         for name in database.table_names():
             table = database.table(name)
-            entries = self._write_segments(segments_dir, table)
+            generation = self.catalog.data_generation(name)
+            recorded, entries = self._durable.get(name, (None, []))
+            if recorded != generation:  # rows changed since their last committed write
+                entries = self.write_segments(table)
+                report.segment_files += len(entries)
+            durable[name] = (generation, entries)
             report.tables += 1
             report.rows += table.num_rows
-            report.segment_files += len(entries)
             # Publish the freshly-written segments' row ranges as the
             # table's partition map unless one is already committed (a user's
             # range/hash map must not be clobbered by the storage layout).
@@ -356,6 +355,7 @@ class DurableStore:
                 "row_count": table.num_rows,
                 "segments": entries,
                 "partition_map": partition_map,
+                "archived": [segment.to_payload() for segment in self._pooled_archive(name, report)],
             }
             # The catalog's statistics ride along when they are fresh (never
             # computed for a checkpoint), so the first answer after open()
@@ -378,13 +378,13 @@ class DurableStore:
             "catalog_version": database.catalog.version,
             "tables": tables_payload,
             "warehouse_file": str(warehouse_path.relative_to(self.root)),
-            "archive": system.archive_tier.to_payload(),
             "wal_file": WAL_NAME,
         }
         self._write_json(self.manifest_path, manifest, "persist.manifest.write")
         # The manifest rename is the commit point: checkpoint N exists from
         # here on regardless of what the WAL reset below does.
         self.checkpoint_id = new_id
+        self._durable = durable
         # Reset the WAL under N's epoch so a crash between the rename and
         # the reset leaves an epoch-mismatched (and therefore ignored) log
         # rather than a double-applied one.  A *failed* reset is survivable:
@@ -404,22 +404,53 @@ class DurableStore:
         )
         return report
 
+    def _pooled_archive(self, name: str, report: CheckpointReport) -> tuple[ArchivedSegment, ...]:
+        """``name``'s archive record, a legacy one's segments (their references
+        carry a directory) first rewritten into the pool.  A record with an
+        unreadable legacy segment stays where and as it is (its recall fails
+        as it always would): a checkpoint must not fail for it."""
+        segments = archived_segments(self.catalog, name)
+        if any("/" in entry["file"] for segment in segments for entry in segment.segment_entries):
+            try:
+                rows = [
+                    self.read_segments(
+                        name,
+                        schema_from_payload(segment.schema_payload),
+                        segment.segment_entries,
+                        point="persist.archive.read",
+                    )
+                    for segment in segments
+                ]
+            except SnapshotReadError as exc:
+                self.resilience.health.mark_degraded(f"table:{name}", f"archived segment unreadable: {exc}")
+                return segments
+            segments = tuple(
+                replace(segment, segment_entries=self.write_segments(table, "persist.archive.write"))
+                for segment, table in zip(segments, rows)
+            )
+            self.catalog.set_table_meta(name, ARCHIVE_META_KEY, segments)
+            report.segment_files += sum(len(segment.segment_entries) for segment in segments)
+        return segments
+
     def _sweep(self, manifest: dict[str, Any]) -> None:
-        """Delete what the manifest just renamed into place does not name: old
-        snapshots and warehouses, ``walseg/`` (the WAL was just reset) and the
-        archive segments of recalled, dropped or replaced tables.  A sweep, not
-        "delete N-1": what a crash orphaned before a sweep goes at the next."""
-        keep = {self._segments_dir(self.checkpoint_id), self.root / manifest["warehouse_file"]}
-        keep.update(
-            self.archive_dir / entry["file"]
-            for segments in manifest["archive"]["tables"].values()
-            for segment in segments
-            for entry in segment["segments"]
-        )
-        tiers = (self.root / "segments", self.root / "warehouse", self.archive_dir)
-        for path in chain([self.walseg_dir], *(tier.glob("*") for tier in tiers)):
-            if path in keep:
-                continue
+        """Delete what the manifest just renamed into place does not name: pool
+        files of rewritten, dropped, recalled or replaced tables, of retired
+        bulk loads and of failed writes; old warehouses; the legacy
+        directories.  A sweep, not "delete N-1": what a crash orphaned before a
+        sweep goes at the next."""
+        named = {
+            entry["file"]
+            for table in manifest["tables"].values()
+            for item in [table, *table["archived"]]
+            for entry in item["segments"]
+        }
+        still_named = {file.split("/")[1] for file in named if file.startswith("../")}
+        warehouse = self.root / manifest["warehouse_file"]
+        for path in chain(
+            (path for path in self.pool.iterdir() if path.name not in named),
+            (path for path in warehouse.parent.iterdir() if path != warehouse),
+            (self.root / directory for directory in LEGACY_DIRS if directory not in still_named),
+        ):
             with suppress(OSError):
                 if path.is_dir():
                     shutil.rmtree(path)
@@ -444,10 +475,10 @@ class DurableStore:
             self._refuse_newer(manifest, f"store at {self.root}")
             self.checkpoint_id = int(manifest.get("checkpoint_id", 0))
             report.checkpoint_id = self.checkpoint_id
+            _pool_references(manifest)
 
-            segments_dir = self._segments_dir(self.checkpoint_id)
             for name, entry in manifest.get("tables", {}).items():
-                self._recover_table(system, segments_dir, name, entry, report)
+                self._recover_table(system, name, entry, report)
             system.database.catalog.restore_version(int(manifest.get("catalog_version", 0)))
 
             # The warehouse loads before the WAL replays: a replayed write
@@ -467,16 +498,13 @@ class DurableStore:
                     report.watches_restored = system.maintenance.restore_state(
                         payload.get("maintenance", [])
                     )
-            # The archive manifest restores BEFORE the WAL replays: replayed
-            # archive/recall/drop records operate on the tier, and a drop of
-            # an archived table must clear (not precede) its restored state.
-            archive_payload = manifest.get("archive") or {}
-            if archive_payload.get("tables"):
-                system.archive_tier.restore_from_payload(archive_payload)
 
         # WAL replay: only a log stamped with this checkpoint's epoch extends
         # it; any other epoch predates the manifest rename and is discarded.
         epoch_discarded = self._replay_wal(system, report)
+        if self.sync_root is not None:  # a previous process may have run without fsync
+            for entry in chain.from_iterable(entries for _, entries in self._durable.values()):
+                files.sync(self.pool / entry["file"], self.sync_root)
         report.archived_tables = archived_tables(system.database.catalog)
 
         self.accepting_writes = True
@@ -540,11 +568,12 @@ class DurableStore:
     def _recover_table(
         self,
         system: "LawsDatabase",
-        segments_dir: Path,
         name: str,
         entry: dict[str, Any],
         report: RecoveryReport,
     ) -> None:
+        """Register the table a manifest entry names, with its archive record
+        (before the WAL replays: a replayed archive, recall or drop acts on it)."""
         lost_segments: list[str] = []
 
         def quarantine_segment(seg_entry: dict[str, Any], path: Path, exc: Exception) -> bool:
@@ -557,7 +586,8 @@ class DurableStore:
             lost_segments.append(str(seg_entry.get("file")))
             return True
 
-        table = self._read_segments(segments_dir, name, entry, on_error=quarantine_segment)
+        schema = schema_from_payload(entry["schema"])
+        table = self.read_segments(name, schema, entry["segments"], on_error=quarantine_segment)
         expected = int(entry.get("row_count", table.num_rows))
         if lost_segments:
             self.resilience.health.mark_failed(
@@ -571,6 +601,9 @@ class DurableStore:
                 f"manifest recorded {entry.get('row_count')}"
             )
         system.database.register_table(table)
+        archived = tuple(ArchivedSegment.from_payload(segment) for segment in entry.get("archived", ()))
+        if archived:
+            system.database.catalog.set_table_meta(name, ARCHIVE_META_KEY, archived)
         if not lost_segments:
             # The map committed at the checkpoint; a manifest written before
             # maps were recorded falls back to its segments' row ranges, so
@@ -591,6 +624,7 @@ class DurableStore:
             recorded = entry.get("stats")  # absent: stale at the checkpoint, or a v1 store
             if recorded is not None:
                 system.database.catalog.restore_stats(name, TableStats.from_payload(name, recorded))
+            self._keep(name, entry["segments"])
         report.tables_loaded += 1
         report.rows_loaded += table.num_rows
 
@@ -737,8 +771,12 @@ class DurableStore:
                 table = Table.empty(name, schema)
             else:
                 self._refuse_newer(record, f"WAL load_table record for {name!r}")
-                table = self._read_segments(self.root / record["dir"], name, record)
+                if "dir" in record:  # a v1/v2 record: its files lie under its "dir"
+                    _relocate(record, f"../{record['dir']}")
+                table = self.read_segments(name, schema, record["segments"])
             system.register_table(table, replace=record.get("replace", False))
+            if op == "load_table":
+                self._keep(name, record["segments"])
             return table.num_rows
         if op == "append":
             rows = [tuple(row) for row in record["rows"]]
@@ -771,6 +809,13 @@ class DurableStore:
             return 0
         raise PersistenceError(f"unknown WAL record op {op!r}")
 
+    def _keep(self, name: str, entries: list[dict[str, Any]]) -> None:
+        """``entries`` are ``name``'s committed rows until they change — unless
+        they are legacy references (they carry a directory): the next
+        checkpoint rewrites those into the pool."""
+        if all("/" not in entry["file"] for entry in entries):
+            self._durable[name] = (self.catalog.data_generation(name), entries)
+
     def _reset_wal_safe(self, epoch: int) -> None:
         """Reset the WAL; a failure defers the epoch stamp instead of aborting."""
         try:
@@ -789,6 +834,11 @@ class DurableStore:
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+
+def _serial(file_name: str) -> int:
+    head = file_name.partition("_")[0]
+    return int(head) if head.isdigit() else 0
 
 
 def _append_records(table_name: str, rows: Any) -> Any:
@@ -825,3 +875,28 @@ def _restore_calibration(system: "LawsDatabase", payload: dict[str, Any] | None)
     system.planner.set_cost_model(
         CostModel(OperatorCosts(**costs), source=f"restored: {source}")
     )
+
+
+# -- legacy references: a v1/v2 build kept segments in three namespaces ---------------
+
+#: Besides ``segments/ckpt<N>/`` (a checkpoint's): ``walseg/<N>/`` (a bulk
+#: load's) and ``archive/`` (the model-only tier's).  The sweep deletes them.
+LEGACY_DIRS = ("walseg", "archive")
+
+
+def _pool_references(manifest: dict[str, Any]) -> None:
+    """Rename a v1/v2 manifest's references relative to the pool as it is
+    loaded: tables' under ``segments/ckpt<N>/``, archive records' (moved into
+    their tables' entries) under ``archive/``."""
+    if int(manifest.get("format_version", 0)) >= FORMAT_VERSION:
+        return
+    tables = manifest.get("tables", {})
+    for name, archived in (manifest.pop("archive", None) or {}).get("tables", {}).items():
+        tables[name]["archived"] = [_relocate(segment, "../archive") for segment in archived]
+    for entry in tables.values():
+        _relocate(entry, f"ckpt{int(manifest.get('checkpoint_id', 0)):05d}")
+
+
+def _relocate(item: dict[str, Any], directory: str) -> dict[str, Any]:
+    item["segments"] = [{**entry, "file": f"{directory}/{entry['file']}"} for entry in item["segments"]]
+    return item

@@ -98,7 +98,8 @@ def test_every_fault_point_holder_sees_the_injector(tmp_path, durable):
         "maintenance.resilience": db.maintenance.resilience,
     }
     if durable:
-        holders |= {"durable": db.durable, "durable.wal": db.durable.wal, "archive_tier": db.archive_tier}
+        # The archive tier holds no injector: it writes through the store's.
+        holders |= {"durable": db.durable, "durable.wal": db.durable.wal}
     assert [name for name, holder in holders.items() if holder.faults is not injector] == []
     db.close()
 
@@ -542,5 +543,23 @@ def test_persist_files_are_written_and_read_through_one_module():
         if relative.startswith("persist/") and relative != "persist/files.py"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and _called_name(node) in DISK_DISCIPLINE
+    ]
+    assert found == []
+
+
+#: The two segment functions: ``persist/store.py`` is their only caller under ``src/``.
+SEGMENT_IO = {"write_table_segments", "read_table_segments"}
+
+
+def test_segments_are_written_and_read_by_the_store_alone():
+    """Every segment file lands in the store's one pool under its one name
+    sequence: checkpoints, bulk loads and the archive tier all go through
+    ``DurableStore.write_segments`` / ``read_segments``."""
+    found = [
+        f"{relative}:{node.lineno} {ast.unparse(node.func)}"
+        for relative, tree in _modules()
+        if relative != "persist/store.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) in SEGMENT_IO
     ]
     assert found == []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import LawsDatabase
+from repro.db.archived import archived_segments
 from repro.db.stats import compute_column_stats, compute_table_stats, merge_table_stats
 from repro.db.table import Table
 
@@ -120,7 +121,7 @@ class TestArchiveOverlayMerge:
             db.register_table(table)
             for bound in (1, 3, 5):  # three segments, carved by key
                 db.archive("t", f"k < {bound}")
-            assert len(db.archive_tier.to_payload()["tables"]["t"]) == 3
+            assert len(archived_segments(db.database.catalog, "t")) == 3
             merged = db.database.stats("t")
             assert db.table("t").num_rows < merged.row_count == whole.row_count
             for name in table.schema.names:

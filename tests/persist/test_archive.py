@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import AccuracyContract, LawsDatabase
-from repro.db.archived import archived_rows
+from repro.db.archived import archived_rows, archived_segments
 from repro.errors import ApproximationError, ArchiveError, PersistenceError
 from repro.resilience import FaultInjector, FaultSpec
 
@@ -204,16 +204,20 @@ def test_feedback_never_audits_archived_answers(db):
 
 
 def test_recall_keeps_segment_files_until_a_checkpoint_persists_them(db, tmp_path):
-    archive_dir = db.durable.archive_dir
     db.archive("m", "ts < 400")
     db.archive("m", "ts < 800")
-    assert len(list(archive_dir.glob("*.npz"))) == 2
+    archived = [
+        db.durable.pool / entry["file"]
+        for segment in archived_segments(db.database.catalog, "m")
+        for entry in segment.segment_entries
+    ]
+    assert len(archived) == 2 and all(path.is_file() for path in archived)
     db.checkpoint()  # the manifest now references both archive segments
     db.recall_archive("m")
     # Until the next checkpoint snapshots the recalled rows, the archive
     # segments are their only durable copy — the replayed recall record
     # reads them back on recovery.
-    assert len(list(archive_dir.glob("*.npz"))) == 2
+    assert all(path.is_file() for path in archived)
     db.durable.wal.close()  # crash before any checkpoint
     crashed = LawsDatabase.open(tmp_path / "store")
     # The WAL-logged recall replays: the acknowledged state (everything
@@ -224,7 +228,7 @@ def test_recall_keeps_segment_files_until_a_checkpoint_persists_them(db, tmp_pat
 
     # The checkpoint that persists the recall purges the now-garbage files.
     db.checkpoint()
-    assert list(archive_dir.glob("*.npz")) == []
+    assert not any(path.exists() for path in archived)
     assert db.table("m").num_rows == 1200
 
 

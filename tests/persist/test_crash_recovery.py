@@ -13,12 +13,14 @@ and every query (exact and model-served) must agree.
 
 from __future__ import annotations
 
+import json
 import shutil
 
 import numpy as np
 import pytest
 
 from repro import AccuracyContract, LawsDatabase
+from repro.persist.wal import WriteAheadLog
 
 BASE_ROWS = 600
 BATCH = 64
@@ -267,17 +269,21 @@ def test_large_load_snapshots_instead_of_row_json_wal(tmp_path):
     db.load_dict("big", {"x": [float(i) for i in range(n)]})
     db.load_dict("big2", {"x": [float(i) for i in range(n)]})
     assert db.durable.checkpoint_id == 0  # no checkpoint forced by the loads
-    assert len(list(db.durable.walseg_dir.iterdir())) == 2
     db.durable.wal.close()
+    records = WriteAheadLog(root / "wal.log").replay().records
+    loads = [record for record in records if record["op"] == "load_table"]
+    named = {root / "segments" / entry["file"] for record in loads for entry in record["segments"]}
+    assert len(loads) == 2 and all(path.is_file() for path in named)
 
     recovered = LawsDatabase.open(root)
     assert recovered.table("big").num_rows == n
     assert recovered.table("big2").num_rows == n
     assert recovered.last_recovery.wal_records_replayed == 2  # one per load
     assert recovered.last_recovery.wal_rows_replayed == 2 * n
-    # The checkpoint that absorbs the loads purges the WAL-side segments.
+    # The checkpoint that absorbs the loads names their segments; nothing
+    # else is left behind in the pool.
     recovered.checkpoint()
-    assert not recovered.durable.walseg_dir.exists()
+    assert set((root / "segments").iterdir()) == named == _manifest_files(root)
 
 
 def test_bulk_load_is_chunked_into_bounded_wal_frames(tmp_path):
@@ -317,17 +323,25 @@ def test_crash_before_cleanup_does_not_leak_old_checkpoints(tmp_path):
     db = LawsDatabase.open(root)
     build_system(db, generate_rows(71, BASE_ROWS))
     db.checkpoint()
-    # Simulate the un-cleaned crash: resurrect a fake older checkpoint dir.
+    # Simulate the un-cleaned crash: resurrect a fake older checkpoint's
+    # segment in the pool and a legacy checkpoint directory.
+    (root / "segments" / "000000_m__00000.npz").write_bytes(b"junk")
     stale_segments = root / "segments" / "ckpt00000"
     stale_segments.mkdir(parents=True)
     (stale_segments / "junk.npz").write_bytes(b"junk")
     (root / "warehouse" / "models-00000.json").write_text("{}")
 
     db.checkpoint()
-    remaining_segments = {p.name for p in (root / "segments").iterdir()}
+    remaining_segments = set((root / "segments").iterdir())
     remaining_warehouse = {p.name for p in (root / "warehouse").iterdir()}
-    assert remaining_segments == {"ckpt00002"}
+    assert remaining_segments == _manifest_files(root)
     assert remaining_warehouse == {"models-00002.json"}
+
+
+def _manifest_files(root):
+    """The pool files the checkpoint manifest names."""
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    return {root / "segments" / s["file"] for entry in manifest["tables"].values() for s in entry["segments"]}
 
 
 def test_fresh_directory_then_copy_elsewhere(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -198,20 +199,19 @@ def test_open_passes_constructor_kwargs_through(tmp_path):
 
 
 def test_future_format_version_is_refused(tmp_path):
-    """v2 changed how a segment stores its members, not what a manifest
-    says: a v1 manifest opens, the build's own does, the next one is refused
-    (the exit a v1 build takes when it meets a v2 store)."""
+    """The build's own manifest opens, the next one is refused (the exit an
+    older build takes when it meets a newer store; v1 and v2 stores open —
+    see the v1 upgrade test and ``test_a_v2_store_opens_and_its_first_checkpoint_moves_it_into_the_pool``)."""
     from repro.persist.store import FORMAT_VERSION
 
     root = tmp_path / "store"
     with LawsDatabase.open(root) as db:
         db.load_dict("s", sensor_rows(40))
-    assert json.loads((root / "MANIFEST.json").read_text())["format_version"] == FORMAT_VERSION == 2
-    _stamp_format_version(root, 1)
+    assert json.loads((root / "MANIFEST.json").read_text())["format_version"] == FORMAT_VERSION
     with LawsDatabase.open(root) as db:
         assert db.table("s").num_rows == 40
-    _stamp_format_version(root, 3)
-    with pytest.raises(FormatVersionError, match="v3"):
+    _stamp_format_version(root, FORMAT_VERSION + 1)
+    with pytest.raises(FormatVersionError, match=f"v{FORMAT_VERSION + 1}"):
         LawsDatabase.open(root)
 
 
@@ -223,8 +223,29 @@ def _stamp_format_version(root, version):
 
 
 def _rewrite_segments_as_v1(root):
-    """Every segment file under ``root`` back to what a v1 build wrote: each
-    column at its in-memory width with a validity mask, all of it deflated."""
+    """Every segment file under ``root`` back to what a v1 build wrote, where
+    it wrote it: a checkpoint's under ``segments/ckpt<N>/``, a bulk load's
+    under the ``walseg/<k>/`` its record names, each column at its in-memory
+    width with a validity mask, all of it deflated."""
+    from repro.persist.wal import WriteAheadLog
+
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    checkpoint = f"segments/ckpt{manifest['checkpoint_id']:05d}"
+    wal = WriteAheadLog(root / "wal.log")
+    replay = wal.replay()
+    loads = [record for record in replay.records if record["op"] == "load_table"]
+    for directory, entries in [
+        *((checkpoint, entry["segments"]) for entry in manifest["tables"].values()),
+        *((f"walseg/{k:05d}", record["segments"]) for k, record in enumerate(loads, 1)),
+    ]:
+        (root / directory).mkdir(parents=True, exist_ok=True)
+        for entry in entries:
+            (root / "segments" / entry["file"]).rename(root / directory / entry["file"])
+    for k, record in enumerate(loads, 1):
+        record["dir"] = f"walseg/{k:05d}"
+    wal.reset(replay.epoch)
+    wal.append_all(replay.records)
+    wal.close()
     for path in sorted(root.rglob("*.npz")):
         with np.load(path) as payload:
             arrays = {key: payload[key] for key in payload.files}
@@ -238,6 +259,7 @@ def _rewrite_segments_as_v1(root):
 
 def test_store_written_by_a_v1_build_opens_and_is_upgraded_by_its_next_checkpoint(tmp_path, monkeypatch):
     from repro.persist import store as store_module
+    from repro.persist.store import FORMAT_VERSION
 
     monkeypatch.setattr(store_module, "LARGE_CREATE_SNAPSHOT_ROWS", 64)
     root = tmp_path / "store"
@@ -256,8 +278,8 @@ def test_store_written_by_a_v1_build_opens_and_is_upgraded_by_its_next_checkpoin
     db.load_dict("s", {"k": k.tolist(), "c": [None if i % 17 == 0 else 300 * i for i in range(120)],
                        "y": (3.0 * k + rng.normal(0, 0.01, 120)).tolist()})
     assert db.fit("s", "y ~ linear(k)").accepted
-    db.checkpoint()  # segments/ckpt*/, three of them, and the partition map they imply
-    db.load_dict("bulk", {"n": list(range(-40, 60))})  # a load_table record over walseg/
+    db.checkpoint()  # three segments, and the partition map they imply
+    db.load_dict("bulk", {"n": list(range(-40, 60))})  # a load_table record
     db.insert_rows("s", [(3, 7, 9.0), (4, None, 12.0)])  # the WAL tail
     live = observe(db)
     db.close()
@@ -275,8 +297,9 @@ def test_store_written_by_a_v1_build_opens_and_is_upgraded_by_its_next_checkpoin
     assert reopened.last_recovery.wal_rows_replayed == 102
     assert observe(reopened) == live
     reopened.checkpoint()
-    assert json.loads((root / "MANIFEST.json").read_text())["format_version"] == 2
-    with np.load(sorted(root.rglob("bulk__00000.npz"))[0]) as payload:
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    assert manifest["format_version"] == FORMAT_VERSION
+    with np.load(root / "segments" / manifest["tables"]["bulk"]["segments"][0]["file"]) as payload:
         assert payload.files == ["v__n"] and payload["v__n"].dtype == np.int8
     upgraded = observe(reopened)  # the checkpoint gave "bulk" its segments' map
     assert upgraded[0] == live[0] and upgraded[1] == live[1]
@@ -322,15 +345,16 @@ def test_fsync_syncs_every_file_the_manifest_names_and_its_directories_before_th
     manifest = json.loads((base / "MANIFEST.json").read_text())
     rename = max(i for i, event in enumerate(events) if event == ("replace", str(base / "MANIFEST.json")))
     synced = {path for kind, path in events[:rename] if kind == "fsync"}
-    segments = base / "segments" / f"ckpt{manifest['checkpoint_id']:05d}"
+    segments = base / "segments"
     named = [segments / s["file"] for entry in manifest["tables"].values() for s in entry["segments"]]
-    named += [
-        base / "archive" / s["file"]
-        for segments_of_table in manifest["archive"]["tables"].values()
-        for archived in segments_of_table
-        for s in archived["segments"]
+    archived = [
+        segments / s["file"]
+        for entry in manifest["tables"].values()
+        for record in entry["archived"]
+        for s in record["segments"]
     ]
-    assert any(path.parent.name == "archive" for path in named)
+    assert archived
+    named += archived
     warehouse = base / manifest["warehouse_file"]
     directories = {parent for path in [*named, warehouse] for parent in path.parents if base in parent.parents}
     expected = {str(path) for path in [*named, *directories]} | {f"{warehouse}.tmp"}
@@ -338,12 +362,12 @@ def test_fsync_syncs_every_file_the_manifest_names_and_its_directories_before_th
 
 
 # ---------------------------------------------------------------------------
-# A bulk-load record carries the format version its walseg/ segments use
+# A bulk-load record carries the format version its segments use
 # ---------------------------------------------------------------------------
 
 
 def test_a_load_table_record_from_a_newer_build_is_refused(tmp_path, monkeypatch):
-    """A store holding only ``walseg/`` segments has no manifest to stamp it:
+    """A store holding only bulk-load segments has no manifest to stamp it:
     the ``load_table`` record is the stamp, and replay refuses a newer one
     the way the manifest check does."""
     from repro.persist import store as store_module
@@ -355,11 +379,12 @@ def test_a_load_table_record_from_a_newer_build_is_refused(tmp_path, monkeypatch
     db = LawsDatabase.open(root)
     db.load_dict("bulk", {"n": list(range(100))})
     db.close()
-    assert not (root / "MANIFEST.json").exists() and (root / "walseg").is_dir()
 
     wal = WriteAheadLog(root / "wal.log")
     records = wal.replay().records
     (load,) = [record for record in records if record["op"] == "load_table"]
+    assert not (root / "MANIFEST.json").exists()
+    assert all((root / "segments" / entry["file"]).is_file() for entry in load["segments"])
     assert load["format_version"] == FORMAT_VERSION
     reopened = LawsDatabase.open(root)  # no exit checkpoint: the WAL stays the stamp
     assert reopened.table("bulk").num_rows == 100
@@ -370,3 +395,219 @@ def test_a_load_table_record_from_a_newer_build_is_refused(tmp_path, monkeypatch
     wal.close()
     with pytest.raises(FormatVersionError, match=f"v{FORMAT_VERSION + 1}"):
         LawsDatabase.open(root)
+
+
+# ---------------------------------------------------------------------------
+# One segment pool: a checkpoint names the tables it did not change
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def _observe(db):
+    return (
+        db.database.fingerprint(),
+        {m.model_id: m.status for m in db.captured_models()},
+        {name: db.partition_map(name) for name in db.table_names()},
+    )
+
+
+def _manifest(root):
+    return json.loads((root / "MANIFEST.json").read_text())
+
+
+def _named(manifest):
+    return {name: [s["file"] for s in entry["segments"]] for name, entry in manifest["tables"].items()}
+
+
+def test_a_checkpoint_rewrites_only_the_table_that_changed(tmp_path):
+    root = tmp_path / "store"
+    db = LawsDatabase.open(root, rows_per_segment=4)
+    for i in range(50):
+        db.load_dict(f"t{i:02d}", {"k": list(range(10)), "y": [2.0 * k + i for k in range(10)]})
+    assert db.fit("t07", "y ~ linear(k)").accepted
+    assert db.checkpoint().segment_files == 50 * 3
+    before = _named(_manifest(root))
+
+    db.insert_rows("t07", [(10, 27.0)])
+    report = db.checkpoint()
+    after = _named(_manifest(root))
+    assert report.segment_files == len(after["t07"]) == 3 and report.tables == 50
+    assert set(after["t07"]).isdisjoint(before["t07"])
+    assert {n: f for n, f in after.items() if n != "t07"} == {n: f for n, f in before.items() if n != "t07"}
+    pool = {path.name for path in (root / "segments").iterdir()}
+    assert pool == {file for files in after.values() for file in files}
+    live = _observe(db)
+    db.close()
+
+    reopened = LawsDatabase.open(root, rows_per_segment=4)
+    assert reopened.quarantine_report()["count"] == 0
+    assert _observe(reopened) == live
+    assert reopened.checkpoint().segment_files == 0
+    assert _named(_manifest(root)) == after
+    reopened.close()
+
+
+def test_a_bulk_loads_segments_become_the_next_checkpoints(tmp_path, monkeypatch):
+    """A load above ``LARGE_CREATE_SNAPSHOT_ROWS`` writes its segments once:
+    the checkpoint after it, and the checkpoint after a reopen — of a
+    manifest table and of a WAL-tail bulk load — write no file for it."""
+    from repro.persist import store as store_module
+    from repro.persist.wal import WriteAheadLog
+
+    monkeypatch.setattr(store_module, "LARGE_CREATE_SNAPSHOT_ROWS", 64)
+    root = tmp_path / "store"
+    db = LawsDatabase.open(root, rows_per_segment=50)
+    db.load_dict("bulk", {"n": list(range(100))})
+    assert db.checkpoint().segment_files == 0
+    db.load_dict("tail", {"n": list(range(-100, 0))})
+    live = _observe(db)
+    db.close()
+    (load,) = [r for r in WriteAheadLog(root / "wal.log").replay().records if r["op"] == "load_table"]
+
+    reopened = LawsDatabase.open(root, rows_per_segment=50)
+    assert reopened.last_recovery.wal_records_replayed == 1
+    assert _observe(reopened) == live
+    report = reopened.checkpoint()
+    assert report.segment_files == 0 and report.rows == 200
+    assert _named(_manifest(root))["tail"] == [s["file"] for s in load["segments"]]
+    reopened.close()
+    again = LawsDatabase.open(root, rows_per_segment=50)
+    assert _observe(again)[0] == live[0]
+    again.close()
+
+
+def test_a_table_that_lost_a_segment_at_open_is_rewritten_not_referenced(tmp_path):
+    root = tmp_path / "store"
+    with LawsDatabase.open(root, rows_per_segment=100) as db:
+        db.load_dict("t", {"k": list(range(300))})
+        db.load_dict("other", {"k": list(range(250))})
+    before = _named(_manifest(root))
+    (root / "segments" / before["t"][1]).write_bytes(b"torn")
+
+    db = LawsDatabase.open(root, rows_per_segment=100)
+    assert db.quarantine_report()["count"] == 1
+    assert db.table("t").num_rows == 200
+    report = db.checkpoint()
+    after = _named(_manifest(root))
+    assert report.segment_files == len(after["t"]) == 2
+    assert set(after["t"]).isdisjoint(before["t"]) and after["other"] == before["other"]
+    live = _observe(db)
+    db.close()
+    reopened = LawsDatabase.open(root, rows_per_segment=100)
+    assert reopened.quarantine_report()["count"] == 1  # the one record of the first open
+    assert _observe(reopened) == live
+    reopened.close()
+
+
+def test_a_checkpoint_torn_mid_write_leaves_the_last_committed_references(tmp_path):
+    """Only a committed checkpoint records what it wrote: after a failed one,
+    the next rewrites every table changed since the last *committed*
+    checkpoint and the store reopens to the live state."""
+    from repro.errors import StorageIOError
+    from repro.resilience import FaultInjector, FaultSpec, RetryPolicy
+
+    root = tmp_path / "store"
+    # Checkpoint 1 writes a, b, c (arrivals 1-3); the torn one is b's rewrite.
+    faults = FaultInjector([FaultSpec("persist.snapshot.write", "torn_write", hit=5)])
+    db = LawsDatabase.open(root, fault_injector=faults, retry_policy=RetryPolicy(max_attempts=1))
+    for name in ("a", "b", "c"):
+        db.load_dict(name, {"k": [1, 2, 3]})
+    assert db.checkpoint().segment_files == 3
+    committed = _named(_manifest(root))
+    db.insert_rows("a", [(4,)])
+    db.insert_rows("b", [(5,)])
+    with pytest.raises(StorageIOError):
+        db.checkpoint()
+    assert _named(_manifest(root)) == committed
+    report = db.checkpoint()
+    assert report.segment_files == 2
+    after = _named(_manifest(root))
+    assert after["c"] == committed["c"]
+    assert not {*after["a"], *after["b"]} & {*committed["a"], *committed["b"]}
+    live = _observe(db)
+    db.close()
+    reopened = LawsDatabase.open(root)
+    assert reopened.quarantine_report()["count"] == 0 and _observe(reopened) == live
+    reopened.close()
+
+
+def test_a_v2_store_opens_and_its_first_checkpoint_moves_it_into_the_pool(tmp_path):
+    """``fixtures/v2_store`` is a store written by the last ``FORMAT_VERSION`` 2
+    build of this package (the source tree at commit 2d5e869), with
+    ``LARGE_CREATE_SNAPSHOT_ROWS`` set to 64 so 100-row loads log
+    ``load_table`` records::
+
+        db = LawsDatabase.open(root, rows_per_segment=50, observability=False)
+        db.load_dict("s", {"k": [i % 9 for i in range(120)],
+                           "c": [None if i % 17 == 0 else 300 * i for i in range(120)],
+                           "y": [3.0 * (i % 9) + 0.001 * i for i in range(120)]})
+        db.fit("s", "y ~ linear(k)")
+        db.load_dict("a", {"ts": [float(i) for i in range(40)], "v": [0.5 * i for i in range(40)]})
+        db.archive("a", "ts < 20")  # checkpoint 1, then the archive
+        db.checkpoint()  # checkpoint 2: three segments of s, one of a, an archive record
+        db.load_dict("bulk", {"n": list(range(-40, 60))})  # a load_table record over walseg/
+        db.insert_rows("s", [(3, 7, 9.0), (4, None, 12.0)])  # WAL-tail appends
+        db.insert_rows("bulk", [(61,)])
+        db.close()
+
+    ``fixtures/v2_store.json`` holds ``db.database.fingerprint()`` and the
+    row counts taken just before ``close()``.
+    """
+    import shutil
+
+    from repro.db.archived import archived_rows
+    from repro.persist.store import FORMAT_VERSION
+
+    root = tmp_path / "store"
+    shutil.copytree(FIXTURES / "v2_store", root)
+    expected = json.loads((FIXTURES / "v2_store.json").read_text())
+    assert _manifest(root)["format_version"] == 2
+
+    db = LawsDatabase.open(root)
+    assert db.quarantine_report()["count"] == 0
+    assert db.database.fingerprint() == expected["fingerprint"]
+    assert {name: db.table(name).num_rows for name in db.table_names()} == expected["rows"]
+    assert archived_rows(db.database.catalog, "a") == 20
+    db.checkpoint()
+    assert _manifest(root)["format_version"] == FORMAT_VERSION
+    assert not (root / "walseg").exists() and not (root / "archive").exists()
+    assert all(path.is_file() for path in (root / "segments").iterdir())
+    db.close()
+
+    reopened = LawsDatabase.open(root)
+    assert reopened.quarantine_report()["count"] == 0
+    assert reopened.database.fingerprint() == expected["fingerprint"]
+    assert reopened.recall_archive("a") == 20
+    reopened.close()
+
+
+def test_an_unreadable_legacy_archive_segment_stays_named_where_it_is(tmp_path):
+    """The first checkpoint of a v2 store rewrites its archive segments into
+    the pool; one it cannot read keeps its record and its file where they
+    are — the checkpoint succeeds, the recall fails as it always would."""
+    import shutil
+
+    from repro.db.archived import archived_rows
+    from repro.errors import ArchiveError
+
+    root = tmp_path / "store"
+    shutil.copytree(FIXTURES / "v2_store", root)
+    expected = json.loads((FIXTURES / "v2_store.json").read_text())
+    (legacy,) = (root / "archive").iterdir()
+    legacy.write_bytes(b"not a zip")
+
+    db = LawsDatabase.open(root)
+    report = db.checkpoint()
+    assert report.segment_files == 3  # a, s and bulk, one segment each; not the archive
+    (record,) = _manifest(root)["tables"]["a"]["archived"]
+    assert [s["file"] for s in record["segments"]] == [f"../archive/{legacy.name}"]
+    assert legacy.is_file() and not (root / "walseg").exists()
+    db.close()
+
+    reopened = LawsDatabase.open(root)
+    assert reopened.database.fingerprint() == expected["fingerprint"]
+    assert archived_rows(reopened.database.catalog, "a") == 20
+    with pytest.raises(ArchiveError):
+        reopened.recall_archive("a")
+    reopened.close()

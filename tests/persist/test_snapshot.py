@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tempfile
 import zipfile
 from pathlib import Path
@@ -330,7 +331,8 @@ def test_damaged_segment_quarantines_alone_at_open(tmp_path, damage):
     with LawsDatabase.open(root, rows_per_segment=100) as db:
         db.register_table(table)
         db.load_dict("other", {"k": [1, 2, 3]})
-    victim = sorted((root / "segments").rglob("t__00001.npz"))[0]
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    victim = root / "segments" / manifest["tables"]["t"]["segments"][1]["file"]
     DAMAGE[damage](victim, _member_data_span(victim, "v__y.npy"))
 
     db = LawsDatabase.open(root, rows_per_segment=100)

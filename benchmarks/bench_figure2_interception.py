@@ -52,7 +52,7 @@ def test_figure2_interception_overhead(benchmark, lofar_bench_dataset):
         name="Figure 2: interception overhead and model-answered query",
         metadata={"sources": dataset.num_sources, "measurements": dataset.num_rows},
     )
-    result.add_row(step="plain grouped fit (no capture)", seconds=plain_seconds, outcome=f"{len(plain.fitted)} fits")
+    result.add_row(step="plain grouped fit (no capture)", seconds=plain_seconds, outcome=f"{int(plain.succeeded.sum())} fits")
     result.add_row(
         step="intercepted fit (capture + quality judgement)",
         seconds=intercepted_seconds,

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.captured_model import CapturedModel
 from repro.errors import ApproximationError
+from repro.fitting.grouped import GroupedFitResult
 
 __all__ = ["AnomalyReport", "GroupAnomaly", "detect_anomalies", "rank_groups_by_misfit"]
 
@@ -64,45 +65,36 @@ def rank_groups_by_misfit(model: CapturedModel, metric: str = "relative_rse") ->
     """
     if not model.is_grouped:
         raise ApproximationError("anomaly ranking requires a grouped model (one fit per group)")
+    if metric not in ("rse", "relative_rse", "r_squared"):
+        raise ApproximationError(f"unknown anomaly metric {metric!r}")
 
-    anomalies: list[GroupAnomaly] = []
-    for record in model.fit.records:  # type: ignore[union-attr]
-        if record.result is None:
-            continue
-        fit = record.result
-        if metric == "rse":
-            score = fit.residual_standard_error
-        elif metric == "relative_rse":
-            scale = _group_output_scale(fit)
-            score = fit.residual_standard_error / scale if scale > 0 else fit.residual_standard_error
-        elif metric == "r_squared":
-            score = 1.0 - fit.r_squared
-        else:
-            raise ApproximationError(f"unknown anomaly metric {metric!r}")
-        anomalies.append(
-            GroupAnomaly(
-                key=record.key,
-                score=float(score),
-                residual_standard_error=fit.residual_standard_error,
-                r_squared=fit.r_squared,
-            )
-        )
+    fit: GroupedFitResult = model.fit  # type: ignore[assignment]
+    rows = np.flatnonzero(fit.succeeded)
+    rse, r2 = fit.rse[rows], fit.r_squared[rows]
+    if metric == "rse":
+        scores = rse
+    elif metric == "relative_rse":
+        scale = _group_output_scale(fit.sse[rows], fit.n_obs[rows], r2, rse)
+        scores = np.where(scale > 0, rse / scale, rse)
+    else:
+        scores = 1.0 - r2
+    anomalies = [
+        GroupAnomaly(key=fit.keys[row], score=float(score), residual_standard_error=float(e), r_squared=float(r))
+        for row, score, e, r in zip(rows.tolist(), scores, rse, r2)
+    ]
     return sorted(anomalies, key=lambda a: a.score, reverse=True)
 
 
-def _group_output_scale(fit) -> float:
-    """Approximate the group's output magnitude from the fit itself.
+def _group_output_scale(ssr: np.ndarray, n_obs: np.ndarray, r2: np.ndarray, rse: np.ndarray) -> np.ndarray:
+    """Approximate each group's output magnitude from its fit alone.
 
     RSE + R² imply the output variance; combined with the fitted mean level
     this gives a scale without re-reading the raw data.  When that is not
     recoverable the RSE itself is used (score 1.0).
     """
-    ssr = fit.sum_squared_residuals
-    n = max(fit.n_observations, 1)
-    if fit.r_squared < 1.0 and ssr > 0:
-        total_variance = ssr / max(1e-12, (1.0 - fit.r_squared)) / n
-        return float(np.sqrt(total_variance))
-    return max(fit.residual_standard_error, 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total_variance = ssr / np.maximum(1e-12, 1.0 - r2) / np.maximum(n_obs, 1)
+        return np.where((r2 < 1.0) & (ssr > 0), np.sqrt(total_variance), np.maximum(rse, 1e-12))
 
 
 def detect_anomalies(

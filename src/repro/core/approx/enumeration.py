@@ -25,6 +25,7 @@ from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.db.types import DataType
 from repro.errors import EnumerationError
+from repro.fitting.grouped import GroupedFitResult
 
 __all__ = ["EnumerationPlan", "build_enumeration_plan", "generate_virtual_table"]
 
@@ -122,7 +123,7 @@ def _check_group_coverage(
         column_stats = table_stats.columns.get(column)
         if column_stats is None or column_stats.domain is None:
             continue
-        seen = {record.key[position] for record in model.fit.records}  # type: ignore[union-attr]
+        seen = set(model.fit.key_columns[position].to_pylist())  # type: ignore[union-attr]
         allowed = pinned.get(column)
         new_values = [
             v
@@ -140,10 +141,8 @@ def _check_group_coverage(
 def _group_keys(model: CapturedModel, pinned: dict[str, list[Any]]) -> list[tuple[Any, ...]]:
     if not model.group_columns:
         return []
-    if model.is_grouped:
-        keys = [record.key for record in model.fit.records if record.result is not None]  # type: ignore[union-attr]
-    else:  # pragma: no cover - grouped coverage always has a grouped fit
-        keys = []
+    fit: GroupedFitResult = model.fit  # type: ignore[assignment]
+    keys = [fit.keys[row] for row in np.flatnonzero(fit.succeeded)]
     # Apply pinning on group columns (e.g. WHERE source = 42).
     for position, column in enumerate(model.group_columns):
         if column in pinned:
@@ -164,67 +163,37 @@ def generate_virtual_table(
     output column — the same shape as the raw table restricted to those
     columns, so the rest of the query plan can run against it unchanged.
     """
-    group_columns = list(model.group_columns)
     input_columns = list(model.input_columns)
     input_values = [plan.input_domains[name] for name in input_columns]
-
-    rows_group: list[tuple[Any, ...]] = []
-    rows_inputs: list[tuple[float, ...]] = []
-    predictions: list[float] = []
-    errors: list[float] = []
-
     input_product = list(itertools.product(*input_values)) if input_values else [tuple()]
+    points = len(input_product)
+    inputs_arrays = {
+        name: np.array([combo[i] for combo in input_product], dtype=np.float64)
+        for i, name in enumerate(input_columns)
+    }
 
-    if group_columns:
-        for key in plan.group_keys:
-            fit = model.result_for_group(key)
-            if input_product:
-                inputs_arrays = {
-                    name: np.array([combo[i] for combo in input_product], dtype=np.float64)
-                    for i, name in enumerate(input_columns)
-                }
-                predicted = fit.predict(inputs_arrays)
-            else:
-                predicted = np.array([])
-            for combo, value in zip(input_product, predicted):
-                rows_group.append(key)
-                rows_inputs.append(combo)
-                predictions.append(float(value))
-                errors.append(fit.residual_standard_error)
+    columns: dict[str, Column] = {}
+    if model.group_columns:
+        # Every key's row of the parameter table, each repeated over the grid:
+        # one row-wise evaluation, no per-group loop.
+        grouped: GroupedFitResult = model.fit  # type: ignore[assignment]
+        rows = np.array([grouped.index[key] for key in plan.group_keys], dtype=np.int64).repeat(points)
+        for column, keys in zip(model.group_columns, grouped.key_columns):
+            columns[column] = keys.take(rows)
+        tiled = {name: np.tile(values, len(plan.group_keys)) for name, values in inputs_arrays.items()}
+        predictions = grouped.family.predict_rowwise(tiled, grouped.params[rows])
+        errors = grouped.rse[rows]
     else:
         fit = model.fit  # type: ignore[assignment]
-        inputs_arrays = {
-            name: np.array([combo[i] for combo in input_product], dtype=np.float64)
-            for i, name in enumerate(input_columns)
-        }
-        predicted = fit.predict(inputs_arrays) if input_product else np.array([])
-        for combo, value in zip(input_product, predicted):
-            rows_group.append(tuple())
-            rows_inputs.append(combo)
-            predictions.append(float(value))
-            errors.append(fit.residual_standard_error)
+        tiled = inputs_arrays
+        predictions = fit.predict(inputs_arrays) if points else np.array([])
+        errors = np.full(points, fit.residual_standard_error)
 
-    defs: list[ColumnDef] = []
-    columns: dict[str, Column] = {}
-
-    for position, column in enumerate(group_columns):
-        values = [key[position] for key in rows_group]
-        dtype = DataType.infer_common(values) if values else DataType.INT64
-        defs.append(ColumnDef(column, dtype))
-        columns[column] = Column.from_values(dtype, values)
-
-    for position, column in enumerate(input_columns):
-        values = [combo[position] for combo in rows_inputs]
-        defs.append(ColumnDef(column, DataType.FLOAT64))
-        columns[column] = Column.from_values(DataType.FLOAT64, values)
-
-    defs.append(ColumnDef(model.output_column, DataType.FLOAT64))
-    columns[model.output_column] = Column.from_values(DataType.FLOAT64, predictions)
-
+    for name in input_columns:
+        columns[name] = Column(DataType.FLOAT64, tiled[name])
+    columns[model.output_column] = Column(DataType.FLOAT64, np.asarray(predictions, dtype=np.float64))
     if include_error_column:
-        error_name = f"{model.output_column}_error"
-        defs.append(ColumnDef(error_name, DataType.FLOAT64))
-        columns[error_name] = Column.from_values(DataType.FLOAT64, errors)
+        columns[f"{model.output_column}_error"] = Column(DataType.FLOAT64, errors)
 
     name = table_name or model.table_name
-    return Table(name, Schema(defs), columns)
+    return Table(name, Schema(ColumnDef(n, c.dtype) for n, c in columns.items()), columns)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.captured_model import CapturedModel
 from repro.errors import ApproximationError
+from repro.fitting.grouped import GroupedFitResult
 
 __all__ = ["InterestingRegion", "explore_gradients", "extreme_parameter_groups"]
 
@@ -111,10 +112,8 @@ def extreme_parameter_groups(
             f"model family {model.family_name!r} has no parameter {parameter!r}; "
             f"parameters: {list(model.fit.family.param_names)}"  # type: ignore[union-attr]
         )
-    values: list[tuple[tuple[Any, ...], float]] = []
-    for record in model.fit.records:  # type: ignore[union-attr]
-        if record.result is None:
-            continue
-        values.append((record.key, float(record.result.param_dict[parameter])))
+    fit: GroupedFitResult = model.fit  # type: ignore[assignment]
+    column = fit.params[:, fit.family.param_names.index(parameter)]
+    values = [(fit.keys[row], float(column[row])) for row in np.flatnonzero(fit.succeeded)]
     values.sort(key=lambda pair: pair[1], reverse=largest)
     return values[:k]

@@ -43,6 +43,7 @@ from repro.db.table import Table
 from repro.db.types import DataType
 from repro.errors import ApproximationError
 from repro.fitting.families import Constant, Exponential, LinearModel, PowerLaw
+from repro.fitting.grouped import GroupedFitResult
 
 __all__ = [
     "ROUTE_AGGREGATES",
@@ -423,34 +424,33 @@ def combinable_rows(
                 f"group column {column!r} holds NULL keys, which no per-group fit of model "
                 f"{model.model_id} covers"
             )
-    records = model.fit.records  # type: ignore[union-attr]
-    admitted = np.ones(len(records), dtype=bool)
-    constrained = [(i, c) for i, c in enumerate(model.group_columns) if constraints.constrains(c)]
-    if constrained:
-        admitted[:] = [
-            all(constraints.admits(column, record.key[i]) for i, column in constrained) for record in records
-        ]
+    fit: GroupedFitResult = model.fit  # type: ignore[assignment]
+    admitted = np.ones(fit.num_groups, dtype=bool)
+    for column, keys in zip(model.group_columns, fit.key_columns):
+        if constraints.constrains(column):
+            admitted &= [constraints.admits(column, value) for value in keys.to_pylist()]
     live = live_group_rows(stats, model.group_columns)
     if live is not None:
         # A group that no longer holds any rows contributes nothing.
-        admitted &= np.array([live.get(record.key[0], 0) for record in records]) > 0
-        # Every admitted record is one of the catalog's populated, admitted
-        # values, so any surplus among those is a group newer than the capture.
         (column,) = model.group_columns
+        values = fit.key_columns[0].to_pylist()
+        admitted &= np.array([live.get(value, 0) for value in values]) > 0
+        # Every admitted row is one of the catalog's populated, admitted
+        # values, so any surplus among those is a group newer than the capture.
         populated = [v for v, count in live.items() if count > 0 and constraints.admits(column, v)]
         if len(populated) > np.count_nonzero(admitted):
-            fitted = {records[i].key[0] for i in np.flatnonzero(admitted)}
+            fitted = {values[i] for i in np.flatnonzero(admitted)}
             raise ApproximationError(
                 f"group column {column!r} holds values {[v for v in populated if v not in fitted][:5]} "
                 f"that appeared after model {model.model_id} was captured; a combined answer would "
                 "leave their rows out"
             )
     rows = np.flatnonzero(admitted)
-    failed = rows[~model.fit.stacked().fitted[rows]]  # type: ignore[union-attr]
+    failed = rows[~fit.succeeded[rows]]
     if failed.size:
         raise ApproximationError(
             f"the per-group fit of model {model.model_id} failed for group(s) "
-            f"{[records[i].key for i in failed[:5]]}; a combined answer would leave their rows out"
+            f"{[fit.keys[i] for i in failed[:5]]}; a combined answer would leave their rows out"
         )
     return rows
 
@@ -471,20 +471,19 @@ def _parameter_rows(model: CapturedModel, stats: TableStats, rows: np.ndarray) -
         params = np.asarray(fit.params, dtype=np.float64)[None, :]  # type: ignore[union-attr]
         rse = np.array([fit.residual_standard_error])  # type: ignore[union-attr]
         return params, rse, np.array([float(stats.row_count)]), 1.0, np.zeros(1)
-    stacked = fit.stacked()  # type: ignore[union-attr]
-    observations = stacked.n_obs[rows]
+    observations = fit.n_obs[rows].astype(np.float64)  # type: ignore[union-attr]
     whole = model.coverage.covers_whole_table and model.fitted_row_count > 0
     scale: np.ndarray | float = max(stats.row_count, 1) / model.fitted_row_count if whole else 1.0
     stale = np.full(len(rows), abs(float(stats.row_count - model.fitted_row_count)) if whole else np.nan)
     live = live_group_rows(stats, model.group_columns)
     if live is not None:
-        records = fit.records  # type: ignore[union-attr]
-        counts = np.array([live.get(records[i].key[0], np.nan) for i in rows.tolist()])
+        values = fit.key_columns[0].take(rows).to_pylist()  # type: ignore[union-attr]
+        counts = np.array([live.get(value, np.nan) for value in values])
         known = ~np.isnan(counts)
         observations = np.where(known, counts, observations)
         scale = np.where(known, 1.0, scale)
         stale[known] = 0.0
-    return stacked.params[rows], stacked.rse[rows], observations, scale, stale
+    return fit.params[rows], fit.rse[rows], observations, scale, stale  # type: ignore[union-attr]
 
 
 # ---------------------------------------------------------------------------

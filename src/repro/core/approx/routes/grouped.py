@@ -163,7 +163,7 @@ def _plan_route(
 
     # The requested group set must be *complete*: either the catalog can
     # enumerate every current key (single enumerable group column), or some
-    # fresh whole-table model's fit records do.  Otherwise groups that
+    # fresh whole-table model's parameter table does.  Otherwise groups that
     # appeared after the last capture would silently vanish from the result.
     single = group_columns[0] if len(group_columns) == 1 else None
     discoverable = (
@@ -266,7 +266,7 @@ def _evaluate(
     for batch, restriction in zip(plan.batches, route_plan.restrictions):
         slots = batch.slots
         batch_values, batch_errors, evaluation = aggregate_groups(
-            aggregates, batch.model, batch.record_positions, restriction, stats
+            aggregates, batch.model, batch.rows, restriction, stats
         )
         if evaluation.n_points == 0:
             # The restriction keeps no input values: the groups have no
@@ -505,18 +505,16 @@ def _requested_group_keys(
 ) -> list[tuple[Any, ...]]:
     """Every group key the query could produce, filtered by the WHERE clause.
 
-    Keys come from two places: the candidate models' fit records (fitted
-    *and* failed — failed groups must be computed exactly, not dropped) and,
-    for a single enumerable group column, the catalog domain — which also
-    surfaces groups that appeared after the last capture.
+    Keys come from two places: the candidate models' parameter tables (fitted
+    *and* failed groups — failed groups must be computed exactly, not
+    dropped) and, for a single enumerable group column, the catalog domain —
+    which also surfaces groups that appeared after the last capture.
     """
     keys: dict[tuple[Any, ...], None] = {}
     for model in candidates:
-        for record in model.fit.records:  # type: ignore[union-attr]
-            aligned = tuple(
-                record.key[model.group_columns.index(column)] for column in group_columns
-            )
-            keys.setdefault(aligned, None)
+        key_columns = model.fit.key_columns  # type: ignore[union-attr]
+        aligned = zip(*(key_columns[model.group_columns.index(c)].to_pylist() for c in group_columns))
+        keys.update(dict.fromkeys(aligned))
     if len(group_columns) == 1:
         column_stats = stats.columns.get(group_columns[0])
         if column_stats is not None and column_stats.domain is not None:

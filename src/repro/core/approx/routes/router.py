@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.captured_model import CapturedModel
 from repro.core.model_store import ModelStore, _default_ranking
 from repro.db.column import Column
-from repro.fitting.model import FitResult
+from repro.fitting.grouped import GroupedFitResult
 from repro.lazy import lazy_attribute
 
 __all__ = [
@@ -37,11 +37,9 @@ class GroupAssignment:
     key: tuple[Any, ...]
     #: The serving model, or None when the group must be computed exactly.
     model: CapturedModel | None
-    fit: FitResult | None
     reason: str
-    #: Position of the serving fit's record in ``model.fit.records`` — its row
-    #: of the model's stacked parameter table.
-    record_position: int | None = None
+    #: The group's row of the serving model's parameter table.
+    row: int | None = None
 
     @property
     def served_from_model(self) -> bool:
@@ -53,8 +51,8 @@ class ModelBatch:
     """The groups one model serves, as index vectors into two orderings."""
 
     model: CapturedModel
-    #: Rows of ``model.fit.stacked()`` holding these groups' parameters.
-    record_positions: np.ndarray
+    #: Rows of the model's parameter table holding these groups' parameters.
+    rows: np.ndarray
     #: Positions of these groups among the plan's ``model_groups``.
     slots: np.ndarray
 
@@ -85,12 +83,12 @@ class GroupRoutingPlan:
         grouped: dict[int, tuple[CapturedModel, list[int], list[int]]] = {}
         for slot, assignment in enumerate(self.model_groups):
             model = assignment.model
-            _, positions, slots = grouped.setdefault(model.model_id, (model, [], []))
-            positions.append(assignment.record_position)
+            _, rows, slots = grouped.setdefault(model.model_id, (model, [], []))
+            rows.append(assignment.row)
             slots.append(slot)
         return [
-            ModelBatch(model, np.asarray(positions, dtype=np.int64), np.asarray(slots, dtype=np.int64))
-            for model, positions, slots in grouped.values()
+            ModelBatch(model, np.asarray(rows, dtype=np.int64), np.asarray(slots, dtype=np.int64))
+            for model, rows, slots in grouped.values()
         ]
 
     @lazy_attribute
@@ -134,8 +132,8 @@ def plan_group_routing(
     """Assign every requested group to the best servable model or to exact.
 
     The store is consulted once: candidates are ranked up front and their
-    fit records indexed by (re-aligned) group key, so routing stays
-    O(groups + models·records) instead of re-filtering the store per group.
+    fitted rows indexed by (re-aligned) group key, so routing stays
+    O(groups + models·groups) instead of re-filtering the store per group.
     ``models`` restricts routing to a pre-filtered candidate list (the
     grouped route passes the models that can honor the query's predicates).
     A stale model serves until maintenance replaces it; a group serves from
@@ -151,37 +149,28 @@ def plan_group_routing(
     ranked = sorted(candidates, key=_default_ranking, reverse=True)
     indexed: list[tuple[CapturedModel, dict[tuple[Any, ...], int], np.ndarray]] = []
     for model in ranked:
-        positions = [model.group_columns.index(column) for column in group_columns]
-        index: dict[tuple[Any, ...], int] = {}
-        for position, record in enumerate(model.fit.records):  # type: ignore[union-attr]
-            if record.result is not None:
-                index[tuple(record.key[p] for p in positions)] = position
-        finite = np.isfinite(model.fit.stacked().params).all(axis=1)  # type: ignore[union-attr]
-        indexed.append((model, index, finite))
+        fit: GroupedFitResult = model.fit  # type: ignore[assignment]
+        fitted = np.flatnonzero(fit.succeeded)
+        aligned = zip(*(fit.key_columns[model.group_columns.index(c)].take(fitted).to_pylist() for c in group_columns))
+        finite = np.isfinite(fit.params).all(axis=1)
+        indexed.append((model, dict(zip(aligned, fitted.tolist())), finite))
 
     for key in requested_keys:
-        assignment = GroupAssignment(
-            key=key, model=None, fit=None, reason="no servable per-group fit"
-        )
+        assignment = GroupAssignment(key=key, model=None, reason="no servable per-group fit")
         for model, index, finite in indexed:
-            position = index.get(key)
-            if position is None:
+            row = index.get(key)
+            if row is None:
                 continue
-            if not finite[position]:
+            if not finite[row]:
                 assignment = GroupAssignment(
                     key=key,
                     model=None,
-                    fit=None,
                     reason=f"per-group fit of model#{model.model_id} has non-finite parameters",
                 )
                 continue
             status = "" if model.status == "active" else f" ({model.status})"
             assignment = GroupAssignment(
-                key=key,
-                model=model,
-                fit=model.fit.records[position].result,  # type: ignore[union-attr]
-                reason=f"model#{model.model_id}{status}",
-                record_position=position,
+                key=key, model=model, reason=f"model#{model.model_id}{status}", row=row
             )
             break
         plan.assignments.append(assignment)

@@ -439,7 +439,7 @@ class ModelHarvester:
             min_observations=min_observations,
         )
         grouped = fitter.fit(table)
-        quality, fraction = judge_grouped(grouped.records)
+        quality, fraction = judge_grouped(grouped)
         return grouped, quality, fraction
 
     # -- UDF interception path ------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.fitting.grouped import GroupedFitResult
 from repro.fitting.metrics import FTestResult, f_test_against_constant
 from repro.fitting.model import FitResult
 
@@ -130,7 +131,7 @@ def judge_fit(
     )
 
 
-def judge_grouped(records: list) -> tuple[ModelQuality, float]:
+def judge_grouped(grouped: GroupedFitResult) -> tuple[ModelQuality, float]:
     """Aggregate quality over a grouped fit.
 
     Returns ``(overall_quality, pass_fraction_weightable)`` where the overall
@@ -138,8 +139,8 @@ def judge_grouped(records: list) -> tuple[ModelQuality, float]:
     second element is the fraction of groups that fitted successfully (the
     policy separately checks the per-group pass fraction).
     """
-    fitted = [record for record in records if record.result is not None]
-    if not fitted:
+    fitted = grouped.succeeded
+    if not fitted.any():
         return ModelQuality(
             r_squared=0.0,
             adjusted_r_squared=0.0,
@@ -147,13 +148,13 @@ def judge_grouped(records: list) -> tuple[ModelQuality, float]:
             n_observations=0,
         ), 0.0
 
-    weights = np.array([record.result.n_observations for record in fitted], dtype=np.float64)
+    weights = grouped.n_obs[fitted].astype(np.float64)
     weights = weights / weights.sum()
-    r2 = float(np.sum(weights * np.array([record.result.r_squared for record in fitted])))
-    adj = float(np.sum(weights * np.array([record.result.adjusted_r_squared for record in fitted])))
-    rse = float(np.sum(weights * np.array([record.result.residual_standard_error for record in fitted])))
-    n_total = int(sum(record.result.n_observations for record in fitted))
-    fitted_fraction = len(fitted) / len(records)
+    r2 = float(np.sum(weights * grouped.r_squared[fitted]))
+    adj = float(np.sum(weights * grouped.adjusted_r_squared[fitted]))
+    rse = float(np.sum(weights * grouped.rse[fitted]))
+    n_total = int(grouped.n_obs[fitted].sum())
+    fitted_fraction = int(np.count_nonzero(fitted)) / grouped.num_groups
     return (
         ModelQuality(
             r_squared=r2,

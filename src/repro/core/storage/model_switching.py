@@ -151,7 +151,7 @@ class ModelLifecycleManager:
     @staticmethod
     def _effective_num_params(model: CapturedModel) -> int:
         if model.is_grouped:
-            fitted_groups = len([r for r in model.fit.records if r.result is not None])  # type: ignore[union-attr]
+            fitted_groups = int(np.count_nonzero(model.fit.succeeded))  # type: ignore[union-attr]
             return max(fitted_groups, 1) * model.fit.family.num_params  # type: ignore[union-attr]
         return model.fit.family.num_params
 

@@ -9,6 +9,7 @@ the FunctionDB baseline needs.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -310,8 +311,8 @@ class Sinusoid(ModelFamily):
         return "a * sin(omega*x + phi) + c"
 
 
-#: Registry used by the formula parser: family name -> constructor.
-FAMILY_REGISTRY = {
+#: Registry used by the formula parser: family name -> constructor (read-only).
+FAMILY_REGISTRY = MappingProxyType({
     "powerlaw": PowerLaw,
     "exponential": Exponential,
     "linear": LinearModel,
@@ -320,7 +321,7 @@ FAMILY_REGISTRY = {
     "constant": Constant,
     "logistic": Logistic,
     "sinusoid": Sinusoid,
-}
+})
 
 
 def family_by_name(name: str, **kwargs) -> ModelFamily:

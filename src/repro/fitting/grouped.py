@@ -2,14 +2,15 @@
 
 The LOFAR example fits one power law *per source*: the result is a parameter
 table with one row per group (source, p, alpha, residual SE) — the paper's
-Table 1.  :class:`GroupedFitter` produces exactly that, including the cases
-the paper warns about (groups with too few observations, groups where the
-optimiser fails), which are recorded rather than silently dropped.
+Table 1.  :class:`GroupedFitter` produces exactly that table, including the
+cases the paper warns about (groups with too few observations, groups where
+the optimiser fails), which keep their row rather than being silently
+dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,141 +23,131 @@ from repro.db.types import DataType
 from repro.errors import FittingError, InsufficientDataError
 from repro.fitting.fit import fit_model
 from repro.fitting.model import FitResult, ModelFamily
+from repro.lazy import lazy_attribute
 
 __all__ = [
-    "GroupFitRecord",
+    "TABLE_COLUMNS",
     "GroupedFitResult",
     "GroupedFitter",
-    "StackedFits",
     "fit_grouped",
     "group_rows",
 ]
 
 
-def group_rows(
-    key_columns: Sequence[Column | Sequence[Any]],
-) -> tuple[list[tuple[Any, ...]], list[np.ndarray]]:
+def group_rows(key_columns: Sequence[Column]) -> tuple[list[Column], list[np.ndarray]]:
     """Split row positions by composite group key, without a per-row loop.
 
-    Returns ``(keys, rows)``: the distinct keys in first-occurrence order and,
-    aligned with them, each group's row positions in ascending order.  Rows
-    with a NULL in any key column belong to no group and appear nowhere.
-    Key columns given as plain value sequences are typed by inference.
+    Returns ``(keys, rows)``: one column per key column holding the distinct
+    keys in first-occurrence order, typed like the input, and, aligned with
+    them, each group's row positions in ascending order.  Rows with a NULL in
+    any key column belong to no group and appear nowhere.
     """
-    columns = [c if isinstance(c, Column) else Column.infer(c) for c in key_columns]
-    num_rows = len(columns[0])
-    if num_rows == 0:
-        return [], []
-    group_ids, first_rows, num_groups = factorize_keys(columns, num_rows)
+    num_rows = len(key_columns[0])
+    group_ids, first_rows, num_groups = factorize_keys(list(key_columns), num_rows)
     order = argsort_codes(group_ids, num_groups)
     sizes = np.bincount(group_ids, minlength=num_groups)
-    rows = np.split(order, np.cumsum(sizes)[:-1])
-    keys = list(zip(*(column.take(first_rows).to_pylist() for column in columns)))
+    rows = np.split(order, np.cumsum(sizes)[:-1]) if num_groups else []
     # NULL is a key value of its own to ``factorize_keys``, so a group is
     # either wholly NULL-keyed or not at all.
-    kept = [g for g, key in enumerate(keys) if None not in key]
-    if len(kept) == num_groups:
-        return keys, rows
-    return [keys[g] for g in kept], [rows[g] for g in kept]
+    keys = [column.take(first_rows) for column in key_columns]
+    kept = np.flatnonzero(~np.logical_or.reduce([key.null_mask() for key in keys]))
+    return [key.take(kept) for key in keys], [rows[g] for g in kept]
 
 
-@dataclass
-class GroupFitRecord:
-    """One group's fit outcome (or failure)."""
+#: Rows :meth:`GroupedFitResult.predict_rows` evaluates per block.
+PREDICT_BLOCK_ROWS = 16_384
 
-    key: tuple[Any, ...]
-    result: FitResult | None
-    error: str | None = None
-    n_observations: int = 0
-
-    @property
-    def succeeded(self) -> bool:
-        return self.result is not None
-
-
-@dataclass(frozen=True)
-class StackedFits:
-    """A grouped fit's records as aligned arrays — the parameter table.
-
-    Row ``i`` describes ``records[i]``; records without a fit hold NaN
-    parameters and a NaN residual standard error, so anything computed from
-    their row is NaN rather than silently wrong.
-    """
-
-    #: group key -> record position.
-    index: dict[tuple[Any, ...], int]
-    #: Whether the record holds a fit at all.
-    fitted: np.ndarray
-    #: ``(records, parameters)`` matrix of fitted parameter values.
-    params: np.ndarray
-    #: Residual standard error and R² per record.
-    rse: np.ndarray
-    r_squared: np.ndarray
-    #: Observations each record was fitted on (counted even when it failed).
-    n_obs: np.ndarray
-
-    @classmethod
-    def of(cls, records: Sequence[GroupFitRecord], num_params: int) -> "StackedFits":
-        fitted = np.zeros(len(records), dtype=bool)
-        params = np.full((len(records), num_params), np.nan)
-        rse = np.full(len(records), np.nan)
-        r_squared = np.full(len(records), np.nan)
-        n_obs = np.array([record.n_observations for record in records], dtype=np.float64)
-        for position, record in enumerate(records):
-            fit = record.result
-            if fit is not None:
-                fitted[position] = True
-                params[position] = fit.params
-                rse[position] = fit.residual_standard_error
-                r_squared[position] = fit.r_squared
-                n_obs[position] = fit.n_observations
-        index = {record.key: position for position, record in enumerate(records)}
-        return cls(index, fitted, params, rse, r_squared, n_obs)
+#: The parameter table's per-group columns: name, the FitResult field each
+#: row holds, dtype, and how many parameter-sized axes follow the group axis.
+TABLE_COLUMNS = (
+    ("params", "params", np.float64, 1),
+    ("rse", "residual_standard_error", np.float64, 0),
+    ("r_squared", "r_squared", np.float64, 0),
+    ("adjusted_r_squared", "adjusted_r_squared", np.float64, 0),
+    ("sse", "sum_squared_residuals", np.float64, 0),
+    ("n_obs", "n_observations", np.int64, 0),
+    ("covariance", "covariance", np.float64, 2),
+    ("iterations", "iterations", np.int64, 0),
+    ("converged", "converged", np.bool_, 0),
+)
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupedFitResult:
-    """All per-group fits plus the derived parameter table.
+    """A grouped fit as its parameter table: row ``g`` is group ``g``.
 
-    ``records`` is the source of truth (capture and the warehouse restore
-    path append to it); :meth:`stacked` is its columnar view, built on first
-    use and rebuilt when records were appended since.
+    Groups are numbered by first occurrence in the fitted table.  A group
+    whose fit failed keeps its row, with NaN parameters, quality measures and
+    covariance and the reason in :attr:`errors`, so anything computed from it
+    is NaN rather than silently wrong.  :meth:`result_for` is one fitted
+    row's :class:`FitResult` view.
     """
 
     family: ModelFamily
     group_columns: tuple[str, ...]
     input_columns: tuple[str, ...]
     output_column: str
-    records: list[GroupFitRecord] = field(default_factory=list)
-    _stacked: StackedFits | None = field(default=None, init=False, repr=False, compare=False)
+    #: What every fitted row's FitResult records beside its numbers, as the fitter gave them.
+    input_names: tuple[str, ...]
+    extra: dict[str, Any]
+    #: One column per group column, typed like the fitted table's.
+    key_columns: tuple[Column, ...]
+    #: ``(G, P)`` parameter estimates.
+    params: np.ndarray
+    #: Residual standard error, R², adjusted R² and sum of squared residuals.
+    rse: np.ndarray
+    r_squared: np.ndarray
+    adjusted_r_squared: np.ndarray
+    sse: np.ndarray
+    #: The fit's observation count; for a failed group, its usable rows.
+    n_obs: np.ndarray
+    #: ``(G, P, P)`` covariance of the estimates; all NaN where none was estimated.
+    covariance: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    #: Why a group has no fit; None where it was fitted.
+    errors: tuple[str | None, ...]
 
-    # -- access --------------------------------------------------------------
+    @lazy_attribute
+    def keys(self) -> list[tuple[Any, ...]]:
+        """Row ``g``'s group key as python values."""
+        return list(zip(*(column.to_pylist() for column in self.key_columns)))
 
-    def stacked(self) -> StackedFits:
-        """The records as one parameter matrix plus a key -> row index."""
-        view = self._stacked
-        if view is None or len(view.fitted) != len(self.records):
-            view = self._stacked = StackedFits.of(self.records, self.family.num_params)
-        return view
+    @lazy_attribute
+    def index(self) -> dict[tuple[Any, ...], int]:
+        """Group key -> row."""
+        return {key: row for row, key in enumerate(self.keys)}
 
-    @property
-    def fitted(self) -> list[GroupFitRecord]:
-        return [record for record in self.records if record.succeeded]
-
-    @property
-    def failed(self) -> list[GroupFitRecord]:
-        return [record for record in self.records if not record.succeeded]
+    @lazy_attribute
+    def succeeded(self) -> np.ndarray:
+        """Whether row ``g`` holds a fit."""
+        return np.array([error is None for error in self.errors], dtype=bool)
 
     @property
     def num_groups(self) -> int:
-        return len(self.records)
+        return len(self.errors)
+
+    @lazy_attribute
+    def _views(self) -> dict[int, FitResult]:
+        """The :meth:`result_for` views built so far, by row (the table never changes)."""
+        return {}
 
     def result_for(self, key: tuple[Any, ...] | Any) -> FitResult | None:
-        """The FitResult for one group key (scalar keys are auto-wrapped)."""
-        if not isinstance(key, tuple):
-            key = (key,)
-        position = self.stacked().index.get(key)
-        return None if position is None else self.records[position].result
+        """The FitResult view of one group key (scalar keys are auto-wrapped);
+        None for a key without a fit."""
+        row = self.index.get(key if isinstance(key, tuple) else (key,))
+        if row is None or self.errors[row] is not None:
+            return None
+        if row not in self._views:
+            cells = {field: getattr(self, name)[row] for name, field, _, _ in TABLE_COLUMNS}
+            cells = {field: cell.item() if cell.ndim == 0 else cell for field, cell in cells.items()}
+            if np.isnan(cells["covariance"]).all():
+                cells["covariance"] = None
+            self._views[row] = FitResult(
+                family=self.family, input_names=self.input_names, output_name=self.output_column,
+                extra=dict(self.extra), **cells,
+            )  # fmt: skip
+        return self._views[row]
 
     def predict_rows(
         self,
@@ -164,87 +155,44 @@ class GroupedFitResult:
         key_columns: Sequence[Column | Sequence[Any]],
         fill: float = np.nan,
     ) -> np.ndarray:
-        """Per-row predictions over column arrays aligned with ``key_columns``.
+        """Per-row predictions over column arrays aligned with ``key_columns``
+        (plain value sequences are typed by inference).
 
-        Each row is predicted by its own group's fit; rows whose group has no
-        fitted parameters (failed fit, unseen or NULL key) come back ``fill``.
+        One key -> row gather, then each row evaluated under its own group's
+        parameter row; rows whose group has no fit (failed fit, unseen or
+        NULL key) come back ``fill``.
         """
-        keys, group_row_positions = group_rows(key_columns)
-        predictions = np.full(len(key_columns[0]), fill, dtype=np.float64)
-        for key, rows in zip(keys, group_row_positions):
-            fit = self.result_for(key)
-            if fit is not None:
-                predictions[rows] = fit.predict(
-                    {name: values[rows] for name, values in inputs.items()}
+        columns = [c if isinstance(c, Column) else Column.infer(c) for c in key_columns]
+        group_ids, first_rows, _ = factorize_keys(columns, len(columns[0]))
+        distinct = zip(*(column.take(first_rows).to_pylist() for column in columns))
+        fitted = self.succeeded
+        lookup = [-1 if row is None or not fitted[row] else row for row in map(self.index.get, distinct)]
+        rows = np.take(np.array(lookup, dtype=np.int64), group_ids, out=group_ids, mode="clip")  # in place
+        predictions = np.full(len(rows), fill, dtype=np.float64)
+        # Row blocks bound the memory of the gathered parameters and design matrix.
+        for start in range(0, len(rows), PREDICT_BLOCK_ROWS):
+            served = np.flatnonzero(rows[start : start + PREDICT_BLOCK_ROWS] >= 0) + start
+            if served.size:
+                predictions[served] = self.family.predict_rowwise(
+                    {name: np.asarray(inputs[name], dtype=np.float64)[served] for name in self.input_columns},
+                    self.params[rows[served]],
                 )
         return predictions
 
-    def params_by_key(self) -> dict[tuple[Any, ...], dict[str, float]]:
-        return {record.key: record.result.param_dict for record in self.records if record.result is not None}
-
-    # -- the paper's parameter table ------------------------------------------
-
     def to_parameter_table(self, name: str = "model_parameters") -> Table:
-        """Build the Table 1 style parameter table.
+        """The Table 1 style parameter table of the fitted groups.
 
         Columns: the group key columns, one column per model parameter, and
         the per-group quality measures (residual SE, R², #observations).
         """
-        defs: list[ColumnDef] = []
-        data: dict[str, list[Any]] = {}
-
-        sample_key = self.records[0].key if self.records else tuple()
-        for index, column in enumerate(self.group_columns):
-            key_value = sample_key[index] if index < len(sample_key) else None
-            dtype = DataType.infer(key_value) if key_value is not None else DataType.INT64
-            defs.append(ColumnDef(column, dtype))
-            data[column] = []
-
-        for param in self.family.param_names:
-            defs.append(ColumnDef(param, DataType.FLOAT64))
-            data[param] = []
-        for metric in ("residual_se", "r_squared", "n_obs"):
-            dtype = DataType.INT64 if metric == "n_obs" else DataType.FLOAT64
-            defs.append(ColumnDef(metric, dtype))
-            data[metric] = []
-
-        for record in self.records:
-            if record.result is None:
-                continue
-            for index, column in enumerate(self.group_columns):
-                data[column].append(record.key[index])
-            for param, value in zip(self.family.param_names, record.result.params):
-                data[param].append(float(value))
-            data["residual_se"].append(record.result.residual_standard_error)
-            data["r_squared"].append(record.result.r_squared)
-            data["n_obs"].append(record.result.n_observations)
-
-        return Table(name, Schema(defs), {
-            col_def.name: _column_from(col_def.dtype, data[col_def.name]) for col_def in defs
-        })
-
-    def byte_size(self) -> int:
-        """Nominal size of the parameter table (for the compression ratio)."""
-        return self.to_parameter_table().byte_size()
-
-    def anomaly_ranking(self) -> list[tuple[tuple[Any, ...], float]]:
-        """Groups ranked by residual standard error, worst fit first.
-
-        §4.2: "observations that do not fit the model are of supreme
-        interest ... showing large residual errors".
-        """
-        ranked = [
-            (record.key, record.result.residual_standard_error)
-            for record in self.records
-            if record.result is not None
-        ]
-        return sorted(ranked, key=lambda pair: pair[1], reverse=True)
-
-
-def _column_from(dtype: DataType, values: list[Any]):
-    from repro.db.column import Column
-
-    return Column.from_values(dtype, values)
+        fitted = np.flatnonzero(self.succeeded)
+        columns = {column: keys.take(fitted) for column, keys in zip(self.group_columns, self.key_columns)}
+        for position, param in enumerate(self.family.param_names):
+            columns[param] = Column(DataType.FLOAT64, self.params[fitted, position])
+        columns["residual_se"] = Column(DataType.FLOAT64, self.rse[fitted])
+        columns["r_squared"] = Column(DataType.FLOAT64, self.r_squared[fitted])
+        columns["n_obs"] = Column(DataType.INT64, self.n_obs[fitted])
+        return Table(name, Schema(ColumnDef(n, c.dtype) for n, c in columns.items()), columns)
 
 
 class GroupedFitter:
@@ -272,15 +220,8 @@ class GroupedFitter:
         self.method = method
 
     def fit(self, table: Table) -> GroupedFitResult:
-        """Fit the model for every group of ``table``."""
-        result = GroupedFitResult(
-            family=self.family,
-            group_columns=self.group_columns,
-            input_columns=self.input_columns,
-            output_column=self.output_column,
-        )
-
-        keys, group_row_positions = group_rows(
+        """Fit the model for every group of ``table`` into one parameter table."""
+        key_columns, group_row_positions = group_rows(
             [table.column(name) for name in self.group_columns]
         )
         input_arrays = {name: table.column(name).float_numpy() for name in self.input_columns}
@@ -288,39 +229,58 @@ class GroupedFitter:
         output_array = table.column(self.output_column).float_numpy()
         output_validity = table.column(self.output_column).validity
 
-        for key, rows in zip(keys, group_row_positions):
+        fits: list[FitResult | str] = []
+        usable: list[int] = []
+        for rows in group_row_positions:
             valid = output_validity[rows]
             for name in self.input_columns:
                 valid &= input_validity[name][rows]
             rows = rows[valid]
-
+            usable.append(len(rows))
             if len(rows) < self.min_observations:
-                result.records.append(
-                    GroupFitRecord(
-                        key=key,
-                        result=None,
-                        error=f"only {len(rows)} usable observations (< {self.min_observations})",
-                        n_observations=len(rows),
-                    )
-                )
+                fits.append(f"only {len(rows)} usable observations (< {self.min_observations})")
                 continue
-
-            inputs = {name: input_arrays[name][rows] for name in self.input_columns}
-            y = output_array[rows]
             try:
-                fit = fit_model(
+                fits.append(fit_model(
                     self.family,
-                    inputs,
-                    y,
+                    {name: input_arrays[name][rows] for name in self.input_columns},
+                    output_array[rows],
                     output_name=self.output_column,
                     method=self.method,
-                )
-                result.records.append(GroupFitRecord(key=key, result=fit, n_observations=len(rows)))
+                ))
             except (FittingError, InsufficientDataError, np.linalg.LinAlgError) as exc:
-                result.records.append(
-                    GroupFitRecord(key=key, result=None, error=str(exc), n_observations=len(rows))
-                )
-        return result
+                fits.append(str(exc))
+        return self.table(key_columns, fits, usable)
+
+    def table(
+        self, key_columns: Sequence[Column], fits: Sequence[FitResult | str], usable: Sequence[int]
+    ) -> GroupedFitResult:
+        """The parameter table of per-group outcomes, filled once: ``fits[g]``
+        is group ``g``'s fit, or why it has none after ``usable[g]`` rows were
+        left to fit."""
+        num_params = self.family.num_params
+        missing = np.full((num_params, num_params), np.nan)
+        first = next((fit for fit in fits if not isinstance(fit, str)), None)
+        rows = [
+            FitResult(self.family, missing[0], (), "", count, *[np.nan] * 4, converged=False)
+            if isinstance(fit, str) else fit
+            for fit, count in zip(fits, usable)
+        ]
+        return GroupedFitResult(
+            self.family, self.group_columns, self.input_columns, self.output_column,
+            self.input_columns if first is None else first.input_names,
+            {} if first is None else dict(first.extra),
+            tuple(key_columns),
+            errors=tuple(fit if isinstance(fit, str) else None for fit in fits),
+            **{
+                name: np.array(
+                    [missing if value is None else value for value in (getattr(fit, field) for fit in rows)],
+                    dtype=dtype,
+                ).reshape(len(rows), *(num_params,) * axes)
+                for name, field, dtype, axes in TABLE_COLUMNS
+            },
+        )
+
 
 def fit_grouped(
     table: Table,

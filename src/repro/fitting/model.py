@@ -62,6 +62,19 @@ class ModelFamily:
             return params @ self.design_matrix(inputs).T
         return np.stack([np.asarray(self.predict(inputs, row), dtype=np.float64) for row in params])
 
+    def predict_rowwise(self, inputs: Mapping[str, np.ndarray] | np.ndarray, params: np.ndarray) -> np.ndarray:
+        """Evaluate input point ``i`` under row ``i`` of an ``(n, P)`` parameter matrix.
+
+        The twin of :meth:`predict_many` for a grouped model predicting each
+        stored row under its own group's parameters.  Families linear in
+        their parameters take a row-wise product with the design matrix; the
+        others evaluate their formula with each parameter as a vector.
+        """
+        params = np.asarray(params, dtype=np.float64)
+        if self.is_linear:
+            return np.einsum("ij,ij->i", self.design_matrix(inputs), params)
+        return np.asarray(self.predict(inputs, params.T), dtype=np.float64)
+
     # -- linear families --------------------------------------------------------
 
     def design_matrix(self, inputs: Mapping[str, np.ndarray] | np.ndarray) -> np.ndarray:

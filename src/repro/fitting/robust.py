@@ -9,6 +9,7 @@ one of the extension points the paper leaves open.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -55,10 +56,10 @@ def _mad_scale(residuals: np.ndarray) -> float:
     return mad / 0.6745 if mad > 0 else float(np.std(residuals))
 
 
-_WEIGHT_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+_WEIGHT_FUNCTIONS: Mapping[str, Callable[[np.ndarray], np.ndarray]] = MappingProxyType({
     "huber": huber_weights,
     "bisquare": bisquare_weights,
-}
+})
 
 
 def fit_robust(

@@ -16,6 +16,7 @@ process version loads in another as long as the format version matches.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Mapping
 
 import numpy as np
@@ -23,9 +24,11 @@ import numpy as np
 from repro.core.captured_model import CapturedModel, ModelCoverage
 from repro.core.model_store import ModelStore
 from repro.core.quality import ModelQuality
-from repro.errors import FormatVersionError, PersistenceError, WarehouseError
+from repro.db.column import Column
+from repro.db.types import DataType
+from repro.errors import FormatVersionError, PersistenceError, TypeMismatchError, WarehouseError
 from repro.fitting.families import LinearModel, Polynomial, family_by_name
-from repro.fitting.grouped import GroupFitRecord, GroupedFitResult
+from repro.fitting.grouped import TABLE_COLUMNS, GroupedFitResult, GroupedFitter
 from repro.fitting.metrics import FTestResult
 from repro.fitting.model import FitResult, ModelFamily
 from repro.fitting.piecewise import PiecewisePolynomial, Segment
@@ -39,7 +42,7 @@ __all__ = [
     "restore_store",
 ]
 
-WAREHOUSE_FORMAT_VERSION = 1
+WAREHOUSE_FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +142,10 @@ def _fit_result_from_payload(payload: dict[str, Any]) -> FitResult:
     family = _family_from_payload(payload["family"])
     params = np.asarray(payload["params"], dtype=np.float64)
     input_names = tuple(payload["input_names"])
-    # Backward-tolerant decoding (missing fields default) means a silently
-    # corrupted key can decode into an *internally inconsistent* fit — e.g.
-    # a linear family defaulting to input "x" while the fit was over "t" —
-    # which would only explode (untyped) at serve time.  Cross-check here so
-    # corruption surfaces as a typed error and quarantines the entry.  Only
-    # LinearModel carries its own input names (and looks inputs up by them);
-    # every other family uses a fixed "x" placeholder, so the fit's recorded
-    # column names legitimately differ there.
+    # Tolerant decoding (missing fields default) lets a corrupted key decode
+    # into an inconsistent fit that would only explode, untyped, at serve
+    # time: refuse it here so the entry quarantines.  Only LinearModel looks
+    # its inputs up by name; other families use a fixed "x" placeholder.
     if isinstance(family, LinearModel) and tuple(family.input_names) != input_names:
         raise PersistenceError(
             f"warehouse fit payload is inconsistent: family expects inputs "
@@ -176,42 +175,52 @@ def _fit_result_from_payload(payload: dict[str, Any]) -> FitResult:
 
 
 def _grouped_payload(fit: GroupedFitResult) -> dict[str, Any]:
-    records = []
-    for record in fit.records:
-        records.append(
-            {
-                "key": [_jsonable(part) for part in record.key],
-                "n_observations": int(record.n_observations),
-                "error": record.error,
-                "result": None if record.result is None else _fit_result_payload(record.result),
-            }
-        )
+    """The parameter table once per model, one JSON list per column: a key,
+    a parameter, a covariance cell, a per-group measure."""
     return {
         "family": _family_payload(fit.family),
         "group_columns": list(fit.group_columns),
         "input_columns": list(fit.input_columns),
         "output_column": fit.output_column,
-        "records": records,
+        "input_names": list(fit.input_names),
+        "extra": _jsonable(fit.extra),
+        "keys": [[column.dtype.value, column.to_pylist()] for column in fit.key_columns],
+        **{name: getattr(fit, name).reshape(fit.num_groups, fit.family.num_params**axes).T.tolist()
+           for name, _, _, axes in TABLE_COLUMNS},
+        "errors": list(fit.errors),
     }
 
 
 def _grouped_from_payload(payload: dict[str, Any]) -> GroupedFitResult:
-    result = GroupedFitResult(
-        family=_family_from_payload(payload["family"]),
-        group_columns=tuple(payload["group_columns"]),
-        input_columns=tuple(payload["input_columns"]),
-        output_column=payload["output_column"],
+    family = _family_from_payload(payload["family"])
+    groups, inputs = tuple(payload["group_columns"]), tuple(payload["input_columns"])
+    if "records" in payload:
+        # Format 1: one nested fit per group.  ``n_obs`` takes the fit's count
+        # for a fitted group (format 1 also kept the group's usable rows, which
+        # an ``inf`` output exceeds) and the usable rows for a failed one.
+        records = payload["records"]
+        fits = [
+            (record["error"] or "no fit") if record["result"] is None else _fit_result_from_payload(record["result"])
+            for record in records
+        ]
+        keys = [Column.infer([record["key"][i] for record in records]) for i in range(len(groups))]
+        fitter = GroupedFitter(family, inputs, payload["output_column"], groups)
+        return fitter.table(keys, fits, [record["n_observations"] for record in records])
+    errors, input_names = tuple(payload["errors"]), tuple(payload["input_names"])
+    keys = tuple(Column.from_values(DataType(dtype), values) for dtype, values in payload["keys"])
+    if len(keys) != len(groups) or any(len(column) != len(errors) for column in keys) or (
+        isinstance(family, LinearModel) and tuple(family.input_names) != input_names
+    ):
+        raise PersistenceError(f"warehouse grouped payload is inconsistent with {groups!r} / {input_names!r}")
+    return GroupedFitResult(
+        family, groups, inputs, payload["output_column"], input_names, dict(payload["extra"]), keys,
+        errors=errors,
+        # A column of the wrong length fails its reshape: a corrupt entry is refused.
+        **{
+            name: np.array(payload[name], dtype=dtype).T.reshape(len(errors), *(family.num_params,) * axes)
+            for name, _, dtype, axes in TABLE_COLUMNS
+        },
     )
-    for record in payload["records"]:
-        result.records.append(
-            GroupFitRecord(
-                key=tuple(record["key"]),
-                result=None if record["result"] is None else _fit_result_from_payload(record["result"]),
-                error=record.get("error"),
-                n_observations=int(record.get("n_observations", 0)),
-            )
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -220,35 +229,18 @@ def _grouped_from_payload(payload: dict[str, Any]) -> GroupedFitResult:
 
 
 def _quality_payload(quality: ModelQuality) -> dict[str, Any]:
-    f_test = None
-    if quality.f_test is not None:
-        f_test = {
-            "f_statistic": float(quality.f_test.f_statistic),
-            "p_value": float(quality.f_test.p_value),
-            "df_numerator": int(quality.f_test.df_numerator),
-            "df_denominator": int(quality.f_test.df_denominator),
-        }
-    return {
-        "r_squared": float(quality.r_squared),
-        "adjusted_r_squared": float(quality.adjusted_r_squared),
-        "residual_standard_error": float(quality.residual_standard_error),
-        "n_observations": int(quality.n_observations),
-        "f_test": f_test,
-        "relative_rse": None if quality.relative_rse is None else float(quality.relative_rse),
-    }
+    return _jsonable(asdict(quality))
 
 
 def _quality_from_payload(payload: dict[str, Any]) -> ModelQuality:
-    f_test = payload.get("f_test")
+    f_test, relative_rse = payload.get("f_test"), payload.get("relative_rse")
     return ModelQuality(
         r_squared=float(payload["r_squared"]),
         adjusted_r_squared=float(payload["adjusted_r_squared"]),
         residual_standard_error=float(payload["residual_standard_error"]),
         n_observations=int(payload["n_observations"]),
         f_test=None if f_test is None else FTestResult(**f_test),
-        relative_rse=(
-            None if payload.get("relative_rse") is None else float(payload["relative_rse"])
-        ),
+        relative_rse=None if relative_rse is None else float(relative_rse),
     )
 
 
@@ -299,7 +291,7 @@ def deserialize_model(payload: dict[str, Any]) -> CapturedModel:
         return _deserialize_model(payload)
     except PersistenceError:
         raise
-    except (KeyError, ValueError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, AttributeError, TypeMismatchError) as exc:
         model_id = payload.get("model_id", "?") if isinstance(payload, dict) else "?"
         raise WarehouseError(
             f"warehouse entry for model {model_id!r} cannot be decoded: {exc!r}"

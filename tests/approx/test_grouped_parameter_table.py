@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import dataclasses
 import math
 from unittest import mock
 
@@ -28,11 +27,13 @@ from repro.core.approx.routes.grouped import GroupedRoutePlan, analyse_grouped_s
 from repro.core.approx.routes.router import plan_group_routing
 from repro.core.captured_model import CapturedModel, ModelCoverage
 from repro.core.quality import ModelQuality
+from repro.db.column import Column
 from repro.db.constraints import extract_constraints
 from repro.db.sql.parser import parse
 from repro.db.table import Table
+from repro.db.types import DataType
 from repro.fitting.families import Constant, LinearModel, PowerLaw
-from repro.fitting.grouped import GroupedFitResult, GroupedFitter, GroupFitRecord
+from repro.fitting.grouped import GroupedFitResult, GroupedFitter
 from repro.fitting.model import FitResult, ModelFamily
 
 from tests.conftest import APPROX
@@ -146,17 +147,18 @@ def reference_per_group(model: CapturedModel, stats, constraints, specs) -> dict
     growth = max(stats.row_count, 1) / model.fitted_row_count if whole else 1.0
     appended = abs(float(stats.row_count - model.fitted_row_count)) if whole else None
     answers: dict[tuple, dict] = {}
-    for record in model.fit.records:
-        if record.result is None:
+    for key in model.fit.keys:
+        fit = model.fit.result_for(key)
+        if fit is None:
             continue
-        if not all(constraints.admits(c, record.key[i]) for i, c in enumerate(model.group_columns)):
+        if not all(constraints.admits(c, key[i]) for i, c in enumerate(model.group_columns)):
             continue
-        if live is not None and record.key in live:
-            observations, scale, stale = live[record.key], 1.0, 0.0
+        if live is not None and key in live:
+            observations, scale, stale = live[key], 1.0, 0.0
         else:
-            observations, scale, stale = record.result.n_observations, growth, appended
+            observations, scale, stale = fit.n_observations, growth, appended
         answer = reference_aggregates(
-            record.result,
+            fit,
             model.input_columns,
             restriction,
             observations,
@@ -167,7 +169,7 @@ def reference_per_group(model: CapturedModel, stats, constraints, specs) -> dict
             specs=specs,
         )
         if answer is not None:
-            answers[record.key] = answer
+            answers[key] = answer
     return answers
 
 
@@ -201,7 +203,7 @@ def reference_combined(model: CapturedModel, stats, constraints, specs) -> dict[
         else:
             chooser = min if spec.function == "min" else max
             index = chooser(range(len(pairs)), key=lambda i: pairs[i][0])
-            rse = next(r for r in model.fit.records if r.key == list(groups)[index]).result.residual_standard_error
+            rse = model.fit.result_for(list(groups)[index]).residual_standard_error
             out[spec.name] = (pairs[index][0], rse * math.sqrt(2.0 * math.log(max(total, 2.0))))
     return out
 
@@ -332,7 +334,7 @@ class TestBatchedEqualsPerGroup:
         report = db.fit("t", "y ~ linear(x)", group_by=["region", "unit"])
         assert report.accepted
         # Capture numbered the groups by first occurrence, keys as python values.
-        assert [r.key for r in report.model.fit.records] == [
+        assert report.model.fit.keys == [
             (r, u) for r in ("north", "south", "east") for u in (10, 20)
         ]
         answer, reference = _grouped(
@@ -355,7 +357,8 @@ class TestBatchedEqualsPerGroup:
         db = LawsDatabase()
         db.load_dict("t", {"g": g[:-6], "x": x[:-6], "y": y[:-6]})  # group 4 loses rows too
         report = db.fit("t", "y ~ linear(x)", group_by="g", min_observations=9)
-        failed = [r.key for r in report.model.fit.records if not r.succeeded]
+        fit = report.model.fit
+        failed = [key for key, ok in zip(fit.keys, fit.succeeded) if not ok]
         assert failed == [(3,)]
         answer, reference = _grouped(db, f"SELECT g, {ALL_AGGREGATES} FROM t GROUP BY g")
         assert answer.route == "grouped-hybrid"
@@ -407,7 +410,7 @@ class TestBatchedEqualsPerGroup:
         stats = db.database.stats("t")
         # Planned by hand: on its own a partial model cannot prove the group
         # set complete, which is the planner's concern, not the evaluation's.
-        keys = [record.key for record in model.fit.records]
+        keys = model.fit.keys
         routing = plan_group_routing(db.models, "t", "y", ("a", "b"), keys, models=[model])
         route_plan = GroupedRoutePlan(analysis, [model], routing)
         answer = db.approx.answer(sql, allow_fallback=False, grouped_route_plan=route_plan)
@@ -418,19 +421,14 @@ class TestBatchedEqualsPerGroup:
         """A model with no inputs predicts one value per group."""
         family = Constant()
         levels = {(1,): 4.0, (2,): -2.5, (3,): 0.125}
-        records = [
-            GroupFitRecord(
-                key=key,
-                n_observations=10 * key[0],
-                result=FitResult(
-                    family=family, params=np.array([level]), input_names=(), output_name="y",
-                    n_observations=10 * key[0], residual_standard_error=0.1 * key[0],
-                    r_squared=0.9, adjusted_r_squared=0.9, sum_squared_residuals=1.0,
-                ),
-            )
-            for key, level in levels.items()
-        ]  # fmt: skip
-        fit = GroupedFitResult(family=family, group_columns=("g",), input_columns=(), output_column="y", records=records)
+        fit = GroupedFitResult(
+            family=family, group_columns=("g",), input_columns=(), output_column="y", input_names=(), extra={},
+            key_columns=(Column.from_values(DataType.INT64, [1, 2, 3]),),
+            params=np.array([[4.0], [-2.5], [0.125]]), rse=np.array([0.1, 0.2, 0.3]),
+            r_squared=np.full(3, 0.9), adjusted_r_squared=np.full(3, 0.9), sse=np.ones(3),
+            n_obs=np.array([10, 20, 30]), covariance=np.full((3, 1, 1), np.nan),
+            iterations=np.zeros(3, dtype=np.int64), converged=np.ones(3, dtype=bool), errors=(None,) * 3,
+        )  # fmt: skip
         db = LawsDatabase()
         db.load_dict("t", {"g": [k[0] for k in levels for _ in range(10 * k[0])], "y": [v for k, v in levels.items() for _ in range(10 * k[0])]})
         model = db.models.add(CapturedModel(
@@ -496,35 +494,42 @@ class TestCapture:
         table = self._table()
         grouped = GroupedFitter(LinearModel(("x",)), ["x"], "y", ["region", "unit"]).fit(table)
         expected = reference_group_rows(table, ["region", "unit"])
-        assert [record.key for record in grouped.records] == list(expected)
+        assert grouped.keys == list(expected)
         assert list(expected)[:3] == [("b", 2), ("a", 1), ("b", 3)]
-        assert all(None not in record.key for record in grouped.records)
-        assert [record.n_observations for record in grouped.records] == [len(rows) for rows in expected.values()]
+        assert all(None not in key for key in grouped.keys)
+        assert grouped.n_obs.tolist() == [len(rows) for rows in expected.values()]
         # Each group was fitted on exactly its own rows.
         x, y = table.column("x").to_numpy(), table.column("y").to_numpy()
-        for record, rows in zip(grouped.records, expected.values()):
-            assert np.allclose(record.result.predict({"x": x[rows]}), y[rows])
+        for key, rows in zip(grouped.keys, expected.values()):
+            assert np.allclose(grouped.result_for(key).predict({"x": x[rows]}), y[rows])
 
     def test_all_null_group_column_fits_nothing(self):
         table = Table.from_dict("t", {"g": [None, None, None], "x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
         grouped = GroupedFitter(LinearModel(("x",)), ["x"], "y", ["g"]).fit(table)
-        assert grouped.records == [] and grouped.stacked().params.shape == (0, 2)
+        assert grouped.num_groups == 0 and grouped.params.shape == (0, 2)
         assert grouped.result_for(1) is None
 
-    def test_stacked_view_tracks_appended_records(self):
-        """``records`` stays the source of truth (the warehouse restore path
-        appends to it); the stacked view and the key lookup follow."""
+    def test_empty_table_keeps_the_key_columns_types(self):
+        """An empty fit's parameter table is typed by the fitted columns, not
+        by a sample key it does not have."""
+        table = self._table()
+        empty = table.take(np.zeros(0, dtype=np.int64))
+        grouped = GroupedFitter(LinearModel(("x",)), ["x"], "y", ["region", "unit"]).fit(empty)
+        params = grouped.to_parameter_table()
+        assert params.num_rows == 0
+        assert [params.schema.column(name).dtype for name in ("region", "unit")] == [DataType.STRING, DataType.INT64]
+
+    def test_a_failed_group_keeps_a_nan_row(self):
+        """The table is what capture wrote: a failed group's row holds NaN,
+        its usable rows and the reason; ``result_for`` views fitted rows only."""
         table = self._table()
         grouped = GroupedFitter(LinearModel(("x",)), ["x"], "y", ["region"], min_observations=15).fit(table)
-        assert [r.key for r in grouped.failed] == [("c",)]
-        view = grouped.stacked()
-        assert view.params.shape == (3, 2) and np.isnan(view.params[2]).all() and np.isnan(view.rse[2])
-        assert view.n_obs.tolist() == [18.0, 18.0, 12.0]
-        assert grouped.result_for("a") is grouped.records[1].result and grouped.result_for("c") is None
-        extra = dataclasses.replace(grouped.records[0], key=("z",))
-        grouped.records.append(extra)
-        assert grouped.result_for("z") is extra.result
-        assert grouped.stacked().params.shape == (4, 2)
+        assert [key for key, ok in zip(grouped.keys, grouped.succeeded) if not ok] == [("c",)]
+        assert grouped.params.shape == (3, 2) and np.isnan(grouped.params[2]).all() and np.isnan(grouped.rse[2])
+        assert grouped.n_obs.tolist() == [18, 18, 12]
+        assert grouped.errors == (None, None, "only 12 usable observations (< 15)")
+        assert grouped.result_for("a").params.tolist() == grouped.params[1].tolist()
+        assert grouped.result_for("c") is None and grouped.result_for("z") is None
 
     def test_per_row_predictions_match_the_row_loop(self):
         table = self._table()

@@ -90,7 +90,7 @@ class TestRouter:
             db.models, "t", "y", ("g",), [(g,) for g in range(5)]
         )
         exact_keys = {a.key for a in plan.exact_groups}
-        failed = {r.key for r in model.fit.records if not r.succeeded}
+        failed = {key for key, ok in zip(model.fit.keys, model.fit.succeeded) if not ok}
         assert failed <= exact_keys
 
     def test_active_model_preferred_over_stale(self, routed_db):
@@ -98,7 +98,7 @@ class TestRouter:
         [assignment] = plan.assignments
         assert assignment.served_from_model
         assert assignment.model.status == "active"
-        assert assignment.fit.n_observations > 0
+        assert assignment.model.fit.n_obs[assignment.row] > 0
 
 
 class TestGroupedRoute:
@@ -166,7 +166,7 @@ class TestGroupedRoute:
         # Group 3 only has 8 observations (one x value); a floor of 9 makes
         # its per-group fit fail, exercising the exact fill-in.
         report = db.fit("t", "y ~ linear(x)", group_by="g", min_observations=9)
-        assert any(not r.succeeded for r in report.model.fit.records)
+        assert not report.model.fit.succeeded.all()
         answer = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g", APPROX).approx
         assert answer.route == "grouped-hybrid"
         assert answer.group_routes[(3,)] == "exact"

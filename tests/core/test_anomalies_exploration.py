@@ -82,7 +82,7 @@ class TestAnomalies:
 class TestExploration:
     def test_gradient_regions_steepest_at_low_frequency(self, anomalous_setup):
         _, _, model = anomalous_setup
-        key = next(record.key for record in model.fit.records if record.result is not None)
+        key = next(key for key, fitted in zip(model.fit.keys, model.fit.succeeded) if fitted)
         regions = explore_gradients(model, {"frequency": (0.10, 0.20)}, group_key=key)
         frequency_regions = regions["frequency"]
         assert frequency_regions
@@ -103,7 +103,7 @@ class TestExploration:
         values = [value for _, value in steepest]
         assert values == sorted(values)
         # They really are the most negative fitted alphas.
-        all_alphas = [record.result.param_dict["alpha"] for record in model.fit.records if record.result]
+        all_alphas = model.fit.params[model.fit.succeeded, 1]
         assert values[0] == pytest.approx(min(all_alphas))
 
     def test_extreme_parameter_unknown_name(self, anomalous_setup):

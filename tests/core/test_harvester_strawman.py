@@ -129,7 +129,7 @@ class TestStrawman:
         subset = db.strawman("measurements").filter("source <= 20")
         report = subset.fit("intensity ~ powerlaw(frequency)", group_by="source")
         assert report.model.coverage.predicate_sql == "source <= 20"
-        assert len(report.model.fit.records) <= 20
+        assert report.model.fit.num_groups <= 20
 
     def test_filter_composes_predicates(self, lofar_db):
         frame = lofar_db.strawman("measurements").filter("source <= 10").filter("frequency > 0.13")

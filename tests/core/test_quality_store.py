@@ -6,8 +6,9 @@ import pytest
 from repro.core.captured_model import CapturedModel, ModelCoverage
 from repro.core.model_store import ModelStore
 from repro.core.quality import ModelQuality, QualityPolicy, judge_fit, judge_grouped
+from repro.db.table import Table
 from repro.errors import HarvestError, ModelNotFoundError
-from repro.fitting import LinearModel, fit_model
+from repro.fitting import LinearModel, fit_grouped, fit_model
 
 
 def _make_fit(noise: float, seed: int = 0):
@@ -60,7 +61,8 @@ class TestQuality:
         assert policy.min_r_squared == 0.5
 
     def test_judge_grouped_empty(self):
-        quality, fraction = judge_grouped([])
+        table = Table.from_dict("t", {"g": [1], "x": [1.0], "y": [1.0]}).take(np.zeros(0, dtype=np.int64))
+        quality, fraction = judge_grouped(fit_grouped(table, LinearModel(("x",)), ["x"], "y", ["g"]))
         assert fraction == 0.0
         assert quality.n_observations == 0
 

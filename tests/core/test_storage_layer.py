@@ -86,7 +86,7 @@ class TestZeroIO:
 
     def test_model_scan_rows_are_parameter_grid(self, lofar_db, lofar_model):
         virtual = lofar_db.zero_io.model_scan(lofar_model)
-        fitted_groups = len([r for r in lofar_model.fit.records if r.result is not None])
+        fitted_groups = int(lofar_model.fit.succeeded.sum())
         assert virtual.num_rows == fitted_groups * 4
 
     def test_raw_scan_charges_only_projected_columns(self, lofar_db):

@@ -563,3 +563,39 @@ def test_segments_are_written_and_read_by_the_store_alone():
         if isinstance(node, ast.Call) and _called_name(node) in SEGMENT_IO
     ]
     assert found == []
+
+
+#: What a fit's per-group record layer was called: a grouped fit is its
+#: parameter table now, and nothing may reach for a record again.
+RECORD_LAYER = {"GroupFitRecord", "StackedFits"}
+RECORD_ACCESSORS = {"records", "stacked", "fitted", "failed"}
+#: Capture and the warehouse are the two writers of a ``GroupedFitResult``.
+TABLE_BUILDERS = {"fitting/grouped.py", "persist/warehouse.py"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_a_grouped_fit_is_its_parameter_table():
+    """No fit-record walk outside ``fitting/grouped.py``: nothing under
+    ``src/`` names the record layer or reads ``.records`` / ``.stacked`` /
+    ``.fitted`` / ``.failed`` off a fit, no loop elsewhere builds one
+    ``result_for`` view per group (routes read the table's columns), and
+    only capture and the warehouse construct a ``GroupedFitResult``."""
+    walks, builders = [], set()
+    for relative, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in RECORD_LAYER:
+                walks.append(f"{relative}:{node.lineno} {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in RECORD_ACCESSORS:
+                owner = _dotted(node.value) or ""
+                if owner.split(".")[-1] in ("fit", "grouped"):
+                    walks.append(f"{relative}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.Call) and _called_name(node) == "GroupedFitResult":
+                builders.add(relative)
+            elif isinstance(node, LOOPS) and relative != "fitting/grouped.py":
+                walks.extend(
+                    f"{relative}:{inner.lineno} {ast.unparse(inner.func)} in a loop"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, ast.Call) and _called_name(inner) in ("result_for", "result_for_group")
+                )
+    assert walks == []
+    assert builders == TABLE_BUILDERS

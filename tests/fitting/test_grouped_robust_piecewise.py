@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.approx.anomalies import rank_groups_by_misfit
+from repro.core.captured_model import CapturedModel, ModelCoverage
+from repro.core.quality import judge_grouped
 from repro.datasets import lofar
 from repro.errors import FittingError, InsufficientDataError
 from repro.fitting import (
@@ -41,23 +44,43 @@ class TestGroupedFitting:
 
     def test_parameter_table_shape(self, grouped, dataset):
         table = grouped.to_parameter_table()
-        assert table.num_rows == len(grouped.fitted)
+        assert table.num_rows == int(grouped.succeeded.sum())
         assert set(table.schema.names) == {"source", "p", "alpha", "residual_se", "r_squared", "n_obs"}
 
     def test_parameter_table_much_smaller_than_raw(self, grouped, dataset):
         raw_bytes = dataset.to_table().byte_size()
-        assert grouped.byte_size() < 0.3 * raw_bytes
+        assert grouped.to_parameter_table().byte_size() < 0.3 * raw_bytes
 
     def test_too_few_observations_recorded_as_failure(self):
         table = lofar.generate(num_sources=3, observations_per_source=2, seed=1).to_table()
         result = fit_grouped(table, PowerLaw(), ["frequency"], "intensity", ["source"])
-        assert all(not record.succeeded for record in result.records)
-        assert all("observations" in record.error for record in result.records)
+        assert not result.succeeded.any()
+        assert all("observations" in error for error in result.errors)
 
     def test_anomaly_ranking_sorted(self, grouped):
-        ranking = grouped.anomaly_ranking()
-        scores = [score for _, score in ranking]
+        model = CapturedModel(
+            coverage=ModelCoverage("measurements", ("frequency",), "intensity", ("source",)),
+            formula="intensity ~ powerlaw(frequency)",
+            fit=grouped,
+            quality=judge_grouped(grouped)[0],
+            accepted=True,
+        )
+        scores = [anomaly.score for anomaly in rank_groups_by_misfit(model, metric="rse")]
         assert scores == sorted(scores, reverse=True)
+        assert sorted(scores) == sorted(grouped.rse[grouped.succeeded].tolist())
+
+    def test_predict_rows_is_the_per_group_loop(self, grouped, dataset):
+        """One key -> row gather and one row-wise evaluation predict exactly
+        what each group's own fit predicts for its rows."""
+        table = dataset.to_table()
+        frequency = table.column("frequency").float_numpy()
+        sources = table.column("source")
+        expected = np.full(table.num_rows, np.nan)
+        for (source,) in grouped.keys:
+            rows = np.flatnonzero(sources.float_numpy() == source)
+            expected[rows] = grouped.result_for(source).predict({"frequency": frequency[rows]})
+        predicted = grouped.predict_rows({"frequency": frequency}, [sources])
+        assert np.array_equal(predicted, expected, equal_nan=True)
 
     def test_requires_group_columns(self):
         with pytest.raises(FittingError):
@@ -74,7 +97,7 @@ class TestGroupedFitting:
         assert result.num_groups == 1
 
     def test_params_by_key(self, grouped):
-        params = grouped.params_by_key()
+        params = {key: grouped.result_for(key).param_dict for key in grouped.keys}
         assert all(set(p) == {"p", "alpha"} for p in params.values())
 
 

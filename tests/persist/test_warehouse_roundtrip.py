@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from repro import LawsDatabase
 
 from repro.core.captured_model import CapturedModel, ModelCoverage
 from repro.core.model_store import ModelStore
@@ -13,7 +18,8 @@ from repro.core.quality import judge_fit
 from repro.errors import FormatVersionError
 from repro.fitting.fit import fit_model
 from repro.fitting.families import family_by_name
-from repro.fitting.grouped import fit_grouped
+from repro.fitting.grouped import GroupedFitResult, fit_grouped
+from repro.fitting.model import FitResult
 from repro.fitting.piecewise import fit_piecewise
 from repro.db.table import Table
 from repro.persist.warehouse import (
@@ -23,6 +29,8 @@ from repro.persist.warehouse import (
     serialize_model,
     serialize_store,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 RNG = np.random.default_rng(42)
 X = np.linspace(0.5, 8.0, 200)
@@ -65,6 +73,40 @@ def json_round_trip(model: CapturedModel) -> CapturedModel:
     # a format, and the round trip must survive the serializer.
     payload = json.loads(json.dumps(serialize_model(model)))
     return deserialize_model(payload)
+
+
+#: The parameter table's columns besides its keys and error text.
+TABLE_COLUMNS = (
+    "params", "rse", "r_squared", "adjusted_r_squared", "sse", "n_obs", "covariance", "iterations", "converged",
+)
+
+
+def assert_same_views(restored: GroupedFitResult, original: GroupedFitResult) -> None:
+    """The same table — keys and their types, every column bit for bit (NaN
+    rows of failed groups included), error text — and every fitted group's
+    ``result_for`` view equal field for field."""
+    assert restored.keys == original.keys
+    assert [c.dtype for c in restored.key_columns] == [c.dtype for c in original.key_columns]
+    assert restored.errors == original.errors
+    for name in TABLE_COLUMNS:
+        got, want = getattr(restored, name), getattr(original, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=want.dtype.kind == "f"), name
+    for key in original.keys:
+        assert_same_fit(restored.result_for(key), original.result_for(key))
+
+
+def assert_same_fit(got: FitResult | None, want: FitResult | None) -> None:
+    if want is None:
+        assert got is None
+        return
+    for field in dataclasses.fields(FitResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "family":
+            assert type(a) is type(b) and a.param_names == b.param_names
+        elif isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and np.array_equal(a, b, equal_nan=True), field.name
+        else:
+            assert type(a) is type(b) and (a == b or a != a and b != b), (field.name, a, b)
 
 
 @pytest.mark.parametrize("name,kwargs,truth", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
@@ -122,10 +164,10 @@ def test_grouped_model_round_trips_including_failed_groups():
         },
     )
     grouped = fit_grouped(table, family_by_name("powerlaw"), ["x"], "y", ["g"])
-    assert grouped.failed  # the lonely group must be preserved through the trip
+    assert not grouped.succeeded.all()  # the lonely group must be preserved through the trip
     model = capture_from_fit(
         grouped,
-        quality=judge_fit(grouped.fitted[0].result),
+        quality=judge_fit(grouped.result_for("alpha")),
         group_columns=("g",),
         group_fit_fraction=0.75,
     )
@@ -133,10 +175,11 @@ def test_grouped_model_round_trips_including_failed_groups():
 
     assert restored.is_grouped
     assert restored.fit.group_columns == ("g",)
-    assert len(restored.fit.records) == len(grouped.records)
-    assert [r.key for r in restored.fit.records] == [r.key for r in grouped.records]
-    failed = [r for r in restored.fit.records if not r.succeeded]
-    assert len(failed) == 1 and failed[0].key == ("lonely",)
+    assert restored.fit.num_groups == grouped.num_groups
+    assert restored.fit.keys == grouped.keys
+    failed = [key for key, ok in zip(restored.fit.keys, restored.fit.succeeded) if not ok]
+    assert failed == [("lonely",)]
+    assert_same_views(restored.fit, grouped)
     np.testing.assert_array_equal(
         restored.predict({"x": np.array([2.0])}, group_key=("beta",)),
         model.predict({"x": np.array([2.0])}, group_key=("beta",)),
@@ -184,3 +227,186 @@ def test_store_payload_round_trips_and_gates_future_versions():
     payload["format_version"] = WAREHOUSE_FORMAT_VERSION + 1
     with pytest.raises(FormatVersionError):
         restore_store(payload, ModelStore())
+
+
+def bands_table() -> Table:
+    """A STRING key; a failed group (``east``); a group whose output holds an
+    ``inf`` (``south``: 5 usable rows, fitted on 4); a rank-deficient group
+    (``west``: ``inf`` covariance)."""
+    return Table.from_dict(
+        "bands",
+        {
+            "band": ["north"] * 8 + ["south"] * 5 + ["east"] * 2 + ["west"] * 4,
+            "x": [float(i) for i in range(8)] + [0.0, 1.0, 2.0, 3.0, 4.0] + [1.0, 2.0] + [2.0] * 4,
+            "y": [1.0 + 0.5 * i + 0.01 * (-1) ** i for i in range(8)]
+            + [2.0, 2.9, float("inf"), 5.1, 6.0] + [1.0, 2.0] + [3.0, 3.1, 2.9, 3.05],
+        },
+    )
+
+
+def test_every_grouped_view_round_trips_field_for_field():
+    grouped = fit_grouped(bands_table(), family_by_name("linear", input_names=("x",)), ["x"], "y", ["band"])
+    assert grouped.keys == [("north",), ("south",), ("east",), ("west",)]
+    assert grouped.errors == (None, None, "only 2 usable observations (< 3)", None)
+    assert grouped.n_obs.tolist() == [8, 4, 2, 4]  # the fit's count; the failed group's usable rows
+    assert np.isposinf(grouped.covariance[3]).all()
+    grouped.covariance[0] = [[-np.inf, 1.0], [1.0, np.inf]]
+    grouped.covariance[1] = np.nan  # a fit that estimated no covariance
+    model = capture_from_fit(grouped, quality=judge_fit(grouped.result_for("north")), group_columns=("band",))
+
+    restored = json_round_trip(model)
+
+    assert_same_views(restored.fit, grouped)
+    assert restored.fit.result_for("north").covariance[0, 0] == -np.inf
+    assert restored.fit.result_for("south").covariance is None
+    assert restored.parameter_table().to_pydict() == model.parameter_table().to_pydict()
+
+
+def test_a_zero_group_fit_round_trips_and_checkpoints(tmp_path):
+    """A grouped fit with no groups (an empty table, an all-NULL group
+    column) is an empty table: it serialises, and a store holding one — the
+    harvester keeps a rejected capture — checkpoints and reopens."""
+    empty = fit_grouped(
+        bands_table().take(np.zeros(0, dtype=np.int64)), family_by_name("powerlaw"), ["x"], "y", ["band"]
+    )
+    assert empty.num_groups == 0 and empty.covariance.shape == (0, 2, 2)
+    quality = judge_fit(fit_model(family_by_name("powerlaw"), X, 2.0 * X))
+    assert_same_views(json_round_trip(capture_from_fit(empty, quality=quality, group_columns=("band",))).fit, empty)
+    # The format-1 writer stored such a fit as no records; it reads and writes again.
+    v1 = json.loads((FIXTURES / "v1_grouped_store" / "warehouse" / "models-00001.json").read_text())["models"][0]
+    v1["fit"]["records"] = []
+    assert json_round_trip(deserialize_model(v1)).fit.num_groups == 0
+
+    root = tmp_path / "store"
+    with LawsDatabase.open(root) as db:
+        db.load_dict("t", {"g": [None, None, None], "x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
+        db.fit("t", "y ~ linear(x)", group_by="g")
+        (model,) = db.models
+        assert model.fit.num_groups == 0
+        db.checkpoint()
+    with LawsDatabase.open(root) as reopened:
+        assert reopened.quarantine_report()["count"] == 0
+        assert_same_views(reopened.models.get(model.model_id).fit, model.fit)
+
+
+def test_iterative_views_keep_iterations_convergence_and_method():
+    x = np.tile(np.linspace(0.12, 0.18, 6), 2)
+    source = np.repeat([7, 8], 6)
+    y = np.where(source == 7, 2.0 * x**-0.7, 3.0 * x**-1.1) * (1.0 + 0.001 * np.arange(12))
+    table = Table.from_dict("spectra", {"source": source.tolist(), "x": x.tolist(), "y": y.tolist()})
+    grouped = fit_grouped(table, family_by_name("powerlaw"), ["x"], "y", ["source"], method="gn")
+    assert (grouped.iterations > 0).all() and grouped.converged.all()
+    restored = json_round_trip(capture_from_fit(grouped, quality=judge_fit(grouped.result_for(7)), group_columns=("source",)))
+    assert_same_views(restored.fit, grouped)
+    assert restored.fit.result_for(8).extra == {"method": "gn"}
+
+
+def test_a_2000_source_power_law_entry_is_its_columns():
+    """Family, inputs, output, input names and optimiser once per model, one
+    list per column."""
+    from repro.datasets import lofar
+
+    table = lofar.generate(num_sources=2000, observations_per_source=6, seed=3, anomaly_fraction=0.0).to_table()
+    grouped = fit_grouped(table, family_by_name("powerlaw"), ["frequency"], "intensity", ["source"])
+    model = capture_from_fit(grouped, quality=judge_fit(grouped.result_for(grouped.keys[0])), group_columns=("source",))
+    text = json.dumps(serialize_model(model), separators=(",", ":"))
+    assert len(text) <= 500_000
+    assert text.count('"powerlaw"') == 1 and text.count('"frequency"') == 3  # coverage, fit inputs, input names
+    assert_same_views(deserialize_model(json.loads(text)).fit, grouped)
+
+
+def test_a_v1_warehouse_restores_field_for_field_and_one_checkpoint_rewrites_it(tmp_path):
+    """``fixtures/v1_grouped_store`` is a store whose warehouse was written by
+    the last ``WAREHOUSE_FORMAT_VERSION`` 1 build of this package (the source
+    tree at commit ce3ddf6), one nested fit per group, by this script with
+    the store's path as its argument::
+
+        import sys
+        from pathlib import Path
+        from repro import LawsDatabase
+
+        root = Path(sys.argv[1])
+        db = LawsDatabase.open(root, observability=False)
+        db.load_dict("bands", {
+            "band": ["north"] * 8 + ["south"] * 5 + ["east"] * 2 + ["west"] * 4,
+            "x": [float(i) for i in range(8)] + [0.0, 1.0, 2.0, 3.0, 4.0] + [1.0, 2.0] + [2.0] * 4,
+            "y": [1.0 + 0.5 * i + 0.01 * (-1) ** i for i in range(8)]
+            + [2.0, 2.9, float("inf"), 5.1, 6.0] + [1.0, 2.0] + [3.0, 3.1, 2.9, 3.05],
+        })
+        db.fit("bands", "y ~ linear(x)", group_by="band")
+        db.load_dict("spectra", {
+            "source": [s for s in (7, 8) for _ in range(6)],
+            "frequency": [0.12, 0.13, 0.14, 0.15, 0.16, 0.17] * 2,
+            "intensity": [2.0 * f ** -0.7 * (1 + 0.001 * k) for k, f in enumerate([0.12, 0.13, 0.14, 0.15, 0.16, 0.17])]
+            + [3.0 * f ** -1.1 * (1 - 0.002 * k) for k, f in enumerate([0.12, 0.13, 0.14, 0.15, 0.16, 0.17])],
+        })
+        db.fit("spectra", "intensity ~ powerlaw(frequency)", group_by="source")
+        db.checkpoint()
+        db.close()
+
+    ``bands`` is :func:`bands_table`: a STRING key, a failed group, an
+    output ``inf`` and an ``inf`` covariance; ``spectra`` is fitted
+    iteratively.
+    """
+    root = tmp_path / "store"
+    shutil.copytree(FIXTURES / "v1_grouped_store", root)
+    written = json.loads((root / "warehouse" / "models-00001.json").read_text())
+    assert written["format_version"] == 1
+
+    db = LawsDatabase.open(root)
+    assert db.quarantine_report()["count"] == 0
+    south = written["models"][0]["fit"]["records"][1]
+    assert south["key"] == ["south"] and (south["n_observations"], south["result"]["n_observations"]) == (5, 4)
+    for entry in written["models"]:
+        fit = db.models.get(entry["model_id"]).fit
+        assert fit.keys == [tuple(record["key"]) for record in entry["fit"]["records"]]
+        for row, record in enumerate(entry["fit"]["records"]):
+            view, expected = fit.result_for(tuple(record["key"])), record["result"]
+            if expected is None:
+                assert view is None and np.isnan(fit.params[row]).all() and np.isnan(fit.rse[row])
+                assert (fit.errors[row], fit.n_obs[row]) == (record["error"], record["n_observations"])
+                continue
+            assert fit.errors[row] is None
+            assert view.params.tolist() == expected["params"]
+            assert view.covariance.tolist() == expected["covariance"]
+            assert (view.input_names, view.output_name) == (tuple(expected["input_names"]), expected["output_name"])
+            for name in ("n_observations", "residual_standard_error", "r_squared", "adjusted_r_squared",
+                         "sum_squared_residuals", "iterations", "converged", "extra"):  # fmt: skip
+                assert getattr(view, name) == expected[name], name
+    restored = {model.model_id: model.fit for model in db.models}
+    assert restored[1].key_columns[0].dtype.value == "string"
+    assert np.isposinf(restored[1].result_for("west").covariance).all()
+
+    db.checkpoint()
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    rewritten = json.loads((root / manifest["warehouse_file"]).read_text())
+    assert rewritten["format_version"] == WAREHOUSE_FORMAT_VERSION == 2
+    assert all("records" not in entry["fit"] for entry in rewritten["models"])
+    db.close()
+    with LawsDatabase.open(root) as reopened:
+        assert reopened.quarantine_report()["count"] == 0
+        for model in reopened.models:
+            assert_same_views(model.fit, restored[model.model_id])
+
+
+def test_a_newer_warehouse_is_refused_and_a_corrupt_grouped_entry_quarantines_alone(tmp_path):
+    root = tmp_path / "store"
+    shutil.copytree(FIXTURES / "v1_grouped_store", root)
+    with LawsDatabase.open(root) as db:
+        db.checkpoint()
+    manifest = json.loads((root / "MANIFEST.json").read_text())
+    path = root / manifest["warehouse_file"]
+    payload = json.loads(path.read_text())
+
+    path.write_text(json.dumps({**payload, "format_version": 3}))
+    with pytest.raises(FormatVersionError, match="v3"):
+        LawsDatabase.open(root)
+
+    victim = payload["models"][0]["fit"]
+    victim["params"][0] = victim["params"][0][:-1]  # one flipped byte ends a list early
+    path.write_text(json.dumps(payload))
+    with LawsDatabase.open(root) as db:
+        (entry,) = db.durable.quarantine.records(artefact="warehouse-entry")
+        assert entry.source == "warehouse-entry-1.json"
+        assert [model.model_id for model in db.models] == [2]
+        assert db.models.get(2).fit.result_for(8) is not None

@@ -82,13 +82,14 @@ class TestDataGrowthStory:
             report = db.fit("measurements", "intensity ~ powerlaw(frequency)", group_by="source")
             sizes[name] = report.model.stored_byte_size()
             alpha_errors = []
-            for record in report.model.fit.records:
-                if record.result is None:
+            fit = report.model.fit
+            for (source,), alpha, fitted in zip(fit.keys, fit.params[:, 1], fit.succeeded):
+                if not fitted:
                     continue
-                truth = dataset.truth_for(record.key[0])
+                truth = dataset.truth_for(source)
                 if truth.is_anomalous:
                     continue
-                alpha_errors.append(abs(record.result.param_dict["alpha"] - truth.alpha))
+                alpha_errors.append(abs(alpha - truth.alpha))
             errors[name] = float(np.mean(alpha_errors))
 
         assert sizes["large"] == sizes["small"]          # storage does not grow

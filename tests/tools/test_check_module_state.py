@@ -79,6 +79,13 @@ def test_the_lifecycle_is_guarded_and_a_lookup_table_must_be_read_only():
     assert _names("_FACTOR = types.MappingProxyType({'count': 0.25})\n") == set()
 
 
+def test_the_fitting_layer_is_guarded():
+    """Refits run on every ``maintain()`` caller and a grouped model's
+    parameter table is built in ``fitting``: its lookup tables are read-only."""
+    for path in ("src/repro/fitting/grouped.py", "src/repro/fitting/families.py", "src/repro/fitting/robust.py"):
+        assert _guarded(path), path
+
+
 def test_the_durable_layers_are_guarded():
     """The archive tier, the WAL and quarantine run on writer and reader
     threads: ``persist`` and ``resilience`` are guarded like the rest."""
@@ -103,6 +110,29 @@ def test_check_flags_new_state_and_stale_allowlist(tmp_path, monkeypatch):
     assert any("bad.py:1" in p and "'STATE'" in p for p in problems)
     assert any("gone.py" in p and "allowlist entry" in p for p in problems)
     assert not any("ok.py" in p for p in problems)
+
+
+def test_a_subset_of_roots_judges_only_the_allowlist_entries_under_it(tmp_path, monkeypatch):
+    """An allowlist entry outside the scanned roots is not stale: it was not
+    looked for.  One inside them that matches nothing still is."""
+    for package in ("a", "b"):
+        (tmp_path / "src" / package).mkdir(parents=True)
+    (tmp_path / "src" / "a" / "tables.py").write_text("_DISPATCH = {'a': 1}\n")
+    (tmp_path / "src" / "b" / "gone.py").write_text("LIMIT = 3\n")
+    monkeypatch.setattr(
+        check_module_state,
+        "ALLOWLIST",
+        {"src/a/tables.py": {"_DISPATCH"}, "src/b/gone.py": {"_old"}},
+    )
+    assert check_module_state.check(["src/a"], tmp_path) == []
+    (problem,) = check_module_state.check(["src/b"], tmp_path)
+    assert "gone.py" in problem and "'_old'" in problem
+
+
+def test_every_default_root_checks_clean_on_its_own():
+    for root in check_module_state.DEFAULT_ROOTS:
+        problems = check_module_state.check([root], REPO_ROOT)
+        assert problems == [], "\n".join(problems)
 
 
 def test_allowlisted_state_passes(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.captured_model import CapturedModel
 from repro.errors import ApproximationError
 from repro.fitting.grouped import GroupedFitResult
+from repro.fitting.metrics import median
 
 __all__ = ["AnomalyReport", "GroupAnomaly", "detect_anomalies", "rank_groups_by_misfit"]
 
@@ -114,9 +115,9 @@ def detect_anomalies(
         return AnomalyReport(metric=metric, threshold=float("inf"), ranked=[], anomalies=[])
 
     scores = np.array([anomaly.score for anomaly in ranked])
-    median = float(np.median(scores))
-    mad = float(np.median(np.abs(scores - median)))
-    threshold = median + mad_multiplier * (mad if mad > 0 else float(np.std(scores)) or 1e-12)
+    center = median(scores)
+    mad = median(np.abs(scores - center))
+    threshold = center + mad_multiplier * (mad if mad > 0 else float(np.std(scores)) or 1e-12)
 
     anomalies = [anomaly for anomaly in ranked if anomaly.score > threshold]
     if len(anomalies) < min_anomalies:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.fitting.grouped import GroupedFitResult
-from repro.fitting.metrics import FTestResult, f_test_against_constant
+from repro.fitting.metrics import FTestResult, f_test_against_constant, median
 from repro.fitting.model import FitResult
 
 __all__ = ["ModelQuality", "QualityPolicy", "judge_fit", "judge_grouped"]
@@ -82,7 +82,7 @@ class QualityPolicy:
         finite = [e for e in observed_errors if np.isfinite(e)]
         if len(finite) < self.observed_error_min_samples:
             return False
-        return float(np.median(finite)) > self.max_observed_relative_error
+        return median(finite) > self.max_observed_relative_error
 
     def accepts(self, quality: ModelQuality) -> bool:
         if quality.n_observations < self.min_observations:

@@ -15,8 +15,8 @@ keep observing exactly the rows they had — while a streaming append chain
 (``StreamIngestor`` flushing batch after batch) costs O(rows) amortised
 instead of re-concatenating every column on every batch.
 
-The same immutability makes per-block min/max *synopses* (zone maps) safe to
-cache on the shared buffer: a complete :data:`BLOCK_ROWS`-row block below any
+The same immutability makes per-block min/max/NULL-count *synopses* (zone
+maps) safe to cache on the shared buffer: a complete :data:`BLOCK_ROWS`-row block below any
 snapshot's length never changes, so every snapshot of the chain reads the
 same summary of it (:meth:`Column.block_synopsis`).
 
@@ -62,7 +62,7 @@ class _Buffer:
     tip may extend the buffer in place, so positions below any snapshot's
     length are never rewritten.
 
-    ``synopsis`` caches ``(mins, maxs, all_null)`` for the leading complete
+    ``synopsis`` caches ``(mins, maxs, nulls)`` for the leading complete
     blocks some snapshot has summarised so far.  It is replaced whole, by one
     attribute assignment, and every value it can hold is correct for every
     snapshot, so readers need no lock.
@@ -86,13 +86,13 @@ class _Buffer:
 def _summarise_blocks(
     dtype: DataType, data: np.ndarray, valid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(mins, maxs, all_null)`` of consecutive complete blocks.
+    """``(mins, maxs, nulls)`` of consecutive complete blocks.
 
     ``data`` / ``valid`` hold a whole number of blocks.  Min and max are over
     the non-NULL values of a block (a NaN counts as NULL: no comparison
     accepts it); NULL positions are filled with the opposite extreme so one
-    vectorised reduction per side does it, and ``all_null`` marks the blocks
-    where only fill was seen.
+    vectorised reduction per side does it, and ``nulls`` counts the NULL-or-NaN
+    rows of each block — where it is :data:`BLOCK_ROWS`, only fill was seen.
     """
     present = valid
     if dtype is DataType.FLOAT64:
@@ -100,7 +100,7 @@ def _summarise_blocks(
     elif dtype is DataType.STRING:
         present = valid & (data != None)  # noqa: E711 - elementwise on object arrays
     blocks = len(data) // BLOCK_ROWS
-    all_null = ~present.reshape(blocks, BLOCK_ROWS).any(axis=1)
+    nulls = BLOCK_ROWS - np.count_nonzero(present.reshape(blocks, BLOCK_ROWS), axis=1)
     low_fill: Any
     high_fill: Any
     if present.all():
@@ -122,7 +122,7 @@ def _summarise_blocks(
         high = np.where(present, data, high_fill)
     mins = low.reshape(blocks, BLOCK_ROWS).min(axis=1)
     maxs = high.reshape(blocks, BLOCK_ROWS).max(axis=1)
-    return mins, maxs, all_null
+    return mins, maxs, nulls
 
 
 class Column:
@@ -182,10 +182,11 @@ class Column:
         return buffer.valid[: self._length]
 
     def block_synopsis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zone map: ``(mins, maxs, all_null)`` of this column's complete blocks.
+        """Zone map: ``(mins, maxs, nulls)`` of this column's complete blocks.
 
         One entry per :data:`BLOCK_ROWS`-row block that lies wholly below this
-        snapshot's length; the partial tail block has no entry (callers keep
+        snapshot's length — min and max of its non-NULL values and its count of
+        NULL-or-NaN rows; the partial tail block has no entry (callers read
         it).  Built on first use and cached on the shared buffer, so later
         snapshots of an append chain only summarise the blocks added since,
         and a snapshot older than the cache reads a prefix of it.

@@ -13,6 +13,10 @@ expressions) as *residual* conjuncts.  Two consumers rely on it:
   whose min/max summary proves them empty
   (:meth:`ColumnConstraint.admits_ranges`); residuals are simply ignored
   there, because the full predicate is still evaluated on what is kept.
+  When nothing is residual the constraints are also *sufficient*, and a
+  block whose summary proves every row satisfies them
+  (:meth:`ColumnConstraint.covers_ranges`) can answer a count or an extreme
+  without being read.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ class ColumnConstraint:
     low_inclusive: bool = True
     high: float | None = None
     high_inclusive: bool = True
+    #: False once a pinned number reached 2**53: pins are intersected by
+    #: exact Python equality, while the kernels may compare in float64 (a
+    #: float literal, or an ``IN`` list that mixes floats in), and past 2**53
+    #: the two disagree — so the pins no longer describe the predicate.
+    exact_pins: bool = True
 
     @property
     def has_interval(self) -> bool:
@@ -63,6 +72,8 @@ class ColumnConstraint:
     def pin(self, values: Sequence[Any]) -> None:
         """Intersect the allowed value set with ``values``."""
         incoming = list(dict.fromkeys(values))
+        if any(_is_number(v) and abs(v) >= 2.0**53 for v in incoming):
+            self.exact_pins = False
         if self.values is None:
             self.values = incoming
         else:
@@ -118,38 +129,15 @@ class ColumnConstraint:
         only where the summary *proves* no row of the group can satisfy the
         constraint: every form it records (comparison, BETWEEN, IN) rejects
         NULL, so all-NULL groups go; so do groups whose ``[min, max]`` misses
-        every pinned value or lies outside the interval.
-
-        The proof must agree with what the comparison kernels would compute
-        row by row.  They never truncate a literal to fit the column — a
-        value the column's type cannot hold matches nothing, which is also
-        what intersecting pins by Python equality concludes (``b = true AND
-        b = 1.5`` pins the empty set) — so an empty pin set prunes.  What
-        stays inconclusive and keeps every group: literals of another type
-        family than the column (the kernels promote or raise there), bounds
-        beyond 2**53 on integer columns (the bound was recorded as a float)
-        and pinned values no int64 can hold.
+        every pinned value or lies outside the interval.  Inconclusive groups
+        (:meth:`_comparable`) are all admitted.
         """
-        kind = mins.dtype.kind
-        values = self.values or ()
-        if kind in "OU":
-            comparable = not self.has_interval and all(isinstance(v, str) for v in values)
-        elif kind == "b":
-            comparable = not self.has_interval and all(
-                isinstance(v, (bool, np.bool_, int, np.integer)) and abs(v) < 2**63
-                for v in values
-            )
-        else:
-            comparable = all(_is_number(v) and abs(v) < 2.0**63 for v in values) and not (
-                kind in "iu"
-                and any(b is not None and abs(b) >= 2.0**53 for b in (self.low, self.high))
-            )
-        if not comparable:
+        if not self._comparable(mins.dtype.kind):
             return np.ones(len(mins), dtype=bool)
         admits = ~all_null
         if self.values is not None:
             hit = np.zeros(len(mins), dtype=bool)
-            for value in values:
+            for value in self.values:
                 hit |= (mins <= value) & (value <= maxs)
             admits &= hit
         if self.low is not None:
@@ -157,6 +145,60 @@ class ColumnConstraint:
         if self.high is not None:
             admits &= mins <= self.high if self.high_inclusive else mins < self.high
         return admits
+
+    def covers_ranges(
+        self, mins: np.ndarray, maxs: np.ndarray, any_null: np.ndarray
+    ) -> np.ndarray:
+        """Which row groups hold *only* rows satisfying this constraint.
+
+        The dual of :meth:`admits_ranges` over the same summary: True only
+        where the summary proves every row of the group satisfies the
+        constraint — no NULL or NaN in it (``any_null``), ``[min, max]``
+        inside the interval, and, with pinned values, one value making up the
+        whole group (``min == max``, equal to a pin).  Inconclusive groups are
+        never covered.
+        """
+        if not self._comparable(mins.dtype.kind):
+            return np.zeros(len(mins), dtype=bool)
+        covers = ~any_null
+        if self.values is not None:
+            hit = np.zeros(len(mins), dtype=bool)
+            for value in self.values:
+                hit |= mins == value
+            covers &= hit & (mins == maxs)
+        if self.low is not None:
+            covers &= mins >= self.low if self.low_inclusive else mins > self.low
+        if self.high is not None:
+            covers &= maxs <= self.high if self.high_inclusive else maxs < self.high
+        return covers
+
+    def _comparable(self, kind: str) -> bool:
+        """Can a block summary of dtype ``kind`` prove anything about this constraint?
+
+        The proof must agree with what the comparison kernels would compute
+        row by row.  They never truncate a literal to fit the column — a
+        value the column's type cannot hold matches nothing, which is also
+        what intersecting pins by Python equality concludes (``b = true AND
+        b = 1.5`` pins the empty set) — so an empty pin set is conclusive.
+        What stays inconclusive: literals of another type family than the
+        column (the kernels promote or raise there), bounds beyond 2**53 on
+        integer columns (the bound was recorded as a float) and pins that
+        reached 2**53 (:attr:`exact_pins`).
+        """
+        if not self.exact_pins:
+            return False
+        values = self.values or ()
+        if kind in "OU":
+            return not self.has_interval and all(isinstance(v, str) for v in values)
+        if kind == "b":
+            return not self.has_interval and all(
+                isinstance(v, (bool, np.bool_, int, np.integer)) and abs(v) < 2**63
+                for v in values
+            )
+        return all(_is_number(v) and abs(v) < 2.0**63 for v in values) and not (
+            kind in "iu"
+            and any(b is not None and abs(b) >= 2.0**53 for b in (self.low, self.high))
+        )
 
     def describe(self) -> str:
         parts = []

@@ -227,17 +227,25 @@ class IOModel:
         self.accountant.charge_sequential(num_bytes)
         return num_bytes
 
-    def skip_blocks(self, blocks: int) -> None:
-        """Record ``blocks`` a scan proved empty from their synopses and skipped.
+    def skip_blocks(self, pruned: int, answered: int = 0) -> None:
+        """Record the blocks a scan did not read: ``pruned`` ones its synopses
+        proved empty, ``answered`` ones they proved wholly matching.
 
-        Nothing is charged — that is the point — but the count goes to the
-        ``scan_blocks_pruned_total`` counter and onto the calling thread's
-        open span (the scan's own, in a traced execution) as ``blocks_pruned``.
+        Nothing is charged — that is the point — but each nonzero count goes
+        to its counter (``scan_blocks_pruned_total`` /
+        ``scan_blocks_answered_total``) and onto the calling thread's open
+        span (the scan's own, in a traced execution) as ``blocks_pruned`` /
+        ``blocks_answered``.
         """
-        self.metrics.inc("scan_blocks_pruned_total", float(blocks))
         span = self.tracer.current
-        if span is not None:
-            span.annotate(blocks_pruned=span.attributes.get("blocks_pruned", 0) + blocks)
+        for counter, key, blocks in (
+            ("scan_blocks_pruned_total", "blocks_pruned", pruned),
+            ("scan_blocks_answered_total", "blocks_answered", answered),
+        ):
+            if blocks:
+                self.metrics.inc(counter, float(blocks))
+                if span is not None:
+                    span.annotate(**{key: span.attributes.get(key, 0) + blocks})
 
     def charge_point_lookup(self, table: Table, column_names: list[str] | None = None) -> int:
         """Charge a random single-row lookup (one page per accessed column)."""

@@ -10,6 +10,10 @@ implementation always did), and every aggregate is computed per group with
 loop — no sort of the rows anywhere.  Groups are emitted in first-occurrence
 order, matching the original dict-based implementation; that order is applied
 to the per-group results, not to the rows.
+
+A global aggregate over a scan that answered blocks from their synopses
+(:class:`~repro.db.operators.scan.ScannedRows`) reduces the rows read and
+folds the answered ones in (:meth:`SynopsisAnswer.fold`).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from repro.db.column import Column
 from repro.db.expressions import ColumnRef, Expression
 from repro.db.operators.base import Operator
 from repro.db.operators.codes import dense_key_codes
+from repro.db.operators.scan import ScannedRows, SynopsisAnswer
 from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType
@@ -201,7 +206,8 @@ class Aggregate(Operator):
                 agg_inputs.append(spec.expression.evaluate(table))
 
         if not self.group_by:
-            return self._global_aggregate(table, agg_inputs)
+            answer = table.answer if isinstance(table, ScannedRows) else None
+            return self._global_aggregate(table, agg_inputs, answer)
         return self._grouped_aggregate(table, key_columns, agg_inputs)
 
     # -- helpers -----------------------------------------------------------------
@@ -222,11 +228,18 @@ class Aggregate(Operator):
             defs.append(ColumnDef(spec.name, spec.output_dtype))
         return Schema(defs)
 
-    def _global_aggregate(self, table: Table, agg_inputs: list[Column | None]) -> Table:
+    def _global_aggregate(
+        self, table: Table, agg_inputs: list[Column | None], answer: SynopsisAnswer | None
+    ) -> Table:
+        """One row of aggregates over ``table``, with the rows its scan
+        answered from block synopses folded in (``answer``)."""
         values: dict[str, list[Any]] = {}
         defs: list[ColumnDef] = []
         for spec, column in zip(self.aggregates, agg_inputs):
             result = self._aggregate_one(spec, column, table.num_rows)
+            if answer is not None:
+                name = spec.expression.name if isinstance(spec.expression, ColumnRef) else None
+                result = answer.fold(spec.function.lower(), name, result)
             values[spec.name] = [result]
             defs.append(ColumnDef(spec.name, spec.output_dtype))
         columns = {

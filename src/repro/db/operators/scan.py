@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -15,34 +15,83 @@ from repro.db.table import Table
 from repro.db.types import DataType, null_value
 from repro.errors import CatalogError
 
-__all__ = ["TableScan", "MaterializedInput", "KeptRows", "TopBound", "kept_rows"]
+__all__ = [
+    "TableScan",
+    "MaterializedInput",
+    "KeptRows",
+    "ScannedRows",
+    "SynopsisAnswer",
+    "TopBound",
+    "kept_rows",
+]
 
 #: ``(column, ascending, count)``: only rows that can be among the first
 #: ``count`` of a stable sort led by ``column`` are wanted.
 TopBound = tuple[str, bool, int]
 
 
-class KeptRows:
-    """The part of a table a scan still has to read.
+class SynopsisAnswer:
+    """What the answered blocks of a scan contribute to a global aggregate.
 
-    ``ranges`` are the half-open row ranges that survive, ascending and
-    disjoint; ``blocks_kept`` / ``blocks_total`` count the table's blocks
-    (the partial tail block included).
+    ``rows`` rows of complete blocks, every one of which satisfies the WHERE
+    clause and none of which is NULL or NaN in an answered column, so each is
+    counted by ``COUNT(*)`` and by ``COUNT(col)`` alike; ``mins`` / ``maxs``
+    hold every numeric answered column's extremes over them as floats — what
+    ``MIN`` / ``MAX`` would compute from the rows themselves.
     """
 
-    __slots__ = ("ranges", "blocks_kept", "blocks_total")
+    __slots__ = ("rows", "mins", "maxs")
 
-    def __init__(self, ranges: list[tuple[int, int]], blocks_kept: int, blocks_total: int) -> None:
+    def __init__(self, rows: int, mins: dict[str, float], maxs: dict[str, float]) -> None:
+        self.rows = rows
+        self.mins = mins
+        self.maxs = maxs
+
+    def fold(self, function: str, column: str | None, value: Any) -> Any:
+        """A ``COUNT`` / ``MIN`` / ``MAX`` of the read rows with these rows folded in.
+
+        ``value`` is ``None`` for an extreme over no row; a NaN read stays NaN.
+        """
+        if function == "count":
+            return value + self.rows
+        assert column is not None
+        extreme = (self.mins if function == "min" else self.maxs)[column]
+        if value is None:
+            return extreme
+        return float((np.minimum if function == "min" else np.maximum)(value, extreme))
+
+
+class KeptRows:
+    """A scan's three block classes: pruned, answered and read.
+
+    ``ranges`` are the half-open row ranges still to read, ascending and
+    disjoint; ``blocks_kept`` / ``blocks_answered`` / ``blocks_total`` count
+    the table's blocks read, answered from synopses and in all (the partial
+    tail block included); the rest were pruned.  ``answer`` is what the
+    answered blocks contribute (None when none was answered).
+    """
+
+    __slots__ = ("ranges", "blocks_kept", "blocks_answered", "blocks_total", "answer")
+
+    def __init__(
+        self,
+        ranges: list[tuple[int, int]],
+        blocks_kept: int,
+        blocks_total: int,
+        answer: SynopsisAnswer | None = None,
+    ) -> None:
         self.ranges = ranges
         self.blocks_kept = blocks_kept
+        self.blocks_answered = 0 if answer is None else answer.rows // BLOCK_ROWS
         self.blocks_total = blocks_total
+        self.answer = answer
 
     @property
     def blocks_pruned(self) -> int:
-        return self.blocks_total - self.blocks_kept
+        return self.blocks_total - self.blocks_kept - self.blocks_answered
 
     def take_from(self, table: Table) -> Table:
-        """The kept rows of ``table``, in order (a zero-copy slice when contiguous)."""
+        """The rows still to read of ``table``, in order (a zero-copy slice when contiguous)."""
         if len(self.ranges) == 1:
             return table.slice(*self.ranges[0])
         if not self.ranges:
@@ -50,22 +99,51 @@ class KeptRows:
         return table.take(np.concatenate([np.arange(start, stop) for start, stop in self.ranges]))
 
 
+class ScannedRows(Table):
+    """The rows a scan read, carrying what it answered instead (``answer``).
+
+    Only a scan planned to answer a global ``COUNT`` / ``MIN`` / ``MAX`` hands
+    one on, and only the WHERE ``Filter`` lies between it and the
+    ``Aggregate`` that folds the answer in.  Every answered row satisfies
+    that WHERE, so filtering the read rows keeps the answer whole.
+    """
+
+    def __init__(self, rows: Table, answer: SynopsisAnswer) -> None:
+        self.name = rows.name
+        self.schema = rows.schema
+        self._columns = rows._columns
+        self.answer = answer
+
+    def filter(self, mask: np.ndarray) -> "ScannedRows":
+        return ScannedRows(super().filter(mask), self.answer)
+
+
 def kept_rows(
     table: Table,
     constraints: Mapping[str, ColumnConstraint],
     top: TopBound | None = None,
+    answers: tuple[str, ...] | None = None,
 ) -> KeptRows:
-    """The rows of ``table`` minus the blocks proven useless.
+    """Classify the blocks of ``table``: pruned, answered from synopses, or read.
 
     ``constraints`` are *necessary* conditions on ``table``'s own columns
     (:func:`repro.db.constraints.extract_constraints` over the WHERE clause),
     so a block whose min/max synopsis cannot satisfy one of them contributes
-    no row whatever the rest of the predicate says.  ``top`` says that only
-    the best ``count`` rows of the whole table by a column are wanted, which
-    lets :func:`_cannot_win` rule out blocks too — sound only when every row
-    of the table competes, so callers pass it without constraints.  The
-    partial tail block has no synopsis and is always kept.  This is the one
-    pruning rule: a serial scan takes the kept rows whole, the partitioned
+    no row whatever the rest of the predicate says — it is pruned.  ``top``
+    says that only the best ``count`` rows of the whole table by a column are
+    wanted, which lets :func:`_cannot_win` prune blocks too — sound only when
+    every row of the table competes, so callers pass it without constraints.
+
+    ``answers`` — set only when the constraints are the *whole* WHERE clause
+    and a global ``COUNT`` / ``MIN`` / ``MAX`` is all that is asked of the
+    rows — names the aggregated columns.  A complete block whose synopses
+    prove that every row satisfies every constraint
+    (:meth:`ColumnConstraint.covers_ranges`) and that holds no NULL or NaN in
+    an answered column is then *answered*: its count and extremes come from
+    the synopses (:class:`SynopsisAnswer`) and it is not read.
+
+    The partial tail block has no synopsis and is always read.  This is the
+    one classifier: a serial scan reads the kept rows whole, the partitioned
     engine cuts the same kept rows at shard boundaries (:meth:`TableScan.bind`
     is the one caller on an execution path).
     """
@@ -73,15 +151,29 @@ def kept_rows(
     complete = rows // BLOCK_ROWS
     total = -(-rows // BLOCK_ROWS)
     whole = KeptRows([(0, rows)] if rows else [], total, total)
-    if not constraints and top is None:
+    if not constraints and top is None and answers is None:
         return whole
     keep = np.ones(total, dtype=bool)
+    answer = None
     if complete:
+        synopses = {
+            name: table.column(name).block_synopsis() for name in [*constraints, *(answers or ())]
+        }
         for name, constraint in constraints.items():
-            mins, maxs, all_null = table.column(name).block_synopsis()
-            keep[:complete] &= constraint.admits_ranges(mins, maxs, all_null)
+            mins, maxs, nulls = synopses[name]
+            keep[:complete] &= constraint.admits_ranges(mins, maxs, nulls == BLOCK_ROWS)
         if top is not None:
             keep[:complete] &= ~_cannot_win(table, top)
+        if answers is not None:
+            covered = keep[:complete].copy()
+            for name, constraint in constraints.items():
+                mins, maxs, nulls = synopses[name]
+                covered &= constraint.covers_ranges(mins, maxs, nulls > 0)
+            for name in answers:
+                covered &= synopses[name][2] == 0
+            if covered.any():
+                answer = _answer(table, synopses, answers, covered)
+                keep[:complete] &= ~covered
     if keep.all():
         return whole
     # Runs of kept blocks -> row ranges, the last clipped to the table.
@@ -90,7 +182,28 @@ def kept_rows(
         (int(a) * BLOCK_ROWS, min(int(b) * BLOCK_ROWS, rows))
         for a, b in zip(edges[0::2], edges[1::2])
     ]
-    return KeptRows(ranges, int(keep.sum()), total)
+    return KeptRows(ranges, int(keep.sum()), total, answer)
+
+
+def _answer(
+    table: Table,
+    synopses: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+    answers: tuple[str, ...],
+    covered: np.ndarray,
+) -> SynopsisAnswer:
+    """The count and the numeric extremes of the ``covered`` complete blocks.
+
+    Rounding to float is monotone, so the float of an INT64 extreme is the
+    extreme of the floats ``MIN`` / ``MAX`` reduce.
+    """
+    mins: dict[str, float] = {}
+    maxs: dict[str, float] = {}
+    for name in answers:
+        if table.column(name).dtype.is_numeric:
+            low, high, _ = synopses[name]
+            mins[name] = float(low[covered].min())
+            maxs[name] = float(high[covered].max())
+    return SynopsisAnswer(int(covered.sum()) * BLOCK_ROWS, mins, maxs)
 
 
 def _cannot_win(table: Table, top: TopBound) -> np.ndarray:
@@ -106,9 +219,9 @@ def _cannot_win(table: Table, top: TopBound) -> np.ndarray:
     """
     name, ascending, count = top
     column = table.column(name)
-    mins, maxs, all_null = column.block_synopsis()
+    mins, maxs, nulls = column.block_synopsis()
     extremes = mins if ascending else maxs
-    qualifies = ~all_null
+    qualifies = nulls < BLOCK_ROWS
     if column.dtype is DataType.INT64:
         # A stored INT64 sentinel is a value to the synopsis but a NULL to
         # the sort: a block whose extreme it is proves nothing.
@@ -130,12 +243,17 @@ class TableScan(Operator):
     this table — let it skip every block whose min/max synopsis proves it
     empty (:func:`kept_rows`).  ``top`` — set when a ``TopN`` sits above with
     nothing in between that drops, adds or changes a row — lets it skip the
-    blocks that cannot hold one of the best rows the same way.  That is what
-    makes the zero-IO comparison honest: the raw-scan side is charged only
-    for the projected columns over the rows it hands on, and the ``Filter`` or
-    ``TopN`` above still does its whole job on exactly those rows.  With
-    neither (or when no block can be ruled out) the bound table passes
-    through untouched.
+    blocks that cannot hold one of the best rows the same way.  ``answers`` —
+    set when the constraints are the whole WHERE and the ``Aggregate`` above
+    asks only a global ``COUNT`` / ``MIN`` / ``MAX`` of these columns — lets
+    it answer every block whose synopses prove that all its rows match
+    instead of reading it, handing the answer on with the rows it did read
+    (:class:`ScannedRows`).  That is what makes the zero-IO comparison
+    honest: the raw-scan side is charged only for the projected columns over
+    the rows it hands on, and the ``Filter``, ``Aggregate`` or ``TopN`` above
+    still does its whole job on exactly those rows.  With none of the three
+    (or when no block can be ruled out) the bound table passes through
+    untouched.
 
     Plans are cached and shared across executions (and threads), so the scan
     binds its table *per execution*: when a ``catalog`` was provided it
@@ -153,6 +271,7 @@ class TableScan(Operator):
         catalog=None,
         constraints: Mapping[str, ColumnConstraint] | None = None,
         top: TopBound | None = None,
+        answers: tuple[str, ...] | None = None,
     ) -> None:
         self.table = table
         self.io_model = io_model
@@ -160,6 +279,12 @@ class TableScan(Operator):
         self.catalog = catalog
         self.constraints = constraints or {}
         self.top = top
+        self.answers = answers
+
+    @property
+    def _classifies(self) -> bool:
+        """Whether :func:`kept_rows` may leave out any block of this scan."""
+        return bool(self.constraints) or self.top is not None or self.answers is not None
 
     def _bind_table(self) -> Table:
         """This execution's frozen view of the scanned table.
@@ -180,26 +305,28 @@ class TableScan(Operator):
         return self.table.pinned()
 
     def bind(self) -> tuple[Table, KeptRows]:
-        """This execution's frozen, projected table and the part of it still to read."""
+        """This execution's frozen, projected table and its classified blocks."""
         table = self._bind_table()
         if self.projected_columns is not None:
             table = table.select(self.projected_columns)
-        return table, kept_rows(table, self.constraints, self.top)
+        return table, kept_rows(table, self.constraints, self.top, self.answers)
 
     def read(self, table: Table, kept: KeptRows) -> Table:
-        """The kept rows of the bound table, charged once; skipped blocks are counted.
+        """The rows still to read of the bound table, charged once.
 
-        Split from :meth:`bind` so that the partitioned engine, which cuts the
-        kept rows at shard boundaries, reads — and charges — through the very
-        code a serial execution does.
+        Pruned and answered blocks are counted, not charged; the answer rides
+        on the rows handed on (:class:`ScannedRows`).  Split from :meth:`bind`
+        so that the partitioned engine, which cuts the read rows at shard
+        boundaries, reads — and charges — through the very code a serial
+        execution does.
         """
-        if kept.blocks_pruned:
+        if kept.blocks_kept < kept.blocks_total:
             table = kept.take_from(table)
             if self.io_model is not None:
-                self.io_model.skip_blocks(kept.blocks_pruned)
+                self.io_model.skip_blocks(kept.blocks_pruned, kept.blocks_answered)
         if self.io_model is not None:
             self.io_model.charge_scan(table)
-        return table
+        return table if kept.answer is None else ScannedRows(table, kept.answer)
 
     def apply(self) -> Table:
         return self.read(*self.bind())
@@ -209,22 +336,26 @@ class TableScan(Operator):
         return self.read(table, kept), self._describe(kept)
 
     def describe(self) -> str:
-        if not self.constraints and self.top is None:
+        if not self._classifies:
             return self._describe(None)
-        return self._describe(kept_rows(self._bind_table(), self.constraints, top=self.top))
+        return self._describe(
+            kept_rows(self._bind_table(), self.constraints, self.top, self.answers)
+        )
 
     def _describe(self, kept: KeptRows | None) -> str:
-        """The one-line description; ``kept`` is read only when the scan prunes."""
+        """The one-line description; ``kept`` is read only when the scan classifies."""
         cols = "*" if self.projected_columns is None else ", ".join(self.projected_columns)
-        if not self.constraints and self.top is None:
+        if not self._classifies:
             return f"TableScan({self.table.name}, columns=[{cols}])"
+        assert kept is not None
         top = ""
         if self.top is not None:
             name, ascending, count = self.top
             top = f"top={render_sort_keys([(name, ascending)])} {count}, "
+        answered = "" if self.answers is None else f", answered={kept.blocks_answered}"
         return (
             f"TableScan({self.table.name}, columns=[{cols}], {top}"
-            f"blocks={kept.blocks_kept}/{kept.blocks_total})"
+            f"blocks={kept.blocks_kept}/{kept.blocks_total}{answered})"
         )
 
 

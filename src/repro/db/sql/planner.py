@@ -15,7 +15,10 @@ it can skip blocks its min/max synopses prove empty, and a top-level conjunct
 that only reads a join's right table filters that build side before the join.
 A ``TopN`` reaches the scan the same way when only the ``Project`` lies
 between them and its primary key is a bare column: the scan then skips the
-blocks that cannot hold one of the best rows.
+blocks that cannot hold one of the best rows.  And a global ``COUNT`` /
+``MIN`` / ``MAX`` over one table whose WHERE the constraints describe whole
+lets the scan answer the blocks its synopses prove to match row for row
+instead of reading them.
 
 It also performs name resolution: qualified column references
 (``m.intensity``) are rewritten to the actual column names of the (joined)
@@ -99,11 +102,11 @@ class _PlanBuilder:
         statement = self.statement
         base, joins = self._bind_from_clause()
         where = self._resolve(statement.where) if statement.where is not None else None
-        plan, where = self._build_from_clause(base, joins, where)
+        aggregates, rewritten_items, rewritten_having = self._extract_aggregates()
+        plan, where = self._build_from_clause(base, joins, where, self._answers(aggregates))
         if where is not None:
             plan = Filter(plan, where)
 
-        aggregates, rewritten_items, rewritten_having = self._extract_aggregates()
         group_exprs = [self._resolve(e) for e in statement.group_by]
 
         if aggregates or group_exprs:
@@ -191,6 +194,7 @@ class _PlanBuilder:
         base: Table,
         joins: list[tuple[Table, list[str], list[str]]],
         where: Expression | None,
+        answers: tuple[str, ...] | None,
     ) -> tuple[Operator, Expression | None]:
         """Scans and joins, with as much of ``where`` pushed into them as is safe.
 
@@ -199,7 +203,7 @@ class _PlanBuilder:
         right table selects the same output rows before the join as after it;
         it moves below, rewritten to that table's own column names.  The base
         scan keeps the whole remaining predicate above it and only receives
-        its constraints.
+        its constraints — and ``answers`` (:meth:`_answers`).
         """
         pushed: dict[int, list[Expression]] = {}
         remaining: list[Expression] = []
@@ -220,7 +224,7 @@ class _PlanBuilder:
         unambiguous = set(base.schema.names)
         for right_table, _, _ in joins:
             unambiguous -= set(right_table.schema.names)
-        plan: Operator = self._scan(base, where, unambiguous)
+        plan: Operator = self._scan(base, where, unambiguous, answers=answers)
 
         for position, (right_table, left_keys, right_keys) in enumerate(joins):
             local = _conjunction(
@@ -241,13 +245,21 @@ class _PlanBuilder:
         predicate: Expression | None,
         prunable: set[str],
         top: TopBound | None = None,
+        answers: tuple[str, ...] | None = None,
     ) -> TableScan:
-        """A scan of ``table`` that may prune on ``predicate``'s ``prunable`` columns."""
+        """A scan of ``table`` that may prune on ``predicate``'s ``prunable`` columns.
+
+        ``answers`` reaches the scan only when those constraints are the
+        whole predicate: a block they cover then matches it row for row.
+        """
+        analysed = extract_constraints(predicate)
         constraints: dict[str, ColumnConstraint] = {
             name: constraint
-            for name, constraint in extract_constraints(predicate).by_column.items()
+            for name, constraint in analysed.by_column.items()
             if name in prunable
         }
+        if not analysed.fully_analysed or len(constraints) < len(analysed.by_column):
+            answers = None
         return TableScan(
             table,
             self.io_model,
@@ -255,7 +267,32 @@ class _PlanBuilder:
             catalog=self.catalog,
             constraints=constraints,
             top=top,
+            answers=answers,
         )
+
+    def _answers(self, aggregates: list[AggregateSpec]) -> tuple[str, ...] | None:
+        """The columns whose aggregates the base scan may answer from block synopses.
+
+        Only for one base table with no join, ``GROUP BY``, ``DISTINCT`` or
+        ``ORDER BY``, where every aggregate is ``COUNT(*)`` or a ``COUNT`` /
+        ``MIN`` / ``MAX`` of a bare column: of a block whose rows all match,
+        those need only its row count and its synopsis extremes.  None plans
+        the scan exactly as any other.
+        """
+        statement = self.statement
+        if not aggregates or statement.joins or statement.group_by:
+            return None
+        if statement.distinct or statement.order_by:
+            return None
+        names: list[str] = []
+        for spec in aggregates:
+            if spec.function not in ("count", "min", "max"):
+                return None
+            if spec.expression is not None:
+                if not isinstance(spec.expression, ColumnRef):
+                    return None
+                names.append(spec.expression.name)
+        return tuple(dict.fromkeys(names))
 
     def _top_bound(
         self, projections: list[Projection], primary: tuple[str, bool]

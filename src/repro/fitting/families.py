@@ -15,6 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FittingError, InsufficientDataError
+from repro.fitting.metrics import median
 from repro.fitting.model import ModelFamily
 
 __all__ = [
@@ -241,7 +242,7 @@ class Logistic(ModelFamily):
         L = float(np.max(y)) * 1.05 if len(y) else 1.0
         if L <= 0:
             L = 1.0
-        x0 = float(np.median(x)) if len(x) else 0.0
+        x0 = median(x) if len(x) else 0.0
         return np.array([L, 1.0, x0])
 
     def jacobian(self, inputs, params):

@@ -4,7 +4,8 @@ The paper names two quality judgements explicitly: the residual standard
 error stored next to the model parameters (Table 1) and "the R² coefficient
 of determination or the results of an F-test against a model with fewer
 parameters" (§3).  This module implements those, plus AIC/BIC which the
-model-switching policy uses to pick between competing captured models.
+model-switching policy uses to pick between competing captured models, and
+the one :func:`median` every robust statistic of the library takes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from repro.fitting.distributions import f_survival
 
 __all__ = [
+    "median",
     "residual_standard_error",
     "r_squared",
     "adjusted_r_squared",
@@ -26,6 +28,32 @@ __all__ = [
     "f_test_against_constant",
     "f_test_nested",
 ]
+
+
+def median(values) -> float:
+    """``float(np.median(values))``, bit for bit, without importing ``numpy.ma``.
+
+    NumPy's own median pulls ``numpy.ma`` in on its first call (~16 ms).  This
+    one does what it does over the flattened float64 values: one partition at
+    the middle position(s) and at the last one (where a NaN sorts, making the
+    result NaN — the same partition, so a tie between ``0.0`` and ``-0.0``
+    resolves the same way), then the mean of the middle value or of the two
+    middle ones.  An empty input gives NaN.
+    """
+    data = np.asarray(values, dtype=np.float64).ravel()
+    size = len(data)
+    if size == 0:
+        return math.nan
+    half = size // 2
+    middle = [half] if size % 2 else [half - 1, half]
+    part = np.partition(data, [*middle, -1])
+    if np.isnan(part[-1]):
+        return math.nan
+    # NumPy takes the mean of the middle slice, a sum that starts at 0.0
+    # (which is what turns a -0.0 median into 0.0).
+    if size % 2:
+        return float(0.0 + part[half])
+    return float((0.0 + part[half - 1] + part[half]) / 2.0)
 
 
 def residual_standard_error(residuals: np.ndarray, num_params: int) -> float:

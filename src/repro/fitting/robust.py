@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import FittingError
 from repro.fitting.fit import fit_model
-from repro.fitting.metrics import adjusted_r_squared, r_squared, residual_standard_error
+from repro.fitting.metrics import adjusted_r_squared, median, r_squared, residual_standard_error
 from repro.fitting.model import FitResult, ModelFamily
 
 __all__ = ["huber_weights", "bisquare_weights", "fit_robust"]
@@ -52,7 +52,7 @@ def _mad_scale(residuals: np.ndarray) -> float:
     residuals = np.asarray(residuals, dtype=np.float64)
     if len(residuals) == 0:
         return 0.0
-    mad = float(np.median(np.abs(residuals - np.median(residuals))))
+    mad = median(np.abs(residuals - median(residuals)))
     return mad / 0.6745 if mad > 0 else float(np.std(residuals))
 
 

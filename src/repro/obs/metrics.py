@@ -58,6 +58,7 @@ _METRIC_HELP = {
     "ingest_rows_total": "Rows committed through streaming ingestion.",
     "partitions_pruned_total": "Shards of a fanned-out query that no kept scan block reaches (they get no task).",
     "scan_blocks_pruned_total": "Scan blocks skipped because their min/max synopses rule out the WHERE clause.",
+    "scan_blocks_answered_total": "Scan blocks whose COUNT, MIN and MAX came from their synopses because every row matches the WHERE clause.",
     "cost_recalibrations_total": "Adaptive cost-model recalibrations installed.",
     "slo_breaches_total": "SLO error-budget burn alerts fired, by objective and window.",
     "recovery_total": "Crash/fault recovery outcomes.",

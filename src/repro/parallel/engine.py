@@ -12,8 +12,9 @@ root execution.  A partitioned query is the serial scan, fanned out:
    the data for the whole query.
 3. **Prune** with the serial scan's own :meth:`TableScan.bind` — the one
    :func:`kept_rows` call over the pinned, projected table — and cut the
-   surviving rows at shard boundaries; a shard no kept block reaches gets
-   no task.
+   rows still to read at shard boundaries; a shard no kept block reaches
+   gets no task, and the blocks the scan answered from synopses join the
+   merge as one more partial.
 4. **Gate**: the planner's cost model says whether the dispatch overhead is
    paid for.  If not, return ``None`` — the serial scan skips exactly the
    same blocks, so there is nothing the partitioned path would save.
@@ -54,7 +55,7 @@ from repro.db.operators.topn import TopN
 from repro.db.sql.planner import PlannedQuery, _Distinct
 from repro.db.table import Table
 from repro.parallel.kernels import GroupedPartial, partial_aggregate
-from repro.parallel.merge import merge_global, merge_grouped, merge_tables
+from repro.parallel.merge import answered_partial, merge_global, merge_grouped, merge_tables
 from repro.parallel.partition import PARTITION_META_KEY, partition_entries
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -200,6 +201,8 @@ class ParallelQueryEngine:
             if parts.aggregate.group_by:
                 merged = merge_grouped(parts.aggregate, partials)
             else:
+                if kept.answer is not None:
+                    partials.append(answered_partial(parts.aggregate, kept.answer))
                 merged = merge_global(parts.aggregate, partials)
         else:
             merged = merge_tables(partials)

@@ -30,13 +30,14 @@ from repro.db.column import Column
 from repro.db.expressions import ColumnRef
 from repro.db.operators.aggregate import Aggregate
 from repro.db.operators.codes import factorize_keys
+from repro.db.operators.scan import SynopsisAnswer
 from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType
 from repro.errors import ExecutionError
 from repro.parallel.kernels import GlobalPartial, GroupedPartial, input_slot
 
-__all__ = ["merge_tables", "merge_grouped", "merge_global"]
+__all__ = ["merge_tables", "merge_grouped", "merge_global", "answered_partial"]
 
 
 def merge_tables(partials: Sequence[Table]) -> Table:
@@ -229,7 +230,8 @@ def merge_global(aggregate: Aggregate, partials: Sequence[GlobalPartial]) -> Tab
                 mean += delta * nb / combined
                 n = combined
                 total += tb
-                mn, mx = min(mn, mnb), max(mx, mxb)
+                # np.minimum / np.maximum keep a NaN extreme, as np.min does.
+                mn, mx = np.minimum(mn, mnb), np.maximum(mx, mxb)
             if n == 0:
                 result = None
             elif function == "sum":
@@ -248,3 +250,22 @@ def merge_global(aggregate: Aggregate, partials: Sequence[GlobalPartial]) -> Tab
         columns[spec.name] = Column.from_values(spec.output_dtype, [result])
         defs.append(ColumnDef(spec.name, spec.output_dtype))
     return Table("aggregate", Schema(defs), columns)
+
+
+def answered_partial(aggregate: Aggregate, answer: SynopsisAnswer) -> GlobalPartial:
+    """The blocks a scan answered from synopses, as one more global partial.
+
+    Every answered row counts for ``COUNT(*)`` and ``COUNT(col)`` alike and
+    an extreme is the answer's own; the sum and M2 positions hold the merge's
+    identities (an answering scan serves no SUM, AVG, STDDEV or VAR).
+    """
+    stats: list[tuple[int, float, float, float, float] | None] = []
+    for spec in aggregate.aggregates:
+        column = spec.expression
+        if spec.function.lower() == "count" or not isinstance(column, ColumnRef):
+            stats.append(None)
+        else:
+            stats.append((answer.rows, 0.0, 0.0, answer.mins[column.name], answer.maxs[column.name]))
+    return GlobalPartial(
+        num_rows=answer.rows, counts=[answer.rows] * len(aggregate.aggregates), stats=stats
+    )

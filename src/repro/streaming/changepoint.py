@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.fitting.metrics import median
+
 __all__ = [
     "ChangePoint",
     "ChangePointResult",
@@ -88,7 +90,7 @@ def estimate_noise_sigma(values: np.ndarray) -> float:
     if len(values) < 3:
         return float("nan")
     diffs = np.diff(values)
-    mad = float(np.median(np.abs(diffs - np.median(diffs))))
+    mad = median(np.abs(diffs - median(diffs)))
     sigma = mad / (np.sqrt(2.0) * 0.67448975)
     if sigma <= 0.0:
         # Constant stretches can zero out the MAD; fall back to the plain std.

@@ -599,3 +599,17 @@ def test_a_grouped_fit_is_its_parameter_table():
                 )
     assert walks == []
     assert builders == TABLE_BUILDERS
+
+
+def test_block_synopses_are_read_by_the_scan_alone():
+    """``db/operators/scan.py`` is the only caller of ``block_synopsis()``
+    under ``src/``: pruning, the top-N bound and the blocks answered from
+    synopses all come out of its one classifier, ``kept_rows``."""
+    found = [
+        f"{relative}:{node.lineno} {ast.unparse(node.func)}"
+        for relative, tree in _modules()
+        if relative != "db/operators/scan.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "block_synopsis"
+    ]
+    assert found == []

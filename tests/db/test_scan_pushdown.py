@@ -490,8 +490,15 @@ class TestPlannerSatellites:
         db.load_dict("t", {"g": [1, 2, 3] * 4096, "flag": [True, False, True] * 4096, "x": [0.5] * 12288})
         with db.io_model.scope() as scope:
             assert db.sql("SELECT count(*) FROM t").rows() == [(12288,)]
-        assert scope.snapshot()["pages_read"] == -(-12288 // db.io_model.parameters.page_size_bytes)  # BOOL: 1 B/row
-        assert "columns=[flag]" in db.explain("SELECT count(*) FROM t")
+        # Twelve complete blocks, all answered from their synopses: nothing is read.
+        assert scope.snapshot()["pages_read"] == 0
+        assert "columns=[flag], blocks=0/12, answered=12" in db.explain("SELECT count(*) FROM t")
+        db.sql("INSERT INTO t VALUES (1, true, 0.5), (2, false, 0.5), (3, true, 0.5)")
+        with db.io_model.scope() as scope:
+            assert db.sql("SELECT count(*) FROM t").rows() == [(12291,)]
+        # The partial tail block has no synopsis: it is read, through BOOL at 1 B/row.
+        assert scope.snapshot()["bytes_read"] == 3
+        assert scope.snapshot()["pages_read"] == 1
 
     def test_right_table_conjunct_filters_the_build_side(self) -> None:
         db = Database()
@@ -513,8 +520,16 @@ class TestPlannerSatellites:
         db = Database()
         db.load_dict("t", {"ts": list(range(10 * BLOCK_ROWS + 3))})
         plan = db.explain(f"SELECT count(*) FROM t WHERE ts < {BLOCK_ROWS}")
-        assert "TableScan(t, columns=[ts], blocks=2/11)" in plan  # block 0 and the tail
-        assert "blocks=" not in db.explain("SELECT count(*) FROM t")
+        # Block 0 matches row for row and is answered; the tail is read.
+        assert "TableScan(t, columns=[ts], blocks=1/11, answered=1)" in plan
+        plan = db.explain(f"SELECT count(*) FROM t WHERE ts < {BLOCK_ROWS + 1}")
+        assert "TableScan(t, columns=[ts], blocks=2/11, answered=1)" in plan  # block 1 and the tail
+        assert "TableScan(t, columns=[ts], blocks=1/11, answered=10)" in db.explain(
+            "SELECT count(*) FROM t"
+        )
+        plan = db.explain(f"SELECT sum(ts) FROM t WHERE ts < {BLOCK_ROWS}")
+        assert "TableScan(t, columns=[ts], blocks=2/11)" in plan  # SUM is never answered
+        assert "blocks=" not in db.explain("SELECT sum(ts) FROM t")
 
 
 @pytest.mark.parametrize("partitions", [None, 4])

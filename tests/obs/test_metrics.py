@@ -147,14 +147,20 @@ class TestExporters:
         db = LawsDatabase()
         db.load_dict("t", {"ts": list(range(rows)), "v": [1.0] * rows})
         db.partition_table("t", partitions=4, by="ts", scheme="range")
-        # Free dispatch, so a table this small fans out: three kept blocks
-        # reach the first two shards, the other two shards get no task.
+        # Free dispatch, so a table this small fans out: the two boundary
+        # blocks are read and reach shards 0 and 2, the three blocks between
+        # them are answered from their synopses, the last three are pruned,
+        # and shards 1 and 3 get no task.
         db.planner.set_cost_model(CostModel(OperatorCosts(parallel_task_overhead_seconds=0.0)))
-        db.query("SELECT count(*) FROM t WHERE ts < 3000", AccuracyContract(mode="exact"))
+        sql = "SELECT count(*) FROM t WHERE ts BETWEEN 1000 AND 5000"
+        assert db.query(sql, AccuracyContract(mode="exact")).rows() == [(4001,)]
         assert db.obs.metrics.counter_total("partitions_pruned_total") == 2
+        assert db.obs.metrics.counter_total("partition_tasks_total") == 2
+        assert db.obs.metrics.counter_total("scan_blocks_answered_total") == 3
+        assert db.obs.metrics.counter_total("scan_blocks_pruned_total") == 3
 
         text = db.obs.metrics.to_prometheus_text()
-        for name in ("scan_blocks_pruned_total", "partitions_pruned_total"):
+        for name in ("scan_blocks_pruned_total", "scan_blocks_answered_total", "partitions_pruned_total"):
             assert db.obs.metrics.counter_total(name) > 0, name
             assert _help_text(name) != _GENERIC_HELP, name
             assert f"# HELP repro_{name} {_help_text(name)}" in text

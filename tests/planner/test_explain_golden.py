@@ -91,7 +91,7 @@ def test_no_model_explain(golden_db):
         "Candidates:\n"
         "=> exact [cost≈Xms, exact]\n"
         "     · Project(n) →   Aggregate(group_by=[], aggregates=[count(*)]) →     "
-        "TableScan(t, columns=[g])\n"
+        "TableScan(t, columns=[g], blocks=1/1, answered=0)\n"
         "Decision: exact — no model route applies"
     )
 

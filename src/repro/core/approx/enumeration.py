@@ -25,9 +25,9 @@ from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.db.types import DataType
 from repro.errors import EnumerationError
-from repro.fitting.grouped import GroupedFitResult
+from repro.fitting.grouped import GroupedFitResult, key_rows
 
-__all__ = ["EnumerationPlan", "build_enumeration_plan", "generate_virtual_table"]
+__all__ = ["EnumerationPlan", "build_enumeration_plan", "domain_rows", "generate_virtual_table"]
 
 #: Refuse to materialise virtual tables larger than this many rows unless the
 #: caller raises the cap explicitly; protects against combinatorial blow-up.
@@ -39,14 +39,19 @@ class EnumerationPlan:
     """Concrete value domains for every column the model needs."""
 
     model: CapturedModel
-    #: group-key tuples taken from the stored parameter table
-    group_keys: list[tuple[Any, ...]]
+    #: The enumerated groups' rows of the stored parameter table.
+    group_rows: np.ndarray
     #: input column name -> list of values to enumerate
     input_domains: dict[str, list[float]] = field(default_factory=dict)
 
     @property
+    def group_keys(self) -> list[tuple[Any, ...]]:
+        """The enumerated groups' keys as python tuples."""
+        return [self.model.fit.keys[row] for row in self.group_rows]  # type: ignore[union-attr]
+
+    @property
     def num_rows(self) -> int:
-        rows = max(len(self.group_keys), 1) if self.model.group_columns else 1
+        rows = max(len(self.group_rows), 1) if self.model.group_columns else 1
         for values in self.input_domains.values():
             rows *= max(len(values), 1)
         return rows
@@ -54,7 +59,7 @@ class EnumerationPlan:
     def describe(self) -> str:
         parts = []
         if self.model.group_columns:
-            parts.append(f"{len(self.group_keys)} group keys")
+            parts.append(f"{len(self.group_rows)} group keys")
         for name, values in self.input_domains.items():
             parts.append(f"{name}: {len(values)} values")
         return ", ".join(parts) or "(empty plan)"
@@ -76,7 +81,7 @@ def build_enumeration_plan(
     """
     pinned = {name: list(values) for name, values in (pinned_values or {}).items()}
 
-    group_keys = _group_keys(model, pinned)
+    group_rows = _group_rows(model, pinned)
     _check_group_coverage(model, table_stats, pinned)
     input_domains: dict[str, list[float]] = {}
     for name in model.input_columns:
@@ -97,13 +102,30 @@ def build_enumeration_plan(
             )
         input_domains[name] = [float(v) for v in stats.domain]
 
-    plan = EnumerationPlan(model=model, group_keys=group_keys, input_domains=input_domains)
+    plan = EnumerationPlan(model=model, group_rows=group_rows, input_domains=input_domains)
     if plan.num_rows > max_rows:
         raise EnumerationError(
             f"enumerating the parameter space would generate {plan.num_rows} rows "
             f"(> max_rows={max_rows}); refusing to materialise"
         )
     return plan
+
+
+def domain_rows(
+    stats: TableStats, column: str, keys: Column
+) -> tuple[Column, np.ndarray, np.ndarray | None] | None:
+    """Which catalog values of group column ``column`` have no row among
+    ``keys`` (a parameter table's key column, or requested keys): the
+    column's catalog domain as a typed column, where each value sits in
+    ``keys`` (−1: nowhere, a group the capture never saw) and each value's
+    live row count (None where uncounted).  None without a materialised domain.
+    """
+    column_stats = stats.columns.get(column)
+    if column_stats is None or column_stats.domain is None:
+        return None
+    values = Column(column_stats.dtype, column_stats.domain)  # NULL-free by construction
+    counts = column_stats.domain_counts
+    return values, key_rows([keys], [values]), None if counts is None else np.asarray(counts)
 
 
 def _check_group_coverage(
@@ -120,16 +142,12 @@ def _check_group_coverage(
     if not model.is_grouped:
         return
     for position, column in enumerate(model.group_columns):
-        column_stats = table_stats.columns.get(column)
-        if column_stats is None or column_stats.domain is None:
+        found = domain_rows(table_stats, column, model.fit.key_columns[position])  # type: ignore[union-attr]
+        if found is None:
             continue
-        seen = set(model.fit.key_columns[position].to_pylist())  # type: ignore[union-attr]
         allowed = pinned.get(column)
-        new_values = [
-            v
-            for v in column_stats.domain
-            if v not in seen and (allowed is None or v in allowed)
-        ]
+        unseen = found[0].take(np.flatnonzero(found[1] < 0)).to_pylist()
+        new_values = [v for v in unseen if allowed is None or v in allowed]
         if new_values:
             raise EnumerationError(
                 f"group column {column!r} holds values {new_values[:5]} that appeared "
@@ -138,17 +156,18 @@ def _check_group_coverage(
             )
 
 
-def _group_keys(model: CapturedModel, pinned: dict[str, list[Any]]) -> list[tuple[Any, ...]]:
+def _group_rows(model: CapturedModel, pinned: dict[str, list[Any]]) -> np.ndarray:
     if not model.group_columns:
-        return []
+        return np.empty(0, dtype=np.int64)
     fit: GroupedFitResult = model.fit  # type: ignore[assignment]
-    keys = [fit.keys[row] for row in np.flatnonzero(fit.succeeded)]
+    rows = np.flatnonzero(fit.succeeded)
     # Apply pinning on group columns (e.g. WHERE source = 42).
     for position, column in enumerate(model.group_columns):
         if column in pinned:
-            allowed = set(pinned[column])
-            keys = [key for key in keys if key[position] in allowed]
-    return keys
+            allowed = pinned[column]
+            values = fit.key_columns[position].take(rows).to_pylist()
+            rows = rows[np.array([value in allowed for value in values], dtype=bool)]
+    return rows
 
 
 def generate_virtual_table(
@@ -177,10 +196,10 @@ def generate_virtual_table(
         # Every key's row of the parameter table, each repeated over the grid:
         # one row-wise evaluation, no per-group loop.
         grouped: GroupedFitResult = model.fit  # type: ignore[assignment]
-        rows = np.array([grouped.index[key] for key in plan.group_keys], dtype=np.int64).repeat(points)
+        rows = plan.group_rows.repeat(points)
         for column, keys in zip(model.group_columns, grouped.key_columns):
             columns[column] = keys.take(rows)
-        tiled = {name: np.tile(values, len(plan.group_keys)) for name, values in inputs_arrays.items()}
+        tiled = {name: np.tile(values, len(plan.group_rows)) for name, values in inputs_arrays.items()}
         predictions = grouped.family.predict_rowwise(tiled, grouped.params[rows])
         errors = grouped.rse[rows]
     else:

@@ -25,17 +25,19 @@ is why the virtual table does not aggregate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Any
 
 import numpy as np
 
+from repro.core.approx.enumeration import domain_rows
 from repro.core.approx.error_bounds import combine_independent, extreme_value_error
 from repro.core.captured_model import CapturedModel
 from repro.db.column import Column
 from repro.db.constraints import WhereConstraints, bare_name as _bare
 from repro.db.expressions import ColumnRef, FunctionCall
+from repro.db.operators.codes import dense_key_codes
 from repro.db.schema import ColumnDef, Schema
 from repro.db.sql.ast import SelectStatement, Star
 from repro.db.stats import TableStats
@@ -54,7 +56,8 @@ __all__ = [
     "constraint_facts",
     "DomainRestriction",
     "restrict",
-    "live_group_rows",
+    "admitted_keys",
+    "live_rows",
     "combinable_rows",
     "DomainEvaluation",
     "evaluate_over_domains",
@@ -208,6 +211,10 @@ class DomainRestriction:
     #: an allowance for it.
     assumed: bool
     detail: str
+    #: Each parameter row's live row count where the catalog counts a grouped
+    #: fit's one group column (:func:`live_rows`), read with the statement's
+    #: statistics; None elsewhere.
+    live: np.ndarray | None = None
 
 
 def restrict(
@@ -219,10 +226,13 @@ def restrict(
     reads its inputs' measured box in closed form first (§4.2's "analytic
     solutions").  None when some input can be neither enumerated nor
     integrated, or a pin is not a number (a type error the exact engine
-    raises on)."""
+    raises on).  The live row counts come along, so an answer that reuses
+    the restriction does not look them up again."""
     if not model.is_grouped and not constraints.by_column:
-        return _integrated(model, stats, constraints) or _enumerated(model, stats, constraints)
-    return _enumerated(model, stats, constraints) or _integrated(model, stats, constraints)
+        restriction = _integrated(model, stats, constraints) or _enumerated(model, stats, constraints)
+    else:
+        restriction = _enumerated(model, stats, constraints) or _integrated(model, stats, constraints)
+    return None if restriction is None else replace(restriction, live=live_rows(model, stats))
 
 
 def _enumerated(
@@ -387,30 +397,40 @@ def _mesh(columns: tuple[str, ...], axes: list) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def live_group_rows(stats: TableStats, group_columns: tuple[str, ...]) -> dict[Any, int] | None:
-    """Live row counts per group *value*, from the catalog statistics.
+def admitted_keys(constraints: WhereConstraints, column: str, values: Column) -> np.ndarray:
+    """Which of ``values`` — keys of group column ``column`` — the WHERE
+    clause admits, asked once per distinct value."""
+    codes, first_rows, _ = dense_key_codes([values], len(values))
+    verdicts = [constraints.admits(column, value) for value in values.take(first_rows).to_pylist()]
+    return np.array(verdicts, dtype=bool)[codes]
 
-    For a single enumerable group column the catalog's per-value frequency
-    counts *are* the current group cardinalities — COUNT/SUM stay exact even
-    when streaming appends landed in just one group or formed brand-new
-    groups.  Keyed by the column's bare value (``key[0]`` of a group key).
-    None when the group key is multi-column or has no materialised domain.
-    """
-    if len(group_columns) != 1:
+
+def live_rows(model: CapturedModel, stats: TableStats) -> np.ndarray | None:
+    """For a grouped fit keyed by one column whose catalog domain is counted
+    — the counts *are* the current group cardinalities, so COUNT/SUM stay
+    exact even when appends landed in one group or formed new ones — each
+    parameter row's live count, NaN where the catalog no longer holds its
+    key.  None for a key of several columns or an uncounted column."""
+    if len(model.group_columns) != 1:
         return None
-    column_stats = stats.columns.get(group_columns[0])
-    if column_stats is None or column_stats.domain is None or column_stats.domain_counts is None:
+    fit: GroupedFitResult = model.fit  # type: ignore[assignment]
+    found = domain_rows(stats, model.group_columns[0], fit.key_columns[0])
+    if found is None or found[2] is None:
         return None
-    return dict(zip(column_stats.domain, column_stats.domain_counts))
+    _, rows, counts = found
+    live = np.full(fit.num_groups, np.nan)
+    live[rows[rows >= 0]] = counts[rows >= 0]
+    return live
 
 
 def combinable_rows(
-    model: CapturedModel, stats: TableStats, constraints: WhereConstraints
+    model: CapturedModel, stats: TableStats, constraints: WhereConstraints, live: np.ndarray | None
 ) -> np.ndarray:
     """The parameter rows a statement without ``GROUP BY`` combines.
 
     The one row of an ungrouped fit; the groups of a grouped fit the WHERE
-    clause admits and that still hold rows.  Raises
+    clause admits and that still hold rows (``live``, the restriction's
+    counts).  Raises
     :class:`~repro.errors.ApproximationError` where the combined answer would
     silently leave rows out: a NULL group key, a group newer than the capture,
     or an admitted group whose fit failed.
@@ -428,23 +448,23 @@ def combinable_rows(
     admitted = np.ones(fit.num_groups, dtype=bool)
     for column, keys in zip(model.group_columns, fit.key_columns):
         if constraints.constrains(column):
-            admitted &= [constraints.admits(column, value) for value in keys.to_pylist()]
-    live = live_group_rows(stats, model.group_columns)
+            admitted &= admitted_keys(constraints, column, keys)
     if live is not None:
         # A group that no longer holds any rows contributes nothing.
+        admitted &= live > 0
+        # Every row still holding rows is one populated catalog value, so a
+        # surplus of populated values is a group newer than the capture.
         (column,) = model.group_columns
-        values = fit.key_columns[0].to_pylist()
-        admitted &= np.array([live.get(value, 0) for value in values]) > 0
-        # Every admitted row is one of the catalog's populated, admitted
-        # values, so any surplus among those is a group newer than the capture.
-        populated = [v for v, count in live.items() if count > 0 and constraints.admits(column, v)]
-        if len(populated) > np.count_nonzero(admitted):
-            fitted = {values[i] for i in np.flatnonzero(admitted)}
-            raise ApproximationError(
-                f"group column {column!r} holds values {[v for v in populated if v not in fitted][:5]} "
-                f"that appeared after model {model.model_id} was captured; a combined answer would "
-                "leave their rows out"
-            )
+        populated = np.count_nonzero(np.asarray(stats.columns[column].domain_counts) > 0)
+        if populated > np.count_nonzero(live > 0):
+            values, rows, counts = domain_rows(stats, column, fit.key_columns[0])
+            unseen = values.take(np.flatnonzero((rows < 0) & (counts > 0))).to_pylist()
+            newer = [value for value in unseen if constraints.admits(column, value)]
+            if newer:
+                raise ApproximationError(
+                    f"group column {column!r} holds values {newer[:5]} that appeared after model "
+                    f"{model.model_id} was captured; a combined answer would leave their rows out"
+                )
     rows = np.flatnonzero(admitted)
     failed = rows[~fit.succeeded[rows]]
     if failed.size:
@@ -455,16 +475,18 @@ def combinable_rows(
     return rows
 
 
-def _parameter_rows(model: CapturedModel, stats: TableStats, rows: np.ndarray) -> tuple:
+def _parameter_rows(
+    model: CapturedModel, stats: TableStats, rows: np.ndarray, live: np.ndarray | None
+) -> tuple:
     """Rows ``rows`` of ``model``'s parameter table — ``(params, rse)`` — and
     the one covered-rows rule: the rows each stands for, as ``(counted rows,
     growth scale, staleness allowance)``.
 
     Live counts where the catalog has them — the table's row count for an
-    ungrouped fit, a single enumerable group column's per-value counts for a
-    grouped one.  Elsewhere the fit-time counts, rescaled by a whole-table
-    model's growth, with the rows appended since the capture as the
-    worst-case allowance (NaN where a partial model's growth is unknowable).
+    ungrouped fit, the restriction's per-value counts ``live`` for a grouped
+    one.  Elsewhere the fit-time counts, rescaled by a whole-table model's
+    growth, with the rows appended since the capture as the worst-case
+    allowance (NaN where a partial model's growth is unknowable).
     """
     fit = model.fit
     if not model.is_grouped:
@@ -475,10 +497,8 @@ def _parameter_rows(model: CapturedModel, stats: TableStats, rows: np.ndarray) -
     whole = model.coverage.covers_whole_table and model.fitted_row_count > 0
     scale: np.ndarray | float = max(stats.row_count, 1) / model.fitted_row_count if whole else 1.0
     stale = np.full(len(rows), abs(float(stats.row_count - model.fitted_row_count)) if whole else np.nan)
-    live = live_group_rows(stats, model.group_columns)
     if live is not None:
-        values = fit.key_columns[0].take(rows).to_pylist()  # type: ignore[union-attr]
-        counts = np.array([live.get(value, np.nan) for value in values])
+        counts = live[rows]
         known = ~np.isnan(counts)
         observations = np.where(known, counts, observations)
         scale = np.where(known, 1.0, scale)
@@ -522,7 +542,7 @@ def evaluate_over_domains(
     The points, the design matrix and the predictions for every group come
     from one ``predict_many`` call, whatever ``G`` is.
     """
-    params, rse, observations, scale, stale = _parameter_rows(model, stats, rows)
+    params, rse, observations, scale, stale = _parameter_rows(model, stats, rows, restriction.live)
     n = restriction.n_points
     fraction = restriction.fraction
     covered = np.asarray(observations, dtype=np.float64) * fraction * scale
@@ -683,26 +703,16 @@ def aggregate_statement(
 def build_result_table(specs: list[ItemSpec], data: dict[str, "list[Any] | Column"]) -> Table:
     """Assemble the route's result table in SELECT order.
 
-    A result column arrives either ready-made (a :class:`Column`) or as plain
-    values: then group columns infer their dtype from the key values, COUNT
-    aggregates are integers, everything else is float.  Shared by the grouped
-    and aggregate routes so schema assembly has a single implementation.
+    A result column arrives either ready-made (a :class:`Column`) or as the
+    plain values of an aggregate: COUNT then is INT64, anything else FLOAT64.
+    Shared by the grouped and aggregate routes so schema assembly has a
+    single implementation.
     """
-    defs: list[ColumnDef] = []
     columns: dict[str, Column] = {}
     for spec in specs:
         values = data[spec.name]
-        if isinstance(values, Column):
-            defs.append(ColumnDef(spec.name, values.dtype))
-            columns[spec.name] = values
-            continue
-        if spec.kind == "group":
-            non_null = [v for v in values if v is not None]
-            dtype = DataType.infer_common(non_null) if non_null else DataType.INT64
-        elif spec.function == "count":
-            dtype = DataType.INT64
-        else:
-            dtype = DataType.FLOAT64
-        defs.append(ColumnDef(spec.name, dtype))
-        columns[spec.name] = Column.from_values(dtype, values)
-    return Table("approximate", Schema(defs), columns)
+        if not isinstance(values, Column):
+            dtype = DataType.INT64 if spec.function == "count" else DataType.FLOAT64
+            values = Column.from_values(dtype, values)
+        columns[spec.name] = values
+    return Table("approximate", Schema(ColumnDef(name, c.dtype) for name, c in columns.items()), columns)

@@ -23,29 +23,31 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.approx.enumeration import domain_rows
 from repro.core.approx.protocol import ApproximateAnswer, Probe, Route, RouteSketch
 from repro.core.approx.routes.aggcalc import (
     DomainRestriction,
     ItemSpec,
+    admitted_keys,
     aggregate_groups,
     analyse_select_items,
     build_result_table,
     constraint_facts,
-    live_group_rows,
     pin_facts,
     restrict,
 )
 from repro.db.constraints import WhereConstraints, bare_name as _bare
 from repro.core.approx.routes.router import GroupRoutingPlan, plan_group_routing
 from repro.core.captured_model import CapturedModel
-from repro.core.model_store import ModelStore
 from repro.db.column import Column
 from repro.db.expressions import BinaryOp, ColumnRef, Expression, InList, Literal
-from repro.db.sql.ast import SelectStatement
+from repro.db.operators.codes import dense_key_codes
+from repro.db.sql.ast import SelectItem, SelectStatement
 from repro.db.sql.planner import plan_select
 from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.db.types import DataType
+from repro.fitting.grouped import key_rows
 
 if TYPE_CHECKING:
     from repro.core.approx.engine import ApproximateQueryEngine
@@ -70,9 +72,8 @@ class GroupedRoutePlan:
     """
 
     analysis: GroupedStatementAnalysis
-    #: Candidate models that can honor the statement's predicates.
-    candidates: list[CapturedModel]
-    #: Per-group model-vs-exact assignments (the PR-2 router's output).
+    #: Which requested group each candidate that can honor the statement's
+    #: predicates serves, and which go exact.
     routing: GroupRoutingPlan
     #: Per serving batch (``routing.batches``), where the kernel evaluates
     #: it under the statement's WHERE clause (the gate's).
@@ -83,8 +84,7 @@ def _gate(engine: ApproximateQueryEngine, probe: Probe) -> GroupedRoutePlan | No
     """Shape gate, candidate lookup (harvesting on demand), per-group routing
     and where the kernel evaluates each serving model.  A plan handed over —
     the planner's, made for this statement or another of its shape — keeps
-    its candidates and routing; the analysis and the restrictions are this
-    statement's.
+    its routing; the analysis and the restrictions are this statement's.
 
     Evaluation restricts every serving model's inputs to the WHERE clause: an
     input that can be neither enumerated nor integrated cannot be restricted,
@@ -98,7 +98,7 @@ def _gate(engine: ApproximateQueryEngine, probe: Probe) -> GroupedRoutePlan | No
         candidates = _candidates(engine, probe, analysis)
         if not candidates:
             return None
-        planned = _plan_route(engine.store, probe.stats, analysis, candidates)
+        planned = _plan_route(probe.stats, analysis, candidates)
         if planned is None:
             return None
     restrictions = [
@@ -130,10 +130,7 @@ def _candidates(
 
 
 def _plan_route(
-    store: ModelStore,
-    stats: TableStats,
-    analysis: GroupedStatementAnalysis,
-    candidates: list[CapturedModel],
+    stats: TableStats, analysis: GroupedStatementAnalysis, candidates: list[CapturedModel]
 ) -> GroupedRoutePlan | None:
     """Per-group routing over ``candidates``, no evaluation.
 
@@ -141,7 +138,6 @@ def _plan_route(
     statement to the enumeration/exact paths.
     """
     group_columns = analysis.group_columns
-    output_column = analysis.output_column
     constraints = analysis.constraints
 
     # NULL group keys form their own group in exact execution; the fitted
@@ -165,13 +161,8 @@ def _plan_route(
     # enumerate every current key (single enumerable group column), or some
     # fresh whole-table model's parameter table does.  Otherwise groups that
     # appeared after the last capture would silently vanish from the result.
-    single = group_columns[0] if len(group_columns) == 1 else None
-    discoverable = (
-        single is not None
-        and stats.columns.get(single) is not None
-        and stats.columns[single].domain is not None
-    )
-    if not discoverable and not any(
+    single = stats.columns.get(group_columns[0]) if len(group_columns) == 1 else None
+    if (single is None or single.domain is None) and not any(
         model.status == "active"
         and model.coverage.covers_whole_table
         and model.fitted_row_count >= stats.row_count
@@ -180,42 +171,38 @@ def _plan_route(
         return None
 
     requested = _requested_group_keys(candidates, stats, group_columns, constraints)
-    routing = plan_group_routing(
-        store, stats.table_name, output_column, group_columns, requested, models=candidates
-    )
-    if not routing.model_groups:
+    routing = plan_group_routing(candidates, group_columns, requested)
+    if not routing.served.any():
         return None
-    return GroupedRoutePlan(analysis=analysis, candidates=candidates, routing=routing)
+    return GroupedRoutePlan(analysis=analysis, routing=routing)
 
 
 def _sketch(
     engine: ApproximateQueryEngine, probe: Probe, grouped: GroupedRoutePlan
 ) -> RouteSketch:
     routing, stats = grouped.routing, probe.stats
+    group_columns = grouped.analysis.group_columns
+    n_model = routing.n_served
+    n_exact = len(routing.owner) - n_model
     uncovered_rows = 0.0
-    if routing.exact_groups:
-        live = live_group_rows(stats, grouped.analysis.group_columns)
-        if live is not None:
-            uncovered_rows = float(sum(live.get(a.key[0], 0) for a in routing.exact_groups))
+    if n_exact:
+        exact = routing.keys_where(~routing.served)
+        found = domain_rows(stats, group_columns[0], exact[0]) if len(group_columns) == 1 else None
+        if found is not None and found[2] is not None:  # the exact keys' live row counts
+            uncovered_rows = float(np.sum(found[2][found[1] >= 0]))
         else:
             # No live per-group counts: assume uniform group sizes.
-            uncovered_rows = stats.row_count * (
-                len(routing.exact_groups) / max(len(routing.assignments), 1)
-            )
-    relatives = [
-        m.quality.relative_rse for m in grouped.candidates if m.quality.relative_rse is not None
-    ]
+            uncovered_rows = stats.row_count * (n_exact / max(len(routing.owner), 1))
+    relatives = [m.quality.relative_rse for m in routing.models if m.quality.relative_rse is not None]
     return RouteSketch(
-        route="grouped-hybrid" if routing.exact_groups else "grouped-model",
+        route="grouped-hybrid" if n_exact else "grouped-model",
         model_ids=routing.used_model_ids,
         detail=routing.describe(),
-        residual_standard_error=max(
-            (m.quality.residual_standard_error for m in grouped.candidates), default=0.0
-        ),
+        residual_standard_error=max((m.quality.residual_standard_error for m in routing.models), default=0.0),
         relative_rse=max(relatives) if relatives else None,
-        est_points=len(routing.model_groups),
-        n_model_groups=len(routing.model_groups),
-        n_exact_groups=len(routing.exact_groups),
+        est_points=n_model,
+        n_model_groups=n_model,
+        n_exact_groups=n_exact,
         uncovered_rows=uncovered_rows,
         aggregate_functions=tuple(
             spec.function for spec in grouped.analysis.specs if spec.kind == "aggregate"
@@ -232,11 +219,8 @@ def _answer(
     tracer, routing = engine.tracer, route_plan.routing
     with tracer.span("route:grouped") as span:
         if tracer.active:
-            span.annotate(
-                model_groups=len(routing.model_groups),
-                exact_groups=len(routing.exact_groups),
-                models=list(routing.used_model_ids),
-            )
+            served, models = routing.n_served, routing.used_model_ids
+            span.annotate(model_groups=served, exact_groups=len(routing.owner) - served, models=models)
         return _evaluate(engine, probe, route_plan)
 
 
@@ -253,14 +237,14 @@ def _evaluate(
 
     # Every model-served group has a slot; each serving model fills the slots
     # of its batch from one evaluation of its whole parameter matrix.
-    keys = plan.model_keys
+    served, count = plan.served, plan.n_served
     values = {
-        spec.name: np.empty(len(keys), dtype=np.int64 if spec.function == "count" else np.float64)
+        spec.name: np.empty(count, dtype=np.int64 if spec.function == "count" else np.float64)
         for spec in aggregates
     }
-    errors = {spec.name: np.empty(len(keys)) for spec in aggregates}
-    group_routes = dict(plan.reasons)
-    emitted = np.ones(len(keys), dtype=bool)
+    errors = {spec.name: np.empty(count) for spec in aggregates}
+    routes = np.empty(count, dtype=object)
+    emitted = np.ones(count, dtype=bool)
     virtual_rows = 0
 
     for batch, restriction in zip(plan.batches, route_plan.restrictions):
@@ -272,49 +256,43 @@ def _evaluate(
             # The restriction keeps no input values: the groups have no
             # qualifying rows and (like exact execution) emit no row.
             emitted[slots] = False
-            for slot in slots:
-                group_routes[keys[slot]] = f"model#{batch.model.model_id} (empty restriction)"
+            routes[slots] = f"model#{batch.model.model_id} (empty restriction)"
             continue
+        routes[slots] = batch.route
         virtual_rows += evaluation.virtual_rows
         for name, vector in batch_values.items():
             values[name][slots], errors[name][slots] = vector, batch_errors[name]
 
-    slot_of, key_columns = plan.slot_of, plan.key_columns
-    if not emitted.all():
-        kept = np.flatnonzero(emitted)
-        slot_of = {keys[slot]: position for position, slot in enumerate(kept)}
-        key_columns = [column.take(kept) for column in key_columns]
+    # The answer's per-group mappings are keyed by python tuples.
+    columns = plan.keys_where(served)
+    keys = list(zip(*(column.to_pylist() for column in columns)))
+    group_routes = dict(zip(keys, routes.tolist()))
+    kept = np.flatnonzero(emitted)
+    emitted_keys = keys if len(kept) == count else [keys[slot] for slot in kept.tolist()]
+    slot_of = dict(zip(emitted_keys, range(len(kept))))
+    if len(kept) < count:
+        columns = [column.take(kept) for column in columns]
         values = {name: vector[kept] for name, vector in values.items()}
         errors = {name: vector[kept] for name, vector in errors.items()}
     data: dict[str, Column] = {}
     for spec in specs:
         if spec.kind == "group":
-            data[spec.name] = key_columns[group_columns.index(spec.group_column)]
+            data[spec.name] = columns[group_columns.index(spec.group_column)]
         else:
             dtype = DataType.INT64 if spec.function == "count" else DataType.FLOAT64
             data[spec.name] = Column(dtype, values[spec.name])
 
-    exact_keys = [a.key for a in plan.exact_groups]
-    if exact_keys:
-        membership = _membership_expression(group_columns, exact_keys)
-        exact_table = _execute_exact_groups(engine, statement, membership)
+    hybrid = count < len(served)
+    if hybrid:
+        exact_table, exact_keys = _execute_exact_groups(engine, statement, analysis, plan.keys_where(~served))
         for position, spec in enumerate(specs):
-            data[spec.name] = _stack_columns(
-                data[spec.name], exact_table.column(exact_table.schema.names[position])
-            )
-        spec_position = {
-            spec.group_column: i for i, spec in enumerate(specs) if spec.kind == "group"
-        }
-        # Provenance is only trackable when every group column appears in
-        # the SELECT list (it usually does; GROUP BY keys outside the list
-        # still merge correctly, they just go unattributed).
-        if all(column in spec_position for column in group_columns):
-            key_lists = [
-                exact_table.column(exact_table.schema.names[spec_position[column]]).to_pylist()
-                for column in group_columns
-            ]
-            for key in zip(*key_lists):
-                group_routes[key] = "exact"
+            exact = exact_table.column(exact_table.schema.names[position])
+            data[spec.name] = Column.stack([data[spec.name], exact])
+        # Provenance is attributed when every group column appears in the
+        # SELECT list (it usually does; GROUP BY keys outside the list still
+        # merge correctly, they just go unattributed).
+        if {spec.group_column for spec in specs} >= set(group_columns):
+            group_routes.update(dict.fromkeys(zip(*(column.to_pylist() for column in exact_keys)), "exact"))
 
     table = build_result_table(specs, data)
     if order_keys:
@@ -327,7 +305,7 @@ def _evaluate(
     return ApproximateAnswer(
         sql=probe.sql,
         table=table,
-        route="grouped-hybrid" if exact_keys else "grouped-model",
+        route="grouped-hybrid" if hybrid else "grouped-model",
         is_exact=False,
         used_model_ids=plan.used_model_ids,
         reason=f"per-group model evaluation: {plan.describe()}",
@@ -354,24 +332,49 @@ ROUTE = Route(_gate, _sketch, _answer, needs_model=False, literal_key=_literal_k
 
 
 def _execute_exact_groups(
-    engine: ApproximateQueryEngine, statement: SelectStatement, membership: Expression
-) -> Table:
-    """Run ``statement`` exactly, restricted to the given groups.
+    engine: ApproximateQueryEngine,
+    statement: SelectStatement,
+    analysis: GroupedStatementAnalysis,
+    keys: list[Column],
+) -> tuple[Table, list[Column]]:
+    """Run ``statement`` exactly over the groups ``keys`` holds (one column
+    per GROUP BY column): its result columns in SELECT order, and the key of
+    every result row.
 
     This is the exact half of the hybrid grouped route: only the rows of
-    the uncovered groups are scanned (and charged as real IO).
+    the uncovered groups are scanned (and charged as real IO).  Each group
+    column is narrowed by one ``IN`` list, so the predicate does not deepen
+    with the groups; with several columns the lists admit their cross
+    product, and the result keeps just the rows of the requested keys.
     """
+    membership: Expression | None = None
+    for column, values in zip(analysis.group_columns, keys):
+        _, first_rows, _ = dense_key_codes([values], len(values))
+        term = InList(ColumnRef(column), [Literal(v) for v in values.take(first_rows).to_pylist()])
+        membership = term if membership is None else BinaryOp("and", membership, term)
     where = (
         membership if statement.where is None else BinaryOp("and", statement.where, membership)
     )
+    # The keys ride behind the SELECT list, under names it does not use.
+    taken = {spec.name for spec in analysis.specs}
+    items = list(statement.items)
+    for column in analysis.group_columns:
+        alias = column
+        while alias in taken:
+            alias += "_"
+        taken.add(alias)
+        items.append(SelectItem(ColumnRef(column), alias))
     # No HAVING, ORDER BY, LIMIT or DISTINCT: those apply to the merged result.
     sub_statement = SelectStatement(
-        items=list(statement.items), table=statement.table, where=where, group_by=list(statement.group_by)
+        items=items, table=statement.table, where=where, group_by=list(statement.group_by)
     )
     database = engine.database
     planned = plan_select(sub_statement, database.catalog, io_model=database.io_model)
     with engine.tracer.span("exact-fill-in"):
-        return planned.root.execute(engine.tracer)
+        table = planned.root.execute(engine.tracer)
+    names, width = table.schema.names, len(statement.items)
+    rows = np.flatnonzero(key_rows(keys, [table.column(name) for name in names[width:]]) >= 0)
+    return table.select(names[:width]).take(rows), [table.column(name).take(rows) for name in names[width:]]
 
 
 class _PerGroup(Mapping):
@@ -396,13 +399,6 @@ class _PerGroup(Mapping):
 
     def __len__(self) -> int:
         return len(self._slot_of)
-
-
-def _stack_columns(top: Column, bottom: Column) -> Column:
-    """``top`` followed by ``bottom``; values re-coerced when the types differ."""
-    if top.dtype is bottom.dtype:
-        return top.concat(bottom)
-    return Column.from_values(top.dtype, top.to_pylist() + bottom.to_pylist())
 
 
 # ---------------------------------------------------------------------------
@@ -502,49 +498,27 @@ def _requested_group_keys(
     stats: TableStats,
     group_columns: tuple[str, ...],
     constraints: WhereConstraints,
-) -> list[tuple[Any, ...]]:
-    """Every group key the query could produce, filtered by the WHERE clause.
+) -> list[Column]:
+    """Every group key the query could produce, filtered by the WHERE clause:
+    one typed column per group column, keys in ascending order.
 
     Keys come from two places: the candidate models' parameter tables (fitted
     *and* failed groups — failed groups must be computed exactly, not
     dropped) and, for a single enumerable group column, the catalog domain —
     which also surfaces groups that appeared after the last capture.
     """
-    keys: dict[tuple[Any, ...], None] = {}
-    for model in candidates:
-        key_columns = model.fit.key_columns  # type: ignore[union-attr]
-        aligned = zip(*(key_columns[model.group_columns.index(c)].to_pylist() for c in group_columns))
-        keys.update(dict.fromkeys(aligned))
-    if len(group_columns) == 1:
-        column_stats = stats.columns.get(group_columns[0])
-        if column_stats is not None and column_stats.domain is not None:
-            for value in column_stats.domain:
-                keys.setdefault((value,), None)
-
-    admitted = [
-        key
-        for key in keys
-        if all(constraints.admits(column, key[i]) for i, column in enumerate(group_columns))
+    stacked = [
+        Column.stack([model.fit.key_columns[model.group_columns.index(column)] for model in candidates])
+        for column in group_columns
     ]
-    try:
-        return sorted(admitted)
-    except TypeError:
-        return sorted(admitted, key=repr)
-
-
-def _membership_expression(
-    group_columns: tuple[str, ...], keys: list[tuple[Any, ...]]
-) -> Expression:
-    """A predicate selecting exactly the given group keys."""
-    if len(group_columns) == 1:
-        return InList(ColumnRef(group_columns[0]), [Literal(key[0]) for key in keys])
-    disjunction: Expression | None = None
-    for key in keys:
-        conjunct: Expression | None = None
-        for column, value in zip(group_columns, key):
-            term = BinaryOp("=", ColumnRef(column), Literal(value))
-            conjunct = term if conjunct is None else BinaryOp("and", conjunct, term)
-        disjunction = conjunct if disjunction is None else BinaryOp("or", disjunction, conjunct)
-    assert disjunction is not None
-    return disjunction
-
+    found = domain_rows(stats, group_columns[0], stacked[0]) if len(group_columns) == 1 else None
+    if found is not None:
+        values, rows, _ = found
+        stacked = [Column.stack([stacked[0], values.take(np.flatnonzero(rows < 0))])]
+    _, first_rows, _ = dense_key_codes(stacked, len(stacked[0]))  # ranked by key
+    keys = [column.take(first_rows) for column in stacked]
+    admitted = np.ones(len(first_rows), dtype=bool)
+    for column, values in zip(group_columns, keys):
+        if constraints.constrains(column):
+            admitted &= admitted_keys(constraints, column, values)
+    return [values.take(np.flatnonzero(admitted)) for values in keys]

@@ -71,7 +71,7 @@ def _gate(engine: ApproximateQueryEngine, probe: Probe) -> _Match | None:
     restriction = restrict(model, stats, constraints)
     if restriction is None:
         return None
-    return specs, restriction, combinable_rows(model, stats, constraints)
+    return specs, restriction, combinable_rows(model, stats, constraints, restriction.live)
 
 
 def _sketch(engine: ApproximateQueryEngine, probe: Probe, match: _Match) -> RouteSketch:

@@ -293,9 +293,9 @@ class ModelStore:
 
         Partial (predicate-restricted) models are admitted: a stale or
         segment model harvested by the maintenance lane still holds valid
-        per-group parameters for the groups it covers.  Per-group selection
-        among these candidates — which model serves which key — lives in
-        :func:`repro.core.approx.routes.router.plan_group_routing`.
+        per-group parameters for the groups it covers.  Which candidate
+        serves which requested key is decided for all keys at once, as
+        vectors, by :func:`repro.core.approx.routes.router.plan_group_routing`.
         """
         wanted = set(group_columns)
         models = self.candidates(

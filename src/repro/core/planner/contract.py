@@ -89,7 +89,8 @@ class AccuracyContract:
         return ", ".join(parts)
 
 
-#: Common pinned contracts (used by the deprecated entry-point shims).
+#: The common contracts: ``AUTO`` is the planner's and the pipeline's default,
+#: ``EXACT`` / ``APPROX`` pin a route (all three re-exported by ``repro.core.planner``).
 AUTO = AccuracyContract()
 EXACT = AccuracyContract(mode="exact")
 APPROX = AccuracyContract(mode="approx")

@@ -420,6 +420,19 @@ class Column:
     def slice(self, start: int, stop: int) -> "Column":
         return Column(self.dtype, self.values[start:stop], self.validity[start:stop])
 
+    @classmethod
+    def stack(cls, parts: Sequence["Column"]) -> "Column":
+        """``parts`` end to end as a new column, in their dtype — or FLOAT64
+        where numbers of several dtypes meet (compared by value, as python
+        compares them).  Raises :class:`TypeMismatchError` where strings meet
+        numbers.  Unlike :meth:`concat`, never writes into a part's buffer."""
+        if len({part.dtype for part in parts}) > 1:
+            if any(part.dtype is DataType.STRING for part in parts):
+                raise TypeMismatchError("cannot stack string and numeric columns")
+            parts = [cls.from_numpy(DataType.FLOAT64, part.float_numpy()) for part in parts]
+        values = np.concatenate([part.values for part in parts])
+        return cls(parts[0].dtype, values, np.concatenate([part.validity for part in parts]))
+
     def concat(self, other: "Column") -> "Column":
         if other.dtype is not self.dtype:
             raise TypeMismatchError(

@@ -16,11 +16,11 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.db.column import Column
-from repro.db.operators.codes import argsort_codes, factorize_keys
+from repro.db.operators.codes import argsort_codes, dense_key_codes, factorize_keys
 from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType
-from repro.errors import FittingError, InsufficientDataError
+from repro.errors import FittingError, InsufficientDataError, TypeMismatchError
 from repro.fitting.fit import fit_model
 from repro.fitting.model import FitResult, ModelFamily
 from repro.lazy import lazy_attribute
@@ -31,6 +31,7 @@ __all__ = [
     "GroupedFitter",
     "fit_grouped",
     "group_rows",
+    "key_rows",
 ]
 
 
@@ -52,6 +53,24 @@ def group_rows(key_columns: Sequence[Column]) -> tuple[list[Column], list[np.nda
     keys = [column.take(first_rows) for column in key_columns]
     kept = np.flatnonzero(~np.logical_or.reduce([key.null_mask() for key in keys]))
     return [key.take(kept) for key in keys], [rows[g] for g in kept]
+
+
+def key_rows(table: Sequence[Column], keys: Sequence[Column]) -> np.ndarray:
+    """Where each key of ``keys`` sits in ``table`` — both aligned columns, one
+    per key column, ``table``'s without NULLs — as a row number, −1 where no
+    row holds it (a NULL key included).  One factorisation of both sides, so
+    values compare as python values do (:meth:`Column.stack`); duplicate keys
+    in ``table`` yield one of their rows.
+    """
+    count, requested = len(table[0]), len(keys[0])
+    try:
+        stacked = [Column.stack(pair) for pair in zip(table, keys)]
+    except TypeMismatchError:
+        return np.full(requested, -1, dtype=np.int64)
+    codes, _, space = dense_key_codes(stacked, count + requested)
+    row_of = np.full(space, -1, dtype=np.int64)
+    row_of[codes[:count]] = np.arange(count)
+    return row_of[codes[count:]]
 
 
 #: Rows :meth:`GroupedFitResult.predict_rows` evaluates per block.
@@ -115,8 +134,13 @@ class GroupedFitResult:
 
     @lazy_attribute
     def index(self) -> dict[tuple[Any, ...], int]:
-        """Group key -> row."""
+        """Group key -> row, for the scalar lookup of :meth:`result_for`."""
         return {key: row for row, key in enumerate(self.keys)}
+
+    def rows_of(self, key_columns: Sequence[Column]) -> np.ndarray:
+        """Each key's row (−1: none), one column per group column: the one key
+        -> row gather (:func:`key_rows`).  A failed group keeps its row."""
+        return key_rows(self.key_columns, key_columns)
 
     @lazy_attribute
     def succeeded(self) -> np.ndarray:
@@ -158,16 +182,12 @@ class GroupedFitResult:
         """Per-row predictions over column arrays aligned with ``key_columns``
         (plain value sequences are typed by inference).
 
-        One key -> row gather, then each row evaluated under its own group's
-        parameter row; rows whose group has no fit (failed fit, unseen or
-        NULL key) come back ``fill``.
+        One key -> row gather (:meth:`rows_of`), then each row evaluated under
+        its own group's parameter row; rows whose group has no fit (failed
+        fit, unseen or NULL key) come back ``fill``.
         """
-        columns = [c if isinstance(c, Column) else Column.infer(c) for c in key_columns]
-        group_ids, first_rows, _ = factorize_keys(columns, len(columns[0]))
-        distinct = zip(*(column.take(first_rows).to_pylist() for column in columns))
-        fitted = self.succeeded
-        lookup = [-1 if row is None or not fitted[row] else row for row in map(self.index.get, distinct)]
-        rows = np.take(np.array(lookup, dtype=np.int64), group_ids, out=group_ids, mode="clip")  # in place
+        rows = self.rows_of([c if isinstance(c, Column) else Column.infer(c) for c in key_columns])
+        rows[~np.append(self.succeeded, False)[rows]] = -1  # -1 reads the appended False
         predictions = np.full(len(rows), fill, dtype=np.float64)
         # Row blocks bound the memory of the gathered parameters and design matrix.
         for start in range(0, len(rows), PREDICT_BLOCK_ROWS):

@@ -410,9 +410,9 @@ class TestBatchedEqualsPerGroup:
         stats = db.database.stats("t")
         # Planned by hand: on its own a partial model cannot prove the group
         # set complete, which is the planner's concern, not the evaluation's.
-        keys = model.fit.keys
-        routing = plan_group_routing(db.models, "t", "y", ("a", "b"), keys, models=[model])
-        route_plan = GroupedRoutePlan(analysis, [model], routing)
+        keys = model.fit.key_columns
+        routing = plan_group_routing([model], ("a", "b"), keys)
+        route_plan = GroupedRoutePlan(analysis, routing)
         answer = db.approx.answer(sql, allow_fallback=False, grouped_route_plan=route_plan)
         assert answer.route == "grouped-model"
         assert_grouped_matches(answer, reference_per_group(model, stats, analysis.constraints, analysis.specs))

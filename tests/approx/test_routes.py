@@ -7,7 +7,9 @@ import pytest
 from repro import LawsDatabase
 from repro.db.constraints import extract_constraints
 from repro.core.approx.routes.router import plan_group_routing
+from repro.db.column import Column
 from repro.db.sql.parser import parse_expression
+from repro.db.types import DataType
 
 from tests.conftest import APPROX, EXACT, compare_sql
 
@@ -86,19 +88,20 @@ class TestRouter:
         db = _make_db(_linear_rows(rng, skip=lambda g, x: g == 3 and x > 0))
         report = db.fit("t", "y ~ linear(x)", group_by="g", min_observations=9)
         model = report.model
-        plan = plan_group_routing(
-            db.models, "t", "y", ("g",), [(g,) for g in range(5)]
-        )
-        exact_keys = {a.key for a in plan.exact_groups}
-        failed = {key for key, ok in zip(model.fit.keys, model.fit.succeeded) if not ok}
+        keys = [Column.from_values(DataType.INT64, list(range(5)))]
+        plan = plan_group_routing(db.models.grouped_candidates("t", "y", ("g",)), ("g",), keys)
+        exact_keys = set(plan.keys_where(~plan.served)[0].to_pylist())
+        failed = {key for (key,), ok in zip(model.fit.keys, model.fit.succeeded) if not ok}
         assert failed <= exact_keys
 
     def test_active_model_preferred_over_stale(self, routed_db):
-        plan = plan_group_routing(routed_db.models, "t", "y", ("g",), [(1,)])
-        [assignment] = plan.assignments
-        assert assignment.served_from_model
-        assert assignment.model.status == "active"
-        assert assignment.model.fit.n_obs[assignment.row] > 0
+        keys = [Column.from_values(DataType.INT64, [1])]
+        plan = plan_group_routing(routed_db.models.grouped_candidates("t", "y", ("g",)), ("g",), keys)
+        [owner], [row] = plan.owner, plan.row
+        assert owner >= 0
+        model = plan.models[owner]
+        assert model.status == "active"
+        assert model.fit.n_obs[row] > 0
 
 
 class TestGroupedRoute:

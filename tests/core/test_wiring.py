@@ -613,3 +613,65 @@ def test_block_synopses_are_read_by_the_scan_alone():
         if isinstance(node, ast.Call) and _called_name(node) == "block_synopsis"
     ]
     assert found == []
+
+
+def _reads_keys(node: ast.AST, tainted: set[str]) -> bool:
+    return any(
+        (isinstance(inner, ast.Attribute) and inner.attr == "key_columns")
+        or (isinstance(inner, ast.Name) and inner.id in tainted)
+        for inner in ast.walk(node)
+    )
+
+
+def _bound_names(target: ast.expr) -> set[str]:
+    return {node.id for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def test_a_fits_keys_map_to_rows_in_one_module():
+    """``GroupedFitResult.index`` — the scalar key -> row dict behind
+    ``result_for`` — is read only in ``fitting/grouped.py``, and no function
+    under ``core/approx/`` builds a dict from a fit's ``key_columns`` or
+    anything derived from them: a key -> row mapping there is ``rows_of`` /
+    ``key_rows``, one factorisation."""
+    found = []
+    for relative, tree in _modules():
+        if relative == "fitting/grouped.py":
+            continue
+        methods = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        found.extend(
+            f"{relative}:{node.lineno} {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "index" and id(node) not in methods
+            and (_dotted(node.value) or "").split(".")[-1] in ("fit", "grouped")
+        )  # fmt: skip
+    for relative, function in _functions():
+        if not relative.startswith("core/approx/"):
+            continue
+        # Names bound from the keys, to a fixed point: ``aligned = zip(*keys)``.
+        tainted = {"key_columns"}
+        while True:
+            bound = set()
+            for node in ast.walk(function):
+                if isinstance(node, ast.Assign):
+                    targets, value = node.targets, node.value
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets, value = [node.target], node.value
+                elif isinstance(node, (ast.For, ast.comprehension)):
+                    targets, value = [node.target], node.iter
+                else:
+                    continue
+                if _reads_keys(value, tainted):
+                    bound |= set().union(*map(_bound_names, targets))
+            if bound <= tainted:
+                break
+            tainted |= bound
+        found.extend(
+            f"{relative}:{node.lineno} {ast.unparse(node)[:60]}"
+            for node in ast.walk(function)
+            if (
+                isinstance(node, (ast.Dict, ast.DictComp))
+                or (isinstance(node, ast.Call) and _dotted(node.func) in ("dict", "dict.fromkeys"))
+            )
+            and _reads_keys(node, tainted)
+        )
+    assert found == []

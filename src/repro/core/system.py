@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import weakref
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.approx.engine import ApproximateQueryEngine
 from repro.core.approx.anomalies import AnomalyReport, detect_anomalies
@@ -351,7 +351,7 @@ class LawsDatabase:
         with self.database.catalog.writing(table.name):
             registered = self.database.register_table(table, replace=replace)
             if self.durable is not None:
-                self.durable.log_register_table(registered, replace=replace)
+                self.durable.log_rows("create_table", registered, replace=replace)
         if replace:
             self.lifecycle.on_data_changed(table.name)
         return registered
@@ -439,16 +439,17 @@ class LawsDatabase:
     def table_names(self) -> list[str]:
         return self.database.table_names()
 
-    def insert_rows(self, name: str, rows: Sequence[Sequence[Any]]) -> None:
+    def insert_rows(self, name: str, rows: Iterable[Sequence[Any]] | Table) -> None:
         """Append rows; captured models of the table become stale (§4.1)."""
         appended_from = self._append(name, rows)
         self.lifecycle.on_data_changed(name, appended_from=appended_from)
 
-    def _append(self, name: str, rows: Sequence[Sequence[Any]]) -> int:
+    def _append(self, name: str, rows: Iterable[Sequence[Any]] | Table) -> int:
         """The durable append ``insert_rows()`` and every ingest flush commit
         through; returns the row the batch starts at.  A row the substrate
         rejected never reaches the redo log, and a row whose redo record
-        failed does not stay in memory."""
+        failed does not stay in memory.  The redo record carries the batch
+        as the table stored it, not the caller's values."""
         catalog = self.database.catalog
         with catalog.writing(name) as appended_from:
             # Sampled before the append: statistics that are fresh here
@@ -458,11 +459,13 @@ class LawsDatabase:
             # statistics its checkpoint recorded fresh across the tail.
             stats_were_clean = catalog.stats_clean(name)
             self.database.insert_rows(name, rows)
-            if self.durable is not None:
-                self.durable.log_append(name, rows)
+            if self.durable is None and not stats_were_clean:
+                return appended_from  # nothing reads the stored batch
+            table = catalog.live_table(name)
+            batch = table.slice(appended_from, table.num_rows)
+            if self.durable is not None and batch.num_rows:
+                self.durable.log_rows("append", batch)
             if stats_were_clean:
-                table = catalog.live_table(name)
-                batch = table.slice(appended_from, table.num_rows)
                 catalog.merge_stats_delta(name, compute_table_stats(batch))
         return appended_from
 

@@ -63,6 +63,12 @@ class Table:
     def from_rows(cls, name: str, schema: Schema, rows: Iterable[Sequence[Any]]) -> "Table":
         """Build a table from an iterable of row tuples (positional)."""
         rows = list(rows)
+        width = len(schema)
+        for row in rows:
+            if len(row) != width:
+                raise SchemaError(
+                    f"table {name!r}: row has {len(row)} values but schema has {width} columns"
+                )
         columns = {}
         for i, col_def in enumerate(schema):
             values = [row[i] for row in rows]
@@ -158,8 +164,10 @@ class Table:
 
     # -- mutation (base tables) --------------------------------------------------
 
-    def append_rows(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Append row tuples to this table in place (atomically).
+    def append_rows(self, rows: Iterable[Sequence[Any]] | "Table") -> None:
+        """Append rows to this table in place (atomically): row tuples, or a
+        table of this schema (a replayed redo record's), whose columns are
+        concatenated as they are.
 
         Copy-and-swap: the new column mapping is built off to the side and
         published with one reference assignment, so a concurrent reader (or
@@ -168,22 +176,15 @@ class Table:
         lock so two racing appends cannot both build from the same base and
         drop a batch.
         """
-        rows = list(rows)
-        if not rows:
+        if not isinstance(rows, Table):
+            rows = Table.from_rows(self.name, self.schema, rows)
+        elif rows.schema != self.schema:
+            raise SchemaError(f"table {self.name!r}: appended rows have a different schema")
+        if not rows.num_rows:
             return
-        width = len(self.schema)
-        for row in rows:
-            if len(row) != width:
-                raise SchemaError(
-                    f"table {self.name!r}: row has {len(row)} values but schema has {width} columns"
-                )
         with _append_lock:
             base = self._columns
-            new_columns = {}
-            for i, col_def in enumerate(self.schema):
-                addition = Column.from_values(col_def.dtype, [row[i] for row in rows])
-                new_columns[col_def.name] = base[col_def.name].concat(addition)
-            self._columns = new_columns
+            self._columns = {name: base[name].concat(rows.column(name)) for name in self.schema.names}
 
     def append_dicts(self, rows: Iterable[Mapping[str, Any]]) -> None:
         """Append rows given as dicts; missing keys become NULL."""

@@ -1,11 +1,12 @@
 """Columnar table snapshots: one ``.npz`` segment per column batch.
 
-A checkpoint, a bulk load and the archive tier write a table as a sequence
-of segments, each a contiguous row range of all columns, into the store's
-segment pool (through ``DurableStore.write_segments``, their one caller).
-The entry for a segment records its file, row count and lightweight
-per-column statistics (null count, min, max) so tooling can reason about a
-snapshot without opening it.
+A checkpoint, a large redo record and the archive tier write a table as a
+sequence of segments, each a contiguous row range of all columns, into the
+store's segment pool (through ``DurableStore.write_segments``, their one
+caller).  The entry for a segment records its file, row count and
+lightweight per-column statistics (null count, min, max) so tooling can
+reason about a snapshot without opening it.  A smaller redo record carries
+one segment's bytes in its WAL frame (:func:`segment_bytes`).
 
 On-disk format (since ``FORMAT_VERSION`` 2 in :mod:`repro.persist.store`): a
 segment is a zip of ``.npy`` members, ``v__<column>`` for the values and
@@ -29,6 +30,7 @@ Bytes reach the disk and come back through :mod:`repro.persist.files`
 
 from __future__ import annotations
 
+import io
 import zipfile
 import zlib
 from functools import partial
@@ -53,6 +55,8 @@ __all__ = [
     "schema_from_payload",
     "write_table_segments",
     "read_table_segments",
+    "segment_bytes",
+    "read_segment_bytes",
 ]
 
 #: Default rows per snapshot segment.
@@ -225,6 +229,13 @@ def _write_members(handle: BinaryIO, members: dict[str, np.ndarray]) -> None:
                 np.lib.format.write_array(member, array, allow_pickle=False)
 
 
+def segment_bytes(table: Table) -> bytes:
+    """``table`` as one segment: the bytes its file would hold."""
+    buffer = io.BytesIO()
+    _write_members(buffer, _encode_segment(table)[0])
+    return buffer.getvalue()
+
+
 def read_table_segments(
     directory: Path,
     name: str,
@@ -255,12 +266,14 @@ def read_table_segments(
         path = directory / entry["file"]
         rows = slice(filled, filled + int(entry["rows"]))
         try:
+            if not path.is_file():
+                raise SnapshotReadError(f"snapshot segment missing: {path}", path=str(path))
             _load_segment(
                 path,
                 schema,
                 {n: v[rows] for n, v in values.items()},
                 {n: v[rows] for n, v in validity.items()},
-                read,
+                partial(read, path),
             )
         except SnapshotReadError as exc:
             if on_segment_error is not None and on_segment_error(entry, path, exc):
@@ -273,15 +286,25 @@ def read_table_segments(
     return Table(name, schema, columns)
 
 
+def read_segment_bytes(data: bytes, name: str, schema: Schema, rows: int) -> Table:
+    """The ``rows``-row table one segment's bytes hold, decoded as its file is."""
+    values = {c.name: np.empty(rows, dtype=c.dtype.numpy_dtype) for c in schema}
+    validity = {c.name: np.empty(rows, dtype=bool) for c in schema}
+    source = Path(f"<segment of {name!r}>")
+    _load_segment(source, schema, values, validity, lambda decode: decode(io.BytesIO(data)))
+    return Table(name, schema, {c.name: Column(c.dtype, values[c.name], validity[c.name]) for c in schema})
+
+
 def _load_segment(
     path: Path,
     schema: Schema,
     values: dict[str, np.ndarray],
     validity: dict[str, np.ndarray],
-    read: Callable[..., None],
+    read: Callable[[Callable[[BinaryIO], None]], None],
 ) -> None:
-    """Decode the segment at ``path`` into ``values`` / ``validity``: per
-    column, views of exactly the rows the manifest entry promised."""
+    """Decode the segment ``read`` hands over (its file at ``path``, or a
+    redo record's bytes) into ``values`` / ``validity``: per column, views
+    of exactly the rows its entry or record promised."""
 
     def decode(handle: BinaryIO) -> None:
         with np.load(handle, allow_pickle=False) as payload:
@@ -307,9 +330,7 @@ def _load_segment(
                 )
 
     try:
-        if not path.is_file():
-            raise SnapshotReadError(f"snapshot segment missing: {path}", path=str(path))
-        read(path, decode)
+        read(decode)
     except SnapshotReadError:
         raise
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error) as exc:

@@ -7,10 +7,12 @@ On-disk layout (all under one root directory)::
     segments/                the segment pool: every columnar segment file
     warehouse/models-<N>.json  the model warehouse of checkpoint N
 
-Manifest table entries (with their archive records) and WAL ``load_table``
-records name their files in the one pool, under one name sequence.  A
-checkpoint writes only the tables whose rows changed (the catalog's data
-generation says which) and names the rest by reference.
+Manifest table entries (with their archive records) and WAL records of
+``LARGE_CREATE_SNAPSHOT_ROWS`` rows or more name their files in the one
+pool, under one name sequence; a smaller WAL record carries its rows as one
+segment in its own frame.  A checkpoint writes only the tables whose rows
+changed (the catalog's data generation says which) and names the rest by
+reference.
 
 Crash safety is manifest-pivoted: a checkpoint writes the new segment files
 and warehouse first, then renames the manifest into place, then resets the
@@ -53,13 +55,15 @@ from repro.parallel.partition import PARTITION_META_KEY, partition_map_from_segm
 from repro.persist import files
 from repro.persist.snapshot import (
     DEFAULT_ROWS_PER_SEGMENT,
+    read_segment_bytes,
     read_table_segments,
     schema_from_payload,
     schema_to_payload,
+    segment_bytes,
     write_table_segments,
 )
 from repro.persist.warehouse import deserialize_model, restore_store, serialize_store
-from repro.persist.wal import WalReplay, WriteAheadLog
+from repro.persist.wal import BODY_KEY, WalReplay, WriteAheadLog
 from repro.resilience.quarantine import QuarantineManager, minimal_failing_subset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -71,27 +75,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 __all__ = ["CheckpointReport", "RecoveryReport", "DurableStore"]
 
 #: On-disk format version.  2: segments store INT64 at its narrowest width and
-#: omit all-valid masks (:mod:`repro.persist.snapshot`); 3: one segment pool.
-#: This build reads all three; an older one refuses a newer store with
-#: ``FormatVersionError`` instead of quarantining segments it cannot find.
-FORMAT_VERSION = 3
+#: omit all-valid masks (:mod:`repro.persist.snapshot`); 3: one segment pool;
+#: 4: a WAL record carries the rows it writes as one segment, not as JSON
+#: rows.  This build reads all four; an older one refuses a newer manifest or
+#: bulk-load record with ``FormatVersionError`` instead of quarantining
+#: segments it cannot find (a v4 frame's binary body it quarantines as a
+#: torn tail).
+FORMAT_VERSION = 4
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
 
-#: Rows per WAL append frame.  Bulk loads are split so no single frame can
-#: approach the WAL's frame-size cap (a bulk load framed as one giant record
-#: would raise *after* the in-memory registration succeeded, leaving a WAL
-#: that replays the table truncated).
-WAL_APPEND_CHUNK_ROWS = 4096
-
-#: Creates/loads at or above this row count are persisted as columnar npz
-#: segments in the pool referenced by one WAL ``load_table`` record
-#: (see :meth:`DurableStore.log_register_table`) instead of row-wise JSON WAL
-#: frames — the WAL stays for incremental appends, not bulk loads several
-#: times the snapshot's size that would replay row-by-row on every reopen
-#: (and checkpointing per load would re-snapshot every earlier table, going
-#: quadratic across a load burst).
+#: A redo record's rows ride in its WAL frame below this row count, and go to
+#: pool segments the record names from it on (see
+#: :meth:`DurableStore.log_rows`): a frame stays far below the WAL's size cap,
+#: and a bulk load is written once, as the segments a checkpoint names by
+#: reference, instead of being re-read on every reopen (checkpointing per
+#: load instead would re-snapshot every earlier table, going quadratic
+#: across a load burst).
 LARGE_CREATE_SNAPSHOT_ROWS = 65536
 
 
@@ -237,47 +238,26 @@ class DurableStore:
     # -- WAL hooks (each called from the one write path it logs: a LawsDatabase
     # -- method, or the archive tier's own critical section) ---------------------
 
-    def log_register_table(self, table: Table, replace: bool = False) -> None:
-        """Log a created, loaded or replaced table with the rows it holds."""
+    def log_rows(self, op: str, rows: Table, replace: bool = False) -> None:
+        """Log a ``create_table`` (a created, loaded or replaced table) or an
+        ``append`` (a batch as its table stored it) carrying its rows as one
+        segment: in its own frame, or from :data:`LARGE_CREATE_SNAPSHOT_ROWS`
+        on as pool files written (and synced) before it — a created table's
+        record is then a ``load_table``.  Each carries the format version its
+        rows are written in: no manifest may stamp the store yet."""
         if not self.accepting_writes:
             return
-        if table.num_rows >= LARGE_CREATE_SNAPSHOT_ROWS:
-            self._log_load_table(table, replace)
+        record = {"op": op, "format_version": FORMAT_VERSION, "name": rows.name}
+        record["schema"] = schema_to_payload(rows.schema)
+        if op == "create_table":
+            record["replace"] = bool(replace)
+        if rows.num_rows < LARGE_CREATE_SNAPSHOT_ROWS:
+            self._log({**record, "row_count": rows.num_rows, BODY_KEY: segment_bytes(rows)})
             return
-        create = {
-            "op": "create_table",
-            "name": table.name,
-            "schema": schema_to_payload(table.schema),
-            "replace": bool(replace),
-        }
-        self.wal.append_all(chain([create], _append_records(table.name, table.to_rows())))
-
-    def log_append(self, table_name: str, rows: Any) -> None:
-        if not self.accepting_writes:
-            return
-        if not isinstance(rows, (list, tuple)):
-            rows = list(rows)
-        self.wal.append_all(_append_records(table_name, rows))
-
-    def _log_load_table(self, table: Table, replace: bool) -> None:
-        """Persist a bulk load as columnar segments + one referencing record.
-
-        The segments are on disk (and synced, when fsync is on) *before*
-        the WAL record naming them is appended, so a replayed record never
-        dangles.  The record carries the format version its segments are
-        written in: no manifest may stamp the store yet."""
-        entries = self.write_segments(table)
-        self._log(
-            {
-                "op": "load_table",
-                "format_version": FORMAT_VERSION,
-                "name": table.name,
-                "schema": schema_to_payload(table.schema),
-                "segments": entries,
-                "replace": bool(replace),
-            }
-        )
-        self._keep(table.name, entries)
+        entries = self.write_segments(rows)
+        self._log({**record, "op": "load_table" if op == "create_table" else op, "segments": entries})
+        if op == "create_table":
+            self._keep(rows.name, entries)
 
     def log_partition_map(self, table_name: str, payload: dict[str, Any]) -> None:
         self._log({"op": "partition_map", "table": table_name, "map": payload})
@@ -557,7 +537,7 @@ class DurableStore:
 
     @staticmethod
     def _refuse_newer(artefact: dict[str, Any], what: str) -> None:
-        """A manifest or a WAL ``load_table`` record from a newer build is a
+        """A manifest or a row-bearing WAL record from a newer build is a
         build mismatch, not corruption: refused, never quarantined."""
         version = int(artefact.get("format_version", 0))
         if version > FORMAT_VERSION:
@@ -766,21 +746,17 @@ class DurableStore:
         the live ``archive()`` checkpoints first."""
         op = record.get("op")
         if op in ("create_table", "load_table"):
-            name, schema = record["name"], schema_from_payload(record["schema"])
-            if op == "create_table":
-                table = Table.empty(name, schema)
-            else:
-                self._refuse_newer(record, f"WAL load_table record for {name!r}")
-                if "dir" in record:  # a v1/v2 record: its files lie under its "dir"
-                    _relocate(record, f"../{record['dir']}")
-                table = self.read_segments(name, schema, record["segments"])
+            table = self._logged_rows(record)
             system.register_table(table, replace=record.get("replace", False))
             if op == "load_table":
-                self._keep(name, record["segments"])
+                self._keep(table.name, record["segments"])
             return table.num_rows
         if op == "append":
-            rows = [tuple(row) for row in record["rows"]]
-            system.insert_rows(record["table"], rows)
+            if "rows" in record:  # a v1–v3 record: the rows as JSON lists
+                name, rows = record["table"], [tuple(row) for row in record["rows"]]
+            else:
+                name, rows = record["name"], self._logged_rows(record)
+            system.insert_rows(name, rows)
             return len(rows)
         if op == "drop_table":
             system.drop_table(record["name"])
@@ -808,6 +784,20 @@ class DurableStore:
             system.archive_tier.recall(record["table"])
             return 0
         raise PersistenceError(f"unknown WAL record op {op!r}")
+
+    def _logged_rows(self, record: dict[str, Any]) -> Table:
+        """The rows a ``create_table``, ``load_table`` or ``append`` record
+        writes: its segment, the pool segments it names, or none (a v1–v3
+        ``create_table``, whose rows follow it as ``append`` records)."""
+        name, schema = record["name"], schema_from_payload(record["schema"])
+        self._refuse_newer(record, f"WAL {record['op']} record for {name!r}")
+        if BODY_KEY in record:
+            return read_segment_bytes(record[BODY_KEY], name, schema, int(record["row_count"]))
+        if "segments" not in record:
+            return Table.empty(name, schema)
+        if "dir" in record:  # a v1/v2 record: its files lie under its "dir"
+            _relocate(record, f"../{record['dir']}")
+        return self.read_segments(name, schema, record["segments"])
 
     def _keep(self, name: str, entries: list[dict[str, Any]]) -> None:
         """``entries`` are ``name``'s committed rows until they change — unless
@@ -839,16 +829,6 @@ class DurableStore:
 def _serial(file_name: str) -> int:
     head = file_name.partition("_")[0]
     return int(head) if head.isdigit() else 0
-
-
-def _append_records(table_name: str, rows: Any) -> Any:
-    """``append`` records for ``rows``, one per :data:`WAL_APPEND_CHUNK_ROWS`.
-
-    A generator, converted per chunk: one transient list-of-lists per frame
-    instead of a second whole-table materialization next to the caller's rows."""
-    for start in range(0, len(rows), WAL_APPEND_CHUNK_ROWS):
-        chunk = [list(row) for row in rows[start : start + WAL_APPEND_CHUNK_ROWS]]
-        yield {"op": "append", "table": table_name, "rows": chunk}
 
 
 def _calibration_payload(system: "LawsDatabase") -> dict[str, Any]:
@@ -888,7 +868,7 @@ def _pool_references(manifest: dict[str, Any]) -> None:
     """Rename a v1/v2 manifest's references relative to the pool as it is
     loaded: tables' under ``segments/ckpt<N>/``, archive records' (moved into
     their tables' entries) under ``archive/``."""
-    if int(manifest.get("format_version", 0)) >= FORMAT_VERSION:
+    if int(manifest.get("format_version", 0)) >= 3:  # written into the pool
         return
     tables = manifest.get("tables", {})
     for name, archived in (manifest.pop("archive", None) or {}).get("tables", {}).items():

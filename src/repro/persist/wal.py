@@ -1,16 +1,21 @@
 """Append-only, checksummed write-ahead log.
 
-Between checkpoints every acknowledged append (streaming ingest batches and
-direct row inserts) is framed into the WAL so a crashed process can replay
-it on top of the last snapshot.  The format is deliberately simple:
+Between checkpoints every acknowledged write (a created table, a streaming
+ingest batch, a direct row insert, a DDL or SQL statement) is one record,
+framed into the WAL so a crashed process can replay it on top of the last
+snapshot.  The format is deliberately simple:
 
 ``[length:u32][crc32:u32][payload bytes]``
 
-where the payload is a UTF-8 JSON record.  Replay walks the frames from the
-start and stops at the first torn or corrupted frame — a crash mid-write
-leaves a torn tail, and a bit flip breaks the CRC; either way everything
-*before* the bad frame is intact and everything after it is untrusted, so
-the tail is truncated (standard redo-log semantics).
+where the payload is a UTF-8 JSON header, optionally followed by a NUL byte
+and a binary body (JSON text never holds a raw NUL).  A record carries its
+body as bytes under :data:`BODY_KEY` — the rows it writes, as one segment —
+and replay hands it back there; a record without one frames as plain JSON.
+Replay walks the frames from the start and stops at the first torn or
+corrupted frame — a crash mid-write leaves a torn tail, and a bit flip
+breaks the CRC (body included); either way everything *before* the bad
+frame is intact and everything after it is untrusted, so the tail is
+truncated (standard redo-log semantics).
 
 Every log begins with an ``epoch`` record naming the checkpoint it extends.
 A manifest rename and the log reset that follows it are two separate
@@ -38,9 +43,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, BinaryIO, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, BinaryIO
 
 from repro.errors import PersistenceError, WALError
 from repro.persist import files
@@ -48,24 +51,12 @@ from repro.persist import files
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience import FaultInjector, Retrier
 
-__all__ = ["WalReplay", "WriteAheadLog"]
+__all__ = ["BODY_KEY", "WalReplay", "WriteAheadLog"]
 
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 
-
-def coerce_json_scalar(value: Any) -> Any:
-    """NumPy scalar -> plain Python (the one coercion table for persist/).
-
-    Used both as the WAL's ``json.dumps`` default (producers hand rows
-    straight from NumPy) and by the warehouse's metadata sanitizer.
-    """
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    raise TypeError(f"persist payloads must be JSON-serializable; got {type(value).__name__}")
+#: The record key whose bytes are framed as the body after the JSON header.
+BODY_KEY = "segment"
 
 #: Sanity bound on a single frame: a "length" beyond this is corruption, not
 #: a real record (protects replay from allocating garbage-sized buffers).
@@ -92,7 +83,7 @@ class WalReplay:
 
 
 class WriteAheadLog:
-    """A single append-only log file with CRC-framed JSON records."""
+    """A single append-only log file with CRC-framed records."""
 
     def __init__(
         self,
@@ -128,10 +119,15 @@ class WriteAheadLog:
         return self._handle
 
     def append(self, record: dict[str, Any]) -> int:
-        """Frame and append one record; returns the log size afterwards."""
-        payload = json.dumps(
-            record, separators=(",", ":"), default=coerce_json_scalar
-        ).encode("utf-8")
+        """Frame and append one record; returns the log size afterwards.
+
+        The bytes under :data:`BODY_KEY`, if any, follow the JSON header of
+        every other key after one NUL."""
+        body = record.get(BODY_KEY)
+        header = record if body is None else {k: v for k, v in record.items() if k != BODY_KEY}
+        payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        if body is not None:
+            payload = b"\0".join((payload, body))
         if len(payload) > _MAX_FRAME_BYTES:
             raise PersistenceError(
                 f"WAL record of {len(payload)} bytes exceeds the frame limit "
@@ -141,24 +137,6 @@ class WriteAheadLog:
             return files.retrying(
                 lambda: self._append_payload(payload), point="persist.wal.append", retrier=self.retrier
             )
-
-    def append_all(self, records: Iterable[dict[str, Any]]) -> None:
-        """Append several records as one unit: every frame lands, or the log
-        (and an epoch stamp still pending) is left as it was.
-
-        A redo record spanning frames — a created table and its rows, a batch
-        over the chunk size — must not survive in part: the caller rolls the
-        change back in memory, and a replayed prefix would resurrect it.
-        """
-        with self._lock:
-            size, pending_epoch = self.size_bytes, self._pending_epoch
-            try:
-                for record in records:
-                    self.append(record)
-            except BaseException:
-                self._rollback(size)
-                self._pending_epoch = pending_epoch
-                raise
 
     def _append_payload(self, payload: bytes) -> int:
         if self._pending_epoch is not None:
@@ -265,11 +243,14 @@ class WriteAheadLog:
             if zlib.crc32(payload) != crc:
                 replay.truncation_reason = "frame checksum mismatch"
                 break
+            header, nul, body = payload.partition(b"\0")
             try:
-                record = json.loads(payload.decode("utf-8"))
+                record = json.loads(header.decode("utf-8"))
             except (UnicodeDecodeError, ValueError):
-                replay.truncation_reason = "frame payload is not valid JSON"
+                replay.truncation_reason = "frame header is not valid JSON"
                 break
+            if nul:
+                record[BODY_KEY] = body
             if isinstance(record, dict) and record.get("op") == "epoch":
                 replay.epoch = int(record.get("id", 0))
                 replay.records.clear()  # restart marker: prior records are pre-checkpoint

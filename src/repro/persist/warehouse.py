@@ -32,7 +32,6 @@ from repro.fitting.grouped import TABLE_COLUMNS, GroupedFitResult, GroupedFitter
 from repro.fitting.metrics import FTestResult
 from repro.fitting.model import FitResult, ModelFamily
 from repro.fitting.piecewise import PiecewisePolynomial, Segment
-from repro.persist.wal import coerce_json_scalar
 
 __all__ = [
     "WAREHOUSE_FORMAT_VERSION",
@@ -59,7 +58,7 @@ def _jsonable(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (np.bool_, np.integer, np.floating)):
-        return coerce_json_scalar(value)
+        return value.item()
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, Mapping):

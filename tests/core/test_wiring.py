@@ -565,6 +565,31 @@ def test_segments_are_written_and_read_by_the_store_alone():
     assert found == []
 
 
+def test_rows_are_made_durable_as_one_segment():
+    """A redo record carries the rows it writes as one segment, in one frame:
+    nothing under ``persist/`` walks a table back into rows (``to_rows`` /
+    ``iter_rows``), ``WriteAheadLog`` has no multi-frame ``append_all``, and
+    exactly one function of ``persist/store.py`` calls ``self.wal.append``."""
+    row_walks, wal_methods, appenders = [], set(), set()
+    for relative, tree in _modules():
+        if not relative.startswith("persist/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) in ("to_rows", "iter_rows"):
+                row_walks.append(f"{relative}:{node.lineno} {ast.unparse(node.func)}")
+            elif isinstance(node, ast.ClassDef) and node.name == "WriteAheadLog":
+                wal_methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+    for relative, function in _functions():
+        if relative == "persist/store.py" and any(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "self.wal.append"
+            for node in ast.walk(function)
+        ):
+            appenders.add(function.name)
+    assert row_walks == []
+    assert "append" in wal_methods and "append_all" not in wal_methods
+    assert len(appenders) == 1, appenders
+
+
 #: What a fit's per-group record layer was called: a grouped fit is its
 #: parameter table now, and nothing may reach for a record again.
 RECORD_LAYER = {"GroupFitRecord", "StackedFits"}

@@ -286,19 +286,33 @@ def test_large_load_snapshots_instead_of_row_json_wal(tmp_path):
     assert set((root / "segments").iterdir()) == named == _manifest_files(root)
 
 
-def test_bulk_load_is_chunked_into_bounded_wal_frames(tmp_path):
-    """A bulk load must never become one giant WAL frame (the frame cap
-    would fire after the in-memory registration already succeeded)."""
+def test_a_write_is_one_bounded_wal_frame(tmp_path, monkeypatch):
+    """A write is one WAL record in one frame, and never a giant one (the
+    frame cap would fire after the in-memory change succeeded): below
+    ``LARGE_CREATE_SNAPSHOT_ROWS`` its rows ride in the frame as one segment,
+    from it on in pool segments the record names."""
+    from repro.persist import store as store_module
+
     root = tmp_path / "store"
     db = LawsDatabase.open(root)
-    n = 10_000  # > WAL_APPEND_CHUNK_ROWS, so several frames
+    n = 10_000
     db.load_dict("big", {"x": [float(i) for i in range(n)]})
+    monkeypatch.setattr(store_module, "LARGE_CREATE_SNAPSHOT_ROWS", n)
+    db.insert_rows("big", [(float(i),) for i in range(n)])
+    live = db.database.fingerprint()
     db.durable.wal.close()
+    records = WriteAheadLog(root / "wal.log").replay().records
+    assert [(r["op"], r.get("row_count"), len(r.get("segments", []))) for r in records] == [
+        ("create_table", n, 0),
+        ("append", None, 1),
+    ]
+    assert (root / "wal.log").stat().st_size < 8 * n + 4096  # the floats, and little else
 
     recovered = LawsDatabase.open(root)
-    assert recovered.table("big").num_rows == n
-    assert recovered.last_recovery.wal_records_replayed >= 1 + 3  # create + ≥3 chunks
-    assert recovered.last_recovery.wal_rows_replayed == n
+    assert recovered.table("big").num_rows == 2 * n
+    assert recovered.last_recovery.wal_records_replayed == 2  # one per write
+    assert recovered.last_recovery.wal_rows_replayed == 2 * n
+    assert recovered.database.fingerprint() == live
 
 
 def test_drop_table_survives_a_crash_and_retires_models(tmp_path):

@@ -244,7 +244,8 @@ def _rewrite_segments_as_v1(root):
     for k, record in enumerate(loads, 1):
         record["dir"] = f"walseg/{k:05d}"
     wal.reset(replay.epoch)
-    wal.append_all(replay.records)
+    for record in replay.records:
+        wal.append(record)
     wal.close()
     for path in sorted(root.rglob("*.npz")):
         with np.load(path) as payload:
@@ -391,7 +392,8 @@ def test_a_load_table_record_from_a_newer_build_is_refused(tmp_path, monkeypatch
     reopened.close()
     load["format_version"] = FORMAT_VERSION + 1
     wal.reset(0)
-    wal.append_all(records)
+    for record in records:
+        wal.append(record)
     wal.close()
     with pytest.raises(FormatVersionError, match=f"v{FORMAT_VERSION + 1}"):
         LawsDatabase.open(root)
@@ -579,6 +581,70 @@ def test_a_v2_store_opens_and_its_first_checkpoint_moves_it_into_the_pool(tmp_pa
     assert reopened.quarantine_report()["count"] == 0
     assert reopened.database.fingerprint() == expected["fingerprint"]
     assert reopened.recall_archive("a") == 20
+    reopened.close()
+
+
+def test_a_v3_store_replays_its_json_row_tail_and_its_first_checkpoint_stamps_v4(tmp_path):
+    """``fixtures/v3_store`` is a store written by the last ``FORMAT_VERSION`` 3
+    build of this package (the source tree at commit a7ca022), whose WAL tail
+    holds every row-bearing record shape that build wrote: a ``create_table``
+    followed by JSON ``append`` chunks (``WAL_APPEND_CHUNK_ROWS`` set to 4),
+    an ``sql`` INSERT and a ``load_table`` (``LARGE_CREATE_SNAPSHOT_ROWS`` set
+    to 16)::
+
+        db = LawsDatabase.open(root, rows_per_segment=50, observability=False)
+        db.load_dict("s", {"k": [i % 9 for i in range(60)],
+                           "y": [3.0 * (i % 9) + 0.001 * i for i in range(60)]})
+        db.checkpoint()
+        db.load_dict("mixed", {"i": [1, None, -3, 2**40, 0, None, 7, 8, -9, 10],
+                               "f": [0.5, nan, None, -1e300, 2.0, inf, None, 0.0, -0.0, 3.25],
+                               "s": ["a", None, "b\\x00", "", "été", "x" * 40, None, "a", "z", "q"],
+                               "b": [True, False, None, True, True, None, False, False, True, False]})
+        db.insert_rows("mixed", [(11, nan, "n", None), (None, None, None, None),
+                                 (12, 1.5, "m", True), (13, -2.5, None, False),
+                                 (14, nan, "o", True), (15, 9.0, "p", None)])
+        db.query("INSERT INTO s VALUES (3, 9.5), (4, 12.25)")
+        db.load_dict("bulk", {"n": list(range(-10, 30)),
+                              "w": [None if n % 7 == 0 else n * 0.25 for n in range(40)]})
+        db.insert_rows("bulk", [(99, None)])
+        db.durable.wal.close()  # a crash: the tail stays in the WAL
+
+    ``fixtures/v3_store.json`` holds the fingerprint, row counts and
+    statistics that build recovered from the store.  (A JSON row turned a
+    stored NaN into NULL, so its statistics count those NaNs as NULLs.)
+    """
+    import shutil
+
+    from repro.persist.store import FORMAT_VERSION
+
+    def observed(db):
+        return (
+            db.database.fingerprint(),
+            {name: db.table(name).num_rows for name in db.table_names()},
+            {name: json.dumps(db.database.stats(name).to_payload(), sort_keys=True) for name in db.table_names()},
+        )
+
+    root = tmp_path / "store"
+    shutil.copytree(FIXTURES / "v3_store", root)
+    recorded = json.loads((FIXTURES / "v3_store.json").read_text())
+    expected = (
+        recorded["fingerprint"],
+        recorded["rows"],
+        {name: json.dumps(stats, sort_keys=True) for name, stats in recorded["stats"].items()},
+    )
+    assert _manifest(root)["format_version"] == 3
+
+    db = LawsDatabase.open(root)
+    assert db.quarantine_report()["count"] == 0
+    assert db.last_recovery.wal_records_replayed == 9
+    assert observed(db) == expected
+    db.checkpoint()
+    assert _manifest(root)["format_version"] == FORMAT_VERSION == 4
+    db.close()
+
+    reopened = LawsDatabase.open(root)
+    assert reopened.quarantine_report()["count"] == 0
+    assert observed(reopened) == expected
     reopened.close()
 
 

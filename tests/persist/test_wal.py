@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import struct
+import zlib
 
 import pytest
 
 from repro.errors import PersistenceError
-from repro.persist.wal import WriteAheadLog
+from repro.persist.wal import BODY_KEY, WriteAheadLog
 
 
 @pytest.fixture
@@ -21,18 +23,32 @@ def test_records_round_trip(wal):
         {"op": "append", "table": "t", "rows": [[1, 2.5, "x", None]]},
         {"op": "append", "table": "t", "rows": [[2, float("nan"), "y", True]]},
         {"op": "create_table", "name": "u", "schema": [["a", "int64", True]]},
+        {"op": "append", BODY_KEY: b"\x00\xffrows\x00", "name": "u", "row_count": 1},
     ]
     for record in records:
         wal.append(record)
+    logged = wal.path.read_bytes()
     replay = wal.replay()
     assert replay.epoch == 7
     assert not replay.was_truncated
     assert len(replay.records) == len(records)
     assert replay.records[0] == records[0]
-    assert replay.records[2] == records[2]
+    assert replay.records[2:] == records[2:]
     # NaN survives the JSON round trip (non-strict mode)
     value = replay.records[1]["rows"][0][1]
     assert value != value
+    # A record without a body is its compact JSON; one with a body is that
+    # JSON header, a NUL and the body.  A replayed record frames as it did.
+    payloads = [
+        json.dumps(records[0], separators=(",", ":")).encode(),
+        b'{"op":"append","name":"u","row_count":1}\x00\x00\xffrows\x00',
+    ]
+    for payload in payloads:
+        assert struct.pack("<II", len(payload), zlib.crc32(payload)) + payload in logged
+    wal.reset(epoch=7)
+    for record in replay.records:
+        wal.append(record)
+    assert wal.path.read_bytes() == logged
 
 
 def test_empty_log_replays_empty(wal):

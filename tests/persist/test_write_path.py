@@ -12,6 +12,8 @@ from __future__ import annotations
 import errno
 import json
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.db.archived import archived_segments
 from repro.db.table import Table
 from repro.errors import ReproError
 from repro.persist import store as store_module
+from repro.persist.wal import BODY_KEY, WriteAheadLog
 from repro.resilience import FaultInjector, FaultSpec
 
 EXACT = AccuracyContract(mode="exact")
@@ -40,6 +43,11 @@ DOORS = {
         "INSERT INTO t VALUES " + ", ".join(f"({k}, {v})" for k, v in rows)
     ),
     "ingest": lambda db, rows: db.ingest("t", rows, flush=True),
+    # A created table's rows, in its one frame.
+    "load_dict": lambda db, rows: db.load_dict("u", {"k": [k for k, _ in rows], "v": [v for _, v in rows]}),
+    # At LARGE_CREATE_SNAPSHOT_ROWS (patched to the batch's size below): pool
+    # segments first, then the one frame naming them.
+    "insert_rows_pooled": lambda db, rows: db.insert_rows("t", rows),
 }
 FAULTS = {
     "oserror": FaultSpec("persist.wal.append", "oserror", errno_code=errno.EROFS),
@@ -47,21 +55,27 @@ FAULTS = {
 }
 
 
+def _keys(db):
+    return sorted(k for name in db.table_names() for k in db.table(name).column("k").to_pylist())
+
+
 def _state(db):
     return (
-        db.table("t").num_rows,
+        _keys(db),
         db.database.fingerprint(),
-        db.database.stats("t").row_count,
+        sum(db.database.stats(name).row_count for name in db.table_names()),
     )
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("door", sorted(DOORS))
-def test_failed_redo_record_leaves_memory_as_it_was(tmp_path, door, fault):
+def test_failed_redo_record_leaves_memory_as_it_was(tmp_path, monkeypatch, door, fault):
     root = tmp_path / "db"
     with _open(root) as db:
         db.load_dict("t", {"k": list(range(20)), "v": [float(k) for k in range(20)]})
     write, rows = DOORS[door], [(100 + i, 0.5 * i) for i in range(5)]
+    if door == "insert_rows_pooled":
+        monkeypatch.setattr(store_module, "LARGE_CREATE_SNAPSHOT_ROWS", len(rows))
 
     # Reopened, the injector's first ``persist.wal.append`` arrival is the write's.
     db = _open(root, FaultInjector([FAULTS[fault]], sleep=lambda _s: None))
@@ -77,7 +91,7 @@ def test_failed_redo_record_leaves_memory_as_it_was(tmp_path, door, fault):
     if raised:
         assert _state(db) == before
     else:  # the retrier absorbed it
-        assert db.table("t").num_rows == before[0] + len(rows)
+        assert len(_keys(db)) == len(before[0]) + len(rows)
     live = db.database.fingerprint()
     db.close()
 
@@ -85,9 +99,8 @@ def test_failed_redo_record_leaves_memory_as_it_was(tmp_path, door, fault):
     assert db.database.fingerprint() == live
     if raised:
         write(db, rows)  # the fault is spent: the repeated call applies once
-    keys = db.table("t").column("k").to_pylist()
-    assert sorted(keys) == list(range(20)) + [100 + i for i in range(5)]
-    assert db.database.stats("t").row_count == 25
+    assert _keys(db) == list(range(20)) + [100 + i for i in range(5)]
+    assert _state(db)[2] == 25
     live = db.database.fingerprint()
     db.close()
     reopened = _open(root)
@@ -155,28 +168,42 @@ def test_failed_archive_redo_record_leaves_memory_as_it_was(tmp_path, move, faul
     reopened.close()
 
 
-def test_multi_frame_redo_record_is_all_or_nothing(tmp_path, monkeypatch):
-    """A created table's rows span several WAL frames; a fault on a later
-    frame must take the earlier ones back out of the log."""
-    monkeypatch.setattr(store_module, "WAL_APPEND_CHUNK_ROWS", 4)
+def test_a_redo_record_is_one_frame_and_a_large_one_names_pool_segments(tmp_path, monkeypatch):
+    """A write is one WAL frame, its rows one segment: inside the frame, or —
+    from ``LARGE_CREATE_SNAPSHOT_ROWS`` on — in pool files written before the
+    frame that names them.  A fault on that one frame takes the write out of
+    memory and the log; the files it orphaned go at the next checkpoint."""
+    monkeypatch.setattr(store_module, "LARGE_CREATE_SNAPSHOT_ROWS", 8)
     root = tmp_path / "db"
     _open(root).close()
-    # Frames of the load: create_table, then 3 append chunks; fail the third frame.
     faults = FaultInjector(
-        [FaultSpec("persist.wal.append", "oserror", hit=3, errno_code=errno.EROFS)]
+        [FaultSpec("persist.wal.append", "oserror", errno_code=errno.EROFS)]
     )
     db = _open(root, faults)
     data = {"k": list(range(10)), "v": [float(k) for k in range(10)]}
     with pytest.raises(ReproError):
         db.load_dict("t", data)
     assert db.table_names() == []
+    orphaned = {path.name for path in (root / "segments").iterdir()}
+    assert orphaned
     db.load_dict("t", data)  # the retry is the first registration, not a duplicate
-    db.insert_rows("t", [(k, 0.0) for k in range(10, 20)])  # 3 frames again
+    db.insert_rows("t", [(k, 0.0) for k in range(10, 20)])  # pool segments again
+    db.insert_rows("t", [(k, 1.0) for k in range(20, 23)])  # inside its frame
+    assert [event.point for event in faults.fired()] == ["persist.wal.append"]
     live = db.database.fingerprint()
     db.close()
+    records = WriteAheadLog(root / "wal.log").replay().records
+    assert [(r["op"], "segments" in r, BODY_KEY in r) for r in records] == [
+        ("load_table", True, False),
+        ("append", True, False),
+        ("append", False, True),
+    ]
     reopened = _open(root)
     assert reopened.quarantine_report()["count"] == 0
+    assert reopened.last_recovery.wal_rows_replayed == 23
     assert reopened.database.fingerprint() == live
+    reopened.checkpoint()
+    assert not orphaned & {path.name for path in (root / "segments").iterdir()}
     reopened.close()
 
 
@@ -277,6 +304,41 @@ def test_recovered_state_equals_live_state_through_every_front_door(tmp_path, mo
     assert again.last_recovery.wal_records_replayed == 0
     assert _observe(again) == live
     again.close()
+
+
+def test_rows_passed_as_an_iterator_survive_a_crash(tmp_path):
+    """The redo record carries the batch as the table stored it, so rows the
+    append consumed from an iterator are logged whole."""
+    root = tmp_path / "db"
+    db = LawsDatabase.open(root)
+    db.load_dict("t", {"k": [0], "v": [0.0]})
+    db.insert_rows("t", ((k, float(k)) for k in range(1, 6)))
+    assert db.table("t").num_rows == 6
+    live = _observe(db)
+    db.durable.wal.close()  # crash: never checkpointed
+
+    recovered = LawsDatabase.open(root)
+    assert _observe(recovered) == live
+    recovered.close()
+
+
+def test_a_durable_store_takes_the_values_an_in_memory_one_stores(tmp_path):
+    """A FLOAT64 column stores a ``Decimal`` or a ``Fraction`` as its float;
+    the redo record logs that column, not the caller's objects."""
+    root = tmp_path / "db"
+    memory, durable = LawsDatabase(), LawsDatabase.open(root)
+    for db in (memory, durable):
+        db.load_dict("t", {"k": [0], "x": [0.0], "s": ["a"]})
+        db.insert_rows("t", [(1, Decimal("1.5"), "b")])
+        db.insert_rows("t", [(2, Fraction(1, 3), None)])
+    assert durable.table("t").column("x").to_pylist() == [0.0, 1.5, 1 / 3]
+    live = _observe(durable)
+    assert live["fingerprint"] == memory.database.fingerprint()
+    durable.durable.wal.close()  # crash: never checkpointed
+
+    recovered = LawsDatabase.open(root)
+    assert _observe(recovered) == live
+    recovered.close()
 
 
 def _whole_table_rescans(monkeypatch, rows):

@@ -97,7 +97,8 @@ def test_enospc_mid_checkpoint_keeps_previous_manifest_and_wal(tmp_path, point):
         reopened.close()
 
 
-def test_torn_wal_tail_is_truncated_quarantined_and_journaled(tmp_path):
+@pytest.mark.parametrize("damage", ["torn_tail", "bit_flip_in_body"])
+def test_torn_wal_tail_is_truncated_quarantined_and_journaled(tmp_path, damage):
     root = tmp_path / "store"
     db = LawsDatabase.open(root)
     populate(db)
@@ -108,13 +109,22 @@ def test_torn_wal_tail_is_truncated_quarantined_and_journaled(tmp_path):
 
     wal_path = root / "wal.log"
     intact = wal_path.read_bytes()
-    wal_path.write_bytes(intact[:-7])  # tear the last frame mid-payload
+    faults = None
+    if damage == "torn_tail":
+        wal_path.write_bytes(intact[:-7])  # tear the last frame mid-payload
+        kept = 1
+    else:
+        # One bit of the first insert's rows (the binary body after its
+        # header's NUL) flips as the reopen reads the log.
+        body = intact.index(b"\0", intact.index(b'"op":"append"')) + 1
+        faults = FaultInjector([FaultSpec("persist.wal.replay", "bit_flip", bit_index=8 * (body + 40))])
+        kept = 0
 
-    db = LawsDatabase.open(root)
+    db = LawsDatabase.open(root, fault_injector=faults)
     try:
-        # The torn frame (the second insert) is gone; everything before the
-        # tear — checkpointed rows plus the first intact WAL frame — serves.
-        assert db.table("metrics").num_rows == ROWS + EXTRA
+        # The damaged frame and everything after it are gone; everything
+        # before it — checkpointed rows plus the intact WAL frames — serves.
+        assert db.table("metrics").num_rows == ROWS + kept * EXTRA
         truncations = db.events(kind="wal-truncation")
         assert len(truncations) == 1
         assert truncations[0].fields["truncated_bytes"] > 0
@@ -125,6 +135,10 @@ def test_torn_wal_tail_is_truncated_quarantined_and_journaled(tmp_path):
         tails = db.durable.quarantine.records(artefact="wal-tail")
         assert len(tails) == 1
         assert tails[0].reason  # names why the tail was cut
+        if damage == "bit_flip_in_body":  # the CRC cuts at the first insert's frame
+            first_frame = intact.index(b'{"op":"append"') - 8
+            assert truncations[0].fields["truncated_bytes"] == len(intact) - first_frame
+            assert tails[0].reason == "frame checksum mismatch"
         # The torn tail is damage, not loss of acknowledged commits: the
         # file itself stays live and the store keeps accepting writes.
         db.insert_rows("metrics", make_rows(ROWS + 2 * EXTRA, EXTRA))
@@ -134,7 +148,7 @@ def test_torn_wal_tail_is_truncated_quarantined_and_journaled(tmp_path):
 
     reopened = LawsDatabase.open(root)
     try:
-        assert reopened.table("metrics").num_rows == ROWS + 2 * EXTRA
+        assert reopened.table("metrics").num_rows == ROWS + (kept + 1) * EXTRA
         assert (
             reopened.obs.metrics.counter_value("recovery_total", outcome="clean") == 1
         )

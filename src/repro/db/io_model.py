@@ -195,8 +195,8 @@ class IOModel:
 
     ``accountant`` is for an owner that needed it before this model existed
     (a tracer reads span IO from its scopes); its parameters are the model's.
-    ``metrics`` and ``tracer`` are where scans report the blocks they never
-    read (:meth:`skip_blocks`).
+    ``metrics`` and ``tracer`` are where scans report the rows they evaluated
+    and the blocks they never read (:meth:`charge_read`).
     """
 
     def __init__(
@@ -227,17 +227,24 @@ class IOModel:
         self.accountant.charge_sequential(num_bytes)
         return num_bytes
 
-    def skip_blocks(self, pruned: int, answered: int = 0) -> None:
-        """Record the blocks a scan did not read: ``pruned`` ones its synopses
-        proved empty, ``answered`` ones they proved wholly matching.
+    def charge_read(
+        self, num_bytes: int, *, rows_read: int, pruned: int = 0, answered: int = 0
+    ) -> None:
+        """Charge one scan's read: ``num_bytes`` in one sequential read.
 
-        Nothing is charged — that is the point — but each nonzero count goes
-        to its counter (``scan_blocks_pruned_total`` /
-        ``scan_blocks_answered_total``) and onto the calling thread's open
-        span (the scan's own, in a traced execution) as ``blocks_pruned`` /
-        ``blocks_answered``.
+        ``rows_read`` is how many rows the scan evaluated (its survivors may
+        be far fewer), ``pruned`` / ``answered`` the blocks it did not read —
+        ones its synopses proved empty, ones they proved wholly matching.
+        Those blocks cost nothing (that is the point), but each nonzero count
+        goes to its counter (``scan_blocks_pruned_total`` /
+        ``scan_blocks_answered_total``), and all three go onto the calling
+        thread's open span (the scan's own, in a traced execution) as
+        ``rows_read`` / ``blocks_pruned`` / ``blocks_answered``.
         """
+        self.accountant.charge_sequential(num_bytes)
         span = self.tracer.current
+        if span is not None:
+            span.annotate(rows_read=span.attributes.get("rows_read", 0) + rows_read)
         for counter, key, blocks in (
             ("scan_blocks_pruned_total", "blocks_pruned", pruned),
             ("scan_blocks_answered_total", "blocks_answered", answered),

@@ -28,7 +28,7 @@ from repro.db.table import Table
 from repro.db.types import DataType
 from repro.errors import ExecutionError
 
-__all__ = ["HashJoin"]
+__all__ = ["HashJoin", "right_output_names"]
 
 
 def _comparable(left_dtype: DataType, right_dtype: DataType) -> bool:
@@ -99,12 +99,28 @@ def _pair_codes(left: Column, right: Column) -> tuple[np.ndarray, np.ndarray, in
     return _spread(left_codes, left_rows), _spread(right_codes, right_rows), space
 
 
+def right_output_names(left_names, right_name: str, right_names) -> list[tuple[str, str]]:
+    """``(column, output name)`` of every right column beside ``left_names``:
+    a name the left side already has becomes ``<right_name>.<name>``."""
+    pairs = []
+    existing = set(left_names)
+    for name in right_names:
+        out_name = f"{right_name}.{name}" if name in existing else name
+        if out_name in existing:
+            raise ExecutionError(f"cannot disambiguate join output column {name!r}")
+        pairs.append((name, out_name))
+        existing.add(out_name)
+    return pairs
+
+
 class HashJoin(Operator):
     """Inner equi-join on one or more key column pairs.
 
     The right (build) side is hashed; the left (probe) side streams through.
-    Output columns are the left columns followed by the right columns; when a
-    name collides, the right column is prefixed with ``<right_table>.``.
+    Output columns are ``left_columns`` of the left input followed by
+    ``right_columns`` — ``(column, output name)`` pairs — of the right one,
+    and only they are gathered.  By default every column of both sides is
+    handed on, named by :func:`right_output_names`.
     """
 
     def __init__(
@@ -113,6 +129,8 @@ class HashJoin(Operator):
         right: Operator,
         left_keys: list[str],
         right_keys: list[str],
+        left_columns: list[str] | None = None,
+        right_columns: list[tuple[str, str]] | None = None,
     ) -> None:
         if len(left_keys) != len(right_keys):
             raise ExecutionError("join requires the same number of left and right keys")
@@ -122,6 +140,8 @@ class HashJoin(Operator):
         self.right = right
         self.left_keys = left_keys
         self.right_keys = right_keys
+        self.left_columns = left_columns
+        self.right_columns = right_columns
 
     def children(self) -> list[Operator]:
         return [self.left, self.right]
@@ -132,23 +152,21 @@ class HashJoin(Operator):
 
     def apply(self, left_table: Table, right_table: Table) -> Table:
         left_indices, right_indices = self._match_indices(left_table, right_table)
+        left_names = left_table.schema.names if self.left_columns is None else self.left_columns
+        right_columns = self.right_columns
+        if right_columns is None:
+            right_columns = right_output_names(left_names, right_table.name, right_table.schema.names)
 
-        left_result = left_table.take(left_indices)
-        right_result = right_table.take(right_indices)
-
-        # Stitch the two sides together, disambiguating clashing names.
-        defs: list[ColumnDef] = list(left_result.schema.columns)
-        columns = left_result.columns()
-        existing = set(left_result.schema.names)
-        for col_def in right_result.schema:
-            out_name = col_def.name
-            if out_name in existing:
-                out_name = f"{right_table.name}.{col_def.name}"
-            if out_name in existing:
-                raise ExecutionError(f"cannot disambiguate join output column {col_def.name!r}")
-            defs.append(ColumnDef(out_name, col_def.dtype, col_def.nullable))
-            columns[out_name] = right_result.column(col_def.name)
-            existing.add(out_name)
+        defs: list[ColumnDef] = []
+        columns: dict[str, Column] = {}
+        for side, indices, pairs in (
+            (left_table, left_indices, [(name, name) for name in left_names]),
+            (right_table, right_indices, right_columns),
+        ):
+            for name, out_name in pairs:
+                col_def = side.schema.column(name)
+                defs.append(ColumnDef(out_name, col_def.dtype, col_def.nullable))
+                columns[out_name] = side.column(name).take(indices)
 
         name = f"{left_table.name}_join_{right_table.name}"
         return Table(name, Schema(defs), columns)

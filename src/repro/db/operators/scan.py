@@ -7,7 +7,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.db.column import BLOCK_ROWS
-from repro.db.constraints import ColumnConstraint
+from repro.db.constraints import ColumnConstraint, extract_constraints
+from repro.db.expressions import Expression, truthy_mask
 from repro.db.io_model import IOModel
 from repro.db.operators.base import Operator
 from repro.db.operators.sort import render_sort_keys
@@ -90,6 +91,23 @@ class KeptRows:
     def blocks_pruned(self) -> int:
         return self.blocks_total - self.blocks_kept - self.blocks_answered
 
+    @property
+    def num_rows(self) -> int:
+        """How many rows are still to read."""
+        return sum(stop - start for start, stop in self.ranges)
+
+    def row_numbers(self, positions: np.ndarray) -> np.ndarray:
+        """The table's row numbers at ascending ``positions`` of the rows still
+        to read — computed in place when those rows are one run."""
+        if len(self.ranges) == 1:
+            if self.ranges[0][0]:
+                positions += self.ranges[0][0]
+            return positions
+        starts, stops = np.array(self.ranges, dtype=np.int64).reshape(-1, 2).T
+        offsets = np.cumsum(stops - starts) - (stops - starts)
+        which = np.searchsorted(offsets, positions, side="right") - 1
+        return starts[which] + positions - offsets[which]
+
     def take_from(self, table: Table) -> Table:
         """The rows still to read of ``table``, in order (a zero-copy slice when contiguous)."""
         if len(self.ranges) == 1:
@@ -100,12 +118,12 @@ class KeptRows:
 
 
 class ScannedRows(Table):
-    """The rows a scan read, carrying what it answered instead (``answer``).
+    """The rows a scan handed on, carrying what it answered instead (``answer``).
 
     Only a scan planned to answer a global ``COUNT`` / ``MIN`` / ``MAX`` hands
-    one on, and only the WHERE ``Filter`` lies between it and the
-    ``Aggregate`` that folds the answer in.  Every answered row satisfies
-    that WHERE, so filtering the read rows keeps the answer whole.
+    one on, straight to the ``Aggregate`` that folds the answer in: the scan
+    evaluated the whole WHERE clause itself, and every answered row
+    satisfies it.
     """
 
     def __init__(self, rows: Table, answer: SynopsisAnswer) -> None:
@@ -113,9 +131,6 @@ class ScannedRows(Table):
         self.schema = rows.schema
         self._columns = rows._columns
         self.answer = answer
-
-    def filter(self, mask: np.ndarray) -> "ScannedRows":
-        return ScannedRows(super().filter(mask), self.answer)
 
 
 def kept_rows(
@@ -143,8 +158,8 @@ def kept_rows(
     the synopses (:class:`SynopsisAnswer`) and it is not read.
 
     The partial tail block has no synopsis and is always read.  This is the
-    one classifier: a serial scan reads the kept rows whole, the partitioned
-    engine cuts the same kept rows at shard boundaries (:meth:`TableScan.bind`
+    one classifier: a serial scan reads the kept rows, the partitioned engine
+    cuts the same scan's survivors at shard boundaries (:meth:`TableScan.bind`
     is the one caller on an execution path).
     """
     rows = table.num_rows
@@ -235,25 +250,30 @@ def _cannot_win(table: Table, top: TopBound) -> np.ndarray:
 
 
 class TableScan(Operator):
-    """Scan a base table, charging the simulated IO model for the bytes read.
+    """Scan a base table, evaluate its share of the WHERE clause, and charge
+    the simulated IO model for the bytes read.
 
-    ``projected_columns`` narrows the scan to the columns a query actually
-    touches (columnar storage means unread columns cost no IO), and
-    ``constraints`` — the WHERE clause's necessary per-column conditions on
-    this table — let it skip every block whose min/max synopsis proves it
-    empty (:func:`kept_rows`).  ``top`` — set when a ``TopN`` sits above with
-    nothing in between that drops, adds or changes a row — lets it skip the
-    blocks that cannot hold one of the best rows the same way.  ``answers`` —
-    set when the constraints are the whole WHERE and the ``Aggregate`` above
-    asks only a global ``COUNT`` / ``MIN`` / ``MAX`` of these columns — lets
-    it answer every block whose synopses prove that all its rows match
-    instead of reading it, handing the answer on with the rows it did read
-    (:class:`ScannedRows`).  That is what makes the zero-IO comparison
-    honest: the raw-scan side is charged only for the projected columns over
-    the rows it hands on, and the ``Filter``, ``Aggregate`` or ``TopN`` above
-    still does its whole job on exactly those rows.  With none of the three
-    (or when no block can be ruled out) the bound table passes through
-    untouched.
+    ``predicate`` is every conjunct of the WHERE clause that reads only this
+    table's columns; the scan hands on only the rows that satisfy it, and of
+    them only ``projected_columns`` — the columns the operators above read
+    (every column when None).  The predicate's necessary per-column
+    conditions (``constraints``) let it skip every block whose min/max
+    synopsis proves it empty (:func:`kept_rows`).  ``top`` — set when a
+    ``TopN`` sits above with nothing in between that drops, adds or changes a
+    row, so never together with a predicate — lets it skip the blocks that
+    cannot hold one of the best rows the same way.  ``answers`` — set when
+    the ``Aggregate`` above asks only a global ``COUNT`` / ``MIN`` / ``MAX``
+    of these columns, and kept only when the constraints are the whole
+    predicate — lets it answer every block whose synopses prove that all its
+    rows match instead of reading it, handing the answer on with the rows it
+    did read (:class:`ScannedRows`).
+
+    The read is late: the predicate's columns are read over the kept blocks,
+    and every other column only in the blocks that hold a surviving row
+    (:meth:`read`).  That is what makes the zero-IO comparison honest: the
+    raw-scan side is charged for what a column store would fetch, and the
+    ``Aggregate``, ``HashJoin`` or ``TopN`` above still does its whole job on
+    exactly the rows handed on.
 
     Plans are cached and shared across executions (and threads), so the scan
     binds its table *per execution*: when a ``catalog`` was provided it
@@ -269,17 +289,36 @@ class TableScan(Operator):
         io_model: IOModel | None = None,
         projected_columns: list[str] | None = None,
         catalog=None,
-        constraints: Mapping[str, ColumnConstraint] | None = None,
+        predicate: Expression | None = None,
         top: TopBound | None = None,
         answers: tuple[str, ...] | None = None,
     ) -> None:
+        assert predicate is None or top is None, "a top bound holds only over every row"
         self.table = table
         self.io_model = io_model
         self.projected_columns = projected_columns
         self.catalog = catalog
-        self.constraints = constraints or {}
+        self.predicate = predicate
+        analysed = extract_constraints(predicate)
+        self.constraints = analysed.by_column
         self.top = top
-        self.answers = answers
+        # A block the constraints cover matches the predicate row for row
+        # only when they are the whole predicate.
+        self.answers = answers if analysed.fully_analysed else None
+        handed_on = table.schema.names if projected_columns is None else projected_columns
+        referenced = set() if predicate is None else predicate.referenced_columns()
+        #: The columns the predicate is evaluated over, read in every kept
+        #: block; a predicate that names no column (``WHERE 1 = 1``) still
+        #: needs the row count, which the narrowest handed-on column carries.
+        self.predicate_columns = [name for name in table.schema.names if name in referenced]
+        if predicate is not None and not self.predicate_columns:
+            self.predicate_columns = [
+                min(handed_on, key=lambda name: table.schema.dtype_of(name).byte_width)
+            ]
+        #: Every column the scan touches, in table order.
+        self.read_columns = [
+            name for name in table.schema.names if name in handed_on or name in self.predicate_columns
+        ]
 
     @property
     def _classifies(self) -> bool:
@@ -305,35 +344,63 @@ class TableScan(Operator):
         return self.table.pinned()
 
     def bind(self) -> tuple[Table, KeptRows]:
-        """This execution's frozen, projected table and its classified blocks."""
+        """This execution's frozen table, narrowed to the columns read, and its classified blocks."""
         table = self._bind_table()
-        if self.projected_columns is not None:
-            table = table.select(self.projected_columns)
+        if len(self.read_columns) < table.num_columns:
+            table = table.select(self.read_columns)
         return table, kept_rows(table, self.constraints, self.top, self.answers)
 
-    def read(self, table: Table, kept: KeptRows) -> Table:
-        """The rows still to read of the bound table, charged once.
+    def read(self, table: Table, kept: KeptRows) -> tuple[Table, np.ndarray | None]:
+        """The surviving rows of the bound table, charged once.
 
-        Pruned and answered blocks are counted, not charged; the answer rides
-        on the rows handed on (:class:`ScannedRows`).  Split from :meth:`bind`
-        so that the partitioned engine, which cuts the read rows at shard
-        boundaries, reads — and charges — through the very code a serial
-        execution does.
+        The predicate is evaluated over its own columns of the kept rows;
+        every other handed-on column is read only in the blocks that hold a
+        survivor.  The one sequential charge is the predicate columns' bytes
+        over the kept rows plus each late column's over the rows of the
+        blocks it touches (the partial tail block clipped); pruned and
+        answered blocks are counted, not charged, and the answer rides on the
+        rows handed on (:class:`ScannedRows`).
+
+        Returns the handed-on rows and their row numbers in the table — None
+        when every kept row survives.  Split from :meth:`bind` so that the
+        partitioned engine, which cuts the survivors at shard boundaries,
+        reads — and charges — through the very code a serial execution does.
         """
-        if kept.blocks_kept < kept.blocks_total:
-            table = kept.take_from(table)
-            if self.io_model is not None:
-                self.io_model.skip_blocks(kept.blocks_pruned, kept.blocks_answered)
+        width = table.schema.dtype_of
+        kept_count = kept.num_rows
+        numbers = None
+        if self.predicate is not None and kept_count:
+            head = kept.take_from(table.select(self.predicate_columns))
+            mask = truthy_mask(self.predicate.evaluate(head))
+            if not mask.all():
+                numbers = kept.row_numbers(np.flatnonzero(mask))
+        wanted = table if self.projected_columns is None else table.select(self.projected_columns)
+        late = [name for name in wanted.schema.names if name not in self.predicate_columns]
+        if numbers is None:
+            rows = kept.take_from(wanted)
+            late_rows = kept_count
+        else:
+            if len(numbers) and numbers[-1] - numbers[0] + 1 == len(numbers):
+                rows = wanted.slice(int(numbers[0]), int(numbers[-1]) + 1)
+            else:
+                rows = wanted.take(numbers)
+            late_rows = _block_rows(numbers, table.num_rows) if late else 0
         if self.io_model is not None:
-            self.io_model.charge_scan(table)
-        return table if kept.answer is None else ScannedRows(table, kept.answer)
+            self.io_model.charge_read(
+                sum(width(name).byte_width for name in self.predicate_columns) * kept_count
+                + sum(width(name).byte_width for name in late) * late_rows,
+                rows_read=kept_count,
+                pruned=kept.blocks_pruned,
+                answered=kept.blocks_answered,
+            )
+        return (rows if kept.answer is None else ScannedRows(rows, kept.answer)), numbers
 
     def apply(self) -> Table:
-        return self.read(*self.bind())
+        return self.read(*self.bind())[0]
 
     def apply_described(self) -> tuple[Table, str]:
         table, kept = self.bind()
-        return self.read(table, kept), self._describe(kept)
+        return self.read(table, kept)[0], self._describe(kept)
 
     def describe(self) -> str:
         if not self._classifies:
@@ -345,8 +412,9 @@ class TableScan(Operator):
     def _describe(self, kept: KeptRows | None) -> str:
         """The one-line description; ``kept`` is read only when the scan classifies."""
         cols = "*" if self.projected_columns is None else ", ".join(self.projected_columns)
+        where = "" if self.predicate is None else f", where={self.predicate}"
         if not self._classifies:
-            return f"TableScan({self.table.name}, columns=[{cols}])"
+            return f"TableScan({self.table.name}, columns=[{cols}]{where})"
         assert kept is not None
         top = ""
         if self.top is not None:
@@ -354,9 +422,22 @@ class TableScan(Operator):
             top = f"top={render_sort_keys([(name, ascending)])} {count}, "
         answered = "" if self.answers is None else f", answered={kept.blocks_answered}"
         return (
-            f"TableScan({self.table.name}, columns=[{cols}], {top}"
+            f"TableScan({self.table.name}, columns=[{cols}]{where}, {top}"
             f"blocks={kept.blocks_kept}/{kept.blocks_total}{answered})"
         )
+
+
+def _block_rows(numbers: np.ndarray, num_rows: int) -> int:
+    """Rows of the blocks that hold one of the ascending row ``numbers``,
+    the partial tail block clipped to the table."""
+    if not len(numbers):
+        return 0
+    blocks = numbers // BLOCK_ROWS
+    touched = 1 + int(np.count_nonzero(blocks[1:] != blocks[:-1]))
+    rows = touched * BLOCK_ROWS
+    if blocks[-1] == num_rows // BLOCK_ROWS:  # the partial tail block
+        rows -= BLOCK_ROWS - num_rows % BLOCK_ROWS
+    return rows
 
 
 class MaterializedInput(Operator):

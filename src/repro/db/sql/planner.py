@@ -3,19 +3,23 @@
 The planner turns a parsed :class:`~repro.db.sql.ast.SelectStatement` into a
 tree of physical operators:
 
-``Scan -> [HashJoin]* -> Filter(WHERE) -> Aggregate -> Filter(HAVING) ->
-Project -> Distinct -> Sort | Limit | TopN -> Project(strip hidden sort columns)``
+``Scan(WHERE) -> [HashJoin]* -> Filter(cross-table rest) -> Aggregate ->
+Filter(HAVING) -> Project -> Distinct -> Sort | Limit | TopN ->
+Project(strip hidden sort columns)``
 
 ``ORDER BY`` alone plans a ``Sort``, ``LIMIT`` alone a ``Limit``, and the two
 together one ``TopN`` that selects the wanted rows instead of sorting all.
 
-The WHERE clause also reaches below that ``Filter``: every base-table scan is
-handed the clause's *necessary* per-column constraints on its own columns, so
-it can skip blocks its min/max synopses prove empty, and a top-level conjunct
-that only reads a join's right table filters that build side before the join.
-A ``TopN`` reaches the scan the same way when only the ``Project`` lies
-between them and its primary key is a bare column: the scan then skips the
-blocks that cannot hold one of the best rows.  And a global ``COUNT`` /
+Every conjunct of the WHERE clause that reads only one table's columns runs
+inside that table's scan — all joins are inner, so it selects the same rows
+there as above the joins — and only a conjunct over several tables is left
+for the ``Filter`` above them.  A scan skips the blocks its min/max synopses
+prove empty under its predicate's *necessary* per-column constraints, and
+reads every column its predicate does not need only in the blocks that hold
+a surviving row.  Each scan and join hands on only the columns read after
+it.  A ``TopN`` reaches a scan without a predicate when only the ``Project``
+lies between them and its primary key is a bare column: the scan then skips
+the blocks that cannot hold one of the best rows.  And a global ``COUNT`` /
 ``MIN`` / ``MAX`` over one table whose WHERE the constraints describe whole
 lets the scan answer the blocks its synopses prove to match row for row
 instead of reading them.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.db.catalog import Catalog
-from repro.db.constraints import ColumnConstraint, conjuncts, extract_constraints
+from repro.db.constraints import conjuncts
 from repro.db.expressions import BinaryOp, ColumnRef, Expression, FunctionCall, Literal
 from repro.db.io_model import IOModel
 from repro.db.operators import (
@@ -49,11 +53,11 @@ from repro.db.operators import (
     TopN,
 )
 from repro.db.operators.aggregate import SUPPORTED_AGGREGATES
+from repro.db.operators.join import right_output_names
 from repro.db.operators.scan import TopBound
 from repro.db.sql.ast import SelectStatement, Star
 from repro.db.table import Table
 from repro.errors import SQLPlanningError, UnsupportedSQLError
-from repro.lazy import lazy_attribute
 
 __all__ = ["plan_select", "PlannedQuery"]
 
@@ -93,7 +97,7 @@ class _PlanBuilder:
         #: column names available after the FROM/JOIN stage
         self.available: set[str] = set()
         #: available name of a join right table's column -> (position of the
-        #: join, the column's own name in that table)
+        #: join, the column's own name in that table), in table order
         self.right_origin: dict[str, tuple[int, str]] = {}
 
     # -- entry point ---------------------------------------------------------
@@ -103,22 +107,14 @@ class _PlanBuilder:
         base, joins = self._bind_from_clause()
         where = self._resolve(statement.where) if statement.where is not None else None
         aggregates, rewritten_items, rewritten_having = self._extract_aggregates()
-        plan, where = self._build_from_clause(base, joins, where, self._answers(aggregates))
-        if where is not None:
-            plan = Filter(plan, where)
-
         group_exprs = [self._resolve(e) for e in statement.group_by]
-
-        if aggregates or group_exprs:
-            plan = Aggregate(plan, group_exprs, aggregates)
+        grouped = bool(aggregates or group_exprs)
+        if grouped:
             post_available = {self._group_key_name(e) for e in group_exprs} | {a.name for a in aggregates}
         else:
             post_available = set(self.available)
 
-        if rewritten_having is not None:
-            plan = Filter(plan, self._resolve(rewritten_having, post_available))
-
-        projections = self._build_projections(rewritten_items, post_available, bool(aggregates or group_exprs))
+        projections = self._build_projections(rewritten_items, post_available, grouped)
         output_names = [p.name for p in projections]
 
         # ORDER BY may reference columns that are not in the SELECT list (e.g.
@@ -129,11 +125,25 @@ class _PlanBuilder:
             hidden = self._hidden_sort_projections(output_names, post_available)
         keys = self._resolve_order_keys(output_names + [p.name for p in hidden])
         bounded = bool(keys) and statement.limit is not None
-        if bounded and isinstance(plan, TableScan) and not statement.distinct:
-            # Only the projection lies between the scan and the TopN, so
-            # every row the scan hands on competes.
+
+        # What the operators above the FROM clause read of its columns.
+        above = [*group_exprs, *(a.expression for a in aggregates if a.expression is not None)]
+        if not grouped:
+            above += [p.expression for p in projections + hidden]
+        plan, rest = self._build_from_clause(base, joins, where, above, self._answers(aggregates))
+        if rest is not None:
+            plan = Filter(plan, rest)
+        if grouped:
+            plan = Aggregate(plan, group_exprs, aggregates)
+        if rewritten_having is not None:
+            plan = Filter(plan, self._resolve(rewritten_having, post_available))
+
+        if bounded and isinstance(plan, TableScan) and plan.predicate is None and not statement.distinct:
+            # Only the projection lies between the scan and the TopN, and the
+            # scan drops no row, so every row of the table competes.
             top = self._top_bound(projections + hidden, keys[0])
-            plan = self._scan(plan.table, None, set(), top)
+            if top is not None:
+                plan = self._scan(base, None, plan.projected_columns, top=top)
         plan = Project(plan, projections + hidden)
 
         if statement.distinct:
@@ -182,11 +192,9 @@ class _PlanBuilder:
             left_keys, right_keys = self._resolve_join_keys(join.left_keys, join.right_keys, right_table)
             joins.append((right_table, left_keys, right_keys))
 
-            for name in right_table.schema.names:
-                out_name = f"{right_table.name}.{name}" if name in self.available else name
-                if out_name not in self.available:
-                    self.right_origin[out_name] = (position, name)
-                self.available.add(out_name)
+            for name, out_name in right_output_names(self.available, right_table.name, right_table.schema.names):
+                self.right_origin[out_name] = (position, name)
+            self.available |= self.right_origin.keys()
         return base, joins
 
     def _build_from_clause(
@@ -194,80 +202,93 @@ class _PlanBuilder:
         base: Table,
         joins: list[tuple[Table, list[str], list[str]]],
         where: Expression | None,
+        above: list[Expression],
         answers: tuple[str, ...] | None,
     ) -> tuple[Operator, Expression | None]:
-        """Scans and joins, with as much of ``where`` pushed into them as is safe.
+        """Scans and joins, each scan evaluating the conjuncts of ``where`` on its own table.
 
-        Returns the plan and what is left of the predicate for the ``Filter``
-        above the joins.  All joins are inner, so a conjunct reading only one
-        right table selects the same output rows before the join as after it;
-        it moves below, rewritten to that table's own column names.  The base
-        scan keeps the whole remaining predicate above it and only receives
-        its constraints — and ``answers`` (:meth:`_answers`).
+        All joins are inner, so a conjunct reading only one table (or none)
+        selects the same output rows before the joins as after them: it
+        moves into that table's scan, rewritten to the table's own column
+        names.  Returns the plan and the cross-table rest of ``where`` for
+        the ``Filter`` above the joins.  Every scan and join hands on only
+        what is read after it: the columns of ``above`` (the expressions of
+        the operators over the FROM clause) and of the rest, and the keys of
+        the joins that follow.  The base scan also receives ``answers``
+        (:meth:`_answers`).
         """
-        pushed: dict[int, list[Expression]] = {}
-        remaining: list[Expression] = []
+        local: dict[int | None, list[Expression]] = {}
+        rest: list[Expression] = []
         for conjunct in conjuncts(where):
-            positions = {
+            sides = {
                 self.right_origin[name][0] if name in self.right_origin else None
                 for name in conjunct.referenced_columns()
             }
-            if len(positions) == 1 and None not in positions:
-                pushed.setdefault(positions.pop(), []).append(conjunct)
+            if len(sides) > 1:
+                rest.append(conjunct)
             else:
-                remaining.append(conjunct)
-        where = _conjunction(remaining)
+                local.setdefault(sides.pop() if sides else None, []).append(conjunct)
+        where = _conjunction(rest)
 
-        # extract_constraints() strips qualifiers, so a name a right table
-        # shares with the base could mean either side: only base columns no
-        # right table also has may prune base blocks.
-        unambiguous = set(base.schema.names)
-        for right_table, _, _ in joins:
-            unambiguous -= set(right_table.schema.names)
-        plan: Operator = self._scan(base, where, unambiguous, answers=answers)
+        # wanted[p]: the names read after join p.
+        read_later = set().union(*(e.referenced_columns() for e in above))
+        if where is not None:
+            read_later |= where.referenced_columns()
+        wanted: list[set[str]] = []
+        for _, left_keys, _ in reversed(joins):
+            wanted.insert(0, set(read_later))
+            read_later |= set(left_keys)
 
+        plan: Operator = self._scan(
+            base,
+            _conjunction(local.get(None, [])),
+            [name for name in base.schema.names if name in read_later],
+            answers=answers,
+        )
+        left_names = plan.projected_columns
         for position, (right_table, left_keys, right_keys) in enumerate(joins):
-            local = _conjunction(
+            predicate = _conjunction(
                 [
                     _map_columns(conjunct, lambda name: self.right_origin[name][1])
-                    for conjunct in pushed.get(position, [])
+                    for conjunct in local.get(position, [])
                 ]
             )
-            right: Operator = self._scan(right_table, local, set(right_table.schema.names))
-            if local is not None:
-                right = Filter(right, local)
-            plan = HashJoin(plan, right, left_keys, right_keys)
+            right_columns = [
+                (name, out_name)
+                for out_name, (origin, name) in self.right_origin.items()
+                if origin == position and out_name in wanted[position]
+            ]
+            handed_on = set(right_keys) | {name for name, _ in right_columns}
+            right = self._scan(
+                right_table, predicate, [name for name in right_table.schema.names if name in handed_on]
+            )
+            left_columns = [name for name in left_names if name in wanted[position]]
+            if not left_columns and not right_columns:
+                left_columns = left_keys[:1]  # the row count of ``count(*)``
+            plan = HashJoin(plan, right, left_keys, right_keys, left_columns, right_columns)
+            left_names = left_columns + [out_name for _, out_name in right_columns]
         return plan, where
 
     def _scan(
         self,
         table: Table,
         predicate: Expression | None,
-        prunable: set[str],
+        columns: list[str],
         top: TopBound | None = None,
         answers: tuple[str, ...] | None = None,
     ) -> TableScan:
-        """A scan of ``table`` that may prune on ``predicate``'s ``prunable`` columns.
-
-        ``answers`` reaches the scan only when those constraints are the
-        whole predicate: a block they cover then matches it row for row.
-        """
-        analysed = extract_constraints(predicate)
-        constraints: dict[str, ColumnConstraint] = {
-            name: constraint
-            for name, constraint in analysed.by_column.items()
-            if name in prunable
-        }
-        if not analysed.fully_analysed or len(constraints) < len(analysed.by_column):
-            answers = None
+        """A scan of ``table`` handing on ``columns`` of the rows that satisfy ``predicate``."""
+        if not columns and table.schema.names:
+            # Nothing of this table is read above (``SELECT count(*) FROM t``):
+            # the row count is all that is needed, and the narrowest column
+            # carries it for the fewest pages — a predicate column, read anyway,
+            # when there is one.
+            referenced = set() if predicate is None else predicate.referenced_columns()
+            candidates = [c for c in table.schema.columns if c.name in referenced]
+            narrowest = min(candidates or table.schema.columns, key=lambda c: c.dtype.byte_width)
+            columns = [narrowest.name]
         return TableScan(
-            table,
-            self.io_model,
-            self._scan_columns(table),
-            catalog=self.catalog,
-            constraints=constraints,
-            top=top,
-            answers=answers,
+            table, self.io_model, columns, catalog=self.catalog, predicate=predicate, top=top, answers=answers
         )
 
     def _answers(self, aggregates: list[AggregateSpec]) -> tuple[str, ...] | None:
@@ -309,49 +330,6 @@ class _PlanBuilder:
         if isinstance(source, ColumnRef) and wanted > 0:
             return source.name, ascending, wanted
         return None
-
-    def _scan_columns(self, table: Table) -> list[str] | None:
-        """Restrict the scan to the columns the query references, when possible."""
-        needed = self._all_statement_columns
-        if needed is None:
-            return None
-        names = []
-        for name in table.schema.names:
-            if name in needed or any(q.endswith(f".{name}") for q in needed):
-                names.append(name)
-        if not names and table.schema.names:
-            # Nothing of this table is read (``SELECT count(*) FROM t``): the
-            # row count is all that is needed, and the narrowest column
-            # carries it for the fewest pages.
-            names = [min(table.schema.columns, key=lambda c: c.dtype.byte_width).name]
-        return names or None
-
-    @lazy_attribute
-    def _all_statement_columns(self) -> set[str] | None:
-        """Every column name (possibly qualified) the statement mentions —
-        walked once per plan, however many scans and reports read it."""
-        statement = self.statement
-        names: set[str] = set()
-        for item in statement.items:
-            if isinstance(item.expression, Star):
-                return None  # SELECT * needs every column
-            names |= item.expression.referenced_columns()
-        for expr in statement.group_by:
-            names |= expr.referenced_columns()
-        if statement.where is not None:
-            names |= statement.where.referenced_columns()
-        if statement.having is not None:
-            names |= statement.having.referenced_columns()
-        for order in statement.order_by:
-            names |= order.expression.referenced_columns()
-        for join in statement.joins:
-            names |= set(join.left_keys) | set(join.right_keys)
-        # Strip qualifiers so scans can match plain column names too.
-        stripped = set(names)
-        for name in names:
-            if "." in name:
-                stripped.add(name.split(".")[-1])
-        return stripped
 
     def _resolve_join_keys(
         self,
@@ -565,9 +543,34 @@ class _PlanBuilder:
 
     # -- metadata ---------------------------------------------------------------------------------
 
+    def _all_statement_columns(self) -> set[str] | None:
+        """Every column name (possibly qualified) the statement mentions."""
+        statement = self.statement
+        names: set[str] = set()
+        for item in statement.items:
+            if isinstance(item.expression, Star):
+                return None  # SELECT * needs every column
+            names |= item.expression.referenced_columns()
+        for expr in statement.group_by:
+            names |= expr.referenced_columns()
+        if statement.where is not None:
+            names |= statement.where.referenced_columns()
+        if statement.having is not None:
+            names |= statement.having.referenced_columns()
+        for order in statement.order_by:
+            names |= order.expression.referenced_columns()
+        for join in statement.joins:
+            names |= set(join.left_keys) | set(join.right_keys)
+        # Strip qualifiers so plain table column names match too.
+        stripped = set(names)
+        for name in names:
+            if "." in name:
+                stripped.add(name.split(".")[-1])
+        return stripped
+
     def _collect_referenced_columns(self) -> dict[str, set[str]]:
         """Map base table name -> set of its columns the statement references."""
-        needed = self._all_statement_columns
+        needed = self._all_statement_columns()
         referenced: dict[str, set[str]] = {}
         for table_name in dict.fromkeys(self.alias_map.values()):
             columns = self.table_columns[table_name]

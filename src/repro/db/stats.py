@@ -132,9 +132,10 @@ class ColumnStats:
         per-batch) statistics can be combined in any grouping and reproduce
         what :func:`compute_column_stats` would report over the union —
         exactly for row/null counts, min/max, mean, domains and domain
-        counts; ``std`` via the pooled second moment (population std, as
-        computed); ``distinct_count`` exactly whenever both sides carry
-        their full domain (or are empty), otherwise as a max lower bound.
+        counts; ``std`` by adding the sums of squared deviations pairwise
+        (Chan et al.; population std, as computed); ``distinct_count``
+        exactly whenever both sides carry their full domain (or are empty),
+        otherwise as a max lower bound.
         """
         if self.name != other.name or self.dtype is not other.dtype:
             raise ValueError(
@@ -159,13 +160,13 @@ class ColumnStats:
             mean, std = self.mean, self.std
         elif self.mean is not None and other.mean is not None:
             total = n1 + n2
-            mean = (n1 * self.mean + n2 * other.mean) / total
+            delta = other.mean - self.mean
+            mean = self.mean + delta * n2 / total
             if self.std is not None and other.std is not None:
-                second_moment = (
-                    n1 * (self.std * self.std + self.mean * self.mean)
-                    + n2 * (other.std * other.std + other.mean * other.mean)
-                ) / total
-                std = math.sqrt(max(0.0, second_moment - mean * mean))
+                # Chan et al.: sums of squared deviations add up, plus the
+                # spread of the two means — no E[x²] − mean² cancellation.
+                m2 = n1 * self.std**2 + n2 * other.std**2 + delta * delta * n1 * n2 / total
+                std = math.sqrt(m2 / total)
 
         # A side's value multiset is fully known when it carries its domain
         # (or holds no non-null data at all); only then is the merged domain

@@ -104,7 +104,8 @@ class CostCalibrator:
     def observe_trace(self, root: Any) -> None:
         """Harvest per-operator rates from one completed query trace.
 
-        Row accounting: a scan's throughput is over the rows it produced;
+        Row accounting: a scan's throughput is over the rows it read (its
+        ``rows_read``; ``rows_out`` where it charged no IO);
         blocking operators (aggregate, join) are charged per *input* row —
         the sum of their operator children's output — matching how the cost
         model predicts them.  Self time (net of children) is used so a
@@ -144,7 +145,9 @@ class CostCalibrator:
     @staticmethod
     def _span_rows(span: Any, field: str) -> float:
         if field == "scan_seconds_per_row":
-            return float(span.attributes.get("rows_out", 0) or 0)
+            # A filtering scan hands on far fewer rows than it evaluated.
+            rows = span.attributes.get("rows_read", span.attributes.get("rows_out", 0))
+            return float(rows or 0)
         input_rows = sum(
             float(child.attributes.get("rows_out", 0) or 0)
             for child in span.children

@@ -5,29 +5,34 @@ root execution.  A partitioned query is the serial scan, fanned out:
 
 1. **Decompose** the fixed planner pipeline into *uppers* (Project / TopN,
    Sort or Limit / Distinct / HAVING-Filter and the Aggregate) and the
-   *lower* scan→join→WHERE pipeline that is partition-local.
+   *lower* scan→join→cross-table-WHERE pipeline that is partition-local.
 2. **Pin** the base table (the scan's pin-aware binding) and validate the
    committed partition map against the pinned row count — MVCC snapshots
    see the map of their commit, so the partition list is consistent with
    the data for the whole query.
 3. **Prune** with the serial scan's own :meth:`TableScan.bind` — the one
-   :func:`kept_rows` call over the pinned, projected table — and cut the
-   rows still to read at shard boundaries; a shard no kept block reaches
-   gets no task, and the blocks the scan answered from synopses join the
-   merge as one more partial.
-4. **Gate**: the planner's cost model says whether the dispatch overhead is
-   paid for.  If not, return ``None`` — the serial scan skips exactly the
-   same blocks, so there is nothing the partitioned path would save.
-5. **Read** through the scan's own :meth:`TableScan.read`, which charges
-   simulated IO for the kept rows once (on the coordinator thread: IO scopes
-   are thread-local, so worker-thread charges would never reach the
-   query's scope).
+   :func:`kept_rows` call over the pinned, projected table — and count the
+   kept rows below each shard boundary; a shard no kept block reaches gets
+   no task, and the blocks the scan answered from synopses join the merge
+   as one more partial.
+4. **Gate**: the planner's cost model says whether the kept rows pay for
+   the dispatch overhead.  If not, return ``None`` — the serial scan skips
+   exactly the same blocks, so there is nothing the partitioned path would
+   save.
+5. **Read** through the scan's own filtered :meth:`TableScan.read`: it
+   evaluates the scan's predicate over the kept rows, reads the late
+   columns only in the blocks that hold a survivor and charges simulated IO
+   once (on the coordinator thread: IO scopes are thread-local, so
+   worker-thread charges would never reach the query's scope).  The
+   survivors are cut at shard boundaries by their row numbers, so rows and
+   pages are the serial scan's.
 6. **Fan out** the partition-local pipeline over the worker pool, traced or
    not; each task times itself and the coordinator records one
    ``parallel.partition`` span per task from those wall times.
 7. **Merge** partials associatively and run the uppers once on the merged
    table — each upper operator's own :meth:`Operator.apply` on the table
-   in hand, the way every task applied the plan's joins and WHERE filter;
+   in hand, the way every task applied the plan's joins and cross-table
+   WHERE filter;
    no node is copied or rebound.
 
 Anything the decomposition does not recognise — no partition map, a stale
@@ -96,8 +101,7 @@ def _decompose(planned: PlannedQuery) -> _Decomposed | None:
         out.where = op
         op = op.child
     while isinstance(op, HashJoin):
-        right = op.right.child if isinstance(op.right, Filter) else op.right
-        if not isinstance(right, (TableScan, MaterializedInput)):
+        if not isinstance(op.right, (TableScan, MaterializedInput)):
             return None
         out.joins.append(op)
         op = op.left
@@ -107,14 +111,11 @@ def _decompose(planned: PlannedQuery) -> _Decomposed | None:
     return out
 
 
-def _shard_offsets(kept: KeptRows, entries: list[dict[str, Any]], num_rows: int) -> np.ndarray:
-    """Where each shard starts in the kept table, plus the kept-row total.
+def _kept_offsets(kept: KeptRows, bounds: np.ndarray) -> np.ndarray:
+    """How many kept rows lie below each shard boundary in ``bounds``.
 
-    The kept rows below a shard boundary are that boundary's offset into
-    ``kept.take_from(table)``; consecutive equal offsets mean no kept block
-    reaches the shard.
+    Consecutive equal offsets mean no kept block reaches the shard.
     """
-    bounds = np.array([int(e["start"]) for e in entries] + [num_rows], dtype=np.int64)
     starts, stops = np.array(kept.ranges, dtype=np.int64).reshape(-1, 2).T
     return np.clip(bounds[:, None] - starts, 0, stops - starts).sum(axis=1)
 
@@ -158,35 +159,38 @@ class ParallelQueryEngine:
         if entries is None or len(entries) < 2:
             return None
 
-        # Whether the rows that survive are worth a dispatch is the gate's call.
-        offsets = _shard_offsets(kept, entries, base.num_rows)
-        shards = [
-            (entry, int(lo), int(hi))
-            for entry, lo, hi in zip(entries, offsets, offsets[1:])
-            if hi > lo
-        ]
-        workers = self.planner.cost_model.parallel_fanout(int(offsets[-1]), len(shards))
+        # Whether the kept rows are worth a dispatch is the gate's call; a
+        # shard no kept block reaches gets no task.
+        bounds = np.array([int(e["start"]) for e in entries] + [base.num_rows], dtype=np.int64)
+        offsets = _kept_offsets(kept, bounds)
+        reached = np.flatnonzero(offsets[1:] > offsets[:-1])
+        workers = self.planner.cost_model.parallel_fanout(int(offsets[-1]), len(reached))
         if workers is None:
             return None
+        self.metrics.inc("partitions_pruned_total", float(len(entries) - len(reached)))
+        self.metrics.inc("partition_tasks_total", float(len(reached)))
 
-        self.metrics.inc("partitions_pruned_total", float(len(entries) - len(shards)))
-        self.metrics.inc("partition_tasks_total", float(len(shards)))
-
-        # The scan's own read: simulated IO for the rows that remain, charged
-        # once, on the coordinator thread so the query's thread-local IO
-        # scope sees it.
-        table = scan.read(base, kept)
+        # The scan's own read: the predicate over the kept rows, the late
+        # columns over the blocks that hold a survivor, charged once, on the
+        # coordinator thread so the query's thread-local IO scope sees it.
+        # Each task then takes the survivors between its shard's bounds.
+        table, numbers = scan.read(base, kept)
+        if numbers is not None:
+            offsets = np.searchsorted(numbers, bounds)
 
         # Join build sides materialise once, on the coordinator (charging
         # their scan IO once, exactly like the serial plan).
         rights = [join.right.execute() for join in parts.joins]
 
-        tasks = [self._make_task(parts, table.slice(lo, hi), rights) for _, lo, hi in shards]
+        tasks = [
+            self._make_task(parts, table.slice(int(offsets[i]), int(offsets[i + 1])), rights)
+            for i in reached
+        ]
         timed = self.pool.run_tasks(tasks, workers=workers)
         if self.tracer.active:
             # Spans are thread-local, so each task timed itself and the
             # thread that owns the trace records it.
-            for (entry, _, _), (_, started_at, seconds) in zip(shards, timed):
+            for entry, (_, started_at, seconds) in zip([entries[i] for i in reached], timed):
                 self.tracer.record(
                     "parallel.partition",
                     started_at,
@@ -217,7 +221,7 @@ class ParallelQueryEngine:
         piece: Table,
         rights: list[Table],
     ) -> Callable[[], tuple[GroupedPartial | Table, float, float]]:
-        """One partition's task: its kept rows -> joins -> WHERE -> partial.
+        """One partition's task: its survivors -> joins -> cross-table WHERE -> partial.
 
         Returns ``(partial, started_at, elapsed_seconds)`` — the task's own
         wall time, which the coordinator turns into its span.

@@ -640,6 +640,83 @@ def test_block_synopses_are_read_by_the_scan_alone():
     assert found == []
 
 
+def test_the_where_clause_is_evaluated_by_the_scans_and_the_filter_above_the_joins():
+    """``db/sql/planner.py`` builds a ``Filter`` for two things only: HAVING,
+    and the rest of the WHERE clause that ``_build_from_clause`` could not
+    hand to one table's scan.  Every other conjunct runs inside the scan,
+    which hands ``ScannedRows`` straight to the ``Aggregate`` — nothing
+    filters them, so they define no ``filter``."""
+    trees = dict(_modules())
+    build = next(
+        node
+        for node in ast.walk(trees["db/sql/planner.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "build"
+    )
+    filters = [
+        (function.name, ast.unparse(node.args[1]))
+        for function in ast.walk(trees["db/sql/planner.py"])
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and _called_name(node) == "Filter"
+    ]
+    assert sorted(filters) == [
+        ("build", "rest"),
+        ("build", "self._resolve(rewritten_having, post_available)"),
+    ]
+    binds_rest = [
+        ast.unparse(node.value)
+        for node in ast.walk(build)
+        if isinstance(node, ast.Assign) and "rest" in set().union(*map(_bound_names, node.targets))
+    ]
+    assert len(binds_rest) == 1 and binds_rest[0].startswith("self._build_from_clause(")
+    scanned_rows = next(
+        node
+        for node in ast.walk(trees["db/operators/scan.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "ScannedRows"
+    )
+    assert [item.name for item in scanned_rows.body if isinstance(item, ast.FunctionDef)] == ["__init__"]
+
+
+def test_no_operator_writes_to_itself_after_it_is_built():
+    """Plans are cached and shared across executions and threads: an operator
+    assigns to ``self.*`` in ``__init__`` alone, so what one execution works
+    out (a scan's survivors, a join's matches) stays in its locals."""
+    classes = [
+        (relative, node)
+        for relative, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    operators = {"Operator"}
+    while True:
+        grown = operators | {node.name for _, node in classes if _base_names(node) & operators}
+        if grown == operators:
+            break
+        operators = grown
+    writes = []
+    for relative, node in classes:
+        if node.name not in operators:
+            continue
+        for method in node.body:
+            if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                continue
+            for inner in ast.walk(method):
+                if isinstance(inner, ast.Assign):
+                    targets = inner.targets
+                elif isinstance(inner, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [inner.target]
+                elif isinstance(inner, ast.Call) and _called_name(inner) in ("setattr", "delattr"):
+                    targets = inner.args[:1]
+                else:
+                    continue
+                writes.extend(
+                    f"{relative}:{inner.lineno} {node.name}.{method.name}"
+                    for target in targets
+                    if any(isinstance(part, ast.Name) and part.id == "self" for part in ast.walk(target))
+                )
+    assert writes == []
+
+
 def _reads_keys(node: ast.AST, tainted: set[str]) -> bool:
     return any(
         (isinstance(inner, ast.Attribute) and inner.attr == "key_columns")

@@ -19,7 +19,9 @@ from repro import Database, LawsDatabase
 from repro.core.planner import AccuracyContract
 from repro.db import column as column_module
 from repro.db.column import BLOCK_ROWS, Column
+from repro.db.expressions import truthy_mask
 from repro.db.operators import filter as filter_module
+from repro.db.operators import scan as scan_module
 from repro.db.operators.filter import Filter
 from repro.db.operators.join import HashJoin
 from repro.db.operators.scan import MaterializedInput, TableScan
@@ -185,23 +187,25 @@ def _agree(run_sql, run_reference) -> bool:
 
 
 class _ScanAudit:
-    """Records what every scan charged, handed on, and what the predicate saw."""
+    """Records what every scan charged and handed on, and how many rows every predicate saw.
+
+    ``charged`` holds one ``(bytes, rows read)`` pair per scan.
+    """
 
     def __init__(self, db: Database) -> None:
         self.db = db
-        self.charged: list[Table] = []
+        self.charged: list[tuple[int, int]] = []
         self.scanned: list[Table] = []
         self.evaluated_rows: list[int] = []
 
     def __enter__(self) -> "_ScanAudit":
-        charge_scan = self.db.io_model.charge_scan
+        charge_read = self.db.io_model.charge_read
         scan_execute = TableScan.execute
         truthy_mask = filter_module.truthy_mask
 
-        def charge(table, column_names=None):
-            assert column_names is None  # the handed-on table *is* the projection
-            self.charged.append(table)
-            return charge_scan(table)
+        def charge(num_bytes, *, rows_read, **blocks):
+            self.charged.append((num_bytes, rows_read))
+            return charge_read(num_bytes, rows_read=rows_read, **blocks)
 
         def execute(scan):
             table = scan_execute(scan)
@@ -213,8 +217,9 @@ class _ScanAudit:
             return truthy_mask(column)
 
         self._patches = [
-            mock.patch.object(self.db.io_model, "charge_scan", charge),
+            mock.patch.object(self.db.io_model, "charge_read", charge),
             mock.patch.object(TableScan, "execute", execute),
+            mock.patch.object(scan_module, "truthy_mask", mask),
             mock.patch.object(filter_module, "truthy_mask", mask),
         ]
         for patch in self._patches:
@@ -224,6 +229,22 @@ class _ScanAudit:
     def __exit__(self, *exc_info) -> None:
         for patch in reversed(self._patches):
             patch.stop()
+
+
+def _charge_rule(table: Table, where: str, handed_on: list[str], rows_read: int) -> int:
+    """The bytes a filtered scan of ``table`` charges, worked out from the whole table.
+
+    The predicate's columns over the rows read, and every other handed-on
+    column over the rows of the blocks that hold a match — the partial tail
+    block clipped.
+    """
+    predicate = parse_expression(where)
+    names = predicate.referenced_columns()
+    matched = np.flatnonzero(truthy_mask(predicate.evaluate(table))) if table.num_rows else []
+    blocks = set(np.floor_divide(matched, BLOCK_ROWS))
+    touched = sum(min(BLOCK_ROWS, table.num_rows - block * BLOCK_ROWS) for block in blocks)
+    width = lambda columns: sum(table.schema.dtype_of(name).byte_width for name in columns)  # noqa: E731
+    return width(names) * rows_read + width([name for name in handed_on if name not in names]) * touched
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +289,14 @@ class TestPrunedEqualsUnpruned:
         if not _agree(run_sql, reference.execute):
             return
 
-        # What was charged is exactly what the scan handed to the predicate.
+        # The scan evaluated the predicate on exactly the rows it read, and
+        # charged them by the late-read rule.
         assert len(audit.charged) == len(audit.scanned) <= 1
-        for charged, scanned in zip(audit.charged, audit.scanned):
-            event(f"{table.num_rows // BLOCK_ROWS} complete blocks, pruned some: {scanned.num_rows < table.num_rows}")
-            assert charged is scanned
-            assert sum(audit.evaluated_rows) == scanned.num_rows
-            assert pages == [-(-scanned.byte_size() // db.io_model.parameters.page_size_bytes)]
+        for num_bytes, rows_read in audit.charged:
+            event(f"{table.num_rows // BLOCK_ROWS} complete blocks, pruned some: {rows_read < table.num_rows}")
+            assert sum(audit.evaluated_rows) == rows_read
+            assert num_bytes == _charge_rule(table, where, table.schema.names, rows_read)
+            assert pages == [-(-num_bytes // db.io_model.parameters.page_size_bytes)]
 
     @SETTINGS
     @given(
@@ -329,7 +351,6 @@ class TestPrunedEqualsUnpruned:
         if not _agree(run_sql, reference.execute):
             return
         assert len(audit.charged) == len(audit.scanned)
-        assert all(charged is scanned for charged, scanned in zip(audit.charged, audit.scanned))
 
     @pytest.mark.parametrize("nulls", NULLS)
     @pytest.mark.parametrize("layout", ["sorted", "clustered"])
@@ -352,9 +373,10 @@ class TestPrunedEqualsUnpruned:
                 with _ScanAudit(db) as audit:
                     result = db.query(f"SELECT * FROM t WHERE {where}")
                 assert _rows(result) == _rows(expected), (n, where)
-                (scanned,) = audit.scanned
-                assert audit.charged == [scanned] and sum(audit.evaluated_rows) == scanned.num_rows
-                pruned += scanned.num_rows < n
+                ((num_bytes, rows_read),) = audit.charged
+                assert sum(audit.evaluated_rows) == rows_read
+                assert num_bytes == _charge_rule(table, where, table.schema.names, rows_read), (n, where)
+                pruned += rows_read < n
         assert pruned > len(predicates)  # the grid does exercise pruning
 
     def test_unconstrained_scan_hands_the_columns_on_uncopied(self) -> None:
@@ -365,7 +387,7 @@ class TestPrunedEqualsUnpruned:
                 db.query(sql)
             (scanned,) = audit.scanned
             assert np.shares_memory(scanned.column("i").values, table.column("i").values), sql
-            assert scanned.num_rows == table.num_rows
+            assert scanned.num_rows == db.query(sql).num_rows
 
     def test_contiguous_kept_blocks_are_a_view_not_a_copy(self) -> None:
         db = Database()
@@ -507,11 +529,12 @@ class TestPlannerSatellites:
         plan = db.explain("SELECT count(*) FROM fact JOIN dim ON k = k2 WHERE w > 0 AND fact.x >= 0 AND dim.x < 1")
         lines = [line.strip() for line in plan.splitlines()]
         join = lines.index("HashJoin(k = k2)")
-        # Above the join only the base-table conjunct is left; both right-only
-        # conjuncts (one through the collision prefix) sit on the build side.
-        assert lines[join - 1] == "Filter((x >= 0))"
-        assert lines[join + 2] == "Filter(((w > 0) and (x < 1)))"
-        assert lines[join + 3].startswith("TableScan(dim, columns=[k2, w, x]")
+        # No conjunct is left above the join: the base-table one is the base
+        # scan's, both right-only ones (one through the collision prefix) the
+        # build side's, and each scan hands on only the join key.
+        assert lines[join - 1] == "Aggregate(group_by=[], aggregates=[count(*)])"
+        assert lines[join + 1].startswith("TableScan(fact, columns=[k], where=(x >= 0)")
+        assert lines[join + 2].startswith("TableScan(dim, columns=[k2], where=((w > 0) and (x < 1))")
         assert db.sql(
             "SELECT count(*) FROM fact JOIN dim ON k = k2 WHERE w > 0 AND fact.x >= 0 AND dim.x < 1"
         ).rows() == [(500,)]
@@ -521,14 +544,16 @@ class TestPlannerSatellites:
         db.load_dict("t", {"ts": list(range(10 * BLOCK_ROWS + 3))})
         plan = db.explain(f"SELECT count(*) FROM t WHERE ts < {BLOCK_ROWS}")
         # Block 0 matches row for row and is answered; the tail is read.
-        assert "TableScan(t, columns=[ts], blocks=1/11, answered=1)" in plan
+        assert f"TableScan(t, columns=[ts], where=(ts < {BLOCK_ROWS}), blocks=1/11, answered=1)" in plan
         plan = db.explain(f"SELECT count(*) FROM t WHERE ts < {BLOCK_ROWS + 1}")
-        assert "TableScan(t, columns=[ts], blocks=2/11, answered=1)" in plan  # block 1 and the tail
+        # Block 1 and the tail.
+        assert f"TableScan(t, columns=[ts], where=(ts < {BLOCK_ROWS + 1}), blocks=2/11, answered=1)" in plan
         assert "TableScan(t, columns=[ts], blocks=1/11, answered=10)" in db.explain(
             "SELECT count(*) FROM t"
         )
         plan = db.explain(f"SELECT sum(ts) FROM t WHERE ts < {BLOCK_ROWS}")
-        assert "TableScan(t, columns=[ts], blocks=2/11)" in plan  # SUM is never answered
+        # SUM is never answered.
+        assert f"TableScan(t, columns=[ts], where=(ts < {BLOCK_ROWS}), blocks=2/11)" in plan
         assert "blocks=" not in db.explain("SELECT sum(ts) FROM t")
 
 

@@ -266,9 +266,9 @@ def _comparable(dtype: DataType, op: str, literal) -> bool:
     return True
 
 
-def _read_blocks(table: Table, aggregates, predicate) -> tuple[int, int]:
-    """``(complete blocks read, complete blocks answered)`` by the textbook rules."""
-    read = answered = 0
+def _read_blocks(table: Table, aggregates, predicate) -> tuple[list[int], int]:
+    """``(complete blocks read, how many complete blocks answered)`` by the textbook rules."""
+    read, answered = [], 0
     for block in range(table.num_rows // BLOCK_ROWS):
         admits = covers = True
         if predicate is not None:
@@ -297,20 +297,31 @@ def _read_blocks(table: Table, aggregates, predicate) -> tuple[int, int]:
         if admits and covers:
             answered += 1
         elif admits:
-            read += 1
+            read.append(block)
     return read, answered
 
 
 def _expected_pages(table: Table, aggregates, predicate) -> tuple[int, int]:
-    """``(pages read, complete blocks answered)``."""
+    """``(pages read, complete blocks answered)``.
+
+    The predicate's column is read over the read blocks and the tail; every
+    other aggregated column only over those of them that hold a matching row.
+    """
     read, answered = _read_blocks(table, aggregates, predicate)
+    blocks = read + ([table.num_rows // BLOCK_ROWS] if table.num_rows % BLOCK_ROWS else [])
     names = {name for _, name in aggregates if name is not None}
-    if predicate is not None:
-        names.add(predicate[0])
-    # SELECT count(*) with no WHERE reads the narrowest column: b, 1 byte.
-    width = sum(table.column(n).dtype.byte_width for n in names) if names else 1
-    rows = read * BLOCK_ROWS + table.num_rows % BLOCK_ROWS
-    return -(-rows * width // PAGE), answered
+    width = lambda columns: sum(table.column(n).dtype.byte_width for n in columns)  # noqa: E731
+    size = lambda block: min(BLOCK_ROWS, table.num_rows - block * BLOCK_ROWS)  # noqa: E731
+    if predicate is None:
+        # SELECT count(*) with no WHERE reads the narrowest column: b, 1 byte.
+        num_bytes = sum(map(size, blocks)) * (width(names) if names else 1)
+    else:
+        matched = _matches(table, predicate)
+        touched = [b for b in blocks if matched[b * BLOCK_ROWS : (b + 1) * BLOCK_ROWS].any()]
+        num_bytes = sum(map(size, blocks)) * width([predicate[0]]) + sum(map(size, touched)) * width(
+            names - {predicate[0]}
+        )
+    return -(-num_bytes // PAGE), answered
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,8 @@ class TestBoundedEqualsSorted:
         assert _rows(result) == _rows(reference.execute())
 
         # (c) what was charged is exactly what the scan handed on.
-        (scanned,), (charged,) = audit.scanned, audit.charged
-        assert charged is scanned
+        (scanned,), ((num_bytes, rows_read),) = audit.scanned, audit.charged
+        assert (num_bytes, rows_read) == (scanned.byte_size(), scanned.num_rows)
         page = db.io_model.parameters.page_size_bytes
         assert scope.snapshot()["pages_read"] == -(-scanned.byte_size() // page)
         event(f"{table.num_rows // BLOCK_ROWS} complete blocks, pruned some: {scanned.num_rows < table.num_rows}")
@@ -193,8 +193,8 @@ class TestBoundedEqualsSorted:
                 with _ScanAudit(db) as audit:
                     result = db.query(sql)
                 assert _rows(result) == expected, (n, order_by, count, offset)
-                (scanned,), (charged,) = audit.scanned, audit.charged
-                assert charged is scanned
+                (scanned,), ((num_bytes, rows_read),) = audit.scanned, audit.charged
+                assert (num_bytes, rows_read) == (scanned.byte_size(), scanned.num_rows)
                 pruned += scanned.num_rows < n
         assert pruned >= len(orderings) // 2, pruned  # the grid does exercise pruning
 
@@ -288,7 +288,7 @@ class TestBoundIsOnlyHandedOverWhenSound:
         nothing = lambda table, top: np.zeros(table.num_rows // BLOCK_ROWS, dtype=bool)  # noqa: E731
         with mock.patch.object(scan_module, "_cannot_win", nothing), _ScanAudit(db) as audit:
             assert _rows(db.query(sql)) == answer
-        assert audit.scanned[0].num_rows == db.table("t").num_rows
+        assert audit.charged[0][1] == db.table("t").num_rows  # the rows read
 
     def test_residual_where_reads_every_page_but_still_selects(self, db: Database) -> None:
         """The unbounded kernel on its own: full scan, no sort of every row."""

@@ -8,12 +8,15 @@ flips the AUTO route decision from exact to model serving — with the
 recalibration journaled and the provenance visible in ``explain()``.
 """
 
+import numpy as np
 import pytest
 
-from repro import LawsDatabase
+from repro import AccuracyContract, LawsDatabase
 from repro.core.planner.cost import CostModel, OperatorCosts
 from repro.obs.calibration import CostCalibrator
 from repro.obs.trace import Span
+
+EXACT = AccuracyContract(mode="exact")
 
 
 class SkewedClock:
@@ -172,6 +175,33 @@ class TestObservationDiscipline:
         for _ in range(10):
             calibrator.observe_trace(Span(name="query", children=[steady]))
         assert planner.installed is None  # within drift_threshold: no swap
+
+
+class TestScanRate:
+    def test_a_filtering_scan_is_priced_per_row_read(self):
+        """The scan evaluates its WHERE: one that keeps 1 % of the rows and
+        one that keeps all of them did the same reading, and their observed
+        rates say so."""
+        rng = np.random.default_rng(5)
+        rows = 100_000
+        db = LawsDatabase(verify_sample_fraction=0.0)
+        db.load_dict("t", {"x": rng.random(rows), "y": rng.random(rows)})
+
+        def observed_rate(sql: str) -> float:
+            db.query(sql, EXACT)  # warm: parse, plan, synopses
+            rates = []
+            for _ in range(5):
+                db.query(sql, EXACT)
+                calibrator = CostCalibrator(_PlannerStub())
+                calibrator.observe_trace(db.last_trace())
+                estimate = calibrator.report()["estimates"]["scan_seconds_per_row"]
+                assert estimate["rows_seen"] == rows
+                rates.append(estimate["ewma_seconds_per_row"])
+            return float(np.median(rates))
+
+        some = observed_rate("SELECT y FROM t WHERE x < 0.01")
+        every = observed_rate("SELECT y FROM t WHERE x >= 0.0")
+        assert every / 3 <= some <= 3 * every
 
 
 class _PlannerStub:

@@ -65,6 +65,23 @@ class TestColumnStatsMerge:
         _assert_stats_equal(left_fold, whole)
         _assert_stats_equal(right_fold, whole)
 
+    def test_merge_keeps_std_where_the_mean_dwarfs_the_spread(self) -> None:
+        """Eight 512-row batches of ``1e8 + N(0, 1)``: a pooled ``E[x²] − mean²``
+        cancels to std 1.414; the pairwise sums of squared deviations give
+        the whole column's 0.980."""
+        from repro.db.column import Column
+        from repro.db.types import DataType
+
+        values = 1e8 + np.random.default_rng(20260928).normal(0.0, 1.0, 8 * 512)
+        whole = compute_column_stats("x", Column(DataType.FLOAT64, values))
+        batches = [
+            compute_column_stats("x", Column(DataType.FLOAT64, values[start : start + 512]))
+            for start in range(0, len(values), 512)
+        ]
+        merged = functools.reduce(lambda a, b: a.merge(b), batches)
+        assert merged.mean == pytest.approx(whole.mean, rel=1e-9)
+        assert merged.std == pytest.approx(whole.std, rel=1e-9)
+
     def test_merge_with_empty_and_all_null_shards(self) -> None:
         table = _table(seed=2, rows=500)
         whole = compute_column_stats("x", table.column("x"))

@@ -57,14 +57,17 @@ def main() -> None:
 
     banner("1+2. A transient WAL error heals by retry")
     faults = FaultInjector(
-        [FaultSpec("persist.wal.append", "oserror", errno_code=errno.EIO, hit=4)]
+        # hit=3: the ingest's frame, the third WAL append of this scenario.
+        [FaultSpec("persist.wal.append", "oserror", errno_code=errno.EIO, hit=3)]
     )
     db = LawsDatabase.open(root, fault_injector=faults)
     fill(db)
     db.ingest("sensors", [(float(ROWS + i), 19.0, 13.0) for i in range(8)], flush=True)
     retries = db.events(kind="retry")
-    print(f"injected: {[ (e.point, e.kind) for e in faults.fired() ]}")
+    injected = [(e.point, e.kind) for e in faults.fired()]
+    print(f"injected: {injected}")
     print(f"journaled retries: {[e.fields for e in retries]}")
+    assert injected == [("persist.wal.append", "oserror")]
     assert retries and retries[0].fields["outcome"] == "success"
     db.checkpoint()
     db.close()

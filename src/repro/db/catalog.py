@@ -182,7 +182,7 @@ class Catalog:
         with self._commit_lock:
             if name in self._tables:
                 raise CatalogError(f"table {name!r} already exists")
-            table = Table.empty(name, schema)
+            table = Table.empty(name, schema).narrow_integers()
             self._table_meta.pop(name, None)
             self._tables[name] = table
             self._stats_dirty.add(name)
@@ -190,10 +190,12 @@ class Catalog:
             return table
 
     def register_table(self, table: Table, replace: bool = False) -> Table:
-        """Register an existing table object under its own name."""
+        """Register an existing table object under its own name, its INT64
+        columns narrowed in place (:meth:`Table.narrow_integers`)."""
         with self._commit_lock:
             if table.name in self._tables and not replace:
                 raise CatalogError(f"table {table.name!r} already exists")
+            table.narrow_integers()
             # Metadata describes the rows of one incarnation: a replaced
             # table's partition map would let pruning drop live rows, and its
             # archive record would count rows the new table never had.
@@ -219,7 +221,7 @@ class Catalog:
         with self._commit_lock:
             if table.name not in self._tables:
                 raise CatalogError(f"cannot replace unknown table {table.name!r}")
-            self._tables[table.name] = table
+            self._tables[table.name] = table.narrow_integers()
             self._stats_dirty.add(table.name)
             self._data_changed(table.name)
 

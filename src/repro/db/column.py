@@ -6,6 +6,21 @@ SQL NULL).  All physical operators exchange data as columns, which keeps the
 hot paths vectorised and makes the byte accounting used by the compression
 experiments straightforward.
 
+An INT64 column of a catalog table is *stored* at the narrowest signed width
+— 1, 2, 4 or 8 bytes (:data:`INT_WIDTHS`, :func:`int_width`) — that holds
+its valid values, as the durable store writes it; a NULL slot of a narrow
+buffer holds 0.  The catalog narrows once, where rows enter it
+(:meth:`Column.narrowed`); ``take`` / ``filter`` / ``slice`` keep the stored
+width, and an append that does not fit widens into a fresh buffer first.
+:attr:`Column.stored` is the physical array, what a scan reads and is
+charged for (:attr:`Column.stored_width`); :attr:`Column.values`,
+:meth:`Column.to_numpy` and :meth:`Column.float_numpy` hand out int64 /
+float64 (the sentinel or NaN at NULLs), so no consumer does narrow
+arithmetic.  Readers on a hot path read ``stored`` (or
+:meth:`Column.nonnull_numpy`, the non-NULL values as stored) and widen only
+what they gathered.  The nominal width stays the accounting unit of
+:meth:`Column.byte_size`.
+
 Columns are immutable snapshots over a growable backing buffer.  Appends
 (:meth:`Column.concat`, :meth:`Column.append_value`) return a *new* column;
 when the receiver is the newest snapshot of its buffer the addition is
@@ -36,10 +51,15 @@ import numpy as np
 from repro.db.types import DataType, null_value, python_value
 from repro.errors import TypeMismatchError
 
-__all__ = ["BLOCK_ROWS", "Column"]
+__all__ = ["BLOCK_ROWS", "Column", "INT_WIDTHS", "int_width"]
 
 #: Rows per synopsis block: one 8 KiB page of an 8-byte column.
 BLOCK_ROWS = 1024
+
+#: Signed widths an INT64 column may be stored at, narrowest first.
+INT_WIDTHS = tuple(np.dtype(code) for code in ("<i1", "<i2", "<i4", "<i8"))
+
+_INT64 = INT_WIDTHS[-1]
 
 #: Exact python types the vectorised ``from_values`` fast path accepts per
 #: declared dtype.  Anything else (numpy scalars, bools in numeric columns,
@@ -55,12 +75,38 @@ _FAST_VALUE_TYPES: dict[DataType, tuple[type, ...]] = {
 _MIN_CAPACITY = 8
 
 
+def int_width(low: Any, high: Any) -> np.dtype:
+    """The narrowest signed dtype holding ``low..high`` (no value at all —
+    ``low`` None — is held by the narrowest)."""
+    if low is None:
+        return INT_WIDTHS[0]
+    return next(
+        width for width in INT_WIDTHS if np.iinfo(width).min <= low and high <= np.iinfo(width).max
+    )
+
+
+def _int_null(width: np.dtype) -> Any:
+    """What a NULL slot of an INT64 buffer of ``width`` holds: the sentinel at
+    8 bytes, where every consumer expects it, 0 below."""
+    return null_value(DataType.INT64) if width == _INT64 else 0
+
+
+def _int_range(data: np.ndarray, valid: np.ndarray | None) -> tuple[Any, Any]:
+    """Min and max of ``data``'s valid values (None, None when there is none);
+    ``valid`` None means every value is."""
+    present = data if valid is None else data[valid]
+    if not len(present):
+        return None, None
+    return present.min(), present.max()
+
+
 class _Buffer:
     """Growable backing store shared by a chain of column snapshots.
 
     ``tip`` is the committed length: only the column whose length equals the
     tip may extend the buffer in place, so positions below any snapshot's
-    length are never rewritten.
+    length are never rewritten.  ``data`` is at the buffer's stored width
+    for its whole life; a value that does not fit goes to a fresh buffer.
 
     ``synopsis`` caches ``(mins, maxs, nulls)`` for the leading complete
     blocks some snapshot has summarised so far.  It is replaced whole, by one
@@ -93,6 +139,8 @@ def _summarise_blocks(
     accepts it); NULL positions are filled with the opposite extreme so one
     vectorised reduction per side does it, and ``nulls`` counts the NULL-or-NaN
     rows of each block — where it is :data:`BLOCK_ROWS`, only fill was seen.
+    INT64 extremes are int64 whatever the stored width, an all-NULL block's
+    the int64 fill, so a summary does not depend on how its rows are stored.
     """
     present = valid
     if dtype is DataType.FLOAT64:
@@ -109,8 +157,8 @@ def _summarise_blocks(
         if dtype is DataType.FLOAT64:
             low_fill, high_fill = np.inf, -np.inf
         elif dtype is DataType.INT64:
-            info = np.iinfo(np.int64)
-            low_fill, high_fill = info.max, info.min
+            info = np.iinfo(data.dtype)
+            low_fill, high_fill = data.dtype.type(info.max), data.dtype.type(info.min)
         elif dtype is DataType.BOOL:
             low_fill, high_fill = True, False
         elif present.any():
@@ -122,6 +170,11 @@ def _summarise_blocks(
         high = np.where(present, data, high_fill)
     mins = low.reshape(blocks, BLOCK_ROWS).min(axis=1)
     maxs = high.reshape(blocks, BLOCK_ROWS).max(axis=1)
+    if dtype is DataType.INT64 and data.dtype != _INT64:
+        mins, maxs = mins.astype(_INT64), maxs.astype(_INT64)
+        empty = nulls == BLOCK_ROWS
+        info = np.iinfo(_INT64)
+        mins[empty], maxs[empty] = info.max, info.min
     return mins, maxs, nulls
 
 
@@ -163,15 +216,46 @@ class Column:
         column._length = length
         return column
 
+    @classmethod
+    def _stored_as(cls, dtype: DataType, data: np.ndarray, valid: np.ndarray | None) -> "Column":
+        """A column over ``data`` as it is stored — no dtype conversion, no
+        copy; ``valid`` None means no NULL."""
+        if valid is None:
+            valid = np.ones(len(data), dtype=bool)
+        return cls._share(dtype, _Buffer(data, valid, len(data)), len(data))
+
     # -- packed storage ------------------------------------------------------
 
     @property
-    def values(self) -> np.ndarray:
-        """The packed value array (a view of the backing buffer)."""
+    def stored(self) -> np.ndarray:
+        """The physical value array (a view of the backing buffer): an INT64
+        column's at its stored width, with 0 in a narrow buffer's NULL slots."""
         buffer = self._buffer
         if self._length == len(buffer.data):
             return buffer.data
         return buffer.data[: self._length]
+
+    @property
+    def stored_width(self) -> int:
+        """Bytes one value occupies where it is stored — what a scan reads
+        per row.  The declared width except for a narrowed INT64 column."""
+        if self.dtype is DataType.INT64:
+            return self._buffer.data.itemsize
+        return self.dtype.byte_width
+
+    @property
+    def values(self) -> np.ndarray:
+        """The packed value array at the declared dtype: a view of the
+        backing buffer, or for a narrowed INT64 column an int64 copy with the
+        sentinel at every NULL."""
+        stored = self.stored
+        if self.dtype is not DataType.INT64 or stored.dtype == _INT64:
+            return stored
+        wide = stored.astype(_INT64)
+        validity = self.validity
+        if not validity.all():
+            wide[~validity] = null_value(DataType.INT64)
+        return wide
 
     @property
     def validity(self) -> np.ndarray:
@@ -180,6 +264,22 @@ class Column:
         if self._length == len(buffer.valid):
             return buffer.valid
         return buffer.valid[: self._length]
+
+    def narrowed(self) -> "Column":
+        """This column stored at the narrowest width its valid values need —
+        itself when it is not INT64 or is stored that narrow already."""
+        stored = self.stored
+        if self.dtype is not DataType.INT64 or stored.dtype == INT_WIDTHS[0]:
+            return self
+        valid = self.validity
+        if valid.all():
+            valid = None
+        width = int_width(*_int_range(stored, valid))
+        if width == stored.dtype:
+            return self
+        if valid is not None:
+            stored = np.where(valid, stored, stored.dtype.type(0))
+        return Column._stored_as(self.dtype, stored.astype(width), valid)
 
     def block_synopsis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Zone map: ``(mins, maxs, nulls)`` of this column's complete blocks.
@@ -320,7 +420,7 @@ class Column:
 
     def to_pylist(self) -> list[Any]:
         """Return the column as a list of python values (None for NULL)."""
-        values = self.values
+        values = self.stored
         nulls = self.null_mask()
         if self.dtype is DataType.STRING:
             result = list(values)
@@ -332,7 +432,7 @@ class Column:
         return result
 
     def to_numpy(self) -> np.ndarray:
-        """Return the packed value array.
+        """Return the packed value array at the declared dtype.
 
         Float columns encode NULL as NaN; integer columns use the INT64 min
         sentinel.  Use :attr:`validity` to distinguish genuine values.
@@ -340,18 +440,21 @@ class Column:
         return self.values
 
     def nonnull_numpy(self) -> np.ndarray:
-        """Return only the non-NULL values as a NumPy array.
+        """Return only the non-NULL values as they are stored — an INT64
+        column's at its stored width, for a reader that reduces, sorts or
+        casts them (widen before any other arithmetic).
 
         A column without NULLs hands back a *read-only view* of its packed
         values, not a gathered copy (later appends to the shared buffer land
         beyond it); a caller that writes must copy first.
         """
+        stored = self.stored
         validity = self.validity
         if validity.all():
-            view = self.values.view()
+            view = stored.view()
             view.flags.writeable = False
             return view
-        return self.values[validity]
+        return stored[validity]
 
     def float_numpy(self) -> np.ndarray:
         """Return the values as a fresh float64 array with NaN at every NULL.
@@ -360,13 +463,14 @@ class Column:
         would turn the INT64 NULL sentinel into -9.2e18 instead of a value
         every NaN-skipping consumer leaves out.
         """
-        array = self.values.astype(np.float64)
+        stored = self.stored
+        array = stored.astype(np.float64)
         validity = self.validity
         if not validity.all():
             array[~validity] = np.nan
-        if self.dtype is DataType.INT64:
+        if stored.dtype == _INT64:
             # As in :meth:`null_mask`: the sentinel is NULL even where marked valid.
-            array[self.values == null_value(DataType.INT64)] = np.nan
+            array[stored == null_value(DataType.INT64)] = np.nan
         return array
 
     # -- null accounting -----------------------------------------------------
@@ -383,14 +487,17 @@ class Column:
         """Boolean mask of NULL positions, including in-array sentinels.
 
         The validity bitmap is the authoritative NULL record, but a NaN (or
-        the INT64 sentinel) written through :meth:`from_numpy`-style paths
-        also reads back as NULL; this mask unifies both, vectorised.
+        the INT64 sentinel, which only an 8-byte buffer can hold) written
+        through :meth:`from_numpy`-style paths also reads back as NULL; this
+        mask unifies both, vectorised.
         """
         invalid = ~self.validity
-        values = self.values
+        values = self.stored
         if self.dtype is DataType.FLOAT64:
             return invalid | np.isnan(values)
         if self.dtype is DataType.INT64:
+            if values.dtype != _INT64:
+                return invalid
             return invalid | (values == null_value(DataType.INT64))
         if self.dtype is DataType.STRING:
             if len(values):
@@ -403,14 +510,16 @@ class Column:
     # -- derivation ----------------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "Column":
-        """Gather rows by integer index (used by joins, sorts and filters).
+        """Gather rows by integer index (used by joins, sorts and filters),
+        at the stored width.
 
         The validity mask is gathered only when it holds a NULL: the rows of
         an all-valid column are all valid, whichever are taken.
         """
         indices = np.asarray(indices, dtype=np.int64)
         validity = self.validity
-        return Column(self.dtype, self.values[indices], None if validity.all() else validity[indices])
+        valid = None if validity.all() else validity[indices]
+        return Column._stored_as(self.dtype, self.stored[indices], valid)
 
     def filter(self, mask: np.ndarray) -> "Column":
         """Keep only rows where ``mask`` is True: :meth:`take` of its set
@@ -418,7 +527,10 @@ class Column:
         return self.take(np.flatnonzero(np.asarray(mask, dtype=bool)))
 
     def slice(self, start: int, stop: int) -> "Column":
-        return Column(self.dtype, self.values[start:stop], self.validity[start:stop])
+        """Rows ``start:stop`` (views, at the stored width)."""
+        start, stop, _ = slice(start, stop).indices(self._length)
+        stop = max(start, stop)
+        return Column._stored_as(self.dtype, self.stored[start:stop], self.validity[start:stop])
 
     @classmethod
     def stack(cls, parts: Sequence["Column"]) -> "Column":
@@ -430,10 +542,16 @@ class Column:
             if any(part.dtype is DataType.STRING for part in parts):
                 raise TypeMismatchError("cannot stack string and numeric columns")
             parts = [cls.from_numpy(DataType.FLOAT64, part.float_numpy()) for part in parts]
-        values = np.concatenate([part.values for part in parts])
-        return cls(parts[0].dtype, values, np.concatenate([part.validity for part in parts]))
+        values = np.concatenate([part.stored for part in parts])
+        valid = np.concatenate([part.validity for part in parts])
+        if parts[0].dtype is DataType.INT64 and not valid.all():
+            values[~valid] = _int_null(values.dtype)
+        return cls._stored_as(parts[0].dtype, values, valid)
 
     def concat(self, other: "Column") -> "Column":
+        """This column with ``other``'s rows after it (see the module
+        docstring); an INT64 value this buffer's width cannot hold moves the
+        rows to a fresh buffer wide enough for both first."""
         if other.dtype is not self.dtype:
             raise TypeMismatchError(
                 f"cannot concatenate {self.dtype.value} column with {other.dtype.value} column"
@@ -443,22 +561,23 @@ class Column:
             return Column._share(self.dtype, self._buffer, self._length)
         buffer = self._buffer
         total = self._length + n
-        if self._length == buffer.tip and total <= len(buffer.data):
+        width = buffer.data.dtype
+        if self.dtype is DataType.INT64 and other.stored.dtype.itemsize > width.itemsize:
+            needed = int_width(*_int_range(other.stored, other.validity))
+            width = max(width, needed, key=lambda dtype: dtype.itemsize)
+        if self._length == buffer.tip and total <= len(buffer.data) and width == buffer.data.dtype:
             # This column is the newest snapshot and the buffer has spare
             # capacity: commit the addition in place.
-            buffer.data[self._length : total] = other.values
-            buffer.valid[self._length : total] = other.validity
+            _write_rows(buffer.data[self._length : total], buffer.valid[self._length : total], other)
             buffer.tip = total
             return Column._share(self.dtype, buffer, total)
         # Reallocate with doubling headroom so a chain of appends stays
         # O(n) amortised even though each append returns a fresh snapshot.
         capacity = max(_MIN_CAPACITY, total, 2 * self._length)
-        data = np.empty(capacity, dtype=self.dtype.numpy_dtype)
+        data = np.empty(capacity, dtype=width)
         valid = np.zeros(capacity, dtype=bool)
-        data[: self._length] = self.values
-        valid[: self._length] = self.validity
-        data[self._length : total] = other.values
-        valid[self._length : total] = other.validity
+        _write_rows(data[: self._length], valid[: self._length], self)
+        _write_rows(data[self._length : total], valid[self._length : total], other)
         # The copied prefix is identical, so its block summaries carry over
         # (only those below *this* snapshot's length: a longer sibling's
         # blocks describe rows the new buffer does not share).
@@ -487,7 +606,13 @@ class Column:
     # -- storage accounting --------------------------------------------------
 
     def byte_size(self) -> int:
-        """Nominal storage footprint in bytes (values only, fixed-width accounting)."""
+        """Nominal storage footprint in bytes (values only, fixed-width accounting).
+
+        The declared width, however the column is stored: the compression
+        baselines and the cost model measure against it, so narrowing a
+        column moves neither a ratio nor a route choice.  What a scan reads
+        is :attr:`stored_width` per row.
+        """
         return len(self) * self.dtype.byte_width
 
     # -- statistics helpers --------------------------------------------------
@@ -515,3 +640,20 @@ class Column:
         if self.dtype is DataType.STRING:
             return max(data)
         return python_value(self.dtype, data.max())
+
+
+def _write_rows(data: np.ndarray, valid: np.ndarray, source: Column) -> None:
+    """Write ``source``'s rows into the views ``data`` / ``valid``.
+
+    ``data`` holds every valid value of ``source`` (the caller sized it): a
+    narrower source widens exactly, a wider one's valid values fit, and each
+    NULL slot is then set to what a buffer of ``data``'s width holds there —
+    never left to a wrapped-around cast.
+    """
+    stored = source.stored
+    data[:] = stored
+    valid[:] = source.validity
+    if valid.all():
+        return
+    if source.dtype is DataType.INT64 and stored.dtype != data.dtype:
+        data[~valid] = _int_null(data.dtype)

@@ -316,7 +316,7 @@ class FunctionCall(Expression):
                 raise ExecutionError(f"function {self.name!r} requires numeric arguments")
             valid = _both_valid(valid, _null_free(arg))
         with np.errstate(all="ignore"):
-            values = fn(*[np.asarray(arg.values, dtype=np.float64) for arg in args])
+            values = fn(*[np.asarray(arg.stored, dtype=np.float64) for arg in args])
         return _finite_float_column(np.asarray(values, dtype=np.float64), valid)
 
 
@@ -384,10 +384,10 @@ class InList(Expression):
             # Same-family constants compare without coercion, so membership
             # is one ``np.isin``; NULL exactly where the operand is.
             candidates = np.array(
-                [value.values[()] for value in values],
+                [value.stored[()] for value in values],
                 dtype=object if operand.dtype is DataType.STRING else None,
             )
-            return _masked_bool_column(np.isin(operand.values, candidates), _null_free(operand))
+            return _masked_bool_column(_isin(operand.stored, candidates), _null_free(operand))
         result: Column | None = None
         for value in values:
             term = _evaluate_comparison("=", operand, value)
@@ -428,14 +428,14 @@ class _Constant:
     """A non-NULL literal operand, kept as a 0-d array the kernels broadcast.
 
     Duck-types the two attributes of :class:`Column` the kernels read
-    (``dtype`` and ``values``) and is always valid.
+    (``dtype`` and ``stored``) and is always valid.
     """
 
-    __slots__ = ("dtype", "values")
+    __slots__ = ("dtype", "stored")
 
     def __init__(self, value: Any) -> None:
         self.dtype = DataType.infer(value)
-        self.values = np.array(value, dtype=self.dtype.numpy_dtype)
+        self.stored = np.array(value, dtype=self.dtype.numpy_dtype)
 
 
 def _operands(expressions: tuple[Expression, ...], table: Table) -> list[Column | _Constant]:
@@ -499,7 +499,7 @@ def _evaluate_arithmetic(op: str, left: Column | _Constant, right: Column | _Con
         if not operand.dtype.is_numeric:
             raise ExecutionError(f"expected a numeric operand, got {operand.dtype.value}")
     with np.errstate(all="ignore"):
-        values = _ARITHMETIC_OPS[op](left.values, right.values, dtype=np.float64)
+        values = _ARITHMETIC_OPS[op](left.stored, right.stored, dtype=np.float64)
     result = _finite_float_column(values, _both_valid(_null_free(left), _null_free(right)))
     if (
         left.dtype is DataType.INT64
@@ -531,24 +531,61 @@ def _compare(op: str, left: Column | _Constant, right: Column | _Constant) -> np
             raise ExecutionError("cannot compare string column with non-string operand")
         valid = _both_valid(_null_free(left), _null_free(right))
         if valid is None or op in ("=", "!="):
-            values = compare(left.values, right.values)
+            values = compare(left.stored, right.stored)
         else:
             # A NULL's None does not order against a str: compare the valid
             # rows only and leave the NULL rows unmatched.
-            sides = [v if v.ndim == 0 else v[valid] for v in (left.values, right.values)]
+            sides = [v if v.ndim == 0 else v[valid] for v in (left.stored, right.stored)]
             values = np.zeros(len(valid), dtype=bool)
             values[valid] = compare(*sides)
     elif left.dtype is DataType.BOOL or right.dtype is DataType.BOOL:
         sides = [
-            side.values.astype(np.int64) if side.dtype is DataType.BOOL else side.values
+            side.stored.astype(np.int64) if side.dtype is DataType.BOOL else side.stored
             for side in (left, right)
         ]
         with np.errstate(all="ignore"):
             values = compare(*sides)
     else:
         with np.errstate(all="ignore"):
-            values = compare(left.values, right.values)
+            values = compare(
+                _fit_constant(left.stored, right.stored), _fit_constant(right.stored, left.stored)
+            )
     return np.asarray(values, dtype=bool)
+
+
+def _isin(stored: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """``np.isin`` of a column's stored values, computed in a dtype that
+    holds ``stored - min(candidates)`` for every candidate a value can equal:
+    integer candidates a narrow width cannot hold are dropped (no value
+    equals them), the rest cast to that width — or, where their span does
+    not fit it, the values are widened — so no NumPy version's lookup table
+    can wrap around."""
+    if stored.dtype.kind == candidates.dtype.kind == "i" and stored.itemsize < candidates.itemsize:
+        info = np.iinfo(stored.dtype)
+        candidates = candidates[(candidates >= info.min) & (candidates <= info.max)]
+        if len(candidates) and int(candidates.max()) - int(candidates.min()) > info.max:
+            stored = stored.astype(candidates.dtype)
+        else:
+            candidates = candidates.astype(stored.dtype)
+    return np.isin(stored, candidates)
+
+
+def _fit_constant(constant: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """An integer constant cast to the other side's narrower integer width
+    where it fits: the comparison then runs at the stored width instead of
+    casting every row to int64.  Anything else — a constant that does not
+    fit included — is returned as it is and compares, exactly, in the
+    promoted dtype."""
+    if (
+        constant.ndim == 0
+        and column.ndim
+        and constant.dtype.kind == column.dtype.kind == "i"
+        and constant.dtype.itemsize > column.dtype.itemsize
+    ):
+        info = np.iinfo(column.dtype)
+        if info.min <= constant <= info.max:
+            return constant.astype(column.dtype)
+    return constant
 
 
 def _evaluate_comparison(op: str, left: Column | _Constant, right: Column | _Constant) -> Column:

@@ -13,6 +13,13 @@ The defaults model a commodity SATA SSD: 8 KiB pages, 500 MB/s sequential
 bandwidth and 80 µs per random read.  The exact values only scale the
 reported savings; the *shape* of the zero-IO result (model answering reads
 no pages at all) does not depend on them.
+
+A scan is charged the bytes it reads: each column at the width it is stored
+at (:attr:`~repro.db.column.Column.stored_width` — a catalog table's INT64
+column at 1, 2, 4 or 8 bytes, as the durable store writes it).  The nominal
+width (:meth:`~repro.db.column.Column.byte_size`, ``TableStats.byte_size``)
+stays the unit of the cost model and of the compression baselines, so
+narrowing a column moves neither a route choice nor a compression ratio.
 """
 
 from __future__ import annotations
@@ -215,9 +222,10 @@ class IOModel:
     # -- sizing ---------------------------------------------------------------
 
     def column_bytes(self, table: Table, column_names: list[str] | None = None) -> int:
-        """Bytes occupied by a subset of a table's columns (columnar layout)."""
+        """Bytes a scan of a subset of a table's columns reads (columnar
+        layout): each column at its stored width."""
         names = column_names if column_names is not None else table.schema.names
-        return sum(table.column(name).byte_size() for name in names)
+        return sum(len(column) * column.stored_width for column in map(table.column, names))
 
     # -- charging ---------------------------------------------------------------
 

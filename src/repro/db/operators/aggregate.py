@@ -134,7 +134,7 @@ class _InputState:
     @lazy_attribute
     def vals(self) -> np.ndarray:
         """Non-NULL values as float64, aligned with :attr:`ids`."""
-        values = self.column.values
+        values = self.column.stored
         if self.valid is None:
             return values.astype(np.float64, copy=False)
         return values[self.valid].astype(np.float64)

@@ -85,11 +85,11 @@ def dense_key_codes(key_columns: "list[Column]", num_rows: int) -> tuple[np.ndar
         if nulls.any():
             valid = ~nulls
             column_codes = np.zeros(num_rows, dtype=np.int64)  # 0 = NULL bucket
-            value_codes, width = rank_codes(column.values[valid])
+            value_codes, width = rank_codes(column.stored[valid])
             column_codes[valid] = value_codes + 1
             width += 1
         else:
-            column_codes, width = rank_codes(column.values)
+            column_codes, width = rank_codes(column.stored)
         if codes is None:
             # A single factorised column is already dense: every rank occurs
             # by construction, and so does the NULL bucket when there is one.
@@ -141,12 +141,12 @@ def rank_codes(values: np.ndarray) -> tuple[np.ndarray, int]:
     if n == 0:
         return np.empty(0, dtype=np.int64), 0
     if values.dtype.kind in "iub":
-        ints = values.astype(np.int64, copy=False)
-        vmin = int(ints.min())
-        vmax = int(ints.max())
+        vmin = int(values.min())
+        vmax = int(values.max())
         span = vmax - vmin + 1
         if span <= 4 * n + 64:
-            shifted = ints - vmin
+            # In int64 whatever the input's width: a narrow span can exceed it.
+            shifted = np.subtract(values, vmin, dtype=np.int64)
             present = np.bincount(shifted, minlength=span) > 0
             ranks = np.cumsum(present) - 1
             return ranks[shifted].astype(np.int64, copy=False), int(present.sum())

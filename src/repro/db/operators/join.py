@@ -51,7 +51,7 @@ def _matchable(column: Column, other: Column) -> tuple[np.ndarray, np.ndarray | 
     float that is non-integral, non-finite or outside int64 range equals no
     integer and is dropped like a NULL.
     """
-    values = column.values
+    values = column.stored
     rows = ~column.null_mask()
     if column.dtype is not other.dtype:
         if column.dtype is DataType.FLOAT64:

@@ -312,9 +312,7 @@ class TableScan(Operator):
         #: needs the row count, which the narrowest handed-on column carries.
         self.predicate_columns = [name for name in table.schema.names if name in referenced]
         if predicate is not None and not self.predicate_columns:
-            self.predicate_columns = [
-                min(handed_on, key=lambda name: table.schema.dtype_of(name).byte_width)
-            ]
+            self.predicate_columns = [min(handed_on, key=lambda name: table.column(name).stored_width)]
         #: Every column the scan touches, in table order.
         self.read_columns = [
             name for name in table.schema.names if name in handed_on or name in self.predicate_columns
@@ -357,7 +355,8 @@ class TableScan(Operator):
         every other handed-on column is read only in the blocks that hold a
         survivor.  The one sequential charge is the predicate columns' bytes
         over the kept rows plus each late column's over the rows of the
-        blocks it touches (the partial tail block clipped); pruned and
+        blocks it touches (the partial tail block clipped), every column at
+        its stored width (:attr:`Column.stored_width`); pruned and
         answered blocks are counted, not charged, and the answer rides on the
         rows handed on (:class:`ScannedRows`).
 
@@ -366,7 +365,7 @@ class TableScan(Operator):
         partitioned engine, which cuts the survivors at shard boundaries,
         reads — and charges — through the very code a serial execution does.
         """
-        width = table.schema.dtype_of
+        width = lambda name: table.column(name).stored_width  # noqa: E731
         kept_count = kept.num_rows
         numbers = None
         if self.predicate is not None and kept_count:
@@ -387,8 +386,8 @@ class TableScan(Operator):
             late_rows = _block_rows(numbers, table.num_rows) if late else 0
         if self.io_model is not None:
             self.io_model.charge_read(
-                sum(width(name).byte_width for name in self.predicate_columns) * kept_count
-                + sum(width(name).byte_width for name in late) * late_rows,
+                sum(map(width, self.predicate_columns)) * kept_count
+                + sum(map(width, late)) * late_rows,
                 rows_read=kept_count,
                 pruned=kept.blocks_pruned,
                 answered=kept.blocks_answered,

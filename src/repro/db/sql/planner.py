@@ -282,10 +282,14 @@ class _PlanBuilder:
             # Nothing of this table is read above (``SELECT count(*) FROM t``):
             # the row count is all that is needed, and the narrowest column
             # carries it for the fewest pages — a predicate column, read anyway,
-            # when there is one.
+            # when there is one; between equally narrow ones, the nominally
+            # narrowest.
             referenced = set() if predicate is None else predicate.referenced_columns()
             candidates = [c for c in table.schema.columns if c.name in referenced]
-            narrowest = min(candidates or table.schema.columns, key=lambda c: c.dtype.byte_width)
+            narrowest = min(
+                candidates or table.schema.columns,
+                key=lambda c: (table.column(c.name).stored_width, c.dtype.byte_width),
+            )
             columns = [narrowest.name]
         return TableScan(
             table, self.io_model, columns, catalog=self.catalog, predicate=predicate, top=top, answers=answers

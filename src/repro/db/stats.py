@@ -261,7 +261,7 @@ def _value_counts(data: np.ndarray) -> tuple[int, np.ndarray | None, np.ndarray 
             low = int(ints.min())
             span = int(ints.max()) - low + 1
         if span is not None and span <= 4 * n + 64:
-            histogram = np.bincount(ints - low, minlength=span)
+            histogram = np.bincount(np.subtract(ints, low, dtype=np.int64), minlength=span)
             occupied = np.flatnonzero(histogram)
             values = (occupied + low).astype(data.dtype)
             counts = histogram[occupied]

@@ -191,6 +191,17 @@ class Table:
         names = self.schema.names
         self.append_rows([tuple(row.get(name) for name in names) for row in rows])
 
+    def narrow_integers(self) -> "Table":
+        """Store every INT64 column at the narrowest width its values need
+        (:meth:`Column.narrowed`) — in place and atomically, as an append
+        swaps its columns in: the rows do not change.  Returns ``self``."""
+        with _append_lock:
+            base = self._columns
+            narrowed = {name: column.narrowed() for name, column in base.items()}
+            if any(narrowed[name] is not base[name] for name in base):
+                self._columns = narrowed
+        return self
+
     def rollback_to(self, image: "Table") -> None:
         """Atomically restore this table's contents to a prior :meth:`pinned`
         image — the undo half of copy-and-swap, used when a commit's
@@ -311,7 +322,7 @@ class Table:
         column = self.column(name)
         present = ~column.null_mask()
         rows = None if present.all() else np.flatnonzero(present)
-        values = column.values if rows is None else column.values[rows]
+        values = column.stored if rows is None else column.stored[rows]
         if len(values) <= count:
             return self.sort_by(keys).head(count)
         if ascending:
@@ -333,7 +344,7 @@ class Table:
         """
         column = self.column(name)
         nulls = column.null_mask()
-        values = column.values
+        values = column.stored
         if column.dtype is DataType.STRING:
             codes = np.zeros(len(values), dtype=np.int64)
             present = ~nulls

@@ -150,7 +150,7 @@ def range_partition_order(table: Table, column: str) -> np.ndarray:
         keys = np.asarray(["" if v is None else str(v) for v in col.values], dtype=object)
         order = np.argsort(keys, kind="stable")
     else:
-        order = np.argsort(np.asarray(col.values), kind="stable")
+        order = np.argsort(col.stored, kind="stable")
     # Stable two-pass: valid rows in key order first, NULL rows after.
     return np.concatenate([order[validity[order]], order[~validity[order]]])
 
@@ -178,7 +178,7 @@ def hash_partition_order(
             count=len(col),
         )
     else:
-        values = np.asarray(col.values)
+        values = col.stored
         as_int = np.nan_to_num(values.astype(np.float64), nan=0.0).view(np.uint64)
         # Fibonacci-style multiplicative mix keeps adjacent values apart.
         mixed = as_int * np.uint64(11400714819323198485)

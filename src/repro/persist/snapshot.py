@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable
 
 import numpy as np
 
-from repro.db.column import Column
+from repro.db.column import Column, int_width
 from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType, null_value, python_value
@@ -81,10 +81,6 @@ def schema_from_payload(payload: list[list[Any]]) -> Schema:
 _STRING_PAD = "\x01"
 
 
-#: Signed widths an INT64 member may be stored at, narrowest first.
-_INT_WIDTHS = tuple(np.dtype(code) for code in ("<i1", "<i2", "<i4", "<i8"))
-
-
 def _encode_segment(piece: Table) -> tuple[dict[str, np.ndarray], dict[str, dict[str, Any]]]:
     """One segment as its npz members plus the manifest's per-column stats.
 
@@ -94,14 +90,15 @@ def _encode_segment(piece: Table) -> tuple[dict[str, np.ndarray], dict[str, dict
     of the segment's valid values, with 0 in the NULL slots (the sentinel,
     ``INT64`` min, would pin every nullable column at 8 bytes); FLOAT64 and
     BOOL go as they are.  The min/max that pick the width are the ones the
-    manifest records, so they are computed once.
+    manifest records, so they are computed once — over the column as it is
+    stored (:attr:`Column.stored`), never widened first.
     """
     members: dict[str, np.ndarray] = {}
     stats: dict[str, dict[str, Any]] = {}
     for name in piece.schema.names:
         column = piece.column(name)
-        dtype, values, validity = column.dtype, column.values, column.validity
-        null_count = len(validity) - int(np.count_nonzero(validity))
+        dtype, values, validity = column.dtype, column.stored, column.validity
+        null_count = column.null_count
         present = values[validity] if null_count else values
         low = high = None
         if len(present):
@@ -116,8 +113,8 @@ def _encode_segment(piece: Table) -> tuple[dict[str, np.ndarray], dict[str, dict
             )
         elif dtype is DataType.INT64:
             if null_count:
-                values = np.where(validity, values, 0)
-            values = values.astype(_int_width(low, high), copy=False)
+                values = np.where(validity, values, values.dtype.type(0))
+            values = values.astype(int_width(low, high), copy=False)
         members[f"v__{name}"] = values
         if null_count:
             members[f"m__{name}"] = validity
@@ -127,16 +124,6 @@ def _encode_segment(piece: Table) -> tuple[dict[str, np.ndarray], dict[str, dict
             "max": python_value(dtype, high),
         }
     return members, stats
-
-
-def _int_width(low: Any, high: Any) -> np.dtype:
-    """The narrowest signed dtype holding ``low..high`` (an all-NULL segment
-    has neither and stores its zeros at one byte)."""
-    if low is None:
-        return _INT_WIDTHS[0]
-    return next(
-        width for width in _INT_WIDTHS if np.iinfo(width).min <= low and high <= np.iinfo(width).max
-    )
 
 
 def _decode_member(

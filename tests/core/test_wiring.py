@@ -640,6 +640,34 @@ def test_block_synopses_are_read_by_the_scan_alone():
     assert found == []
 
 
+def test_a_buffer_is_read_by_its_column_alone_and_a_scan_charges_stored_widths():
+    """Only ``db/column.py`` touches a ``_Buffer`` or its ``data``: every other
+    module reads a column through ``stored`` (the physical, possibly narrow
+    array) or ``values`` (int64 / float64).  And ``db/operators/scan.py``
+    never reads a ``byte_width``: a scan is charged each column's
+    ``stored_width``, the nominal width is the cost model's."""
+    found = [
+        f"{relative}:{node.lineno} {ast.unparse(node)}"
+        for relative, tree in _modules()
+        if relative != "db/column.py"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_Buffer")
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "data"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "_buffer"
+        )
+    ]
+    scan = ast.parse((SRC / "db/operators/scan.py").read_text())
+    found += [
+        f"db/operators/scan.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(scan)
+        if isinstance(node, ast.Attribute) and node.attr == "byte_width"
+    ]
+    assert found == []
+
+
 def test_the_where_clause_is_evaluated_by_the_scans_and_the_filter_above_the_joins():
     """``db/sql/planner.py`` builds a ``Filter`` for two things only: HAVING,
     and the rest of the WHERE clause that ``_build_from_clause`` could not

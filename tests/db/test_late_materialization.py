@@ -11,8 +11,10 @@ rule worked out from per-block reductions:
           + Σ width(other handed-on columns) × rows of the kept blocks holding a match,
 
 the partial tail block clipped to the table, one charge (⌈bytes ÷ 8192⌉
-pages) per scan.  Serial and partitioned execution must agree on rows and
-pages alike.
+pages) per scan; an INT64 column's width is the narrowest of 1, 2, 4 or 8
+bytes that holds every value its validity marks present, the width a
+catalog table stores it at.  Serial and partitioned execution must agree on
+rows and pages alike.
 """
 
 from __future__ import annotations
@@ -44,6 +46,15 @@ _INT = DataType.INT64
 # Multi-block lengths first: hypothesis favours (and shrinks towards) early entries.
 LENGTHS = [3 * BLOCK_ROWS + 7, 4 * BLOCK_ROWS + 600, 2 * BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS - 1, 5, 0]
 WIDTH = {DataType.INT64: 8, DataType.FLOAT64: 8, DataType.STRING: 16, DataType.BOOL: 1}
+
+
+def _width(column: Column) -> int:
+    """Bytes per row a scan reads of ``column`` (see the module docstring)."""
+    if column.dtype is not DataType.INT64:
+        return WIDTH[column.dtype]
+    present = column.values[column.validity].tolist()  # a marked-valid sentinel too
+    low, high = (min(present), max(present)) if present else (0, 0)
+    return next(size for size in (1, 2, 4, 8) if -(2 ** (8 * size - 1)) <= low and high < 2 ** (8 * size - 1))
 
 #: ``t``: ``ts`` the row number (what pruning reads), ``i`` INT64 with NULLs
 #: stored as the sentinel, ``f`` FLOAT64 with valid NaNs and NULLs, ``s``
@@ -354,7 +365,7 @@ def _kept_blocks(table: Table, where_range: Range | None, answered: Callable[[in
 
 def _charge(table: Table, kept: list[int], where: Pred | None, handed_on: set[str]) -> int:
     """Bytes one scan of ``table`` is charged, by the rule in the module docstring."""
-    width = lambda names: sum(WIDTH[table.schema.dtype_of(name)] for name in names)  # noqa: E731
+    width = lambda names: sum(_width(table.column(name)) for name in names)  # noqa: E731
     kept_rows = sum(_size(table, block) for block in kept)
     if where is None:
         return width(handed_on) * kept_rows

@@ -301,16 +301,28 @@ def _read_blocks(table: Table, aggregates, predicate) -> tuple[list[int], int]:
     return read, answered
 
 
+def _width(column: Column) -> int:
+    """Bytes per row a scan reads of ``column``: the declared width, an INT64
+    column's the narrowest of 1, 2, 4 or 8 bytes holding every value its
+    validity mask marks present."""
+    if column.dtype is not DataType.INT64:
+        return column.dtype.byte_width
+    present = column.values[column.validity].tolist()  # a marked-valid sentinel too
+    low, high = (min(present), max(present)) if present else (0, 0)
+    return next(size for size in (1, 2, 4, 8) if -(2 ** (8 * size - 1)) <= low and high < 2 ** (8 * size - 1))
+
+
 def _expected_pages(table: Table, aggregates, predicate) -> tuple[int, int]:
     """``(pages read, complete blocks answered)``.
 
     The predicate's column is read over the read blocks and the tail; every
-    other aggregated column only over those of them that hold a matching row.
+    other aggregated column only over those of them that hold a matching row;
+    each at :func:`_width`.
     """
     read, answered = _read_blocks(table, aggregates, predicate)
     blocks = read + ([table.num_rows // BLOCK_ROWS] if table.num_rows % BLOCK_ROWS else [])
     names = {name for _, name in aggregates if name is not None}
-    width = lambda columns: sum(table.column(n).dtype.byte_width for n in columns)  # noqa: E731
+    width = lambda columns: sum(_width(table.column(n)) for n in columns)  # noqa: E731
     size = lambda block: min(BLOCK_ROWS, table.num_rows - block * BLOCK_ROWS)  # noqa: E731
     if predicate is None:
         # SELECT count(*) with no WHERE reads the narrowest column: b, 1 byte.
@@ -462,8 +474,8 @@ def test_an_answered_count_reads_only_the_tail() -> None:
     assert "blocks=3/4, answered=1" in db.explain(sql, EXACT)
     with db.database.io_model.scope() as scope:
         assert db.query(sql, EXACT).rows() == [(high - low + 1, float(low), float(high))]
-    # The two boundary blocks and the 288-row tail, 8 B per row.
-    assert scope.pages_read == -(-(2 * BLOCK_ROWS + 288) * 8 // PAGE)
+    # The two boundary blocks and the 288-row tail, 2 B per row (ts is below 2**15).
+    assert scope.pages_read == -(-(2 * BLOCK_ROWS + 288) * 2 // PAGE)
     scan = db.last_trace().find("op:TableScan")
     assert scan.attributes["blocks_answered"] == 1
     assert "answered=1" in scan.attributes["operator"]

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
-from test_scan_pushdown import _rows, _ScanAudit, _validity  # the PR 13 audit, same helper
+from test_scan_pushdown import _rows, _ScanAudit, _validity, _width  # the scan audit and its width rule
 
 from repro import Database, LawsDatabase
 from repro.core.planner import AccuracyContract
@@ -37,6 +37,11 @@ LENGTHS = [5 * BLOCK_ROWS + 100, 20 * BLOCK_ROWS + 50, BLOCK_ROWS + 1, BLOCK_ROW
 LAYOUTS = ["sorted", "reversed", "clustered", "random", "flat"]
 NULLS = ["none", "random", "blocks"]
 INT64 = np.iinfo(np.int64)
+
+
+def _handed_on_bytes(table: Table, scanned: Table) -> int:
+    """Bytes of the rows a scan handed on, each column at the width ``table`` stores it at."""
+    return sum(_width(table.column(name)) for name in scanned.schema.names) * scanned.num_rows
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +166,13 @@ class TestBoundedEqualsSorted:
             result = db.query(sql)
         assert _rows(result) == _rows(reference.execute())
 
-        # (c) what was charged is exactly what the scan handed on.
+        # (c) what was charged is exactly what the scan handed on, each
+        # column at the width the table stores it at.
         (scanned,), ((num_bytes, rows_read),) = audit.scanned, audit.charged
-        assert (num_bytes, rows_read) == (scanned.byte_size(), scanned.num_rows)
+        handed_on = _handed_on_bytes(table, scanned)
+        assert (num_bytes, rows_read) == (handed_on, scanned.num_rows)
         page = db.io_model.parameters.page_size_bytes
-        assert scope.snapshot()["pages_read"] == -(-scanned.byte_size() // page)
+        assert scope.snapshot()["pages_read"] == -(-handed_on // page)
         event(f"{table.num_rows // BLOCK_ROWS} complete blocks, pruned some: {scanned.num_rows < table.num_rows}")
 
     @pytest.mark.parametrize("nulls", NULLS)
@@ -194,7 +201,7 @@ class TestBoundedEqualsSorted:
                     result = db.query(sql)
                 assert _rows(result) == expected, (n, order_by, count, offset)
                 (scanned,), ((num_bytes, rows_read),) = audit.scanned, audit.charged
-                assert (num_bytes, rows_read) == (scanned.byte_size(), scanned.num_rows)
+                assert (num_bytes, rows_read) == (_handed_on_bytes(table, scanned), scanned.num_rows)
                 pruned += scanned.num_rows < n
         assert pruned >= len(orderings) // 2, pruned  # the grid does exercise pruning
 
@@ -299,7 +306,8 @@ class TestBoundIsOnlyHandedOverWhenSound:
         ) as lexsort:
             rows = db.query(sql).to_rows()
         assert [x for _, x in rows] == sorted(table.column("x").to_pylist(), reverse=True)[:5]
-        assert scope.snapshot()["pages_read"] == -(-table.select(["k", "x"]).byte_size() // 8192)
+        read = sum(_width(table.column(name)) for name in ("k", "x")) * table.num_rows
+        assert scope.snapshot()["pages_read"] == -(-read // 8192)
         assert [len(call.args[0][0]) for call in lexsort.call_args_list] == [5]
 
 
@@ -379,8 +387,9 @@ def test_scan_exact_topn_text_ranks_nothing_and_sorts_a_dozen_blocks() -> None:
     assert unique.call_count == 0
     sorted_rows = [len(call.args[0][0]) for call in lexsort.call_args_list]
     assert len(sorted_rows) == 1 and sorted_rows[0] <= 12 * BLOCK_ROWS
-    # Ten blocks hold the ten largest block maxima (continuous x: no ties), plus the tail.
-    assert scope.snapshot()["pages_read"] == -(-(10 * BLOCK_ROWS + 288) * 16 // 8192)
+    # Ten blocks hold the ten largest block maxima (continuous x: no ties), plus
+    # the tail; ts (below 2**31) is read at 4 bytes, x at 8.
+    assert scope.snapshot()["pages_read"] == -(-(10 * BLOCK_ROWS + 288) * (4 + 8) // 8192)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +417,7 @@ def test_top_bounded_scan_on_a_partitioned_table(fan_out: bool) -> None:
     with db.database.io_model.scope() as scope:
         assert db.query(sql, EXACT).rows() == expected
     assert db.obs.metrics.counter_total("partition_tasks_total") - tasks == (4 if fan_out else 0)
-    # Either way the same fifteen blocks and the tail are read, charged once, and the rest counted as skipped.
+    # Either way the same fifteen blocks and the tail are read, charged once, and the rest counted as skipped;
+    # ts (below 2**15) is read at 2 bytes, v at 8.
     assert db.obs.metrics.counter_total("scan_blocks_pruned_total") - pruned == 1
-    assert scope.snapshot()["pages_read"] == -(-(15 * BLOCK_ROWS + 300) * 16 // 8192)
+    assert scope.snapshot()["pages_read"] == -(-(15 * BLOCK_ROWS + 300) * (2 + 8) // 8192)

@@ -118,7 +118,7 @@ def test_top_n_explain():
     analyzed = db.explain_analyze(sql, AccuracyContract(mode="exact"))
     assert "· operator: TableScan(fact, columns=[x, ts], top=x DESC 10, blocks=11/21)\n" in analyzed
     assert "· blocks_pruned: 10\n" in analyzed
-    assert "io=21 page(s)" in analyzed  # (10 * 1024 + 288) rows x 16 B
+    assert "io=13 page(s)" in analyzed  # (10 * 1024 + 288) rows x (8 B of x + 2 B of ts)
 
 
 def test_explain_reports_route_cost_and_error_per_node(golden_db):

@@ -11,12 +11,14 @@ derived twice.  Every route hands back the one :class:`ApproximateAnswer`.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+import numpy as np
+
 from repro.core.approx.error_bounds import ErrorEstimate
 from repro.core.captured_model import CapturedModel
+from repro.db.column import Column
 from repro.db.database import Database
 from repro.db.expressions import Expression, FunctionCall
 from repro.db.operators.aggregate import SUPPORTED_AGGREGATES
@@ -24,6 +26,7 @@ from repro.db.sql.ast import SelectStatement
 from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.errors import ApproximationError
+from repro.fitting.grouped import key_rows
 from repro.lazy import lazy_attribute
 
 if TYPE_CHECKING:
@@ -32,6 +35,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ApproximateAnswer",
     "BoundRoute",
+    "GroupedServing",
     "Probe",
     "Route",
     "RouteSketch",
@@ -72,6 +76,28 @@ class RouteSketch:
     grouped_plan: GroupedRoutePlan | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class GroupedServing:
+    """Which model served each group of a grouped answer, as vectors.
+
+    One row per group the answer emits: the model-served groups first, in
+    ascending key order, then the groups the exact fill-in computed.
+    """
+
+    #: The groups' keys, one typed column per GROUP BY column, in GROUP BY order.
+    keys: tuple[Column, ...]
+    #: Per GROUP BY column, the result column holding it; None when the
+    #: SELECT list leaves it out.
+    key_names: tuple[str | None, ...]
+    #: Per group, the serving model's id; −1 for a group filled in exactly.
+    model_id: np.ndarray
+    #: Per aggregate result column, its value over the model-served groups
+    #: (the leading rows).
+    values: dict[str, np.ndarray]
+    #: Per aggregate result column, the standard error of those values.
+    errors: dict[str, np.ndarray]
+
+
 @dataclass
 class ApproximateAnswer:
     """The result of asking the engine to answer a query approximately."""
@@ -87,12 +113,8 @@ class ApproximateAnswer:
     elapsed_seconds: float = 0.0
     io: dict[str, float] = field(default_factory=dict)
     virtual_rows_generated: int = 0
-    #: group key -> result column -> standard error (grouped routes only)
-    group_errors: Mapping[tuple, dict[str, float]] = field(default_factory=dict)
-    #: group key -> result column -> value (grouped routes only)
-    group_values: Mapping[tuple, dict[str, Any]] = field(default_factory=dict)
-    #: group key -> serving provenance ("model#<id>" / "exact"; grouped routes)
-    group_routes: dict[tuple, str] = field(default_factory=dict)
+    #: Per group, its key, serving model and stated error (grouped routes only).
+    groups: GroupedServing | None = None
 
     def rows(self) -> list[tuple]:
         return self.table.to_rows()
@@ -112,15 +134,17 @@ class ApproximateAnswer:
         return ErrorEstimate(value=value, standard_error=self.column_errors[column])
 
     def group_error_estimate(self, group_key: tuple | Any, column: str) -> ErrorEstimate | None:
-        """The per-group error band a grouped route attached to one aggregate."""
+        """The per-group error band a grouped route attached to one aggregate;
+        None for a group filled in exactly or not in the answer."""
         key = group_key if isinstance(group_key, tuple) else (group_key,)
-        errors = self.group_errors.get(key)
-        if errors is None or column not in errors:
+        groups = self.groups
+        if groups is None or column not in groups.errors or len(key) != len(groups.keys):
             return None
-        value = self.group_values.get(key, {}).get(column)
+        [row] = key_rows(groups.keys, [Column.infer([value]) for value in key])
+        if row < 0 or groups.model_id[row] < 0:
+            return None
         return ErrorEstimate(
-            value=float(value) if value is not None else float("nan"),
-            standard_error=errors[column],
+            value=float(groups.values[column][row]), standard_error=float(groups.errors[column][row])
         )
 
 

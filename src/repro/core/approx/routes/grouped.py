@@ -17,14 +17,13 @@ and merged in, per the routing plan of
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.approx.enumeration import domain_rows
-from repro.core.approx.protocol import ApproximateAnswer, Probe, Route, RouteSketch
+from repro.core.approx.protocol import ApproximateAnswer, GroupedServing, Probe, Route, RouteSketch
 from repro.core.approx.routes.aggcalc import (
     DomainRestriction,
     ItemSpec,
@@ -243,12 +242,13 @@ def _evaluate(
         for spec in aggregates
     }
     errors = {spec.name: np.empty(count) for spec in aggregates}
-    routes = np.empty(count, dtype=object)
+    model_id = np.empty(count, dtype=np.int64)
     emitted = np.ones(count, dtype=bool)
     virtual_rows = 0
 
     for batch, restriction in zip(plan.batches, route_plan.restrictions):
         slots = batch.slots
+        model_id[slots] = batch.model.model_id
         batch_values, batch_errors, evaluation = aggregate_groups(
             aggregates, batch.model, batch.rows, restriction, stats
         )
@@ -256,43 +256,30 @@ def _evaluate(
             # The restriction keeps no input values: the groups have no
             # qualifying rows and (like exact execution) emit no row.
             emitted[slots] = False
-            routes[slots] = f"model#{batch.model.model_id} (empty restriction)"
             continue
-        routes[slots] = batch.route
         virtual_rows += evaluation.virtual_rows
         for name, vector in batch_values.items():
             values[name][slots], errors[name][slots] = vector, batch_errors[name]
 
-    # The answer's per-group mappings are keyed by python tuples.
-    columns = plan.keys_where(served)
-    keys = list(zip(*(column.to_pylist() for column in columns)))
-    group_routes = dict(zip(keys, routes.tolist()))
     kept = np.flatnonzero(emitted)
-    emitted_keys = keys if len(kept) == count else [keys[slot] for slot in kept.tolist()]
-    slot_of = dict(zip(emitted_keys, range(len(kept))))
-    if len(kept) < count:
-        columns = [column.take(kept) for column in columns]
-        values = {name: vector[kept] for name, vector in values.items()}
-        errors = {name: vector[kept] for name, vector in errors.items()}
-    data: dict[str, Column] = {}
-    for spec in specs:
-        if spec.kind == "group":
-            data[spec.name] = columns[group_columns.index(spec.group_column)]
-        else:
-            dtype = DataType.INT64 if spec.function == "count" else DataType.FLOAT64
-            data[spec.name] = Column(dtype, values[spec.name])
-
+    keys = [column.take(kept) for column in plan.keys_where(served)]
+    values = {name: vector[kept] for name, vector in values.items()}
+    errors = {name: vector[kept] for name, vector in errors.items()}
+    model_id = model_id[kept]
     hybrid = count < len(served)
     if hybrid:
         exact_table, exact_keys = _execute_exact_groups(engine, statement, analysis, plan.keys_where(~served))
-        for position, spec in enumerate(specs):
-            exact = exact_table.column(exact_table.schema.names[position])
-            data[spec.name] = Column.stack([data[spec.name], exact])
-        # Provenance is attributed when every group column appears in the
-        # SELECT list (it usually does; GROUP BY keys outside the list still
-        # merge correctly, they just go unattributed).
-        if {spec.group_column for spec in specs} >= set(group_columns):
-            group_routes.update(dict.fromkeys(zip(*(column.to_pylist() for column in exact_keys)), "exact"))
+        keys = [Column.stack(pair) for pair in zip(keys, exact_keys)]
+        model_id = np.concatenate([model_id, np.full(exact_table.num_rows, -1)])
+    data: dict[str, Column] = {}
+    for position, spec in enumerate(specs):
+        if spec.kind == "group":
+            data[spec.name] = keys[group_columns.index(spec.group_column)]
+            continue
+        column = Column(DataType.INT64 if spec.function == "count" else DataType.FLOAT64, values[spec.name])
+        if hybrid:
+            column = Column.stack([column, exact_table.column(exact_table.schema.names[position])])
+        data[spec.name] = column
 
     table = build_result_table(specs, data)
     if order_keys:
@@ -314,9 +301,16 @@ def _evaluate(
             name: float(np.max(vector)) if len(vector) else 0.0 for name, vector in errors.items()
         },
         virtual_rows_generated=virtual_rows,
-        group_errors=_PerGroup(slot_of, errors),
-        group_values=_PerGroup(slot_of, values),
-        group_routes=group_routes,
+        groups=GroupedServing(
+            keys=tuple(keys),
+            key_names=tuple(
+                next((spec.name for spec in specs if spec.group_column == column), None)
+                for column in group_columns
+            ),
+            model_id=model_id,
+            values=values,
+            errors=errors,
+        ),
     )
 
 
@@ -375,30 +369,6 @@ def _execute_exact_groups(
     names, width = table.schema.names, len(statement.items)
     rows = np.flatnonzero(key_rows(keys, [table.column(name) for name in names[width:]]) >= 0)
     return table.select(names[:width]).take(rows), [table.column(name).take(rows) for name in names[width:]]
-
-
-class _PerGroup(Mapping):
-    """``group key -> {aggregate column: value}`` over per-column vectors.
-
-    The route computes one vector per aggregate; a per-group dict is only
-    materialised for the key that is looked up.
-    """
-
-    __slots__ = ("_slot_of", "_vectors")
-
-    def __init__(self, slot_of: dict[tuple[Any, ...], int], vectors: dict[str, np.ndarray]) -> None:
-        self._slot_of = slot_of
-        self._vectors = vectors
-
-    def __getitem__(self, key: tuple[Any, ...]) -> dict[str, Any]:
-        slot = self._slot_of[key]
-        return {name: vector[slot].item() for name, vector in self._vectors.items()}
-
-    def __iter__(self):
-        return iter(self._slot_of)
-
-    def __len__(self) -> int:
-        return len(self._slot_of)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,6 @@ class ModelBatch:
     rows: np.ndarray
     #: Positions of these groups among the model-served keys.
     slots: np.ndarray
-    #: Their provenance: ``model#<id>``, and the model's status unless active.
-    route: str
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,6 @@ def plan_group_routing(
     _, first = np.unique(owners, return_index=True)
     batches = []
     for position in owners[np.sort(first)]:
-        model, slots = ranked[position], np.flatnonzero(owners == position)
-        status = "" if model.status == "active" else f" ({model.status})"
-        batches.append(ModelBatch(model, row[served[slots]], slots, f"model#{model.model_id}{status}"))
+        slots = np.flatnonzero(owners == position)
+        batches.append(ModelBatch(ranked[position], row[served[slots]], slots))
     return GroupRoutingPlan(tuple(keys), ranked, owner, row, tuple(batches))

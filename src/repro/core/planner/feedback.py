@@ -8,13 +8,15 @@ model (:meth:`ModelStore.record_observed_error`), and models whose
 evidence violates the quality policy are demoted — marked stale, flagged
 for the maintenance loop to refit.  The planner thus *learns* which
 models lie, instead of trusting capture-time quality forever.
+
+A grouped answer is scored per serving model from the vectors it carries:
+one key gather lines its groups up with the exact rows, one ``bincount``
+averages each model's per-group errors.
 """
 
 from __future__ import annotations
 
-import math
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,6 +28,7 @@ from repro.core.planner.contract import AccuracyContract
 from repro.core.quality import QualityPolicy
 from repro.db.database import Database
 from repro.db.table import Table
+from repro.fitting.grouped import key_rows
 
 __all__ = ["FeedbackResult", "ObservedErrorFeedback", "relative_errors"]
 
@@ -86,7 +89,8 @@ class ObservedErrorFeedback:
     def verify(self, sql: str, answer: ApproximateAnswer) -> FeedbackResult:
         """Re-run ``sql`` exactly and score the model-served answer.
 
-        Grouped answers are aligned **by group key** and the error of each
+        A grouped answer (one carrying ``groups``) is aligned **by group
+        key** — one key gather over its key vectors — and the error of each
         group is attributed to the model that served it (one lying model in
         a multi-model answer must not accumulate evidence against healthy
         co-serving models); everything else is compared positionally, the
@@ -96,7 +100,7 @@ class ObservedErrorFeedback:
         if self.faults is not None:
             self.faults.hit("planner.verify")
         exact = self.database.sql(sql)
-        if answer.group_values:
+        if answer.groups is not None:
             per_model = self._grouped_errors(answer, exact.table)
         else:
             per_model = self._positional_errors(answer, exact.table)
@@ -151,53 +155,42 @@ class ObservedErrorFeedback:
         observed = max(errors.values())
         return {model_id: observed for model_id in answer.used_model_ids}
 
-    def _grouped_errors(self, answer: ApproximateAnswer, exact) -> "dict[int, float] | None":
+    def _grouped_errors(self, answer: ApproximateAnswer, exact: Table) -> "dict[int, float] | None":
         """Per-model mean relative error over the groups each model served.
 
-        Rows are matched by group key (``group_values``/``group_routes``
-        carry the model-served groups and their provenance), so result
-        ordering differences and exact fill-in rows cannot misalign the
-        comparison.
+        The answer's groups (:class:`~repro.core.approx.protocol.GroupedServing`)
+        are matched to the exact rows by key, each group column by its result
+        column's name, so result ordering, exact fill-in rows and the SELECT
+        list's column order cannot misalign the comparison.  A GROUP BY
+        column outside the SELECT list leaves no key to match: no evidence.
+        Models come in the order of their first served group.
         """
-        agg_columns = set(answer.column_errors)
-        key_columns = [
-            name for name in answer.table.schema.names if name not in agg_columns
-        ]
-        positions = {name: i for i, name in enumerate(exact.schema.names)}
-        if any(name not in positions for name in key_columns):
+        groups = answer.groups
+        names = groups.key_names
+        if any(name is None or name not in exact.schema.names for name in names):
             return None
-        exact_by_key = {}
-        for row in exact.to_rows():
-            key = tuple(row[positions[name]] for name in key_columns)
-            exact_by_key[key] = {
-                name: row[positions[name]] for name in agg_columns if name in positions
-            }
-        samples: dict[int, list[float]] = {}
-        for key, values in answer.group_values.items():
-            exact_values = exact_by_key.get(key)
-            if exact_values is None:
+        served = int(np.count_nonzero(groups.model_id >= 0))
+        rows = key_rows([exact.column(name) for name in names], groups.keys)[:served]
+        matched = np.flatnonzero(rows >= 0)
+        rows = rows[matched]
+        sums, counts = np.zeros(len(matched)), np.zeros(len(matched))
+        for name, vector in groups.values.items():
+            if name not in exact.schema.names:
                 continue
-            match = re.match(r"model#(\d+)", answer.group_routes.get(key, ""))
-            if match is None:
-                continue
-            model_id = int(match.group(1))
-            for column, approx_value in values.items():
-                exact_value = exact_values.get(column)
-                try:
-                    approx_f, exact_f = float(approx_value), float(exact_value)
-                except (TypeError, ValueError):
-                    continue
-                if not (math.isfinite(approx_f) and math.isfinite(exact_f)):
-                    continue
-                denominator = abs(exact_f) if abs(exact_f) > 1e-12 else 1.0
-                samples.setdefault(model_id, []).append(
-                    abs(approx_f - exact_f) / denominator
-                )
-        if not samples:
+            approx_values = vector[matched].astype(np.float64)
+            exact_values = exact.column(name).float_numpy()[rows]
+            ok = np.flatnonzero(np.isfinite(approx_values) & np.isfinite(exact_values))
+            truth = np.abs(exact_values[ok])
+            sums[ok] += np.abs(approx_values[ok] - exact_values[ok]) / np.where(truth > 1e-12, truth, 1.0)
+            counts[ok] += 1
+        sampled = counts > 0
+        if not sampled.any():
             return None
-        return {
-            model_id: sum(values) / len(values) for model_id, values in samples.items()
-        }
+        ids, first, codes = np.unique(
+            groups.model_id[matched[sampled]], return_index=True, return_inverse=True
+        )
+        means = np.bincount(codes, sums[sampled]) / np.bincount(codes, counts[sampled])
+        return {int(ids[i]): float(means[i]) for i in np.argsort(first)}
 
 
 def relative_errors(approx: Table, exact: Table) -> dict[str, float]:

@@ -19,7 +19,7 @@ import pytest
 
 from repro import AccuracyContract, LawsDatabase
 
-from tests.conftest import APPROX, EXACT
+from tests.conftest import APPROX, EXACT, per_group
 
 BUDGET = AccuracyContract(max_relative_error=0.05)
 
@@ -50,7 +50,7 @@ def test_per_group_continuous_law_answers_every_group(continuous_db, where):
     answer = continuous_db.query(sql, APPROX).approx
     assert answer.route == "grouped-model"
     exact = dict(continuous_db.query(sql, EXACT).query_result.table.to_rows())
-    assert set(answer.group_values) == {(g,) for g in exact}
+    assert set(per_group(answer)) == {(g,) for g in exact}
     inside = [_inside(answer.group_error_estimate(g, "m"), truth) for g, truth in exact.items()]
     # 95 % bands: at least 90 % of the 50 groups hold their exact answer.
     assert sum(inside) >= 45, sum(inside)

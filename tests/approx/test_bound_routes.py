@@ -37,7 +37,7 @@ from repro.db.sql.shape import select_shape
 from repro.errors import ApproximationError
 
 from query_gen import TableProfile, generate_queries
-from tests.conftest import APPROX, STRICT
+from tests.conftest import APPROX, STRICT, per_group
 
 ROOT = Path(__file__).resolve().parents[2]
 AUTO = AccuracyContract(verify_fraction=0.0)
@@ -240,15 +240,14 @@ def _outcome(db: LawsDatabase, sql: str, contract: AccuracyContract) -> tuple:
         return re.sub(r"#\d+|model\(s\) \[[\d, ]*\]", ids, text)
 
     approx = answer.approx
+    groups = None if approx is None else per_group(approx)
     return (
         answer.route_taken,
         answer.table.schema.names,
         repr(answer.table.to_rows()),
         repr(answer.column_errors),
         {name: repr(answer.error_estimate(name)) for name in answer.column_errors},
-        None if approx is None else repr(dict(approx.group_errors)),
-        None if approx is None else repr(dict(approx.group_values)),
-        None if approx is None else local(repr(approx.group_routes)),
+        None if groups is None else repr({key: (position.get(m, m), *rest) for key, (m, *rest) in groups.items()}),
         None if approx is None else [position[i] for i in approx.used_model_ids],
         local(answer.plan.explain()),
     )

@@ -19,7 +19,7 @@ import pytest
 from repro import LawsDatabase
 
 from query_gen import GeneratedQuery, TableProfile, generate_queries
-from tests.conftest import EXACT, compare_sql
+from tests.conftest import EXACT, compare_sql, per_group
 
 #: Band multiplier applied to each stated standard error.  The stated errors
 #: are ~95% bands; across hundreds of randomized queries the harness allows
@@ -124,16 +124,14 @@ def _check_grouped(db: LawsDatabase, query: GeneratedQuery, comparison: dict) ->
         f"approx {sorted(approx_rows)} vs exact {sorted(exact_rows)}"
     )
 
+    groups = per_group(approx)
     for key, exact_row in exact_rows.items():
         approx_row = approx_rows[key]
-        provenance = approx.group_routes.get((key,), "")
+        _, _, errors = groups.get((key,), (-1, {}, {}))  # an exact group states no error
         for position, name in enumerate(query.aggregate_names, start=1):
             exact_value = exact_row[position]
             approx_value = approx_row[position]
-            if provenance == "exact":
-                stated = 0.0
-            else:
-                stated = approx.group_errors.get((key,), {}).get(name, 0.0)
+            stated = errors.get(name, 0.0)
             _assert_within(query, approx_value, exact_value, stated, f"group {key}, {name}")
 
 

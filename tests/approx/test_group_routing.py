@@ -22,7 +22,7 @@ from repro.core.approx.routes.router import plan_group_routing
 from repro.db.constraints import extract_constraints
 from repro.db.sql.parser import parse_expression
 
-from tests.conftest import APPROX, EXACT
+from tests.conftest import APPROX, EXACT, per_group
 
 
 def oracle(candidates, stats, group_columns, constraints):
@@ -185,12 +185,11 @@ def test_the_answer_routes_every_requested_group_as_planned(group_columns):
     constraints = extract_constraints(None)
     requested, owner, _, used, _ = oracle([model], stats, group_columns, constraints)
     assert answer.used_model_ids == used
-    status = "" if model.status == "active" else f" ({model.status})"
-    served = f"model#{model.model_id}{status}"
-    expected = {key: served if position == 0 else "exact" for key, position in zip(requested, owner)}
+    expected = {key: model.model_id if position == 0 else -1 for key, position in zip(requested, owner)}
     # Model-served groups come first, in key order, then the exact fill-in.
-    assert dict(answer.group_routes) == expected
-    assert list(answer.group_routes)[: owner.count(0)] == [k for k, o in zip(requested, owner) if o == 0]
+    routed = {key: model_id for key, (model_id, _, _) in per_group(answer).items()}
+    assert routed == expected
+    assert list(routed)[: owner.count(0)] == [k for k, o in zip(requested, owner) if o == 0]
 
 
 def test_hybrid_fill_in_of_many_two_column_groups():
@@ -213,7 +212,7 @@ def test_hybrid_fill_in_of_many_two_column_groups():
     answer = db.query(sql, APPROX).approx
     exact = db.query(sql, EXACT).query_result.table
     assert answer.route == "grouped-hybrid"
-    assert sum(route == "exact" for route in answer.group_routes.values()) == 1000
+    assert np.count_nonzero(answer.groups.model_id < 0) == 1000
     for name in ("a", "b", "n"):
         assert answer.table.column(name).to_pylist() == exact.column(name).to_pylist()
     approx_m, exact_m = answer.table.column("m").to_pylist(), exact.column("m").to_pylist()

@@ -36,7 +36,7 @@ from repro.fitting.families import Constant, LinearModel, PowerLaw
 from repro.fitting.grouped import GroupedFitResult, GroupedFitter
 from repro.fitting.model import FitResult, ModelFamily
 
-from tests.conftest import APPROX
+from tests.conftest import APPROX, per_group
 
 REL = 1e-12
 
@@ -215,10 +215,11 @@ def _close(got, want) -> bool:
 def assert_grouped_matches(answer, reference: dict[tuple, dict]) -> None:
     """Values and errors of every model-served group equal the reference's;
     the result table carries the same numbers."""
-    assert set(answer.group_values) == set(reference)
+    served = {key: group for key, group in per_group(answer).items() if group[0] >= 0}
+    assert set(served) == set(reference)
     for key, expected in reference.items():
         expected = {name: pair for name, pair in expected.items() if name != ROWS}
-        values, errors = answer.group_values[key], answer.group_errors[key]
+        _, values, errors = served[key]
         assert set(values) == set(errors) == set(expected)
         for name, (value, error) in expected.items():
             assert _close(values[name], value), (key, name, values[name], value)
@@ -362,7 +363,7 @@ class TestBatchedEqualsPerGroup:
         assert failed == [(3,)]
         answer, reference = _grouped(db, f"SELECT g, {ALL_AGGREGATES} FROM t GROUP BY g")
         assert answer.route == "grouped-hybrid"
-        assert answer.group_routes[(3,)] == "exact" and (3,) not in reference
+        assert per_group(answer)[(3,)][0] == -1 and (3,) not in reference
         assert_grouped_matches(answer, reference)
         # A global aggregate cannot leave the failed group out: the aggregate
         # rung's gate refuses, with the reason.
@@ -441,7 +442,8 @@ class TestBatchedEqualsPerGroup:
         answer = db.query(sql, APPROX).approx
         assert answer.route == "grouped-model" and answer.virtual_rows_generated == 3
         assert_grouped_matches(answer, reference_per_group(model, stats, analysis.constraints, analysis.specs))
-        assert answer.group_values[(2,)]["m"] == -2.5 and answer.group_values[(3,)]["n"] == 30
+        groups = per_group(answer)
+        assert groups[(2,)][1]["m"] == -2.5 and groups[(3,)][1]["n"] == 30
 
     def test_empty_restriction(self):
         db = _linear_db()
@@ -449,8 +451,7 @@ class TestBatchedEqualsPerGroup:
         answer, reference = _grouped(db, f"SELECT g, {ALL_AGGREGATES} FROM t WHERE x > 99 GROUP BY g")
         assert reference == {}
         assert answer.route == "grouped-model"
-        assert answer.rows() == [] and len(answer.group_values) == 0 and answer.column_errors["m"] == 0.0
-        assert all("empty restriction" in route for route in answer.group_routes.values())
+        assert answer.rows() == [] and len(answer.groups.model_id) == 0 and answer.column_errors["m"] == 0.0
         ranged = db.query(f"SELECT {ALL_AGGREGATES} FROM t WHERE x > 99", APPROX).approx
         assert ranged.route == "range-aggregate"
         assert ranged.rows() == [(0, 0, None, None, None, None)]

@@ -11,7 +11,7 @@ from repro.db.column import Column
 from repro.db.sql.parser import parse_expression
 from repro.db.types import DataType
 
-from tests.conftest import APPROX, EXACT, compare_sql
+from tests.conftest import APPROX, EXACT, compare_sql, per_group
 
 
 def _make_db(rows, ingest_batch_size=512):
@@ -112,10 +112,11 @@ class TestGroupedRoute:
         ).approx
         assert answer.route == "grouped-model"
         assert answer.io["pages_read"] == 0
-        assert len(answer.group_errors) == 5
-        for key, errors in answer.group_errors.items():
+        groups = per_group(answer)
+        assert len(groups) == 5
+        for model_id, _, errors in groups.values():
             assert errors["m"] > 0 and errors["s"] > 0
-            assert answer.group_routes[key].startswith("model#")
+            assert model_id in answer.used_model_ids
         estimate = answer.group_error_estimate(2, "m")
         assert estimate.lower < estimate.value < estimate.upper
 
@@ -172,7 +173,7 @@ class TestGroupedRoute:
         assert not report.model.fit.succeeded.all()
         answer = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g", APPROX).approx
         assert answer.route == "grouped-hybrid"
-        assert answer.group_routes[(3,)] == "exact"
+        assert per_group(answer)[(3,)][0] == -1
         assert answer.io["pages_read"] > 0  # only the uncovered group was scanned
         exact = db.query("SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g", EXACT).query_result.table
         assert answer.table.column("g").to_pylist() == exact.column("g").to_pylist()
@@ -272,10 +273,9 @@ class TestRangeRoute:
         assert comparison["route"] == "grouped-model"
         approx, exact = comparison["approximate"], comparison["exact"]
         for (g, n, s, m), (_, ne, se_, me) in zip(approx.rows(), exact.table.to_rows()):
-            errors = approx.group_errors[(g,)]
             assert n == ne  # per-value frequencies make the count exact here
-            assert abs(s - se_) <= 3 * errors["s"] + 1e-6
-            assert abs(m - me) <= 3 * errors["m"] + 1e-6
+            assert abs(s - se_) <= 3 * approx.group_error_estimate(g, "s").standard_error + 1e-6
+            assert abs(m - me) <= 3 * approx.group_error_estimate(g, "m").standard_error + 1e-6
 
     def test_hybrid_with_new_group_does_not_double_count(self):
         """Appends forming a brand-new group must not inflate the stale
@@ -292,7 +292,7 @@ class TestRangeRoute:
         db.ingest("t", extra, flush=True)
         answer = db.query("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g", APPROX).approx
         assert answer.route == "grouped-hybrid"
-        assert answer.group_routes[(9,)] == "exact"
+        assert per_group(answer)[(9,)][0] == -1
         exact = db.query("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g", EXACT).query_result.table
         assert answer.table.column("n").to_pylist() == exact.column("n").to_pylist()
 
@@ -314,7 +314,7 @@ class TestRangeRoute:
         assert answer.route == "grouped-model"
         exact = db.query("SELECT g, count(y) AS n FROM t GROUP BY g ORDER BY g", EXACT).query_result.table
         for (g, n), (_, ne) in zip(answer.rows(), exact.to_rows()):
-            band = 3 * answer.group_errors[(g,)]["n"]
+            band = 3 * answer.group_error_estimate(g, "n").standard_error
             assert abs(n - ne) <= band, (g, n, ne, band)
 
     def test_null_group_keys_force_exact(self):
@@ -354,7 +354,7 @@ class TestRangeRoute:
         assert comparison["route"] == "grouped-model"
         approx, exact = comparison["approximate"], comparison["exact"]
         for (g, n), (_, ne) in zip(approx.rows(), exact.table.to_rows()):
-            band = 3 * approx.group_errors[(g,)]["n"] + 1.0
+            band = 3 * approx.group_error_estimate(g, "n").standard_error + 1.0
             assert abs(n - ne) <= band, (g, n, ne, band)
         # COUNT(*) still counts NULL-output rows.
         star = compare_sql(
@@ -415,15 +415,12 @@ class TestRangeRoute:
             APPROX,
         ).approx
         assert answer.route == "grouped-model"
-        for errors in answer.group_errors.values():
-            assert errors["n"] > 0
-            assert errors["s"] > 0
+        assert (answer.groups.errors["n"] > 0).all() and (answer.groups.errors["s"] > 0).all()
         unrestricted = routed_db.query(
             "SELECT g, count(y) AS n FROM t GROUP BY g",
             APPROX,
         ).approx
-        for errors in unrestricted.group_errors.values():
-            assert errors["n"] == 0.0  # full-domain counts stay exact when fresh
+        assert (unrestricted.groups.errors["n"] == 0.0).all()  # full-domain counts stay exact when fresh
 
     def test_aggregate_over_group_key_declines(self, routed_db):
         """MIN(g) must never be answered with output-column predictions."""

@@ -47,12 +47,31 @@ def compare_sql(db: LawsDatabase, sql: str) -> dict:
         "approximate": approx,
         "exact": exact,
         "route": approx.route,
-        "group_routes": dict(approx.group_routes),
         "relative_errors": errors,
         "max_relative_error": max(errors.values()) if errors else None,
         "approx_pages_read": approx.io.get("pages_read", 0.0),
         "exact_pages_read": exact.io.get("pages_read", 0.0),
     }
+
+
+def per_group(answer) -> "dict[tuple, tuple[int, dict, dict]] | None":
+    """A grouped answer's record expanded per key, in its group order:
+    ``{key: (model_id, values, errors)}`` — model id −1, and no values or
+    errors, for a group the exact fill-in computed.  None for an answer
+    that is not grouped."""
+    groups = answer.groups
+    if groups is None:
+        return None
+    expanded = {}
+    keys = zip(*(column.to_pylist() for column in groups.keys))
+    for row, (key, model_id) in enumerate(zip(keys, groups.model_id.tolist())):
+        if model_id < 0:
+            expanded[key] = (model_id, {}, {})
+            continue
+        values = {name: vector[row].item() for name, vector in groups.values.items()}
+        errors = {name: vector[row].item() for name, vector in groups.errors.items()}
+        expanded[key] = (model_id, values, errors)
+    return expanded
 
 
 @pytest.fixture(scope="session")

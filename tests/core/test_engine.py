@@ -5,7 +5,7 @@ import pytest
 from repro import LawsDatabase
 from repro.errors import ApproximationError
 
-from tests.conftest import APPROX, EXACT, STRICT, compare_sql
+from tests.conftest import APPROX, EXACT, STRICT, compare_sql, per_group
 
 
 class TestRouting:
@@ -88,7 +88,7 @@ class TestAccuracy:
         assert comparison["exact_pages_read"] > 0
         # Every served group carries its own error estimate and provenance.
         approx = comparison["approximate"]
-        assert set(approx.group_routes) == {(s,) for s in (1, 2, 3, 4, 5)}
+        assert set(per_group(approx)) == {(s,) for s in (1, 2, 3, 4, 5)}
         for source in (1, 2, 3, 4, 5):
             estimate = approx.group_error_estimate(source, "mean_intensity")
             assert estimate is not None and estimate.standard_error > 0

@@ -805,3 +805,65 @@ def test_a_fits_keys_map_to_rows_in_one_module():
             and _reads_keys(node, tainted)
         )
     assert found == []
+
+
+#: The per-key dicts a grouped answer no longer carries, per class.
+PER_KEY_FIELDS = {"ApproximateAnswer": {"group_values", "group_errors", "group_routes"}, "ModelBatch": {"route"}}
+
+
+def _zips_pylists(node: ast.AST, tainted: set[str]) -> bool:
+    """Whether ``node`` reads ``zip(*(… .to_pylist() …))`` or a name bound from one."""
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name) and inner.id in tainted:
+            return True
+        if isinstance(inner, ast.Call) and _called_name(inner) == "zip":
+            starred = [call for arg in inner.args if isinstance(arg, ast.Starred) for call in ast.walk(arg)]
+            if any(isinstance(call, ast.Call) and _called_name(call) == "to_pylist" for call in starred):
+                return True
+    return False
+
+
+def test_a_grouped_answer_is_verified_from_its_vectors():
+    """A grouped answer carries its routing's vectors and verification reads
+    them: ``core/planner/feedback.py`` imports no ``re`` and turns no result
+    into rows, ``ApproximateAnswer`` declares no per-key dicts and
+    ``ModelBatch`` no route string, and no function under
+    ``core/approx/routes/`` builds a dict keyed by python key tuples
+    (``zip(*(… .to_pylist() …))``)."""
+    found = []
+    feedback = ast.parse((SRC / "core/planner/feedback.py").read_text())
+    for node in ast.walk(feedback):
+        if isinstance(node, ast.Import) and any(alias.name == "re" for alias in node.names):
+            found.append(f"core/planner/feedback.py:{node.lineno} import re")
+        elif isinstance(node, ast.ImportFrom) and node.module == "re":
+            found.append(f"core/planner/feedback.py:{node.lineno} from re import")
+        elif isinstance(node, ast.Call) and _called_name(node) in ("to_rows", "iter_rows", "row"):
+            found.append(f"core/planner/feedback.py:{node.lineno} {ast.unparse(node.func)}")
+    for relative, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in PER_KEY_FIELDS:
+                found.extend(
+                    f"{relative}:{stmt.lineno} {node.name}.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id in PER_KEY_FIELDS[node.name]
+                )  # fmt: skip
+    for relative, function in _functions():
+        if not relative.startswith("core/approx/routes/"):
+            continue
+        tainted = {
+            name
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign) and _zips_pylists(node.value, set())
+            for name in set().union(*map(_bound_names, node.targets))
+        }
+        found.extend(
+            f"{relative}:{node.lineno} {ast.unparse(node)[:60]}"
+            for node in ast.walk(function)
+            if (
+                isinstance(node, (ast.Dict, ast.DictComp))
+                or (isinstance(node, ast.Call) and _dotted(node.func) in ("dict", "dict.fromkeys"))
+            )
+            and _zips_pylists(node, tainted)
+        )
+    assert found == []

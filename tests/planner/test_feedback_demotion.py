@@ -140,6 +140,50 @@ def test_row_order_differences_are_not_model_error():
     assert report.model.status == "active"
 
 
+@pytest.fixture()
+def two_key_db():
+    """A healthy law per (a, b) group: y = 1 + a + 10 b + x / 2."""
+    rng = np.random.default_rng(21)
+    cells = [(a, b, float(x)) for a in range(3) for b in range(3) for x in range(8) for _ in range(4)]
+    db = LawsDatabase(observability=False, verify_sample_fraction=0.0)
+    db.load_dict(
+        "t",
+        {
+            "a": [a for a, _, _ in cells],
+            "b": [b for _, b, _ in cells],
+            "x": [x for _, _, x in cells],
+            "y": [1.0 + a + 10.0 * b + 0.5 * x + rng.normal(0, 0.01) for a, b, x in cells],
+        },
+    )
+    report = db.fit("t", "y ~ linear(x)", group_by=["a", "b"])
+    assert report.accepted
+    return db, report.model
+
+
+@pytest.mark.parametrize("keys", ["a, b", "b, a", "a AS aa, b", "b AS bb, a"])
+def test_grouped_keys_match_by_name_in_any_select_order(two_key_db, keys):
+    """The answer's keys are in GROUP BY order; each is matched to the exact
+    result column that holds it, wherever the SELECT list puts it."""
+    db, model = two_key_db
+    contract = AccuracyContract(mode="approx", verify_fraction=1.0)
+    for _ in range(6):
+        answer = db.query(f"SELECT {keys}, avg(y) AS m FROM t GROUP BY a, b", contract)
+        assert answer.route_taken == "grouped-model"
+        assert answer.feedback.recorded_model_ids == [model.model_id]
+        assert answer.observed_relative_error < 1e-9
+        assert not answer.feedback.demoted_model_ids
+    assert model.status == "active"
+
+
+def test_a_group_column_outside_the_select_list_yields_no_evidence(two_key_db):
+    db, model = two_key_db
+    contract = AccuracyContract(mode="approx", verify_fraction=1.0)
+    answer = db.query("SELECT a, avg(y) AS m FROM t GROUP BY a, b", contract)
+    assert answer.route_taken == "grouped-model"
+    assert answer.observed_relative_error is None
+    assert not answer.feedback.recorded_model_ids and not model.observed_errors
+
+
 def test_per_model_error_attribution():
     """Errors are attributed to the model that served the group, so one
     lying model cannot demote a healthy co-serving model."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import AccuracyContract, LawsDatabase
+from tests.conftest import per_group
 
 
 def _rows(rng, groups, xs=4, reps=6, sigma=0.1):
@@ -59,10 +60,10 @@ def test_hybrid_matches_exact_oracle(hybrid_db, sql):
     approx_rows = answer.rows()
     exact_rows = oracle.rows()
     assert len(approx_rows) == len(exact_rows)
+    groups = per_group(answer.approx)
     for approx_row, exact_row in zip(approx_rows, exact_rows):
         assert approx_row[0] == exact_row[0]  # same groups in the same order
-        key = (approx_row[0],)
-        served_exactly = answer.approx.group_routes.get(key) == "exact"
+        served_exactly = groups[(approx_row[0],)][0] == -1
         for a, e in zip(approx_row[1:], exact_row[1:]):
             if served_exactly:
                 assert a == pytest.approx(e, rel=1e-9, abs=1e-9)
@@ -75,10 +76,10 @@ def test_hybrid_split_attributes_every_group(hybrid_db):
         "SELECT g, avg(y) AS m FROM t GROUP BY g ORDER BY g",
         AccuracyContract(max_relative_error=0.5),
     )
-    routes = answer.approx.group_routes
-    assert {key[0] for key in routes} == {0, 1, 2, 3, 4, 5}
-    exact_groups = {key[0] for key, route in routes.items() if route == "exact"}
-    model_groups = {key[0] for key, route in routes.items() if route.startswith("model#")}
+    groups = per_group(answer.approx)
+    assert {key[0] for key in groups} == {0, 1, 2, 3, 4, 5}
+    exact_groups = {key[0] for key, (model_id, _, _) in groups.items() if model_id == -1}
+    model_groups = {key[0] for key, (model_id, _, _) in groups.items() if model_id >= 0}
     assert exact_groups == {4, 5}
     assert model_groups == {0, 1, 2, 3}
 

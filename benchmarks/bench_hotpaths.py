@@ -31,7 +31,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.db.column import Column  # noqa: E402
 from repro.db.database import Database  # noqa: E402
-from repro.db.operators.aggregate import compute_aggregate  # noqa: E402
 from repro.db.types import python_value  # noqa: E402
 from repro.streaming.ingest import StreamIngestor  # noqa: E402
 
@@ -46,6 +45,21 @@ def _best(fn, rounds: int = ROUNDS) -> float:
         fn()
         best = min(best, perf_counter() - started)
     return best
+
+
+def _seed_aggregate(function: str, values: np.ndarray):
+    """The seed's one aggregate over a group's non-NULL float values."""
+    if len(values) == 0:
+        return None
+    if function == "sum":
+        return float(np.sum(values))
+    if function == "avg":
+        return float(np.mean(values))
+    if function == "min":
+        return float(np.min(values))
+    if function == "max":
+        return float(np.max(values))
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
 def _seed_to_pylist(column) -> list:
@@ -143,7 +157,7 @@ def bench_group_by(db: Database, rows: int) -> dict:
             out["g"].append(key)
             out["n"].append(len(indices))
             for name, fn in (("s", "sum"), ("m", "avg"), ("lo", "min"), ("hi", "max"), ("sd", "stddev")):
-                out[name].append(compute_aggregate(fn, vals))
+                out[name].append(_seed_aggregate(fn, vals))
         return out
 
     assert len(seed_group_by()["g"]) == result.num_rows

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -38,7 +38,8 @@ class SynopsisAnswer:
     clause and none of which is NULL or NaN in an answered column, so each is
     counted by ``COUNT(*)`` and by ``COUNT(col)`` alike; ``mins`` / ``maxs``
     hold every numeric answered column's extremes over them as floats — what
-    ``MIN`` / ``MAX`` would compute from the rows themselves.
+    ``MIN`` / ``MAX`` would compute from the rows themselves.  The
+    ``Aggregate`` above merges them as one more state of its own.
     """
 
     __slots__ = ("rows", "mins", "maxs")
@@ -47,19 +48,6 @@ class SynopsisAnswer:
         self.rows = rows
         self.mins = mins
         self.maxs = maxs
-
-    def fold(self, function: str, column: str | None, value: Any) -> Any:
-        """A ``COUNT`` / ``MIN`` / ``MAX`` of the read rows with these rows folded in.
-
-        ``value`` is ``None`` for an extreme over no row; a NaN read stays NaN.
-        """
-        if function == "count":
-            return value + self.rows
-        assert column is not None
-        extreme = (self.mins if function == "min" else self.maxs)[column]
-        if value is None:
-            return extreme
-        return float((np.minimum if function == "min" else np.maximum)(value, extreme))
 
 
 class KeptRows:
@@ -121,9 +109,9 @@ class ScannedRows(Table):
     """The rows a scan handed on, carrying what it answered instead (``answer``).
 
     Only a scan planned to answer a global ``COUNT`` / ``MIN`` / ``MAX`` hands
-    one on, straight to the ``Aggregate`` that folds the answer in: the scan
-    evaluated the whole WHERE clause itself, and every answered row
-    satisfies it.
+    one on, straight to the ``Aggregate`` that merges the answer with the
+    state it reduced from these rows: the scan evaluated the whole WHERE
+    clause itself, and every answered row satisfies it.
     """
 
     def __init__(self, rows: Table, answer: SynopsisAnswer) -> None:

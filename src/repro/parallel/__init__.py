@@ -1,12 +1,13 @@
 """Partitioned parallel execution.
 
 Tables are sharded into contiguous row-range partitions (the PR-5 ``.npz``
-segment manifest doubles as the partition map), scan/filter/group-by/join
-kernels run per partition on a worker pool, and the per-partition partials
-merge associatively — ``bincount``/``reduceat`` aggregate states via the
-parallel (Chan) update, joins and plain row streams by concatenation in
-partition order, which reproduces the single-partition operator semantics
-exactly (group first-occurrence order, left-row-major join order).
+segment manifest doubles as the partition map), the plan's own joins,
+filters and :meth:`~repro.db.operators.aggregate.Aggregate.reduce` run per
+partition on a worker pool, and the coordinator combines the results — the
+aggregate states with the same ``Aggregate.merge`` / ``finalize`` a serial
+execution uses, joins and plain row streams by concatenation in partition
+order — which reproduces the single-partition operator semantics exactly
+(group first-occurrence order, left-row-major join order).
 
 Pruning is the serial scan's: the coordinator makes the one
 :func:`repro.db.operators.scan.kept_rows` call over the pinned table and cuts

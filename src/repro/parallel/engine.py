@@ -27,13 +27,16 @@ root execution.  A partitioned query is the serial scan, fanned out:
    survivors are cut at shard boundaries by their row numbers, so rows and
    pages are the serial scan's.
 6. **Fan out** the partition-local pipeline over the worker pool, traced or
-   not; each task times itself and the coordinator records one
+   not; each task ends in the plan's own :meth:`Aggregate.reduce` when the
+   query aggregates, times itself, and the coordinator records one
    ``parallel.partition`` span per task from those wall times.
-7. **Merge** partials associatively and run the uppers once on the merged
-   table — each upper operator's own :meth:`Operator.apply` on the table
-   in hand, the way every task applied the plan's joins and cross-table
-   WHERE filter;
-   no node is copied or rebound.
+7. **Merge** the tasks' states — and the answered blocks' state — with the
+   aggregate's own :meth:`Aggregate.merge` and :meth:`Aggregate.finalize`,
+   the very steps a serial execution takes, or concatenate the tasks' rows
+   in partition order; then run the uppers once on the merged table — each
+   upper operator's own :meth:`Operator.apply` on the table in hand, the way
+   every task applied the plan's joins and cross-table WHERE filter; no node
+   is copied or rebound.
 
 Anything the decomposition does not recognise — no partition map, a stale
 map, subqueries of unexpected shape — returns ``None`` and the executor
@@ -44,12 +47,13 @@ semantics, pages read or blocks skipped, only execution strategy.
 from __future__ import annotations
 
 import time
+from functools import reduce
 from time import perf_counter
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.db.operators.aggregate import Aggregate
+from repro.db.operators.aggregate import Aggregate, AggregateState
 from repro.db.operators.filter import Filter
 from repro.db.operators.join import HashJoin
 from repro.db.operators.limit import Limit
@@ -59,8 +63,6 @@ from repro.db.operators.sort import Sort
 from repro.db.operators.topn import TopN
 from repro.db.sql.planner import PlannedQuery, _Distinct
 from repro.db.table import Table
-from repro.parallel.kernels import GroupedPartial, partial_aggregate
-from repro.parallel.merge import answered_partial, merge_global, merge_grouped, merge_tables
 from repro.parallel.partition import PARTITION_META_KEY, partition_entries
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -201,15 +203,13 @@ class ParallelQueryEngine:
                 )
         partials = [partial for partial, _, _ in timed]
 
-        if parts.aggregate is not None:
-            if parts.aggregate.group_by:
-                merged = merge_grouped(parts.aggregate, partials)
-            else:
-                if kept.answer is not None:
-                    partials.append(answered_partial(parts.aggregate, kept.answer))
-                merged = merge_global(parts.aggregate, partials)
+        aggregate = parts.aggregate
+        if aggregate is None:
+            merged = reduce(Table.concat, partials)
         else:
-            merged = merge_tables(partials)
+            if kept.answer is not None:
+                partials.append(aggregate.answered(kept.answer))
+            merged = aggregate.finalize(aggregate.merge(partials))
 
         for op in reversed(parts.uppers):
             merged = op.apply(merged)
@@ -220,8 +220,8 @@ class ParallelQueryEngine:
         parts: _Decomposed,
         piece: Table,
         rights: list[Table],
-    ) -> Callable[[], tuple[GroupedPartial | Table, float, float]]:
-        """One partition's task: its survivors -> joins -> cross-table WHERE -> partial.
+    ) -> Callable[[], tuple[AggregateState | Table, float, float]]:
+        """One partition's task: its survivors -> joins -> cross-table WHERE -> state.
 
         Returns ``(partial, started_at, elapsed_seconds)`` — the task's own
         wall time, which the coordinator turns into its span.
@@ -238,7 +238,7 @@ class ParallelQueryEngine:
             if where is not None:
                 current = where.apply(current)
             if aggregate is not None:
-                current = partial_aggregate(aggregate, current)
+                current = aggregate.reduce(current)
             return current, started_at, perf_counter() - started
 
         return task

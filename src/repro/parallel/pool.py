@@ -11,8 +11,9 @@ serially on the coordinator without fault instrumentation, a
 ``parallel-degraded`` event is journaled and ``parallel_degraded_total``
 is incremented.  A query is thus slowed by a sick worker, never failed.
 
-Like ``kernels``, this module must not import the obs hub at module scope:
-workers report nothing themselves.  The coordinator's retries and degrades
+Like ``db/operators/aggregate.py``, whose ``reduce`` the tasks run, this
+module must not import the obs hub at module scope: workers report nothing
+themselves.  The coordinator's retries and degrades
 go to the ``journal`` and ``metrics`` the pool is constructed with — its
 owner's, so "off" is their ``enabled`` flag and the pool never asks.
 """

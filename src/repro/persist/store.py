@@ -8,11 +8,11 @@ On-disk layout (all under one root directory)::
     warehouse/models-<N>.json  the model warehouse of checkpoint N
 
 Manifest table entries (with their archive records) and WAL records of
-``LARGE_CREATE_SNAPSHOT_ROWS`` rows or more name their files in the one
-pool, under one name sequence; a smaller WAL record carries its rows as one
-segment in its own frame.  A checkpoint writes only the tables whose rows
-changed (the catalog's data generation says which) and names the rest by
-reference.
+``LARGE_CREATE_SNAPSHOT_ROWS`` rows or more — or of a segment too large for
+one WAL frame — name their files in the one pool, under one name sequence;
+any other WAL record carries its rows as one segment in its own frame.  A
+checkpoint writes only the tables whose rows changed (the catalog's data
+generation says which) and names the rest by reference.
 
 Crash safety is manifest-pivoted: a checkpoint writes the new segment files
 and warehouse first, then renames the manifest into place, then resets the
@@ -86,10 +86,10 @@ FORMAT_VERSION = 4
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.log"
 
-#: A redo record's rows ride in its WAL frame below this row count, and go to
-#: pool segments the record names from it on (see
-#: :meth:`DurableStore.log_rows`): a frame stays far below the WAL's size cap,
-#: and a bulk load is written once, as the segments a checkpoint names by
+#: A redo record's rows ride in its WAL frame below this row count, if their
+#: segment fits in one frame, and go to pool segments the record names
+#: otherwise (see :meth:`DurableStore.log_rows`): no frame passes the WAL's
+#: size cap, and a bulk load is written once, as the segments a checkpoint names by
 #: reference, instead of being re-read on every reopen (checkpointing per
 #: load instead would re-snapshot every earlier table, going quadratic
 #: across a load burst).
@@ -241,10 +241,11 @@ class DurableStore:
     def log_rows(self, op: str, rows: Table, replace: bool = False) -> None:
         """Log a ``create_table`` (a created, loaded or replaced table) or an
         ``append`` (a batch as its table stored it) carrying its rows as one
-        segment: in its own frame, or from :data:`LARGE_CREATE_SNAPSHOT_ROWS`
-        on as pool files written (and synced) before it — a created table's
-        record is then a ``load_table``.  Each carries the format version its
-        rows are written in: no manifest may stamp the store yet."""
+        segment: in its own frame, or — from :data:`LARGE_CREATE_SNAPSHOT_ROWS`
+        on, or when the segment would not fit in one frame — as pool files
+        written (and synced) before it; a created table's record is then a
+        ``load_table``.  Each carries the format version its rows are written
+        in: no manifest may stamp the store yet."""
         if not self.accepting_writes:
             return
         record = {"op": op, "format_version": FORMAT_VERSION, "name": rows.name}
@@ -252,8 +253,10 @@ class DurableStore:
         if op == "create_table":
             record["replace"] = bool(replace)
         if rows.num_rows < LARGE_CREATE_SNAPSHOT_ROWS:
-            self._log({**record, "row_count": rows.num_rows, BODY_KEY: segment_bytes(rows)})
-            return
+            inline = {**record, "row_count": rows.num_rows, BODY_KEY: segment_bytes(rows)}
+            if self.wal.fits(inline):
+                self._log(inline)
+                return
         entries = self.write_segments(rows)
         self._log({**record, "op": "load_table" if op == "create_table" else op, "segments": entries})
         if op == "create_table":
@@ -483,8 +486,16 @@ class DurableStore:
         # it; any other epoch predates the manifest rename and is discarded.
         epoch_discarded = self._replay_wal(system, report)
         if self.sync_root is not None:  # a previous process may have run without fsync
-            for entry in chain.from_iterable(entries for _, entries in self._durable.values()):
-                files.sync(self.pool / entry["file"], self.sync_root)
+            # Every pool file the next checkpoint names by reference: the
+            # tables' committed segments and their archive records'.
+            archived = (
+                segment.segment_entries
+                for name in system.database.table_names()
+                for segment in archived_segments(self.catalog, name)
+            )
+            for entry in chain(*(entries for _, entries in self._durable.values()), *archived):
+                if "/" not in entry["file"]:  # a legacy reference is rewritten, synced, into the pool
+                    files.sync(self.pool / entry["file"], self.sync_root)
         report.archived_tables = archived_tables(system.database.catalog)
 
         self.accepting_writes = True

@@ -63,6 +63,13 @@ BODY_KEY = "segment"
 _MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 
+def _frame_parts(record: dict[str, Any]) -> tuple[bytes, bytes | None]:
+    """``record``'s JSON header (every key but :data:`BODY_KEY`) and its body."""
+    body = record.get(BODY_KEY)
+    header = record if body is None else {k: v for k, v in record.items() if k != BODY_KEY}
+    return json.dumps(header, separators=(",", ":")).encode("utf-8"), body
+
+
 @dataclass
 class WalReplay:
     """What one replay pass recovered (and what it had to discard)."""
@@ -118,14 +125,17 @@ class WriteAheadLog:
             self._handle = open(self.path, "ab")
         return self._handle
 
+    def fits(self, record: dict[str, Any]) -> bool:
+        """Whether :meth:`append` frames ``record`` within the frame limit."""
+        header, body = _frame_parts(record)
+        return len(header) + (0 if body is None else 1 + len(body)) <= _MAX_FRAME_BYTES
+
     def append(self, record: dict[str, Any]) -> int:
         """Frame and append one record; returns the log size afterwards.
 
         The bytes under :data:`BODY_KEY`, if any, follow the JSON header of
         every other key after one NUL."""
-        body = record.get(BODY_KEY)
-        header = record if body is None else {k: v for k, v in record.items() if k != BODY_KEY}
-        payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        payload, body = _frame_parts(record)
         if body is not None:
             payload = b"\0".join((payload, body))
         if len(payload) > _MAX_FRAME_BYTES:

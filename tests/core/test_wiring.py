@@ -867,3 +867,33 @@ def test_a_grouped_answer_is_verified_from_its_vectors():
             and _zips_pylists(node, tainted)
         )
     assert found == []
+
+
+def test_an_exact_aggregate_is_finalised_in_one_module():
+    """What an exact ``STDDEV`` / ``VAR`` means is written once: outside
+    ``core/`` and ``fitting/`` (the models' own statistics), only
+    ``db/operators/aggregate.py`` names those functions, and no module
+    defines a second way to finish an aggregate — no ``compute_aggregate``,
+    no ``merge_global``, no ``fold`` method."""
+    found = []
+    for relative, tree in _modules():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and node.value in ("stddev", "var")
+                and relative != "db/operators/aggregate.py"
+                and not relative.startswith(("core/", "fitting/"))
+            ):
+                found.append(f"{relative}:{node.lineno} {node.value!r}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in (
+                "compute_aggregate",
+                "merge_global",
+            ):
+                found.append(f"{relative}:{node.lineno} def {node.name}")
+            elif isinstance(node, ast.ClassDef):
+                found.extend(
+                    f"{relative}:{item.lineno} {node.name}.fold"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "fold"
+                )
+    assert found == []

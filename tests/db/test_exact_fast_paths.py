@@ -39,7 +39,6 @@ from repro.db.schema import ColumnDef, Schema
 from repro.db.stats import ColumnStats, compute_column_stats, compute_table_stats
 from repro.db.table import Table
 from repro.db.types import DataType, python_value
-from repro.parallel.kernels import partial_aggregate
 
 SETTINGS = settings(max_examples=150, deadline=None)
 INT64 = np.iinfo(np.int64)
@@ -225,10 +224,10 @@ def test_grouped_min_max_equal_the_sorted_segment_reduction(columns):
         assert np.array_equal(column.validity, nonempty)
         assert np.array_equal(column.values, expected, equal_nan=True)
 
-    # The per-shard partial reads the same two reductions, with ±inf (the
+    # The mergeable state holds the same two reductions, with ±inf (the
     # merge's identities) where a group has no value.
     if len(key):
-        (entry,) = partial_aggregate(aggregate, table).inputs.values()
+        (entry,) = aggregate.reduce(table).inputs.values()
         assert np.array_equal(entry.mins, np.where(nonempty, mins, np.inf), equal_nan=True)
         assert np.array_equal(entry.maxs, np.where(nonempty, maxs, -np.inf), equal_nan=True)
 

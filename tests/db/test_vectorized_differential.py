@@ -1,15 +1,18 @@
 """Differential property test: vectorized operators vs row-at-a-time oracles.
 
 The oracles below are the seed's original dict-and-loop implementations of
-grouped aggregation and hash join, kept verbatim.  Every seeded query from
-the approx harness's query generator (plus randomized join scenarios with
-NULL and duplicate keys, and empty inputs) is executed through both the
-vectorized operators and the oracles, and the results must be identical —
-up to float summation-order noise well below any stated error bound.
+global and grouped aggregation and hash join, kept verbatim.  Every seeded
+query from the approx harness's query generator (plus randomized join
+scenarios with NULL and duplicate keys, and empty inputs) is executed through
+both the vectorized operators and the oracles, and the results must be
+identical: a global aggregate bit for bit (its reductions are NumPy's own,
+as the oracle's are), a grouped one up to float summation-order noise well
+below any stated error bound.
 """
 
 import sys
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
@@ -22,12 +25,13 @@ import repro.db.sql.planner as planner_module  # noqa: E402
 from repro.db.column import Column  # noqa: E402
 from repro.db.database import Database  # noqa: E402
 from repro.db.expressions import ColumnRef  # noqa: E402
-from repro.db.operators.aggregate import Aggregate, compute_aggregate  # noqa: E402
+from repro.db.operators.aggregate import Aggregate, AggregateSpec  # noqa: E402
 from repro.db.operators.join import HashJoin  # noqa: E402
 from repro.db.operators.scan import MaterializedInput  # noqa: E402
 from repro.db.schema import ColumnDef, Schema  # noqa: E402
 from repro.db.table import Table  # noqa: E402
 from repro.db.types import DataType  # noqa: E402
+from repro.errors import ExecutionError  # noqa: E402
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -38,8 +42,56 @@ ABS_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
+def compute_aggregate(function: str, values: np.ndarray) -> Any:
+    """Compute a single aggregate over non-NULL float values."""
+    function = function.lower()
+    if function == "count":
+        return int(len(values))
+    if len(values) == 0:
+        return None
+    if function == "sum":
+        return float(np.sum(values))
+    if function == "avg":
+        return float(np.mean(values))
+    if function == "min":
+        return float(np.min(values))
+    if function == "max":
+        return float(np.max(values))
+    if function == "stddev":
+        return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    if function == "var":
+        return float(np.var(values, ddof=1)) if len(values) > 1 else 0.0
+    raise ExecutionError(f"unsupported aggregate function {function!r}")
+
+
 class OracleAggregate(Aggregate):
-    """Grouped aggregation via python-value dict hashing (seed algorithm)."""
+    """Global aggregation by one NumPy reduction per aggregate, grouped
+    aggregation via python-value dict hashing (seed algorithm)."""
+
+    def apply(self, table):
+        key_columns = [expr.evaluate(table) for expr in self.group_by]
+        agg_inputs = []
+        for spec in self.aggregates:
+            if spec.expression is None:
+                agg_inputs.append(None)
+            else:
+                agg_inputs.append(spec.expression.evaluate(table))
+
+        if not self.group_by:
+            return self._global_aggregate(table, agg_inputs)
+        return self._grouped_aggregate(table, key_columns, agg_inputs)
+
+    def _global_aggregate(self, table, agg_inputs):
+        values = {}
+        defs = []
+        for spec, column in zip(self.aggregates, agg_inputs):
+            values[spec.name] = [self._aggregate_one(spec, column, table.num_rows)]
+            defs.append(ColumnDef(spec.name, spec.output_dtype))
+        columns = {
+            name: Column.from_values(next(d.dtype for d in defs if d.name == name), vals)
+            for name, vals in values.items()
+        }
+        return Table("aggregate", Schema(defs), columns)
 
     def _grouped_aggregate(self, table, key_columns, agg_inputs):
         groups = {}
@@ -73,6 +125,19 @@ class OracleAggregate(Aggregate):
             columns[spec.name] = Column.from_values(spec.output_dtype, out_values[spec.name])
             defs.append(ColumnDef(spec.name, spec.output_dtype))
         return Table("aggregate", Schema(defs), columns)
+
+    @staticmethod
+    def _aggregate_one(spec: AggregateSpec, column: Column | None, group_size: int) -> Any:
+        function = spec.function.lower()
+        if column is None:
+            if function != "count":
+                raise ExecutionError(f"aggregate {function!r} requires an argument")
+            return group_size
+        if function == "count":
+            return group_size - column.null_count
+        if not column.dtype.is_numeric:
+            raise ExecutionError(f"aggregate {function!r} requires a numeric argument")
+        return compute_aggregate(function, column.nonnull_numpy().astype(np.float64, copy=False))
 
 
 class OracleHashJoin(HashJoin):
@@ -116,6 +181,19 @@ def _cell_equal(a, b):
             abs(float(a) - float(b)) <= ABS_TOL + REL_TOL * max(abs(float(a)), abs(float(b)))
         )
     return a == b
+
+
+def _assert_bits_identical(vectorized, oracle, context):
+    """Same schema, and every column stored bit for bit — a NaN, a NULL and
+    the value under a NULL alike."""
+    assert vectorized.schema.names == oracle.schema.names, context
+    for name in vectorized.schema.names:
+        v, o = vectorized.column(name), oracle.column(name)
+        assert v.dtype is o.dtype, f"{context}: {name}"
+        assert np.array_equal(v.validity, o.validity), f"{context}: {name} validity"
+        assert v.values.tobytes() == o.values.tobytes(), (
+            f"{context}: {name}: {v.values!r} != {o.values!r}"
+        )
 
 
 def _assert_tables_identical(vectorized, oracle, context):
@@ -187,6 +265,8 @@ def test_seeded_query_workload_matches_oracle(monkeypatch, seed):
 
     for query, vec, orc in zip(queries, vectorized_results, oracle_results):
         _assert_tables_identical(vec, orc, query.sql)
+        if query.shape == "range":  # a global aggregate
+            _assert_bits_identical(vec, orc, query.sql)
 
 
 def test_empty_table_workload_matches_oracle(monkeypatch):
@@ -204,6 +284,8 @@ def test_empty_table_workload_matches_oracle(monkeypatch):
 
     for query, vec, orc in zip(queries, vectorized_results, oracle_results):
         _assert_tables_identical(vec, orc, query.sql)
+        if query.shape == "range":  # a global aggregate
+            _assert_bits_identical(vec, orc, query.sql)
 
 
 def test_all_null_group_keys_match_oracle(monkeypatch):
@@ -213,6 +295,34 @@ def test_all_null_group_keys_match_oracle(monkeypatch):
     monkeypatch.setattr(planner_module, "Aggregate", OracleAggregate)
     orc = _fresh_db(data).query(sql)
     _assert_tables_identical(vec, orc, sql)
+
+
+_GLOBAL_INPUTS = {
+    "empty": [],
+    "one": [2.5],
+    "nulls": [1.0, None, 4.0, None, -3.25, 8.0],
+    "all_null": [None, None, None],
+    "nan": [1.0, float("nan"), 3.0, None],
+    "inf": [1.0, float("inf"), -2.0],
+    "large": [1e300, -1e300, 3e299, 1e-300],
+    "spread": [float(v) for v in np.random.default_rng(5).normal(1e6, 1e-3, 5000)],
+}
+
+
+@pytest.mark.parametrize("dtype", [DataType.FLOAT64, DataType.INT64])
+@pytest.mark.parametrize("case", sorted(_GLOBAL_INPUTS))
+def test_global_aggregates_match_oracle_bit_for_bit(case, dtype):
+    """Every global aggregate, over NULL, NaN, empty and wide inputs, is the
+    oracle's NumPy reduction to the bit."""
+    values = _GLOBAL_INPUTS[case]
+    if dtype is DataType.INT64:
+        values = [None if v is None or not np.isfinite(v) or abs(v) > 1e15 else int(v) for v in values]
+    table = Table.from_dict("t", {"v": values}, Schema([ColumnDef("v", dtype)]))
+    functions = ["count", "sum", "avg", "min", "max", "stddev", "var"]
+    specs = [AggregateSpec(f, ColumnRef("v")) for f in functions] + [AggregateSpec("count", None)]
+    vec = Aggregate(MaterializedInput(table), [], specs).execute()
+    orc = OracleAggregate(MaterializedInput(table), [], specs).execute()
+    _assert_bits_identical(vec, orc, f"{case} {dtype.value}")
 
 
 # ---------------------------------------------------------------------------

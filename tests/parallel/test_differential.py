@@ -118,6 +118,20 @@ def test_differential_after_physical_reclustering(partitions: int, scheme: str) 
         assert_rows_equal(expected_sorted, actual_sorted, f"{scheme} p={partitions} {sql}")
 
 
+def test_a_constant_huge_column_merges_to_its_serial_spread() -> None:
+    """A shard's M2 enters the merge once, about the merged mean: a column of
+    one huge value (2**540, so every sum and mean is exact) has STDDEV and
+    VAR 0.0 partitioned as serially — no square of a first shard's mean
+    overflows to inf and meets a zero count."""
+    huge = 2.0**540
+    db = build_db(rows=1000)
+    db.load_dict("huge", {"id": list(range(1000)), "x": [huge] * 1000})
+    sql = "SELECT count(x), stddev(x), var(x), min(x), max(x) FROM huge"
+    want = run_query(db, sql, parallel=False)
+    db.partition_table("huge", partitions=4)
+    assert run_query(db, sql, parallel=True) == want == [(1000, 0.0, 0.0, huge, huge)]
+
+
 def test_tail_partition_covers_appended_rows() -> None:
     """Rows appended after the map was built land in the implicit tail shard."""
     db = build_db(rows=1000)

@@ -362,6 +362,46 @@ def test_fsync_syncs_every_file_the_manifest_names_and_its_directories_before_th
     assert sorted(expected - synced) == []
 
 
+def test_a_reopen_with_fsync_syncs_every_file_the_manifest_names(tmp_path, monkeypatch):
+    """A store written without fsync and reopened with it: the reopen syncs
+    every pool file its manifest names, an archived table's segments too —
+    the next checkpoint names them by reference and writes none again."""
+    from repro.persist import files
+
+    root = tmp_path / "store"
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.0, 10.0, 2000)
+    db = LawsDatabase.open(root)
+    db.load_dict("t", {"x": x.tolist(), "y": (2.0 * x + rng.normal(0.0, 0.1, 2000)).tolist()})
+    assert db.archive("t", "x < 3").rows_archived > 0
+    db.checkpoint()
+    db.close()
+
+    base = root.resolve()
+    manifest = json.loads((base / "MANIFEST.json").read_text())
+    segments = base / "segments"
+    named = {segments / s["file"] for entry in manifest["tables"].values() for s in entry["segments"]}
+    archived = {
+        segments / s["file"]
+        for entry in manifest["tables"].values()
+        for record in entry["archived"]
+        for s in record["segments"]
+    }
+    assert archived
+
+    synced = set()
+    real_sync = files.sync
+
+    def spy_sync(path, sync_root):
+        synced.add(Path(path).resolve())
+        real_sync(path, sync_root)
+
+    monkeypatch.setattr(files, "sync", spy_sync)
+    reopened = LawsDatabase.open(root, fsync=True)
+    assert sorted(map(str, (named | archived) - synced)) == []
+    reopened.close()
+
+
 # ---------------------------------------------------------------------------
 # A bulk-load record carries the format version its segments use
 # ---------------------------------------------------------------------------

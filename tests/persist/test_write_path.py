@@ -341,6 +341,30 @@ def test_a_durable_store_takes_the_values_an_in_memory_one_stores(tmp_path):
     recovered.close()
 
 
+def test_a_few_rows_too_wide_for_one_frame_go_to_the_pool(tmp_path, monkeypatch):
+    """A write below ``LARGE_CREATE_SNAPSHOT_ROWS`` whose segment would not
+    fit in one WAL frame is written to pool segments, as a large one is: the
+    durable store takes what an in-memory one stores."""
+    from repro.persist import wal as wal_module
+
+    monkeypatch.setattr(wal_module, "_MAX_FRAME_BYTES", 64 * 1024)
+    rng = np.random.default_rng(37)
+    wide = [(k, rng.bytes(2000).hex()) for k in range(100)]
+    root = tmp_path / "db"
+    db = LawsDatabase.open(root)
+    db.load_dict("t", {"k": [0], "s": ["a"]})
+    db.insert_rows("t", wide)
+    live = _observe(db)
+    db.durable.wal.close()  # crash: never checkpointed
+    records = WriteAheadLog(root / "wal.log").replay().records
+    assert [(r["op"], "segments" in r) for r in records] == [("create_table", False), ("append", True)]
+
+    recovered = LawsDatabase.open(root)
+    assert recovered.table("t").column("s").to_pylist() == ["a"] + [s for _, s in wide]
+    assert _observe(recovered) == live
+    recovered.close()
+
+
 def _whole_table_rescans(monkeypatch, rows):
     """Row counts of every column whose statistics are computed from here on,
     as long as a whole table of ``rows``."""

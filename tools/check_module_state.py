@@ -47,7 +47,7 @@ DEFAULT_ROOTS = (
 #: coordinator's job; span stacks are thread-local, so a worker's spans would
 #: be lost anyway).
 OBS_FREE_MODULES = (
-    "src/repro/parallel/kernels.py",
+    "src/repro/db/operators/aggregate.py",
     "src/repro/parallel/pool.py",
 )
 

@@ -12,11 +12,18 @@ owns it and the partitioned engine's fan-out gate reads the same object.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 from repro.db.sql.ast import SelectStatement
-from repro.db.stats import TableStats
 
-__all__ = ["OperatorCosts", "CostModel"]
+__all__ = ["OperatorCosts", "CostModel", "TableSize"]
+
+
+class TableSize(NamedTuple):
+    """What exact costing reads of a table: its rows and nominal bytes."""
+
+    row_count: int
+    byte_size: int
 
 
 @dataclass(frozen=True)
@@ -61,21 +68,19 @@ class CostModel:
 
     # -- predictions ----------------------------------------------------------
 
-    def exact_seconds(
-        self, statement: SelectStatement, stats_by_table: dict[str, TableStats]
-    ) -> float:
+    def exact_seconds(self, statement: SelectStatement, sizes: Mapping[str, TableSize]) -> float:
         """Predicted cost of exact vectorized execution of ``statement``."""
         costs = self.costs
         base_rows = 0
         scanned_bytes = 0
         if statement.table is not None:
-            base = stats_by_table.get(statement.table.name)
+            base = sizes.get(statement.table.name)
             if base is not None:
                 base_rows = base.row_count
                 scanned_bytes = base.byte_size
         seconds = costs.query_fixed_seconds + base_rows * costs.scan_seconds_per_row
         for join in statement.joins:
-            right = stats_by_table.get(join.table.name)
+            right = sizes.get(join.table.name)
             if right is not None:
                 seconds += (base_rows + right.row_count) * costs.join_seconds_per_row
                 scanned_bytes += right.byte_size

@@ -131,11 +131,16 @@ class ObservedErrorFeedback:
     def _positional_errors(self, answer: ApproximateAnswer, exact) -> "dict[int, float] | None":
         """Whole-answer error charged to every serving model (non-grouped).
 
-        Only comparable shapes are scored: a multi-row answer whose row
-        count differs from exact (e.g. a virtual table enumerating domain
-        points instead of raw rows) yields no evidence rather than noise.
+        A point answer is one evaluation of the law, which estimates the
+        mean of the rows its pins select: it is scored against that mean of
+        the exact rows.  Otherwise only comparable shapes are scored: a
+        multi-row answer whose row count differs from exact (e.g. a virtual
+        table enumerating domain points instead of raw rows) yields no
+        evidence rather than noise.
         """
         approx_table = answer.table
+        if answer.route == "point" and approx_table.num_rows == 1 and exact.num_rows > 1:
+            exact = _mean_row(exact)
         if approx_table.num_rows != exact.num_rows:
             return None
         if approx_table.num_rows > 1:
@@ -191,6 +196,18 @@ class ObservedErrorFeedback:
         )
         means = np.bincount(codes, sums[sampled]) / np.bincount(codes, counts[sampled])
         return {int(ids[i]): float(means[i]) for i in np.argsort(first)}
+
+
+def _mean_row(exact: Table) -> Table:
+    """One row: the mean of each numeric column's non-NULL values (NaN for none)."""
+    means = {}
+    for name in exact.schema.names:
+        column = exact.column(name)
+        if column.dtype.is_numeric:
+            values = column.float_numpy()
+            values = values[~np.isnan(values)]
+            means[name] = [float(values.mean()) if len(values) else float("nan")]
+    return Table.from_dict("exact_mean", means)
 
 
 def relative_errors(approx: Table, exact: Table) -> dict[str, float]:

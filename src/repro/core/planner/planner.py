@@ -49,11 +49,11 @@ from repro.core.approx.engine import (
 from repro.core.approx.error_bounds import ErrorEstimate
 from repro.core.model_store import ModelStore
 from repro.core.planner.contract import AccuracyContract, AUTO
-from repro.core.planner.cost import CostModel
+from repro.core.planner.cost import CostModel, TableSize
 from repro.core.planner.feedback import FeedbackResult, ObservedErrorFeedback
 from repro.core.planner.nodes import PlanNode, UnifiedPlan
 from repro.core.snapshot import Snapshot
-from repro.db.archived import blocking_reason
+from repro.db.archived import archived_segments, blocking_reason
 from repro.db.database import Database
 from repro.db.lru import LockedLRU
 from repro.db.sql.ast import CreateTableStatement, SelectStatement, Statement
@@ -141,7 +141,6 @@ class _Routed(NamedTuple):
 class _ShapeCost(NamedTuple):
     """What a shape decides before any route is walked."""
 
-    stats_by_table: dict[str, TableStats]
     exact_seconds: float
     degraded_reason: str | None
 
@@ -458,7 +457,7 @@ class UnifiedPlanner:
         sketch = bound.sketch(self.engine) if bound is not None and bound.match is not None else None
         model_node = None
         if sketch is not None:
-            model_node = self._model_node(sketch, statement, cost.stats_by_table)
+            model_node = self._model_node(sketch, statement)
         exact_node = PlanNode(
             kind="exact", route="exact", description="", predicted_seconds=cost.exact_seconds
         )
@@ -474,9 +473,20 @@ class UnifiedPlanner:
         return _Decision(sketch, model_node, chosen is model_node, reason)
 
     def _shape_cost(self, statement: SelectStatement) -> _ShapeCost:
-        stats_by_table = self._statement_stats(statement)
-        exact_seconds = self.cost_model.exact_seconds(statement, stats_by_table)
-        return _ShapeCost(stats_by_table, exact_seconds, self._degraded_reason(statement))
+        """The exact candidate's cost, from the row counts and nominal bytes
+        of the tables read (archived rows included) — no column statistics,
+        which only a costed model candidate reads (:meth:`_model_node`)."""
+        catalog = self.database.catalog
+        sizes: dict[str, TableSize] = {}
+        for name in statement.table_names():
+            if name not in sizes and catalog.has_table(name):
+                table, archived = catalog.table(name), archived_segments(catalog, name)
+                sizes[name] = TableSize(
+                    table.num_rows + sum(segment.row_count for segment in archived),
+                    table.byte_size() + sum(segment.byte_size for segment in archived),
+                )
+        exact_seconds = self.cost_model.exact_seconds(statement, sizes)
+        return _ShapeCost(exact_seconds, self._degraded_reason(statement))
 
     def _degraded_reason(self, statement: SelectStatement) -> str | None:
         """Why ``statement`` cannot honestly run over the raw rows right now.
@@ -495,21 +505,12 @@ class UnifiedPlanner:
                 return f"{component} — {reason}"
         return None
 
-    def _statement_stats(self, statement: SelectStatement) -> dict[str, TableStats]:
-        stats: dict[str, TableStats] = {}
-        for name in statement.table_names():
-            if name not in stats and self.database.has_table(name):
-                stats[name] = self.database.stats(name)
-        return stats
-
-    def _model_node(
-        self,
-        sketch: RouteSketch,
-        statement: SelectStatement,
-        stats_by_table: dict[str, TableStats],
-    ) -> PlanNode:
+    def _model_node(self, sketch: RouteSketch, statement: SelectStatement) -> PlanNode:
+        table = statement.table
         table_stats = (
-            stats_by_table.get(statement.table.name) if statement.table is not None else None
+            self.database.stats(table.name)
+            if table is not None and self.database.has_table(table.name)
+            else None
         )
         predicted_error = self._predict_relative_error(sketch, table_stats)
         fill_scan_rows = (

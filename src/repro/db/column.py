@@ -35,11 +35,12 @@ maps) safe to cache on the shared buffer: a complete :data:`BLOCK_ROWS`-row bloc
 snapshot's length never changes, so every snapshot of the chain reads the
 same summary of it (:meth:`Column.block_synopsis`).
 
-A column whose validity mask is all True does no mask work.  The property is
-tested where it is used (``validity.all()``, microseconds per million rows),
-never assumed or cached: :meth:`Column.take` / :meth:`Column.filter` gather
-the values only, and :meth:`Column.nonnull_numpy` returns a *read-only view*
-of the packed values — safe for the reason synopses are.
+A column whose validity mask is all True does no mask work.  Whether it is
+(:meth:`Column.null_free`) is decided once per buffer prefix and cached on
+the buffer for the same reason synopses are: a row below the tip never
+changes, so the leading run of valid rows only grows.  :meth:`Column.take` /
+:meth:`Column.filter` of such a column gather the values only, and
+:meth:`Column.nonnull_numpy` returns a *read-only view* of the packed values.
 """
 
 from __future__ import annotations
@@ -109,24 +110,28 @@ class _Buffer:
     for its whole life; a value that does not fit goes to a fresh buffer.
 
     ``synopsis`` caches ``(mins, maxs, nulls)`` for the leading complete
-    blocks some snapshot has summarised so far.  It is replaced whole, by one
-    attribute assignment, and every value it can hold is correct for every
-    snapshot, so readers need no lock.
+    blocks some snapshot has summarised so far; ``clean`` is ``(rows,
+    ended)``: the first ``rows`` rows are valid, and when ``ended`` the row
+    after them is a NULL.  Each is replaced whole, by one attribute
+    assignment, and every value it can hold is correct for every snapshot,
+    so readers need no lock.
     """
 
-    __slots__ = ("data", "valid", "tip", "synopsis")
+    __slots__ = ("data", "valid", "tip", "synopsis", "clean")
 
     def __init__(
         self,
         data: np.ndarray,
-        valid: np.ndarray,
+        valid: np.ndarray | None,
         tip: int,
         synopsis: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
+        """``valid`` None: every row is valid, and known to be."""
         self.data = data
-        self.valid = valid
+        self.valid = np.ones(len(data), dtype=bool) if valid is None else valid
         self.tip = tip
         self.synopsis = synopsis
+        self.clean = (0, False) if valid is not None else (len(data), False)
 
 
 def _summarise_blocks(
@@ -196,14 +201,12 @@ class Column:
     def __init__(self, dtype: DataType, values: np.ndarray, validity: np.ndarray | None = None) -> None:
         self.dtype = dtype
         values = np.asarray(values, dtype=dtype.numpy_dtype)
-        if validity is None:
-            validity = np.ones(len(values), dtype=bool)
-        else:
+        if validity is not None:
             validity = np.asarray(validity, dtype=bool)
-        if len(validity) != len(values):
-            raise TypeMismatchError(
-                f"validity mask length {len(validity)} != values length {len(values)}"
-            )
+            if len(validity) != len(values):
+                raise TypeMismatchError(
+                    f"validity mask length {len(validity)} != values length {len(values)}"
+                )
         self._buffer = _Buffer(values, validity, len(values))
         self._length = len(values)
 
@@ -220,8 +223,6 @@ class Column:
     def _stored_as(cls, dtype: DataType, data: np.ndarray, valid: np.ndarray | None) -> "Column":
         """A column over ``data`` as it is stored — no dtype conversion, no
         copy; ``valid`` None means no NULL."""
-        if valid is None:
-            valid = np.ones(len(data), dtype=bool)
         return cls._share(dtype, _Buffer(data, valid, len(data)), len(data))
 
     # -- packed storage ------------------------------------------------------
@@ -252,9 +253,8 @@ class Column:
         if self.dtype is not DataType.INT64 or stored.dtype == _INT64:
             return stored
         wide = stored.astype(_INT64)
-        validity = self.validity
-        if not validity.all():
-            wide[~validity] = null_value(DataType.INT64)
+        if not self.null_free():
+            wide[~self.validity] = null_value(DataType.INT64)
         return wide
 
     @property
@@ -449,12 +449,11 @@ class Column:
         beyond it); a caller that writes must copy first.
         """
         stored = self.stored
-        validity = self.validity
-        if validity.all():
+        if self.null_free():
             view = stored.view()
             view.flags.writeable = False
             return view
-        return stored[validity]
+        return stored[self.validity]
 
     def float_numpy(self) -> np.ndarray:
         """Return the values as a fresh float64 array with NaN at every NULL.
@@ -465,15 +464,31 @@ class Column:
         """
         stored = self.stored
         array = stored.astype(np.float64)
-        validity = self.validity
-        if not validity.all():
-            array[~validity] = np.nan
+        if not self.null_free():
+            array[~self.validity] = np.nan
         if stored.dtype == _INT64:
             # As in :meth:`null_mask`: the sentinel is NULL even where marked valid.
             array[stored == null_value(DataType.INT64)] = np.nan
         return array
 
     # -- null accounting -----------------------------------------------------
+
+    def null_free(self) -> bool:
+        """Whether the validity mask marks no row NULL — read from the
+        buffer's cached valid prefix, scanning only rows no snapshot of the
+        buffer has checked yet (in-array sentinels are :meth:`null_mask`'s)."""
+        buffer = self._buffer
+        rows, ended = buffer.clean
+        if self._length <= rows:
+            return True
+        if ended:
+            return False
+        valid = buffer.valid[rows : self._length]
+        if valid.all():
+            buffer.clean = (self._length, False)
+            return True
+        buffer.clean = (rows + int(np.argmin(valid)), True)
+        return False
 
     @property
     def null_count(self) -> int:
@@ -513,12 +528,12 @@ class Column:
         """Gather rows by integer index (used by joins, sorts and filters),
         at the stored width.
 
-        The validity mask is gathered only when it holds a NULL: the rows of
-        an all-valid column are all valid, whichever are taken.
+        The validity mask is gathered only when it holds a NULL
+        (:meth:`null_free`): the rows of an all-valid column are all valid,
+        whichever are taken.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        validity = self.validity
-        valid = None if validity.all() else validity[indices]
+        valid = None if self.null_free() else self.validity[indices]
         return Column._stored_as(self.dtype, self.stored[indices], valid)
 
     def filter(self, mask: np.ndarray) -> "Column":
@@ -527,9 +542,12 @@ class Column:
         return self.take(np.flatnonzero(np.asarray(mask, dtype=bool)))
 
     def slice(self, start: int, stop: int) -> "Column":
-        """Rows ``start:stop`` (views, at the stored width)."""
+        """Rows ``start:stop`` (views, at the stored width); a leading slice
+        is a shorter snapshot of the same buffer, sharing its caches."""
         start, stop, _ = slice(start, stop).indices(self._length)
         stop = max(start, stop)
+        if start == 0:
+            return Column._share(self.dtype, self._buffer, stop)
         return Column._stored_as(self.dtype, self.stored[start:stop], self.validity[start:stop])
 
     @classmethod

@@ -457,10 +457,9 @@ def _operands(expressions: tuple[Expression, ...], table: Table) -> list[Column 
 
 def _null_free(operand: Column | _Constant) -> np.ndarray | None:
     """The operand's validity mask, or None when it has no NULL at all."""
-    if isinstance(operand, _Constant):
+    if isinstance(operand, _Constant) or operand.null_free():
         return None
-    validity = operand.validity
-    return None if validity.all() else validity
+    return operand.validity
 
 
 def _both_valid(left: np.ndarray | None, right: np.ndarray | None) -> np.ndarray | None:
@@ -473,10 +472,9 @@ def _both_valid(left: np.ndarray | None, right: np.ndarray | None) -> np.ndarray
 
 def _masked_bool_column(values: np.ndarray, valid: np.ndarray | None) -> Column:
     """A BOOL column from freshly computed ``values``; False wherever NULL."""
-    if valid is None:
-        return Column(DataType.BOOL, values)
-    values &= valid
-    return Column(DataType.BOOL, values, valid)
+    if valid is not None:
+        values &= valid
+    return Column._stored_as(DataType.BOOL, values, valid)
 
 
 def _finite_float_column(values: np.ndarray, valid: np.ndarray | None) -> Column:
@@ -599,7 +597,7 @@ def _evaluate_boolean(op: str, left: Column, right: Column) -> Column:
         raise ExecutionError(f"{op.upper()} requires boolean operands")
     if _null_free(left) is None and _null_free(right) is None:
         combine = np.logical_and if op == "and" else np.logical_or
-        return Column(DataType.BOOL, combine(left.values, right.values))
+        return Column._stored_as(DataType.BOOL, combine(left.stored, right.stored), None)
     left_values = left.values & left.validity
     right_values = right.values & right.validity
     if op == "and":
@@ -617,4 +615,6 @@ def truthy_mask(column: Column) -> np.ndarray:
     """Convert a boolean result column to a row-selection mask (NULL = False)."""
     if column.dtype is not DataType.BOOL:
         raise ExecutionError("predicate did not evaluate to a boolean column")
+    if column.null_free():
+        return column.stored
     return np.asarray(column.values & column.validity, dtype=bool)

@@ -7,14 +7,17 @@ An aggregate is written once, as three steps over one mergeable state
 (:class:`AggregateState`: the representative key rows, ``COUNT(*)`` and per
 input column its non-NULL count, sum, M2, min and max, per group):
 
-* :meth:`Aggregate.reduce` turns rows into a state.  Grouping is vectorised:
-  the key columns are factorised into dense integer group codes (NULL-aware
-  — NULL keys form their own group) and every reduction is an
-  ``np.bincount`` / ``ufunc.at`` scatter by code, with no sort of the rows.
-  A global aggregate is the one-group case: it allocates no per-row code and
-  reduces with NumPy's own ``sum`` / ``min`` / ``max`` / ``sum(d*d)``.
+* :meth:`Aggregate.reduce` turns rows into a state a morsel at a time
+  (:mod:`repro.db.operators.morsel`).  The key columns are coded once per
+  execution by one dictionary each (:class:`~repro.db.operators.codes.GroupCodes`:
+  dense integer codes, NULL-aware — NULL keys form their own group); each
+  morsel's rows then reduce by code with ``np.bincount`` / ``ufunc.at``, with
+  no sort of the rows, into a G-sized state that is merged into the one
+  running state.  A global aggregate is the one-group case: it allocates no
+  per-row code and reduces with NumPy's own ``sum`` / ``min`` / ``max``.
 * :meth:`Aggregate.merge` combines states: counts, sums and extremes add up
-  group by group, M2 by the pairwise formula of Chan et al.
+  group by group, M2 by the pairwise formula of Chan et al.  Merging a
+  morsel into the running state is the same step, with the groups aligned.
 * :meth:`Aggregate.finalize` turns a state into the result table.
 
 A serial execution is ``finalize(merge([reduce(rows)]))``, with the blocks a
@@ -22,28 +25,38 @@ scan answered from synopses (:class:`~repro.db.operators.scan.ScannedRows`)
 as one more state; the partitioned engine reduces in its worker tasks and
 merges and finalises on the coordinator.  Groups are emitted in
 first-occurrence order; that order is applied to the per-group results, not
-to the rows.  This module runs inside worker threads and must stay free of
-observability imports (``tools/check_module_state.py``).
+to the rows.
+
+Numerics: COUNT, MIN and MAX are exact.  SUM and AVG add in a defined
+order — row order within a morsel (NumPy's pairwise ``sum`` for a global
+aggregate), then morsel by morsel, then state by state.  VAR and STDDEV
+keep each group's deviations scaled by its largest magnitude ``max |x|``
+before they are squared, in :meth:`reduce` and in the merge, so they stay
+finite wherever the true value is finite and the group's sum does not
+overflow (forty copies of ``1e200`` have variance 0, not ``inf``).
+
+This module runs inside worker threads and must stay free of observability
+imports (``tools/check_module_state.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.db.column import Column
 from repro.db.expressions import ColumnRef, Expression
 from repro.db.operators.base import Operator
-from repro.db.operators.codes import dense_key_codes, factorize_keys
+from repro.db.operators.codes import FirstRows, GroupCodes, factorize_keys
+from repro.db.operators.morsel import morsels
 from repro.db.operators.scan import ScannedRows, SynopsisAnswer
 from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType
 from repro.errors import ExecutionError
-from repro.lazy import lazy_attribute
 
 __all__ = ["AggregateSpec", "Aggregate", "AggregateState", "InputPartial", "SUPPORTED_AGGREGATES"]
 
@@ -56,14 +69,17 @@ _NEEDS = MappingProxyType(
         "count": (),
         "sum": ("sums",),
         "avg": ("sums",),
-        "stddev": ("sums", "m2"),
-        "var": ("sums", "m2"),
+        "stddev": ("m2",),
+        "var": ("m2",),
         "min": ("mins",),
         "max": ("maxs",),
     }
 )
-#: The optional reductions of an :class:`InputPartial`, in field order.
-_PARTS = ("sums", "m2", "mins", "maxs")
+
+#: Every reduction of a group without a row.
+_EMPTY = MappingProxyType(
+    {"counts": 0, "sums": 0.0, "m2": 0.0, "mins": np.inf, "maxs": -np.inf, "mean": 0.0, "scale": 0.0}
+)
 
 
 @dataclass(frozen=True)
@@ -99,11 +115,14 @@ class AggregateSpec:
 class InputPartial:
     """Mergeable per-group reductions of one aggregate input column.
 
-    ``m2`` is the sum of squared deviations about the group's mean — the
-    quantity Chan et al.'s pairwise formula combines without the catastrophic
-    cancellation a sum-of-squares merge would suffer.  ``mins`` / ``maxs``
-    hold ±inf for a group without a value.  A reduction no aggregate over
-    the input needs is None.
+    ``scale`` is the group's largest magnitude ``max |x|``; ``mean`` and
+    ``m2`` — the group's mean and its sum of squared deviations about it,
+    the quantities Chan et al.'s pairwise formula combines without the
+    cancellation a sum-of-squares merge would suffer — are kept in units of
+    ``scale`` (of ``scale**2`` for ``m2``), so no deviation is squared at a
+    magnitude that could overflow.  ``mins`` / ``maxs`` hold ±inf for a
+    group without a value.  A reduction no aggregate over the input needs
+    is None; ``mean`` and ``scale`` are kept with ``m2``.
     """
 
     counts: np.ndarray
@@ -111,6 +130,28 @@ class InputPartial:
     m2: np.ndarray | None = None
     mins: np.ndarray | None = None
     maxs: np.ndarray | None = None
+    mean: np.ndarray | None = None
+    scale: np.ndarray | None = None
+
+    def take(self, order) -> "InputPartial":
+        """These reductions with the groups in ``order`` (views for a slice)."""
+        return InputPartial(**{name: None if part is None else part[order] for name, part in vars(self).items()})
+
+    def placed(self, window: slice, size: int) -> "InputPartial":
+        """These reductions as groups ``window`` of ``size`` groups, every
+        other group empty."""
+        out = {}
+        for name, part in vars(self).items():
+            if part is not None:
+                out[name] = np.full(size, _EMPTY[name], dtype=part.dtype)
+                out[name][window] = part
+        return InputPartial(**out)
+
+    def put(self, window: slice, merged: "InputPartial") -> None:
+        """Overwrite groups ``window`` with ``merged``'s reductions."""
+        for name, part in vars(self).items():
+            if part is not None:
+                part[window] = getattr(merged, name)
 
 
 @dataclass
@@ -127,104 +168,82 @@ class AggregateState:
     inputs: dict[int, InputPartial] = field(default_factory=dict)
 
 
-class _GroupContext:
-    """Per-reduction shared state: the rows' group codes and the group order.
+class _Groups:
+    """How one reduction's rows fall into groups: ``ids`` per row (None for
+    a global aggregate's one group) over ``size`` groups."""
 
-    ``group_ids`` are :func:`dense_key_codes`' codes (numbered by key rank),
-    None for a global aggregate's one group.  Every per-group reduction is
-    computed by code; ``order`` lists the codes by first occurrence, so a
-    result is stored as ``reduction[order]`` — a gather of ``num_groups``
-    results, not a renumbering of the input rows.
-    """
+    __slots__ = ("ids", "size")
 
-    __slots__ = ("group_ids", "num_groups", "order", "first_rows", "counts")
+    def __init__(self, ids: np.ndarray | None, size: int) -> None:
+        self.ids = ids
+        self.size = size
 
-    def __init__(self, key_columns: list[Column], num_rows: int) -> None:
-        if not key_columns:
-            self.group_ids, self.num_groups, self.order, self.first_rows = None, 1, slice(None), None
-            self.counts = np.array([num_rows], dtype=np.int64)
-            return
-        self.group_ids, first_rows, self.num_groups = dense_key_codes(key_columns, num_rows)
-        self.order = np.argsort(first_rows, kind="stable")
-        #: One representative row per group, in output order.
-        self.first_rows = first_rows[self.order]
-        #: Rows per group code — ``COUNT(*)``, and the non-NULL count of every
-        #: input that has no NULL.
-        self.counts = np.bincount(self.group_ids, minlength=self.num_groups).astype(np.int64)
+    def total(self, values: np.ndarray) -> np.ndarray:
+        """Per-group sum of ``values`` (aligned with :attr:`ids`)."""
+        if self.ids is None:
+            return np.array([np.sum(values)])
+        return np.bincount(self.ids, weights=values, minlength=self.size)
 
-
-class _InputState:
-    """Lazy per-input-column reductions shared by every aggregate over it.
-
-    All per-group arrays are indexed by group *code* (see
-    :class:`_GroupContext`).  An input without NULLs (``valid is None``) is
-    reduced as it stands: no row is dropped, so nothing is gathered.
-    """
-
-    def __init__(self, column: Column, context: _GroupContext) -> None:
-        self.column = column
-        self.context = context
-        self.one_group = context.group_ids is None
-        validity = column.validity
-        self.valid: np.ndarray | None = None if validity.all() else validity
-
-    @lazy_attribute
-    def ids(self) -> np.ndarray:
-        """Group code of every non-NULL row of this input."""
-        ids = self.context.group_ids
-        return ids if self.valid is None else ids[self.valid]
-
-    @lazy_attribute
-    def vals(self) -> np.ndarray:
-        """Non-NULL values as float64, aligned with :attr:`ids`."""
-        values = self.column.stored
-        if self.valid is None:
-            return values.astype(np.float64, copy=False)
-        return values[self.valid].astype(np.float64)
-
-    @lazy_attribute
-    def counts(self) -> np.ndarray:
-        """Non-NULL row count per group."""
-        if self.valid is None:
-            return self.context.counts
-        if self.one_group:
-            return np.array([np.count_nonzero(self.valid)], dtype=np.int64)
-        return np.bincount(self.ids, minlength=self.context.num_groups).astype(np.int64)
-
-    @lazy_attribute
-    def sums(self) -> np.ndarray:
-        """Per-group sum of non-NULL values."""
-        if self.one_group:
-            return np.array([np.sum(self.vals)])
-        return np.bincount(self.ids, weights=self.vals, minlength=self.context.num_groups)
-
-    @lazy_attribute
-    def m2(self) -> np.ndarray:
-        """Per-group sum of squared deviations about the group's mean."""
-        means = self.sums / np.maximum(self.counts, 1)
-        if self.one_group:
-            deviations = self.vals - means[0]
-            return np.array([np.sum(deviations * deviations)])
-        deviations = self.vals - means[self.ids]
-        return np.bincount(self.ids, weights=deviations * deviations, minlength=self.context.num_groups)
-
-    @lazy_attribute
-    def mins(self) -> np.ndarray:
-        """Per-group minimum of non-NULL values (+inf for a group without one)."""
-        return self._extremes(np.minimum, np.inf)
-
-    @lazy_attribute
-    def maxs(self) -> np.ndarray:
-        """Per-group maximum of non-NULL values (-inf for a group without one)."""
-        return self._extremes(np.maximum, -np.inf)
-
-    def _extremes(self, reducer: np.ufunc, identity: float) -> np.ndarray:
-        if self.one_group:
-            return np.array([reducer.reduce(self.vals) if len(self.vals) else identity])
-        out = np.full(self.context.num_groups, identity, dtype=np.float64)
+    def extreme(self, reducer: np.ufunc, values: np.ndarray, identity: float) -> np.ndarray:
+        """Per-group ``reducer`` of ``values``; ``identity`` for a group without one."""
+        if self.ids is None:
+            return np.array([reducer.reduce(values) if len(values) else identity])
+        out = np.full(self.size, identity, dtype=np.float64)
         with np.errstate(invalid="ignore"):  # a NaN value makes its group NaN, quietly
-            reducer.at(out, self.ids, self.vals)
+            reducer.at(out, self.ids, values)
         return out
+
+    def spread(self, per_group: np.ndarray) -> np.ndarray:
+        """Each row's group's value of ``per_group``."""
+        return per_group[0] if self.ids is None else per_group[self.ids]
+
+    def only(self, valid: np.ndarray | None) -> "_Groups":
+        """The rows ``valid`` keeps (every row when None)."""
+        if valid is None or self.ids is None:
+            return self
+        return _Groups(self.ids[valid], self.size)
+
+
+def _reduce_input(
+    column: Column, groups: _Groups, counts_star: np.ndarray, needed: set[str]
+) -> InputPartial:
+    """One morsel's reductions of an input column: ``needed`` of them, and
+    the non-NULL counts.  An input without NULLs is reduced as it stands."""
+    valid = None if column.null_free() else column.validity
+    groups = groups.only(valid)
+    if valid is None:
+        counts = counts_star
+    elif groups.ids is None:
+        counts = np.array([np.count_nonzero(valid)], dtype=np.int64)
+    else:
+        counts = np.bincount(groups.ids, minlength=groups.size)
+    partial = InputPartial(counts)
+    if not needed:  # COUNT(col): the values themselves are never read
+        return partial
+    values = column.stored if valid is None else column.stored[valid]
+    values = values.astype(np.float64, copy=False)
+    if "sums" in needed:
+        partial.sums = groups.total(values)
+    if "m2" in needed:
+        partial.scale = groups.extreme(np.maximum, np.abs(values), 0.0)
+        with np.errstate(invalid="ignore"):  # inf / inf: a group with an inf is NaN
+            scaled = values / groups.spread(np.where(partial.scale > 0, partial.scale, 1.0))
+        partial.mean = groups.total(scaled) / np.maximum(counts, 1)
+        deviations = scaled - groups.spread(partial.mean)
+        partial.m2 = groups.total(deviations * deviations)
+    if "mins" in needed:
+        partial.mins = groups.extreme(np.minimum, values, np.inf)
+    if "maxs" in needed:
+        partial.maxs = groups.extreme(np.maximum, values, -np.inf)
+    return partial
+
+
+def _source(expression: Expression, table: Table) -> Callable[[int, int], Column]:
+    """Reads ``expression`` over rows ``start:stop`` of ``table`` — a slice
+    of the column itself for a bare column reference."""
+    if isinstance(expression, ColumnRef):
+        return expression.evaluate(table).slice
+    return lambda start, stop: expression.evaluate(table.slice(start, stop))
 
 
 class Aggregate(Operator):
@@ -268,36 +287,64 @@ class Aggregate(Operator):
     # -- the three steps -----------------------------------------------------
 
     def reduce(self, table: Table) -> AggregateState:
-        """The mergeable state of ``table``'s rows.
+        """The mergeable state of ``table``'s rows, reduced a morsel at a time.
 
-        Only the reductions some aggregate over an input finalises from are
-        computed; equal input expressions share one entry.
+        The group codes' dictionaries are built once, over every row; each
+        morsel then reduces over the window of codes it holds and is merged
+        into that window of the one running state, and the first rows of
+        the groups are found from the codes of a growing prefix.  Only the
+        reductions some aggregate over an input finalises from are computed;
+        equal input expressions share one entry.
         """
-        key_columns = [expr.evaluate(table) for expr in self.group_by]
-        agg_inputs = [
-            None if spec.expression is None else spec.expression.evaluate(table) for spec in self.aggregates
-        ]
-        for spec, column in zip(self.aggregates, agg_inputs):
+        num_rows = table.num_rows
+        empty = table.slice(0, 0)
+        for spec in self.aggregates:
             function = spec.function.lower()
-            if column is None and function != "count":
-                raise ExecutionError(f"aggregate {function!r} requires an argument")
+            if spec.expression is None:
+                if function != "count":
+                    raise ExecutionError(f"aggregate {function!r} requires an argument")
             # A grouped aggregate over no row has no group to type-check.
-            if column is not None and function != "count" and not column.dtype.is_numeric:
-                if table.num_rows or not key_columns:
+            elif function != "count" and not spec.expression.evaluate(empty).dtype.is_numeric:
+                if num_rows or not self.group_by:
                     raise ExecutionError(f"aggregate {function!r} requires a numeric argument")
 
-        context = _GroupContext(key_columns, table.num_rows)
-        order = context.order
-        state = AggregateState(
-            [key.take(context.first_rows) for key in key_columns], context.counts[order]
-        )
-        for slot, needed in self._needs().items():
-            reduced = _InputState(agg_inputs[slot], context)
-            state.inputs[slot] = InputPartial(
-                reduced.counts[order],
-                *(getattr(reduced, part)[order] if part in needed else None for part in _PARTS),
-            )
-        return state
+        needs = self._needs()
+        inputs = {slot: _source(self.aggregates[slot].expression, table) for slot in needs}
+        codes = GroupCodes([_source(e, table) for e in self.group_by], num_rows) if self.group_by else None
+        size = 1 if codes is None else codes.size
+        first = None if codes is None else FirstRows(size)
+        counts_star = np.zeros(size, dtype=np.int64)
+        partials: dict[int, InputPartial] = {}
+        for start, stop in morsels([(0, num_rows)]):
+            if codes is None:
+                low, groups = 0, _Groups(None, 1)
+                morsel_counts = np.array([stop - start], dtype=np.int64)
+            else:
+                # A morsel reduces over the window of codes it holds: on a
+                # clustered key, a few groups out of many.
+                ids = codes.codes(start, stop)
+                first.see(ids, start)
+                low, high = (int(ids.min()), int(ids.max()) + 1) if len(ids) else (0, 0)
+                groups = _Groups(ids - low if low else ids, high - low)
+                morsel_counts = np.bincount(groups.ids, minlength=groups.size)
+            window = slice(low, low + groups.size)
+            counts_star[window] += morsel_counts
+            for slot, needed in needs.items():
+                partial = _reduce_input(inputs[slot](start, stop), groups, morsel_counts, needed)
+                running = partials.get(slot)
+                if running is None:
+                    partials[slot] = partial.placed(window, size)
+                else:
+                    running.put(window, _merge_input([running.take(window), partial], None, groups.size))
+
+        if first is None:
+            order, key_columns = slice(None), []
+        else:
+            order = np.argsort(first.rows, kind="stable")
+            representatives = table.take(first.rows[order])
+            key_columns = [expr.evaluate(representatives) for expr in self.group_by]
+        inputs = {slot: partial.take(order) for slot, partial in partials.items()}
+        return AggregateState(key_columns, counts_star[order], inputs)
 
     def merge(self, states: Sequence[AggregateState]) -> AggregateState:
         """One state for the rows of all ``states``, groups in first-occurrence
@@ -369,35 +416,52 @@ class Aggregate(Operator):
         return state
 
 
-def _merge_input(partials: list[InputPartial], ids: np.ndarray, num_groups: int) -> InputPartial:
+def _merge_input(partials: list[InputPartial], ids: np.ndarray | None, num_groups: int) -> InputPartial:
     """Merge one input's reductions; ``ids`` maps the partials' groups, taken
-    in turn, to merged groups.
+    in turn, to merged groups — None when every partial already holds the
+    merged groups in order (the morsels of one reduction).
 
-    M2 is the pairwise formula of Chan et al. applied once over all parts:
-    every part's own M2 plus its count times the squared offset of its mean
-    from the merged mean.
+    M2 is the pairwise formula of Chan et al. applied once over all parts,
+    in units of the merged group's scale: every part's own M2 plus its count
+    times the squared offset of its mean from the merged mean.
     """
+    parts = len(partials)
+    if ids is None:
+        total = lambda values: values.reshape(parts, num_groups).sum(axis=0)  # noqa: E731
+        spread = lambda per_group: np.tile(per_group, parts)  # noqa: E731
+
+        def extreme(reducer: np.ufunc, values: np.ndarray, identity: float) -> np.ndarray:
+            return reducer.reduce(values.reshape(parts, num_groups), axis=0)
+
+    else:
+        total = lambda values: np.bincount(ids, weights=values, minlength=num_groups)  # noqa: E731
+        spread = lambda per_group: per_group[ids]  # noqa: E731
+
+        def extreme(reducer: np.ufunc, values: np.ndarray, identity: float) -> np.ndarray:
+            out = np.full(num_groups, identity)
+            reducer.at(out, ids, values)
+            return out
 
     def gathered(part: str) -> np.ndarray:
         return np.concatenate([getattr(partial, part) for partial in partials])
 
     first, counts = partials[0], gathered("counts")
-    merged = InputPartial(np.bincount(ids, weights=counts, minlength=num_groups).astype(np.int64))
+    merged = InputPartial(total(counts).astype(np.int64))
     if first.sums is not None:
-        sums = gathered("sums")
-        merged.sums = np.bincount(ids, weights=sums, minlength=num_groups)
-    if first.m2 is not None:
-        means = merged.sums / np.maximum(merged.counts, 1)
-        offsets = sums / np.maximum(counts, 1) - means[ids]
-        weights = gathered("m2") + counts * offsets * offsets
-        merged.m2 = np.bincount(ids, weights=weights, minlength=num_groups)
-    with np.errstate(invalid="ignore"):  # a NaN extreme stays NaN, quietly
+        merged.sums = total(gathered("sums"))
+    with np.errstate(invalid="ignore"):  # a NaN stays NaN, quietly
+        if first.m2 is not None:
+            scales = gathered("scale")
+            merged.scale = extreme(np.maximum, scales, 0.0)
+            ratios = scales / spread(np.where(merged.scale > 0, merged.scale, 1.0))
+            means = gathered("mean") * ratios
+            merged.mean = total(counts * means) / np.maximum(merged.counts, 1)
+            offsets = means - spread(merged.mean)
+            merged.m2 = total(gathered("m2") * ratios * ratios + counts * offsets * offsets)
         if first.mins is not None:
-            merged.mins = np.full(num_groups, np.inf)
-            np.minimum.at(merged.mins, ids, gathered("mins"))
+            merged.mins = extreme(np.minimum, gathered("mins"), np.inf)
         if first.maxs is not None:
-            merged.maxs = np.full(num_groups, -np.inf)
-            np.maximum.at(merged.maxs, ids, gathered("maxs"))
+            merged.maxs = extreme(np.maximum, gathered("maxs"), -np.inf)
     return merged
 
 
@@ -420,11 +484,12 @@ def _finalize(function: str, entry: InputPartial | None, counts_star: np.ndarray
     elif function == "avg":
         out[nonempty] = entry.sums[nonempty] / counts[nonempty]
     elif function in ("stddev", "var"):
+        # In units of the group's scale until the last step, which overflows
+        # only where the true value does.
         multi = counts > 1
-        out[multi] = entry.m2[multi] / (counts[multi] - 1)
+        unit_var, scale = entry.m2[multi] / (counts[multi] - 1), entry.scale[multi]
+        out[multi] = np.sqrt(unit_var) * scale if function == "stddev" else unit_var * scale * scale
         out[counts == 1] = 0.0
-        if function == "stddev":
-            out[multi] = np.sqrt(out[multi])
     else:
         out[nonempty] = (entry.mins if function == "min" else entry.maxs)[nonempty]
     return Column(DataType.FLOAT64, out, nonempty)

@@ -1,14 +1,23 @@
-"""Hash join operator (inner equi-join), vectorised.
+"""Hash join operator (inner equi-join), vectorised, probed a morsel at a time.
 
-Both sides' keys are mapped into one small integer code space, so the probe
-phase is direct array indexing — no binary search, no per-row hashing, no
-per-row python loops.  Each step does only the work its keys need, decided on
-the arrays in hand: integer-like keys over a narrow joint span are their own
-codes (``value - min``), anything else is ranked over the union of both
-sides' values; one key pair is its own code space, several are packed into a
-composite code per row; unique build keys pair each probe row with its
-partner by one gather, duplicate ones expand the matches with ``np.repeat``
-arithmetic over the build rows sorted by code.
+The build (right) side is coded once: each key column gets a
+:class:`~repro.db.operators.codes.KeyDictionary` over its values (integer
+keys over a narrow span are coded through the span, anything else by binary
+search in the sorted distinct values), several key columns pack their codes
+pairwise, and every build row gets one dense code.  Unique build keys give a
+partner table — code to build row — and duplicate ones the build rows sorted
+by code with per-code slice offsets.
+
+The probe (left) side is then read a morsel at a time
+(:mod:`repro.db.operators.morsel`) at the width its keys are stored at: a
+morsel's keys are looked up strictly in the build's dictionaries (a key the
+build side does not hold codes ``-1`` and lands in the empty slot past the
+code space), unique build keys pair each probe row with its partner by one
+gather, duplicate ones expand the matches with ``np.repeat`` arithmetic.
+What a morsel matches is kept as a :class:`~repro.db.operators.morsel.Piece`
+— a mask, or repeated positions — and only the handed-on columns are
+gathered from the pieces into the output; no right-row array exists when no
+right column is handed on.
 
 Semantics are identical to the old dict-of-python-values implementation,
 whichever kernels run: NULL keys never match, key equality follows numeric
@@ -22,7 +31,8 @@ import numpy as np
 
 from repro.db.column import Column
 from repro.db.operators.base import Operator
-from repro.db.operators.codes import CodeSpacePacker, argsort_codes, rank_codes
+from repro.db.operators.codes import KeyDictionary, argsort_codes, build_packs, pack
+from repro.db.operators.morsel import Piece, gather, keep, morsels
 from repro.db.schema import ColumnDef, Schema
 from repro.db.table import Table
 from repro.db.types import DataType
@@ -72,31 +82,57 @@ def _spread(codes: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     return spread
 
 
-def _pair_codes(left: Column, right: Column) -> tuple[np.ndarray, np.ndarray, int]:
-    """Factorise one key column pair into a shared integer code space.
+class _Build:
+    """The build side, coded once: a dictionary per key column, one per pack
+    step, and the build rows by code.
 
-    Returns ``(left_codes, right_codes, space)``: ``-1`` marks a key that can
-    never match (see :func:`_matchable`), every other code is in
-    ``[0, space)``, and ``space`` is 0 when a side has no matchable key.
-    Integer-like keys whose joint span is within the scratch bound
-    :func:`rank_codes` allows itself are their own codes.
+    One integer key coded through its span needs no ranks: its offset from
+    the span's low end is its code (``direct``).  ``partners`` (unique build
+    keys) maps a code to its build row; otherwise ``counts`` / ``starts``
+    give each code's slice of ``rows_by_code``.  Both tables hold one slot
+    past the code space that a probe code of ``-1`` lands in: no partner,
+    no match.
     """
-    left_vals, left_rows = _matchable(left, right)
-    right_vals, right_rows = _matchable(right, left)
-    num_left, num_right = len(left_vals), len(right_vals)
-    if num_left == 0 or num_right == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-    left_codes = right_codes = None
-    if left_vals.dtype.kind in "iub" and right_vals.dtype.kind in "iub":
-        low = min(int(left_vals.min()), int(right_vals.min()))
-        space = max(int(left_vals.max()), int(right_vals.max())) - low + 1
-        if space <= 4 * (num_left + num_right) + 64:
-            left_codes = left_vals.astype(np.int64, copy=False) - low
-            right_codes = right_vals.astype(np.int64, copy=False) - low
-    if left_codes is None:
-        inverse, space = rank_codes(np.concatenate([left_vals, right_vals]))
-        left_codes, right_codes = inverse[:num_left], inverse[num_left:]
-    return _spread(left_codes, left_rows), _spread(right_codes, right_rows), space
+
+    def __init__(self, right_keys: list[Column], left_keys: list[Column]) -> None:
+        sides = [_matchable(right, left) for right, left in zip(right_keys, left_keys)]
+        self.dictionaries = [KeyDictionary.build(lambda values=values: [values], len(values)) for values, _ in sides]
+        self.direct = len(sides) == 1 and self.dictionaries[0].uniques is None
+        codes = [_spread(self._code(d, values), rows) for d, (values, rows) in zip(self.dictionaries, sides)]
+        # Only a row whose every key can match is built.
+        rows = np.flatnonzero(np.minimum.reduce(codes) >= 0)
+        if len(rows) < len(codes[0]):
+            codes = [column[rows] for column in codes]
+        self.empty = len(rows) == 0
+        if self.empty:
+            return
+        self.widths = [dictionary.size for dictionary in self.dictionaries]
+        self.packs = [] if self.direct else build_packs(lambda: iter([codes]), self.widths, len(rows))
+        if self.direct:
+            space = self.dictionaries[0].span
+        else:
+            space = self.packs[-1].size if self.packs else self.widths[0]
+        build_codes = pack(codes, self.widths, self.packs)
+        self.counts = np.bincount(build_codes, minlength=space + 1)
+        self.partners = None
+        if self.counts.max() == 1:
+            self.partners = np.full(space + 1, -1, dtype=np.int64)
+            self.partners[build_codes] = rows
+        else:
+            # Stable: matches stay in ascending build-row order within a code.
+            self.rows_by_code = rows[argsort_codes(build_codes, space)]
+            self.starts = np.cumsum(self.counts) - self.counts
+
+    def _code(self, dictionary: KeyDictionary, values: np.ndarray, strict: bool = False) -> np.ndarray:
+        return dictionary.offsets(values, strict) if self.direct else dictionary.codes(values, strict)
+
+    def probe(self, left_keys: list[Column], right_keys: list[Column]) -> np.ndarray:
+        """The codes of one probe morsel's keys, ``-1`` where no build key equals them."""
+        codes = []
+        for left, right, dictionary in zip(left_keys, right_keys, self.dictionaries):
+            values, rows = _matchable(left, right)
+            codes.append(_spread(self._code(dictionary, values, strict=True), rows))
+        return pack(codes, self.widths, self.packs, strict=True)
 
 
 def right_output_names(left_names, right_name: str, right_names) -> list[tuple[str, str]]:
@@ -151,96 +187,69 @@ class HashJoin(Operator):
         return f"HashJoin({conditions})"
 
     def apply(self, left_table: Table, right_table: Table) -> Table:
-        left_indices, right_indices = self._match_indices(left_table, right_table)
         left_names = left_table.schema.names if self.left_columns is None else self.left_columns
         right_columns = self.right_columns
         if right_columns is None:
             right_columns = right_output_names(left_names, right_table.name, right_table.schema.names)
+        left_pieces, right_pieces = self._match(left_table, right_table, bool(right_columns))
 
         defs: list[ColumnDef] = []
         columns: dict[str, Column] = {}
-        for side, indices, pairs in (
-            (left_table, left_indices, [(name, name) for name in left_names]),
-            (right_table, right_indices, right_columns),
+        for side, pieces, pairs in (
+            (left_table, left_pieces, [(name, name) for name in left_names]),
+            (right_table, right_pieces, right_columns),
         ):
             for name, out_name in pairs:
                 col_def = side.schema.column(name)
                 defs.append(ColumnDef(out_name, col_def.dtype, col_def.nullable))
-                columns[out_name] = side.column(name).take(indices)
+                columns[out_name] = gather(side.column(name), pieces)
 
         name = f"{left_table.name}_join_{right_table.name}"
         return Table(name, Schema(defs), columns)
 
     # -- matching ---------------------------------------------------------------
 
-    def _match_indices(self, left_table: Table, right_table: Table) -> tuple[np.ndarray, np.ndarray]:
-        """Row-index pairs of every inner-join match, left-row-major."""
-        empty = np.empty(0, dtype=np.int64)
-        num_left = left_table.num_rows
-        num_right = right_table.num_rows
-        if num_left == 0 or num_right == 0:
-            return empty, empty
-
-        left_columns = [left_table.column(k) for k in self.left_keys]
-        right_columns = [right_table.column(k) for k in self.right_keys]
-        if any(
-            not _comparable(l.dtype, r.dtype) for l, r in zip(left_columns, right_columns)
+    def _match(
+        self, left_table: Table, right_table: Table, pair_right: bool
+    ) -> tuple[list[Piece], list[Piece]]:
+        """Every inner-join match, left-row-major, as the probe morsels'
+        pieces of left rows and, when ``pair_right``, of right rows."""
+        left_pieces: list[Piece] = []
+        right_pieces: list[Piece] = []
+        num_left, num_right = left_table.num_rows, right_table.num_rows
+        left_keys = [left_table.column(k) for k in self.left_keys]
+        right_keys = [right_table.column(k) for k in self.right_keys]
+        if num_left == 0 or num_right == 0 or not all(
+            _comparable(l.dtype, r.dtype) for l, r in zip(left_keys, right_keys)
         ):
-            return empty, empty
-
-        # One key pair is its own code space; several are packed into one
-        # composite code per row (the packer re-densifies whenever the packed
-        # range outgrows the row count), so the probe phase is direct array
-        # indexing either way.  A row with an unmatchable component keeps -1.
-        pairs = [_pair_codes(l, r) for l, r in zip(left_columns, right_columns)]
-        if any(space == 0 for _, _, space in pairs):
-            return empty, empty
-        if len(pairs) == 1:
-            ((left_codes, right_codes, space),) = pairs
-        else:
-            packer = CodeSpacePacker(
-                [np.zeros(num_left, dtype=np.int64), np.zeros(num_right, dtype=np.int64)]
-            )
-            for left_part, right_part, width in pairs:
-                packer.add([np.maximum(left_part, 0), np.maximum(right_part, 0)], width)
-            (left_packed, right_packed), space = packer.finish()
-            left_parts, right_parts, _ = zip(*pairs)
-            left_codes = np.where(np.minimum.reduce(left_parts) >= 0, left_packed, -1)
-            right_codes = np.where(np.minimum.reduce(right_parts) >= 0, right_packed, -1)
-
-        build_rows = np.flatnonzero(right_codes >= 0)
-        build_codes = right_codes[build_rows]
-        # One slot past the code space stays empty: it is where a probe code
-        # of -1 lands, so unmatchable probe rows need no filtering of their own.
-        counts_by_code = np.bincount(build_codes, minlength=space + 1)
-
-        if counts_by_code.max() == 1:
-            # Unique build keys: a probe row has at most one partner, found by
-            # one gather.
-            row_by_code = np.full(space + 1, -1, dtype=np.int64)
-            row_by_code[build_codes] = build_rows
-            partners = row_by_code[left_codes]
-            left_indices = np.flatnonzero(partners >= 0)
-            return left_indices, partners[left_indices]
-
-        # Duplicate build keys.  Per-code slice offsets into the build rows
-        # sorted by code; stable sort keeps matches in ascending right-row
-        # order within each code.
-        match_counts_all = counts_by_code[left_codes]
-        matched_probe_rows = np.flatnonzero(match_counts_all)
-        build_order = argsort_codes(build_codes, space)
-        sorted_build_rows = build_rows[build_order]
-        starts_by_code = np.cumsum(counts_by_code) - counts_by_code
-        matched_codes = left_codes[matched_probe_rows]
-        match_counts = match_counts_all[matched_probe_rows]
-
-        # Expand: each matched probe row repeats once per build match, and a
-        # per-match ramp indexes into that code's slice of the sorted build
-        # rows.
-        total = int(match_counts.sum())
-        left_indices = np.repeat(matched_probe_rows, match_counts)
-        offsets = np.zeros(len(match_counts), dtype=np.int64)
-        offsets[1:] = np.cumsum(match_counts)[:-1]
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(offsets, match_counts)
-        right_indices = sorted_build_rows[np.repeat(starts_by_code[matched_codes], match_counts) + ramp]
-        return left_indices, right_indices
+            return left_pieces, right_pieces
+        build = _Build(right_keys, left_keys)
+        if build.empty:
+            return left_pieces, right_pieces
+        for start, stop in morsels([(0, num_left)]):
+            codes = build.probe([key.slice(start, stop) for key in left_keys], right_keys)
+            if build.partners is not None:
+                # Unique build keys: a probe row has at most one partner.
+                partners = build.partners[codes]
+                matched = partners >= 0
+                keep(left_pieces, start, stop, matched)
+                if pair_right:
+                    picked = partners[matched]
+                    if len(picked):
+                        right_pieces.append(Piece(0, num_right, picked, len(picked)))
+                continue
+            # Duplicate build keys: each matched probe row repeats once per
+            # build match, and a per-match ramp indexes into its code's slice
+            # of the build rows sorted by code.
+            match_counts = build.counts[codes]
+            matched = np.flatnonzero(match_counts)
+            if not len(matched):
+                continue
+            per_row = match_counts[matched]
+            total = int(per_row.sum())
+            left_pieces.append(Piece(start, stop, np.repeat(matched, per_row), total))
+            if pair_right:
+                ramp = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+                picked = build.rows_by_code[np.repeat(build.starts[codes[matched]], per_row) + ramp]
+                right_pieces.append(Piece(0, num_right, picked, total))
+        return left_pieces, right_pieces

@@ -11,6 +11,7 @@ from repro.db.constraints import ColumnConstraint, extract_constraints
 from repro.db.expressions import Expression, truthy_mask
 from repro.db.io_model import IOModel
 from repro.db.operators.base import Operator
+from repro.db.operators.morsel import Piece, as_run, gather, keep, morsels
 from repro.db.operators.sort import render_sort_keys
 from repro.db.table import Table
 from repro.db.types import DataType, null_value
@@ -83,26 +84,6 @@ class KeptRows:
     def num_rows(self) -> int:
         """How many rows are still to read."""
         return sum(stop - start for start, stop in self.ranges)
-
-    def row_numbers(self, positions: np.ndarray) -> np.ndarray:
-        """The table's row numbers at ascending ``positions`` of the rows still
-        to read — computed in place when those rows are one run."""
-        if len(self.ranges) == 1:
-            if self.ranges[0][0]:
-                positions += self.ranges[0][0]
-            return positions
-        starts, stops = np.array(self.ranges, dtype=np.int64).reshape(-1, 2).T
-        offsets = np.cumsum(stops - starts) - (stops - starts)
-        which = np.searchsorted(offsets, positions, side="right") - 1
-        return starts[which] + positions - offsets[which]
-
-    def take_from(self, table: Table) -> Table:
-        """The rows still to read of ``table``, in order (a zero-copy slice when contiguous)."""
-        if len(self.ranges) == 1:
-            return table.slice(*self.ranges[0])
-        if not self.ranges:
-            return table.slice(0, 0)
-        return table.take(np.concatenate([np.arange(start, stop) for start, stop in self.ranges]))
 
 
 class ScannedRows(Table):
@@ -256,8 +237,9 @@ class TableScan(Operator):
     rows match instead of reading it, handing the answer on with the rows it
     did read (:class:`ScannedRows`).
 
-    The read is late: the predicate's columns are read over the kept blocks,
-    and every other column only in the blocks that hold a surviving row
+    The read is late and a morsel at a time: the predicate's columns are
+    read over the kept blocks, and every other column only in the blocks
+    that hold a surviving row, each filled straight into its output array
     (:meth:`read`).  That is what makes the zero-IO comparison honest: the
     raw-scan side is charged for what a column store would fetch, and the
     ``Aggregate``, ``HashJoin`` or ``TopN`` above still does its whole job on
@@ -336,51 +318,55 @@ class TableScan(Operator):
             table = table.select(self.read_columns)
         return table, kept_rows(table, self.constraints, self.top, self.answers)
 
-    def read(self, table: Table, kept: KeptRows) -> tuple[Table, np.ndarray | None]:
+    def read(
+        self, table: Table, kept: KeptRows, bounds: np.ndarray | None = None
+    ) -> tuple[Table, np.ndarray | None]:
         """The surviving rows of the bound table, charged once.
 
-        The predicate is evaluated over its own columns of the kept rows;
-        every other handed-on column is read only in the blocks that hold a
-        survivor.  The one sequential charge is the predicate columns' bytes
-        over the kept rows plus each late column's over the rows of the
-        blocks it touches (the partial tail block clipped), every column at
-        its stored width (:attr:`Column.stored_width`); pruned and
+        The predicate is evaluated over its own columns of the kept rows a
+        morsel at a time (:mod:`repro.db.operators.morsel`), and what each
+        morsel keeps is a :class:`Piece`; every handed-on column is then
+        gathered from the pieces, so a late column is read only in the
+        blocks that hold a survivor.  The one sequential charge is the
+        predicate columns' bytes over the kept rows plus each late column's
+        over the rows of the blocks it touches (the partial tail block
+        clipped), every column at its stored width
+        (:attr:`Column.stored_width`); a block never straddles two morsels,
+        so the charge does not depend on the morsel size.  Pruned and
         answered blocks are counted, not charged, and the answer rides on the
         rows handed on (:class:`ScannedRows`).
 
-        Returns the handed-on rows and their row numbers in the table — None
-        when every kept row survives.  Split from :meth:`bind` so that the
-        partitioned engine, which cuts the survivors at shard boundaries,
-        reads — and charges — through the very code a serial execution does.
+        Returns the handed-on rows and, for ascending row numbers ``bounds``,
+        how many of them lie below each (None without ``bounds``).  Split
+        from :meth:`bind` so that the partitioned engine, which cuts the
+        survivors at shard boundaries, reads — and charges — through the very
+        code a serial execution does.
         """
         width = lambda name: table.column(name).stored_width  # noqa: E731
-        kept_count = kept.num_rows
-        numbers = None
-        if self.predicate is not None and kept_count:
-            head = kept.take_from(table.select(self.predicate_columns))
-            mask = truthy_mask(self.predicate.evaluate(head))
-            if not mask.all():
-                numbers = kept.row_numbers(np.flatnonzero(mask))
-        wanted = table if self.projected_columns is None else table.select(self.projected_columns)
-        late = [name for name in wanted.schema.names if name not in self.predicate_columns]
-        if numbers is None:
-            rows = kept.take_from(wanted)
-            late_rows = kept_count
+        if self.predicate is None:
+            pieces = [Piece(start, stop, None, stop - start) for start, stop in kept.ranges]
         else:
-            if len(numbers) and numbers[-1] - numbers[0] + 1 == len(numbers):
-                rows = wanted.slice(int(numbers[0]), int(numbers[-1]) + 1)
-            else:
-                rows = wanted.take(numbers)
-            late_rows = _block_rows(numbers, table.num_rows) if late else 0
+            pieces = []
+            head = table.select(self.predicate_columns)
+            for start, stop in morsels(kept.ranges):
+                if stop > start:
+                    keep(pieces, start, stop, truthy_mask(self.predicate.evaluate(head.slice(start, stop))))
+        wanted = table if self.projected_columns is None else table.select(self.projected_columns)
+        run = as_run(pieces)
+        rows = Table(
+            wanted.name, wanted.schema, {name: gather(wanted.column(name), run) for name in wanted.schema.names}
+        )
+        late = [name for name in wanted.schema.names if name not in self.predicate_columns]
         if self.io_model is not None:
             self.io_model.charge_read(
-                sum(map(width, self.predicate_columns)) * kept_count
-                + sum(map(width, late)) * late_rows,
-                rows_read=kept_count,
+                sum(map(width, self.predicate_columns)) * kept.num_rows
+                + (sum(map(width, late)) * sum(map(_block_rows, pieces)) if late else 0),
+                rows_read=kept.num_rows,
                 pruned=kept.blocks_pruned,
                 answered=kept.blocks_answered,
             )
-        return (rows if kept.answer is None else ScannedRows(rows, kept.answer)), numbers
+        below = None if bounds is None else np.array([_count_below(pieces, int(b)) for b in bounds])
+        return (rows if kept.answer is None else ScannedRows(rows, kept.answer)), below
 
     def apply(self) -> Table:
         return self.read(*self.bind())[0]
@@ -414,17 +400,27 @@ class TableScan(Operator):
         )
 
 
-def _block_rows(numbers: np.ndarray, num_rows: int) -> int:
-    """Rows of the blocks that hold one of the ascending row ``numbers``,
-    the partial tail block clipped to the table."""
-    if not len(numbers):
-        return 0
-    blocks = numbers // BLOCK_ROWS
-    touched = 1 + int(np.count_nonzero(blocks[1:] != blocks[:-1]))
-    rows = touched * BLOCK_ROWS
-    if blocks[-1] == num_rows // BLOCK_ROWS:  # the partial tail block
-        rows -= BLOCK_ROWS - num_rows % BLOCK_ROWS
+def _block_rows(piece: Piece) -> int:
+    """Rows of the blocks of ``piece``'s morsel that hold a row it keeps
+    (the morsel starts on a block boundary; its last block may be partial)."""
+    if piece.picks is None:
+        return piece.stop - piece.start
+    blocks = piece.picks // BLOCK_ROWS
+    rows = (1 + int(np.count_nonzero(blocks[1:] != blocks[:-1]))) * BLOCK_ROWS
+    if blocks[-1] == (piece.stop - piece.start - 1) // BLOCK_ROWS:
+        rows -= -(piece.stop - piece.start) % BLOCK_ROWS  # the last block may be partial
     return rows
+
+
+def _count_below(pieces: list[Piece], bound: int) -> int:
+    """How many of the rows ``pieces`` keep lie below row ``bound``."""
+    count = 0
+    for start, stop, picks, kept in pieces:
+        if stop <= bound:
+            count += kept
+        elif start < bound:
+            count += bound - start if picks is None else int(np.searchsorted(picks, bound - start))
+    return count
 
 
 class MaterializedInput(Operator):

@@ -24,8 +24,8 @@ root execution.  A partitioned query is the serial scan, fanned out:
    columns only in the blocks that hold a survivor and charges simulated IO
    once (on the coordinator thread: IO scopes are thread-local, so
    worker-thread charges would never reach the query's scope).  The
-   survivors are cut at shard boundaries by their row numbers, so rows and
-   pages are the serial scan's.
+   survivors are cut at shard boundaries by how many the read kept below
+   each, so rows and pages are the serial scan's.
 6. **Fan out** the partition-local pipeline over the worker pool, traced or
    not; each task ends in the plan's own :meth:`Aggregate.reduce` when the
    query aggregates, times itself, and the coordinator records one
@@ -176,9 +176,7 @@ class ParallelQueryEngine:
         # columns over the blocks that hold a survivor, charged once, on the
         # coordinator thread so the query's thread-local IO scope sees it.
         # Each task then takes the survivors between its shard's bounds.
-        table, numbers = scan.read(base, kept)
-        if numbers is not None:
-            offsets = np.searchsorted(numbers, bounds)
+        table, offsets = scan.read(base, kept, bounds)
 
         # Join build sides materialise once, on the coordinator (charging
         # their scan IO once, exactly like the serial plan).

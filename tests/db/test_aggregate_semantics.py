@@ -198,3 +198,48 @@ class TestEdges:
         ).execute()
         rows = {row[0]: row[1] for row in result.to_rows()}
         assert rows == {None: 2, 1.0: 1}
+
+
+class TestHugeMagnitudes:
+    """VAR / STDDEV square deviations scaled by the group's max |x|: forty
+    copies of 1e200 have variance 0 grouped as globally, not ``inf`` (their
+    bincount mean is an ulp off, and squaring that offset overflowed)."""
+
+    @pytest.fixture()
+    def table(self):
+        return _table(
+            "t",
+            {
+                "g": (DataType.INT64, [1] * 40 + [2] * 40),
+                "x": (DataType.FLOAT64, [1e200] * 40 + [1.0] * 40),
+            },
+        )
+
+    @staticmethod
+    def _bits(table, name):
+        return table.column(name).values.tobytes()
+
+    def test_grouped_equals_global_bit_for_bit(self, table):
+        specs = [AggregateSpec("stddev", col("x")), AggregateSpec("var", col("x"))]
+        grouped = _aggregate(table, [col("g")], specs).execute()
+        assert grouped.column("g").to_pylist() == [1, 2]
+        assert grouped.column("stddev(x)").to_pylist() == [0.0, 0.0]
+        assert grouped.column("var(x)").to_pylist() == [0.0, 0.0]
+        for group, rows in ((0, slice(0, 40)), (1, slice(40, 80))):
+            single = _aggregate(table.slice(rows.start, rows.stop), [], specs).execute()
+            for name in ("stddev(x)", "var(x)"):
+                assert grouped.column(name).values[group].tobytes() == self._bits(single, name)
+
+    def test_merged_states_stay_finite(self, table):
+        """Chan's merge term is scaled too: halves reduced apart, then merged."""
+        specs = [AggregateSpec("stddev", col("x")), AggregateSpec("var", col("x"))]
+        for group_by in ([col("g")], []):
+            aggregate = _aggregate(table, group_by, specs)
+            halves = [table.take(list(range(0, 80, 2))), table.take(list(range(1, 80, 2)))]
+            merged = aggregate.finalize(aggregate.merge([aggregate.reduce(half) for half in halves]))
+            if group_by:
+                assert merged.column("var(x)").to_pylist() == [0.0, 0.0]
+            else:
+                # 1e200 and 1.0 forty times each: var = 1e400 / (4 * 79 / 80)
+                # overflows, the standard deviation 1e200 / 2 * sqrt(80 / 79) does not.
+                assert merged.column("stddev(x)").to_pylist()[0] == pytest.approx(0.5e200 * (80 / 79) ** 0.5)

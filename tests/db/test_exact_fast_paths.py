@@ -93,14 +93,14 @@ def _oracle_pairs(left_columns: list[Column], right_columns: list[Column]) -> tu
 
 
 def _join_pairs(left_columns: list[Column], right_columns: list[Column]) -> tuple[list[int], list[int]]:
-    left = _table("l", {f"l{i}": c for i, c in enumerate(left_columns)})
-    right = _table("r", {f"r{i}": c for i, c in enumerate(right_columns)})
-    join = HashJoin(
-        MaterializedInput(left), MaterializedInput(right), list(left.schema.names), list(right.schema.names)
-    )
-    left_rows, right_rows = join._match_indices(left, right)
-    assert left_rows.dtype == np.int64 and right_rows.dtype == np.int64
-    return left_rows.tolist(), right_rows.tolist()
+    """The row pairs a join emits, in order, read off row-number columns it hands on."""
+    left_keys = {f"l{i}": c for i, c in enumerate(left_columns)}
+    right_keys = {f"r{i}": c for i, c in enumerate(right_columns)}
+    left = _table("l", {**left_keys, "lrow": Column(DataType.INT64, np.arange(len(left_columns[0])))})
+    right = _table("r", {**right_keys, "rrow": Column(DataType.INT64, np.arange(len(right_columns[0])))})
+    join = HashJoin(MaterializedInput(left), MaterializedInput(right), list(left_keys), list(right_keys))
+    out = join.execute()
+    return out.column("lrow").to_pylist(), out.column("rrow").to_pylist()
 
 
 @st.composite
@@ -133,20 +133,20 @@ def test_join_pairs_equal_the_dict_oracle(sides):
 
 
 @pytest.mark.parametrize("over", [0, 1], ids=["span-at-bound", "span-over-bound"])
-def test_integer_keys_are_their_own_codes_up_to_the_span_bound(over):
-    """``4 * (n_left + n_right) + 64`` is the widest span coded by ``value - min``;
-    one more and the union of both sides is ranked — same pairs either way."""
+def test_integer_build_keys_are_coded_through_their_span_up_to_the_bound(over):
+    """``4 * n_build + 64`` is the widest build-key span coded through
+    ``value - min``; one more and the build keys are coded by sorted search —
+    same pairs either way."""
     left_values = [0, 7, 7, 3, 50, 0, None]
     right_values = [7, 0, 3, 7, None]
-    bound = 4 * (len(left_values) + len(right_values)) + 64
-    # The smallest key is 0, so the joint span is the largest key + 1.
+    bound = 4 * len(right_values) + 64
+    # The smallest build key is 0, so the span is the largest key + 1.
     left_values[-1] = right_values[-1] = bound - 1 + over
     left = [Column.from_values(DataType.INT64, left_values)]
     right = [Column.from_values(DataType.INT64, right_values)]
-    with mock.patch.object(join_module, "rank_codes", wraps=join_module.rank_codes) as ranked:
-        pairs = _join_pairs(left, right)
-    assert ranked.called == bool(over)
-    assert pairs == _oracle_pairs(left, right)
+    (dictionary,) = join_module._Build(right, left).dictionaries
+    assert (dictionary.uniques is not None) == bool(over)
+    assert _join_pairs(left, right) == _oracle_pairs(left, right)
 
 
 @pytest.mark.parametrize("duplicates", [False, True], ids=["unique-build", "duplicate-build"])

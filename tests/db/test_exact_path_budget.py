@@ -5,26 +5,26 @@ four digits.  The three heavy statement classes of the end-to-end benchmark
 (``perf/datagen.py::scan_ops``, copied here as literals) run with a warm plan
 on a seeded 100 000-row ``fact`` and 1 000-row ``dim`` under ``tracemalloc``;
 each ceiling is 1.15 × what this tree measures and below what its parent
-(bc361ff) measured, so the work each class stopped doing cannot come back
-unnoticed:
+(ff75afd, whole-column kernels) measured, so the work each class stopped
+doing cannot come back unnoticed.  The operators work 64 Ki-row morsels, so
+at 100 000 rows one morsel's working set is still a visible share of a peak:
 
-``scan_filter`` — 9.49 B/row here, 12.47 at the parent.  The peak is the
-    selection itself: the mask (1), one index vector (8 × ½ of the rows pass)
-    and one gather of ``x`` (8 × ½).  The parent peaked later, in the aggregate,
-    holding the filtered column, a ``nonnull_numpy()`` gather of it and an
-    ``astype`` copy of that.  The ceiling fails when both copies of an
-    all-valid aggregate input are back, or when a selection costs more than
-    one index vector plus one gather per projected column.
-``group_by`` — 17.20 B/row here, 49.91 at the parent.  The peak is
-    ``rank_codes`` (shifted keys + their ranks, 8 + 8).  The ceiling fails when
-    MIN/MAX go back to clustering the rows (argsort + two row gathers), or when
-    a NULL-free input is again gathered into ``ids`` / ``vals`` copies.
-``join`` — 26.06 B/row here, 74.46 at the parent.  The peak is the probe codes
-    (8), their partners (8) and the matched index pairs (2 × 8 × the 48 % of
-    rows that match).  The ceiling fails when a single key pair goes through
-    the packer again (two ``np.where`` + a multiply per side), when unique
-    build keys are expanded with ``np.repeat`` / ramp arrays, or when the keys
-    are ranked over a concatenation of both sides.
+``scan_filter`` — 8.51 B/row here, 9.51 at the parent.  The peak is the
+    output: every morsel's kept positions (8 × ½ of the rows pass) and the
+    gathered ``x`` (8 × ½), beside one morsel's mask.  The ceiling fails when
+    the predicate is evaluated over the whole column again (a table-sized
+    mask), or when the aggregate copies its all-valid input.
+``group_by`` — 9.61 B/row here, 17.21 at the parent.  The peak is one
+    morsel's working set — its int64 codes, the per-morsel reductions and the
+    ``ufunc.at`` scatters' operands.  The ceiling fails when the codes, the
+    key dictionary's presence pass or the first-occurrence scatter go back to
+    whole-column arrays, or when MIN/MAX go back to clustering the rows.
+``join`` — 17.43 B/row here, 24.31 at the parent.  The peak is one probe
+    morsel's offsets, partners and matched positions beside the kept
+    positions of every morsel and the gathered ``x`` (48 % of the rows
+    match); no right-row array exists, as no right column is handed on.  The
+    ceiling fails when the probe widens, codes or pairs the whole key column
+    again, or when a right-row array is built for nothing.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ FACT_ROWS, DIM_ROWS = 100_000, 1_000
 
 #: class -> (statement, ceiling in peak traced bytes per ``fact`` row).
 BUDGET = {
-    "scan_filter": ("SELECT count(*), sum(x) FROM fact WHERE x > 10.0", 10.9),
+    "scan_filter": ("SELECT count(*), sum(x) FROM fact WHERE x > 10.0", 9.8),
     "group_by": (
         "SELECT k, count(*), sum(x), avg(x), min(x), max(x) FROM fact GROUP BY k",
-        19.7,
+        11.1,
     ),
-    "join": ("SELECT count(*), sum(x) FROM fact JOIN dim ON k = k2 WHERE w > 0", 29.9),
+    "join": ("SELECT count(*), sum(x) FROM fact JOIN dim ON k = k2 WHERE w > 0", 20.1),
 }
 
 

@@ -10,6 +10,7 @@ as the oracle's are), a grouped one up to float summation-order noise well
 below any stated error bound.
 """
 
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -27,6 +28,7 @@ from repro.db.database import Database  # noqa: E402
 from repro.db.expressions import ColumnRef  # noqa: E402
 from repro.db.operators.aggregate import Aggregate, AggregateSpec  # noqa: E402
 from repro.db.operators.join import HashJoin  # noqa: E402
+from repro.db.operators.morsel import Piece  # noqa: E402
 from repro.db.operators.scan import MaterializedInput  # noqa: E402
 from repro.db.schema import ColumnDef, Schema  # noqa: E402
 from repro.db.table import Table  # noqa: E402
@@ -57,10 +59,14 @@ def compute_aggregate(function: str, values: np.ndarray) -> Any:
         return float(np.min(values))
     if function == "max":
         return float(np.max(values))
-    if function == "stddev":
-        return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    if function == "var":
-        return float(np.var(values, ddof=1)) if len(values) > 1 else 0.0
+    if function in ("stddev", "var"):
+        if len(values) < 2:
+            return 0.0
+        # The deviations scaled by the largest magnitude before they are
+        # squared: finite wherever the true value is.
+        scale = float(np.max(np.abs(values)))
+        unit_var = float(np.var(values / (scale if scale > 0 else 1.0), ddof=1))
+        return math.sqrt(unit_var) * scale if function == "stddev" else unit_var * scale * scale
     raise ExecutionError(f"unsupported aggregate function {function!r}")
 
 
@@ -143,7 +149,8 @@ class OracleAggregate(Aggregate):
 class OracleHashJoin(HashJoin):
     """Inner equi-join via per-row python loops (seed algorithm)."""
 
-    def _match_indices(self, left_table, right_table):
+    def _match(self, left_table, right_table, pair_right):
+        """The loop's matches, as one piece of left rows and one of right rows."""
         build = {}
         right_key_lists = [right_table.column(k).to_pylist() for k in self.right_keys]
         for row_index in range(right_table.num_rows):
@@ -162,9 +169,10 @@ class OracleHashJoin(HashJoin):
             for match in build.get(key, ()):
                 left_indices.append(row_index)
                 right_indices.append(match)
+        count = len(left_indices)
         return (
-            np.array(left_indices, dtype=np.int64),
-            np.array(right_indices, dtype=np.int64),
+            [Piece(0, left_table.num_rows, np.array(left_indices, dtype=np.int64), count)],
+            [Piece(0, right_table.num_rows, np.array(right_indices, dtype=np.int64), count)],
         )
 
 

@@ -267,8 +267,8 @@ def test_recovered_state_equals_live_state_through_every_front_door(tmp_path, mo
     assert db.fit("replaced", "v ~ linear(t)").accepted
     db.load_dict("doomed", _line(100, 4))
     assert db.fit("doomed", "v ~ linear(t)").accepted
-    for name in ("parts", "grouped"):  # a planned query leaves fresh statistics
-        db.query(f"SELECT count(*) FROM {name}", EXACT)
+    for name in ("parts", "grouped"):  # what costing a model route computes and caches
+        db.database.stats(name)
     db.checkpoint()  # the warehouse persists models at checkpoints only
     recorded = json.loads((root / "MANIFEST.json").read_text())["tables"]
     assert {name for name, entry in recorded.items() if "stats" in entry} == {"parts", "grouped"}

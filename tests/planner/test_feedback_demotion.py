@@ -109,6 +109,56 @@ def test_healthy_model_is_not_demoted(shifting_db):
     assert "planner_demoted" not in model.metadata
 
 
+@pytest.fixture()
+def point_db():
+    """A grouped law over discrete inputs: a point pins ``(g, x)`` and
+    selects the 50 rows its one evaluation estimates the mean of."""
+    rng = np.random.default_rng(7)
+    g = np.repeat(np.arange(4), 500)
+    x = np.tile(np.arange(10), 200)
+    y = 1.0 + 2.0 * g + 0.7 * x + rng.normal(0.0, 0.1, len(g))
+    db = LawsDatabase(verify_sample_fraction=0.0)
+    db.load_dict("t", {"g": g.tolist(), "x": x.tolist(), "y": y.tolist()})
+    report = db.fit("t", "y ~ linear(x)", group_by="g")
+    assert report.accepted
+    return db, report.model
+
+
+POINT = "SELECT y FROM t WHERE g = 2 AND x = 5"
+AUDITED = AccuracyContract(max_relative_error=0.5, verify_fraction=1.0)
+
+
+def test_a_point_audit_scores_the_mean_of_the_exact_rows(point_db):
+    db, model = point_db
+    exact = db.query(POINT, AccuracyContract(mode="exact")).query_result.table
+    assert exact.num_rows == 50
+    for _ in range(4):
+        answer = db.query(POINT, AUDITED)
+        assert answer.approx.route == "point"
+        truth = float(np.mean(exact.column("y").to_numpy()))
+        served = answer.approx.table.column("y").to_pylist()[0]
+        assert answer.observed_relative_error == pytest.approx(abs(served - truth) / truth)
+        assert answer.observed_relative_error < 0.01
+        assert not answer.feedback.demoted_model_ids
+    assert model.observed_errors == pytest.approx([answer.observed_relative_error] * 4)
+    assert model.status == "active"
+
+
+def test_a_biased_point_model_is_demoted(point_db):
+    db, model = point_db
+    # 2 000 new rows at the audited point follow three times the law: the
+    # mean there moves far from what the captured parameters evaluate to.
+    db.insert_rows("t", [(2, 5, 3.0 * (1.0 + 2.0 * 2 + 0.7 * 5))] * 2000)
+    observed = []
+    for _ in range(3):
+        answer = db.query(POINT, AUDITED)
+        assert answer.approx.route == "point", answer.plan.reason
+        observed.append(answer.observed_relative_error)
+    assert all(error is not None and error > 0.5 for error in observed)
+    assert model.metadata.get("planner_demoted")
+    assert model.status == "stale"
+
+
 def test_row_order_differences_are_not_model_error():
     """Grouped verification aligns by group key, not row position.
 

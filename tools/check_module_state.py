@@ -48,6 +48,9 @@ DEFAULT_ROOTS = (
 #: be lost anyway).
 OBS_FREE_MODULES = (
     "src/repro/db/operators/aggregate.py",
+    "src/repro/db/operators/codes.py",
+    "src/repro/db/operators/join.py",
+    "src/repro/db/operators/morsel.py",
     "src/repro/parallel/pool.py",
 )
 

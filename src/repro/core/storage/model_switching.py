@@ -71,14 +71,7 @@ class ModelLifecycleManager:
         ``appended_from`` (the start row of an append) exempts
         partition-scoped models wholly below the append boundary — those
         shards did not change.
-
-        Statistics that are still clean here were already updated by the
-        mutator itself (the ingest flush folds exact per-batch statistics
-        into the cached table statistics); re-marking them dirty would
-        discard that merge and force a whole-table rescan for nothing.
         """
-        if not self.database.catalog.stats_clean(table_name):
-            self.database.catalog.mark_dirty(table_name)
         return self.store.mark_table_stale(table_name, appended_from=appended_from)
 
     # -- re-validation -----------------------------------------------------------------

@@ -37,7 +37,6 @@ from repro.db.archived import archived_segments
 from repro.db.database import Database
 from repro.db.io_model import IOAccountant, IOModel
 from repro.db.schema import Schema
-from repro.db.stats import compute_table_stats
 from repro.db.table import Table
 from repro.errors import PersistenceError
 from repro.obs import (
@@ -452,21 +451,12 @@ class LawsDatabase:
         as the table stored it, not the caller's values."""
         catalog = self.database.catalog
         with catalog.writing(name) as appended_from:
-            # Sampled before the append: statistics that are fresh here
-            # describe exactly the pre-append rows, so the batch's own can be
-            # merged in and no later reader rescans the whole table.  WAL
-            # replay comes through here too — a reopened store keeps the
-            # statistics its checkpoint recorded fresh across the tail.
-            stats_were_clean = catalog.stats_clean(name)
             self.database.insert_rows(name, rows)
-            if self.durable is None and not stats_were_clean:
-                return appended_from  # nothing reads the stored batch
-            table = catalog.live_table(name)
-            batch = table.slice(appended_from, table.num_rows)
-            if self.durable is not None and batch.num_rows:
-                self.durable.log_rows("append", batch)
-            if stats_were_clean:
-                catalog.merge_stats_delta(name, compute_table_stats(batch))
+            if self.durable is not None:
+                table = catalog.live_table(name)
+                batch = table.slice(appended_from, table.num_rows)
+                if batch.num_rows:
+                    self.durable.log_rows("append", batch)
         return appended_from
 
     # -- streaming ingestion & online maintenance -----------------------------------

@@ -1,11 +1,16 @@
 """System catalog: the registry of base tables and their statistics.
 
-The catalog owns every base :class:`~repro.db.table.Table`, keeps their
-:class:`~repro.db.stats.TableStats` fresh, and exposes lookups used by the
+The catalog owns every base :class:`~repro.db.table.Table` and its
+:class:`~repro.db.stats.TableStats`, and exposes lookups used by the
 planner, the model harvester and the storage optimiser.
 
-Concurrency model: all mutations (DDL, ``mark_dirty`` version bumps) are
-serialized under one re-entrant *commit lock*; writers such as
+Every change of a table's rows commits a new *data generation*, and the
+catalog alone caches statistics per generation: an append merges its batch's
+own into its table's entry if that was fresh (whichever front door the rows
+came by), any other change leaves the entry behind for a reader to compute.
+
+Concurrency model: all mutations (DDL, appends and their version bumps)
+are serialized under one re-entrant *commit lock*; writers such as
 ``Database.insert_rows`` hold it across an append **and** its version bump
 so the pair commits atomically (batch granularity).  Readers never block —
 they either read live state (plain attribute reads of immutable objects)
@@ -36,8 +41,8 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self._stats: dict[str, TableStats] = {}
-        self._stats_dirty: set[str] = set()
+        #: Per table, ``(generation, its rows' statistics)`` (no archived rows).
+        self._stats: dict[str, tuple[int, TableStats]] = {}
         #: Per-table metadata committed alongside the tables: the partition
         #: map and what the table archived (:mod:`repro.db.archived`).
         #: :meth:`snapshot` captures it in the same commit as the tables it
@@ -47,8 +52,8 @@ class Catalog:
         #: Per table, the version of its last change of rows (not metadata).
         self._generations: dict[str, int] = {}
         # Serializes every commit (DDL + version bump).  Re-entrant so a
-        # writer can hold it across a multi-step commit (append + mark_dirty)
-        # that internally takes it again.
+        # writer can hold it across a multi-step commit (append + redo
+        # record) that internally takes it again.
         self._commit_lock = threading.RLock()
         # Per-thread stack of pinned snapshots (innermost pin wins).
         self._local = PinStack()
@@ -70,23 +75,17 @@ class Catalog:
         return self._pin()
 
     def snapshot(self) -> CatalogSnapshot:
-        """Pin a consistent ``(version, tables, stats)`` view at a commit
-        boundary.
+        """Pin a consistent ``(version, tables, generations)`` view at a
+        commit boundary.
 
         Taken under the commit lock, so the version and every pinned table
         belong to the same committed state — a concurrent writer mid-batch
-        can never leak a table whose version bump has not landed yet.
-        Stats already fresh in the live cache are carried over so the
-        snapshot does not recompute them.
+        can never leak a table whose version bump has not landed yet.  The
+        pinned generations name the statistics :meth:`stats` may reuse.
         """
         with self._commit_lock:
             tables = {name: table.pinned() for name, table in self._tables.items()}
-            stats = {
-                name: self._stats[name]
-                for name in self._tables
-                if name in self._stats and name not in self._stats_dirty
-            }
-            return CatalogSnapshot(self._version, tables, stats, self._table_meta)
+            return CatalogSnapshot(self._version, tables, dict(self._generations), self._table_meta)
 
     @contextmanager
     def writing(self, name: str) -> Iterator[int | None]:
@@ -98,9 +97,9 @@ class Catalog:
         store's redo record).  Yields the table's row count before the body
         (``None`` when the table does not exist yet): the append boundary the
         model lifecycle is notified with afterwards.  If the body raises, the
-        table and its metadata are put back as they were (its statistics are
-        recomputed on demand), so memory never holds a change its redo log
-        does not — and a retry of the failed call cannot apply it twice.
+        table and its metadata are put back as they were, in a new data
+        generation, so memory never holds a change its redo log does not —
+        and a retry of the failed call cannot apply it twice.
         """
         with self._commit_lock:
             table = self._tables.get(name)
@@ -112,12 +111,9 @@ class Catalog:
             except BaseException:
                 if table is None:
                     self._tables.pop(name, None)
-                    self._stats.pop(name, None)
-                    self._stats_dirty.discard(name)
                 else:
                     table.rollback_to(image)
                     self._tables[name] = table
-                    self._stats_dirty.add(name)
                 if meta is None:
                     self._table_meta.pop(name, None)
                 else:
@@ -185,7 +181,6 @@ class Catalog:
             table = Table.empty(name, schema).narrow_integers()
             self._table_meta.pop(name, None)
             self._tables[name] = table
-            self._stats_dirty.add(name)
             self._data_changed(name)
             return table
 
@@ -202,7 +197,6 @@ class Catalog:
             # (Appends keep both valid, so ``replace_table`` keeps them.)
             self._table_meta.pop(table.name, None)
             self._tables[table.name] = table
-            self._stats_dirty.add(table.name)
             self._data_changed(table.name)
             return table
 
@@ -211,8 +205,6 @@ class Catalog:
             if name not in self._tables:
                 raise CatalogError(f"cannot drop unknown table {name!r}")
             del self._tables[name]
-            self._stats.pop(name, None)
-            self._stats_dirty.discard(name)
             self._table_meta.pop(name, None)
             self._data_changed(name)
 
@@ -222,7 +214,6 @@ class Catalog:
             if table.name not in self._tables:
                 raise CatalogError(f"cannot replace unknown table {table.name!r}")
             self._tables[table.name] = table.narrow_integers()
-            self._stats_dirty.add(table.name)
             self._data_changed(table.name)
 
     def _data_changed(self, name: str) -> None:
@@ -232,6 +223,7 @@ class Catalog:
             self._generations[name] = self._version
         else:
             self._generations.pop(name, None)
+            self._stats.pop(name, None)
 
     def data_generation(self, name: str) -> int | None:
         """The live generation of ``name``'s rows: equal generations, equal rows."""
@@ -286,94 +278,81 @@ class Catalog:
             return len(pin)
         return len(self._tables)
 
-    def append_rows(self, name: str, rows: Sequence[Sequence[Any]]) -> int:
-        """Append row tuples to table ``name`` (one atomic commit).
+    def append_rows(self, name: str, rows: Sequence[Sequence[Any]] | Table) -> int:
+        """Append rows to table ``name`` (one atomic commit).
 
         The append and its version bump happen under the commit lock, so a
         concurrent :meth:`snapshot` sees either none of the batch or all of it
         with the bumped version — batch-granular commits, never a torn
         half-batch.  Always the *live* table: resolving the target through a
         thread-pinned snapshot would append to a frozen copy and lose the
-        write.  Returns the row index the batch starts at.
+        write.  Fresh statistics have the batch's own merged in.  Returns the
+        row index the batch starts at.
         """
         with self._commit_lock:
             table = self.live_table(name)
             start = table.num_rows
+            base = self.fresh_stats(name)
             table.append_rows(rows)
-            self.mark_dirty(name)
+            self._data_changed(name)
+            if base is not None:
+                merged = merge_table_stats(base, compute_table_stats(table.slice(start, table.num_rows)))
+                merged.byte_size = table.byte_size()
+                self._stats[name] = (self._generations[name], merged)
             return start
 
     # -- statistics -----------------------------------------------------------------
 
-    def mark_dirty(self, name: str) -> None:
-        """Mark a table's statistics as stale (call after in-place appends)."""
-        with self._commit_lock:
-            if name not in self._tables:
-                raise CatalogError(f"unknown table {name!r}")
-            self._stats_dirty.add(name)
-            self._data_changed(name)
-
     def stats(self, name: str) -> TableStats:
-        """Return (and lazily recompute) statistics for ``name``, with the
-        rows it archived folded in (:func:`repro.db.archived.with_archived`).
+        """Statistics of ``name`` (computed once per data generation), with
+        the rows it archived folded in (:func:`repro.db.archived.with_archived`).
 
-        Inside a :meth:`reading` context the statistics come from the pinned
-        tables, so estimates and data always describe the same rows.  Either
-        way a recompute runs on a pinned copy of the table outside the commit
-        lock (stats can be expensive) and is then offered to the live cache,
-        where later appends merge into it and later snapshots start from it.
+        Inside a :meth:`reading` context they are the pinned generation's, so
+        estimates and data always describe the same rows.  A compute runs on
+        a pinned copy of the table outside the commit lock (stats can be
+        expensive) and is cached if its generation is still the live one.
         """
         pin = self._pin()
         if pin is not None:
-            return pin.stats(name, on_computed=self._publish_stats)
+            folded = pin.stats_memo.get(name)
+            if folded is None:
+                stats = self._generation_stats(name, pin.table(name), pin.generation(name))
+                archived = pin.table_meta(name, ARCHIVE_META_KEY, ())
+                folded = pin.stats_memo[name] = with_archived(stats, archived)
+            return folded
         with self._commit_lock:
-            if name not in self._tables:
-                raise CatalogError(f"unknown table {name!r}")
+            table = self.live_table(name).pinned()
+            generation = self._generations[name]
             archived = self.live_table_meta(name, ARCHIVE_META_KEY, ())
-            if name not in self._stats_dirty and name in self._stats:
-                return with_archived(self._stats[name], archived)
-            frozen = self._tables[name].pinned()
-            version = self._version
-        stats = compute_table_stats(frozen)
-        self._publish_stats(name, stats, version)
-        return with_archived(stats, archived)
+        return with_archived(self._generation_stats(name, table, generation), archived)
 
-    def _publish_stats(self, name: str, stats: TableStats, version: int) -> None:
-        """Cache ``stats``, computed from ``name`` as committed at ``version``.
-
-        Only if no commit landed since; a stale publish would pair new data
-        with old stats.
-        """
-        with self._commit_lock:
-            if name in self._tables and self._version == version:
-                self._stats[name] = stats
-                self._stats_dirty.discard(name)
-
-    def stats_clean(self, name: str) -> bool:
-        """True when the cached live statistics for ``name`` are fresh.
-
-        Writers sample this *before* an append (under the commit lock) to
-        learn whether the cached stats describe exactly the pre-append rows
-        — the precondition for :meth:`merge_stats_delta`.
-        """
-        return self.fresh_stats(name) is not None
+    def _generation_stats(self, name: str, table: Table, generation: int) -> TableStats:
+        """The statistics of ``table``, the rows of ``name`` at ``generation``."""
+        generation_of, stats = self._stats.get(name, (None, None))
+        if generation_of != generation:
+            stats = compute_table_stats(table)
+            with self._commit_lock:
+                if self._generations.get(name) == generation:
+                    self._stats[name] = (generation, stats)
+        return stats
 
     def fresh_stats(self, name: str) -> TableStats | None:
-        """The cached live statistics of ``name`` if they are fresh, else None.
+        """The cached statistics of ``name``'s live generation, else None.
 
         Never computes, and folds in no archived rows: what a checkpoint records
         next to the rows it describes, for :meth:`restore_stats` to publish
         when those rows are loaded again.
         """
         with self._commit_lock:
-            return None if name in self._stats_dirty else self._stats.get(name)
+            generation_of, stats = self._stats.get(name, (None, None))
+            return stats if generation_of == self._generations.get(name) else None
 
     def restore_stats(self, name: str, stats: TableStats) -> bool:
-        """Publish statistics computed before a restart as fresh.
+        """Publish statistics computed before a restart for the live generation.
 
-        Guarded like :meth:`merge_stats_delta`: they must count exactly the
-        live table's rows and cover exactly its columns, otherwise nothing is
-        published, False is returned and the next :meth:`stats` call computes.
+        Only if they count exactly the live table's rows and cover exactly its
+        columns; otherwise nothing is published, False is returned and the
+        next :meth:`stats` call computes.
         """
         with self._commit_lock:
             table = self._tables.get(name)
@@ -383,37 +362,7 @@ class Catalog:
                 or list(stats.columns) != table.schema.names
             ):
                 return False
-            self._stats[name] = stats
-            self._stats_dirty.discard(name)
-            return True
-
-    def merge_stats_delta(self, name: str, delta: TableStats) -> bool:
-        """Fold per-batch statistics into the cached stats of ``name``.
-
-        ``delta`` must describe exactly the rows appended since the cached
-        statistics were computed; the row-count equation
-        ``cached.row_count + delta.row_count == live.num_rows`` guards that
-        invariant.  On success the merged statistics are published as fresh
-        (no whole-table rescan) and True is returned; any mismatch returns
-        False and leaves lazy recomputation to the next :meth:`stats` call.
-        Callers must sample :meth:`stats_clean` before their append — a base
-        that was already stale may satisfy the row-count equation by
-        coincidence.
-        """
-        with self._commit_lock:
-            table = self._tables.get(name)
-            base = self._stats.get(name)
-            if table is None or base is None:
-                return False
-            if base.row_count + delta.row_count != table.num_rows:
-                return False
-            try:
-                merged = merge_table_stats(base, delta)
-            except ValueError:
-                return False
-            merged.byte_size = table.byte_size()
-            self._stats[name] = merged
-            self._stats_dirty.discard(name)
+            self._stats[name] = (self._generations[name], stats)
             return True
 
     # -- per-table commit metadata ------------------------------------------------

@@ -2,28 +2,27 @@
 
 A :class:`CatalogSnapshot` is a frozen view of the catalog taken at one
 commit boundary: the version counter and one pinned :class:`~repro.db.
-table.Table` per base table.  Pinning is O(tables), not O(rows): a pinned
-table shares the live table's immutable column objects, so the snapshot
-costs a dict copy per table and no data movement.  ``Table.append_rows``
-*replaces* a table's column mapping rather than mutating it, which is
-exactly what makes the shared columns safe — a concurrent ingest commit
-builds new columns and swaps them in; the pinned view keeps the old ones.
+table.Table` and its data generation per base table.  Pinning is
+O(tables), not O(rows): a pinned table shares the live table's immutable
+column objects, so the snapshot costs a dict copy per table and no data
+movement.  ``Table.append_rows`` *replaces* a table's column mapping rather
+than mutating it, which is exactly what makes the shared columns safe — a
+concurrent ingest commit builds new columns and swaps them in; the pinned
+view keeps the old ones.
 
 Readers enter a snapshot with :meth:`repro.db.catalog.Catalog.reading`,
-after which every catalog lookup on that thread resolves through the pin.
-Statistics are computed lazily *from the pinned tables* (seeded with the
-live catalog's cached stats when they were already fresh at pin time), so
-a planner probing a snapshot never observes statistics newer than the data
-it will scan.
+after which every catalog lookup on that thread resolves through the pin —
+statistics included: :meth:`~repro.db.catalog.Catalog.stats` serves the
+pinned generation's, so a planner probing a snapshot never observes
+statistics newer than the data it will scan.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
-from repro.db.archived import ARCHIVE_META_KEY, with_archived
-from repro.db.stats import TableStats, compute_table_stats
+from repro.db.stats import TableStats
 from repro.db.table import Table
 from repro.errors import CatalogError
 
@@ -45,31 +44,30 @@ class PinStack(threading.local):
 
 
 class CatalogSnapshot:
-    """A frozen ``(version, tables, stats)`` view of one catalog commit."""
+    """A frozen ``(version, tables, generations)`` view of one catalog commit."""
 
-    __slots__ = ("version", "_tables", "_stats", "_meta")
+    __slots__ = ("version", "_tables", "_generations", "_meta", "stats_memo")
 
     def __init__(
         self,
         version: int,
         tables: dict[str, Table],
-        stats: dict[str, TableStats] | None = None,
+        generations: dict[str, int],
         meta: dict[str, dict[str, Any]] | None = None,
     ) -> None:
         self.version = version
         self._tables = tables
+        self._generations = generations
         #: Per-table metadata captured in the same commit as the tables
         #: (see :meth:`repro.db.catalog.Catalog.set_table_meta`).  Reading
         #: the *live* values from a pinned thread would pair one commit's
         #: tables with another commit's metadata — e.g. live archived rows
         #: folded into pinned stats double-count rows archived after the pin.
         self._meta = {name: dict(entry) for name, entry in meta.items()} if meta else {}
-        #: The statistics served: the pinned rows' with the archived rows of
-        #: the same commit folded in, once per snapshot.
-        self._stats: dict[str, TableStats] = {
-            name: with_archived(live, self.table_meta(name, ARCHIVE_META_KEY, ()))
-            for name, live in (stats or {}).items()
-        }
+        #: What :meth:`~repro.db.catalog.Catalog.stats` served this snapshot
+        #: (archived rows folded in), so an older generation is computed once;
+        #: a racing duplicate fill derives the same from the same pinned rows.
+        self.stats_memo: dict[str, TableStats] = {}
 
     # -- lookup (mirrors the Catalog read surface) ----------------------------
 
@@ -87,27 +85,9 @@ class CatalogSnapshot:
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
-    def stats(
-        self, name: str, on_computed: Callable[[str, TableStats, int], None] | None = None
-    ) -> TableStats:
-        """Statistics of the *pinned* table and what it archived (lazily
-        computed, then cached).
-
-        A duplicate compute under a thread race is harmless — both threads
-        derive identical stats from the same immutable pinned table and the
-        dict store is atomic — so no lock is needed here.  ``on_computed``
-        is told ``(name, stats, version)`` of the pinned rows when they had
-        to be computed: the catalog offers them to its live cache, which
-        every query would otherwise bypass (queries always read through a pin).
-        """
-        cached = self._stats.get(name)
-        if cached is None:
-            live = compute_table_stats(self.table(name))
-            if on_computed is not None:
-                on_computed(name, live, self.version)
-            cached = with_archived(live, self.table_meta(name, ARCHIVE_META_KEY, ()))
-            self._stats[name] = cached
-        return cached
+    def generation(self, name: str) -> int:
+        """The data generation of the pinned rows of ``name``."""
+        return self._generations[name]
 
     def table_meta(self, name: str, key: str, default: Any = None) -> Any:
         """Per-table metadata frozen at capture time."""

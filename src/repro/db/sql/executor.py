@@ -11,9 +11,9 @@ pure, so neither entry goes stale.
 
 The physical plan stays per statement: literals feed zone-map pruning and
 top-N bounds when a plan binds.  It is stamped with the catalog's version
-counter — any DDL or data change (appends mark the table dirty, which bumps
-the version) invalidates it, so a cached plan can never serve a stale
-schema.  Plans are stateless operator trees: re-executing one always reads
+counter — any DDL or data change (an append commits a new data generation
+of its table, which bumps the version) invalidates it, so a cached plan can
+never serve a stale schema.  Plans are stateless operator trees: re-executing one always reads
 the current table contents.
 """
 

@@ -146,11 +146,10 @@ class ColumnStats:
         n2 = other.row_count - other.null_count
 
         def _combine(a: Any, b: Any, pick: Any) -> Any:
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return pick(a, b)
+            if n1 == 0 or n2 == 0:
+                return b if n1 == 0 else a
+            # A side with values but no extreme holds a NaN, as does the union.
+            return None if a is None or b is None else pick(a, b)
 
         mean: float | None = None
         std: float | None = None
@@ -161,16 +160,23 @@ class ColumnStats:
         elif self.mean is not None and other.mean is not None:
             total = n1 + n2
             delta = other.mean - self.mean
-            mean = self.mean + delta * n2 / total
-            if self.std is not None and other.std is not None:
-                # Chan et al.: sums of squared deviations add up, plus the
-                # spread of the two means — no E[x²] − mean² cancellation.
-                m2 = n1 * self.std**2 + n2 * other.std**2 + delta * delta * n1 * n2 / total
-                std = math.sqrt(m2 / total)
+            if not math.isfinite(delta):
+                # A NaN or an infinity: the union's mean is the sum's (inf, or
+                # NaN for inf − inf), and no deviation from it is finite.
+                mean, std = self.mean + other.mean, math.nan
+            else:
+                mean = self.mean + delta * n2 / total
+                if self.std is not None and other.std is not None:
+                    # Chan et al.: sums of squared deviations add up, plus the
+                    # spread of the two means — no E[x²] − mean² cancellation.
+                    m2 = n1 * self.std**2 + n2 * other.std**2 + delta * delta * n1 * n2 / total
+                    std = math.sqrt(m2 / total)
 
         # A side's value multiset is fully known when it carries its domain
         # (or holds no non-null data at all); only then is the merged domain
-        # — and hence the merged distinct count — exact.
+        # — and hence the merged distinct count — exact.  NaN is one value
+        # (one key object: two NaNs are two dict keys) and sorts last, as
+        # ``np.unique`` has it.
         domain: list[Any] | None = None
         domain_counts: list[int] | None = None
         distinct_count = max(self.distinct_count, other.distinct_count)
@@ -185,10 +191,11 @@ class ColumnStats:
                     else [0] * len(side.domain)
                 )
                 for value, count in zip(side.domain, side_counts):
+                    value = math.nan if value != value else value
                     counts[value] = counts.get(value, 0) + int(count)
             distinct_count = len(counts)
             if 0 < distinct_count <= ENUMERABLE_DISTINCT_LIMIT:
-                domain = sorted(counts)
+                domain = sorted(counts, key=lambda value: (value != value, value))
                 domain_counts = [counts[value] for value in domain]
 
         return ColumnStats(

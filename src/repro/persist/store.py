@@ -610,8 +610,8 @@ class DurableStore:
             if partition_map is not None:
                 system.database.catalog.set_table_meta(name, PARTITION_META_KEY, partition_map)
             # Likewise the statistics: only of the rows they counted (the
-            # catalog checks), published before the WAL tail replays so each
-            # replayed append merges into them as it did live.
+            # catalog checks), for the generation just registered; each
+            # replayed append merges its batch in, as the live one did.
             recorded = entry.get("stats")  # absent: stale at the checkpoint, or a v1 store
             if recorded is not None:
                 system.database.catalog.restore_stats(name, TableStats.from_payload(name, recorded))

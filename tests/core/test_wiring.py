@@ -9,6 +9,7 @@ one representation: the collector's own ``enabled`` flag.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -896,4 +897,72 @@ def test_an_exact_aggregate_is_finalised_in_one_module():
                     for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "fold"
                 )
+    assert found == []
+
+
+#: How statistics freshness was kept in five modules before the catalog kept
+#: it per data generation; none of these may come back under ``src/``.
+STATISTICS_BOOKKEEPING = (
+    "stats_clean",
+    "merge_stats_delta",
+    "mark_dirty",
+    "_stats_dirty",
+    "_publish_stats",
+    "on_computed",
+)
+MUTATORS = {"pop", "setdefault", "update", "clear", "popitem"}
+
+
+def _stats_writes(tree: ast.AST):
+    """``(line, class, target)`` of every write to a ``_stats`` or
+    ``stats_memo`` attribute — assigned, item-assigned or mutated in place —
+    with the class it is written in (None at module level)."""
+    classes = {
+        id(child): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for child in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and _called_name(node) in MUTATORS:
+            targets = [node.func.value] if isinstance(node.func, ast.Attribute) else []
+        else:
+            continue
+        for target in targets:
+            for element in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if isinstance(element, ast.Subscript):
+                    element = element.value
+                if isinstance(element, ast.Attribute) and element.attr in ("_stats", "stats_memo"):
+                    yield node.lineno, classes.get(id(node)), ast.unparse(element)
+
+
+def test_statistics_are_kept_by_the_catalog_alone():
+    """One generation-keyed cache, written by ``db/catalog.py`` alone: no other
+    module writes a catalog's ``_stats`` or a snapshot's memo (a class's own
+    unrelated ``self._stats`` aside), only the catalog merges live-table
+    statistics (``db/archived.py`` folds archived rows in), and no freshness
+    bookkeeping of the old design is named anywhere."""
+    found = []
+    for relative, tree in _modules():
+        for line, owner, target in _stats_writes(tree):
+            own_attribute = target == "self._stats" and owner not in ("Catalog", "CatalogSnapshot")
+            empty_memo = target == "self.stats_memo" and owner == "CatalogSnapshot"
+            if relative != "db/catalog.py" and not (own_attribute or empty_memo):
+                found.append(f"{relative}:{line} {target}")
+        found.extend(
+            f"{relative}:{node.lineno} {ast.unparse(node.func)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _called_name(node) == "merge_table_stats"
+            and relative not in ("db/catalog.py", "db/archived.py")
+        )
+    pattern = re.compile(r"\b(" + "|".join(STATISTICS_BOOKKEEPING) + r")\b")
+    for path in sorted(SRC.rglob("*.py")):
+        for line, text in enumerate(path.read_text().splitlines(), 1):
+            if pattern.search(text):
+                found.append(f"{path.relative_to(SRC).as_posix()}:{line} {text.strip()}")
     assert found == []

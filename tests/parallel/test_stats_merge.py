@@ -96,6 +96,23 @@ class TestColumnStatsMerge:
         with pytest.raises(ValueError):
             k.merge(x)
 
+    def test_merge_keeps_nan_as_one_value_sorted_last(self) -> None:
+        """``[1, NaN, 2]`` merged with ``[NaN, 3]``: NaN is one domain value
+        counted twice and sorted last, as the whole column's scan has it —
+        not two values, one of them between 2.0 and 3.0."""
+        nan = float("nan")
+        table = Table.from_dict("t", {"x": [1.0, nan, 2.0, nan, 3.0]})
+        assert table.column("x").null_count == 0
+        whole = compute_column_stats("x", table.column("x"))
+        merged = compute_column_stats("x", table.slice(0, 3).column("x")).merge(
+            compute_column_stats("x", table.slice(3, 5).column("x"))
+        )
+        for stats in (whole, merged):
+            assert stats.distinct_count == 4
+            assert stats.domain[:3] == [1.0, 2.0, 3.0] and np.isnan(stats.domain[3])
+            assert stats.domain_counts == [1, 1, 1, 2]
+            assert stats.min_value is None and stats.max_value is None
+
 
 class TestTableStatsMerge:
     def test_merge_table_stats_matches_whole_table(self) -> None:
@@ -118,10 +135,10 @@ class TestIngestStatsMerge:
         catalog = db.database.catalog
 
         catalog.stats("t")  # warm the cache so the flush path can merge
-        assert catalog.stats_clean("t")
+        assert catalog.fresh_stats("t") is not None
 
         db.ingest("t", [(int(v),) for v in rng.integers(0, 6, 256)], flush=True)
-        assert catalog.stats_clean("t"), "flush should merge the delta, not dirty stats"
+        assert catalog.fresh_stats("t") is not None, "flush should merge the delta, not dirty stats"
 
         merged = catalog.stats("t").column("k")
         fresh = compute_table_stats(db.table("t").pinned()).column("k")

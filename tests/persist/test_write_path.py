@@ -398,7 +398,7 @@ def test_first_answer_after_open_rescans_no_table(tmp_path, monkeypatch, wal_tai
         db.insert_rows("t", [(700.0, 1, 2107.0)])
         db.ingest("t", [(701.0 + i, 2, 2110.0 + 3.0 * i) for i in range(16)], flush=True)
     live = db.database.stats("t")
-    assert db.database.catalog.stats_clean("t")
+    assert db.database.catalog.fresh_stats("t") is not None
     db.close()
 
     rescans = _whole_table_rescans(monkeypatch, rows=600)
@@ -425,7 +425,7 @@ def test_manifest_without_statistics_recomputes_on_demand(tmp_path, monkeypatch)
 
     rescans = _whole_table_rescans(monkeypatch, rows=600)
     reopened = _open(root)
-    assert not reopened.database.catalog.stats_clean("t")
+    assert reopened.database.catalog.fresh_stats("t") is None
     assert reopened.database.stats("t") == live
     assert [count for _, count in rescans] == [600, 600, 600]
     reopened.close()
@@ -442,9 +442,48 @@ def test_statistics_of_other_rows_are_not_published(tmp_path):
     assert not catalog.restore_stats("t", compute_table_stats(table.slice(0, 2)))
     assert not catalog.restore_stats("t", compute_table_stats(table.select(["k"])))
     assert not catalog.restore_stats("missing", compute_table_stats(table))
-    assert not catalog.stats_clean("t")
+    assert catalog.fresh_stats("t") is None
     assert catalog.restore_stats("t", compute_table_stats(table))
     assert catalog.fresh_stats("t") == compute_table_stats(table)
+
+
+def test_statistics_computed_under_a_pin_survive_another_tables_commit(monkeypatch):
+    """Statistics belong to a table's data generation, not to the catalog
+    version: a commit to ``u`` after the pin leaves ``t``'s generation live,
+    so what the pinned reader computed serves the live reader too."""
+    db = LawsDatabase(observability=False)
+    db.load_dict("t", _line(600, 11))
+    db.load_dict("u", {"k": [1, 2]})
+    catalog = db.database.catalog
+    snapshot = catalog.snapshot()
+    db.insert_rows("u", [(3,)])
+    rescans = _whole_table_rescans(monkeypatch, rows=600)
+    with catalog.reading(snapshot):
+        pinned = catalog.stats("t")
+    assert catalog.stats("t") is pinned
+    assert [count for _, count in rescans] == [600, 600, 600]
+
+
+def test_sql_insert_merges_its_batch_into_fresh_statistics(monkeypatch):
+    """A SQL ``INSERT`` is an append like any other front door: statistics
+    fresh before it have the batch's own merged in, and nothing rescans the
+    table."""
+    from repro.db.stats import compute_table_stats
+
+    db = LawsDatabase(observability=False)
+    db.load_dict("t", {"k": list(range(5000)), "v": [0.5 * i for i in range(5000)]})
+    db.database.stats("t")
+    computed = _whole_table_rescans(monkeypatch, rows=1)
+    db.query("INSERT INTO t VALUES (5000, 1.5), (5001, 2.5)")
+    merged = db.database.stats("t")
+    assert [count for _, count in computed] == [2, 2]
+    whole = compute_table_stats(db.table("t"))
+    assert merged.row_count == whole.row_count == 5002
+    for name in ("k", "v"):
+        column, expected = merged.column(name), whole.column(name)
+        assert (column.min_value, column.max_value) == (expected.min_value, expected.max_value)
+        assert column.mean == pytest.approx(expected.mean, rel=1e-12)
+        assert column.std == pytest.approx(expected.std, rel=1e-12)
 
 
 def test_partition_map_survives_checkpoint_and_reopen(tmp_path):

@@ -25,6 +25,7 @@ is why the virtual table does not aggregate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Any
@@ -332,6 +333,8 @@ def _integrated(
         column_stats = stats.columns.get(column)
         if column_stats is None or column_stats.min_value is None or column_stats.max_value is None:
             return None
+        if column_stats.mean is not None and math.isnan(column_stats.mean):
+            return None  # a NaN input, which no point of the model's domain stands for
         constraint = constraints.constraint(column)
         if constraint is not None and constraint.is_pinned and as_floats(constraint.values) is None:
             return None

@@ -387,10 +387,11 @@ class LawsDatabase:
         key ranges), or ``"hash"`` (re-cluster by a deterministic
         hash of ``by`` — co-locates equal keys for joins and DISTINCT).
         The re-clustering schemes rewrite the table (its captured models go
-        stale); the map itself commits as table metadata under the catalog
-        commit lock, so pinned snapshots keep seeing the map that matches
-        their rows.  Appends stay cheap: rows past the map's ``built_rows``
-        form an implicit tail shard until the next call.
+        stale) unless ``range`` finds the rows in key order already; the map
+        itself commits as table metadata under the catalog commit lock, so
+        pinned snapshots keep seeing the map that matches their rows.
+        Appends stay cheap: rows past the map's ``built_rows`` form an
+        implicit tail shard until the next call.
         """
         scheme = scheme or ("range" if by is not None else "rows")
         if scheme in ("range", "hash") and by is None:
@@ -409,7 +410,9 @@ class LawsDatabase:
                     order, _ = hash_partition_order(live, by, partitions)
                 else:
                     raise ValueError(f"unknown partitioning scheme {scheme!r}")
-                table = self.register_table(live.take(order), replace=True)
+                # Rows already in key order move nowhere: the map is committed
+                # over the live table, whose models stay fresh.
+                table = live if order is None else self.register_table(live.take(order), replace=True)
             payload = build_partition_map(
                 table.pinned(),
                 partitions,

@@ -17,7 +17,7 @@ full column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -106,6 +106,12 @@ class Expression:
     def map_children(self, fn: Callable[["Expression"], "Expression"]) -> "Expression":
         """This node rebuilt with ``fn`` applied to each child (a leaf is returned as it is)."""
         return self.with_children(*map(fn, self.children()))
+
+    def bound(self) -> "Expression":
+        """This expression with every non-NULL literal's kernel operand built:
+        what a caller evaluating it over many morsels of one execution
+        evaluates, so constants are prepared once, not once per morsel."""
+        return self.map_children(lambda child: child.bound())
 
     def referenced_columns(self) -> set[str]:
         """Names of all columns referenced anywhere in this expression."""
@@ -221,6 +227,9 @@ class Literal(Expression):
     def children(self) -> Sequence[Expression]:
         return ()
 
+    def bound(self) -> Expression:
+        return self if self.value is None else _BoundLiteral(self.value, _Constant(self.value))
+
     def output_name(self) -> str:
         return repr(self.value)
 
@@ -228,6 +237,16 @@ class Literal(Expression):
         if isinstance(self.value, str):
             return f"'{self.value}'"
         return str(self.value)
+
+
+@dataclass(frozen=True)
+class _BoundLiteral(Literal):
+    """A non-NULL literal with its kernel operand built (:meth:`Expression.bound`)."""
+
+    constant: "_Constant" = field(compare=False, repr=False)
+
+    def bound(self) -> Expression:
+        return self
 
 
 @dataclass(frozen=True)
@@ -431,11 +450,29 @@ class _Constant:
     (``dtype`` and ``stored``) and is always valid.
     """
 
-    __slots__ = ("dtype", "stored")
+    __slots__ = ("dtype", "stored", "_widths")
 
     def __init__(self, value: Any) -> None:
         self.dtype = DataType.infer(value)
         self.stored = np.array(value, dtype=self.dtype.numpy_dtype)
+        self._widths: dict[np.dtype, np.ndarray] = {}
+
+    def at_width(self, width: np.dtype) -> np.ndarray:
+        """The constant for comparing with values stored as ``width``: an
+        integer cast to a narrower integer width where it fits, so the
+        comparison runs at the stored width instead of casting every row to
+        int64.  Anything else — a constant that does not fit included — is
+        the constant as it is and compares, exactly, in the promoted dtype.
+        Kept per width: a bound literal prepares it once per execution."""
+        fitted = self._widths.get(width)
+        if fitted is None:
+            fitted = self.stored
+            if self.stored.dtype.kind == width.kind == "i" and self.stored.dtype.itemsize > width.itemsize:
+                info = np.iinfo(width)
+                if info.min <= self.stored <= info.max:
+                    fitted = self.stored.astype(width)
+            self._widths[width] = fitted
+        return fitted
 
 
 def _operands(expressions: tuple[Expression, ...], table: Table) -> list[Column | _Constant]:
@@ -445,7 +482,7 @@ def _operands(expressions: tuple[Expression, ...], table: Table) -> list[Column 
     compute from them has one value per row of ``table``.
     """
     operands: list[Column | _Constant] = [
-        _Constant(expression.value)
+        (expression.constant if isinstance(expression, _BoundLiteral) else _Constant(expression.value))
         if isinstance(expression, Literal) and expression.value is not None
         else expression.evaluate(table)
         for expression in expressions
@@ -537,17 +574,12 @@ def _compare(op: str, left: Column | _Constant, right: Column | _Constant) -> np
             values = np.zeros(len(valid), dtype=bool)
             values[valid] = compare(*sides)
     elif left.dtype is DataType.BOOL or right.dtype is DataType.BOOL:
-        sides = [
+        values = compare(*[
             side.stored.astype(np.int64) if side.dtype is DataType.BOOL else side.stored
             for side in (left, right)
-        ]
-        with np.errstate(all="ignore"):
-            values = compare(*sides)
+        ])
     else:
-        with np.errstate(all="ignore"):
-            values = compare(
-                _fit_constant(left.stored, right.stored), _fit_constant(right.stored, left.stored)
-            )
+        values = compare(_side(left, right), _side(right, left))
     return np.asarray(values, dtype=bool)
 
 
@@ -568,22 +600,12 @@ def _isin(stored: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return np.isin(stored, candidates)
 
 
-def _fit_constant(constant: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """An integer constant cast to the other side's narrower integer width
-    where it fits: the comparison then runs at the stored width instead of
-    casting every row to int64.  Anything else — a constant that does not
-    fit included — is returned as it is and compares, exactly, in the
-    promoted dtype."""
-    if (
-        constant.ndim == 0
-        and column.ndim
-        and constant.dtype.kind == column.dtype.kind == "i"
-        and constant.dtype.itemsize > column.dtype.itemsize
-    ):
-        info = np.iinfo(column.dtype)
-        if info.min <= constant <= info.max:
-            return constant.astype(column.dtype)
-    return constant
+def _side(operand: Column | _Constant, other: Column | _Constant) -> np.ndarray:
+    """An operand's values for a numeric comparison with ``other``: a
+    constant against a column at the column's width (:meth:`_Constant.at_width`)."""
+    if isinstance(operand, _Constant) and isinstance(other, Column):
+        return operand.at_width(other.stored.dtype)
+    return operand.stored
 
 
 def _evaluate_comparison(op: str, left: Column | _Constant, right: Column | _Constant) -> Column:
@@ -609,6 +631,31 @@ def _evaluate_boolean(op: str, left: Column, right: Column) -> Column:
         # NULL OR TRUE -> TRUE; NULL OR FALSE -> NULL
         valid = (left.validity & right.validity) | left_values | right_values
     return Column(DataType.BOOL, values, valid)
+
+
+def predicate_mask(predicate: Expression, table: Table, within: str | None = None) -> np.ndarray:
+    """The rows of ``table`` a WHERE on ``predicate`` keeps:
+    ``truthy_mask(predicate.evaluate(table))``, with AND, OR and comparisons
+    computed as plain masks, no result column built.  Under three-valued
+    logic a conjunction is TRUE exactly where both sides are, a disjunction
+    where either is, and a comparison where it holds and neither side is
+    NULL.  ``within`` names the AND / OR a node is an operand of."""
+    if isinstance(predicate, BinaryOp):
+        op = predicate.op.lower()
+        if op in ("and", "or"):
+            combine = np.logical_and if op == "and" else np.logical_or
+            return combine(predicate_mask(predicate.left, table, op), predicate_mask(predicate.right, table, op))
+        if op in _COMPARISON_OPS:
+            left, right = _operands((predicate.left, predicate.right), table)
+            values = _compare(op, left, right)
+            valid = _both_valid(_null_free(left), _null_free(right))
+            if valid is not None:
+                values &= valid
+            return values
+    column = predicate.evaluate(table)
+    if within is not None and column.dtype is not DataType.BOOL:
+        raise ExecutionError(f"{within.upper()} requires boolean operands")
+    return truthy_mask(column)
 
 
 def truthy_mask(column: Column) -> np.ndarray:

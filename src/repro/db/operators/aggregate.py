@@ -243,7 +243,8 @@ def _source(expression: Expression, table: Table) -> Callable[[int, int], Column
     of the column itself for a bare column reference."""
     if isinstance(expression, ColumnRef):
         return expression.evaluate(table).slice
-    return lambda start, stop: expression.evaluate(table.slice(start, stop))
+    bound = expression.bound()
+    return lambda start, stop: bound.evaluate(table.slice(start, stop))
 
 
 class Aggregate(Operator):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.db.expressions import Expression, truthy_mask
+from repro.db.expressions import Expression, predicate_mask
 from repro.db.operators.base import Operator
 from repro.db.operators.morsel import Piece, gather, keep, morsels
 from repro.db.table import Table
@@ -16,6 +16,8 @@ class Filter(Operator):
     def __init__(self, child: Operator, predicate: Expression) -> None:
         self.child = child
         self.predicate = predicate
+        #: The predicate with its literals prepared, once for every execution.
+        self.bound_predicate = predicate.bound()
 
     def children(self) -> list[Operator]:
         return [self.child]
@@ -28,7 +30,7 @@ class Filter(Operator):
             return table
         pieces: list[Piece] = []
         for start, stop in morsels([(0, num_rows)]):
-            keep(pieces, start, stop, truthy_mask(self.predicate.evaluate(table.slice(start, stop))))
+            keep(pieces, start, stop, predicate_mask(self.bound_predicate, table.slice(start, stop)))
         if len(pieces) == 1 and pieces[0].count == num_rows:
             # Nothing filtered out: pass the input through without copying
             # every column (tables are logically immutable, so sharing is safe).

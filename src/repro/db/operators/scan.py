@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.db.column import BLOCK_ROWS
 from repro.db.constraints import ColumnConstraint, extract_constraints
-from repro.db.expressions import Expression, truthy_mask
+from repro.db.expressions import Expression, predicate_mask
 from repro.db.io_model import IOModel
 from repro.db.operators.base import Operator
 from repro.db.operators.morsel import Piece, as_run, gather, keep, morsels
@@ -269,6 +269,9 @@ class TableScan(Operator):
         self.projected_columns = projected_columns
         self.catalog = catalog
         self.predicate = predicate
+        #: The predicate with its literals prepared (:meth:`Expression.bound`),
+        #: once for every execution of the (cached) plan.
+        self.bound_predicate = None if predicate is None else predicate.bound()
         analysed = extract_constraints(predicate)
         self.constraints = analysed.by_column
         self.top = top
@@ -350,7 +353,7 @@ class TableScan(Operator):
             head = table.select(self.predicate_columns)
             for start, stop in morsels(kept.ranges):
                 if stop > start:
-                    keep(pieces, start, stop, truthy_mask(self.predicate.evaluate(head.slice(start, stop))))
+                    keep(pieces, start, stop, predicate_mask(self.bound_predicate, head.slice(start, stop)))
         wanted = table if self.projected_columns is None else table.select(self.projected_columns)
         run = as_run(pieces)
         rows = Table(

@@ -87,6 +87,8 @@ class ColumnStats:
         lo = float(self.min_value) if low is None else float(low)
         hi = float(self.max_value) if high is None else float(high)
         span = float(self.max_value) - float(self.min_value)
+        if not math.isfinite(span):
+            return 0.3  # an infinite extreme: no uniform spread to assume
         if span <= 0:
             return 1.0 if lo <= float(self.min_value) <= hi else 0.0
         overlap = max(0.0, min(hi, float(self.max_value)) - max(lo, float(self.min_value)))
@@ -146,10 +148,9 @@ class ColumnStats:
         n2 = other.row_count - other.null_count
 
         def _combine(a: Any, b: Any, pick: Any) -> Any:
-            if n1 == 0 or n2 == 0:
-                return b if n1 == 0 else a
-            # A side with values but no extreme holds a NaN, as does the union.
-            return None if a is None or b is None else pick(a, b)
+            # A side without an extreme has no value that orders (none at
+            # all, or only NaN): the union's extreme is the other side's.
+            return b if a is None else a if b is None else pick(a, b)
 
         mean: float | None = None
         std: float | None = None
@@ -309,10 +310,15 @@ def compute_column_stats(name: str, column: Column) -> ColumnStats:
         stats.domain_counts = value_counts.tolist()
 
     if column.dtype.is_numeric:
-        stats.mean = float(np.mean(data))
-        stats.std = float(np.std(data))
-        stats.min_value = python_value(column.dtype, data.min())
-        stats.max_value = python_value(column.dtype, data.max())
+        # ±inf and NaN are values: they carry into the mean and std as NumPy
+        # has them (inf − inf is NaN), without a warning.
+        with np.errstate(invalid="ignore", over="ignore"):
+            stats.mean = float(np.mean(data))
+            stats.std = float(np.std(data))
+        # The extremes are those of the values that order — a NaN does not —
+        # and None only when every value is NaN.
+        stats.min_value = python_value(column.dtype, np.fmin.reduce(data))
+        stats.max_value = python_value(column.dtype, np.fmax.reduce(data))
     elif stats.domain is not None:  # BOOL always; STRING when enumerable
         stats.min_value, stats.max_value = stats.domain[0], stats.domain[-1]
     else:

@@ -147,17 +147,16 @@ class LinearModel(ModelFamily):
     def input_names(self) -> tuple[str, ...]:
         return self._input_names
 
-    def design_matrix(self, inputs):
+    def design_columns(self, inputs):
         if isinstance(inputs, np.ndarray):
             array = np.asarray(inputs, dtype=np.float64)
-            columns = array.reshape(-1, 1) if array.ndim == 1 else array
+            columns = [array] if array.ndim == 1 else list(array.T)
         else:
-            columns = np.column_stack(
-                [np.asarray(inputs[name], dtype=np.float64) for name in self._input_names]
-            )
-        if self.intercept:
-            return np.column_stack([np.ones(len(columns)), columns])
-        return columns
+            columns = [np.asarray(inputs[name], dtype=np.float64) for name in self._input_names]
+        return [np.broadcast_to(1.0, len(columns[0])), *columns] if self.intercept else columns
+
+    def design_matrix(self, inputs):
+        return np.column_stack(self.design_columns(inputs))
 
     def predict(self, inputs, params):
         return self.design_matrix(inputs) @ np.asarray(params, dtype=np.float64)
@@ -185,9 +184,12 @@ class Polynomial(ModelFamily):
         self.degree = degree
         self.param_names = tuple(f"c{i}" for i in range(degree + 1))
 
-    def design_matrix(self, inputs):
+    def design_columns(self, inputs):
         x = _single_input(inputs)
-        return np.column_stack([x**i for i in range(self.degree + 1)])
+        return [np.broadcast_to(1.0, len(x)), *(x**i for i in range(1, self.degree + 1))]
+
+    def design_matrix(self, inputs):
+        return np.column_stack(self.design_columns(inputs))
 
     def predict(self, inputs, params):
         return self.design_matrix(inputs) @ np.asarray(params, dtype=np.float64)
@@ -206,9 +208,11 @@ class Constant(ModelFamily):
     is_linear = True
     param_names = ("c",)
 
+    def design_columns(self, inputs):
+        return [np.broadcast_to(1.0, len(_single_input(inputs)))]
+
     def design_matrix(self, inputs):
-        x = _single_input(inputs)
-        return np.ones((len(x), 1))
+        return np.column_stack(self.design_columns(inputs))
 
     def predict(self, inputs, params):
         x = _single_input(inputs)

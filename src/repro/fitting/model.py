@@ -81,6 +81,12 @@ class ModelFamily:
         """Return the design matrix X such that ``predict = X @ params``."""
         raise FittingError(f"model family {self.name!r} is not linear in its parameters")
 
+    def design_columns(self, inputs: Mapping[str, np.ndarray] | np.ndarray) -> list[np.ndarray]:
+        """The columns of :meth:`design_matrix` as separate, read-only arrays
+        (a constant column may be a broadcast), for a reader that works
+        column by column (the grouped fit's moments)."""
+        return list(self.design_matrix(inputs).T)
+
     # -- non-linear families ------------------------------------------------------
 
     def initial_guess(self, inputs: Mapping[str, np.ndarray] | np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -137,14 +137,22 @@ def partition_entries(payload: dict[str, Any], num_rows: int) -> list[dict[str, 
 # -- physical repartitioning orders ---------------------------------------------
 
 
-def range_partition_order(table: Table, column: str) -> np.ndarray:
-    """Stable row permutation sorting the table by ``column`` (NULLs last).
+def range_partition_order(table: Table, column: str) -> np.ndarray | None:
+    """Stable row permutation sorting the table by ``column`` (NULLs last),
+    or None when that is the order the rows are in: no NULL, and no value
+    below the one before it (a table appended in key order — a timestamp, a
+    row number — is, and is not rewritten).
 
     Clustering rows by key value makes contiguous row-range partitions —
     and the 1024-row blocks inside them — coincide with key ranges, which is
     what gives range predicates their pruning power.
     """
     col = table.column(column)
+    if col.dtype is not DataType.STRING and col.null_free():
+        stored = col.stored
+        # A NaN compares False, so a column holding one is sorted.
+        if np.greater_equal(stored[1:], stored[:-1]).all():
+            return None
     validity = np.asarray(col.validity, dtype=bool)
     if col.dtype is DataType.STRING:
         keys = np.asarray(["" if v is None else str(v) for v in col.values], dtype=object)

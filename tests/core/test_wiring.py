@@ -627,6 +627,23 @@ def test_a_grouped_fit_is_its_parameter_table():
     assert builders == TABLE_BUILDERS
 
 
+def test_capture_is_one_batched_solve_with_one_scalar_call_site():
+    """Inside ``fitting/grouped.py`` the scalar ``fit_model`` is called from
+    exactly one function, the straggler path, and ``GroupedFitter.fit`` has
+    no loop: every group is fitted by a batched solve or by that path."""
+    tree = ast.parse((SRC / "fitting" / "grouped.py").read_text())
+    callers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(node, ast.Call) and _called_name(node) == "fit_model" for node in ast.walk(function))
+    }
+    assert callers == {"_fit_stragglers"}
+    fitter = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "GroupedFitter")
+    fit = next(node for node in fitter.body if isinstance(node, ast.FunctionDef) and node.name == "fit")
+    assert [f"{node.lineno} {type(node).__name__}" for node in ast.walk(fit) if isinstance(node, LOOPS)] == []
+
+
 def test_block_synopses_are_read_by_the_scan_alone():
     """``db/operators/scan.py`` is the only caller of ``block_synopsis()``
     under ``src/``: pruning, the top-N bound and the blocks answered from

@@ -12,6 +12,7 @@ from repro.db.expressions import (
     UnaryOp,
     col,
     lit,
+    predicate_mask,
     truthy_mask,
 )
 from repro.db.table import Table
@@ -107,6 +108,38 @@ class TestComparisons:
     def test_truthy_mask_requires_bool(self, table):
         with pytest.raises(ExecutionError):
             truthy_mask(col("b").evaluate(table))
+
+
+class TestPredicateMask:
+    """``predicate_mask`` — what scans and filters keep — is ``truthy_mask``
+    of the evaluated predicate, bound or not, over NULLs on either side."""
+
+    PREDICATES = [
+        col("a") > lit(1),
+        lit(2) <= col("a"),
+        col("a").eq(col("b")),
+        (col("a") > lit(1)).and_(col("s").eq(lit("x"))),
+        (col("a") > lit(2)).or_(col("flag")),
+        (col("a") < lit(3)).or_(col("b") > lit(25.0)).and_(col("s").ne(lit("z"))),
+        UnaryOp("not", col("a") > lit(1)),
+        col("flag").and_(col("a").between(1, 2)),
+        col("a").isin([1, 3]).or_(col("a").is_null()),
+        col("a").eq(lit(300)),  # an integer constant wider than the column's storage
+        col("s") > lit("x"),
+    ]
+
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=str)
+    def test_equals_truthy_mask_of_the_evaluated_predicate(self, table, predicate):
+        narrow = Table("t", table.schema, {n: table.column(n).narrowed() for n in table.schema.names})
+        for rows in (table, narrow):
+            expected = truthy_mask(predicate.evaluate(rows)).tolist()
+            assert predicate_mask(predicate, rows).tolist() == expected
+            assert predicate_mask(predicate.bound(), rows).tolist() == expected
+            assert truthy_mask(predicate.bound().evaluate(rows)).tolist() == expected
+
+    def test_a_non_boolean_operand_of_and_is_refused(self, table):
+        with pytest.raises(ExecutionError, match="AND requires boolean operands"):
+            predicate_mask(col("b").and_(col("a") > lit(1)), table)
 
 
 class TestBooleanLogic:

@@ -201,7 +201,7 @@ class _ScanAudit:
     def __enter__(self) -> "_ScanAudit":
         charge_read = self.db.io_model.charge_read
         scan_execute = TableScan.execute
-        truthy_mask = filter_module.truthy_mask
+        predicate_mask = filter_module.predicate_mask
 
         def charge(num_bytes, *, rows_read, **blocks):
             self.charged.append((num_bytes, rows_read))
@@ -212,15 +212,15 @@ class _ScanAudit:
             self.scanned.append(table)
             return table
 
-        def mask(column):
-            self.evaluated_rows.append(len(column))
-            return truthy_mask(column)
+        def mask(predicate, table):
+            self.evaluated_rows.append(table.num_rows)
+            return predicate_mask(predicate, table)
 
         self._patches = [
             mock.patch.object(self.db.io_model, "charge_read", charge),
             mock.patch.object(TableScan, "execute", execute),
-            mock.patch.object(scan_module, "truthy_mask", mask),
-            mock.patch.object(filter_module, "truthy_mask", mask),
+            mock.patch.object(scan_module, "predicate_mask", mask),
+            mock.patch.object(filter_module, "predicate_mask", mask),
         ]
         for patch in self._patches:
             patch.start()

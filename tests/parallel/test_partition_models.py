@@ -139,3 +139,25 @@ class TestMaintenanceRefit:
         ]
         assert refreshed.status in ("active", "stale")
         assert candidates, "maintenance left no active partition model"
+
+
+class TestRangePartitionInKeyOrder:
+    def test_rows_already_in_key_order_are_not_rewritten(self) -> None:
+        """A range partition over a column that never decreases and holds no
+        NULL commits its map over the live table: no row moves, the table is
+        the same object and a model captured before stays active."""
+        db = _make_db(partitions=1)
+        model = db.fit("readings", "v ~ linear(t)").model
+        before = db.table("readings")
+        payload = db.partition_table("readings", partitions=4, by="t", scheme="range")
+        assert db.table("readings") is before
+        assert db.models.get(model.model_id).status == "active"
+        assert [entry["rows"] for entry in payload["partitions"]] == [512] * 4
+
+    @pytest.mark.parametrize("values", [[3.0, 1.0, 2.0, 4.0], [1.0, None, 2.0, 3.0], [1.0, float("nan"), 2.0, 3.0]])
+    def test_rows_out_of_key_order_are_re_clustered(self, values) -> None:
+        db = LawsDatabase(observability=False)
+        db.load_dict("t", {"k": values, "i": list(range(len(values)))})
+        before = db.table("t")
+        db.partition_table("t", partitions=2, by="k", scheme="range")
+        assert db.table("t") is not before

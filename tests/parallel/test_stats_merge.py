@@ -111,7 +111,31 @@ class TestColumnStatsMerge:
             assert stats.distinct_count == 4
             assert stats.domain[:3] == [1.0, 2.0, 3.0] and np.isnan(stats.domain[3])
             assert stats.domain_counts == [1, 1, 1, 2]
-            assert stats.min_value is None and stats.max_value is None
+            assert (stats.min_value, stats.max_value) == (1.0, 3.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extremes_skip_nan_and_keep_infinities(self) -> None:
+        """A FLOAT64 column's min and max are those of its values that order
+        — a NaN does not, ±inf do — and None only when every value is NaN;
+        no RuntimeWarning on the way.  A merge follows the same rule, so an
+        all-NaN shard leaves the other side's extremes."""
+        nan, inf = float("nan"), float("inf")
+        table = Table.from_dict("t", {"x": [1.0, nan, 2.0, 3.0, inf, nan, nan]})
+        whole = compute_column_stats("x", table.column("x"))
+        assert (whole.min_value, whole.max_value) == (1.0, inf)
+        assert np.isnan(whole.mean) and np.isnan(whole.std)
+        finite = compute_column_stats("x", table.slice(0, 4).column("x"))
+        assert (finite.min_value, finite.max_value) == (1.0, 3.0)
+        assert finite.selectivity_range(1.0, 2.0) == pytest.approx(0.5)
+        assert whole.selectivity_range(1.0, 2.0) == 0.3  # no uniform spread up to inf
+        for cut in range(1, 7):
+            merged = compute_column_stats("x", table.slice(0, cut).column("x")).merge(
+                compute_column_stats("x", table.slice(cut, 7).column("x"))
+            )
+            assert (merged.min_value, merged.max_value) == (1.0, inf), cut
+        only_nan = compute_column_stats("x", table.slice(5, 7).column("x"))
+        assert only_nan.min_value is None and only_nan.max_value is None
+        assert (only_nan.merge(finite).min_value, finite.merge(only_nan).max_value) == (1.0, 3.0)
 
 
 class TestTableStatsMerge:

@@ -667,6 +667,9 @@ def test_a_v3_store_replays_its_json_row_tail_and_its_first_checkpoint_stamps_v4
     root = tmp_path / "store"
     shutil.copytree(FIXTURES / "v3_store", root)
     recorded = json.loads((FIXTURES / "v3_store.json").read_text())
+    # That build read the extremes of a FLOAT64 column holding a NaN as None;
+    # they are those of the values that order (a NaN does not, ±inf do).
+    recorded["stats"]["mixed"]["columns"]["f"].update(min_value=-1e300, max_value=float("inf"))
     expected = (
         recorded["fingerprint"],
         recorded["rows"],
